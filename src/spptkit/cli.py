@@ -60,7 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cls.add_argument("input", help="state file")
     cls.add_argument("--tol", type=float, default=separability.DEFAULT_TOL)
     cls.add_argument("--grid", type=_parse_grid, default=None,
-                     help="range-search grid as PHIxTHETA (default 720x360)")
+                     help="grid of the range-criterion search (edge_check) as "
+                          "PHIxTHETA (default 720x360); the subtraction prover "
+                          "keeps its own 180x90 grid")
     cls.add_argument("--budget", type=int, default=None,
                      help="subtraction iteration budget (default 4d)")
     cls.add_argument("--json", dest="json_out", default=None, metavar="PATH",

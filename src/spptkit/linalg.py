@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotHermitian, NotNormal, NotPsd, NotSquare, ValidationError
 
@@ -28,6 +27,16 @@ class EigResult(NamedTuple):
 
     values: np.ndarray
     vectors: np.ndarray
+
+    @classmethod
+    def of(cls, h: np.ndarray) -> "EigResult":
+        """Eigendecomposition of a matrix the caller has already made
+        hermitian; unvalidated, so ``herm_eig`` is the entry for other input."""
+        return cls(*np.linalg.eigh(h))
+
+    def apply(self, fn) -> np.ndarray:
+        """The matrix function ``vectors @ diag(fn(values)) @ vectors^dag``."""
+        return (self.vectors * fn(self.values)) @ self.vectors.conj().T
 
 
 class SvdResult(NamedTuple):
@@ -86,8 +95,7 @@ def herm_eig(m, rtol: float = HERM_RTOL) -> EigResult:
     m = as_matrix(m)
     _require_square(m)
     _require_hermitian(m, rtol)
-    values, vectors = np.linalg.eigh(hermitianize(m))
-    return EigResult(values, vectors)
+    return EigResult.of(hermitianize(m))
 
 
 def svd(m) -> SvdResult:
@@ -208,6 +216,8 @@ def normal_eig(s, rtol: float = HERM_RTOL) -> tuple[np.ndarray, np.ndarray]:
     defect = frob(s.conj().T @ s - s @ s.conj().T)
     if defect > rtol * max(frob(s) ** 2, 1e-300):
         raise NotNormal(f"normality defect {defect:g} exceeds tolerance")
+    import scipy.linalg  # deferred: importing it dominates `import spptkit`
+
     t, z = scipy.linalg.schur(s, output="complex")
     values = np.diagonal(t).copy()
     order = np.lexsort((values.imag, values.real))

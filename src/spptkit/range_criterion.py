@@ -12,11 +12,20 @@ e) and of rho^{T_A} (with e*) gives a constraint matrix M(e) whose smallest
 
 vanishes exactly when a qualifying product vector exists at e.  The qubit
 direction lives on the projective line, parametrized as e ~ (1, t) with
-the point at infinity e = (0, 1), so a dense scan over t plus local
-refinement either locates product vectors or - when every refined local
-minimum stays above an exclusion threshold - produces numerical evidence
-that none exist.  For a PPT state that evidence certifies entanglement;
-the certificate is an explicit search record, not a mathematical proof.
+the point at infinity e = (0, 1).
+
+One routine, ``_search``, does all the searching: it scans mu over a
+stereographic grid, refines the best local minima of the scan and both
+poles, and keeps the product vectors at the refined minima that reach a
+residual threshold.  ``product_vectors_in_range`` runs it once;
+``edge_check`` runs it on a coarse grid and, when that finds nothing, on
+the full grid, and records every refined minimum.  When every refined
+minimum stays above the exclusion threshold, the record is numerical
+evidence that no qualifying product vector exists; for a PPT state it
+certifies entanglement.  The certificate is an explicit search record, not
+a mathematical proof.  A state with fewer constraint rows than d has
+qualifying vectors at every direction; the routine then returns a basis of
+them at six canonical directions instead of searching.
 
 Index convention: a kernel vector w of the 2d x 2d state is reshaped to a
 2 x d array W with the qubit index first, so <w, e (x) f> = sum_{a,j}
@@ -27,7 +36,6 @@ conj(W).  This convention is pinned by the pure-product recovery test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -42,6 +50,8 @@ REFINE_TOL = 1e-12
 REFINE_MAX_LEVELS = 60
 _REFINE_EVAL_CAP = 20000
 _CANDIDATE_TOL = 1e-8
+_EDGE_SEED_LIMIT = 32              # local minima refined per edge_check pass
+_NULL_CUTOFF = 1e-8                # relative singular-value cutoff of M(e) nullspaces
 
 
 @dataclass(frozen=True)
@@ -115,45 +125,28 @@ def _constraints_of(s: QubitQuditState, cutoff: float) -> _Constraints:
     )
 
 
-def _constraint_matrix(con: _Constraints, e: np.ndarray) -> np.ndarray:
-    rows = []
-    if con.w_state.shape[0]:
-        rows.append(np.einsum("a,mad->md", e, con.w_state))
-    if con.w_pt.shape[0]:
-        rows.append(np.einsum("a,mad->md", np.conj(e), con.w_pt))
-    if not rows:
-        return np.zeros((0, con.d), dtype=complex)
-    return np.concatenate(rows, axis=0)
-
-
-def _mu_and_vector(con: _Constraints, e: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smallest constrained residual at e and the minimizing unit f."""
-    m = _constraint_matrix(con, e)
-    if m.shape[0] == 0:
-        f = np.zeros(con.d, dtype=complex)
-        f[0] = 1.0
-        return 0.0, f
-    u, sigma, vh = np.linalg.svd(m, full_matrices=True)
-    if m.shape[0] < con.d:
-        return 0.0, np.conj(vh[-1])
-    return float(sigma[con.d - 1]), np.conj(vh[con.d - 1])
+def _constraint_rows(con: _Constraints, e_batch: np.ndarray) -> np.ndarray:
+    """M(e) for a batch of unit qubit vectors of shape (n, 2): (n, n_rows, d)."""
+    return np.concatenate([np.einsum("na,mad->nmd", e_batch, con.w_state),
+                           np.einsum("na,mad->nmd", np.conj(e_batch), con.w_pt)],
+                          axis=1)
 
 
 def _mu_batch(con: _Constraints, e_batch: np.ndarray) -> np.ndarray:
-    """Vectorized mu over a batch of unit qubit vectors, shape (n, 2)."""
-    d = con.d
-    parts = []
-    if con.w_state.shape[0]:
-        parts.append(np.einsum("na,mad->nmd", e_batch, con.w_state))
-    if con.w_pt.shape[0]:
-        parts.append(np.einsum("na,mad->nmd", np.conj(e_batch), con.w_pt))
-    if not parts:
-        return np.zeros(len(e_batch))
-    m = np.concatenate(parts, axis=1)
-    if m.shape[1] < d:
-        return np.zeros(len(e_batch))
-    sv = np.linalg.svd(m, compute_uv=False)
-    return sv[:, d - 1]
+    """mu over a batch of unit qubit vectors; needs n_rows >= d."""
+    return np.linalg.svd(_constraint_rows(con, e_batch), compute_uv=False)[:, con.d - 1]
+
+
+def _null_vector(con: _Constraints, e: np.ndarray) -> np.ndarray:
+    """The unit f minimizing ||M(e) f||; needs n_rows >= d."""
+    _, _, vh = np.linalg.svd(_constraint_rows(con, e[None, :])[0])
+    return np.conj(vh[con.d - 1])
+
+
+def _null_space(con: _Constraints, e: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (rows) of the nullspace of M(e), best residual first."""
+    m = _constraint_rows(con, e[None, :])[0]
+    return linalg.nullspace(m, cutoff=_NULL_CUTOFF)[:, ::-1].T
 
 
 def _qubit_vector(param: complex, chart: str) -> np.ndarray:
@@ -239,10 +232,8 @@ def _local_minima_indices(mu_grid: np.ndarray) -> np.ndarray:
 def _product_vector_at(s: QubitQuditState, con: _Constraints, e: np.ndarray,
                        f: np.ndarray) -> ProductVector:
     """Build a ProductVector with residuals recomputed from the definitions."""
-    ef = np.kron(e, f)
-    ef_conj = np.kron(np.conj(e), f)
-    r1 = con.w_state.reshape(-1, 2 * s.d) @ ef if con.w_state.shape[0] else np.zeros(0)
-    r2 = con.w_pt.reshape(-1, 2 * s.d) @ ef_conj if con.w_pt.shape[0] else np.zeros(0)
+    r1 = con.w_state.reshape(-1, 2 * s.d) @ np.kron(e, f)
+    r2 = con.w_pt.reshape(-1, 2 * s.d) @ np.kron(np.conj(e), f)
     return ProductVector(
         e=e.copy(), f=f.copy(),
         residual_range=float(np.linalg.norm(r1)),
@@ -253,56 +244,6 @@ def _product_vector_at(s: QubitQuditState, con: _Constraints, e: np.ndarray,
 _CANONICAL = (
     (0.0, "t"), (0.0, "inv_t"), (1.0, "t"), (-1.0, "t"), (1j, "t"), (-1j, "t"),
 )
-
-
-def product_vectors_in_range(s: QubitQuditState, grid: tuple[int, int] | None = None,
-                             kernel_cutoff: float = KERNEL_CUTOFF,
-                             max_candidates: int = 16,
-                             candidate_tol: float = _CANDIDATE_TOL) -> list[ProductVector]:
-    """Scan for product vectors |e, f> in range(rho) with |e*, f> in the
-    partial-transpose range.
-
-    For each qubit direction on the grid the qudit vector is solved exactly
-    by a nullspace computation on the contracted kernel constraints; grid
-    points seeding small residuals are refined locally.  Returns up to
-    ``max_candidates`` vectors with combined residual at most
-    ``candidate_tol``, best first.  A state with fewer independent kernel
-    constraints than d (in particular any full-rank state) admits product
-    vectors at every qubit direction; a capped selection at canonical
-    directions is returned in that case.
-    """
-    con = _constraints_of(s, kernel_cutoff)
-    found: list[ProductVector] = []
-    if con.n_rows < s.d:
-        for param, chart in _CANONICAL:
-            e = _qubit_vector(param, chart)
-            _, f = _mu_and_vector(con, e)
-            found.append(_product_vector_at(s, con, e, f))
-            if len(found) >= max_candidates:
-                break
-        return found
-
-    n_phi, n_theta = grid or DEFAULT_GRID
-    t, e_grid = _grid_params(n_phi, n_theta)
-    mu = _mu_chunked(con, e_grid).reshape(n_theta, n_phi)
-    seeds = _seed_points(mu, t.reshape(n_theta, n_phi), n_theta, limit=4 * max_candidates)
-    seeds += [(0.0, "t", None), (0.0, "inv_t", None)]
-    results = []
-    for param, chart, step in seeds:
-        param, chart, val = _refine(con, param, chart, step or 0.05)
-        if val <= candidate_tol:
-            e = _qubit_vector(param, chart)
-            _, f = _mu_and_vector(con, e)
-            results.append(_product_vector_at(s, con, e, f))
-    results.sort(key=lambda pv: pv.combined_residual)
-    deduped: list[ProductVector] = []
-    for pv in results:
-        if all(abs(abs(np.vdot(pv.e, q.e)) - 1.0) > 1e-6 or
-               abs(abs(np.vdot(pv.f, q.f)) - 1.0) > 1e-6 for q in deduped):
-            deduped.append(pv)
-        if len(deduped) >= max_candidates:
-            break
-    return deduped
 
 
 def _mu_chunked(con: _Constraints, e_grid: np.ndarray,
@@ -329,10 +270,79 @@ def _seed_points(mu: np.ndarray, t: np.ndarray, n_theta: int, limit: int):
     return seeds
 
 
+def _distinct(vectors: list[ProductVector]) -> list[ProductVector]:
+    """Drop vectors whose e and f both match an earlier one up to phase."""
+    kept: list[ProductVector] = []
+    for pv in vectors:
+        if all(abs(abs(np.vdot(pv.e, q.e)) - 1.0) > 1e-6 or
+               abs(abs(np.vdot(pv.f, q.f)) - 1.0) > 1e-6 for q in kept):
+            kept.append(pv)
+    return kept
+
+
+def _search(s: QubitQuditState, con: _Constraints, grid: tuple[int, int],
+            seed_limit: int, threshold: float, cap: int | None = None):
+    """The search over the qubit direction behind both public entry points.
+
+    Scans mu over the grid, refines the ``seed_limit`` best local minima of
+    the scan and both poles, and returns ``(minima, found)``: a record of
+    every refined minimum, and the product vectors at the minima whose
+    residual is at most ``threshold``, best first, without duplicates and
+    at most ``cap`` of them.
+
+    With fewer constraint rows than d, M(e) has a nullspace at every e and
+    mu vanishes identically.  Nothing is searched then: ``found`` is an
+    orthonormal basis of the nullspace at each of six canonical directions
+    (uncapped, at most 6d vectors), and a single record at t = 0 stands for
+    the landscape.
+    """
+    if con.n_rows < s.d:
+        found = []
+        for param, chart in _CANONICAL:
+            e = _qubit_vector(param, chart)
+            found.extend(_product_vector_at(s, con, e, f) for f in _null_space(con, e))
+        return [_minimum_record(0.0, "t", found[0].combined_residual)], found
+
+    n_phi, n_theta = grid
+    t, e_grid = _grid_params(n_phi, n_theta)
+    mu = _mu_chunked(con, e_grid).reshape(n_theta, n_phi)
+    seeds = _seed_points(mu, t.reshape(n_theta, n_phi), n_theta, seed_limit)
+    seeds += [(0.0, "t", 0.05), (0.0, "inv_t", 0.05)]
+    minima, found = [], []
+    for seed in seeds:
+        param, chart, val = _refine(con, *seed)
+        minima.append(_minimum_record(param, chart, val))
+        if val <= threshold:
+            e = _qubit_vector(param, chart)
+            found.append(_product_vector_at(s, con, e, _null_vector(con, e)))
+    found.sort(key=lambda pv: pv.combined_residual)
+    return minima, _distinct(found)[:cap]
+
+
+def product_vectors_in_range(s: QubitQuditState, grid: tuple[int, int] | None = None,
+                             kernel_cutoff: float = KERNEL_CUTOFF,
+                             max_candidates: int = 16,
+                             candidate_tol: float = _CANDIDATE_TOL) -> list[ProductVector]:
+    """Scan for product vectors |e, f> in range(rho) with |e*, f> in the
+    partial-transpose range.
+
+    For each qubit direction on the grid the qudit vector is solved exactly
+    by a nullspace computation on the contracted kernel constraints; grid
+    points seeding small residuals are refined locally.  Returns up to
+    ``max_candidates`` vectors with combined residual at most
+    ``candidate_tol``, best first.  A state with fewer independent kernel
+    constraints than d (in particular any full-rank state) admits product
+    vectors at every qubit direction; it gets, uncapped, an orthonormal
+    basis of them at six canonical directions.
+    """
+    con = _constraints_of(s, kernel_cutoff)
+    _, found = _search(s, con, grid or DEFAULT_GRID, 4 * max_candidates,
+                       candidate_tol, cap=max_candidates)
+    return found
+
+
 def edge_check(s: QubitQuditState, grid: tuple[int, int] | None = None,
-               exclusion_threshold: float = EXCLUSION_THRESHOLD,
-               kernel_cutoff: float = KERNEL_CUTOFF,
-               refine_limit: int = 32) -> RangeSearchCertificate:
+               exclusion_threshold: float = EXCLUSION_THRESHOLD) -> RangeSearchCertificate:
     """Search for a product vector satisfying both range conditions.
 
     Concludes ``FoundProductVector`` as soon as a refined candidate drops
@@ -343,53 +353,20 @@ def edge_check(s: QubitQuditState, grid: tuple[int, int] | None = None,
     the range criterion.
     """
     n_phi, n_theta = grid or DEFAULT_GRID
-    con = _constraints_of(s, kernel_cutoff)
-    grid_spec = {"n_phi": n_phi, "n_theta": n_theta,
-                 "extra_points": ["t=0", "pole"], "kernel_cutoff": kernel_cutoff,
-                 "kernel_dims": [int(con.w_state.shape[0]), int(con.w_pt.shape[0])]}
-
-    if con.n_rows < s.d:
-        e = _qubit_vector(0.0, "t")
-        _, f = _mu_and_vector(con, e)
-        pv = _product_vector_at(s, con, e, f)
-        return RangeSearchCertificate(
-            grid_spec=grid_spec, worst_min_residual=pv.combined_residual,
-            refined_minima=[_minimum_record(0.0, "t", pv.combined_residual)],
-            conclusion="FoundProductVector", found=[pv],
-            exclusion_threshold=exclusion_threshold,
-        )
-
+    con = _constraints_of(s, KERNEL_CUTOFF)
     # Cheap pre-pass: a coarse scan usually locates product vectors of
     # separable states without paying for the full grid.
     coarse = (max(n_phi // 10, 36), max(n_theta // 10, 18))
-    for pass_grid, is_final in ((coarse, False), ((n_phi, n_theta), True)):
-        t, e_grid = _grid_params(*pass_grid)
-        mu = _mu_chunked(con, e_grid).reshape(pass_grid[1], pass_grid[0])
-        seeds = _seed_points(mu, t.reshape(pass_grid[1], pass_grid[0]),
-                             pass_grid[1], limit=refine_limit)
-        seeds += [(0.0, "t", 0.05), (0.0, "inv_t", 0.05)]
-        minima = []
-        found = []
-        for param, chart, step in seeds:
-            p, ch, val = _refine(con, param, chart, step or 0.05)
-            minima.append(_minimum_record(p, ch, val))
-            if val <= exclusion_threshold:
-                e = _qubit_vector(p, ch)
-                _, f = _mu_and_vector(con, e)
-                found.append(_product_vector_at(s, con, e, f))
+    for pass_grid in (coarse, (n_phi, n_theta)):
+        minima, found = _search(s, con, pass_grid, _EDGE_SEED_LIMIT, exclusion_threshold)
         if found:
-            found.sort(key=lambda pv: pv.combined_residual)
-            return RangeSearchCertificate(
-                grid_spec=grid_spec,
-                worst_min_residual=min(m["residual"] for m in minima),
-                refined_minima=minima, conclusion="FoundProductVector",
-                found=found, exclusion_threshold=exclusion_threshold,
-            )
-        if is_final:
-            return RangeSearchCertificate(
-                grid_spec=grid_spec,
-                worst_min_residual=min(m["residual"] for m in minima),
-                refined_minima=minima, conclusion="NoneFound",
-                exclusion_threshold=exclusion_threshold,
-            )
-    raise AssertionError("unreachable")
+            break
+    return RangeSearchCertificate(
+        grid_spec={"n_phi": n_phi, "n_theta": n_theta,
+                   "extra_points": ["t=0", "pole"], "kernel_cutoff": KERNEL_CUTOFF,
+                   "kernel_dims": [int(con.w_state.shape[0]), int(con.w_pt.shape[0])]},
+        worst_min_residual=min(m["residual"] for m in minima),
+        refined_minima=minima,
+        conclusion="FoundProductVector" if found else "NoneFound",
+        found=found, exclusion_threshold=exclusion_threshold,
+    )

@@ -20,9 +20,10 @@ partial transpose is sufficient in 2 x 2 and 2 x 3), which closes the
 k <= 3 reductions without an explicit decomposition.
 
 For PPT states outside these routes, a best-effort prover subtracts
-product vectors that satisfy both range conditions, keeping the remainder
-and its partial transpose positive; it succeeds when the remainder hits
-zero or lands in a constructively certified case.  Classification runs
+product vectors that satisfy both range conditions, each with the largest
+weight that keeps the remainder and its partial transpose positive (a
+closed form); it succeeds when the remainder hits zero or lands in a
+constructively certified case.  Classification runs
 sound, cheap certificates first (negative partial-transpose eigenvalue,
 small dimension, strong-PPT constructions) and only then the search-based
 evidence, so a verdict never depends on a heuristic when a proof exists.
@@ -44,11 +45,24 @@ from .errors import (
     SingularX1,
     ValidationError,
 )
-from .range_criterion import RangeSearchCertificate, edge_check
+from .range_criterion import edge_check
 from .sppt import SpptFactors, SpptVerdict, assemble_state, sppt_check, sppt_residual
 from .states import QubitQuditState, blocks, join_blocks
 
 DEFAULT_TOL = 1e-9
+# Floor of every tolerance a construction is gated or validated with: the
+# spectral, reduction and lifting steps each lose a few digits to the
+# conditioning of the factors, and a core validated below this floor can
+# fail on valid input.
+TOL_FLOOR = 1e-8
+
+# The subtraction prover's own product-vector search: a coarser grid than
+# the range criterion's, a looser kernel cutoff, and up to eight candidates
+# per iteration within residual 1e-7.
+SUBTRACTION_GRID = (180, 90)
+_SUBTRACTION_KERNEL_CUTOFF = 1e-8
+_SUBTRACTION_CANDIDATES = 8
+_SUBTRACTION_CANDIDATE_TOL = 1e-7
 
 SEPARABLE = "Separable"
 SEPARABLE_BY_THEOREM = "SeparableByTheorem"
@@ -192,9 +206,9 @@ def decompose_full_rank(f: SpptFactors, tol: float = DEFAULT_TOL) -> SeparableDe
     if linalg.rank_of(f.x1) < d:
         raise SingularX1("x1 must be invertible for the spectral construction")
     norm_defect = linalg.frob(f.s.conj().T @ f.s - f.s @ f.s.conj().T)
-    if norm_defect > max(tol, 1e-8) * max(linalg.frob(f.s) ** 2, 1e-300):
+    if norm_defect > max(tol, TOL_FLOOR) * max(linalg.frob(f.s) ** 2, 1e-300):
         raise NotNormal(f"s has normality defect {norm_defect:g}")
-    values, vectors = linalg.normal_eig(f.s, rtol=max(tol, 1e-8))
+    values, vectors = linalg.normal_eig(f.s, rtol=max(tol, TOL_FLOOR))
     terms = []
     for lam, z in zip(values, vectors.T):
         qubit = np.array([[1.0, lam], [np.conj(lam), abs(lam) ** 2]], dtype=complex)
@@ -205,7 +219,7 @@ def decompose_full_rank(f: SpptFactors, tol: float = DEFAULT_TOL) -> SeparableDe
     dec = SeparableDecomposition(terms=terms)
     # Validation tolerance matches the normality gate: the spectral step
     # loses exactly the normality defect of s.
-    dec.validate(assemble_state(f).rho, tol=max(tol, 1e-8))
+    dec.validate(assemble_state(f).rho, tol=max(tol, TOL_FLOOR))
     return dec
 
 
@@ -219,7 +233,7 @@ def svd_reduce(f: SpptFactors, tol: float = DEFAULT_TOL) -> ReductionResult:
     """
     scale = max(linalg.frob(f.x1) * max(linalg.frob(f.s), 1.0), 1e-300)
     residual = sppt_residual(f.x1, f.s)
-    if residual > max(tol, 1e-8) * scale:
+    if residual > max(tol, TOL_FLOOR) * scale:
         raise NotSppt(f"factors violate the strong-PPT condition by {residual:g}")
     u, sigma, v = linalg.svd(f.x1)
     k = linalg.rank_of(f.x1)
@@ -239,7 +253,7 @@ def svd_reduce(f: SpptFactors, tol: float = DEFAULT_TOL) -> ReductionResult:
         core_identity = linalg.frob(
             c_r - dk @ (s11 @ s11.conj().T + s12 @ s12.conj().T) @ dk
         )
-        if core_identity > max(tol, 1e-8) * max(scale, 1.0):
+        if core_identity > max(tol, TOL_FLOOR) * max(scale, 1.0):
             raise NotSppt(
                 f"conjugated strong-PPT identity fails by {core_identity:g}"
             )
@@ -263,7 +277,7 @@ def lift_decomposition(r: ReductionResult, dec: Optional[SeparableDecomposition]
     if r.k > 0:
         if dec is None:
             raise InvalidDecomposition("a core decomposition is required when k > 0")
-        dec.validate(r.reduced.rho, tol=max(tol, 1e-8))
+        dec.validate(r.reduced.rho, tol=max(tol, TOL_FLOOR))
         for qubit, qudit in dec.terms:
             padded = np.zeros((d, d), dtype=complex)
             padded[:r.k, :r.k] = qudit
@@ -277,39 +291,34 @@ def lift_decomposition(r: ReductionResult, dec: Optional[SeparableDecomposition]
 # Product-vector subtraction
 # ---------------------------------------------------------------------------
 
-def _max_subtraction_weight(rho: np.ndarray, pt: np.ndarray, d: int,
-                            e: np.ndarray, f: np.ndarray,
-                            bisect_tol: float = 1e-12) -> float:
-    """Largest weight of |e,f><e,f| keeping the state and its partial
-    transpose PSD, found by bisection to absolute tolerance 1e-12."""
-    pi = np.kron(np.outer(e, e.conj()), np.outer(f, f.conj()))
-    pi_pt = states.partial_transpose_matrix(pi, d)
-    scale = max(linalg.frob(rho), 1e-300)
-    # The remainder may already sit at the numerical PSD floor from earlier
-    # maximal subtractions; allow that much negativity plus one step of
-    # bisection noise, so progress is never blocked by the previous step.
-    base = min(0.0,
-               float(np.linalg.eigvalsh(linalg.hermitianize(rho)).min()),
-               float(np.linalg.eigvalsh(linalg.hermitianize(pt)).min()))
+def _rank_one_weight(m: np.ndarray, v: np.ndarray) -> float:
+    """Largest lam with m - lam |v><v| PSD, for PSD m and unit v.
 
-    def stays_psd(lam: float) -> bool:
-        m1 = np.linalg.eigvalsh(linalg.hermitianize(rho - lam * pi)).min()
-        m2 = np.linalg.eigvalsh(linalg.hermitianize(pt - lam * pi_pt)).min()
-        return min(m1, m2) >= base - 1e-12 * scale
-
-    hi = float(rho.trace().real)
-    if not stays_psd(0.0):
+    That is 1 / <v|m^+|v> when v lies in the range of m, and 0 when v has a
+    component above ``_SUBTRACTION_CANDIDATE_TOL`` on eigenvalues at or
+    below ``linalg.RANK_CUTOFF`` times the largest.  Every candidate the
+    subtraction search accepts passes that test: its residual against the
+    wider kernel at ``_SUBTRACTION_KERNEL_CUTOFF`` is within the same bound.
+    """
+    values, vectors = linalg.herm_eig(m)
+    c = vectors.conj().T @ v
+    keep = values > linalg.RANK_CUTOFF * values[-1]
+    if linalg.frob(c[~keep]) > _SUBTRACTION_CANDIDATE_TOL:
         return 0.0
-    if stays_psd(hi):
-        return hi
-    lo = 0.0
-    while hi - lo > bisect_tol:
-        mid = (lo + hi) / 2.0
-        if stays_psd(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return 1.0 / float(np.sum(np.abs(c[keep]) ** 2 / values[keep]))
+
+
+def _max_subtraction_weight(rho: np.ndarray, pt: np.ndarray,
+                            e: np.ndarray, f: np.ndarray) -> float:
+    """Largest weight of |e,f><e,f| keeping the state and its partial
+    transpose PSD, capped by the trace.
+
+    The partial transpose of |e,f><e,f| is |e*,f><e*,f|, so both limits
+    are rank-one closed forms.
+    """
+    return min(float(rho.trace().real),
+               _rank_one_weight(rho, np.kron(e, f)),
+               _rank_one_weight(pt, np.kron(np.conj(e), f)))
 
 
 def _qudit_support(rho: np.ndarray, d: int, cutoff: float = 1e-9):
@@ -331,29 +340,9 @@ def _compress_qudit(rho: np.ndarray, d: int, iso: np.ndarray) -> np.ndarray:
     return out
 
 
-def _subtraction_candidates(state: QubitQuditState, grid, kernel_cutoff):
-    """Qualifying (e, f) candidates for the current remainder."""
-    vectors = range_criterion.product_vectors_in_range(
-        state, grid=grid, kernel_cutoff=kernel_cutoff, max_candidates=8,
-        candidate_tol=1e-7,
-    )
-    out = [(pv.e, pv.f) for pv in vectors]
-    # With few constraints the qudit solution space is larger than the
-    # single reported vector; enumerate a basis at canonical directions.
-    con = range_criterion._constraints_of(state, kernel_cutoff)
-    if con.n_rows < state.d:
-        for param, chart in range_criterion._CANONICAL:
-            e = range_criterion._qubit_vector(param, chart)
-            m = range_criterion._constraint_matrix(con, e)
-            basis = linalg.nullspace(m, cutoff=1e-8)
-            out.extend((e, basis[:, j]) for j in range(basis.shape[1]))
-    return out
-
-
 def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
-                             grid: tuple[int, int] = (180, 90),
+                             grid: tuple[int, int] = SUBTRACTION_GRID,
                              tol: float = DEFAULT_TOL,
-                             kernel_cutoff: float = 1e-8,
                              small_support_exit: bool = True) -> SubtractionResult:
     """Greedy separable-part extraction for a PPT state.
 
@@ -389,13 +378,13 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
             core = _compress_qudit(rho, d, iso)
             pt_min = float(np.linalg.eigvalsh(
                 states.partial_transpose_matrix(core, iso.shape[1])).min())
-            if pt_min >= -max(tol, 1e-8) * scale0:
+            if pt_min >= -max(tol, TOL_FLOOR) * scale0:
                 status = "small_support"
                 detail = {"support_isometry": iso, "compressed": core,
                           "compressed_min_pt_eig": pt_min}
                 break
         remainder_state = states._state(d, rho)
-        verdict = sppt_check(remainder_state, tol=max(tol, 1e-8))
+        verdict = sppt_check(remainder_state, tol=max(tol, TOL_FLOOR))
         if verdict.status == "Sppt":
             k = linalg.rank_of(verdict.factors.x1)
             if k == d or k <= 3:
@@ -410,13 +399,16 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
         # can strand the remainder in an edge-like state.
         best = None
         lam_floor = 1e-10 * float(rho.trace().real)
-        for e, f in _subtraction_candidates(remainder_state, grid, kernel_cutoff):
-            lam = _max_subtraction_weight(rho, pt, d, e, f)
+        candidates = range_criterion.product_vectors_in_range(
+            remainder_state, grid=grid, kernel_cutoff=_SUBTRACTION_KERNEL_CUTOFF,
+            max_candidates=_SUBTRACTION_CANDIDATES,
+            candidate_tol=_SUBTRACTION_CANDIDATE_TOL)
+        for e, f in ((pv.e, pv.f) for pv in candidates):
+            lam = _max_subtraction_weight(rho, pt, e, f)
             if lam <= lam_floor:
                 continue
             trial = rho - lam * np.kron(np.outer(e, e.conj()), np.outer(f, f.conj()))
-            support_after = _qudit_support(trial, d).shape[1]
-            key = (support_after, -lam)
+            key = (_qudit_support(trial, d).shape[1], -lam)
             if best is None or key < best[0]:
                 best = (key, lam, e, f)
         if best is None:
@@ -468,7 +460,7 @@ def decompose_small(s: QubitQuditState, budget: Optional[int] = None,
     else:
         raise InvalidDecomposition(
             f"subtraction did not terminate constructively ({sub.status})")
-    dec.validate(s.rho, tol=max(tol, 1e-8))
+    dec.validate(s.rho, tol=max(tol, TOL_FLOOR))
     return dec
 
 
@@ -484,7 +476,6 @@ def _pt_min_eig(rho: np.ndarray, d: int) -> tuple[float, np.ndarray]:
 
 def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
              grid: tuple[int, int] | None = None,
-             exclusion_threshold: float = range_criterion.EXCLUSION_THRESHOLD,
              budget: Optional[int] = None, _depth: int = 0) -> Verdict:
     """Classify a 2 x d state as separable or entangled, with certificate.
 
@@ -501,6 +492,10 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
        EntangledRange (search certificate);
     7. product-vector subtraction succeeds -> Separable / SeparableByTheorem;
        otherwise PptUndecided.
+
+    ``grid`` sets the step-6 search only (default
+    ``range_criterion.DEFAULT_GRID``); the subtraction prover of step 7
+    always searches its own ``SUBTRACTION_GRID`` (180 x 90).
 
     The state is normalized by its trace internally; decomposition
     certificates are rescaled back to the input normalization.
@@ -539,8 +534,8 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
     residuals["sppt_residual"] = verdict.residual
     log.append(f"sppt_check: {verdict.status} (residual {verdict.residual:.3e})")
     if verdict.status == "Sppt":
-        outcome = _classify_sppt(work, verdict, tol, grid, exclusion_threshold,
-                                 budget, _depth, log, residuals)
+        outcome = _classify_sppt(work, verdict, tol, grid, budget, _depth, log,
+                                 residuals)
         if outcome is not None:
             classification, certificate = outcome
             if isinstance(certificate, SeparableDecomposition):
@@ -548,7 +543,7 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
             return done(classification, certificate)
 
     # 6: range-criterion search
-    cert = edge_check(work, grid=grid, exclusion_threshold=exclusion_threshold)
+    cert = edge_check(work, grid=grid)
     residuals["range_search_min"] = cert.worst_min_residual
     log.append(f"range search: {cert.conclusion} "
                f"(best refined residual {cert.worst_min_residual:.3e})")
@@ -574,8 +569,8 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
                                 "subtraction_status": sub.status})
 
 
-def _classify_sppt(work, verdict: SpptVerdict, tol, grid, exclusion_threshold,
-                   budget, depth, log, residuals):
+def _classify_sppt(work, verdict: SpptVerdict, tol, grid, budget, depth, log,
+                   residuals):
     """Steps 3-5: route a confirmed strong-PPT state by its factor rank."""
     factors = verdict.factors
     k = linalg.rank_of(factors.x1.conj().T @ factors.x1)
@@ -593,7 +588,7 @@ def _classify_sppt(work, verdict: SpptVerdict, tol, grid, exclusion_threshold,
     reduction = svd_reduce(factors, tol=tol)
     if reduction.k == 0:
         lifted = lift_decomposition(reduction, None, tol=tol)
-        lifted.validate(work.rho, tol=max(tol, 1e-8))
+        lifted.validate(work.rho, tol=max(tol, TOL_FLOOR))
         log.append("x1 vanishes: the state is a single product term")
         return SEPARABLE, lifted
     pt_core_min, _ = _pt_min_eig(reduction.reduced.rho, reduction.k)
@@ -609,20 +604,19 @@ def _classify_sppt(work, verdict: SpptVerdict, tol, grid, exclusion_threshold,
     if depth >= work.d:
         log.append("recursion depth exhausted; falling through")
         return None
-    inner = classify(reduction.reduced, tol=tol, grid=grid,
-                     exclusion_threshold=exclusion_threshold, budget=budget,
+    inner = classify(reduction.reduced, tol=tol, grid=grid, budget=budget,
                      _depth=depth + 1)
     log.append(f"core verdict: {inner.classification}")
     if inner.classification == SEPARABLE:
         core_dec = inner.certificate
         lifted = lift_decomposition(reduction, core_dec.scaled(1.0 / inner.normalization))
-        lifted.validate(work.rho, tol=max(tol, 1e-9))
+        lifted.validate(work.rho, tol=max(tol, TOL_FLOOR))
         return SEPARABLE, lifted
     if inner.classification == SEPARABLE_BY_THEOREM:
         return SEPARABLE_BY_THEOREM, ReductionChain(reduction=reduction, inner=inner)
     tail_weight = reduction.tail_weight
     if inner.is_entangled_class:
-        if tail_weight <= max(tol, 1e-8) * max(work.norm(), 1e-300):
+        if tail_weight <= max(tol, TOL_FLOOR) * max(work.norm(), 1e-300):
             log.append("tail is negligible, so the core verdict transfers")
             return inner.classification, ReductionChain(reduction=reduction,
                                                         inner=inner)
@@ -635,7 +629,7 @@ def _verdict_from_subtraction(work, sub: SubtractionResult, tol, log):
     """Step 7: translate a subtraction outcome into a verdict."""
     if sub.status == "decomposed":
         dec = sub.terms
-        dec.validate(work.rho, tol=max(tol, 1e-8))
+        dec.validate(work.rho, tol=max(tol, TOL_FLOOR))
         log.append(f"full decomposition with {len(dec.terms)} product terms")
         return SEPARABLE, dec
     if sub.status == "small_support":
@@ -656,7 +650,7 @@ def _verdict_from_subtraction(work, sub: SubtractionResult, tol, log):
                 core_dec = None
             if core_dec is not None:
                 dec = SeparableDecomposition(terms=sub.terms.terms + core_dec.terms)
-                dec.validate(work.rho, tol=max(tol, 1e-8))
+                dec.validate(work.rho, tol=max(tol, TOL_FLOOR))
                 log.append("remainder is strong-PPT with invertible factor: "
                            "combined decomposition validates")
                 return SEPARABLE, dec

@@ -118,10 +118,13 @@ def extract_factors_full_rank(s: QubitQuditState,
     a, b, c = blocks(s)
     if linalg.rank_of(a) < s.d:
         raise NotFullRank("the <0|rho|0> block is singular")
-    values, vectors = np.linalg.eigh(linalg.hermitianize(a))
-    a_half = (vectors * np.sqrt(values)) @ vectors.conj().T
-    a_mhalf = (vectors * (1.0 / np.sqrt(values))) @ vectors.conj().T
-    a_inv = (vectors * (1.0 / values)) @ vectors.conj().T
+    eig = linalg.EigResult.of(linalg.hermitianize(a))
+    return _full_rank_factors(s, eig, eig.apply(np.reciprocal), b, c, tol)
+
+
+def _full_rank_factors(s: QubitQuditState, eig: linalg.EigResult,
+                       a_inv: np.ndarray, b, c, tol: float) -> SpptFactors:
+    """``extract_factors_full_rank`` from the eigendecomposition of a and a^-1."""
     schur = linalg.hermitianize(c - b.conj().T @ a_inv @ b)
     schur_pt = linalg.hermitianize(c - b @ a_inv @ b.conj().T)
     scale = max(s.norm(), 1e-300)
@@ -130,9 +133,17 @@ def extract_factors_full_rank(s: QubitQuditState,
             raise NotPpt("a Schur complement of the state is not PSD")
     # Clamp against the state scale: the Schur complement itself may be a
     # numerically zero matrix.
-    w_s, v_s = np.linalg.eigh(schur)
-    x2 = (v_s * np.sqrt(np.maximum(w_s, 0.0))) @ v_s.conj().T
-    return SpptFactors(x1=a_half, s=a_mhalf @ b @ a_mhalf, x2=x2)
+    x2 = linalg.EigResult.of(schur).apply(_clamped_sqrt)
+    a_mhalf = eig.apply(_inv_sqrt)
+    return SpptFactors(x1=eig.apply(np.sqrt), s=a_mhalf @ b @ a_mhalf, x2=x2)
+
+
+def _clamped_sqrt(values: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.maximum(values, 0.0))
+
+
+def _inv_sqrt(values: np.ndarray) -> np.ndarray:
+    return 1.0 / np.sqrt(values)
 
 
 def _psd_factor_rows(p: np.ndarray, n_rows: int) -> np.ndarray:
@@ -150,8 +161,8 @@ def _psd_factor_rows(p: np.ndarray, n_rows: int) -> np.ndarray:
     return g
 
 
-def _check_singular_support(s: QubitQuditState, a, b, c, rank: int,
-                            tol: float) -> SpptVerdict:
+def _check_singular_support(s: QubitQuditState, a, b, c, eig: linalg.EigResult,
+                            rank: int, tol: float) -> SpptVerdict:
     """Decision attempt for singular a: search couplings into ker(a).
 
     Any factorization can be brought to x1 = a^{1/2}; the on-support block
@@ -180,9 +191,8 @@ def _check_singular_support(s: QubitQuditState, a, b, c, rank: int,
         return SpptVerdict(status="Sppt", residual=0.0,
                            factors=SpptFactors(x1=zero, s=zero, x2=x2),
                            note="a vanishes; the state is the qubit-|1> block")
-    values, vectors = np.linalg.eigh(linalg.hermitianize(a))
-    q = vectors[:, d - rank:]      # support of a (eigenvalues ascending)
-    q_perp = vectors[:, :d - rank]
+    q = eig.vectors[:, d - rank:]      # support of a (eigenvalues ascending)
+    q_perp = eig.vectors[:, :d - rank]
 
     proj = q @ q.conj().T
     b_loss = linalg.frob(b - proj @ b @ proj)
@@ -194,10 +204,9 @@ def _check_singular_support(s: QubitQuditState, a, b, c, rank: int,
                  "factorization cannot reproduce it",
         )
 
-    a_s = q.conj().T @ a @ q
-    w_a, v_a = np.linalg.eigh(linalg.hermitianize(a_s))
-    a_half = (v_a * np.sqrt(w_a)) @ v_a.conj().T
-    a_mhalf = (v_a * (1.0 / np.sqrt(w_a))) @ v_a.conj().T
+    eig_s = linalg.EigResult.of(linalg.hermitianize(q.conj().T @ a @ q))
+    a_half = eig_s.apply(np.sqrt)
+    a_mhalf = eig_s.apply(_inv_sqrt)
     s11 = a_mhalf @ (q.conj().T @ b @ q) @ a_mhalf
     delta = linalg.hermitianize(s11 @ s11.conj().T - s11.conj().T @ s11)
     compressed_residual = linalg.frob(a_half @ delta @ a_half)
@@ -209,8 +218,7 @@ def _check_singular_support(s: QubitQuditState, a, b, c, rank: int,
     t12 = q.conj().T @ c @ q_perp
     t22 = linalg.hermitianize(q_perp.conj().T @ c @ q_perp)
 
-    w_delta, v_delta = np.linalg.eigh(delta)
-    delta_plus = (v_delta * np.maximum(w_delta, 0.0)) @ v_delta.conj().T
+    delta_plus = linalg.EigResult.of(delta).apply(lambda w: np.maximum(w, 0.0))
     t22_pinv = np.linalg.pinv(t22, rcond=1e-10)
     schur = linalg.hermitianize(t11 - t12 @ t22_pinv @ t12.conj().T)
     p_max = a_mhalf @ schur @ a_mhalf
@@ -241,9 +249,8 @@ def _check_singular_support(s: QubitQuditState, a, b, c, rank: int,
         # is the binding validation.
         if np.linalg.eigvalsh(tail_sq).min() < -1e-8 * scale:
             continue
-        w_t, v_t = np.linalg.eigh(tail_sq)
-        x2 = (v_t * np.sqrt(np.maximum(w_t, 0.0))) @ v_t.conj().T
-        cand = SpptFactors(x1=x1, s=s_full, x2=x2)
+        cand = SpptFactors(x1=x1, s=s_full,
+                           x2=linalg.EigResult.of(tail_sq).apply(_clamped_sqrt))
         residual = sppt_residual(cand.x1, cand.s)
         rebuilt = assemble_state(cand)
         if residual <= tol * scale and linalg.frob(rebuilt.rho - s.rho) <= 10 * tol * scale:
@@ -280,13 +287,13 @@ def sppt_check(s: QubitQuditState, tol: float = SPPT_RTOL) -> SpptVerdict:
 
     a, b, c = blocks(s)
     rank = linalg.rank_of(a)
+    eig = linalg.EigResult.of(linalg.hermitianize(a))
     if rank == s.d:
-        values, vectors = np.linalg.eigh(linalg.hermitianize(a))
-        a_inv = (vectors * (1.0 / values)) @ vectors.conj().T
+        a_inv = eig.apply(np.reciprocal)
         residual_matrix = b.conj().T @ a_inv @ b - b @ a_inv @ b.conj().T
         residual = linalg.frob(residual_matrix)
         if residual <= tol * scale:
-            factors = extract_factors_full_rank(s, tol)
+            factors = _full_rank_factors(s, eig, a_inv, b, c, tol)
             return SpptVerdict(
                 status="Sppt", residual=residual, factors=factors,
                 note="invertible a; closed-form criterion",
@@ -297,4 +304,4 @@ def sppt_check(s: QubitQuditState, tol: float = SPPT_RTOL) -> SpptVerdict:
             note="invertible a; closed-form criterion",
             residual_matrix=residual_matrix,
         )
-    return _check_singular_support(s, a, b, c, rank, tol)
+    return _check_singular_support(s, a, b, c, eig, rank, tol)

@@ -12,12 +12,14 @@ from spptkit.separability import (
     SEPARABLE,
     SEPARABLE_BY_THEOREM,
     SeparableDecomposition,
+    _max_subtraction_weight,
     classify,
     decompose_full_rank,
     lift_decomposition,
     subtract_product_vectors,
     svd_reduce,
 )
+from spptkit.range_criterion import kernel_basis
 from spptkit.sppt import SpptFactors, assemble_state
 from spptkit.states import (
     blocks,
@@ -25,6 +27,7 @@ from spptkit.states import (
     horodecki_2x4,
     make_state,
     maximally_mixed,
+    partial_transpose_matrix,
     random_separable,
     random_sppt,
     sppt_counterexample_2x3,
@@ -191,6 +194,40 @@ class TestSubtraction:
         assert res.status in ("stalled", "budget_exhausted")
 
 
+class TestSubtractionWeight:
+    """The closed-form weight 1 / <v|rho^+|v>, bounded by the partial transpose."""
+
+    @staticmethod
+    def _min_eigs(rho, pt, e, f, lam):
+        v, v_pt = np.kron(e, f), np.kron(np.conj(e), f)
+        return (np.linalg.eigvalsh(rho - lam * np.outer(v, v.conj())).min(),
+                np.linalg.eigvalsh(pt - lam * np.outer(v_pt, v_pt.conj())).min())
+
+    def test_weight_is_maximal_for_in_range_terms(self):
+        state, terms = random_separable(4, 6, seed=2)
+        rho = state.rho
+        pt = partial_transpose_matrix(rho, 4)
+        floor = -1e-12 * linalg.frob(rho)
+        for weight, e, f in terms:
+            lam = _max_subtraction_weight(rho, pt, e, f)
+            # subtracting the term's own weight leaves a separable state
+            assert lam >= weight * (1 - 1e-9)
+            assert min(self._min_eigs(rho, pt, e, f, lam)) >= floor
+            assert min(self._min_eigs(rho, pt, e, f, lam * (1 + 1e-6))) < floor
+
+    def test_vector_outside_range_gets_zero(self):
+        state, _ = random_separable(4, 6, seed=2)
+        rho = state.rho
+        rng = np.random.default_rng(0)
+        e = np.array([1.0, 0.0], dtype=complex)
+        f = rng.normal(size=4) + 1j * rng.normal(size=4)
+        f /= np.linalg.norm(f)
+        outside = np.linalg.norm(kernel_basis(rho).conj() @ np.kron(e, f))
+        assert outside > 1e-3
+        pt = partial_transpose_matrix(rho, 4)
+        assert _max_subtraction_weight(rho, pt, e, f) == 0.0
+
+
 class TestClassify:
     def test_bell_state_npt(self):
         v = classify(bell_state())
@@ -260,6 +297,15 @@ class TestClassify:
             base = classify(s, tol=1e-9, grid=COARSE).classification
             for eps in (1e-9 * (1 - 1e-8), 1e-9 * (1 + 1e-8)):
                 assert classify(s, tol=eps, grid=COARSE).classification == base
+
+    @pytest.mark.parametrize("seed", [3, 39])
+    def test_lifted_core_decomposition_validates(self, seed):
+        # the 2x4 core's decomposition lifts with a miss of ~1e-9, above the
+        # 1e-9 floor it was once validated at and below the 1e-8 used elsewhere
+        state, _ = random_sppt(5, 4, normal_s=True, seed=seed)
+        v = classify(state)
+        assert v.classification == SEPARABLE
+        v.certificate.validate(state.rho, tol=1e-8)
 
     def test_trace_log_populated(self):
         v = classify(sppt_counterexample_2x3())
