@@ -19,17 +19,6 @@ from .errors import ValidationError
 _GENERATORS = ("rho0", "rho1", "rho2", "horodecki", "random-sppt")
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
-    try:
-        n_phi, n_theta = (int(part) for part in text.lower().split("x"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"grid must look like 720x360, got {text!r}")
-    if n_phi < 4 or n_theta < 2:
-        raise argparse.ArgumentTypeError("grid is too small to be useful")
-    return n_phi, n_theta
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spptkit",
@@ -59,10 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cls = sub.add_parser("classify", help="full separability classification")
     cls.add_argument("input", help="state file")
     cls.add_argument("--tol", type=float, default=separability.DEFAULT_TOL)
-    cls.add_argument("--grid", type=_parse_grid, default=None,
-                     help="grid of the range-criterion search (edge_check) as "
-                          "PHIxTHETA (default 720x360); the subtraction prover "
-                          "keeps its own 180x90 grid")
     cls.add_argument("--budget", type=int, default=None,
                      help="subtraction iteration budget (default 4d)")
     cls.add_argument("--json", dest="json_out", default=None, metavar="PATH",
@@ -110,8 +95,7 @@ def _cmd_classify(args) -> int:
     state = io.load_state(args.input)
     load_ms = 1000.0 * (time.perf_counter() - started)
     t0 = time.perf_counter()
-    verdict = separability.classify(state, tol=args.tol, grid=args.grid,
-                                    budget=args.budget)
+    verdict = separability.classify(state, tol=args.tol, budget=args.budget)
     classify_ms = 1000.0 * (time.perf_counter() - t0)
 
     print(f"class: {verdict.classification}")
@@ -127,7 +111,6 @@ def _cmd_classify(args) -> int:
                 "exclusion_threshold": range_criterion.EXCLUSION_THRESHOLD,
                 "kernel_cutoff": range_criterion.KERNEL_CUTOFF,
             },
-            "grid": list(args.grid) if args.grid else list(range_criterion.DEFAULT_GRID),
             "verdict": io.verdict_to_dict(verdict),
             "timings_ms": {"load": load_ms, "classify": classify_ms},
         }

@@ -103,8 +103,9 @@ def range_certificate_to_dict(cert: range_criterion.RangeSearchCertificate) -> d
     return {
         "type": "range_search",
         "note": cert.note,
-        "grid_spec": cert.grid_spec,
+        "search": cert.search,
         "exclusion_threshold": cert.exclusion_threshold,
+        "certified_bound": cert.certified_bound,
         "worst_min_residual": cert.worst_min_residual,
         "minima": cert.refined_minima,
         "conclusion": cert.conclusion,

@@ -11,21 +11,19 @@ e) and of rho^{T_A} (with e*) gives a constraint matrix M(e) whose smallest
     mu(e) = min_{|f|=1} ||M(e) f||
 
 vanishes exactly when a qualifying product vector exists at e.  The qubit
-direction lives on the projective line, parametrized as e ~ (1, t) with
-the point at infinity e = (0, 1).
+direction is a point of the Bloch sphere, e = (cos(theta/2),
+e^{i phi} sin(theta/2)); mu does not depend on the phase of e.
 
-One routine, ``_search``, does all the searching: it scans mu over a
-stereographic grid, refines the best local minima of the scan and both
-poles, and keeps the product vectors at the refined minima that reach a
-residual threshold.  ``product_vectors_in_range`` runs it once;
-``edge_check`` runs it on a coarse grid and, when that finds nothing, on
-the full grid, and records every refined minimum.  When every refined
-minimum stays above the exclusion threshold, the record is numerical
-evidence that no qualifying product vector exists; for a PPT state it
-certifies entanglement.  The certificate is an explicit search record, not
-a mathematical proof.  A state with fewer constraint rows than d has
-qualifying vectors at every direction; the routine then returns a basis of
-them at six canonical directions instead of searching.
+One routine, ``_search``, does all the searching: a branch-and-bound over
+cells in (theta, phi) that excludes a cell when mu at its centre, less a
+Lipschitz constant (Weyl's inequality) times the cell radius, exceeds the
+threshold, splits the others and polishes the most promising by
+Gauss-Newton on M(e) f = 0.  ``edge_check`` stops at the first product
+vector; ``product_vectors_in_range`` keeps enumerating distinct ones.  When
+every cell is excluded the search concludes ``NoneFound`` with a lower
+bound on mu over the whole sphere: a proof, up to floating point and the
+kernel cutoff, that no qualifying product vector exists, which for a PPT
+state certifies entanglement.
 
 Index convention: a kernel vector w of the 2d x 2d state is reshaped to a
 2 x d array W with the qubit index first, so <w, e (x) f> = sum_{a,j}
@@ -43,14 +41,19 @@ from . import linalg, states
 from .errors import NotPsd
 from .states import QubitQuditState
 
-DEFAULT_GRID = (720, 360)          # azimuthal x polar samples, plus t=0 and pole
 EXCLUSION_THRESHOLD = 1e-6
 KERNEL_CUTOFF = 1e-10
-REFINE_TOL = 1e-12
-REFINE_MAX_LEVELS = 60
-_REFINE_EVAL_CAP = 20000
+CELL_FLOOR = 1e-9                  # polar width (rad) below which a cell is not split
+EVALUATION_CAP = 100_000           # evaluations of mu per search
+_INITIAL_CELLS = (8, 16)           # polar x azimuthal cells of the first level
+_POLISH_PER_LEVEL = 2              # open cells polished per level, best first
+_POLISH_ITERATIONS = 30
+_POLISH_STALL = 3                  # steps without halving the residual before giving up
+_POLISH_TOL = 1e-14                # residual at which Gauss-Newton stops
+_BASIN = 1e-3                      # least radius (Bloch angle, rad) of a found vector's basin
+_SAME = 1e-6                       # Bloch angle (rad) within which two vectors are one
+_SLICE = 8192                      # cells per batched SVD call, to bound memory
 _CANDIDATE_TOL = 1e-8
-_EDGE_SEED_LIMIT = 32              # local minima refined per edge_check pass
 _NULL_CUTOFF = 1e-8                # relative singular-value cutoff of M(e) nullspaces
 
 
@@ -76,12 +79,19 @@ class ProductVector:
 
 @dataclass(frozen=True)
 class RangeSearchCertificate:
-    """Record of a grid-plus-refinement search over the qubit direction."""
+    """Record of the branch-and-bound search over the qubit direction.
 
-    grid_spec: dict
+    ``certified_bound`` is a lower bound on mu over the whole Bloch sphere;
+    ``worst_min_residual`` is the smallest mu evaluated, ``refined_minima``
+    records every Gauss-Newton polish and ``search`` the kernels, the
+    Lipschitz constant and the work done.
+    """
+
+    search: dict
+    certified_bound: float
     worst_min_residual: float
     refined_minima: list
-    conclusion: str                      # "FoundProductVector" or "NoneFound"
+    conclusion: str         # "FoundProductVector", "NoneFound" or "Inconclusive"
     found: list = field(default_factory=list)
     exclusion_threshold: float = EXCLUSION_THRESHOLD
     note: str = "range-criterion search certificate"
@@ -106,6 +116,7 @@ class _Constraints:
     """Precontracted kernel data of a state and its partial transpose."""
 
     d: int
+    cutoff: float
     w_state: np.ndarray     # (k1, 2, d): conj of kernel vectors of rho
     w_pt: np.ndarray        # (k2, 2, d): conj of kernel vectors of rho^{T_A}
 
@@ -119,7 +130,7 @@ def _constraints_of(s: QubitQuditState, cutoff: float) -> _Constraints:
     ker = kernel_basis(s.rho, cutoff)
     ker_pt = kernel_basis(states.partial_transpose_matrix(s.rho, d), cutoff)
     return _Constraints(
-        d=d,
+        d=d, cutoff=cutoff,
         w_state=np.conj(ker.reshape(-1, 2, d)),
         w_pt=np.conj(ker_pt.reshape(-1, 2, d)),
     )
@@ -127,20 +138,25 @@ def _constraints_of(s: QubitQuditState, cutoff: float) -> _Constraints:
 
 def _constraint_rows(con: _Constraints, e_batch: np.ndarray) -> np.ndarray:
     """M(e) for a batch of unit qubit vectors of shape (n, 2): (n, n_rows, d)."""
-    return np.concatenate([np.einsum("na,mad->nmd", e_batch, con.w_state),
-                           np.einsum("na,mad->nmd", np.conj(e_batch), con.w_pt)],
-                          axis=1)
+    n, d = len(e_batch), con.d
+    rows_state = e_batch @ con.w_state.transpose(1, 0, 2).reshape(2, -1)
+    rows_pt = np.conj(e_batch) @ con.w_pt.transpose(1, 0, 2).reshape(2, -1)
+    return np.concatenate([rows_state.reshape(n, -1, d), rows_pt.reshape(n, -1, d)], axis=1)
 
 
 def _mu_batch(con: _Constraints, e_batch: np.ndarray) -> np.ndarray:
     """mu over a batch of unit qubit vectors; needs n_rows >= d."""
-    return np.linalg.svd(_constraint_rows(con, e_batch), compute_uv=False)[:, con.d - 1]
+    out = np.empty(len(e_batch))
+    for i in range(0, len(e_batch), _SLICE):
+        rows = _constraint_rows(con, e_batch[i:i + _SLICE])
+        out[i:i + _SLICE] = np.linalg.svd(rows, compute_uv=False)[:, con.d - 1]
+    return out
 
 
-def _null_vector(con: _Constraints, e: np.ndarray) -> np.ndarray:
-    """The unit f minimizing ||M(e) f||; needs n_rows >= d."""
-    _, _, vh = np.linalg.svd(_constraint_rows(con, e[None, :])[0])
-    return np.conj(vh[con.d - 1])
+def _null_vector(con: _Constraints, e: np.ndarray) -> tuple[np.ndarray, float]:
+    """The unit f minimizing ||M(e) f||, and mu(e); needs n_rows >= d."""
+    _, sigma, vh = np.linalg.svd(_constraint_rows(con, e[None, :])[0])
+    return np.conj(vh[con.d - 1]), float(sigma[con.d - 1])
 
 
 def _null_space(con: _Constraints, e: np.ndarray) -> np.ndarray:
@@ -149,84 +165,78 @@ def _null_space(con: _Constraints, e: np.ndarray) -> np.ndarray:
     return linalg.nullspace(m, cutoff=_NULL_CUTOFF)[:, ::-1].T
 
 
-def _qubit_vector(param: complex, chart: str) -> np.ndarray:
-    """Unit qubit vector for a chart point: 't' is (1, t), 'inv_t' is (s, 1)."""
-    if chart == "t":
-        v = np.array([1.0, param], dtype=complex)
-    else:
-        v = np.array([param, 1.0], dtype=complex)
-    return v / np.linalg.norm(v)
+def _bloch(theta, phi) -> np.ndarray:
+    """Unit qubit vectors (cos(theta/2), e^{i phi} sin(theta/2)), shape (..., 2)."""
+    return np.stack([np.cos(theta / 2.0) + 0j, np.exp(1j * phi) * np.sin(theta / 2.0)],
+                    axis=-1)
 
 
-def _grid_params(n_phi: int, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stereographic grid over the qubit projective line.
+def _bloch_angle(e: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Bloch-sphere angles between unit qubit vectors e (..., 2) and others (m, 2)."""
+    overlap = np.abs(np.conj(e) @ others.T)
+    return 2.0 * np.arccos(np.minimum(overlap, 1.0))
 
-    Polar samples avoid the exact poles (handled separately); returns the
-    complex parameters t and the matching unit vectors.
+
+def _lipschitz(con: _Constraints) -> float:
+    """L with |mu(e) - mu(e')| <= L min_phi ||e - e^{i phi} e'||.
+
+    By Cauchy-Schwarz ||M(e) - M(e')|| <= L ||e - e'|| for
+    L = sum_parts sqrt(sum_a ||W[:, a, :]||_2^2); Weyl's inequality carries
+    that over to mu, which does not depend on the phase of e.
     """
-    theta = (np.arange(n_theta) + 0.5) * np.pi / n_theta
-    phi = np.arange(n_phi) * 2.0 * np.pi / n_phi
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    t = (np.tan(tt / 2.0) * np.exp(1j * pp)).ravel()
-    e = np.stack([np.ones_like(t), t], axis=1)
-    e /= np.linalg.norm(e, axis=1, keepdims=True)
-    return t, e
+    total = 0.0
+    for w in (con.w_state, con.w_pt):
+        if len(w):
+            norms = np.linalg.svd(w.transpose(1, 0, 2), compute_uv=False)[:, 0]
+            total += float(np.sqrt(np.sum(norms ** 2)))
+    return total
 
 
-def _minimum_record(param: complex, chart: str, residual: float) -> dict:
-    """Serializable record of a refined minimum; t is None at the pole."""
-    if chart == "t":
-        t = complex(param)
-    elif param != 0:
-        t = 1.0 / complex(param)
-    else:
-        t = None
-    return {
-        "chart": chart, "re": float(np.real(param)), "im": float(np.imag(param)),
-        "t_re": None if t is None else float(t.real),
-        "t_im": None if t is None else float(t.imag),
-        "residual": residual,
-    }
+def _polish(con: _Constraints, e: np.ndarray, f: np.ndarray):
+    """Gauss-Newton on the bilinear system M(e) f = 0.
 
-
-def _refine(con: _Constraints, param: complex, chart: str, step: float,
-            tol: float = REFINE_TOL, max_levels: int = REFINE_MAX_LEVELS):
-    """Derivative-free coordinate-shrink refinement of mu.
-
-    Moves in the four axis directions while improving, halving the step
-    when stuck; monotone by construction, so the refined residual never
-    exceeds the seed value.  Switches chart when the parameter leaves the
-    unit disk to keep steps well scaled near the pole.
+    Each step solves the real least-squares linearization for a move t of
+    e along its orthogonal complement e_perp (the tangent plane modulo
+    phase) and a move of f orthogonal to f (the gauge f^H df = 0); it
+    converges quadratically onto a zero of mu.  Stops at ``_POLISH_TOL``
+    or after ``_POLISH_STALL`` steps in a row that do not halve the best
+    residual.  Returns ``(e, f, mu(e))`` at the best iterate, with f the
+    null vector of M(e) there.
     """
-    best = _mu_batch(con, _qubit_vector(param, chart)[None, :])[0]
-    evals = 1
-    for _ in range(max_levels):
-        if best <= tol or step <= 1e-14 or evals >= _REFINE_EVAL_CAP:
+    d, k1 = con.d, con.w_state.shape[0]
+    best, best_e, stalled = np.inf, e, 0
+    for _ in range(_POLISH_ITERATIONS):
+        m = _constraint_rows(con, e[None, :])[0]
+        r = m @ f
+        norm = float(np.linalg.norm(r))
+        stalled = 0 if norm < 0.5 * best else stalled + 1
+        if norm < best:
+            best, best_e = norm, e
+        if norm <= _POLISH_TOL or stalled >= _POLISH_STALL:
             break
-        moved = True
-        while moved and evals < _REFINE_EVAL_CAP:
-            moved = False
-            for dp in (step, -step, 1j * step, -1j * step):
-                cand = param + dp
-                val = _mu_batch(con, _qubit_vector(cand, chart)[None, :])[0]
-                evals += 1
-                if val < best:
-                    best, param, moved = val, cand, True
-            if abs(param) > 1.5:
-                param = 1.0 / param
-                chart = "inv_t" if chart == "t" else "t"
-        step /= 2.0
-    return param, chart, float(best)
+        e_perp = np.array([-np.conj(e[1]), np.conj(e[0])])
+        m_perp = _constraint_rows(con, e_perp[None, :])[0] @ f
+        # The state rows are linear in e, the partial-transpose rows in e*.
+        m_perp_i = 1j * m_perp
+        m_perp_i[k1:] *= -1.0
+        f_perp = np.conj(np.linalg.svd(np.conj(f)[None, :])[2][1:]).T
+        c = m @ f_perp
+        k = np.column_stack([m_perp, m_perp_i, c, 1j * c])
+        x = np.linalg.lstsq(np.vstack([k.real, k.imag]),
+                            -np.concatenate([r.real, r.imag]), rcond=None)[0]
+        e = e + (x[0] + 1j * x[1]) * e_perp
+        e /= np.linalg.norm(e)
+        f = f + f_perp @ (x[2:d + 1] + 1j * x[d + 1:])
+        f /= np.linalg.norm(f)
+    f, mu = _null_vector(con, best_e)
+    return best_e, f, mu
 
 
-def _local_minima_indices(mu_grid: np.ndarray) -> np.ndarray:
-    """Grid points not exceeded by their 4-neighborhood (phi wraps)."""
-    below = np.ones_like(mu_grid, dtype=bool)
-    below &= mu_grid <= np.roll(mu_grid, 1, axis=1)
-    below &= mu_grid <= np.roll(mu_grid, -1, axis=1)
-    below[1:, :] &= mu_grid[1:, :] <= mu_grid[:-1, :]
-    below[:-1, :] &= mu_grid[:-1, :] <= mu_grid[1:, :]
-    return np.flatnonzero(below.ravel())
+def _minimum_record(e: np.ndarray, residual: float) -> dict:
+    """Serializable record of a polished minimum, by its Bloch angles."""
+    return {"theta": float(2.0 * np.arctan2(abs(e[1]), abs(e[0]))),
+            "phi": float(np.angle(e[1] * np.conj(e[0]))),
+            "residual": residual}
 
 
 def _product_vector_at(s: QubitQuditState, con: _Constraints, e: np.ndarray,
@@ -241,132 +251,142 @@ def _product_vector_at(s: QubitQuditState, con: _Constraints, e: np.ndarray,
     )
 
 
-_CANONICAL = (
-    (0.0, "t"), (0.0, "inv_t"), (1.0, "t"), (-1.0, "t"), (1j, "t"), (-1j, "t"),
-)
+# (theta, phi) of the poles and of four points on the equator
+_CANONICAL = ((0.0, 0.0), (np.pi, 0.0), (np.pi / 2, 0.0), (np.pi / 2, np.pi),
+              (np.pi / 2, np.pi / 2), (np.pi / 2, -np.pi / 2))
 
 
-def _mu_chunked(con: _Constraints, e_grid: np.ndarray,
-                chunk: int = 32768) -> np.ndarray:
-    out = np.empty(len(e_grid))
-    for i in range(0, len(e_grid), chunk):
-        out[i:i + chunk] = _mu_batch(con, e_grid[i:i + chunk])
-    return out
+def _search(s: QubitQuditState, con: _Constraints, threshold: float,
+            limit: int) -> RangeSearchCertificate:
+    """Branch-and-bound over the Bloch sphere behind both public entry points.
 
-
-def _seed_points(mu: np.ndarray, t: np.ndarray, n_theta: int, limit: int):
-    """Local minima of the grid landscape, best first, as refinement seeds."""
-    idx = _local_minima_indices(mu)
-    order = idx[np.argsort(mu.ravel()[idx])][:limit]
-    theta_step = np.pi / n_theta
-    seeds = []
-    for flat in order:
-        tv = t.ravel()[flat]
-        chart = "t" if abs(tv) <= 1.0 else "inv_t"
-        param = tv if chart == "t" else 1.0 / tv
-        # local spacing of the stereographic grid at this latitude
-        step = max(theta_step * (1.0 + abs(param) ** 2) / 2.0, 1e-4)
-        seeds.append((param, chart, step))
-    return seeds
-
-
-def _distinct(vectors: list[ProductVector]) -> list[ProductVector]:
-    """Drop vectors whose e and f both match an earlier one up to phase."""
-    kept: list[ProductVector] = []
-    for pv in vectors:
-        if all(abs(abs(np.vdot(pv.e, q.e)) - 1.0) > 1e-6 or
-               abs(abs(np.vdot(pv.f, q.f)) - 1.0) > 1e-6 for q in kept):
-            kept.append(pv)
-    return kept
-
-
-def _search(s: QubitQuditState, con: _Constraints, grid: tuple[int, int],
-            seed_limit: int, threshold: float, cap: int | None = None):
-    """The search over the qubit direction behind both public entry points.
-
-    Scans mu over the grid, refines the ``seed_limit`` best local minima of
-    the scan and both poles, and returns ``(minima, found)``: a record of
-    every refined minimum, and the product vectors at the minima whose
-    residual is at most ``threshold``, best first, without duplicates and
-    at most ``cap`` of them.
+    Cells are rectangles in (theta, phi), all of one size per level.  Each
+    level evaluates mu at the centres of the open cells (one batched SVD)
+    and excludes a cell when mu(centre) - L alpha / 2 > ``threshold``, with
+    alpha = dtheta/2 + max_cell(sin theta) dphi/2 bounding the Bloch angle
+    from the centre.  The best open cells, and every open centre already at
+    the threshold, are polished by Gauss-Newton; a polished mu at most
+    ``threshold`` is a product vector.  A found vector's basin is the ball
+    out to the farthest polish start that converged to it, at least
+    ``_BASIN``: no start inside it is polished again, open cells wholly
+    inside it are dropped, and the others split into four.  The search
+    stops once ``limit`` distinct vectors are found, every cell is excluded
+    or dropped, or a cell reaches ``CELL_FLOOR`` or the next level would
+    pass ``EVALUATION_CAP``; the certified bound is the least mu(centre) -
+    L alpha / 2 over the cells it ended with.
 
     With fewer constraint rows than d, M(e) has a nullspace at every e and
     mu vanishes identically.  Nothing is searched then: ``found`` is an
     orthonormal basis of the nullspace at each of six canonical directions
-    (uncapped, at most 6d vectors), and a single record at t = 0 stands for
-    the landscape.
+    (uncapped, at most 6d vectors), and a single record at theta = 0 stands
+    for the landscape.
     """
+    lip = _lipschitz(con)
+    found, minima = [], []
     if con.n_rows < s.d:
-        found = []
-        for param, chart in _CANONICAL:
-            e = _qubit_vector(param, chart)
+        for theta, phi in _CANONICAL:
+            e = _bloch(theta, phi)
             found.extend(_product_vector_at(s, con, e, f) for f in _null_space(con, e))
-        return [_minimum_record(0.0, "t", found[0].combined_residual)], found
+        residual = found[0].combined_residual
+        return RangeSearchCertificate(
+            search=_search_record(con, lip, 0, 0), certified_bound=0.0,
+            worst_min_residual=residual, refined_minima=[_minimum_record(found[0].e, residual)],
+            conclusion="FoundProductVector", found=found, exclusion_threshold=threshold)
 
-    n_phi, n_theta = grid
-    t, e_grid = _grid_params(n_phi, n_theta)
-    mu = _mu_chunked(con, e_grid).reshape(n_theta, n_phi)
-    seeds = _seed_points(mu, t.reshape(n_theta, n_phi), n_theta, seed_limit)
-    seeds += [(0.0, "t", 0.05), (0.0, "inv_t", 0.05)]
-    minima, found = [], []
-    for seed in seeds:
-        param, chart, val = _refine(con, *seed)
-        minima.append(_minimum_record(param, chart, val))
-        if val <= threshold:
-            e = _qubit_vector(param, chart)
-            found.append(_product_vector_at(s, con, e, _null_vector(con, e)))
+    n_theta, n_phi = _INITIAL_CELLS
+    h_theta, h_phi = np.pi / (2 * n_theta), np.pi / n_phi     # half-widths
+    theta, phi = np.meshgrid((2 * np.arange(n_theta) + 1) * h_theta,
+                             (2 * np.arange(n_phi) + 1) * h_phi, indexing="ij")
+    theta, phi = theta.ravel(), phi.ravel()
+    known, radii = np.empty((0, 2), dtype=complex), np.empty(0)
+    bound = worst = np.inf
+    evaluations = levels = 0
+    conclusion = "NoneFound"
+    while True:
+        levels += 1
+        e = _bloch(theta, phi)
+        mu = _mu_batch(con, e)
+        evaluations += len(mu)
+        worst = min(worst, float(mu.min()))
+        alpha = h_theta + h_phi * np.sin(np.clip(np.pi / 2, theta - h_theta,
+                                                 theta + h_theta))
+        lower = mu - lip * alpha / 2.0
+        open_ = lower <= threshold
+        attempts = 0
+        for i in np.flatnonzero(open_)[np.argsort(mu[open_])]:
+            if len(found) >= limit or (attempts >= _POLISH_PER_LEVEL and mu[i] > threshold):
+                break
+            if (_bloch_angle(e[i], known) < radii).any():
+                continue
+            attempts += 1
+            e_pol, f_pol, mu_pol = _polish(con, e[i], _null_vector(con, e[i])[0])
+            minima.append(_minimum_record(e_pol, mu_pol))
+            worst = min(worst, mu_pol)
+            if mu_pol > threshold:
+                continue
+            # A start that converged to a vector widens that vector's basin.
+            start = float(_bloch_angle(e[i], e_pol[None, :])[0])
+            same = np.flatnonzero(_bloch_angle(e_pol, known) < _SAME)
+            if len(same):
+                radii[same[0]] = max(radii[same[0]], start)
+            else:
+                found.append(_product_vector_at(s, con, e_pol, f_pol))
+                known = np.vstack([known, e_pol])
+                radii = np.append(radii, max(start, _BASIN))
+        open_ &= ~(_bloch_angle(e, known) + alpha[:, None] <= radii).any(axis=1)
+        if len(found) >= limit or not open_.any():
+            break
+        if 2.0 * h_theta < CELL_FLOOR or evaluations + 4 * open_.sum() > EVALUATION_CAP:
+            conclusion = "Inconclusive"
+            break
+        bound = min(bound, float(lower[~open_].min(initial=np.inf)))
+        h_theta, h_phi = h_theta / 2.0, h_phi / 2.0
+        theta = (theta[open_, None] + h_theta * np.array([-1.0, -1.0, 1.0, 1.0])).ravel()
+        phi = (phi[open_, None] + h_phi * np.array([-1.0, 1.0, -1.0, 1.0])).ravel()
     found.sort(key=lambda pv: pv.combined_residual)
-    return minima, _distinct(found)[:cap]
+    return RangeSearchCertificate(
+        search=_search_record(con, lip, evaluations, levels),
+        certified_bound=max(min(bound, float(lower.min())), 0.0),
+        worst_min_residual=worst, refined_minima=minima,
+        conclusion="FoundProductVector" if found else conclusion,
+        found=found, exclusion_threshold=threshold)
 
 
-def product_vectors_in_range(s: QubitQuditState, grid: tuple[int, int] | None = None,
-                             kernel_cutoff: float = KERNEL_CUTOFF,
+def _search_record(con: _Constraints, lip: float, evaluations: int, levels: int) -> dict:
+    return {"kernel_cutoff": con.cutoff,
+            "kernel_dims": [int(con.w_state.shape[0]), int(con.w_pt.shape[0])],
+            "lipschitz": lip, "evaluations": evaluations, "levels": levels,
+            "cell_floor": CELL_FLOOR, "evaluation_cap": EVALUATION_CAP}
+
+
+def product_vectors_in_range(s: QubitQuditState, kernel_cutoff: float = KERNEL_CUTOFF,
                              max_candidates: int = 16,
                              candidate_tol: float = _CANDIDATE_TOL) -> list[ProductVector]:
-    """Scan for product vectors |e, f> in range(rho) with |e*, f> in the
+    """Find product vectors |e, f> in range(rho) with |e*, f> in the
     partial-transpose range.
 
-    For each qubit direction on the grid the qudit vector is solved exactly
-    by a nullspace computation on the contracted kernel constraints; grid
-    points seeding small residuals are refined locally.  Returns up to
-    ``max_candidates`` vectors with combined residual at most
-    ``candidate_tol``, best first.  A state with fewer independent kernel
-    constraints than d (in particular any full-rank state) admits product
-    vectors at every qubit direction; it gets, uncapped, an orthonormal
-    basis of them at six canonical directions.
+    For each qubit direction the qudit vector is solved exactly by a
+    nullspace computation on the contracted kernel constraints; the
+    branch-and-bound search polishes its most promising cells and keeps
+    enumerating distinct vectors, up to ``max_candidates`` with combined
+    residual at most ``candidate_tol``, best first.  A state with fewer
+    independent kernel constraints than d (in particular any full-rank
+    state) admits product vectors at every qubit direction; it gets,
+    uncapped, an orthonormal basis of them at six canonical directions.
     """
     con = _constraints_of(s, kernel_cutoff)
-    _, found = _search(s, con, grid or DEFAULT_GRID, 4 * max_candidates,
-                       candidate_tol, cap=max_candidates)
-    return found
+    return _search(s, con, candidate_tol, max_candidates).found
 
 
-def edge_check(s: QubitQuditState, grid: tuple[int, int] | None = None,
+def edge_check(s: QubitQuditState,
                exclusion_threshold: float = EXCLUSION_THRESHOLD) -> RangeSearchCertificate:
     """Search for a product vector satisfying both range conditions.
 
-    Concludes ``FoundProductVector`` as soon as a refined candidate drops
-    to the exclusion threshold.  Concluding ``NoneFound`` requires the full
-    grid: every local minimum of the landscape is refined and must stay
-    above the threshold.  The result is a numerical search certificate;
-    for PPT states a NoneFound conclusion is evidence of entanglement via
-    the range criterion.
+    Concludes ``FoundProductVector`` at the first polished vector with mu at
+    most the exclusion threshold, ``NoneFound`` when every cell is excluded
+    (for a PPT state, entanglement by the range criterion, proved up to
+    floating point and the kernel cutoff by ``certified_bound``), and
+    ``Inconclusive`` when it reaches ``CELL_FLOOR`` or ``EVALUATION_CAP``
+    with neither outcome.
     """
-    n_phi, n_theta = grid or DEFAULT_GRID
-    con = _constraints_of(s, KERNEL_CUTOFF)
-    # Cheap pre-pass: a coarse scan usually locates product vectors of
-    # separable states without paying for the full grid.
-    coarse = (max(n_phi // 10, 36), max(n_theta // 10, 18))
-    for pass_grid in (coarse, (n_phi, n_theta)):
-        minima, found = _search(s, con, pass_grid, _EDGE_SEED_LIMIT, exclusion_threshold)
-        if found:
-            break
-    return RangeSearchCertificate(
-        grid_spec={"n_phi": n_phi, "n_theta": n_theta,
-                   "extra_points": ["t=0", "pole"], "kernel_cutoff": KERNEL_CUTOFF,
-                   "kernel_dims": [int(con.w_state.shape[0]), int(con.w_pt.shape[0])]},
-        worst_min_residual=min(m["residual"] for m in minima),
-        refined_minima=minima,
-        conclusion="FoundProductVector" if found else "NoneFound",
-        found=found, exclusion_threshold=exclusion_threshold,
-    )
+    return _search(s, _constraints_of(s, KERNEL_CUTOFF), exclusion_threshold, 1)

@@ -24,9 +24,10 @@ product vectors that satisfy both range conditions, each with the largest
 weight that keeps the remainder and its partial transpose positive (a
 closed form); it succeeds when the remainder hits zero or lands in a
 constructively certified case.  Classification runs
-sound, cheap certificates first (negative partial-transpose eigenvalue,
-small dimension, strong-PPT constructions) and only then the search-based
-evidence, so a verdict never depends on a heuristic when a proof exists.
+sound certificates first (negative partial-transpose eigenvalue, small
+dimension, strong-PPT constructions, the range criterion's certified bound)
+and only then the best-effort subtraction, so a verdict never depends on a
+heuristic when a proof exists.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from .errors import (
     ValidationError,
 )
 from .range_criterion import edge_check
-from .sppt import SpptFactors, SpptVerdict, assemble_state, sppt_check, sppt_residual
-from .states import QubitQuditState, blocks, join_blocks
+from .sppt import SpptVerdict, sppt_check, sppt_residual
+from .states import QubitQuditState, SpptFactors, assemble_state, blocks, join_blocks
 
 DEFAULT_TOL = 1e-9
 # Floor of every tolerance a construction is gated or validated with: the
@@ -56,10 +57,9 @@ DEFAULT_TOL = 1e-9
 # fail on valid input.
 TOL_FLOOR = 1e-8
 
-# The subtraction prover's own product-vector search: a coarser grid than
-# the range criterion's, a looser kernel cutoff, and up to eight candidates
-# per iteration within residual 1e-7.
-SUBTRACTION_GRID = (180, 90)
+# The subtraction prover's own product-vector search: a looser kernel cutoff
+# than the range criterion's, and up to eight candidates per iteration within
+# residual 1e-7.
 _SUBTRACTION_KERNEL_CUTOFF = 1e-8
 _SUBTRACTION_CANDIDATES = 8
 _SUBTRACTION_CANDIDATE_TOL = 1e-7
@@ -341,7 +341,6 @@ def _compress_qudit(rho: np.ndarray, d: int, iso: np.ndarray) -> np.ndarray:
 
 
 def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
-                             grid: tuple[int, int] = SUBTRACTION_GRID,
                              tol: float = DEFAULT_TOL,
                              small_support_exit: bool = True) -> SubtractionResult:
     """Greedy separable-part extraction for a PPT state.
@@ -400,7 +399,7 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
         best = None
         lam_floor = 1e-10 * float(rho.trace().real)
         candidates = range_criterion.product_vectors_in_range(
-            remainder_state, grid=grid, kernel_cutoff=_SUBTRACTION_KERNEL_CUTOFF,
+            remainder_state, kernel_cutoff=_SUBTRACTION_KERNEL_CUTOFF,
             max_candidates=_SUBTRACTION_CANDIDATES,
             candidate_tol=_SUBTRACTION_CANDIDATE_TOL)
         for e, f in ((pv.e, pv.f) for pv in candidates):
@@ -427,8 +426,7 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
 
 
 def decompose_small(s: QubitQuditState, budget: Optional[int] = None,
-                    tol: float = DEFAULT_TOL,
-                    grid: tuple[int, int] = (120, 60)) -> SeparableDecomposition:
+                    tol: float = DEFAULT_TOL) -> SeparableDecomposition:
     """Explicit decomposition of a PPT 2 x 2 or 2 x 3 state.
 
     Such states are separable outright, so the subtraction loop (with the
@@ -441,8 +439,7 @@ def decompose_small(s: QubitQuditState, budget: Optional[int] = None,
         raise ValidationError("decompose_small handles qudit dimension <= 3 only")
     if budget is None:
         budget = 6 * (2 * s.d)
-    sub = subtract_product_vectors(s, budget=budget, grid=grid, tol=tol,
-                                   small_support_exit=False)
+    sub = subtract_product_vectors(s, budget=budget, tol=tol, small_support_exit=False)
     if sub.status == "decomposed":
         dec = sub.terms
     elif sub.status == "sppt_core":
@@ -452,8 +449,7 @@ def decompose_small(s: QubitQuditState, budget: Optional[int] = None,
             rest = decompose_full_rank(verdict.factors, tol=tol)
         else:
             reduction = svd_reduce(verdict.factors, tol=tol)
-            core = (decompose_small(reduction.reduced, budget=budget, tol=tol,
-                                    grid=grid)
+            core = (decompose_small(reduction.reduced, budget=budget, tol=tol)
                     if reduction.k > 0 else None)
             rest = lift_decomposition(reduction, core, tol=tol)
         dec = SeparableDecomposition(terms=sub.terms.terms + rest.terms)
@@ -475,7 +471,6 @@ def _pt_min_eig(rho: np.ndarray, d: int) -> tuple[float, np.ndarray]:
 
 
 def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
-             grid: tuple[int, int] | None = None,
              budget: Optional[int] = None, _depth: int = 0) -> Verdict:
     """Classify a 2 x d state as separable or entangled, with certificate.
 
@@ -488,14 +483,14 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
     5. strong-PPT with 4 <= k < d -> reduce and classify the 2 x k core;
        separable cores lift unconditionally, entangled cores transfer only
        when the factorization tail is negligible;
-    6. range-criterion search finds no qualifying product vector ->
-       EntangledRange (search certificate);
+    6. the range-criterion branch-and-bound excludes every qualifying
+       product vector -> EntangledRange; its certificate carries a lower
+       bound on the residual over the whole qubit Bloch sphere, a proof up
+       to floating point and the kernel cutoff;
     7. product-vector subtraction succeeds -> Separable / SeparableByTheorem;
-       otherwise PptUndecided.
-
-    ``grid`` sets the step-6 search only (default
-    ``range_criterion.DEFAULT_GRID``); the subtraction prover of step 7
-    always searches its own ``SUBTRACTION_GRID`` (180 x 90).
+       otherwise PptUndecided.  A search that finds a product vector, or
+       ends Inconclusive at its resolution floor or evaluation cap, leads
+       here, never to EntangledRange.
 
     The state is normalized by its trace internally; decomposition
     certificates are rescaled back to the input normalization.
@@ -529,13 +524,12 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
             k=work.d, min_pt_eigenvalue=min_pt,
             reason="PPT is sufficient for separability in 2x2 and 2x3"))
 
-    # 3-5: strong-PPT constructions
-    verdict = sppt_check(work, tol=tol)
+    # 3-5: strong-PPT constructions (the state is PPT, tested above)
+    verdict = sppt._check_ppt(work, tol)
     residuals["sppt_residual"] = verdict.residual
     log.append(f"sppt_check: {verdict.status} (residual {verdict.residual:.3e})")
     if verdict.status == "Sppt":
-        outcome = _classify_sppt(work, verdict, tol, grid, budget, _depth, log,
-                                 residuals)
+        outcome = _classify_sppt(work, verdict, tol, budget, _depth, log, residuals)
         if outcome is not None:
             classification, certificate = outcome
             if isinstance(certificate, SeparableDecomposition):
@@ -543,10 +537,12 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
             return done(classification, certificate)
 
     # 6: range-criterion search
-    cert = edge_check(work, grid=grid)
+    cert = edge_check(work)
     residuals["range_search_min"] = cert.worst_min_residual
+    residuals["range_certified_bound"] = cert.certified_bound
     log.append(f"range search: {cert.conclusion} "
-               f"(best refined residual {cert.worst_min_residual:.3e})")
+               f"(certified bound {cert.certified_bound:.3e}, best residual "
+               f"{cert.worst_min_residual:.3e}, {cert.search['evaluations']} evaluations)")
     if cert.conclusion == "NoneFound":
         return done(ENTANGLED_RANGE, cert)
 
@@ -569,8 +565,7 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
                                 "subtraction_status": sub.status})
 
 
-def _classify_sppt(work, verdict: SpptVerdict, tol, grid, budget, depth, log,
-                   residuals):
+def _classify_sppt(work, verdict: SpptVerdict, tol, budget, depth, log, residuals):
     """Steps 3-5: route a confirmed strong-PPT state by its factor rank."""
     factors = verdict.factors
     k = linalg.rank_of(factors.x1.conj().T @ factors.x1)
@@ -604,8 +599,7 @@ def _classify_sppt(work, verdict: SpptVerdict, tol, grid, budget, depth, log,
     if depth >= work.d:
         log.append("recursion depth exhausted; falling through")
         return None
-    inner = classify(reduction.reduced, tol=tol, grid=grid, budget=budget,
-                     _depth=depth + 1)
+    inner = classify(reduction.reduced, tol=tol, budget=budget, _depth=depth + 1)
     log.append(f"core verdict: {inner.classification}")
     if inner.classification == SEPARABLE:
         core_dec = inner.certificate

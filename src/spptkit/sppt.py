@@ -1,4 +1,4 @@
-"""Strong-PPT factorizations: assembly, residual test, and the decision check.
+"""Strong-PPT factorizations: residual test and the decision check.
 
 A 2 x d state of the form rho = X^dag X with block upper-triangular
 
@@ -31,28 +31,9 @@ import numpy as np
 
 from . import linalg, states
 from .errors import DimensionMismatch, NotFullRank, NotPpt
-from .states import QubitQuditState, blocks, join_blocks
+from .states import QubitQuditState, SpptFactors, assemble_state, blocks
 
 SPPT_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SpptFactors:
-    """The triple (x1, s, x2) of equal-size d x d matrices."""
-
-    x1: np.ndarray
-    s: np.ndarray
-    x2: np.ndarray
-
-    def __post_init__(self):
-        for name in ("x1", "s", "x2"):
-            m = linalg.as_matrix(getattr(self, name))
-            if m.shape != self.x1.shape or m.shape[0] != m.shape[1]:
-                raise DimensionMismatch("factors must be square and equal size")
-
-    @property
-    def d(self) -> int:
-        return self.x1.shape[0]
 
 
 @dataclass(frozen=True)
@@ -71,15 +52,6 @@ class SpptVerdict:
     factors: Optional[SpptFactors] = None
     note: str = ""
     residual_matrix: Optional[np.ndarray] = None
-
-
-def assemble_state(f: SpptFactors) -> QubitQuditState:
-    """rho = X^dag X for X = [[x1, s x1], [0, x2]]; PSD by construction."""
-    a = f.x1.conj().T @ f.x1
-    b = f.x1.conj().T @ f.s @ f.x1
-    c = f.x1.conj().T @ f.s.conj().T @ f.s @ f.x1 + f.x2.conj().T @ f.x2
-    rho = join_blocks(linalg.hermitianize(a), b, linalg.hermitianize(c))
-    return states._state(f.d, rho)
 
 
 def pt_witness_gram(f: SpptFactors) -> np.ndarray:
@@ -284,7 +256,12 @@ def sppt_check(s: QubitQuditState, tol: float = SPPT_RTOL) -> SpptVerdict:
     if min_pt < -tol * scale:
         return SpptVerdict(status="Undecided", residual=0.0,
                            note=f"NPT (partial transpose eigenvalue {min_pt:.3e})")
+    return _check_ppt(s, tol)
 
+
+def _check_ppt(s: QubitQuditState, tol: float) -> SpptVerdict:
+    """``sppt_check`` of a state whose partial transpose is known to be PSD."""
+    scale = max(s.norm(), 1e-300)
     a, b, c = blocks(s)
     rank = linalg.rank_of(a)
     eig = linalg.EigResult.of(linalg.hermitianize(a))

@@ -1,4 +1,4 @@
-"""Qubit-qudit (2 x d) density operators and state generators.
+"""Qubit-qudit (2 x d) density operators, strong-PPT factors and state generators.
 
 Basis convention: the first tensor factor is the qubit, with |0> = (1, 0)^t
 and |1> = (0, 1)^t.  Row index ``a * d + j`` of the 2d x 2d matrix refers to
@@ -24,6 +24,7 @@ from . import linalg
 from .errors import (
     BadDimensions,
     BadParameter,
+    DimensionMismatch,
     NotNormalized,
     NotPsd,
     SingularTransform,
@@ -137,6 +138,34 @@ def maximally_mixed(d: int) -> QubitQuditState:
     return _state(d, np.eye(2 * d, dtype=complex) / (2 * d), normalized=True)
 
 
+@dataclass(frozen=True)
+class SpptFactors:
+    """The triple (x1, s, x2) of equal-size d x d matrices."""
+
+    x1: np.ndarray
+    s: np.ndarray
+    x2: np.ndarray
+
+    def __post_init__(self):
+        for name in ("x1", "s", "x2"):
+            m = linalg.as_matrix(getattr(self, name))
+            if m.shape != self.x1.shape or m.shape[0] != m.shape[1]:
+                raise DimensionMismatch("factors must be square and equal size")
+
+    @property
+    def d(self) -> int:
+        return self.x1.shape[0]
+
+
+def assemble_state(f: SpptFactors) -> QubitQuditState:
+    """rho = X^dag X for X = [[x1, s x1], [0, x2]]; PSD by construction."""
+    a = f.x1.conj().T @ f.x1
+    b = f.x1.conj().T @ f.s @ f.x1
+    c = f.x1.conj().T @ f.s.conj().T @ f.s @ f.x1 + f.x2.conj().T @ f.x2
+    rho = join_blocks(linalg.hermitianize(a), b, linalg.hermitianize(c))
+    return _state(f.d, rho)
+
+
 # ---------------------------------------------------------------------------
 # Reference states
 # ---------------------------------------------------------------------------
@@ -180,7 +209,7 @@ def sppt_counterexample_2x4() -> QubitQuditState:
 
 class FamilyInstance(NamedTuple):
     state: QubitQuditState
-    factors: "object"  # SpptFactors; typed loosely to avoid a module cycle
+    factors: SpptFactors
     meta: dict
 
 
@@ -203,8 +232,6 @@ def entangled_sppt_2x5(b: float) -> FamilyInstance:
 
     CLI alias: ``rho0``.
     """
-    from .sppt import SpptFactors, assemble_state
-
     if not 0.0 < b < 1.0:
         raise BadParameter(f"parameter b must lie strictly in (0, 1), got {b}")
     beta1 = np.sqrt((1.0 - b) / (2.0 * b))
@@ -345,8 +372,6 @@ def random_sppt(d: int, rank: int, normal_s: bool = True, seed: int = 0,
         x2 = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / np.sqrt(d)
     else:
         x2 = np.zeros((d, d), dtype=complex)
-
-    from .sppt import SpptFactors, assemble_state
 
     factors = SpptFactors(x1=x1, s=s, x2=x2)
     return assemble_state(factors), factors

@@ -16,7 +16,6 @@ from spptkit.states import (
     sppt_counterexample_2x3,
 )
 
-COARSE = (144, 72)
 
 
 class TestStateFiles:
@@ -56,7 +55,7 @@ class TestStateFiles:
 class TestVerdictSerialization:
     def test_decomposition_verdict(self):
         state, _ = random_sppt(4, rank=4, normal_s=True, seed=1, with_tail=True)
-        v = classify(state, grid=COARSE)
+        v = classify(state)
         data = io.verdict_to_dict(v)
         assert data["class"] == "Separable"
         assert data["certificate"]["type"] == "decomposition"
@@ -67,7 +66,7 @@ class TestVerdictSerialization:
         assert np.linalg.norm(total - state.rho) <= 1e-8 * np.linalg.norm(state.rho)
 
     def test_range_verdict_is_json_ready(self):
-        v = classify(entangled_sppt_2x5(0.5).state, grid=COARSE)
+        v = classify(entangled_sppt_2x5(0.5).state)
         text = json.dumps(io.verdict_to_dict(v))
         data = json.loads(text)
         assert data["class"] == "EntangledRange"
@@ -76,6 +75,8 @@ class TestVerdictSerialization:
             cert = cert["inner"]["certificate"]
         assert cert["type"] == "range_search"
         assert cert["conclusion"] == "NoneFound"
+        assert cert["certified_bound"] > cert["exclusion_threshold"]
+        assert cert["search"]["evaluations"] > 0
         assert "search certificate" in cert["note"]
 
 
@@ -128,8 +129,7 @@ class TestCli:
         src = tmp_path / "rho1.json"
         io.save_state(sppt_counterexample_2x3(), src)
         report_path = tmp_path / "report.json"
-        assert main(["classify", str(src), "--grid", "144x72",
-                     "--json", str(report_path)]) == 0
+        assert main(["classify", str(src), "--json", str(report_path)]) == 0
         report = json.loads(report_path.read_text())
         assert report["verdict"]["class"] == "SeparableByTheorem"
         assert report["tool_version"]
@@ -142,8 +142,7 @@ class TestCli:
         reports = []
         for name in ("r1.json", "r2.json"):
             path = tmp_path / name
-            assert main(["classify", str(src), "--grid", "72x36",
-                         "--json", str(path)]) == 0
+            assert main(["classify", str(src), "--json", str(path)]) == 0
             data = json.loads(path.read_text())
             del data["timings_ms"]
             reports.append(json.dumps(data, sort_keys=True))

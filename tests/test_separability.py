@@ -34,7 +34,6 @@ from spptkit.states import (
     sppt_counterexample_2x4,
 )
 
-COARSE = (144, 72)
 
 
 def bell_state():
@@ -178,19 +177,19 @@ class TestSubtraction:
         f = np.array([0.0, 1.0, 0.0], dtype=complex)
         rho = np.kron(np.outer(e, e), np.outer(f, f.conj()))
         s = make_state(3, rho, normalized=True)
-        res = subtract_product_vectors(s, grid=(90, 45))
+        res = subtract_product_vectors(s)
         assert res.status in ("decomposed", "small_support")
         if res.status == "decomposed":
             assert res.remainder.norm() <= 1e-9
             assert len(res.terms.terms) == 1
 
     def test_counterexample_2x4_terminates_soundly(self):
-        res = subtract_product_vectors(sppt_counterexample_2x4(), grid=(90, 45))
+        res = subtract_product_vectors(sppt_counterexample_2x4())
         assert res.status in ("decomposed", "small_support", "sppt_core")
 
     def test_entangled_family_makes_no_false_claim(self):
         res = subtract_product_vectors(entangled_sppt_2x5(0.5).state,
-                                       budget=3, grid=(90, 45))
+                                       budget=3)
         assert res.status in ("stalled", "budget_exhausted")
 
 
@@ -246,15 +245,15 @@ class TestClassify:
 
     @pytest.mark.parametrize("b", [0.2, 0.5, 0.8])
     def test_family_entangled_range(self, b):
-        v = classify(entangled_sppt_2x5(b).state, grid=COARSE)
+        v = classify(entangled_sppt_2x5(b).state)
         assert v.classification == ENTANGLED_RANGE
 
     def test_horodecki_core_entangled_range(self):
-        v = classify(horodecki_2x4(0.5), grid=COARSE)
+        v = classify(horodecki_2x4(0.5))
         assert v.classification == ENTANGLED_RANGE
 
     def test_counterexample_2x4_separable_class(self):
-        v = classify(sppt_counterexample_2x4(), grid=COARSE)
+        v = classify(sppt_counterexample_2x4())
         assert v.classification in (SEPARABLE, SEPARABLE_BY_THEOREM)
         assert not v.is_entangled_class
 
@@ -262,7 +261,7 @@ class TestClassify:
         for seed in range(10):
             state, _ = random_sppt(4, rank=4, normal_s=True, seed=seed,
                                    with_tail=True)
-            v = classify(state, grid=COARSE)
+            v = classify(state)
             assert v.classification == SEPARABLE
             assert v.certificate.reconstruction_residual(state.rho) <= 1e-9 * state.norm()
 
@@ -272,21 +271,21 @@ class TestClassify:
             d = int(rng.choice([4, 5]))
             rank = int(rng.integers(1, 4))
             state, _ = random_sppt(d, rank=rank, normal_s=False, seed=200 + seed)
-            v = classify(state, grid=COARSE)
+            v = classify(state)
             assert v.classification == SEPARABLE_BY_THEOREM, (d, rank, seed)
             assert v.certificate.k == rank
 
     def test_separable_mixtures_not_entangled(self):
         for seed in range(5):
             state, _ = random_separable(4, seed=seed)
-            v = classify(state, grid=COARSE)
+            v = classify(state)
             assert not v.is_entangled_class, seed
 
     def test_decomposition_rescaled_to_input(self):
         # unnormalized input: certificate must reconstruct the raw matrix
         state, _ = random_sppt(4, rank=4, normal_s=True, seed=30, with_tail=True)
         raw = make_state(4, 7.0 * state.rho)
-        v = classify(raw, grid=COARSE)
+        v = classify(raw)
         assert v.classification == SEPARABLE
         assert v.certificate.reconstruction_residual(raw.rho) <= 1e-9 * raw.norm()
 
@@ -294,9 +293,9 @@ class TestClassify:
         fixed = [sppt_counterexample_2x3(), sppt_counterexample_2x4(),
                  entangled_sppt_2x5(0.5).state]
         for s in fixed:
-            base = classify(s, tol=1e-9, grid=COARSE).classification
+            base = classify(s, tol=1e-9).classification
             for eps in (1e-9 * (1 - 1e-8), 1e-9 * (1 + 1e-8)):
-                assert classify(s, tol=eps, grid=COARSE).classification == base
+                assert classify(s, tol=eps).classification == base
 
     @pytest.mark.parametrize("seed", [3, 39])
     def test_lifted_core_decomposition_validates(self, seed):
