@@ -127,8 +127,6 @@ def reduction_to_dict(r: separability.ReductionResult) -> dict:
 
 
 def certificate_to_dict(cert) -> dict:
-    if cert is None:
-        return {"type": "none"}
     if isinstance(cert, separability.SeparableDecomposition):
         return decomposition_to_dict(cert)
     if isinstance(cert, separability.NptCertificate):
@@ -156,7 +154,7 @@ def certificate_to_dict(cert) -> dict:
                        if dataclasses.is_dataclass(v) and not isinstance(v, type)
                        else v)
                    for k, v in cert.items()}}
-    return {"type": "opaque", "repr": repr(cert)}
+    raise TypeError(f"no JSON form for certificate of type {type(cert).__name__}")
 
 
 def verdict_to_dict(v: separability.Verdict) -> dict:
@@ -165,5 +163,4 @@ def verdict_to_dict(v: separability.Verdict) -> dict:
         "certificate": certificate_to_dict(v.certificate),
         "residuals": v.residuals,
         "trace_log": v.trace_log,
-        "normalization": v.normalization,
     }

@@ -157,25 +157,6 @@ def sqrt_psd(m, tol: float = PSD_RTOL) -> np.ndarray:
     return hermitianize((vectors * np.sqrt(values)) @ vectors.conj().T)
 
 
-def pinv_psd(m, tol: float = PSD_RTOL, cutoff: float = RANK_CUTOFF) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a PSD matrix.
-
-    Eigenvalues at or below ``cutoff`` times the largest one are treated as
-    exactly zero.
-    """
-    m = as_matrix(m)
-    _require_square(m)
-    _require_hermitian(m, max(tol, HERM_RTOL))
-    values, vectors = np.linalg.eigh(hermitianize(m))
-    top = values.max(initial=0.0)
-    if values.min(initial=0.0) < -tol * max(frob(m), 1e-300):
-        raise NotPsd(f"matrix has eigenvalue {values.min():g}, not PSD")
-    keep = values > cutoff * max(top, 1e-300)
-    inv = np.zeros_like(values)
-    inv[keep] = 1.0 / values[keep]
-    return hermitianize((vectors * inv) @ vectors.conj().T)
-
-
 def rank_of(m, cutoff: float = RANK_CUTOFF) -> int:
     """Number of singular values above ``cutoff * sigma_max``."""
     m = as_matrix(m)

@@ -95,11 +95,6 @@ class SeparableDecomposition:
                         float(np.linalg.eigvalsh(linalg.hermitianize(qudit)).min()))
         return worst
 
-    def scaled(self, factor: float) -> "SeparableDecomposition":
-        return SeparableDecomposition(
-            terms=[(qubit, qudit * factor) for qubit, qudit in self.terms]
-        )
-
     def validate(self, rho: np.ndarray, tol: float = DEFAULT_TOL) -> float:
         residual = self.reconstruction_residual(rho)
         scale = max(linalg.frob(rho), 1e-300)
@@ -107,9 +102,12 @@ class SeparableDecomposition:
             raise InvalidDecomposition(
                 f"decomposition misses the state by {residual:g} (> {tol * scale:g})"
             )
-        floor = max(linalg.frob(np.kron(*t)) for t in self.terms) if self.terms else 1.0
-        if self.min_factor_eig() < -1e-10 * max(floor, scale):
-            raise InvalidDecomposition("a decomposition factor is not PSD")
+        # Each factor against its own norm: a unit qubit projector's rounding
+        # says nothing about the scale of the state or of its qudit partner.
+        for factor in (m for term in self.terms for m in term):
+            least = float(np.linalg.eigvalsh(linalg.hermitianize(factor)).min())
+            if least < -1e-10 * linalg.frob(factor):
+                raise InvalidDecomposition("a decomposition factor is not PSD")
         return residual
 
 
@@ -141,13 +139,17 @@ class ReductionResult:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Classification outcome with its certificate and pipeline trace."""
+    """Classification outcome with its certificate and pipeline trace.
+
+    Certificates and residuals are in the units of the classified state:
+    a decomposition sums to it, an NPT eigenvalue is one of its partial
+    transpose.
+    """
 
     classification: str
     certificate: object
     trace_log: list
     residuals: dict = field(default_factory=dict)
-    normalization: float = 1.0
 
     @property
     def is_separable_class(self) -> bool:
@@ -231,7 +233,10 @@ def svd_reduce(f: SpptFactors, tol: float = DEFAULT_TOL) -> ReductionResult:
     dk (s11^dag s11 + s21^dag s21) dk = dk (s11 s11^dag + s12 s12^dag) dk
     and is PPT.
     """
-    scale = max(linalg.frob(f.x1) * max(linalg.frob(f.s), 1.0), 1e-300)
+    # Both gates scale with the state, as the residuals do: ||x1|| times the
+    # square root of the state's trace tr(a) + tr(c).
+    trace = linalg.frob(f.x1) ** 2 + linalg.frob(f.s @ f.x1) ** 2 + linalg.frob(f.x2) ** 2
+    scale = max(linalg.frob(f.x1) * np.sqrt(trace) * max(linalg.frob(f.s), 1.0), 1e-300)
     residual = sppt_residual(f.x1, f.s)
     if residual > max(tol, TOL_FLOOR) * scale:
         raise NotSppt(f"factors violate the strong-PPT condition by {residual:g}")
@@ -253,7 +258,7 @@ def svd_reduce(f: SpptFactors, tol: float = DEFAULT_TOL) -> ReductionResult:
         core_identity = linalg.frob(
             c_r - dk @ (s11 @ s11.conj().T + s12 @ s12.conj().T) @ dk
         )
-        if core_identity > max(tol, TOL_FLOOR) * max(scale, 1.0):
+        if core_identity > max(tol, TOL_FLOOR) * max(scale, trace):
             raise NotSppt(
                 f"conjugated strong-PPT identity fails by {core_identity:g}"
             )
@@ -487,28 +492,27 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
        product vector -> EntangledRange; its certificate carries a lower
        bound on the residual over the whole qubit Bloch sphere, a proof up
        to floating point and the kernel cutoff;
-    7. product-vector subtraction succeeds -> Separable / SeparableByTheorem;
-       otherwise PptUndecided.  A search that finds a product vector, or
-       ends Inconclusive at its resolution floor or evaluation cap, leads
-       here, never to EntangledRange.
+    7. product-vector subtraction succeeds -> Separable / SeparableByTheorem
+       (a strong-PPT remainder is routed as in steps 3-4, with the
+       subtracted terms prepended); otherwise PptUndecided.  A search that
+       finds a product vector, or ends Inconclusive at its resolution floor
+       or evaluation cap, leads here, never to EntangledRange.
 
-    The state is normalized by its trace internally; decomposition
-    certificates are rescaled back to the input normalization.
+    The state is classified as given, with tolerances relative to its
+    norm: certificates and residuals are in its units, whatever its trace.
     """
-    trace = s.trace()
-    if trace <= 0:
+    if s.trace() <= 0:
         raise ValidationError("state must have positive trace")
-    work = states._state(s.d, s.rho / trace, normalized=True)
-    scale = max(work.norm(), 1e-300)
+    scale = max(s.norm(), 1e-300)
     log: list = []
     residuals: dict = {}
 
     def done(classification, certificate):
         return Verdict(classification=classification, certificate=certificate,
-                       trace_log=log, residuals=residuals, normalization=trace)
+                       trace_log=log, residuals=residuals)
 
     # 1: NPT test
-    min_pt, pt_vec = _pt_min_eig(work.rho, work.d)
+    min_pt, pt_vec = _pt_min_eig(s.rho, s.d)
     residuals["min_pt_eigenvalue"] = min_pt
     if min_pt < -tol * scale:
         log.append(f"partial transpose has eigenvalue {min_pt:.3e} < 0: NPT")
@@ -517,27 +521,24 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
     log.append(f"partial transpose PSD (min eigenvalue {min_pt:.3e}): PPT")
 
     # 2: small qudit dimension
-    if work.d <= 3:
-        log.append(f"2x{work.d} PPT: positivity of the partial transpose is "
+    if s.d <= 3:
+        log.append(f"2x{s.d} PPT: positivity of the partial transpose is "
                    "sufficient for separability here")
         return done(SEPARABLE_BY_THEOREM, TheoremCertificate(
-            k=work.d, min_pt_eigenvalue=min_pt,
+            k=s.d, min_pt_eigenvalue=min_pt,
             reason="PPT is sufficient for separability in 2x2 and 2x3"))
 
     # 3-5: strong-PPT constructions (the state is PPT, tested above)
-    verdict = sppt._check_ppt(work, tol)
+    verdict = sppt._check_ppt(s, tol)
     residuals["sppt_residual"] = verdict.residual
     log.append(f"sppt_check: {verdict.status} (residual {verdict.residual:.3e})")
     if verdict.status == "Sppt":
-        outcome = _classify_sppt(work, verdict, tol, budget, _depth, log, residuals)
+        outcome = _classify_sppt(s, verdict, tol, budget, _depth, log, residuals)
         if outcome is not None:
-            classification, certificate = outcome
-            if isinstance(certificate, SeparableDecomposition):
-                certificate = certificate.scaled(trace)
-            return done(classification, certificate)
+            return done(*outcome)
 
     # 6: range-criterion search
-    cert = edge_check(work)
+    cert = edge_check(s)
     residuals["range_search_min"] = cert.worst_min_residual
     residuals["range_certified_bound"] = cert.certified_bound
     log.append(f"range search: {cert.conclusion} "
@@ -547,18 +548,12 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
         return done(ENTANGLED_RANGE, cert)
 
     # 7: subtraction prover
-    sub = subtract_product_vectors(work, budget=budget, tol=tol)
+    sub = subtract_product_vectors(s, budget=budget, tol=tol)
     log.append(f"subtraction: {sub.status} after {sub.iterations} iterations, "
                f"remainder norm {sub.remainder.norm():.3e}")
-    outcome = _verdict_from_subtraction(work, sub, tol, log)
+    outcome = _verdict_from_subtraction(s, sub, tol, budget, _depth, log, residuals)
     if outcome is not None:
-        classification, certificate = outcome
-        if isinstance(certificate, SeparableDecomposition):
-            certificate = certificate.scaled(trace)
-        elif isinstance(certificate, TheoremCertificate) and certificate.partial_terms:
-            certificate = dataclasses.replace(
-                certificate, partial_terms=certificate.partial_terms.scaled(trace))
-        return done(classification, certificate)
+        return done(*outcome)
 
     log.append("no sound certificate found; the state stays undecided")
     return done(PPT_UNDECIDED, {"sppt": verdict.note, "range_search": cert,
@@ -568,7 +563,7 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
 def _classify_sppt(work, verdict: SpptVerdict, tol, budget, depth, log, residuals):
     """Steps 3-5: route a confirmed strong-PPT state by its factor rank."""
     factors = verdict.factors
-    k = linalg.rank_of(factors.x1.conj().T @ factors.x1)
+    k = linalg.rank_of(factors.x1)
     if k == work.d:
         try:
             dec = decompose_full_rank(factors, tol=tol)
@@ -602,8 +597,7 @@ def _classify_sppt(work, verdict: SpptVerdict, tol, budget, depth, log, residual
     inner = classify(reduction.reduced, tol=tol, budget=budget, _depth=depth + 1)
     log.append(f"core verdict: {inner.classification}")
     if inner.classification == SEPARABLE:
-        core_dec = inner.certificate
-        lifted = lift_decomposition(reduction, core_dec.scaled(1.0 / inner.normalization))
+        lifted = lift_decomposition(reduction, inner.certificate)
         lifted.validate(work.rho, tol=max(tol, TOL_FLOOR))
         return SEPARABLE, lifted
     if inner.classification == SEPARABLE_BY_THEOREM:
@@ -619,7 +613,8 @@ def _classify_sppt(work, verdict: SpptVerdict, tol, budget, depth, log, residual
     return None
 
 
-def _verdict_from_subtraction(work, sub: SubtractionResult, tol, log):
+def _verdict_from_subtraction(work, sub: SubtractionResult, tol, budget, depth,
+                              log, residuals):
     """Step 7: translate a subtraction outcome into a verdict."""
     if sub.status == "decomposed":
         dec = sub.terms
@@ -635,26 +630,21 @@ def _verdict_from_subtraction(work, sub: SubtractionResult, tol, log):
             reason="subtraction reduced the remainder to a PPT 2x3-or-smaller support",
             partial_terms=sub.terms, support_isometry=iso)
     if sub.status == "sppt_core":
-        verdict = sub.detail["verdict"]
-        k = sub.detail["factor_rank"]
-        if k == work.d or k == sub.remainder.d:
-            try:
-                core_dec = decompose_full_rank(verdict.factors, tol=tol)
-            except (ValidationError, np.linalg.LinAlgError):
-                core_dec = None
-            if core_dec is not None:
-                dec = SeparableDecomposition(terms=sub.terms.terms + core_dec.terms)
-                dec.validate(work.rho, tol=max(tol, TOL_FLOOR))
-                log.append("remainder is strong-PPT with invertible factor: "
-                           "combined decomposition validates")
-                return SEPARABLE, dec
-        if k <= 3:
-            reduction = svd_reduce(verdict.factors, tol=tol)
-            pt_core_min, _ = _pt_min_eig(reduction.reduced.rho, reduction.k) \
-                if reduction.reduced is not None else (0.0, None)
-            log.append(f"remainder is strong-PPT with factor rank {k} <= 3")
-            return SEPARABLE_BY_THEOREM, TheoremCertificate(
-                k=k, min_pt_eigenvalue=pt_core_min,
-                reason="subtraction remainder is strong-PPT with small factor rank",
-                reduction=reduction, partial_terms=sub.terms)
+        # The prover exits here only at factor rank d or <= 3, so the router
+        # ends in a decomposition or a theorem, never in a further core.
+        log.append("remainder is strong-PPT: routing it by its factor rank")
+        outcome = _classify_sppt(sub.remainder, sub.detail["verdict"], tol, budget,
+                                 depth, log, residuals)
+        if outcome is None:
+            return None
+        classification, certificate = outcome
+        if isinstance(certificate, SeparableDecomposition):
+            dec = SeparableDecomposition(terms=sub.terms.terms + certificate.terms)
+            dec.validate(work.rho, tol=max(tol, TOL_FLOOR))
+            residuals["decomposition_residual"] = dec.reconstruction_residual(work.rho)
+            log.append("subtracted terms and remainder decomposition validate together")
+            return SEPARABLE, dec
+        if isinstance(certificate, TheoremCertificate):
+            return classification, dataclasses.replace(certificate,
+                                                       partial_terms=sub.terms)
     return None

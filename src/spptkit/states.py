@@ -8,8 +8,8 @@ and |1> = (0, 1)^t.  Row index ``a * d + j`` of the 2d x 2d matrix refers to
 
 and the partial transpose on the qubit maps (a, b, c) -> (a, b^dag, c).
 
-States may be stored unnormalized; classification routines normalize by the
-trace internally.  All values are immutable (the stored matrix is marked
+States may be stored unnormalized; classification works on them as given,
+with relative tolerances.  All values are immutable (the stored matrix is marked
 read-only), so states can be shared and certificates replayed safely.
 """
 

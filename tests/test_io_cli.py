@@ -79,6 +79,10 @@ class TestVerdictSerialization:
         assert cert["search"]["evaluations"] > 0
         assert "search certificate" in cert["note"]
 
+    def test_unknown_certificate_raises(self):
+        with pytest.raises(TypeError):
+            io.certificate_to_dict(object())
+
 
 class TestCli:
     def test_generate_and_check(self, tmp_path, capsys):

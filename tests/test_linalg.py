@@ -134,26 +134,6 @@ class TestSqrtPsd:
             linalg.sqrt_psd(np.diag([1.0, -1e-3]))
 
 
-class TestPinvPsd:
-    def test_diagonal(self):
-        np.testing.assert_allclose(linalg.pinv_psd(np.diag([2.0, 0.0])),
-                                   np.diag([0.5, 0.0]), atol=1e-15)
-
-    def test_identity(self):
-        np.testing.assert_allclose(linalg.pinv_psd(np.eye(3)), np.eye(3),
-                                   atol=1e-15)
-
-    def test_penrose_identities_rank_deficient(self):
-        rng = np.random.default_rng(44)
-        g = random_complex(4, 2, rng)
-        m = g @ g.conj().T  # rank-2 PSD of size 4
-        p = linalg.pinv_psd(m)
-        assert linalg.frob(m @ p @ m - m) <= 1e-10 * linalg.frob(m)
-        assert linalg.frob(p @ m @ p - p) <= 1e-9 * linalg.frob(p)
-        assert linalg.frob((m @ p).conj().T - m @ p) <= 1e-9
-        assert linalg.frob((p @ m).conj().T - p @ m) <= 1e-9
-
-
 class TestRankOf:
     def test_zero(self):
         assert linalg.rank_of(np.zeros((3, 3))) == 0

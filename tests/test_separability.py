@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spptkit import linalg
-from spptkit.errors import NotNormal, NotSppt, SingularX1
+from spptkit.errors import InvalidDecomposition, NotNormal, NotSppt, SingularX1
 from spptkit.separability import (
     ENTANGLED_NPT,
     ENTANGLED_RANGE,
@@ -227,6 +227,20 @@ class TestSubtractionWeight:
         assert _max_subtraction_weight(rho, pt, e, f) == 0.0
 
 
+class TestValidate:
+    @pytest.mark.parametrize("t", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    def test_negative_factor_raises_at_every_scale(self, t):
+        # a factor's least eigenvalue is judged against that factor's norm,
+        # so -1e-6 of it fails beside a unit qubit projector at any scale
+        qudit = t * np.diag([1.0, 0.5, 0.25, 0.0]).astype(complex)
+        qudit[3, 3] = -1e-6 * linalg.frob(qudit)
+        dec = SeparableDecomposition(terms=[
+            (np.diag([1.0, 0.0]).astype(complex), t * np.eye(4, dtype=complex)),
+            (np.diag([0.0, 1.0]).astype(complex), qudit)])
+        with pytest.raises(InvalidDecomposition, match="not PSD"):
+            dec.validate(dec.reconstruct(), tol=1e-8)
+
+
 class TestClassify:
     def test_bell_state_npt(self):
         v = classify(bell_state())
@@ -282,12 +296,31 @@ class TestClassify:
             assert not v.is_entangled_class, seed
 
     def test_decomposition_rescaled_to_input(self):
-        # unnormalized input: certificate must reconstruct the raw matrix
-        state, _ = random_sppt(4, rank=4, normal_s=True, seed=30, with_tail=True)
-        raw = make_state(4, 7.0 * state.rho)
-        v = classify(raw)
-        assert v.classification == SEPARABLE
-        assert v.certificate.reconstruction_residual(raw.rho) <= 1e-9 * raw.norm()
+        # classify works in the input's units on every route: t * rho gets
+        # the verdict of rho, a decomposition sums to t * rho and an NPT
+        # eigenvalue is one of the partial transpose of t * rho
+        psi = np.zeros(8, dtype=complex)
+        psi[0] = psi[5] = 1 / np.sqrt(2)
+        routes = {
+            "full rank": (random_sppt(4, 4, normal_s=True, seed=30, with_tail=True)[0],
+                          SEPARABLE),
+            "k <= 3": (random_sppt(5, 2, seed=30)[0], SEPARABLE_BY_THEOREM),
+            "reduction chain": (entangled_sppt_2x5(0.5).state, ENTANGLED_RANGE),
+            "2x4 core lift": (random_sppt(5, 4, normal_s=True, seed=5)[0], SEPARABLE),
+            "subtraction sppt_core": (random_separable(5, 6, seed=0)[0], SEPARABLE),
+            "npt": (make_state(4, np.outer(psi, psi.conj())), ENTANGLED_NPT),
+            "d <= 3": (sppt_counterexample_2x3(), SEPARABLE_BY_THEOREM),
+        }
+        for route, (state, expected) in routes.items():
+            for t in (1e-12, 1e-6, 1.0, 7.0, 1e6, 1e12):
+                raw = make_state(state.d, t * state.rho)
+                v = classify(raw)
+                assert v.classification == expected, (route, t)
+                if isinstance(v.certificate, SeparableDecomposition):
+                    v.certificate.validate(raw.rho, tol=1e-8)
+                if v.classification == ENTANGLED_NPT:
+                    least = np.linalg.eigvalsh(partial_transpose_matrix(raw.rho, raw.d))[0]
+                    assert abs(v.certificate.min_eigenvalue - least) <= 1e-10 * abs(least)
 
     def test_verdict_stability_under_tolerance_perturbation(self):
         fixed = [sppt_counterexample_2x3(), sppt_counterexample_2x4(),
@@ -304,6 +337,24 @@ class TestClassify:
         state, _ = random_sppt(5, 4, normal_s=True, seed=seed)
         v = classify(state)
         assert v.classification == SEPARABLE
+        v.certificate.validate(state.rho, tol=1e-8)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_core_with_tail_lifts(self, seed):
+        # four product terms with a |0> component give x1 rank 4, two on
+        # qubit |1> a tail, so the 2x4 core has less trace than the state:
+        # its decomposition lifts as it is, with no rescaling by either trace
+        rng = np.random.default_rng(seed)
+        rho = np.zeros((10, 10), dtype=complex)
+        for i in range(6):
+            e = rng.normal(size=2) + 1j * rng.normal(size=2) if i < 4 else np.array([0, 1])
+            f = rng.normal(size=5) + 1j * rng.normal(size=5)
+            v = np.kron(e / np.linalg.norm(e), f / np.linalg.norm(f))
+            rho += np.outer(v, v.conj())
+        state = make_state(5, rho)
+        v = classify(state)
+        assert v.classification == SEPARABLE
+        assert any("classifying the reduced 2x4 core" in line for line in v.trace_log)
         v.certificate.validate(state.rho, tol=1e-8)
 
     def test_trace_log_populated(self):
