@@ -11,8 +11,6 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import __version__, io, linalg, range_criterion, separability, states, sppt
 from .errors import ValidationError
 
@@ -75,10 +73,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    linalg.check_tol(args.tol)
     state = io.load_state(args.input)
     if args.which == "ppt":
-        pt = states.partial_transpose_matrix(state.rho, state.d)
-        min_eig = float(np.linalg.eigvalsh(linalg.hermitianize(pt)).min())
+        min_eig, _ = states.pt_min_eig(state.rho, state.d)
         verdict = "PPT" if min_eig >= -args.tol * state.norm() else "NPT"
         print(f"min partial-transpose eigenvalue: {min_eig:.6e}  ({verdict})")
     else:

@@ -1,9 +1,11 @@
-"""Dense complex matrix kernel with tolerance-aware checks.
+"""Dense complex matrix kernel: the one home of every eigendecomposition.
 
-Everything here treats matrices as immutable values: operations validate
-their input and return freshly allocated arrays.  Tolerances are relative.
-Hermiticity and positivity are measured against the Frobenius norm of the
-input; rank decisions compare singular values against the largest one.
+Everything here treats matrices as immutable values and returns freshly
+allocated arrays.  Tolerances are relative: rank decisions compare singular
+values against the largest one, support/kernel splits compare eigenvalues
+against the largest magnitude.  Hermiticity and positivity of outside input
+are checked once, by ``states.make_state``; the matrices the package builds
+itself are hermitianized here, not validated again.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotHermitian, NotNormal, NotPsd, NotSquare, ValidationError
+from .errors import BadParameter, NotNormal, NotSquare, ValidationError
 
 # Relative tolerance floors chosen at the double-precision factorization
 # error level: hermiticity/PSD checks at 1e-9 * ||M||_F, rank cutoff at
@@ -23,20 +25,44 @@ RANK_CUTOFF = 1e-12
 
 
 class EigResult(NamedTuple):
-    """Hermitian eigendecomposition; eigenvalues ascending, columns orthonormal."""
+    """Hermitian eigendecomposition; eigenvalues ascending, columns orthonormal.
+
+    For degenerate eigenvalues any orthonormal basis of the eigenspace may
+    be returned; callers must not depend on the basis choice inside an
+    eigenspace.
+    """
 
     values: np.ndarray
     vectors: np.ndarray
 
     @classmethod
-    def of(cls, h: np.ndarray) -> "EigResult":
-        """Eigendecomposition of a matrix the caller has already made
-        hermitian; unvalidated, so ``herm_eig`` is the entry for other input."""
-        return cls(*np.linalg.eigh(h))
+    def of(cls, m: np.ndarray) -> "EigResult":
+        """Eigendecomposition of the hermitian part of the square matrix m."""
+        return cls(*np.linalg.eigh(hermitianize(m)))
+
+    @property
+    def scale(self) -> float:
+        """Largest eigenvalue magnitude, floored at 1e-300."""
+        return max(float(np.abs(self.values).max()), 1e-300)
+
+    def support(self, cutoff: float) -> np.ndarray:
+        """Mask of the eigenvalues above ``cutoff * scale``; the rest is the kernel."""
+        return self.values > cutoff * self.scale
 
     def apply(self, fn) -> np.ndarray:
         """The matrix function ``vectors @ diag(fn(values)) @ vectors^dag``."""
         return (self.vectors * fn(self.values)) @ self.vectors.conj().T
+
+
+def min_eig(m: np.ndarray) -> float:
+    """Least eigenvalue of the hermitian part of the square matrix m."""
+    return float(np.linalg.eigvalsh(hermitianize(m))[0])
+
+
+def check_tol(tol) -> None:
+    """Raise BadParameter unless ``tol`` is a finite positive number."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise BadParameter(f"tolerance must be finite and > 0, got {tol!r}")
 
 
 class SvdResult(NamedTuple):
@@ -46,10 +72,10 @@ class SvdResult(NamedTuple):
     sigma: np.ndarray
     v: np.ndarray
 
-
-class PsdReport(NamedTuple):
-    is_psd: bool
-    min_eig: float
+    @property
+    def rank(self) -> int:
+        """Number of singular values above ``RANK_CUTOFF * sigma_max``."""
+        return _rank(self.sigma, RANK_CUTOFF)
 
 
 def frob(m: np.ndarray) -> float:
@@ -70,32 +96,6 @@ def as_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
         raise ValidationError("matrix entries must be finite")
     return out
-
-
-def _require_square(m: np.ndarray) -> None:
-    if m.shape[0] != m.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {m.shape}")
-
-
-def _require_hermitian(m: np.ndarray, rtol: float) -> None:
-    if frob(m - m.conj().T) > rtol * max(frob(m), 1e-300):
-        raise NotHermitian(
-            f"matrix is not hermitian within relative tolerance {rtol:g}"
-        )
-
-
-def herm_eig(m, rtol: float = HERM_RTOL) -> EigResult:
-    """Eigendecomposition of a hermitian matrix.
-
-    Returns eigenvalues in ascending order and an orthonormal eigenbasis.
-    For degenerate eigenvalues any orthonormal basis of the eigenspace may
-    be returned; callers must not depend on the basis choice inside an
-    eigenspace.
-    """
-    m = as_matrix(m)
-    _require_square(m)
-    _require_hermitian(m, rtol)
-    return EigResult.of(hermitianize(m))
 
 
 def svd(m) -> SvdResult:
@@ -128,39 +128,12 @@ def _svd_of_diagonal(m: np.ndarray) -> SvdResult:
     return SvdResult(u, sigma, v)
 
 
-def psd_check(m, tol: float = PSD_RTOL) -> PsdReport:
-    """Smallest eigenvalue and a positivity flag.
-
-    ``is_psd`` holds exactly when ``min_eig >= -tol * ||m||_F``.
-    """
-    m = as_matrix(m)
-    _require_square(m)
-    _require_hermitian(m, max(tol, HERM_RTOL))
-    min_eig = float(np.linalg.eigvalsh(hermitianize(m)).min())
-    return PsdReport(min_eig >= -tol * max(frob(m), 1e-300), min_eig)
-
-
-def sqrt_psd(m, tol: float = PSD_RTOL) -> np.ndarray:
-    """Hermitian PSD square root.
-
-    Eigenvalues in ``[-tol * ||m||_F, 0)`` are clamped to zero; anything
-    below that is genuine indefiniteness and raises NotPsd.
-    """
-    m = as_matrix(m)
-    _require_square(m)
-    _require_hermitian(m, max(tol, HERM_RTOL))
-    values, vectors = np.linalg.eigh(hermitianize(m))
-    floor = -tol * max(frob(m), 1e-300)
-    if values.min() < floor:
-        raise NotPsd(f"matrix has eigenvalue {values.min():g} below {floor:g}")
-    values = np.maximum(values, 0.0)
-    return hermitianize((vectors * np.sqrt(values)) @ vectors.conj().T)
-
-
 def rank_of(m, cutoff: float = RANK_CUTOFF) -> int:
     """Number of singular values above ``cutoff * sigma_max``."""
-    m = as_matrix(m)
-    sigma = np.linalg.svd(m, compute_uv=False)
+    return _rank(np.linalg.svd(as_matrix(m), compute_uv=False), cutoff)
+
+
+def _rank(sigma: np.ndarray, cutoff: float) -> int:
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
     return int((sigma > cutoff * sigma[0]).sum())
@@ -177,10 +150,8 @@ def nullspace(m, cutoff: float = RANK_CUTOFF) -> np.ndarray:
     cols = m.shape[1]
     if m.shape[0] == 0:
         return np.eye(cols, dtype=complex)
-    u, sigma, vh = np.linalg.svd(m, full_matrices=True)
-    top = sigma[0] if sigma.size else 0.0
-    rank = int((sigma > cutoff * max(top, 1e-300)).sum())
-    return vh[rank:].conj().T
+    _, sigma, vh = np.linalg.svd(m, full_matrices=True)
+    return vh[_rank(sigma, cutoff):].conj().T
 
 
 def normal_eig(s, rtol: float = HERM_RTOL) -> tuple[np.ndarray, np.ndarray]:
@@ -193,7 +164,8 @@ def normal_eig(s, rtol: float = HERM_RTOL) -> tuple[np.ndarray, np.ndarray]:
     part, then imaginary part, for deterministic output.
     """
     s = as_matrix(s)
-    _require_square(s)
+    if s.shape[0] != s.shape[1]:
+        raise NotSquare(f"expected a square matrix, got shape {s.shape}")
     defect = frob(s.conj().T @ s - s @ s.conj().T)
     if defect > rtol * max(frob(s) ** 2, 1e-300):
         raise NotNormal(f"normality defect {defect:g} exceeds tolerance")

@@ -103,12 +103,10 @@ def kernel_basis(m, cutoff: float = KERNEL_CUTOFF) -> np.ndarray:
     Spans the eigenvectors with eigenvalue at most ``cutoff`` times the
     largest eigenvalue.
     """
-    m = linalg.as_matrix(m)
-    values, vectors = np.linalg.eigh(linalg.hermitianize(m))
-    scale = max(np.abs(values).max(), 1e-300)
-    if values.min() < -max(cutoff, 1e-9) * scale:
-        raise NotPsd(f"kernel_basis expects a PSD matrix, min eigenvalue {values.min():g}")
-    return vectors[:, values <= cutoff * scale].T
+    eig = linalg.EigResult.of(linalg.as_matrix(m))
+    if eig.values[0] < -max(cutoff, 1e-9) * eig.scale:
+        raise NotPsd(f"kernel_basis expects a PSD matrix, min eigenvalue {eig.values[0]:g}")
+    return eig.vectors[:, ~eig.support(cutoff)].T
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,8 @@ import numpy as np
 
 from . import linalg, range_criterion, sppt, states
 from .errors import (
+    BadParameter,
     InvalidDecomposition,
-    NotNormal,
     NotSppt,
     SingularX1,
     ValidationError,
@@ -90,9 +90,7 @@ class SeparableDecomposition:
     def min_factor_eig(self) -> float:
         worst = np.inf
         for qubit, qudit in self.terms:
-            worst = min(worst,
-                        float(np.linalg.eigvalsh(linalg.hermitianize(qubit)).min()),
-                        float(np.linalg.eigvalsh(linalg.hermitianize(qudit)).min()))
+            worst = min(worst, linalg.min_eig(qubit), linalg.min_eig(qudit))
         return worst
 
     def validate(self, rho: np.ndarray, tol: float = DEFAULT_TOL) -> float:
@@ -105,8 +103,7 @@ class SeparableDecomposition:
         # Each factor against its own norm: a unit qubit projector's rounding
         # says nothing about the scale of the state or of its qudit partner.
         for factor in (m for term in self.terms for m in term):
-            least = float(np.linalg.eigvalsh(linalg.hermitianize(factor)).min())
-            if least < -1e-10 * linalg.frob(factor):
+            if linalg.min_eig(factor) < -1e-10 * linalg.frob(factor):
                 raise InvalidDecomposition("a decomposition factor is not PSD")
         return residual
 
@@ -207,9 +204,6 @@ def decompose_full_rank(f: SpptFactors, tol: float = DEFAULT_TOL) -> SeparableDe
     d = f.d
     if linalg.rank_of(f.x1) < d:
         raise SingularX1("x1 must be invertible for the spectral construction")
-    norm_defect = linalg.frob(f.s.conj().T @ f.s - f.s @ f.s.conj().T)
-    if norm_defect > max(tol, TOL_FLOOR) * max(linalg.frob(f.s) ** 2, 1e-300):
-        raise NotNormal(f"s has normality defect {norm_defect:g}")
     values, vectors = linalg.normal_eig(f.s, rtol=max(tol, TOL_FLOOR))
     terms = []
     for lam, z in zip(values, vectors.T):
@@ -240,8 +234,9 @@ def svd_reduce(f: SpptFactors, tol: float = DEFAULT_TOL) -> ReductionResult:
     residual = sppt_residual(f.x1, f.s)
     if residual > max(tol, TOL_FLOOR) * scale:
         raise NotSppt(f"factors violate the strong-PPT condition by {residual:g}")
-    u, sigma, v = linalg.svd(f.x1)
-    k = linalg.rank_of(f.x1)
+    x1_svd = linalg.svd(f.x1)
+    u, sigma, v = x1_svd
+    k = x1_svd.rank
     s_tilde = u.conj().T @ f.s @ u
     dk = np.diag(sigma[:k])
     s11 = s_tilde[:k, :k]
@@ -305,12 +300,12 @@ def _rank_one_weight(m: np.ndarray, v: np.ndarray) -> float:
     subtraction search accepts passes that test: its residual against the
     wider kernel at ``_SUBTRACTION_KERNEL_CUTOFF`` is within the same bound.
     """
-    values, vectors = linalg.herm_eig(m)
-    c = vectors.conj().T @ v
-    keep = values > linalg.RANK_CUTOFF * values[-1]
+    eig = linalg.EigResult.of(m)
+    c = eig.vectors.conj().T @ v
+    keep = eig.support(linalg.RANK_CUTOFF)
     if linalg.frob(c[~keep]) > _SUBTRACTION_CANDIDATE_TOL:
         return 0.0
-    return 1.0 / float(np.sum(np.abs(c[keep]) ** 2 / values[keep]))
+    return 1.0 / float(np.sum(np.abs(c[keep]) ** 2 / eig.values[keep]))
 
 
 def _max_subtraction_weight(rho: np.ndarray, pt: np.ndarray,
@@ -328,11 +323,8 @@ def _max_subtraction_weight(rho: np.ndarray, pt: np.ndarray,
 
 def _qudit_support(rho: np.ndarray, d: int, cutoff: float = 1e-9):
     """Isometry onto the joint qudit support of the two diagonal blocks."""
-    reduced = linalg.hermitianize(rho[:d, :d] + rho[d:, d:])
-    values, vectors = np.linalg.eigh(reduced)
-    scale = max(np.abs(values).max(), 1e-300)
-    keep = values > cutoff * scale
-    return vectors[:, keep]
+    eig = linalg.EigResult.of(rho[:d, :d] + rho[d:, d:])
+    return eig.vectors[:, eig.support(cutoff)]
 
 
 def _compress_qudit(rho: np.ndarray, d: int, iso: np.ndarray) -> np.ndarray:
@@ -380,8 +372,7 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
         iso = _qudit_support(rho, d)
         if small_support_exit and iso.shape[1] <= 3:
             core = _compress_qudit(rho, d, iso)
-            pt_min = float(np.linalg.eigvalsh(
-                states.partial_transpose_matrix(core, iso.shape[1])).min())
+            pt_min, _ = states.pt_min_eig(core, iso.shape[1])
             if pt_min >= -max(tol, TOL_FLOOR) * scale0:
                 status = "small_support"
                 detail = {"support_isometry": iso, "compressed": core,
@@ -469,12 +460,6 @@ def decompose_small(s: QubitQuditState, budget: Optional[int] = None,
 # Classification pipeline
 # ---------------------------------------------------------------------------
 
-def _pt_min_eig(rho: np.ndarray, d: int) -> tuple[float, np.ndarray]:
-    pt = linalg.hermitianize(states.partial_transpose_matrix(rho, d))
-    values, vectors = np.linalg.eigh(pt)
-    return float(values[0]), vectors[:, 0]
-
-
 def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
              budget: Optional[int] = None, _depth: int = 0) -> Verdict:
     """Classify a 2 x d state as separable or entangled, with certificate.
@@ -500,7 +485,12 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
 
     The state is classified as given, with tolerances relative to its
     norm: certificates and residuals are in its units, whatever its trace.
+    Raises BadParameter unless ``tol`` is finite and positive and
+    ``budget`` is None or at least 0.
     """
+    linalg.check_tol(tol)
+    if budget is not None and budget < 0:
+        raise BadParameter(f"budget must be None or >= 0, got {budget!r}")
     if s.trace() <= 0:
         raise ValidationError("state must have positive trace")
     scale = max(s.norm(), 1e-300)
@@ -512,7 +502,7 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
                        trace_log=log, residuals=residuals)
 
     # 1: NPT test
-    min_pt, pt_vec = _pt_min_eig(s.rho, s.d)
+    min_pt, pt_vec = states.pt_min_eig(s.rho, s.d)
     residuals["min_pt_eigenvalue"] = min_pt
     if min_pt < -tol * scale:
         log.append(f"partial transpose has eigenvalue {min_pt:.3e} < 0: NPT")
@@ -581,7 +571,7 @@ def _classify_sppt(work, verdict: SpptVerdict, tol, budget, depth, log, residual
         lifted.validate(work.rho, tol=max(tol, TOL_FLOOR))
         log.append("x1 vanishes: the state is a single product term")
         return SEPARABLE, lifted
-    pt_core_min, _ = _pt_min_eig(reduction.reduced.rho, reduction.k)
+    pt_core_min, _ = states.pt_min_eig(reduction.reduced.rho, reduction.k)
     if k <= 3:
         log.append(f"factor rank {k} <= 3: reduced 2x{k} core is PPT "
                    f"(min eigenvalue {pt_core_min:.3e}), hence separable; "

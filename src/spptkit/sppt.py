@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg, states
-from .errors import DimensionMismatch, NotFullRank, NotPpt
+from .errors import DimensionMismatch, NotFullRank, NotPpt, NotPsd
 from .states import QubitQuditState, SpptFactors, assemble_state, blocks
 
 SPPT_RTOL = 1e-9
@@ -88,24 +88,22 @@ def extract_factors_full_rank(s: QubitQuditState,
     PSD).
     """
     a, b, c = blocks(s)
-    if linalg.rank_of(a) < s.d:
+    eig = linalg.EigResult.of(a)
+    if eig.support(linalg.RANK_CUTOFF).sum() < s.d:
         raise NotFullRank("the <0|rho|0> block is singular")
-    eig = linalg.EigResult.of(linalg.hermitianize(a))
     return _full_rank_factors(s, eig, eig.apply(np.reciprocal), b, c, tol)
 
 
 def _full_rank_factors(s: QubitQuditState, eig: linalg.EigResult,
                        a_inv: np.ndarray, b, c, tol: float) -> SpptFactors:
     """``extract_factors_full_rank`` from the eigendecomposition of a and a^-1."""
-    schur = linalg.hermitianize(c - b.conj().T @ a_inv @ b)
-    schur_pt = linalg.hermitianize(c - b @ a_inv @ b.conj().T)
-    scale = max(s.norm(), 1e-300)
-    for m in (schur, schur_pt):
-        if np.linalg.eigvalsh(m).min() < -tol * scale:
-            raise NotPpt("a Schur complement of the state is not PSD")
+    schur = linalg.EigResult.of(c - b.conj().T @ a_inv @ b)
+    min_pt = linalg.min_eig(c - b @ a_inv @ b.conj().T)
+    if min(schur.values[0], min_pt) < -tol * max(s.norm(), 1e-300):
+        raise NotPpt("a Schur complement of the state is not PSD")
     # Clamp against the state scale: the Schur complement itself may be a
     # numerically zero matrix.
-    x2 = linalg.EigResult.of(schur).apply(_clamped_sqrt)
+    x2 = schur.apply(_clamped_sqrt)
     a_mhalf = eig.apply(_inv_sqrt)
     return SpptFactors(x1=eig.apply(np.sqrt), s=a_mhalf @ b @ a_mhalf, x2=x2)
 
@@ -118,14 +116,15 @@ def _inv_sqrt(values: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(values)
 
 
-def _psd_factor_rows(p: np.ndarray, n_rows: int) -> np.ndarray:
-    """G with n_rows rows and G^dag G = p, for PSD p of rank <= n_rows.
+def _psd_factor_rows(eig: linalg.EigResult, n_rows: int) -> np.ndarray:
+    """G with n_rows rows and G^dag G = p, for PSD p of rank <= n_rows,
+    from the eigendecomposition of p.
 
     Rows are sqrt(eigenvalue) * eigenvector^dag for the largest eigenvalues,
     zero-padded; negative noise eigenvalues are clamped.
     """
-    r = p.shape[0]
-    values, vectors = np.linalg.eigh(linalg.hermitianize(p))
+    values, vectors = eig
+    r = len(values)
     order = np.argsort(-values)
     g = np.zeros((n_rows, r), dtype=complex)
     for i in range(min(n_rows, r)):
@@ -158,7 +157,10 @@ def _check_singular_support(s: QubitQuditState, a, b, c, eig: linalg.EigResult,
         if linalg.frob(b) > tol * scale:
             return SpptVerdict(status="Undecided", residual=linalg.frob(b),
                                note="a vanishes but b does not")
-        x2 = linalg.sqrt_psd(linalg.hermitianize(c), tol=max(tol, 1e-8))
+        eig_c = linalg.EigResult.of(c)
+        if eig_c.values[0] < -max(tol, 1e-8) * max(linalg.frob(c), 1e-300):
+            raise NotPsd(f"c-block has eigenvalue {eig_c.values[0]:g}")
+        x2 = eig_c.apply(_clamped_sqrt)
         zero = np.zeros((d, d), dtype=complex)
         return SpptVerdict(status="Sppt", residual=0.0,
                            factors=SpptFactors(x1=zero, s=zero, x2=x2),
@@ -176,7 +178,7 @@ def _check_singular_support(s: QubitQuditState, a, b, c, eig: linalg.EigResult,
                  "factorization cannot reproduce it",
         )
 
-    eig_s = linalg.EigResult.of(linalg.hermitianize(q.conj().T @ a @ q))
+    eig_s = linalg.EigResult.of(q.conj().T @ a @ q)
     a_half = eig_s.apply(np.sqrt)
     a_mhalf = eig_s.apply(_inv_sqrt)
     s11 = a_mhalf @ (q.conj().T @ b @ q) @ a_mhalf
@@ -198,17 +200,13 @@ def _check_singular_support(s: QubitQuditState, a, b, c, eig: linalg.EigResult,
     omega = np.hstack([q, q_perp])
     for p_cand in (delta_plus, p_max):
         p_h = linalg.hermitianize(p_cand)
-        q_h = linalg.hermitianize(p_h - delta)
-        w_p = np.linalg.eigvalsh(p_h)
-        w_q = np.linalg.eigvalsh(q_h)
-        sp = max(np.abs(w_p).max(), 1e-300)
-        sq = max(np.abs(w_q).max(), 1e-300)
-        if w_p.min() < -1e-8 * sp or w_q.min() < -1e-8 * sq:
+        eig_p = linalg.EigResult.of(p_h)
+        eig_q = linalg.EigResult.of(p_h - delta)
+        if (eig_p.values[0] < -1e-8 * eig_p.scale or eig_q.values[0] < -1e-8 * eig_q.scale
+                or eig_p.support(1e-8).sum() > m_dim or eig_q.support(1e-8).sum() > m_dim):
             continue
-        if int((w_p > 1e-8 * sp).sum()) > m_dim or int((w_q > 1e-8 * sq).sum()) > m_dim:
-            continue
-        s21 = _psd_factor_rows(p_h, m_dim)
-        s12 = _psd_factor_rows(q_h, m_dim).conj().T
+        s21 = _psd_factor_rows(eig_p, m_dim)
+        s12 = _psd_factor_rows(eig_q, m_dim).conj().T
         s_tilde = np.zeros((d, d), dtype=complex)
         s_tilde[:rank, :rank] = s11
         s_tilde[:rank, rank:] = s12
@@ -216,13 +214,12 @@ def _check_singular_support(s: QubitQuditState, a, b, c, eig: linalg.EigResult,
         s_full = omega @ s_tilde @ omega.conj().T
         x1 = q @ a_half @ q.conj().T
         inner = a_half @ (s11.conj().T @ s11 + s21.conj().T @ s21) @ a_half
-        tail_sq = linalg.hermitianize(c - q @ inner @ q.conj().T)
+        tail = linalg.EigResult.of(c - q @ inner @ q.conj().T)
         # Noise floor is set by the state scale; the reassembly check below
         # is the binding validation.
-        if np.linalg.eigvalsh(tail_sq).min() < -1e-8 * scale:
+        if tail.values[0] < -1e-8 * scale:
             continue
-        cand = SpptFactors(x1=x1, s=s_full,
-                           x2=linalg.EigResult.of(tail_sq).apply(_clamped_sqrt))
+        cand = SpptFactors(x1=x1, s=s_full, x2=tail.apply(_clamped_sqrt))
         residual = sppt_residual(cand.x1, cand.s)
         rebuilt = assemble_state(cand)
         if residual <= tol * scale and linalg.frob(rebuilt.rho - s.rho) <= 10 * tol * scale:
@@ -248,12 +245,12 @@ def sppt_check(s: QubitQuditState, tol: float = SPPT_RTOL) -> SpptVerdict:
     Non-PPT input yields Undecided with note "NPT" (the property is defined
     within PPT states).  With invertible a the closed-form criterion decides
     exactly; with singular a a verified factorization gives Sppt, otherwise
-    the verdict is Undecided, never NotSppt.
+    the verdict is Undecided, never NotSppt.  Raises BadParameter unless
+    ``tol`` is finite and positive.
     """
-    scale = max(s.norm(), 1e-300)
-    pt = states.partial_transpose_matrix(s.rho, s.d)
-    min_pt = float(np.linalg.eigvalsh(linalg.hermitianize(pt)).min())
-    if min_pt < -tol * scale:
+    linalg.check_tol(tol)
+    min_pt, _ = states.pt_min_eig(s.rho, s.d)
+    if min_pt < -tol * max(s.norm(), 1e-300):
         return SpptVerdict(status="Undecided", residual=0.0,
                            note=f"NPT (partial transpose eigenvalue {min_pt:.3e})")
     return _check_ppt(s, tol)
@@ -263,8 +260,8 @@ def _check_ppt(s: QubitQuditState, tol: float) -> SpptVerdict:
     """``sppt_check`` of a state whose partial transpose is known to be PSD."""
     scale = max(s.norm(), 1e-300)
     a, b, c = blocks(s)
-    rank = linalg.rank_of(a)
-    eig = linalg.EigResult.of(linalg.hermitianize(a))
+    eig = linalg.EigResult.of(a)
+    rank = int(eig.support(linalg.RANK_CUTOFF).sum())
     if rank == s.d:
         a_inv = eig.apply(np.reciprocal)
         residual_matrix = b.conj().T @ a_inv @ b - b @ a_inv @ b.conj().T

@@ -25,6 +25,7 @@ from .errors import (
     BadDimensions,
     BadParameter,
     DimensionMismatch,
+    NotHermitian,
     NotNormalized,
     NotPsd,
     SingularTransform,
@@ -67,17 +68,24 @@ def make_state(d: int, entries, normalized: bool = False,
                tol: float = linalg.PSD_RTOL) -> QubitQuditState:
     """Validate and wrap a 2d x 2d matrix as a qubit-qudit state.
 
-    Checks dimensions, finiteness, hermiticity, positivity, and (when
-    ``normalized``) unit trace.
+    Checks dimensions, finiteness, hermiticity (within ``max(tol,
+    linalg.HERM_RTOL)``), positivity (least eigenvalue at least
+    ``-tol * ||rho||_F``) and, when ``normalized``, unit trace.  This is the
+    only place the package validates a state; everything it derives from
+    one is hermitianized instead.
     """
     if d < 1:
         raise BadDimensions(f"qudit dimension must be >= 1, got {d}")
     rho = linalg.as_matrix(entries)
     if rho.shape != (2 * d, 2 * d):
         raise BadDimensions(f"expected shape {(2 * d, 2 * d)}, got {rho.shape}")
-    report = linalg.psd_check(rho, tol)
-    if not report.is_psd:
-        raise NotPsd(f"state has negative eigenvalue {report.min_eig:g}")
+    scale = max(linalg.frob(rho), 1e-300)
+    herm_tol = max(tol, linalg.HERM_RTOL)
+    if linalg.frob(rho - rho.conj().T) > herm_tol * scale:
+        raise NotHermitian(f"state is not hermitian within relative tolerance {herm_tol:g}")
+    min_eig = linalg.min_eig(rho)
+    if min_eig < -tol * scale:
+        raise NotPsd(f"state has negative eigenvalue {min_eig:g}")
     if normalized and abs(rho.trace().real - 1.0) > max(tol * linalg.frob(rho), tol):
         raise NotNormalized(f"trace {rho.trace().real!r} is not 1")
     return _state(d, rho, normalized)
@@ -104,6 +112,16 @@ def partial_transpose_matrix(rho: np.ndarray, d: int) -> np.ndarray:
     out[:d, d:] = rho[:d, d:].conj().T
     out[d:, :d] = rho[d:, :d].conj().T
     return out
+
+
+def pt_min_eig(rho: np.ndarray, d: int) -> tuple[float, np.ndarray]:
+    """Least eigenvalue of the partial transpose of rho, with its eigenvector.
+
+    The one positivity test of the partial transpose: a value below minus
+    a tolerance times the state's norm certifies entanglement.
+    """
+    values, vectors = linalg.EigResult.of(partial_transpose_matrix(rho, d))
+    return float(values[0]), vectors[:, 0]
 
 
 def partial_transpose(s: QubitQuditState) -> QubitQuditState:
@@ -313,7 +331,7 @@ def _shift_with_defect(delta: np.ndarray, rng: np.random.Generator) -> np.ndarra
     sample from being special.
     """
     k = delta.shape[0]
-    values, w = np.linalg.eigh(delta)
+    values, w = linalg.EigResult.of(delta)
     values = values[::-1]
     w = w[:, ::-1]
     prefix = np.maximum(np.cumsum(values)[:-1], 0.0)

@@ -8,13 +8,23 @@ import pytest
 from spptkit import io
 from spptkit.cli import main
 from spptkit.errors import ParseError
-from spptkit.separability import classify
+from spptkit.separability import ENTANGLED_NPT, classify
+from spptkit.sppt import sppt_check
 from spptkit.states import (
     entangled_sppt_2x5,
+    horodecki_2x4,
+    make_state,
     maximally_mixed,
     random_sppt,
     sppt_counterexample_2x3,
+    sppt_counterexample_2x4,
 )
+
+
+def bell_state():
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = psi[3] = 1 / np.sqrt(2)
+    return make_state(2, np.outer(psi, psi.conj()), normalized=True)
 
 
 
@@ -120,12 +130,7 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
     def test_classify_bell_via_file(self, tmp_path, capsys):
-        psi = np.zeros(4, dtype=complex)
-        psi[0] = psi[3] = 1 / np.sqrt(2)
-        from spptkit.states import make_state
-
-        io.save_state(make_state(2, np.outer(psi, psi.conj()), normalized=True),
-                      tmp_path / "bell.json")
+        io.save_state(bell_state(), tmp_path / "bell.json")
         assert main(["classify", str(tmp_path / "bell.json")]) == 0
         assert "EntangledNpt" in capsys.readouterr().out
 
@@ -157,6 +162,37 @@ class TestCli:
         bad.write_text("{\"d\": 2}")
         assert main(["classify", str(bad)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "{path}", "--tol", "-1"],
+        ["classify", "{path}", "--tol", "nan"],
+        ["classify", "{path}", "--budget", "-3"],
+        ["check", "ppt", "{path}", "--tol", "-1"],
+        ["check", "sppt", "{path}", "--tol", "nan"],
+    ])
+    def test_bad_tol_or_budget_exit_2(self, argv, tmp_path, capsys):
+        path = tmp_path / "rho2.json"
+        io.save_state(sppt_counterexample_2x4(), path)
+        assert main([arg.format(path=path) for arg in argv]) == 2
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["bell", "rho1", "horodecki"])
+    def test_pt_checks_agree(self, name, tmp_path, capsys):
+        state = {"bell": bell_state, "rho1": sppt_counterexample_2x3,
+                 "horodecki": lambda: horodecki_2x4(0.5)}[name]()
+        path = tmp_path / "state.json"
+        io.save_state(state, path)
+        assert main(["check", "ppt", str(path)]) == 0
+        printed = capsys.readouterr().out.split(":")[1].split()
+        verdict = classify(state)
+        least = verdict.residuals["min_pt_eigenvalue"]
+        npt = verdict.classification == ENTANGLED_NPT
+        assert printed == [f"{least:.6e}", "(NPT)" if npt else "(PPT)"]
+        note = sppt_check(state).note
+        if npt:
+            assert note == f"NPT (partial transpose eigenvalue {least:.3e})"
+        else:
+            assert "NPT" not in note
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["check", "ppt", "/nonexistent/state.json"]) == 2

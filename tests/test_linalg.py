@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from spptkit import linalg
-from spptkit.errors import NotHermitian, NotNormal, NotPsd, NotSquare, ValidationError
+from spptkit.errors import NotNormal, NotPsd
+from spptkit.states import make_state
 
 
 def random_hermitian(n, rng):
@@ -17,40 +18,41 @@ def random_complex(n, m, rng):
 
 
 class TestHermEig:
+    """The hermitian eigendecomposition ``EigResult.of``."""
+
     def test_diagonal(self):
-        res = linalg.herm_eig(np.diag([2.0, 1.0]))
+        res = linalg.EigResult.of(np.diag([2.0, 1.0]))
         np.testing.assert_allclose(res.values, [1.0, 2.0])
         np.testing.assert_allclose(np.abs(res.vectors), [[0, 1], [1, 0]])
 
     def test_identity(self):
-        res = linalg.herm_eig(np.eye(3))
+        res = linalg.EigResult.of(np.eye(3))
         np.testing.assert_allclose(res.values, [1.0, 1.0, 1.0])
 
     def test_pauli_x(self):
         # characteristic polynomial lambda^2 - 1 = 0 by hand
-        res = linalg.herm_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        res = linalg.EigResult.of(np.array([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_allclose(res.values, [-1.0, 1.0], atol=1e-14)
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(42)
         for n in range(2, 13):
             m = random_hermitian(n, rng)
-            values, vectors = linalg.herm_eig(m)
+            values, vectors = linalg.EigResult.of(m)
             rebuilt = (vectors * values) @ vectors.conj().T
             assert linalg.frob(rebuilt - m) <= 1e-10 * linalg.frob(m)
             assert linalg.frob(vectors.conj().T @ vectors - np.eye(n)) <= 1e-12
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            linalg.herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    def test_takes_the_hermitian_part(self):
+        m = np.array([[1.0, 2.0], [0.0, 1.0]])
+        np.testing.assert_allclose(linalg.EigResult.of(m).values, [0.0, 2.0], atol=1e-14)
 
-    def test_rejects_non_square(self):
-        with pytest.raises(NotSquare):
-            linalg.herm_eig(np.zeros((2, 3)))
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValidationError):
-            linalg.herm_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    def test_support_split(self):
+        res = linalg.EigResult.of(np.diag([-1e-13, 1e-9, 0.5, 2.0]))
+        assert res.scale == 2.0
+        assert res.support(1e-9).tolist() == [False, False, True, True]
+        assert res.support(1e-10).tolist() == [False, True, True, True]
+        assert not linalg.EigResult.of(np.zeros((3, 3))).support(1e-12).any()
 
 
 class TestSvd:
@@ -93,45 +95,46 @@ class TestSvd:
 
 
 class TestPsdCheck:
+    """The least eigenvalue ``min_eig`` and the positivity gate of ``make_state``."""
+
     def test_identity(self):
-        rep = linalg.psd_check(np.eye(2))
-        assert rep.is_psd and abs(rep.min_eig - 1.0) < 1e-14
+        assert abs(linalg.min_eig(np.eye(2)) - 1.0) < 1e-14
+        make_state(1, np.eye(2))
 
     def test_indefinite(self):
-        rep = linalg.psd_check(np.diag([1.0, -1.0]))
-        assert not rep.is_psd and abs(rep.min_eig + 1.0) < 1e-14
+        assert abs(linalg.min_eig(np.diag([1.0, -1.0])) + 1.0) < 1e-14
+        with pytest.raises(NotPsd):
+            make_state(1, np.diag([1.0, -1.0]))
 
     def test_2x2(self):
         # eigenvalues 1 and 3 by hand
-        rep = linalg.psd_check(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert rep.is_psd and abs(rep.min_eig - 1.0) < 1e-14
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            linalg.psd_check(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert abs(linalg.min_eig(np.array([[2.0, 1.0], [1.0, 2.0]])) - 1.0) < 1e-14
 
 
 class TestSqrtPsd:
+    """PSD square roots as ``EigResult.apply`` of the clamped square root."""
+
+    @staticmethod
+    def clamped_root(m):
+        return linalg.EigResult.of(m).apply(lambda w: np.sqrt(np.maximum(w, 0.0)))
+
     def test_diagonal(self):
-        np.testing.assert_allclose(linalg.sqrt_psd(np.diag([4.0, 9.0])),
+        np.testing.assert_allclose(self.clamped_root(np.diag([4.0, 9.0])),
                                    np.diag([2.0, 3.0]), atol=1e-14)
 
     def test_identity(self):
         for d in (1, 3, 7):
-            np.testing.assert_allclose(linalg.sqrt_psd(np.eye(d)), np.eye(d),
+            np.testing.assert_allclose(self.clamped_root(np.eye(d)), np.eye(d),
                                        atol=1e-14)
 
     def test_square_reproduces_input(self):
         m = np.array([[2.0, 1.0], [1.0, 2.0]])
-        root = linalg.sqrt_psd(m)
+        root = self.clamped_root(m)
         assert linalg.frob(root @ root - m) <= 1e-12
 
-    def test_clamps_noise_but_rejects_indefinite(self):
-        noisy = np.diag([1.0, -1e-12])
-        root = linalg.sqrt_psd(noisy)
+    def test_clamps_noise(self):
+        root = self.clamped_root(np.diag([1.0, -1e-12]))
         assert root[1, 1] == 0.0
-        with pytest.raises(NotPsd):
-            linalg.sqrt_psd(np.diag([1.0, -1e-3]))
 
 
 class TestRankOf:
@@ -187,6 +190,15 @@ class TestNormalEig:
         m = np.diag([2.0, -1.0, 0.5 + 0.5j])
         values, _ = linalg.normal_eig(m)
         assert values[0].real <= values[1].real <= values[2].real
+
+
+class TestSvdRank:
+    def test_matches_rank_of(self):
+        rng = np.random.default_rng(44)
+        for r in range(5):
+            g = random_complex(4, r, rng) if r else np.zeros((4, 1))
+            m = g @ g.conj().T
+            assert linalg.svd(m).rank == linalg.rank_of(m) == r
 
 
 def test_haar_unitary_is_unitary():

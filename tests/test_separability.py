@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from spptkit import linalg
-from spptkit.errors import InvalidDecomposition, NotNormal, NotSppt, SingularX1
+from spptkit.errors import (
+    InvalidDecomposition,
+    NotNormal,
+    NotSppt,
+    SingularX1,
+    ValidationError,
+)
 from spptkit.separability import (
     ENTANGLED_NPT,
     ENTANGLED_RANGE,
@@ -20,7 +26,7 @@ from spptkit.separability import (
     svd_reduce,
 )
 from spptkit.range_criterion import kernel_basis
-from spptkit.sppt import SpptFactors, assemble_state
+from spptkit.sppt import SpptFactors, assemble_state, sppt_check
 from spptkit.states import (
     blocks,
     entangled_sppt_2x5,
@@ -242,6 +248,17 @@ class TestValidate:
 
 
 class TestClassify:
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+    def test_bad_tol_rejected(self, tol):
+        state = random_separable(4, 3, seed=1)[0]
+        for check in (classify, sppt_check):
+            with pytest.raises(ValidationError):
+                check(state, tol=tol)
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValidationError):
+            classify(sppt_counterexample_2x4(), budget=-3)
+
     def test_bell_state_npt(self):
         v = classify(bell_state())
         assert v.classification == ENTANGLED_NPT

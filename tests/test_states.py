@@ -7,6 +7,7 @@ from spptkit import linalg, states
 from spptkit.errors import (
     BadDimensions,
     BadParameter,
+    NotHermitian,
     NotPsd,
     SingularTransform,
     ValidationError,
@@ -48,6 +49,25 @@ class TestMakeState:
     def test_negative_rejected(self):
         with pytest.raises(NotPsd):
             make_state(1, np.diag([1.0, -0.5]))
+
+    def test_non_hermitian_rejected(self):
+        m = np.eye(4, dtype=complex)
+        m[0, 1] = 0.1
+        with pytest.raises(NotHermitian):
+            make_state(2, m)
+
+    def test_psd_gate_at_1e9_of_the_norm(self):
+        # Least eigenvalue -x ||rho||_F: accepted at x = 0.5e-9, NotPsd at 2e-9.
+        u = linalg.haar_unitary(4, np.random.default_rng(5))
+        for x, accepted in ((0.5e-9, True), (2e-9, False)):
+            eps = x * np.sqrt(3.0 / (1.0 - x * x))
+            rho = linalg.hermitianize((u * [1.0, 1.0, 1.0, -eps]) @ u.conj().T)
+            assert np.isclose(linalg.min_eig(rho), -x * linalg.frob(rho), rtol=1e-3)
+            if accepted:
+                make_state(2, rho)
+            else:
+                with pytest.raises(NotPsd):
+                    make_state(2, rho)
 
     def test_family_state_unnormalized_is_valid(self):
         state = entangled_sppt_2x5(0.5).state
