@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from spptkit import linalg
-from spptkit.errors import NotNormal, NotPsd
+from spptkit.errors import (
+    BadDimensions,
+    NotHermitian,
+    NotNormal,
+    NotPsd,
+    NotSquare,
+    ValidationError,
+)
 from spptkit.states import make_state
 
 
@@ -18,7 +25,11 @@ def random_complex(n, m, rng):
 
 
 class TestHermEig:
-    """The hermitian eigendecomposition ``EigResult.of``."""
+    """The hermitian eigendecomposition ``EigResult.of`` and the input gate before it.
+
+    ``EigResult.of`` does not validate; outside input is rejected by
+    ``as_matrix`` and ``make_state`` before anything decomposes it.
+    """
 
     def test_diagonal(self):
         res = linalg.EigResult.of(np.diag([2.0, 1.0]))
@@ -53,6 +64,23 @@ class TestHermEig:
         assert res.support(1e-9).tolist() == [False, False, True, True]
         assert res.support(1e-10).tolist() == [False, True, True, True]
         assert not linalg.EigResult.of(np.zeros((3, 3))).support(1e-12).any()
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitian):
+            make_state(1, np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(BadDimensions):
+            make_state(1, np.zeros((2, 3)))
+        with pytest.raises(NotSquare):
+            linalg.normal_eig(np.zeros((2, 3)))
+
+    def test_rejects_nan(self):
+        m = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValidationError):
+            linalg.as_matrix(m)
+        with pytest.raises(ValidationError):
+            make_state(1, m)
 
 
 class TestSvd:
@@ -95,7 +123,7 @@ class TestSvd:
 
 
 class TestPsdCheck:
-    """The least eigenvalue ``min_eig`` and the positivity gate of ``make_state``."""
+    """The least eigenvalue ``min_eig`` and the hermiticity and PSD gates of ``make_state``."""
 
     def test_identity(self):
         assert abs(linalg.min_eig(np.eye(2)) - 1.0) < 1e-14
@@ -109,6 +137,10 @@ class TestPsdCheck:
     def test_2x2(self):
         # eigenvalues 1 and 3 by hand
         assert abs(linalg.min_eig(np.array([[2.0, 1.0], [1.0, 2.0]])) - 1.0) < 1e-14
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitian):
+            make_state(1, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 class TestSqrtPsd:
