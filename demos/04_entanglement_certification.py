@@ -4,12 +4,16 @@ The one-parameter 2x5 family assembled here is strong-PPT (so its partial
 transpose is automatically positive), yet entangled: its 2x4 core is a
 bound entangled state whose range contains no product vector |e, f> with
 |e*, f> in the range of the partial transpose.  The search is a
-branch-and-bound over the qubit Bloch sphere: a Lipschitz bound excludes
-whole cells, and the most promising cells are polished by Gauss-Newton.
-When every cell is excluded, the certificate's ``certified_bound`` is a
-lower bound on the residual over the whole sphere, above the exclusion
-threshold: a proof, up to floating point and the kernel cutoff, that no
-qualifying product vector exists.
+branch-and-bound over the qubit Bloch sphere: a cell is excluded when a
+lower bound on the residual at its centre, sqrt(lambda_min(G) - delta) for
+the Gram matrix G of the constraints and a rounding margin delta
+(``mu_margin``), less the Lipschitz constant L (the state and
+partial-transpose rows stacked in quadrature) times half the cell's exact
+corner radius, stays above the threshold; the most promising cells are
+polished by Gauss-Newton.  When every cell is excluded, the certificate's
+``certified_bound`` is a lower bound on the residual over the whole
+sphere, above the exclusion threshold: a proof, up to floating point and
+the kernel cutoff, that no qualifying product vector exists.
 """
 
 import numpy as np
@@ -44,6 +48,9 @@ cert_core = edge_check(core)
 print("  conclusion:", cert_core.conclusion,
       "| certified bound:", f"{cert_core.certified_bound:.3e}",
       "| best residual:", f"{cert_core.worst_min_residual:.3e}")
+print("  L:", f"{cert_core.search['lipschitz']:.3f}",
+      "| margin delta:", f"{cert_core.search['mu_margin']:.1e}",
+      "| evaluations:", cert_core.search["evaluations"])
 print()
 
 verdict = classify(state)

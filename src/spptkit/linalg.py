@@ -59,6 +59,16 @@ def min_eig(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitianize(m))[0])
 
 
+def min_eigs(stack: np.ndarray) -> np.ndarray:
+    """Least eigenvalues of a stack (..., n, n) of hermitian matrices.
+
+    Reads the lower triangle of each matrix, as LAPACK does: a matrix built
+    hermitian up to rounding is taken as the hermitian matrix its lower
+    triangle defines, and the caller's error bound must cover that rounding.
+    """
+    return np.linalg.eigvalsh(stack)[..., 0]
+
+
 def check_tol(tol) -> None:
     """Raise BadParameter unless ``tol`` is a finite positive number."""
     if not (np.isfinite(tol) and tol > 0):

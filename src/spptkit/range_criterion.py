@@ -15,15 +15,20 @@ direction is a point of the Bloch sphere, e = (cos(theta/2),
 e^{i phi} sin(theta/2)); mu does not depend on the phase of e.
 
 One routine, ``_search``, does all the searching: a branch-and-bound over
-cells in (theta, phi) that excludes a cell when mu at its centre, less a
-Lipschitz constant (Weyl's inequality) times the cell radius, exceeds the
-threshold, splits the others and polishes the most promising by
-Gauss-Newton on M(e) f = 0.  ``edge_check`` stops at the first product
-vector; ``product_vectors_in_range`` keeps enumerating distinct ones.  When
-every cell is excluded the search concludes ``NoneFound`` with a lower
-bound on mu over the whole sphere: a proof, up to floating point and the
-kernel cutoff, that no qualifying product vector exists, which for a PPT
-state certifies entanglement.
+cells in (theta, phi) that excludes a cell when a lower bound on mu at its
+centre, less a Lipschitz constant (Weyl's inequality) times the cell
+radius, exceeds the threshold, splits the others and polishes the most
+promising by Gauss-Newton on M(e) f = 0.  The lower bound comes from the
+d x d Gram matrix G(e) = M(e)^dag M(e), whose least eigenvalue is mu^2:
+G(e) is a fixed combination of four precomputed blocks, so a batch of
+centres costs one matrix product and one batched hermitian eigensolve,
+and a margin covering their rounding keeps the bound below mu.
+``edge_check`` stops at the first product vector;
+``product_vectors_in_range`` keeps enumerating distinct ones.  When every
+cell is excluded the search concludes ``NoneFound`` with a lower bound on
+mu over the whole sphere: a proof, up to floating point and the kernel
+cutoff, that no qualifying product vector exists, which for a PPT state
+certifies entanglement.
 
 Index convention: a kernel vector w of the 2d x 2d state is reshaped to a
 2 x d array W with the qubit index first, so <w, e (x) f> = sum_{a,j}
@@ -52,7 +57,7 @@ _POLISH_STALL = 3                  # steps without halving the residual before g
 _POLISH_TOL = 1e-14                # residual at which Gauss-Newton stops
 _BASIN = 1e-3                      # least radius (Bloch angle, rad) of a found vector's basin
 _SAME = 1e-6                       # Bloch angle (rad) within which two vectors are one
-_SLICE = 8192                      # cells per batched SVD call, to bound memory
+_SLICE = 8192                      # cells per batched eigensolve, to bound memory
 _CANDIDATE_TOL = 1e-8
 _NULL_CUTOFF = 1e-8                # relative singular-value cutoff of M(e) nullspaces
 
@@ -82,9 +87,11 @@ class RangeSearchCertificate:
     """Record of the branch-and-bound search over the qubit direction.
 
     ``certified_bound`` is a lower bound on mu over the whole Bloch sphere;
-    ``worst_min_residual`` is the smallest mu evaluated, ``refined_minima``
+    ``worst_min_residual`` is the smallest mu seen, the least of the Gram
+    lower bounds at the cell centres and the SVD values at the polished
+    points, so it is at least ``certified_bound``; ``refined_minima``
     records every Gauss-Newton polish and ``search`` the kernels, the
-    Lipschitz constant and the work done.
+    Lipschitz constant, the rounding margin ``mu_margin`` and the work done.
     """
 
     search: dict
@@ -111,12 +118,19 @@ def kernel_basis(m, cutoff: float = KERNEL_CUTOFF) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Constraints:
-    """Precontracted kernel data of a state and its partial transpose."""
+    """Precontracted kernel data of a state and its partial transpose.
+
+    ``gram`` holds the d x d blocks H_ab, flattened and in the order 00, 01,
+    10, 11, with M(e)^dag M(e) = sum_ab conj(e_a) e_b H_ab; ``margin`` is
+    the rounding margin of ``_mu_batch``.
+    """
 
     d: int
     cutoff: float
     w_state: np.ndarray     # (k1, 2, d): conj of kernel vectors of rho
     w_pt: np.ndarray        # (k2, 2, d): conj of kernel vectors of rho^{T_A}
+    gram: np.ndarray        # (4, d * d)
+    margin: float
 
     @property
     def n_rows(self) -> int:
@@ -127,11 +141,15 @@ def _constraints_of(s: QubitQuditState, cutoff: float) -> _Constraints:
     d = s.d
     ker = kernel_basis(s.rho, cutoff)
     ker_pt = kernel_basis(states.partial_transpose_matrix(s.rho, d), cutoff)
-    return _Constraints(
-        d=d, cutoff=cutoff,
-        w_state=np.conj(ker.reshape(-1, 2, d)),
-        w_pt=np.conj(ker_pt.reshape(-1, 2, d)),
-    )
+    w_state, w_pt = np.conj(ker.reshape(-1, 2, d)), np.conj(ker_pt.reshape(-1, 2, d))
+    # The state rows are linear in e, so they give W_a^dag W_b; the
+    # partial-transpose rows are linear in e*, so they give V_b^dag V_a.
+    gram = (np.einsum("kai,kbj->abij", np.conj(w_state), w_state)
+            + np.einsum("kbi,kaj->abij", np.conj(w_pt), w_pt))
+    n_rows = len(w_state) + len(w_pt)
+    return _Constraints(d=d, cutoff=cutoff, w_state=w_state, w_pt=w_pt,
+                        gram=gram.reshape(4, d * d),
+                        margin=float(16 * d * np.finfo(float).eps * n_rows))
 
 
 def _constraint_rows(con: _Constraints, e_batch: np.ndarray) -> np.ndarray:
@@ -143,11 +161,36 @@ def _constraint_rows(con: _Constraints, e_batch: np.ndarray) -> np.ndarray:
 
 
 def _mu_batch(con: _Constraints, e_batch: np.ndarray) -> np.ndarray:
-    """mu over a batch of unit qubit vectors; needs n_rows >= d."""
+    """Lower bounds mu_lo <= mu over a batch of unit qubit vectors (n, 2).
+
+    mu(e)^2 is the least eigenvalue of G(e) = sum_ab conj(e_a) e_b H_ab, and
+    mu_lo = sqrt(max(lambda_min - delta, 0)) for the computed lambda_min and
+    delta = ``con.margin`` = 16 d eps n, n the number of constraint rows.
+    By Weyl's inequality delta need only bound the spectral norm of the
+    rounding, which has three parts, each in units of eps n:
+
+    * the blocks H_ab, inner products over at most 2d kernel rows: entrywise
+      at most (2d + 2) eps sum_k |W_ka,i| |W_kb,j|;
+    * the products conj(e_a) e_b and their sum against H_ab: entrywise at
+      most 6 eps sum_ab |e_a e_b| |H_ab,ij|;
+    * the eigensolver's backward error, p(d) eps ||G||_2 with p(d) = d
+      (LAPACK states a modestly growing p; its own error estimates take 1).
+
+    Here W runs over the kernel rows of both parts.  The first two are
+    bounded entrywise by multiples of the nonnegative matrix U^T U,
+    U_ki = sum_a |e_a| |W_ka,i|, so in spectral norm by those multiples of
+    ||U||_F^2 <= sum_k ||W_k||^2 = n (Cauchy-Schwarz over a, with
+    |e_0|^2 + |e_1|^2 = 1; the kernel rows are unit vectors); and
+    ||G||_2 <= ||M(e)||_F^2 <= n.  The total, (3d + 8) eps n, is at most
+    7 d eps n for d >= 2 (11 d eps n at d = 1); the constant 16 is above
+    both.
+    """
     out = np.empty(len(e_batch))
     for i in range(0, len(e_batch), _SLICE):
-        rows = _constraint_rows(con, e_batch[i:i + _SLICE])
-        out[i:i + _SLICE] = np.linalg.svd(rows, compute_uv=False)[:, con.d - 1]
+        e = e_batch[i:i + _SLICE]
+        weights = (np.conj(e)[:, :, None] * e[:, None, :]).reshape(-1, 4)
+        lam = linalg.min_eigs((weights @ con.gram).reshape(-1, con.d, con.d))
+        out[i:i + _SLICE] = np.sqrt(np.maximum(lam - con.margin, 0.0))
     return out
 
 
@@ -178,16 +221,37 @@ def _bloch_angle(e: np.ndarray, others: np.ndarray) -> np.ndarray:
 def _lipschitz(con: _Constraints) -> float:
     """L with |mu(e) - mu(e')| <= L min_phi ||e - e^{i phi} e'||.
 
-    By Cauchy-Schwarz ||M(e) - M(e')|| <= L ||e - e'|| for
-    L = sum_parts sqrt(sum_a ||W[:, a, :]||_2^2); Weyl's inequality carries
-    that over to mu, which does not depend on the phase of e.
+    By Cauchy-Schwarz each part of M moves by at most L_part ||e - e'|| in
+    operator norm, L_part = sqrt(sum_a ||W[:, a, :]||_2^2) (the
+    partial-transpose rows see e* - e'*, of the same norm).  The parts are
+    stacked, ||[X; Y] f||^2 = ||X f||^2 + ||Y f||^2, so M moves by at most
+    L ||e - e'|| with L = sqrt(L_state^2 + L_pt^2); Weyl's inequality
+    carries that over to mu, which does not depend on the phase of e.
     """
     total = 0.0
     for w in (con.w_state, con.w_pt):
         if len(w):
             norms = np.linalg.svd(w.transpose(1, 0, 2), compute_uv=False)[:, 0]
-            total += float(np.sqrt(np.sum(norms ** 2)))
-    return total
+            total += float(np.sum(norms ** 2))
+    return float(np.sqrt(total))
+
+
+def _cell_radius(theta, h_theta: float, h_phi: float) -> np.ndarray:
+    """Largest Bloch angle from a cell's centre to its points, inflated.
+
+    The cell is |theta' - theta| <= h_theta, |phi' - phi| <= h_phi.  The
+    angle gamma to (theta', phi') satisfies the haversine formula
+    sin^2(gamma/2) = sin^2(dtheta/2) + sin theta sin theta' sin^2(dphi/2),
+    which grows with |dphi|; on the far meridians |dphi| = h_phi its second
+    derivative in theta', cos(dtheta)/2 - sin theta sin theta'
+    sin^2(h_phi/2), is positive for half-widths below pi/4, so the largest
+    angle is at a far corner (theta +- h_theta, phi + h_phi).  It is taken
+    through asin, not arccos, which rounds angles below ~1e-8 to 0; the
+    relative 1e-12 covers the rounding.
+    """
+    far = np.maximum(np.sin(theta - h_theta), np.sin(theta + h_theta))
+    hav = np.sin(h_theta / 2.0) ** 2 + np.sin(theta) * far * np.sin(h_phi / 2.0) ** 2
+    return 2.0 * np.arcsin(np.sqrt(np.minimum(hav, 1.0))) * (1.0 + 1e-12)
 
 
 def _polish(con: _Constraints, e: np.ndarray, f: np.ndarray):
@@ -259,19 +323,22 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float,
     """Branch-and-bound over the Bloch sphere behind both public entry points.
 
     Cells are rectangles in (theta, phi), all of one size per level.  Each
-    level evaluates mu at the centres of the open cells (one batched SVD)
-    and excludes a cell when mu(centre) - L alpha / 2 > ``threshold``, with
-    alpha = dtheta/2 + max_cell(sin theta) dphi/2 bounding the Bloch angle
-    from the centre.  The best open cells, and every open centre already at
-    the threshold, are polished by Gauss-Newton; a polished mu at most
-    ``threshold`` is a product vector.  A found vector's basin is the ball
-    out to the farthest polish start that converged to it, at least
-    ``_BASIN``: no start inside it is polished again, open cells wholly
-    inside it are dropped, and the others split into four.  The search
+    level bounds mu from below at the centres of the open cells
+    (``_mu_batch``: one batched eigensolve of the Gram matrices) and
+    excludes a cell when mu_lo(centre) - L r / 2 > ``threshold``, with r
+    the cell's largest Bloch angle from the centre (``_cell_radius``) and
+    L the stacked Lipschitz constant; a Bloch angle r is a distance of
+    2 sin(r/4) <= r/2 between unit vectors modulo phase.  The best open
+    cells, and every open centre already at the threshold, are polished by
+    Gauss-Newton; a polished mu at most ``threshold`` is a product vector.
+    A found vector's basin is the ball out to the farthest polish start
+    that converged to it, at least ``_BASIN``: no start inside it is
+    polished again, open cells wholly inside it are dropped, and the others
+    split into four.  The search
     stops once ``limit`` distinct vectors are found, every cell is excluded
     or dropped, or a cell reaches ``CELL_FLOOR`` or the next level would
-    pass ``EVALUATION_CAP``; the certified bound is the least mu(centre) -
-    L alpha / 2 over the cells it ended with.
+    pass ``EVALUATION_CAP``; the certified bound is the least mu_lo(centre)
+    - L r / 2 over the cells it ended with.
 
     With fewer constraint rows than d, M(e) has a nullspace at every e and
     mu vanishes identically.  Nothing is searched then: ``found`` is an
@@ -306,9 +373,8 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float,
         mu = _mu_batch(con, e)
         evaluations += len(mu)
         worst = min(worst, float(mu.min()))
-        alpha = h_theta + h_phi * np.sin(np.clip(np.pi / 2, theta - h_theta,
-                                                 theta + h_theta))
-        lower = mu - lip * alpha / 2.0
+        radius = _cell_radius(theta, h_theta, h_phi)
+        lower = mu - lip * radius / 2.0
         open_ = lower <= threshold
         attempts = 0
         for i in np.flatnonzero(open_)[np.argsort(mu[open_])]:
@@ -331,7 +397,7 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float,
                 found.append(_product_vector_at(s, con, e_pol, f_pol))
                 known = np.vstack([known, e_pol])
                 radii = np.append(radii, max(start, _BASIN))
-        open_ &= ~(_bloch_angle(e, known) + alpha[:, None] <= radii).any(axis=1)
+        open_ &= ~(_bloch_angle(e, known) + radius[:, None] <= radii).any(axis=1)
         if len(found) >= limit or not open_.any():
             break
         if 2.0 * h_theta < CELL_FLOOR or evaluations + 4 * open_.sum() > EVALUATION_CAP:
@@ -353,7 +419,8 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float,
 def _search_record(con: _Constraints, lip: float, evaluations: int, levels: int) -> dict:
     return {"kernel_cutoff": con.cutoff,
             "kernel_dims": [int(con.w_state.shape[0]), int(con.w_pt.shape[0])],
-            "lipschitz": lip, "evaluations": evaluations, "levels": levels,
+            "lipschitz": lip, "mu_margin": con.margin,
+            "evaluations": evaluations, "levels": levels,
             "cell_floor": CELL_FLOOR, "evaluation_cap": EVALUATION_CAP}
 
 

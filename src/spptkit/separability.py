@@ -202,7 +202,7 @@ def decompose_full_rank(f: SpptFactors, tol: float = DEFAULT_TOL) -> SeparableDe
     assembled state before being returned.
     """
     d = f.d
-    if linalg.rank_of(f.x1) < d:
+    if f.x1_svd.rank < d:
         raise SingularX1("x1 must be invertible for the spectral construction")
     values, vectors = linalg.normal_eig(f.s, rtol=max(tol, TOL_FLOOR))
     terms = []
@@ -234,9 +234,8 @@ def svd_reduce(f: SpptFactors, tol: float = DEFAULT_TOL) -> ReductionResult:
     residual = sppt_residual(f.x1, f.s)
     if residual > max(tol, TOL_FLOOR) * scale:
         raise NotSppt(f"factors violate the strong-PPT condition by {residual:g}")
-    x1_svd = linalg.svd(f.x1)
-    u, sigma, v = x1_svd
-    k = x1_svd.rank
+    u, sigma, v = f.x1_svd
+    k = f.x1_svd.rank
     s_tilde = u.conj().T @ f.s @ u
     dk = np.diag(sigma[:k])
     s11 = s_tilde[:k, :k]
@@ -381,7 +380,7 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
         remainder_state = states._state(d, rho)
         verdict = sppt_check(remainder_state, tol=max(tol, TOL_FLOOR))
         if verdict.status == "Sppt":
-            k = linalg.rank_of(verdict.factors.x1)
+            k = verdict.factors.x1_svd.rank
             if k == d or k <= 3:
                 status = "sppt_core"
                 detail = {"verdict": verdict, "factor_rank": k}
@@ -553,7 +552,7 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
 def _classify_sppt(work, verdict: SpptVerdict, tol, budget, depth, log, residuals):
     """Steps 3-5: route a confirmed strong-PPT state by its factor rank."""
     factors = verdict.factors
-    k = linalg.rank_of(factors.x1)
+    k = factors.x1_svd.rank
     if k == work.d:
         try:
             dec = decompose_full_rank(factors, tol=tol)

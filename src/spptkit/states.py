@@ -16,6 +16,7 @@ read-only), so states can be shared and certificates replayed safely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -173,6 +174,11 @@ class SpptFactors:
     @property
     def d(self) -> int:
         return self.x1.shape[0]
+
+    @cached_property
+    def x1_svd(self) -> linalg.SvdResult:
+        """SVD of x1, computed once and shared by every rank gate and reduction."""
+        return linalg.svd(self.x1)
 
 
 def assemble_state(f: SpptFactors) -> QubitQuditState:

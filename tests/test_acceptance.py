@@ -20,7 +20,7 @@ from spptkit.separability import (
     subtract_product_vectors,
     svd_reduce,
 )
-from spptkit.sppt import pt_witness_gram, sppt_check, sppt_residual
+from spptkit.sppt import sppt_check, sppt_residual
 from spptkit.states import (
     blocks,
     entangled_sppt_2x5,
@@ -35,6 +35,8 @@ from spptkit.states import (
     sppt_counterexample_2x3,
     sppt_counterexample_2x4,
 )
+
+from helpers import pt_witness_gram
 
 EXPECTED_RESIDUAL_MATRIX = np.array(
     [[6.0, -6.0, -3.0], [-6.0, 0.0, 0.0], [-3.0, 0.0, -4.0]]) / 12.0

@@ -87,6 +87,7 @@ class TestVerdictSerialization:
         assert cert["conclusion"] == "NoneFound"
         assert cert["certified_bound"] > cert["exclusion_threshold"]
         assert cert["search"]["evaluations"] > 0
+        assert 0 < cert["search"]["mu_margin"] < cert["certified_bound"] ** 2
         assert "search certificate" in cert["note"]
 
     def test_unknown_certificate_raises(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spptkit import linalg, range_criterion
+from spptkit import linalg, range_criterion, separability
 from spptkit.errors import NotPsd
 from spptkit.range_criterion import (
     ProductVector,
@@ -11,7 +11,12 @@ from spptkit.range_criterion import (
     kernel_basis,
     product_vectors_in_range,
 )
-from spptkit.separability import ENTANGLED_RANGE, PPT_UNDECIDED, classify
+from spptkit.separability import (
+    ENTANGLED_RANGE,
+    PPT_UNDECIDED,
+    classify,
+    subtract_product_vectors,
+)
 from spptkit.states import (
     entangled_sppt_2x5,
     horodecki_2x4,
@@ -22,7 +27,6 @@ from spptkit.states import (
     random_sppt,
     sppt_counterexample_2x3,
 )
-
 
 
 def product_state(e, f):
@@ -240,6 +244,29 @@ class TestCertifiedBound:
             pv = range_criterion._product_vector_at(state, con, e_pol, f_pol)
             assert pv.combined_residual <= 1e-12
 
+    def test_flat_landscape_ends_below_the_cap(self, monkeypatch):
+        # after two subtractions from random_separable(4, 7, seed=0) mu stays
+        # below 0.15 on the whole sphere; the search must still exclude or
+        # drop every cell on its own, so a higher cap changes nothing
+        cap = range_criterion.EVALUATION_CAP
+        monkeypatch.setattr(range_criterion, "EVALUATION_CAP", 10 * cap)
+        state, _ = random_separable(4, 7, seed=0)
+        remainder = subtract_product_vectors(state, budget=2).remainder
+        certs = []
+        search = range_criterion._search
+
+        def recording(*args):
+            certs.append(search(*args))
+            return certs[-1]
+
+        monkeypatch.setattr(range_criterion, "_search", recording)
+        found = product_vectors_in_range(
+            remainder, kernel_cutoff=separability._SUBTRACTION_KERNEL_CUTOFF,
+            max_candidates=separability._SUBTRACTION_CANDIDATES,
+            candidate_tol=separability._SUBTRACTION_CANDIDATE_TOL)
+        assert found
+        assert certs[0].search["evaluations"] < cap
+
     def test_inconclusive_at_the_evaluation_cap(self, monkeypatch):
         monkeypatch.setattr(range_criterion, "EVALUATION_CAP", 200)
         state = horodecki_2x4(0.5)
@@ -264,3 +291,63 @@ class TestCertifiedBound:
             cert = edge_check(rotated(separable, u, v))
             assert cert.conclusion == "FoundProductVector"
             assert cert.found[0].combined_residual <= 1e-8
+
+
+def haversine_angle(theta, d_theta, d_phi):
+    """Bloch angle between (theta, phi) and (theta + d_theta, phi + d_phi)."""
+    hav = (np.sin(d_theta / 2) ** 2
+           + np.sin(theta) * np.sin(theta + d_theta) * np.sin(d_phi / 2) ** 2)
+    return 2 * np.arcsin(np.sqrt(hav))
+
+
+class TestCellRadius:
+    @pytest.mark.parametrize("h", [np.pi / 16, 1e-3, 5e-10],
+                             ids=["first-level", "1e-3", "1e-9-wide"])
+    def test_dense_sampling_within_radius(self, h):
+        rng = np.random.default_rng(4)
+        # random cells, and the cells touching each pole
+        theta = np.concatenate([rng.uniform(h, np.pi - h, 300), [h, np.pi - h]])
+        radius = range_criterion._cell_radius(theta, h, h)
+        assert np.all(radius > 0)
+        corners = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+        offsets = np.vstack([corners, rng.uniform(-1.0, 1.0, size=(2000, 2))]) * h
+        angles = haversine_angle(theta[:, None], offsets[None, :, 0], offsets[None, :, 1])
+        assert np.all(angles <= radius[:, None])
+        # the haversine angles are the Bloch angles of the qubit vectors
+        if h >= 1e-3:
+            phi = rng.uniform(0.0, 2 * np.pi, len(theta))
+            e = range_criterion._bloch(theta, phi)
+            for j in range(0, len(offsets), 100):
+                other = range_criterion._bloch(theta + offsets[j, 0], phi + offsets[j, 1])
+                overlap = np.minimum(np.abs(np.sum(np.conj(e) * other, axis=1)), 1.0)
+                np.testing.assert_allclose(2 * np.arccos(overlap), angles[:, j], atol=1e-7)
+
+
+class TestGramLowerBound:
+    @pytest.mark.parametrize("state", [
+        horodecki_2x4(0.5), random_separable(4, 5, seed=0)[0],
+        random_sppt(6, 5, normal_s=False, seed=1)[0],
+    ], ids=["horodecki", "separable", "random_sppt"])
+    def test_random_directions(self, state):
+        con = range_criterion._constraints_of(state, range_criterion.KERNEL_CUTOFF)
+        e = random_qubits(20_000, np.random.default_rng(5))
+        lower, mu = range_criterion._mu_batch(con, e), mu_svd(state, e)
+        assert np.all(lower <= mu)
+        assert np.all(lower ** 2 >= mu ** 2 - 2 * con.margin)
+
+    def test_near_singular_directions(self):
+        # mu vanishes at the qubit vector of each term; steps of 1e-10 to 1
+        # from it give mu from about 1e-10 to 1
+        state, terms = random_separable(4, 5, seed=0)
+        con = range_criterion._constraints_of(state, range_criterion.KERNEL_CUTOFF)
+        rng = np.random.default_rng(6)
+        steps = np.logspace(-10, 0, 2000)
+        for _, e0, _ in terms:
+            perp = np.array([-np.conj(e0[1]), np.conj(e0[0])])
+            phase = np.exp(2j * np.pi * rng.uniform(size=len(steps)))
+            e = e0[None, :] + (steps * phase)[:, None] * perp[None, :]
+            e /= np.linalg.norm(e, axis=1, keepdims=True)
+            lower, mu = range_criterion._mu_batch(con, e), mu_svd(state, e)
+            assert mu.min() < 1e-9 and mu.max() > 0.1
+            assert np.all(lower <= mu)
+            assert np.all(lower ** 2 >= mu ** 2 - 2 * con.margin)

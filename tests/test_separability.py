@@ -306,6 +306,22 @@ class TestClassify:
             assert v.classification == SEPARABLE_BY_THEOREM, (d, rank, seed)
             assert v.certificate.k == rank
 
+    @pytest.mark.parametrize("rank", [6, 3])
+    def test_x1_factored_once(self, monkeypatch, rank):
+        # the rank gate and the spectral construction or the reduction share
+        # one SVD of x1, the only 6 x 6 SVD on these routes
+        state, _ = random_sppt(6, rank=rank, seed=2)
+        shapes = []
+        svd = np.linalg.svd
+
+        def counting(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        assert classify(state).is_separable_class
+        assert shapes.count((6, 6)) == 1
+
     def test_separable_mixtures_not_entangled(self):
         for seed in range(5):
             state, _ = random_separable(4, seed=seed)

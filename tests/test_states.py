@@ -12,7 +12,7 @@ from spptkit.errors import (
     SingularTransform,
     ValidationError,
 )
-from spptkit.sppt import SpptFactors, assemble_state, pt_witness_gram, sppt_residual
+from spptkit.sppt import SpptFactors, assemble_state, sppt_residual
 from spptkit.states import (
     BlockView,
     blocks,
@@ -28,6 +28,8 @@ from spptkit.states import (
     sppt_counterexample_2x3,
     sppt_counterexample_2x4,
 )
+
+from helpers import pt_witness_gram
 
 
 class TestMakeState:
