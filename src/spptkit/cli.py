@@ -106,8 +106,12 @@ def _cmd_classify(args) -> int:
             "tool_version": __version__,
             "tolerances": {
                 "tol": args.tol,
+                "tol_floor": separability.TOL_FLOOR,
                 "exclusion_threshold": range_criterion.EXCLUSION_THRESHOLD,
                 "kernel_cutoff": range_criterion.KERNEL_CUTOFF,
+                "enumeration_kernel_cutoff": range_criterion.ENUMERATION_KERNEL_CUTOFF,
+                "enumeration_candidates": range_criterion.ENUMERATION_CANDIDATES,
+                "enumeration_tol": range_criterion.ENUMERATION_TOL,
             },
             "verdict": io.verdict_to_dict(verdict),
             "timings_ms": {"load": load_ms, "classify": classify_ms},

@@ -32,6 +32,8 @@ def pairs_to_matrix(data) -> np.ndarray:
         rows = [[complex(entry[0], entry[1]) for entry in row] for row in data]
     except (TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"malformed matrix data: {exc}") from exc
+    if len({len(row) for row in rows}) > 1:
+        raise ParseError("matrix rows differ in length")
     m = np.array(rows, dtype=complex)
     if m.ndim != 2:
         raise ParseError("matrix data must be two-dimensional")
@@ -50,12 +52,15 @@ def state_from_dict(data) -> QubitQuditState:
     if not isinstance(data, dict):
         raise ParseError("state file must contain a JSON object")
     try:
-        d = int(data["d"])
-        normalized = bool(data["normalized"])
-        rho = pairs_to_matrix(data["rho"])
+        d, normalized, rho = data["d"], data["normalized"], data["rho"]
     except KeyError as exc:
         raise ParseError(f"state file is missing key {exc}") from exc
-    return make_state(d, rho, normalized=normalized)
+    # JSON booleans load as bool, a subclass of int: rule them out for d.
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise ParseError(f"d must be an integer, got {d!r}")
+    if not isinstance(normalized, bool):
+        raise ParseError(f"normalized must be true or false, got {normalized!r}")
+    return make_state(d, pairs_to_matrix(rho), normalized=normalized)
 
 
 def dumps_state(s: QubitQuditState) -> str:

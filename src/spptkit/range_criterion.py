@@ -23,8 +23,11 @@ d x d Gram matrix G(e) = M(e)^dag M(e), whose least eigenvalue is mu^2:
 G(e) is a fixed combination of four precomputed blocks, so a batch of
 centres costs one matrix product and one batched hermitian eigensolve,
 and a margin covering their rounding keeps the bound below mu.
-``edge_check`` stops at the first product vector;
-``product_vectors_in_range`` keeps enumerating distinct ones.  When every
+``edge_check`` stops at the first product vector at ``EXCLUSION_THRESHOLD``;
+``product_vectors_in_range``, the subtraction prover's candidate source,
+keeps enumerating distinct ones: against the wider kernel at
+``ENUMERATION_KERNEL_CUTOFF``, up to ``ENUMERATION_CANDIDATES`` vectors
+with residual at most ``ENUMERATION_TOL``.  When every
 cell is excluded the search concludes ``NoneFound`` with a lower bound on
 mu over the whole sphere: a proof, up to floating point and the kernel
 cutoff, that no qualifying product vector exists, which for a PPT state
@@ -48,6 +51,11 @@ from .states import QubitQuditState
 
 EXCLUSION_THRESHOLD = 1e-6
 KERNEL_CUTOFF = 1e-10
+# The enumeration behind the subtraction prover: a looser kernel cutoff than
+# the range criterion's, and up to eight candidates within residual 1e-7.
+ENUMERATION_KERNEL_CUTOFF = 1e-8
+ENUMERATION_CANDIDATES = 8
+ENUMERATION_TOL = 1e-7
 CELL_FLOOR = 1e-9                  # polar width (rad) below which a cell is not split
 EVALUATION_CAP = 100_000           # evaluations of mu per search
 _INITIAL_CELLS = (8, 16)           # polar x azimuthal cells of the first level
@@ -58,7 +66,6 @@ _POLISH_TOL = 1e-14                # residual at which Gauss-Newton stops
 _BASIN = 1e-3                      # least radius (Bloch angle, rad) of a found vector's basin
 _SAME = 1e-6                       # Bloch angle (rad) within which two vectors are one
 _SLICE = 8192                      # cells per batched eigensolve, to bound memory
-_CANDIDATE_TOL = 1e-8
 _NULL_CUTOFF = 1e-8                # relative singular-value cutoff of M(e) nullspaces
 
 
@@ -424,34 +431,32 @@ def _search_record(con: _Constraints, lip: float, evaluations: int, levels: int)
             "cell_floor": CELL_FLOOR, "evaluation_cap": EVALUATION_CAP}
 
 
-def product_vectors_in_range(s: QubitQuditState, kernel_cutoff: float = KERNEL_CUTOFF,
-                             max_candidates: int = 16,
-                             candidate_tol: float = _CANDIDATE_TOL) -> list[ProductVector]:
+def product_vectors_in_range(s: QubitQuditState) -> list[ProductVector]:
     """Find product vectors |e, f> in range(rho) with |e*, f> in the
     partial-transpose range.
 
     For each qubit direction the qudit vector is solved exactly by a
-    nullspace computation on the contracted kernel constraints; the
-    branch-and-bound search polishes its most promising cells and keeps
-    enumerating distinct vectors, up to ``max_candidates`` with combined
-    residual at most ``candidate_tol``, best first.  A state with fewer
-    independent kernel constraints than d (in particular any full-rank
-    state) admits product vectors at every qubit direction; it gets,
-    uncapped, an orthonormal basis of them at six canonical directions.
+    nullspace computation on the contracted kernel constraints, the kernels
+    taken at ``ENUMERATION_KERNEL_CUTOFF``; the branch-and-bound search
+    polishes its most promising cells and keeps enumerating distinct
+    vectors, up to ``ENUMERATION_CANDIDATES`` with combined residual at most
+    ``ENUMERATION_TOL``, best first.  A state with fewer independent kernel
+    constraints than d (in particular any full-rank state) admits product
+    vectors at every qubit direction; it gets, uncapped, an orthonormal
+    basis of them at six canonical directions.
     """
-    con = _constraints_of(s, kernel_cutoff)
-    return _search(s, con, candidate_tol, max_candidates).found
+    con = _constraints_of(s, ENUMERATION_KERNEL_CUTOFF)
+    return _search(s, con, ENUMERATION_TOL, ENUMERATION_CANDIDATES).found
 
 
-def edge_check(s: QubitQuditState,
-               exclusion_threshold: float = EXCLUSION_THRESHOLD) -> RangeSearchCertificate:
+def edge_check(s: QubitQuditState) -> RangeSearchCertificate:
     """Search for a product vector satisfying both range conditions.
 
     Concludes ``FoundProductVector`` at the first polished vector with mu at
-    most the exclusion threshold, ``NoneFound`` when every cell is excluded
+    most ``EXCLUSION_THRESHOLD``, ``NoneFound`` when every cell is excluded
     (for a PPT state, entanglement by the range criterion, proved up to
-    floating point and the kernel cutoff by ``certified_bound``), and
+    floating point and ``KERNEL_CUTOFF`` by ``certified_bound``), and
     ``Inconclusive`` when it reaches ``CELL_FLOOR`` or ``EVALUATION_CAP``
     with neither outcome.
     """
-    return _search(s, _constraints_of(s, KERNEL_CUTOFF), exclusion_threshold, 1)
+    return _search(s, _constraints_of(s, KERNEL_CUTOFF), EXCLUSION_THRESHOLD, 1)

@@ -57,13 +57,6 @@ DEFAULT_TOL = 1e-9
 # fail on valid input.
 TOL_FLOOR = 1e-8
 
-# The subtraction prover's own product-vector search: a looser kernel cutoff
-# than the range criterion's, and up to eight candidates per iteration within
-# residual 1e-7.
-_SUBTRACTION_KERNEL_CUTOFF = 1e-8
-_SUBTRACTION_CANDIDATES = 8
-_SUBTRACTION_CANDIDATE_TOL = 1e-7
-
 SEPARABLE = "Separable"
 SEPARABLE_BY_THEOREM = "SeparableByTheorem"
 ENTANGLED_NPT = "EntangledNpt"
@@ -115,17 +108,14 @@ class ReductionResult:
     With x1 = u diag(dk, 0) v^dag and s_tilde = u^dag s u partitioned at k,
     the state equals the v-conjugated, zero-padded ``reduced`` core plus
     |1><1| (x) tail.  The core blocks are (dk^2, dk s11 dk,
-    dk (s11^dag s11 + s21^dag s21) dk).
+    dk (s11^dag s11 + s21^dag s21) dk), so (dk, s11) are the x1 and s of
+    the core's factors; of the blocks of s_tilde only s11 is kept.
     """
 
-    u: np.ndarray
     v: np.ndarray
     dk: np.ndarray
     k: int
     s11: np.ndarray
-    s12: np.ndarray
-    s21: np.ndarray
-    s22: np.ndarray
     reduced: Optional[QubitQuditState]
     tail: np.ndarray
 
@@ -241,7 +231,6 @@ def svd_reduce(f: SpptFactors, tol: float = DEFAULT_TOL) -> ReductionResult:
     s11 = s_tilde[:k, :k]
     s12 = s_tilde[:k, k:]
     s21 = s_tilde[k:, :k]
-    s22 = s_tilde[k:, k:]
     tail = f.x2.conj().T @ f.x2
     if k == 0:
         reduced = None
@@ -259,8 +248,7 @@ def svd_reduce(f: SpptFactors, tol: float = DEFAULT_TOL) -> ReductionResult:
         reduced = states._state(
             k, join_blocks(linalg.hermitianize(a_r), b_r, linalg.hermitianize(c_r))
         )
-    return ReductionResult(u=u, v=v, dk=dk, k=k, s11=s11, s12=s12, s21=s21,
-                           s22=s22, reduced=reduced, tail=tail)
+    return ReductionResult(v=v, dk=dk, k=k, s11=s11, reduced=reduced, tail=tail)
 
 
 def lift_decomposition(r: ReductionResult, dec: Optional[SeparableDecomposition],
@@ -271,7 +259,7 @@ def lift_decomposition(r: ReductionResult, dec: Optional[SeparableDecomposition]
     right singular basis v, and appends the |1><1| (x) tail term.  With
     k = 0 the lift is the tail term alone.
     """
-    d = r.u.shape[0]
+    d = r.v.shape[0]
     terms = []
     if r.k > 0:
         if dec is None:
@@ -294,15 +282,16 @@ def _rank_one_weight(m: np.ndarray, v: np.ndarray) -> float:
     """Largest lam with m - lam |v><v| PSD, for PSD m and unit v.
 
     That is 1 / <v|m^+|v> when v lies in the range of m, and 0 when v has a
-    component above ``_SUBTRACTION_CANDIDATE_TOL`` on eigenvalues at or
+    component above ``range_criterion.ENUMERATION_TOL`` on eigenvalues at or
     below ``linalg.RANK_CUTOFF`` times the largest.  Every candidate the
     subtraction search accepts passes that test: its residual against the
-    wider kernel at ``_SUBTRACTION_KERNEL_CUTOFF`` is within the same bound.
+    wider kernel at ``range_criterion.ENUMERATION_KERNEL_CUTOFF`` is within
+    the same bound.
     """
     eig = linalg.EigResult.of(m)
     c = eig.vectors.conj().T @ v
     keep = eig.support(linalg.RANK_CUTOFF)
-    if linalg.frob(c[~keep]) > _SUBTRACTION_CANDIDATE_TOL:
+    if linalg.frob(c[~keep]) > range_criterion.ENUMERATION_TOL:
         return 0.0
     return 1.0 / float(np.sum(np.abs(c[keep]) ** 2 / eig.values[keep]))
 
@@ -337,23 +326,22 @@ def _compress_qudit(rho: np.ndarray, d: int, iso: np.ndarray) -> np.ndarray:
 
 
 def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
-                             tol: float = DEFAULT_TOL,
-                             small_support_exit: bool = True) -> SubtractionResult:
+                             tol: float = DEFAULT_TOL) -> SubtractionResult:
     """Greedy separable-part extraction for a PPT state.
 
     Repeatedly finds a product vector |e, f> in the range of the remainder
     (with |e*, f> in the partial-transpose range), subtracts the largest
     weight keeping both the remainder and its partial transpose PSD, and
-    stops when the remainder vanishes, is supported on at most 3 qudit
-    levels (2 x 3 PPT, hence separable), or passes the strong-PPT check.
-    Best effort: exhausting the budget or running out of candidates proves
-    nothing about the input.
+    stops when the remainder vanishes (``decomposed``), is PPT on fewer
+    than d and at most 3 qudit levels (``small_support``: 2 x 3 PPT, hence
+    separable), or passes the strong-PPT check with factor rank d or at
+    most 3 (``sppt_core``).  Best effort: exhausting the budget or running
+    out of candidates proves nothing about the input.
 
-    With ``small_support_exit`` off the loop grinds on toward a complete
-    decomposition.  For 2 x 2 and 2 x 3 PPT states that always terminates:
-    qualifying vectors exist for every PPT remainder there, and a maximal
-    subtraction drops the rank of the remainder or of its partial
-    transpose, so a budget of twice the total rank suffices.
+    On 2 x 2 and 2 x 3 PPT states every exit left is constructive and the
+    loop terminates: qualifying vectors exist for every PPT remainder
+    there, and a maximal subtraction drops the rank of the remainder or of
+    its partial transpose, so a budget of twice the total rank suffices.
     """
     d = s.d
     if budget is None:
@@ -369,7 +357,7 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
             status = "decomposed"
             break
         iso = _qudit_support(rho, d)
-        if small_support_exit and iso.shape[1] <= 3:
+        if iso.shape[1] <= 3 and iso.shape[1] < d:
             core = _compress_qudit(rho, d, iso)
             pt_min, _ = states.pt_min_eig(core, iso.shape[1])
             if pt_min >= -max(tol, TOL_FLOOR) * scale0:
@@ -383,7 +371,7 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
             k = verdict.factors.x1_svd.rank
             if k == d or k <= 3:
                 status = "sppt_core"
-                detail = {"verdict": verdict, "factor_rank": k}
+                detail = {"verdict": verdict}
                 break
         if iterations == budget:
             break
@@ -393,10 +381,7 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
         # can strand the remainder in an edge-like state.
         best = None
         lam_floor = 1e-10 * float(rho.trace().real)
-        candidates = range_criterion.product_vectors_in_range(
-            remainder_state, kernel_cutoff=_SUBTRACTION_KERNEL_CUTOFF,
-            max_candidates=_SUBTRACTION_CANDIDATES,
-            candidate_tol=_SUBTRACTION_CANDIDATE_TOL)
+        candidates = range_criterion.product_vectors_in_range(remainder_state)
         for e, f in ((pv.e, pv.f) for pv in candidates):
             lam = _max_subtraction_weight(rho, pt, e, f)
             if lam <= lam_floor:
@@ -420,37 +405,35 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
     )
 
 
-def decompose_small(s: QubitQuditState, budget: Optional[int] = None,
-                    tol: float = DEFAULT_TOL) -> SeparableDecomposition:
+def decompose_small(s: QubitQuditState, tol: float = DEFAULT_TOL) -> SeparableDecomposition:
     """Explicit decomposition of a PPT 2 x 2 or 2 x 3 state.
 
-    Such states are separable outright, so the subtraction loop (with the
-    small-support shortcut disabled) terminates: every PPT remainder in
-    these dimensions still contains qualifying product vectors, and each
-    maximal subtraction drops a rank.  A strong-PPT remainder encountered
-    along the way is finished off constructively instead.
+    Such states are separable outright, so the subtraction loop (budget
+    12 d) ends in a constructive exit, which is completed here: a remainder
+    on k < d qudit levels, or the PPT 2 x k core behind a theorem of the
+    strong-PPT router ``_classify_sppt``, is decomposed in turn and mapped
+    back.  Each recursion is on a strictly smaller state.
     """
     if s.d > 3:
         raise ValidationError("decompose_small handles qudit dimension <= 3 only")
-    if budget is None:
-        budget = 6 * (2 * s.d)
-    sub = subtract_product_vectors(s, budget=budget, tol=tol, small_support_exit=False)
-    if sub.status == "decomposed":
-        dec = sub.terms
+    sub = subtract_product_vectors(s, budget=12 * s.d, tol=tol)
+    rest = [] if sub.status == "decomposed" else None
+    if sub.status == "small_support":
+        iso = sub.detail["support_isometry"]
+        core = decompose_small(states._state(iso.shape[1], sub.detail["compressed"]), tol=tol)
+        rest = [(qubit, iso @ qudit @ iso.conj().T) for qubit, qudit in core.terms]
     elif sub.status == "sppt_core":
-        verdict = sub.detail["verdict"]
-        k = sub.detail["factor_rank"]
-        if k == s.d:
-            rest = decompose_full_rank(verdict.factors, tol=tol)
-        else:
-            reduction = svd_reduce(verdict.factors, tol=tol)
-            core = (decompose_small(reduction.reduced, budget=budget, tol=tol)
-                    if reduction.k > 0 else None)
-            rest = lift_decomposition(reduction, core, tol=tol)
-        dec = SeparableDecomposition(terms=sub.terms.terms + rest.terms)
-    else:
+        outcome = _classify_sppt(sub.remainder, sub.detail["verdict"], tol, None, [], {})
+        if outcome is not None:
+            classification, cert = outcome
+            if classification == SEPARABLE_BY_THEOREM:
+                core = decompose_small(cert.reduction.reduced, tol=tol)
+                cert = lift_decomposition(cert.reduction, core, tol=tol)
+            rest = cert.terms
+    if rest is None:
         raise InvalidDecomposition(
             f"subtraction did not terminate constructively ({sub.status})")
+    dec = SeparableDecomposition(terms=sub.terms.terms + rest)
     dec.validate(s.rho, tol=max(tol, TOL_FLOOR))
     return dec
 
@@ -460,7 +443,7 @@ def decompose_small(s: QubitQuditState, budget: Optional[int] = None,
 # ---------------------------------------------------------------------------
 
 def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
-             budget: Optional[int] = None, _depth: int = 0) -> Verdict:
+             budget: Optional[int] = None) -> Verdict:
     """Classify a 2 x d state as separable or entangled, with certificate.
 
     Pipeline (sound certificates before heuristics):
@@ -477,8 +460,8 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
        bound on the residual over the whole qubit Bloch sphere, a proof up
        to floating point and the kernel cutoff;
     7. product-vector subtraction succeeds -> Separable / SeparableByTheorem
-       (a strong-PPT remainder is routed as in steps 3-4, with the
-       subtracted terms prepended); otherwise PptUndecided.  A search that
+       (a strong-PPT remainder goes through the router of steps 3-4, with
+       the subtracted terms prepended); otherwise PptUndecided.  A search that
        finds a product vector, or ends Inconclusive at its resolution floor
        or evaluation cap, leads here, never to EntangledRange.
 
@@ -522,7 +505,7 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
     residuals["sppt_residual"] = verdict.residual
     log.append(f"sppt_check: {verdict.status} (residual {verdict.residual:.3e})")
     if verdict.status == "Sppt":
-        outcome = _classify_sppt(s, verdict, tol, budget, _depth, log, residuals)
+        outcome = _classify_sppt(s, verdict, tol, budget, log, residuals)
         if outcome is not None:
             return done(*outcome)
 
@@ -540,7 +523,7 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
     sub = subtract_product_vectors(s, budget=budget, tol=tol)
     log.append(f"subtraction: {sub.status} after {sub.iterations} iterations, "
                f"remainder norm {sub.remainder.norm():.3e}")
-    outcome = _verdict_from_subtraction(s, sub, tol, budget, _depth, log, residuals)
+    outcome = _verdict_from_subtraction(s, sub, tol, log, residuals)
     if outcome is not None:
         return done(*outcome)
 
@@ -549,8 +532,9 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
                                 "subtraction_status": sub.status})
 
 
-def _classify_sppt(work, verdict: SpptVerdict, tol, budget, depth, log, residuals):
-    """Steps 3-5: route a confirmed strong-PPT state by its factor rank."""
+def _classify_sppt(work, verdict: SpptVerdict, tol, budget, log, residuals):
+    """Steps 3-5: route a confirmed strong-PPT state by its factor rank;
+    the one rank router, also behind the prover's exit and decompose_small."""
     factors = verdict.factors
     k = factors.x1_svd.rank
     if k == work.d:
@@ -580,10 +564,8 @@ def _classify_sppt(work, verdict: SpptVerdict, tol, budget, depth, log, residual
             reason="reduction to a PPT 2x3-or-smaller core", reduction=reduction)
 
     log.append(f"factor rank {k}: classifying the reduced 2x{k} core")
-    if depth >= work.d:
-        log.append("recursion depth exhausted; falling through")
-        return None
-    inner = classify(reduction.reduced, tol=tol, budget=budget, _depth=depth + 1)
+    # The core is 2 x k with k < d, so this recursion ends.
+    inner = classify(reduction.reduced, tol=tol, budget=budget)
     log.append(f"core verdict: {inner.classification}")
     if inner.classification == SEPARABLE:
         lifted = lift_decomposition(reduction, inner.certificate)
@@ -602,8 +584,7 @@ def _classify_sppt(work, verdict: SpptVerdict, tol, budget, depth, log, residual
     return None
 
 
-def _verdict_from_subtraction(work, sub: SubtractionResult, tol, budget, depth,
-                              log, residuals):
+def _verdict_from_subtraction(work, sub: SubtractionResult, tol, log, residuals):
     """Step 7: translate a subtraction outcome into a verdict."""
     if sub.status == "decomposed":
         dec = sub.terms
@@ -622,18 +603,15 @@ def _verdict_from_subtraction(work, sub: SubtractionResult, tol, budget, depth,
         # The prover exits here only at factor rank d or <= 3, so the router
         # ends in a decomposition or a theorem, never in a further core.
         log.append("remainder is strong-PPT: routing it by its factor rank")
-        outcome = _classify_sppt(sub.remainder, sub.detail["verdict"], tol, budget,
-                                 depth, log, residuals)
+        outcome = _classify_sppt(sub.remainder, sub.detail["verdict"], tol, None, log, residuals)
         if outcome is None:
             return None
         classification, certificate = outcome
-        if isinstance(certificate, SeparableDecomposition):
+        if classification == SEPARABLE:
             dec = SeparableDecomposition(terms=sub.terms.terms + certificate.terms)
             dec.validate(work.rho, tol=max(tol, TOL_FLOOR))
             residuals["decomposition_residual"] = dec.reconstruction_residual(work.rho)
             log.append("subtracted terms and remainder decomposition validate together")
             return SEPARABLE, dec
-        if isinstance(certificate, TheoremCertificate):
-            return classification, dataclasses.replace(certificate,
-                                                       partial_terms=sub.terms)
+        return classification, dataclasses.replace(certificate, partial_terms=sub.terms)
     return None

@@ -134,18 +134,18 @@ def partial_transpose(s: QubitQuditState) -> QubitQuditState:
     return _state(s.d, partial_transpose_matrix(s.rho, s.d), s.normalized)
 
 
-def local_qudit_transform(s: QubitQuditState, v,
-                          cutoff: float = linalg.RANK_CUTOFF) -> QubitQuditState:
+def local_qudit_transform(s: QubitQuditState, v) -> QubitQuditState:
     """Congruence (1 (x) v)^dag rho (1 (x) v) with invertible v on the qudit.
 
     Preserves positivity and the strong-PPT property; the result is returned
-    unnormalized.
+    unnormalized.  Raises SingularTransform when v's least singular value
+    is at most ``linalg.RANK_CUTOFF`` times its largest.
     """
     v = linalg.as_matrix(v)
     if v.shape != (s.d, s.d):
         raise BadDimensions(f"transform must be {s.d} x {s.d}, got {v.shape}")
     sigma = np.linalg.svd(v, compute_uv=False)
-    if sigma[-1] <= cutoff * sigma[0]:
+    if sigma[-1] <= linalg.RANK_CUTOFF * sigma[0]:
         raise SingularTransform("qudit transform is singular within tolerance")
     a, b, c = blocks(s)
     vh = v.conj().T

@@ -132,8 +132,8 @@ def test_criterion_4_entangled_family(b):
     assert np.abs(reduction.reduced.rho - core.rho).max() <= 1e-12
 
     # (d) no qualifying product vector for either state; classify agrees
-    cert_full = edge_check(state, exclusion_threshold=1e-6)
-    cert_core = edge_check(core, exclusion_threshold=1e-6)
+    cert_full = edge_check(state)
+    cert_core = edge_check(core)
     assert cert_full.conclusion == "NoneFound"
     assert cert_core.conclusion == "NoneFound"
     verdict = classify(state)

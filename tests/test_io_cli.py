@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from spptkit import io
+from spptkit import io, range_criterion, separability
 from spptkit.cli import main
 from spptkit.errors import ParseError
 from spptkit.separability import ENTANGLED_NPT, classify
@@ -143,7 +143,12 @@ class TestCli:
         report = json.loads(report_path.read_text())
         assert report["verdict"]["class"] == "SeparableByTheorem"
         assert report["tool_version"]
-        assert report["tolerances"]["tol"] == 1e-9
+        tolerances = report["tolerances"]
+        assert tolerances["tol"] == 1e-9
+        assert tolerances["tol_floor"] == separability.TOL_FLOOR
+        for name in ("exclusion_threshold", "kernel_cutoff", "enumeration_kernel_cutoff",
+                     "enumeration_candidates", "enumeration_tol"):
+            assert tolerances[name] == getattr(range_criterion, name.upper())
         assert "classify" in report["timings_ms"]
 
     def test_classify_reports_stable_modulo_timings(self, tmp_path):
@@ -163,6 +168,23 @@ class TestCli:
         bad.write_text("{\"d\": 2}")
         assert main(["classify", str(bad)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("key, value", [
+        ("d", "x"), ("d", None), ("d", [3]), ("d", 3.7),
+        ("normalized", "no"), ("rho", "ragged"),
+    ], ids=["d-string", "d-null", "d-list", "d-float", "normalized-string", "rho-ragged"])
+    def test_classify_malformed_state_exit_2(self, key, value, tmp_path, capsys):
+        data = io.state_to_dict(sppt_counterexample_2x3())
+        if value == "ragged":
+            value = data["rho"]
+            value[0] = value[0][:-1]
+        data[key] = value
+        with pytest.raises(ParseError):
+            io.state_from_dict(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["classify", str(bad)]) == 2
+        assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["classify", "{path}", "--tol", "-1"],

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spptkit import linalg, range_criterion, separability
+from spptkit import linalg, range_criterion
 from spptkit.errors import NotPsd
 from spptkit.range_criterion import (
     ProductVector,
@@ -260,10 +260,7 @@ class TestCertifiedBound:
             return certs[-1]
 
         monkeypatch.setattr(range_criterion, "_search", recording)
-        found = product_vectors_in_range(
-            remainder, kernel_cutoff=separability._SUBTRACTION_KERNEL_CUTOFF,
-            max_candidates=separability._SUBTRACTION_CANDIDATES,
-            candidate_tol=separability._SUBTRACTION_CANDIDATE_TOL)
+        found = product_vectors_in_range(remainder)
         assert found
         assert certs[0].search["evaluations"] < cap
 

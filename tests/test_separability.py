@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spptkit import linalg
+from spptkit import linalg, separability
 from spptkit.errors import (
     InvalidDecomposition,
     NotNormal,
@@ -17,10 +17,12 @@ from spptkit.separability import (
     PPT_UNDECIDED,
     SEPARABLE,
     SEPARABLE_BY_THEOREM,
+    TOL_FLOOR,
     SeparableDecomposition,
     _max_subtraction_weight,
     classify,
     decompose_full_rank,
+    decompose_small,
     lift_decomposition,
     subtract_product_vectors,
     svd_reduce,
@@ -197,6 +199,54 @@ class TestSubtraction:
         res = subtract_product_vectors(entangled_sppt_2x5(0.5).state,
                                        budget=3)
         assert res.status in ("stalled", "budget_exhausted")
+
+    def test_full_support_2x3_does_not_exit_by_dimension_at_once(self):
+        # the small-support exit needs fewer than d levels: a full-support
+        # 2 x 3 remainder is not reduced to itself
+        state, _ = random_separable(3, 6, seed=0)
+        assert linalg.rank_of(state.rho[:3, :3] + state.rho[3:, 3:]) == 3
+        res = subtract_product_vectors(state)
+        assert not (res.status == "small_support" and res.iterations == 0)
+
+
+def _small_inputs():
+    """PPT 2 x 2 and 2 x 3 states of every family decompose_small meets."""
+    for d in (2, 3):
+        for n in (1, 2, 4, 6):
+            yield pytest.param(random_separable(d, n, seed=n)[0],
+                               id=f"random_separable({d},{n})")
+        for k in range(1, d + 1):
+            for normal in ((True,) if k == d else (True, False)):
+                for tail in (False, True):
+                    yield pytest.param(
+                        random_sppt(d, k, normal_s=normal, seed=k, with_tail=tail)[0],
+                        id=f"random_sppt({d},{k},normal_s={normal},tail={tail})")
+    for d in (4, 5, 6):
+        for k in (1, 2, 3):
+            f = random_sppt(d, k, normal_s=False, seed=d + k)[1]
+            yield pytest.param(svd_reduce(f).reduced, id=f"core of random_sppt({d},{k})")
+    yield pytest.param(sppt_counterexample_2x3(), id="rho1")
+
+
+class TestDecomposeSmall:
+    @pytest.mark.parametrize("state", list(_small_inputs()))
+    def test_decomposition_validates(self, state):
+        dec = decompose_small(state)
+        dec.validate(state.rho, tol=TOL_FLOOR)
+        assert dec.min_factor_eig() >= -1e-10 * state.norm()
+
+    def test_strong_ppt_exit_uses_the_router(self, monkeypatch):
+        calls = []
+        router = separability._classify_sppt
+
+        def spy(*args):
+            calls.append(args)
+            return router(*args)
+
+        monkeypatch.setattr(separability, "_classify_sppt", spy)
+        state = random_sppt(3, 2, seed=3)[0]
+        decompose_small(state).validate(state.rho, tol=TOL_FLOOR)
+        assert calls
 
 
 class TestSubtractionWeight:
