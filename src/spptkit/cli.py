@@ -112,6 +112,7 @@ def _cmd_classify(args) -> int:
                 "enumeration_kernel_cutoff": range_criterion.ENUMERATION_KERNEL_CUTOFF,
                 "enumeration_candidates": range_criterion.ENUMERATION_CANDIDATES,
                 "enumeration_tol": range_criterion.ENUMERATION_TOL,
+                "support_cutoff": separability.SUPPORT_CUTOFF,
             },
             "verdict": io.verdict_to_dict(verdict),
             "timings_ms": {"load": load_ms, "classify": classify_ms},

@@ -87,12 +87,12 @@ def load_state(path) -> QubitQuditState:
 # Certificates and verdicts
 # ---------------------------------------------------------------------------
 
+def terms_to_list(terms: list) -> list:
+    return [{"qubit": matrix_to_pairs(q), "qudit": matrix_to_pairs(p)} for q, p in terms]
+
+
 def decomposition_to_dict(dec: separability.SeparableDecomposition) -> dict:
-    return {
-        "type": "decomposition",
-        "terms": [{"qubit": matrix_to_pairs(q), "qudit": matrix_to_pairs(p)}
-                  for q, p in dec.terms],
-    }
+    return {"type": "decomposition", "terms": terms_to_list(dec.terms)}
 
 
 def product_vector_to_dict(pv: range_criterion.ProductVector) -> dict:
@@ -119,16 +119,15 @@ def range_certificate_to_dict(cert: range_criterion.RangeSearchCertificate) -> d
 
 
 def reduction_to_dict(r: separability.ReductionResult) -> dict:
-    out = {
+    """The reduction of a ReductionChain, whose core is 2 x k with k >= 4."""
+    return {
         "type": "reduction",
         "k": r.k,
-        "dk": [float(x) for x in np.diagonal(r.dk)] if r.k else [],
+        "dk": [float(x) for x in np.diagonal(r.dk)],
         "v": matrix_to_pairs(r.v),
         "tail": matrix_to_pairs(r.tail),
+        "reduced": state_to_dict(r.reduced),
     }
-    if r.reduced is not None:
-        out["reduced"] = state_to_dict(r.reduced)
-    return out
 
 
 def certificate_to_dict(cert) -> dict:
@@ -140,15 +139,10 @@ def certificate_to_dict(cert) -> dict:
     if isinstance(cert, range_criterion.RangeSearchCertificate):
         return range_certificate_to_dict(cert)
     if isinstance(cert, separability.TheoremCertificate):
-        out = {"type": "by_theorem", "k": cert.k, "reason": cert.reason,
-               "min_pt_eigenvalue": cert.min_pt_eigenvalue}
-        if cert.reduction is not None:
-            out["reduction"] = reduction_to_dict(cert.reduction)
-        if cert.partial_terms is not None and cert.partial_terms.terms:
-            out["partial_terms"] = decomposition_to_dict(cert.partial_terms)
-        if cert.support_isometry is not None:
-            out["support_isometry"] = matrix_to_pairs(cert.support_isometry)
-        return out
+        return {"type": "by_theorem", "k": cert.k, "reason": cert.reason,
+                "min_pt_eigenvalue": cert.min_pt_eigenvalue,
+                "terms": terms_to_list(cert.terms), "core": state_to_dict(cert.core),
+                "embed": matrix_to_pairs(cert.embed)}
     if isinstance(cert, separability.ReductionChain):
         return {"type": "reduction_chain",
                 "reduction": reduction_to_dict(cert.reduction),

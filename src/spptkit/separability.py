@@ -155,19 +155,28 @@ class NptCertificate:
 
 @dataclass(frozen=True)
 class TheoremCertificate:
-    """Separability by dimension: a PPT 2 x k state with k <= 3."""
+    """Separability by dimension: rho = sum of terms + (1 (x) V) core (1 (x) V)^dag
+    with explicit PSD product ``terms``, a PPT 2 x k ``core`` with k <= 3
+    (separable, as PPT suffices there) and a d x k isometry V = ``embed``."""
 
-    k: int
+    terms: list  # of (qubit 2x2, qudit d x d) PSD pairs
+    core: QubitQuditState
+    embed: np.ndarray
     min_pt_eigenvalue: float
     reason: str
-    reduction: Optional[ReductionResult] = None
-    partial_terms: Optional[SeparableDecomposition] = None
-    support_isometry: Optional[np.ndarray] = None
+
+    @property
+    def k(self) -> int:
+        return self.core.d
+
+    def explicit(self, core_dec: SeparableDecomposition) -> SeparableDecomposition:
+        """The decomposition this certificate stands for, given one of its core."""
+        return SeparableDecomposition(terms=self.terms + _embed(core_dec.terms, self.embed))
 
 
 @dataclass(frozen=True)
 class ReductionChain:
-    """A reduction step wrapping the verdict of the reduced core."""
+    """A reduction step wrapping the entangled verdict of the reduced core."""
 
     reduction: ReductionResult
     inner: Verdict
@@ -187,8 +196,8 @@ class SubtractionResult:
 def decompose_full_rank(f: SpptFactors, tol: float = DEFAULT_TOL) -> SeparableDecomposition:
     """Explicit separable decomposition for invertible x1 and normal s.
 
-    Emits d + 1 terms: one rank-one-qubit term per eigenvalue of s plus the
-    |1><1| tail (which may be zero).  The result is validated against the
+    Emits one rank-one-qubit term per eigenvalue of s plus the |1><1| tail
+    unless it is zero up to rounding.  The result is validated against the
     assembled state before being returned.
     """
     d = f.d
@@ -200,12 +209,12 @@ def decompose_full_rank(f: SpptFactors, tol: float = DEFAULT_TOL) -> SeparableDe
         qubit = np.array([[1.0, lam], [np.conj(lam), abs(lam) ** 2]], dtype=complex)
         proj = np.outer(z, z.conj())
         terms.append((qubit, f.x1.conj().T @ proj @ f.x1))
-    tail_qubit = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-    terms.append((tail_qubit, f.x2.conj().T @ f.x2))
-    dec = SeparableDecomposition(terms=terms)
+    rho = assemble_state(f).rho
+    dec = SeparableDecomposition(terms=terms + _tail_terms(f.x2.conj().T @ f.x2,
+                                                           linalg.frob(rho)))
     # Validation tolerance matches the normality gate: the spectral step
     # loses exactly the normality defect of s.
-    dec.validate(assemble_state(f).rho, tol=max(tol, TOL_FLOOR))
+    dec.validate(rho, tol=max(tol, TOL_FLOOR))
     return dec
 
 
@@ -251,35 +260,47 @@ def svd_reduce(f: SpptFactors, tol: float = DEFAULT_TOL) -> ReductionResult:
     return ReductionResult(v=v, dk=dk, k=k, s11=s11, reduced=reduced, tail=tail)
 
 
+_TAIL_QUBIT = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+
+
+def _tail_terms(tail: np.ndarray, scale: float) -> list:
+    """The |1><1| (x) tail term, or none when the tail's Frobenius norm is at
+    most ``linalg.RANK_CUTOFF`` times ``scale``, the state's norm."""
+    if linalg.frob(tail) <= linalg.RANK_CUTOFF * scale:
+        return []
+    return [(_TAIL_QUBIT, tail)]
+
+
+def _embed(terms: list, iso: np.ndarray) -> list:
+    """Product terms on k qudit levels mapped into d by the d x k isometry."""
+    return [(qubit, iso @ qudit @ iso.conj().T) for qubit, qudit in terms]
+
+
 def lift_decomposition(r: ReductionResult, dec: Optional[SeparableDecomposition],
                        tol: float = DEFAULT_TOL) -> SeparableDecomposition:
     """Lift a decomposition of the reduced core back to the full state.
 
-    Pads each k-dimensional qudit factor with zeros, conjugates by the
-    right singular basis v, and appends the |1><1| (x) tail term.  With
-    k = 0 the lift is the tail term alone.
+    Maps each k-dimensional qudit factor into d through the first k right
+    singular vectors v[:, :k] and appends the |1><1| (x) tail term unless
+    it is zero up to rounding.  With k = 0 the lift is the tail term alone.
     """
-    d = r.v.shape[0]
-    terms = []
-    if r.k > 0:
-        if dec is None:
-            raise InvalidDecomposition("a core decomposition is required when k > 0")
-        dec.validate(r.reduced.rho, tol=max(tol, TOL_FLOOR))
-        for qubit, qudit in dec.terms:
-            padded = np.zeros((d, d), dtype=complex)
-            padded[:r.k, :r.k] = qudit
-            terms.append((qubit, r.v @ padded @ r.v.conj().T))
-    tail_qubit = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-    terms.append((tail_qubit, r.tail))
-    return SeparableDecomposition(terms=terms)
+    if r.k == 0:
+        return SeparableDecomposition(terms=[(_TAIL_QUBIT, r.tail)])
+    if dec is None:
+        raise InvalidDecomposition("a core decomposition is required when k > 0")
+    dec.validate(r.reduced.rho, tol=max(tol, TOL_FLOOR))
+    # Both parts are PSD, so the state's norm is at least the core's: a tail
+    # left out against the core's norm is also negligible against the state's.
+    return SeparableDecomposition(terms=_embed(dec.terms, r.v[:, :r.k])
+                                  + _tail_terms(r.tail, r.reduced.norm()))
 
 
 # ---------------------------------------------------------------------------
 # Product-vector subtraction
 # ---------------------------------------------------------------------------
 
-def _rank_one_weight(m: np.ndarray, v: np.ndarray) -> float:
-    """Largest lam with m - lam |v><v| PSD, for PSD m and unit v.
+def _rank_one_weight(eig: linalg.EigResult, v: np.ndarray) -> float:
+    """Largest lam with m - lam |v><v| PSD, for PSD m = ``eig`` and unit v.
 
     That is 1 / <v|m^+|v> when v lies in the range of m, and 0 when v has a
     component above ``range_criterion.ENUMERATION_TOL`` on eigenvalues at or
@@ -288,7 +309,6 @@ def _rank_one_weight(m: np.ndarray, v: np.ndarray) -> float:
     wider kernel at ``range_criterion.ENUMERATION_KERNEL_CUTOFF`` is within
     the same bound.
     """
-    eig = linalg.EigResult.of(m)
     c = eig.vectors.conj().T @ v
     keep = eig.support(linalg.RANK_CUTOFF)
     if linalg.frob(c[~keep]) > range_criterion.ENUMERATION_TOL:
@@ -296,23 +316,30 @@ def _rank_one_weight(m: np.ndarray, v: np.ndarray) -> float:
     return 1.0 / float(np.sum(np.abs(c[keep]) ** 2 / eig.values[keep]))
 
 
-def _max_subtraction_weight(rho: np.ndarray, pt: np.ndarray,
-                            e: np.ndarray, f: np.ndarray) -> float:
+def _max_subtraction_weight(rho: linalg.EigResult, pt: linalg.EigResult,
+                            e: np.ndarray, f: np.ndarray, trace: float) -> float:
     """Largest weight of |e,f><e,f| keeping the state and its partial
-    transpose PSD, capped by the trace.
+    transpose PSD, capped by the state's trace.
 
     The partial transpose of |e,f><e,f| is |e*,f><e*,f|, so both limits
-    are rank-one closed forms.
+    are rank-one closed forms of the two eigendecompositions.
     """
-    return min(float(rho.trace().real),
+    return min(trace,
                _rank_one_weight(rho, np.kron(e, f)),
                _rank_one_weight(pt, np.kron(np.conj(e), f)))
 
 
-def _qudit_support(rho: np.ndarray, d: int, cutoff: float = 1e-9):
+# Relative cutoff of the small-support exit's qudit support.  Looser than
+# ``linalg.RANK_CUTOFF``: a subtraction drains a direction only up to the
+# rounding of its weight, which the remainder's conditioning lifts above
+# 1e-12; what it cuts off stays an order below ``TOL_FLOOR``.
+SUPPORT_CUTOFF = 1e-9
+
+
+def _qudit_support(rho: np.ndarray, d: int):
     """Isometry onto the joint qudit support of the two diagonal blocks."""
     eig = linalg.EigResult.of(rho[:d, :d] + rho[d:, d:])
-    return eig.vectors[:, eig.support(cutoff)]
+    return eig.vectors[:, eig.support(SUPPORT_CUTOFF)]
 
 
 def _compress_qudit(rho: np.ndarray, d: int, iso: np.ndarray) -> np.ndarray:
@@ -375,15 +402,17 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
                 break
         if iterations == budget:
             break
-        pt = states.partial_transpose_matrix(rho, d)
+        rho_eig = linalg.EigResult.of(rho)
+        pt_eig = linalg.EigResult.of(states.partial_transpose_matrix(rho, d))
         # Prefer subtractions that shrink the qudit support (the certified
         # exit), then the largest admissible weight; greedy max-weight alone
         # can strand the remainder in an edge-like state.
         best = None
-        lam_floor = 1e-10 * float(rho.trace().real)
+        trace = float(rho.trace().real)
+        lam_floor = 1e-10 * trace
         candidates = range_criterion.product_vectors_in_range(remainder_state)
         for e, f in ((pv.e, pv.f) for pv in candidates):
-            lam = _max_subtraction_weight(rho, pt, e, f)
+            lam = _max_subtraction_weight(rho_eig, pt_eig, e, f, trace)
             if lam <= lam_floor:
                 continue
             trial = rho - lam * np.kron(np.outer(e, e.conj()), np.outer(f, f.conj()))
@@ -409,33 +438,22 @@ def decompose_small(s: QubitQuditState, tol: float = DEFAULT_TOL) -> SeparableDe
     """Explicit decomposition of a PPT 2 x 2 or 2 x 3 state.
 
     Such states are separable outright, so the subtraction loop (budget
-    12 d) ends in a constructive exit, which is completed here: a remainder
-    on k < d qudit levels, or the PPT 2 x k core behind a theorem of the
-    strong-PPT router ``_classify_sppt``, is decomposed in turn and mapped
-    back.  Each recursion is on a strictly smaller state.
+    12 d) ends in a constructive exit, read as ``classify`` reads it.  A
+    theorem there is made explicit by decomposing its PPT 2 x k core in
+    turn; the core has k < d qudit levels, so the recursion ends.
     """
     if s.d > 3:
         raise ValidationError("decompose_small handles qudit dimension <= 3 only")
     sub = subtract_product_vectors(s, budget=12 * s.d, tol=tol)
-    rest = [] if sub.status == "decomposed" else None
-    if sub.status == "small_support":
-        iso = sub.detail["support_isometry"]
-        core = decompose_small(states._state(iso.shape[1], sub.detail["compressed"]), tol=tol)
-        rest = [(qubit, iso @ qudit @ iso.conj().T) for qubit, qudit in core.terms]
-    elif sub.status == "sppt_core":
-        outcome = _classify_sppt(sub.remainder, sub.detail["verdict"], tol, None, [], {})
-        if outcome is not None:
-            classification, cert = outcome
-            if classification == SEPARABLE_BY_THEOREM:
-                core = decompose_small(cert.reduction.reduced, tol=tol)
-                cert = lift_decomposition(cert.reduction, core, tol=tol)
-            rest = cert.terms
-    if rest is None:
+    outcome = _verdict_from_subtraction(s, sub, tol, [], {})
+    if outcome is None:
         raise InvalidDecomposition(
             f"subtraction did not terminate constructively ({sub.status})")
-    dec = SeparableDecomposition(terms=sub.terms.terms + rest)
-    dec.validate(s.rho, tol=max(tol, TOL_FLOOR))
-    return dec
+    classification, cert = outcome
+    if classification == SEPARABLE_BY_THEOREM:
+        cert = cert.explicit(decompose_small(cert.core, tol=tol))
+        cert.validate(s.rho, tol=max(tol, TOL_FLOOR))
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +515,7 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
         log.append(f"2x{s.d} PPT: positivity of the partial transpose is "
                    "sufficient for separability here")
         return done(SEPARABLE_BY_THEOREM, TheoremCertificate(
-            k=s.d, min_pt_eigenvalue=min_pt,
+            terms=[], core=s, embed=np.eye(s.d, dtype=complex), min_pt_eigenvalue=min_pt,
             reason="PPT is sufficient for separability in 2x2 and 2x3"))
 
     # 3-5: strong-PPT constructions (the state is PPT, tested above)
@@ -554,14 +572,16 @@ def _classify_sppt(work, verdict: SpptVerdict, tol, budget, log, residuals):
         lifted.validate(work.rho, tol=max(tol, TOL_FLOOR))
         log.append("x1 vanishes: the state is a single product term")
         return SEPARABLE, lifted
+    embed = reduction.v[:, :k]
+    tail = _tail_terms(reduction.tail, work.norm())
     pt_core_min, _ = states.pt_min_eig(reduction.reduced.rho, reduction.k)
     if k <= 3:
         log.append(f"factor rank {k} <= 3: reduced 2x{k} core is PPT "
                    f"(min eigenvalue {pt_core_min:.3e}), hence separable; "
                    "the lift preserves separability")
         return SEPARABLE_BY_THEOREM, TheoremCertificate(
-            k=k, min_pt_eigenvalue=pt_core_min,
-            reason="reduction to a PPT 2x3-or-smaller core", reduction=reduction)
+            terms=tail, core=reduction.reduced, embed=embed, min_pt_eigenvalue=pt_core_min,
+            reason="reduction to a PPT 2x3-or-smaller core")
 
     log.append(f"factor rank {k}: classifying the reduced 2x{k} core")
     # The core is 2 x k with k < d, so this recursion ends.
@@ -572,7 +592,9 @@ def _classify_sppt(work, verdict: SpptVerdict, tol, budget, log, residuals):
         lifted.validate(work.rho, tol=max(tol, TOL_FLOOR))
         return SEPARABLE, lifted
     if inner.classification == SEPARABLE_BY_THEOREM:
-        return SEPARABLE_BY_THEOREM, ReductionChain(reduction=reduction, inner=inner)
+        cert = inner.certificate
+        return SEPARABLE_BY_THEOREM, dataclasses.replace(
+            cert, terms=_embed(cert.terms, embed) + tail, embed=embed @ cert.embed)
     tail_weight = reduction.tail_weight
     if inner.is_entangled_class:
         if tail_weight <= max(tol, TOL_FLOOR) * max(work.norm(), 1e-300):
@@ -596,9 +618,9 @@ def _verdict_from_subtraction(work, sub: SubtractionResult, tol, log, residuals)
         log.append(f"remainder supported on {iso.shape[1]} qudit levels and PPT: "
                    "separable by dimension")
         return SEPARABLE_BY_THEOREM, TheoremCertificate(
-            k=iso.shape[1], min_pt_eigenvalue=sub.detail["compressed_min_pt_eig"],
-            reason="subtraction reduced the remainder to a PPT 2x3-or-smaller support",
-            partial_terms=sub.terms, support_isometry=iso)
+            terms=sub.terms.terms, core=states._state(iso.shape[1], sub.detail["compressed"]),
+            embed=iso, min_pt_eigenvalue=sub.detail["compressed_min_pt_eig"],
+            reason="subtraction reduced the remainder to a PPT 2x3-or-smaller support")
     if sub.status == "sppt_core":
         # The prover exits here only at factor rank d or <= 3, so the router
         # ends in a decomposition or a theorem, never in a further core.
@@ -607,11 +629,11 @@ def _verdict_from_subtraction(work, sub: SubtractionResult, tol, log, residuals)
         if outcome is None:
             return None
         classification, certificate = outcome
+        certificate = dataclasses.replace(certificate,
+                                          terms=sub.terms.terms + certificate.terms)
         if classification == SEPARABLE:
-            dec = SeparableDecomposition(terms=sub.terms.terms + certificate.terms)
-            dec.validate(work.rho, tol=max(tol, TOL_FLOOR))
-            residuals["decomposition_residual"] = dec.reconstruction_residual(work.rho)
+            certificate.validate(work.rho, tol=max(tol, TOL_FLOOR))
+            residuals["decomposition_residual"] = certificate.reconstruction_residual(work.rho)
             log.append("subtracted terms and remainder decomposition validate together")
-            return SEPARABLE, dec
-        return classification, dataclasses.replace(certificate, partial_terms=sub.terms)
+        return classification, certificate
     return None

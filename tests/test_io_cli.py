@@ -5,10 +5,18 @@ import json
 import numpy as np
 import pytest
 
-from spptkit import io, range_criterion, separability
+from spptkit import io, linalg, range_criterion, separability, states
 from spptkit.cli import main
 from spptkit.errors import ParseError
-from spptkit.separability import ENTANGLED_NPT, classify
+from spptkit.separability import (
+    ENTANGLED_NPT,
+    SEPARABLE_BY_THEOREM,
+    TOL_FLOOR,
+    SeparableDecomposition,
+    TheoremCertificate,
+    classify,
+    decompose_small,
+)
 from spptkit.sppt import sppt_check
 from spptkit.states import (
     entangled_sppt_2x5,
@@ -95,6 +103,90 @@ class TestVerdictSerialization:
             io.certificate_to_dict(object())
 
 
+def replay_theorem(report: dict, rho: np.ndarray) -> None:
+    """Check a by_theorem certificate from its JSON alone.
+
+    Its claim is rho = sum of terms + (1 (x) V) core (1 (x) V)^dag with V
+    an isometry and core a PPT 2 x k state, k <= 3.
+    """
+    cert = json.loads(json.dumps(report))["certificate"]
+    assert cert["type"] == "by_theorem"
+    terms = [(io.pairs_to_matrix(t["qubit"]), io.pairs_to_matrix(t["qudit"]))
+             for t in cert["terms"]]
+    core = io.state_from_dict(cert["core"])
+    v = io.pairs_to_matrix(cert["embed"])
+    k = core.d
+    assert cert["k"] == k <= 3 and v.shape == (rho.shape[0] // 2, k)
+    assert linalg.frob(v.conj().T @ v - np.eye(k)) <= 1e-12
+    lift = np.kron(np.eye(2), v)
+    total = lift @ core.rho @ lift.conj().T
+    for qubit, qudit in terms:
+        total = total + np.kron(qubit, qudit)
+    assert linalg.frob(total - rho) <= TOL_FLOOR * linalg.frob(rho)
+    assert states.pt_min_eig(core.rho, k)[0] >= -TOL_FLOOR * core.norm()
+    explicit = TheoremCertificate(terms=terms, core=core, embed=v,
+                                  min_pt_eigenvalue=cert["min_pt_eigenvalue"],
+                                  reason=cert["reason"]).explicit(decompose_small(core))
+    explicit.validate(rho, tol=TOL_FLOOR)
+
+
+class TestTheoremReplay:
+    """Every origin of a SeparableByTheorem verdict replays from its JSON."""
+
+    @pytest.mark.parametrize("state, origin", [
+        (sppt_counterexample_2x3(), "2x3 PPT: positivity"),
+        (random_sppt(5, 2, seed=0)[0], "factor rank 2 <= 3"),
+        (sppt_counterexample_2x4(), "remainder supported on 3 qudit levels"),
+        (random_sppt(5, 3, normal_s=False, seed=0, with_tail=True)[0],
+         "remainder is strong-PPT"),
+    ], ids=["rho1 (d <= 3)", "k <= 3 reduction", "rho2 (small support)",
+            "strong-PPT remainder"])
+    def test_origin_replays(self, state, origin):
+        v = classify(state)
+        assert v.classification == SEPARABLE_BY_THEOREM
+        assert any(origin in line for line in v.trace_log)
+        replay_theorem(io.verdict_to_dict(v), state.rho)
+
+    def test_reduction_to_a_theorem_core_composes(self, monkeypatch):
+        # No input of the test families gives a 2 x k core (k >= 4) that is
+        # separable by theorem, so the core's decomposition is rewritten as
+        # one: its first two terms, on their qudit support, become the core.
+        real = separability.classify
+        inner_terms = []
+
+        def core_by_theorem(s, tol=separability.DEFAULT_TOL, budget=None):
+            v = real(s, tol=tol, budget=budget)
+            if s.d != 4:
+                return v
+            inner_terms.append(len(v.certificate.terms))
+            head = SeparableDecomposition(terms=v.certificate.terms[:2]).reconstruct()
+            iso = separability._qudit_support(head, 4)
+            core = states._state(iso.shape[1], separability._compress_qudit(head, 4, iso))
+            cert = TheoremCertificate(
+                terms=v.certificate.terms[2:], core=core, embed=iso,
+                min_pt_eigenvalue=states.pt_min_eig(core.rho, core.d)[0],
+                reason="two product terms on two qudit levels")
+            return separability.Verdict(SEPARABLE_BY_THEOREM, cert, v.trace_log)
+
+        # four product terms with a |0> component give x1 rank 4, two on
+        # qubit |1> a tail, which the composed certificate carries as a term
+        rng = np.random.default_rng(0)
+        rho = np.zeros((10, 10), dtype=complex)
+        for i in range(6):
+            e = rng.normal(size=2) + 1j * rng.normal(size=2) if i < 4 else np.array([0, 1])
+            f = rng.normal(size=5) + 1j * rng.normal(size=5)
+            w = np.kron(e / np.linalg.norm(e), f / np.linalg.norm(f))
+            rho += np.outer(w, w.conj())
+        state = make_state(5, rho)
+        monkeypatch.setattr(separability, "classify", core_by_theorem)
+        v = real(state)
+        assert any("classifying the reduced 2x4 core" in line for line in v.trace_log)
+        assert v.classification == SEPARABLE_BY_THEOREM
+        assert v.certificate.k == 2 and v.certificate.embed.shape == (5, 2)
+        assert len(v.certificate.terms) == inner_terms[0] - 2 + 1  # and the tail
+        replay_theorem(io.verdict_to_dict(v), state.rho)
+
+
 class TestCli:
     def test_generate_and_check(self, tmp_path, capsys):
         path = tmp_path / "rho1.json"
@@ -149,6 +241,7 @@ class TestCli:
         for name in ("exclusion_threshold", "kernel_cutoff", "enumeration_kernel_cutoff",
                      "enumeration_candidates", "enumeration_tol"):
             assert tolerances[name] == getattr(range_criterion, name.upper())
+        assert tolerances["support_cutoff"] == separability.SUPPORT_CUTOFF
         assert "classify" in report["timings_ms"]
 
     def test_classify_reports_stable_modulo_timings(self, tmp_path):

@@ -55,7 +55,7 @@ class TestDecomposeFullRank:
         f = SpptFactors(np.eye(2, dtype=complex), np.diag([1.0, 1j]),
                         np.zeros((2, 2), dtype=complex))
         dec = decompose_full_rank(f)
-        assert len(dec.terms) == 3  # d + 1 including the zero tail
+        assert len(dec.terms) == 2  # d terms: the zero tail is left out
         # terms are sorted by eigenvalue (real part first): 1j before 1.0
         qubits = [q for q, _ in dec.terms]
         np.testing.assert_allclose(qubits[0], [[1, 1j], [-1j, 1]], atol=1e-12)
@@ -79,7 +79,7 @@ class TestDecomposeFullRank:
             state, f = random_sppt(4, rank=4, normal_s=True, seed=seed,
                                    with_tail=(seed % 2 == 0))
             dec = decompose_full_rank(f)
-            assert len(dec.terms) == 5
+            assert len(dec.terms) == 4 + (seed % 2 == 0)  # d, plus the tail if any
             assert dec.reconstruction_residual(state.rho) <= 1e-10 * state.norm()
             assert dec.min_factor_eig() >= -1e-10
 
@@ -235,6 +235,11 @@ class TestDecomposeSmall:
         dec.validate(state.rho, tol=TOL_FLOOR)
         assert dec.min_factor_eig() >= -1e-10 * state.norm()
 
+    def test_product_state_gives_one_term(self):
+        # the tail |1><1| (x) x2^dag x2 is zero here and is left out
+        state = random_separable(2, 1, seed=0)[0]
+        assert len(decompose_small(state).terms) == 1
+
     def test_strong_ppt_exit_uses_the_router(self, monkeypatch):
         calls = []
         router = separability._classify_sppt
@@ -263,8 +268,9 @@ class TestSubtractionWeight:
         rho = state.rho
         pt = partial_transpose_matrix(rho, 4)
         floor = -1e-12 * linalg.frob(rho)
+        rho_eig, pt_eig = linalg.EigResult.of(rho), linalg.EigResult.of(pt)
         for weight, e, f in terms:
-            lam = _max_subtraction_weight(rho, pt, e, f)
+            lam = _max_subtraction_weight(rho_eig, pt_eig, e, f, rho.trace().real)
             # subtracting the term's own weight leaves a separable state
             assert lam >= weight * (1 - 1e-9)
             assert min(self._min_eigs(rho, pt, e, f, lam)) >= floor
@@ -280,7 +286,8 @@ class TestSubtractionWeight:
         outside = np.linalg.norm(kernel_basis(rho).conj() @ np.kron(e, f))
         assert outside > 1e-3
         pt = partial_transpose_matrix(rho, 4)
-        assert _max_subtraction_weight(rho, pt, e, f) == 0.0
+        assert _max_subtraction_weight(linalg.EigResult.of(rho), linalg.EigResult.of(pt),
+                                       e, f, rho.trace().real) == 0.0
 
 
 class TestValidate:
@@ -337,6 +344,13 @@ class TestClassify:
         v = classify(sppt_counterexample_2x4())
         assert v.classification in (SEPARABLE, SEPARABLE_BY_THEOREM)
         assert not v.is_entangled_class
+
+    def test_no_zero_tail_term(self):
+        state = random_sppt(5, 5, seed=1)[0]
+        v = classify(state)
+        assert v.classification == SEPARABLE
+        assert all(linalg.frob(np.kron(qubit, qudit)) > 1e-12 * state.norm()
+                   for qubit, qudit in v.certificate.terms)
 
     def test_random_full_rank_sppt_separable(self):
         for seed in range(10):
