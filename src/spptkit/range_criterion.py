@@ -128,8 +128,9 @@ class _Constraints:
     """Precontracted kernel data of a state and its partial transpose.
 
     ``gram`` holds the d x d blocks H_ab, flattened and in the order 00, 01,
-    10, 11, with M(e)^dag M(e) = sum_ab conj(e_a) e_b H_ab; ``margin`` is
-    the rounding margin of ``_mu_batch``.
+    10, 11, with M(e)^dag M(e) = sum_ab conj(e_a) e_b H_ab; ``margin`` and
+    ``ldl_margin`` are the rounding margins of ``_mu_batch``'s eigensolve and
+    positive-definiteness test.
     """
 
     d: int
@@ -138,6 +139,7 @@ class _Constraints:
     w_pt: np.ndarray        # (k2, 2, d): conj of kernel vectors of rho^{T_A}
     gram: np.ndarray        # (4, d * d)
     margin: float
+    ldl_margin: float
 
     @property
     def n_rows(self) -> int:
@@ -153,10 +155,10 @@ def _constraints_of(s: QubitQuditState, cutoff: float) -> _Constraints:
     # partial-transpose rows are linear in e*, so they give V_b^dag V_a.
     gram = (np.einsum("kai,kbj->abij", np.conj(w_state), w_state)
             + np.einsum("kbi,kaj->abij", np.conj(w_pt), w_pt))
-    n_rows = len(w_state) + len(w_pt)
+    rounding = float(d * np.finfo(float).eps * (len(w_state) + len(w_pt)))
     return _Constraints(d=d, cutoff=cutoff, w_state=w_state, w_pt=w_pt,
                         gram=gram.reshape(4, d * d),
-                        margin=float(16 * d * np.finfo(float).eps * n_rows))
+                        margin=16 * rounding, ldl_margin=4 * rounding)
 
 
 def _constraint_rows(con: _Constraints, e_batch: np.ndarray) -> np.ndarray:
@@ -167,7 +169,7 @@ def _constraint_rows(con: _Constraints, e_batch: np.ndarray) -> np.ndarray:
     return np.concatenate([rows_state.reshape(n, -1, d), rows_pt.reshape(n, -1, d)], axis=1)
 
 
-def _mu_batch(con: _Constraints, e_batch: np.ndarray) -> np.ndarray:
+def _mu_batch(con: _Constraints, e_batch: np.ndarray, shift=None) -> np.ndarray:
     """Lower bounds mu_lo <= mu over a batch of unit qubit vectors (n, 2).
 
     mu(e)^2 is the least eigenvalue of G(e) = sum_ab conj(e_a) e_b H_ab, and
@@ -191,12 +193,29 @@ def _mu_batch(con: _Constraints, e_batch: np.ndarray) -> np.ndarray:
     ||G||_2 <= ||M(e)||_F^2 <= n.  The total, (3d + 8) eps n, is at most
     7 d eps n for d >= 2 (11 d eps n at d = 1); the constant 16 is above
     both.
+
+    With a ``shift`` tau per vector, a vector whose computed G passes
+    ``linalg.positive_definite`` against tau gets +inf in place of its
+    bound, and only the others go through the eigensolve.  A pass proves
+    lambda_min(G) > tau - 4 d eps tr(G - tau I) for the computed G, and
+    tr G <= ||M(e)||_F^2 <= n (its rounding, below 2 delta in total, is
+    covered by the slack in ``_search``'s tau), so the pass proves
+    lambda_min(G) > tau - delta_LDL with delta_LDL = ``con.ldl_margin`` =
+    4 d eps n.  Both are formed per slice of ``_SLICE`` vectors, and G
+    exactly as without a shift, so the other vectors get the same bounds
+    bit for bit.
     """
     out = np.empty(len(e_batch))
     for i in range(0, len(e_batch), _SLICE):
         e = e_batch[i:i + _SLICE]
         weights = (np.conj(e)[:, :, None] * e[:, None, :]).reshape(-1, 4)
-        lam = linalg.min_eigs((weights @ con.gram).reshape(-1, con.d, con.d))
+        gram = (weights @ con.gram).reshape(-1, con.d, con.d)
+        if shift is None:
+            lam = linalg.min_eigs(gram)
+        else:
+            lam = np.full(len(gram), np.inf)
+            rest = ~linalg.positive_definite(gram, shift[i:i + _SLICE])
+            lam[rest] = linalg.min_eigs(gram[rest])
         out[i:i + _SLICE] = np.sqrt(np.maximum(lam - con.margin, 0.0))
     return out
 
@@ -325,8 +344,16 @@ _CANONICAL = ((0.0, 0.0), (np.pi, 0.0), (np.pi / 2, 0.0), (np.pi / 2, np.pi),
               (np.pi / 2, np.pi / 2), (np.pi / 2, -np.pi / 2))
 
 
-def _search(s: QubitQuditState, con: _Constraints, threshold: float,
-            limit: int) -> RangeSearchCertificate:
+@dataclass(frozen=True)
+class _Enumeration:
+    """What a search that does not certify returns: the vectors and its work."""
+
+    found: list
+    search: dict
+
+
+def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
+            certify: bool):
     """Branch-and-bound over the Bloch sphere behind both public entry points.
 
     Cells are rectangles in (theta, phi), all of one size per level.  Each
@@ -347,6 +374,19 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float,
     pass ``EVALUATION_CAP``; the certified bound is the least mu_lo(centre)
     - L r / 2 over the cells it ended with.
 
+    Only a search that ``certify``s returns a ``RangeSearchCertificate``
+    and bounds every cell by an eigensolve.  One that does not (the
+    enumeration) returns an ``_Enumeration``, the vectors and the work
+    record, and first tests each cell's G against
+    tau = (threshold + L r / 2)^2 (1 + 1e-12) + 2 delta + delta_LDL
+    (``_mu_batch``; the factor covers the rounding of tau itself).  A pass
+    proves lambda_min(G) > (threshold + L r / 2)^2 + 2 delta, and the
+    eigensolve's computed value is within its backward error d eps n <=
+    delta of that, so the eigensolve would exclude the cell too: the cell
+    is excluded unsolved, and every open cell, polish, found vector and
+    evaluation count is the same as with a bound at every cell.  Those
+    cells have no bound, so such a search reports none.
+
     With fewer constraint rows than d, M(e) has a nullspace at every e and
     mu vanishes identically.  Nothing is searched then: ``found`` is an
     orthonormal basis of the nullspace at each of six canonical directions
@@ -359,9 +399,12 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float,
         for theta, phi in _CANONICAL:
             e = _bloch(theta, phi)
             found.extend(_product_vector_at(s, con, e, f) for f in _null_space(con, e))
+        record = _search_record(con, lip, 0, 0)
+        if not certify:
+            return _Enumeration(found, record)
         residual = found[0].combined_residual
         return RangeSearchCertificate(
-            search=_search_record(con, lip, 0, 0), certified_bound=0.0,
+            search=record, certified_bound=0.0,
             worst_min_residual=residual, refined_minima=[_minimum_record(found[0].e, residual)],
             conclusion="FoundProductVector", found=found, exclusion_threshold=threshold)
 
@@ -377,10 +420,12 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float,
     while True:
         levels += 1
         e = _bloch(theta, phi)
-        mu = _mu_batch(con, e)
+        radius = _cell_radius(theta, h_theta, h_phi)
+        shift = None if certify else ((threshold + lip * radius / 2.0) ** 2 * (1.0 + 1e-12)
+                                      + 2.0 * con.margin + con.ldl_margin)
+        mu = _mu_batch(con, e, shift)
         evaluations += len(mu)
         worst = min(worst, float(mu.min()))
-        radius = _cell_radius(theta, h_theta, h_phi)
         lower = mu - lip * radius / 2.0
         open_ = lower <= threshold
         attempts = 0
@@ -415,8 +460,11 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float,
         theta = (theta[open_, None] + h_theta * np.array([-1.0, -1.0, 1.0, 1.0])).ravel()
         phi = (phi[open_, None] + h_phi * np.array([-1.0, 1.0, -1.0, 1.0])).ravel()
     found.sort(key=lambda pv: pv.combined_residual)
+    record = _search_record(con, lip, evaluations, levels)
+    if not certify:
+        return _Enumeration(found, record)
     return RangeSearchCertificate(
-        search=_search_record(con, lip, evaluations, levels),
+        search=record,
         certified_bound=max(min(bound, float(lower.min())), 0.0),
         worst_min_residual=worst, refined_minima=minima,
         conclusion="FoundProductVector" if found else conclusion,
@@ -446,7 +494,7 @@ def product_vectors_in_range(s: QubitQuditState) -> list[ProductVector]:
     basis of them at six canonical directions.
     """
     con = _constraints_of(s, ENUMERATION_KERNEL_CUTOFF)
-    return _search(s, con, ENUMERATION_TOL, ENUMERATION_CANDIDATES).found
+    return _search(s, con, ENUMERATION_TOL, ENUMERATION_CANDIDATES, certify=False).found
 
 
 def edge_check(s: QubitQuditState) -> RangeSearchCertificate:
@@ -459,4 +507,4 @@ def edge_check(s: QubitQuditState) -> RangeSearchCertificate:
     ``Inconclusive`` when it reaches ``CELL_FLOOR`` or ``EVALUATION_CAP``
     with neither outcome.
     """
-    return _search(s, _constraints_of(s, KERNEL_CUTOFF), EXCLUSION_THRESHOLD, 1)
+    return _search(s, _constraints_of(s, KERNEL_CUTOFF), EXCLUSION_THRESHOLD, 1, certify=True)

@@ -255,8 +255,8 @@ class TestCertifiedBound:
         certs = []
         search = range_criterion._search
 
-        def recording(*args):
-            certs.append(search(*args))
+        def recording(*args, **kwargs):
+            certs.append(search(*args, **kwargs))
             return certs[-1]
 
         monkeypatch.setattr(range_criterion, "_search", recording)
