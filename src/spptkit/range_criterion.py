@@ -247,19 +247,18 @@ def _bloch_angle(e: np.ndarray, others: np.ndarray) -> np.ndarray:
 def _lipschitz(con: _Constraints) -> float:
     """L with |mu(e) - mu(e')| <= L min_phi ||e - e^{i phi} e'||.
 
-    By Cauchy-Schwarz each part of M moves by at most L_part ||e - e'|| in
-    operator norm, L_part = sqrt(sum_a ||W[:, a, :]||_2^2) (the
-    partial-transpose rows see e* - e'*, of the same norm).  The parts are
-    stacked, ||[X; Y] f||^2 = ||X f||^2 + ||Y f||^2, so M moves by at most
-    L ||e - e'|| with L = sqrt(L_state^2 + L_pt^2); Weyl's inequality
-    carries that over to mu, which does not depend on the phase of e.
+    The state rows of M are X(e) f = W (e (x) f), with W the (k, 2d) matrix
+    of the conjugated kernel rows, and the partial-transpose rows are
+    Y(e) f = V (e* (x) f).  So X(e) - X(e') = W ((e - e') (x) I) moves by at
+    most ||W||_2 ||e - e'|| in operator norm, and Y by ||V||_2 ||e - e'||.
+    The parts are stacked, ||[X; Y] f||^2 = ||X f||^2 + ||Y f||^2, so M
+    moves by at most L ||e - e'|| with L = sqrt(||W||_2^2 + ||V||_2^2);
+    Weyl's inequality carries that over to mu, which does not depend on the
+    phase of e.  The kernel rows are orthonormal, so L is 1 per non-empty
+    part up to rounding.
     """
-    total = 0.0
-    for w in (con.w_state, con.w_pt):
-        if len(w):
-            norms = np.linalg.svd(w.transpose(1, 0, 2), compute_uv=False)[:, 0]
-            total += float(np.sum(norms ** 2))
-    return float(np.sqrt(total))
+    norms = [np.linalg.norm(w.reshape(len(w), -1), 2) for w in (con.w_state, con.w_pt) if len(w)]
+    return float(np.sqrt(np.sum(np.square(norms))))
 
 
 def _cell_radius(theta, h_theta: float, h_phi: float) -> np.ndarray:
