@@ -78,9 +78,12 @@ def positive_definite(stack: np.ndarray, shift: np.ndarray) -> np.ndarray:
     ``min_eigs`` it reads the lower triangle and the real part of the
     diagonal.  A matrix divides only by positive pivots: from its first
     pivot that is not positive on, it divides by infinity, so its columns
-    become zero and its entries change no further.
+    become zero and its entries change no further.  A quotient that
+    overflows turns a later pivot of its matrix into -inf or nan, which
+    fails it.
 
-    A pass proves lambda_min(A) > shift - 4 d eps tr(A - shift I).  The
+    Barring underflow, a pass proves lambda_min(A) > shift - 4 d eps
+    tr(A - shift I).  The
     computed factors are exact for A' + E, with A' the computed A - shift I
     and |E| <= gamma |L| |D| |L|^H entrywise (the LDL^T bound of Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 9.3 with
@@ -100,12 +103,13 @@ def positive_definite(stack: np.ndarray, shift: np.ndarray) -> np.ndarray:
     diagonal = np.arange(d)
     a[:, diagonal, diagonal] -= np.asarray(shift)[:, None]
     passed = np.ones(len(a), dtype=bool)
-    for j in range(d):
-        pivot = a[:, j, j].real
-        passed &= pivot > 0
-        column = a[:, j + 1:, j]
-        scaled = column / np.where(passed, pivot, np.inf)[:, None]
-        a[:, j + 1:, j + 1:] -= scaled[:, :, None] * np.conj(column)[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(d):
+            pivot = a[:, j, j].real
+            passed &= pivot > 0
+            column = a[:, j + 1:, j]
+            scaled = column / np.where(passed, pivot, np.inf)[:, None]
+            a[:, j + 1:, j + 1:] -= scaled[:, :, None] * np.conj(column)[:, None, :]
     return passed
 
 

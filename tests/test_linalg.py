@@ -1,7 +1,12 @@
 """Tests for the dense matrix kernel."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spptkit import linalg
 from spptkit.errors import (
@@ -222,6 +227,94 @@ class TestNormalEig:
         m = np.diag([2.0, -1.0, 0.5 + 0.5j])
         values, _ = linalg.normal_eig(m)
         assert values[0].real <= values[1].real <= values[2].real
+
+
+def psd_stack(n, d, rank, rng):
+    """n random d x d PSD matrices B B^dag of rank ``rank``."""
+    b = rng.normal(size=(n, d, rank)) + 1j * rng.normal(size=(n, d, rank))
+    return b @ np.conj(b.transpose(0, 2, 1))
+
+
+def ldl_margin(stack, shift):
+    """The margin ``positive_definite`` states: 4 d eps tr(A - shift I)."""
+    d = stack.shape[-1]
+    trace = np.trace(stack, axis1=-2, axis2=-1).real - d * shift
+    return 4 * d * np.finfo(float).eps * np.maximum(trace, 0.0)
+
+
+class TestPositiveDefinite:
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_agrees_with_eigvalsh_away_from_the_least_eigenvalue(self, d):
+        rng = np.random.default_rng(d)
+        n = 3000
+        # PSD stacks of full and deficient rank, and indefinite ones
+        g = np.concatenate([psd_stack(n, d, d + 1, rng), psd_stack(n, d, d - 1, rng),
+                            psd_stack(n, d, d, rng) - 2.0 * d * np.eye(d)])
+        lam = np.linalg.eigvalsh(g)[:, 0]
+        norm = np.linalg.norm(g, 2, axis=(1, 2))
+        offset = rng.choice([-1.0, 1.0], len(g)) * np.logspace(-9, 0, len(g)) * norm
+        passed = linalg.positive_definite(g, lam + offset)
+        np.testing.assert_array_equal(passed, offset < 0)
+        assert 0.4 < passed.mean() < 0.6
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_never_passes_below_the_shift(self, d):
+        # integer B gives B B^dag exactly, so lambda_min is exactly 0 below
+        # rank d, and exactly m after adding m I
+        rng = np.random.default_rng(20 + d)
+        for rank in range(1, d):
+            b = (rng.integers(-3, 4, size=(400, d, rank))
+                 + 1j * rng.integers(-3, 4, size=(400, d, rank)))
+            singular = b @ np.conj(b.transpose(0, 2, 1))
+            for m in (0.0, 1.0, 64.0):
+                g = singular + m * np.eye(d)
+                norm = np.linalg.norm(g, 2, axis=(1, 2))
+                for t in (1e-14, 1e-12, 1e-6):
+                    assert not linalg.positive_definite(g, m + t * norm).any()
+                assert linalg.positive_definite(g, m - 1e-6 * (norm + 1.0)).all()
+
+    def test_no_warning_at_zero_or_negative_pivots(self):
+        stack = np.array([np.zeros((3, 3)), -np.eye(3), np.eye(3),
+                          [[0, 1, 0], [1, 1, 0], [0, 0, 1]],
+                          [[1, 1, 0], [1, 1, 1], [0, 1, 1]],
+                          [[1, 2, 0], [2, 1, 0], [0, 0, -1]],
+                          [[-1, 2, 3], [2, 3, 1], [3, 1, 4]]], dtype=complex)
+        tiny = np.array([[[1e-300, 1e10], [1e10, 1.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            passed = linalg.positive_definite(stack, np.zeros(len(stack)))
+            shifted = linalg.positive_definite(stack, np.full(len(stack), -2.0))
+            overflowed = linalg.positive_definite(tiny, np.zeros(1))
+        np.testing.assert_array_equal(passed, np.linalg.eigvalsh(stack)[:, 0] > 0)
+        np.testing.assert_array_equal(shifted, np.linalg.eigvalsh(stack)[:, 0] > -2.0)
+        assert 0 < shifted.sum() < len(stack)
+        assert not overflowed.any()
+
+
+@st.composite
+def psd_and_shift(draw):
+    """A stack of hermitian PSD matrices B B^dag and a shift per matrix,
+    drawn near each least eigenvalue.  Entries are 0 or of magnitude 1e-3
+    to 100, so that nothing underflows."""
+    n, d, rank = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entries = st.just(0.0) | st.floats(1e-3, 100.0) | st.floats(-100.0, -1e-3)
+    b = draw(arrays(float, (n, d, rank), elements=entries))
+    b = b + 1j * draw(arrays(float, (n, d, rank), elements=entries))
+    g = b @ np.conj(b.transpose(0, 2, 1))
+    lam = np.linalg.eigvalsh(g)[:, 0]
+    norm = np.linalg.norm(g, 2, axis=(1, 2))
+    steps = st.sampled_from([0.0, 1e-16, -1e-16, 1e-14, -1e-14, 1e-10, -1e-10]) | st.floats(-1.0, 1.0)
+    t = np.array([draw(steps) for _ in range(n)])
+    return g, lam + t * norm
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(psd_and_shift())
+def test_a_pass_bounds_the_least_eigenvalue(case):
+    g, shift = case
+    passed = linalg.positive_definite(g, shift)
+    lam = np.linalg.eigvalsh(g)[:, 0]
+    assert np.all(lam[passed] > shift[passed] - ldl_margin(g, shift)[passed])
 
 
 class TestSvdRank:

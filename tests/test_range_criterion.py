@@ -290,6 +290,81 @@ class TestCertifiedBound:
             assert cert.found[0].combined_residual <= 1e-8
 
 
+def enumerate_with_record(state, monkeypatch):
+    """product_vectors_in_range(state) and what its search returned."""
+    records = []
+    search = range_criterion._search
+
+    def recording(*args, **kwargs):
+        records.append(search(*args, **kwargs))
+        return records[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(range_criterion, "_search", recording)
+        found = product_vectors_in_range(state)
+    return found, records[0]
+
+
+def flat_remainder():
+    """random_separable(4, 7, seed=0) after two subtractions: mu < 0.15 everywhere."""
+    state, _ = random_separable(4, 7, seed=0)
+    return subtract_product_vectors(state, budget=2).remainder
+
+
+def symmetric_2x2():
+    """Four product vectors spanning only the symmetric subspace: rho has a
+    one-dimensional kernel, its partial transpose none."""
+    vectors = [np.kron(e, e) for e in (np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+                                        np.array([1.0, 1.0]) / np.sqrt(2),
+                                        np.array([1.0, 1j]) / np.sqrt(2))]
+    return make_state(2, sum(np.outer(v, v.conj()) for v in vectors) / 4)
+
+
+class TestEnumerationExclusion:
+    """The enumeration settles cells by linalg.positive_definite before any eigensolve."""
+
+    @pytest.mark.parametrize("state", [
+        *(random_separable(d, n, seed=0)[0] for d, n in ((5, 6), (4, 7), (5, 7))),
+        flat_remainder(),
+    ], ids=["separable-5-6", "separable-4-7", "separable-5-7", "flat-remainder"])
+    def test_rejecting_every_cell_changes_nothing(self, state, monkeypatch):
+        passes = []
+        test = linalg.positive_definite
+
+        def counting(stack, shift):
+            passes.append(int(test(stack, shift).sum()))
+            return test(stack, shift)
+
+        monkeypatch.setattr(linalg, "positive_definite", counting)
+        found, result = enumerate_with_record(state, monkeypatch)
+        # a kernel with fewer rows than d is not searched
+        assert sum(passes) > 0 or result.search["levels"] == 0
+        # the enumeration reports no bound: it did not bound every cell
+        assert not hasattr(result, "certified_bound")
+        assert not hasattr(result, "worst_min_residual")
+        monkeypatch.setattr(linalg, "positive_definite",
+                            lambda stack, shift: np.zeros(len(stack), dtype=bool))
+        every_cell_solved, solved = enumerate_with_record(state, monkeypatch)
+        assert (result.search["evaluations"], result.search["levels"]) == (
+            solved.search["evaluations"], solved.search["levels"])
+        assert len(found) == len(every_cell_solved)
+        for pv, ref in zip(found, every_cell_solved):
+            assert np.array_equal(pv.e, ref.e) and np.array_equal(pv.f, ref.f)
+            assert (pv.residual_range, pv.residual_pt_range) == (
+                ref.residual_range, ref.residual_pt_range)
+
+
+class TestLipschitz:
+    @pytest.mark.parametrize("state, parts", [
+        (horodecki_2x4(0.5), 2), (random_separable(4, 5, seed=0)[0], 2),
+        (symmetric_2x2(), 1), (maximally_mixed(3), 0),
+    ], ids=["horodecki", "separable", "one-part", "full-rank"])
+    def test_one_per_non_empty_kernel_part(self, state, parts):
+        search = edge_check(state).search
+        assert sum(k > 0 for k in search["kernel_dims"]) == parts
+        assert abs(search["lipschitz"] - np.sqrt(parts)) <= 1e-12
+
+
 def haversine_angle(theta, d_theta, d_phi):
     """Bloch angle between (theta, phi) and (theta + d_theta, phi + d_phi)."""
     hav = (np.sin(d_theta / 2) ** 2
