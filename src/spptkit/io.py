@@ -23,8 +23,9 @@ from .states import QubitQuditState, make_state
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:
-    """Nested [re, im] lists for a complex matrix."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+    """Nested [re, im] lists of Python floats for a complex matrix."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def pairs_to_matrix(data) -> np.ndarray:
@@ -41,7 +42,8 @@ def pairs_to_matrix(data) -> np.ndarray:
 
 
 def vector_to_pairs(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
+    v = np.asarray(v, dtype=complex)
+    return np.stack([v.real, v.imag], axis=-1).tolist()
 
 
 def state_to_dict(s: QubitQuditState) -> dict:

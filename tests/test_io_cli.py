@@ -64,6 +64,17 @@ class TestStateFiles:
         with pytest.raises(ParseError):
             io.loads_state(json.dumps({"d": 2, "rho": []}))
 
+    def test_pairs_match_the_per_entry_form(self):
+        m = np.empty((2, 3), dtype=complex)
+        m.real = [[-0.0, 1e300, 0.1], [-5e-324, np.pi, 1.0 / 3.0]]
+        m.imag = [[5e-324, -0.0, 0.2], [1e-300, -1e300, 0.0]]
+        per_entry = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+        assert json.dumps(io.matrix_to_pairs(m)) == json.dumps(per_entry)
+        for row, ref in zip(m, per_entry):
+            assert json.dumps(io.vector_to_pairs(row)) == json.dumps(ref)
+        assert all(type(x) is float for row in io.matrix_to_pairs(m) for z in row for x in z)
+        assert json.dumps(io.matrix_to_pairs(m)).count("-0.0") == 2
+
     def test_schema_shape(self):
         data = json.loads(io.dumps_state(maximally_mixed(2)))
         assert set(data) == {"d", "normalized", "rho"}
