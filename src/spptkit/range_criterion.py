@@ -27,11 +27,16 @@ and a margin covering their rounding keeps the bound below mu.
 ``product_vectors_in_range``, the subtraction prover's candidate source,
 keeps enumerating distinct ones: against the wider kernel at
 ``ENUMERATION_KERNEL_CUTOFF``, up to ``ENUMERATION_CANDIDATES`` vectors
-with residual at most ``ENUMERATION_TOL``.  When every
-cell is excluded the search concludes ``NoneFound`` with a lower bound on
-mu over the whole sphere: a proof, up to floating point and the kernel
-cutoff, that no qualifying product vector exists, which for a PPT state
-certifies entanglement.
+with residual at most ``ENUMERATION_TOL``.  The enumeration reports no
+bound, so it first tests each cell's G with a batched LDL^H factorization
+(``linalg.positive_definite``), several times cheaper than the
+eigensolve: all pivots positive proves the eigensolve would exclude the
+cell too, and only the other cells are solved.  ``edge_check`` solves
+every cell, so its certificate is the one the eigensolve alone gives.
+When every cell is excluded the search concludes ``NoneFound`` with a
+lower bound on mu over the whole sphere: a proof, up to floating point and
+the kernel cutoff, that no qualifying product vector exists, which for a
+PPT state certifies entanglement.
 
 Index convention: a kernel vector w of the 2d x 2d state is reshaped to a
 2 x d array W with the qubit index first, so <w, e (x) f> = sum_{a,j}
@@ -194,15 +199,17 @@ def _mu_batch(con: _Constraints, e_batch: np.ndarray, shift=None) -> np.ndarray:
     7 d eps n for d >= 2 (11 d eps n at d = 1); the constant 16 is above
     both.
 
-    With a ``shift`` tau per vector, a vector whose computed G passes
-    ``linalg.positive_definite`` against tau gets +inf in place of its
-    bound, and only the others go through the eigensolve.  A pass proves
-    lambda_min(G) > tau - 4 d eps tr(G - tau I) for the computed G, and
-    tr G <= ||M(e)||_F^2 <= n (its rounding, below 2 delta in total, is
-    covered by the slack in ``_search``'s tau), so the pass proves
-    lambda_min(G) > tau - delta_LDL with delta_LDL = ``con.ldl_margin`` =
-    4 d eps n.  Both are formed per slice of ``_SLICE`` vectors, and G
-    exactly as without a shift, so the other vectors get the same bounds
+    With a ``shift`` tau per vector, each computed G is first tested by
+    ``linalg.positive_definite`` against tau: a vector that passes gets
+    +inf in place of its bound and no eigensolve.  A pass proves
+    lambda_min(G) > tau - 4 d eps tr(G - tau I) for the computed G.  The
+    exact G has tr G <= ||M(e)||_F^2 <= n, and the rounding of the first
+    two parts above adds at most d (2d + 8) eps n to the computed trace, a
+    relative 1e-13 or less that the slack of ``_search``'s tau covers; so a
+    pass proves lambda_min(G) > tau - delta_LDL, with delta_LDL =
+    ``con.ldl_margin`` = 4 d eps n.  G is formed per slice of ``_SLICE``
+    vectors exactly as without a shift, and LAPACK solves each matrix of a
+    stack on its own, so the vectors that are solved get the same bounds
     bit for bit.
     """
     out = np.empty(len(e_batch))
@@ -357,7 +364,7 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
 
     Cells are rectangles in (theta, phi), all of one size per level.  Each
     level bounds mu from below at the centres of the open cells
-    (``_mu_batch``: one batched eigensolve of the Gram matrices) and
+    (``_mu_batch``: a batched eigensolve of the Gram matrices) and
     excludes a cell when mu_lo(centre) - L r / 2 > ``threshold``, with r
     the cell's largest Bloch angle from the centre (``_cell_radius``) and
     L the stacked Lipschitz constant; a Bloch angle r is a distance of
@@ -373,18 +380,20 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
     pass ``EVALUATION_CAP``; the certified bound is the least mu_lo(centre)
     - L r / 2 over the cells it ended with.
 
-    Only a search that ``certify``s returns a ``RangeSearchCertificate``
-    and bounds every cell by an eigensolve.  One that does not (the
-    enumeration) returns an ``_Enumeration``, the vectors and the work
-    record, and first tests each cell's G against
-    tau = (threshold + L r / 2)^2 (1 + 1e-12) + 2 delta + delta_LDL
-    (``_mu_batch``; the factor covers the rounding of tau itself).  A pass
-    proves lambda_min(G) > (threshold + L r / 2)^2 + 2 delta, and the
-    eigensolve's computed value is within its backward error d eps n <=
-    delta of that, so the eigensolve would exclude the cell too: the cell
-    is excluded unsolved, and every open cell, polish, found vector and
-    evaluation count is the same as with a bound at every cell.  Those
-    cells have no bound, so such a search reports none.
+    A search that ``certify``s (``edge_check``) eigensolves every cell and
+    returns a ``RangeSearchCertificate``.  One that does not (the
+    enumeration) returns an ``_Enumeration``, its vectors and work record,
+    and eigensolves only the cells a cheaper test leaves.  The eigensolve
+    excludes a cell when its computed lambda exceeds
+    (threshold + L r / 2)^2 + delta, so the enumeration first tests G
+    against tau = (threshold + L r / 2)^2 (1 + 1e-12) + 2 delta + delta_LDL
+    (``_mu_batch``; the factor covers the rounding of tau).  A pass proves
+    lambda_min(G) > (threshold + L r / 2)^2 + 2 delta for the computed G,
+    and the eigensolve's lambda is within its backward error d eps n <
+    delta of lambda_min(G), so it would exclude the cell too.  Every open
+    cell, polish, found vector and evaluation count is therefore the one
+    the eigensolve alone gives; the cells excluded unsolved have no bound,
+    so such a search reports neither a bound nor a least residual.
 
     With fewer constraint rows than d, M(e) has a nullspace at every e and
     mu vanishes identically.  Nothing is searched then: ``found`` is an
