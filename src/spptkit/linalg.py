@@ -23,7 +23,8 @@ HERM_RTOL = 1e-9
 PSD_RTOL = 1e-9
 RANK_CUTOFF = 1e-12
 # Matrices that positive_definite factors together: a working copy this
-# size stays in cache (1024 ran faster than 256 or 8192 at d = 4 and 5).
+# size stays in cache (on a 2-core x86-64 VM, 1024 ran faster than 256 or
+# 8192 at d = 4 and 5).
 _LDL_BLOCK = 1024
 
 
