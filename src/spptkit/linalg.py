@@ -22,10 +22,6 @@ from .errors import BadParameter, NotNormal, NotSquare, ValidationError
 HERM_RTOL = 1e-9
 PSD_RTOL = 1e-9
 RANK_CUTOFF = 1e-12
-# Matrices that positive_definite factors together: a working copy this
-# size stays in cache (on a 2-core x86-64 VM, 1024 ran faster than 256 or
-# 8192 at d = 4 and 5).
-_LDL_BLOCK = 1024
 
 
 class EigResult(NamedTuple):
@@ -77,9 +73,10 @@ def positive_definite(stack: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Mask of the matrices A of a stack (n, d, d) whose A - shift I passes LDL^H.
 
     ``shift`` holds one real number per matrix.  The factorization is the
-    outer-product form without pivoting, run a column at a time on blocks
-    of ``_LDL_BLOCK`` matrices, so that its working copy stays small; A -
-    shift I passes when every computed pivot is positive.  Like
+    outer-product form without pivoting, run a column at a time on one
+    working copy of the stack, so a caller bounds its memory by the stacks
+    it passes; A - shift I passes when every computed pivot is positive,
+    and an infinite shift fails every matrix.  Like
     ``min_eigs`` it reads the lower triangle and the real part of the
     diagonal.  A matrix divides only by positive pivots: from its first
     pivot that is not positive on, it divides by infinity, so its columns
@@ -104,19 +101,17 @@ def positive_definite(stack: np.ndarray, shift: np.ndarray) -> np.ndarray:
     to first order, below 3 d eps for d >= 1; the constant 4 leaves room.
     """
     d = stack.shape[-1]
-    shift, diagonal = np.asarray(shift), np.arange(d)
-    passed = np.ones(len(stack), dtype=bool)
-    for i in range(0, len(stack), _LDL_BLOCK):
-        a = np.array(stack[i:i + _LDL_BLOCK], dtype=complex)
-        a[:, diagonal, diagonal] -= shift[i:i + _LDL_BLOCK, None]
-        ok = passed[i:i + _LDL_BLOCK]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(d):
-                pivot = a[:, j, j].real
-                ok &= pivot > 0
-                column = a[:, j + 1:, j]
-                scaled = column / np.where(ok, pivot, np.inf)[:, None]
-                a[:, j + 1:, j + 1:] -= scaled[:, :, None] * np.conj(column)[:, None, :]
+    diagonal = np.arange(d)
+    a = np.array(stack, dtype=complex)
+    a[:, diagonal, diagonal] -= np.asarray(shift)[:, None]
+    passed = np.ones(len(a), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(d):
+            pivot = a[:, j, j].real
+            passed &= pivot > 0
+            column = a[:, j + 1:, j]
+            scaled = column / np.where(passed, pivot, np.inf)[:, None]
+            a[:, j + 1:, j + 1:] -= scaled[:, :, None] * np.conj(column)[:, None, :]
     return passed
 
 

@@ -22,19 +22,18 @@ promising by Gauss-Newton on M(e) f = 0.  The lower bound comes from the
 d x d Gram matrix G(e) = M(e)^dag M(e), whose least eigenvalue is mu^2:
 G(e) is a fixed combination of four precomputed blocks, so a batch of
 centres costs one matrix product and one batched hermitian eigensolve,
-and a margin covering their rounding keeps the bound below mu.
+and a margin covering their rounding keeps the bound below mu.  Before
+the eigensolve, each cell's G is tested by a batched LDL^H factorization
+(``linalg.positive_definite``), several times cheaper: all pivots positive
+proves that the eigensolve would give a bound too large to change what
+the search reports, so only the other cells are solved.
 ``edge_check`` stops at the first product vector at ``EXCLUSION_THRESHOLD``;
 ``product_vectors_in_range``, the subtraction prover's candidate source,
 keeps enumerating distinct ones: against the wider kernel at
 ``ENUMERATION_KERNEL_CUTOFF``, up to ``ENUMERATION_CANDIDATES`` vectors
-with residual at most ``ENUMERATION_TOL``.  The enumeration reports no
-bound, so it first tests each cell's G with a batched LDL^H factorization
-(``linalg.positive_definite``), several times cheaper than the
-eigensolve: all pivots positive proves the eigensolve would exclude the
-cell too, and only the other cells are solved.  ``edge_check`` solves
-every cell, so its certificate is the one the eigensolve alone gives.
-When every cell is excluded the search concludes ``NoneFound`` with a
-lower bound on mu over the whole sphere: a proof, up to floating point and
+with residual at most ``ENUMERATION_TOL``.  When every cell is excluded
+the search concludes ``NoneFound`` with a lower bound on mu over the
+whole sphere: a proof, up to floating point and
 the kernel cutoff, that no qualifying product vector exists, which for a
 PPT state certifies entanglement.
 
@@ -70,7 +69,7 @@ _POLISH_STALL = 3                  # steps without halving the residual before g
 _POLISH_TOL = 1e-14                # residual at which Gauss-Newton stops
 _BASIN = 1e-3                      # least radius (Bloch angle, rad) of a found vector's basin
 _SAME = 1e-6                       # Bloch angle (rad) within which two vectors are one
-_SLICE = 8192                      # cells per batched eigensolve, to bound memory
+_SLICE = 1024                      # cells formed, tested and solved together
 _NULL_CUTOFF = 1e-8                # relative singular-value cutoff of M(e) nullspaces
 
 
@@ -174,7 +173,7 @@ def _constraint_rows(con: _Constraints, e_batch: np.ndarray) -> np.ndarray:
     return np.concatenate([rows_state.reshape(n, -1, d), rows_pt.reshape(n, -1, d)], axis=1)
 
 
-def _mu_batch(con: _Constraints, e_batch: np.ndarray, shift=None) -> np.ndarray:
+def _mu_batch(con: _Constraints, e_batch: np.ndarray, above=None) -> np.ndarray:
     """Lower bounds mu_lo <= mu over a batch of unit qubit vectors (n, 2).
 
     mu(e)^2 is the least eigenvalue of G(e) = sum_ab conj(e_a) e_b H_ab, and
@@ -199,30 +198,36 @@ def _mu_batch(con: _Constraints, e_batch: np.ndarray, shift=None) -> np.ndarray:
     7 d eps n for d >= 2 (11 d eps n at d = 1); the constant 16 is above
     both.
 
-    With a ``shift`` tau per vector, each computed G is first tested by
-    ``linalg.positive_definite`` against tau: a vector that passes gets
-    +inf in place of its bound and no eigensolve.  A pass proves
-    lambda_min(G) > tau - 4 d eps tr(G - tau I) for the computed G.  The
-    exact G has tr G <= ||M(e)||_F^2 <= n, and the rounding of the first
-    two parts above adds at most d (2d + 8) eps n to the computed trace, a
-    relative 1e-13 or less that the slack of ``_search``'s tau covers; so a
-    pass proves lambda_min(G) > tau - delta_LDL, with delta_LDL =
-    ``con.ldl_margin`` = 4 d eps n.  G is formed per slice of ``_SLICE``
-    vectors exactly as without a shift, and LAPACK solves each matrix of a
-    stack on its own, so the vectors that are solved get the same bounds
-    bit for bit.
+    ``above`` holds, per vector, a value past which its bound need not be
+    known; None settles no vector.  Each computed G is first tested by
+    ``linalg.positive_definite`` against tau = above^2 (1 + 1e-12) + 2 delta
+    + delta_LDL, and a vector that passes gets +inf in place of its bound
+    and no eigensolve.  A pass proves lambda_min(G) > tau - 4 d eps tr(G -
+    tau I) for the computed G.  The exact G has tr G <= ||M(e)||_F^2 <= n,
+    and the rounding of the first two parts above adds at most d (2d + 8)
+    eps n to the computed trace, so a pass proves lambda_min(G) > tau -
+    delta_LDL, with delta_LDL = ``con.ldl_margin`` = 4 d eps n, up to a
+    relative 1e-13 of delta_LDL.  The eigensolve's lambda is within its
+    backward error d eps n <= delta / 16 of lambda_min(G), so it would
+    exceed above^2 (1 + 1e-12) + delta, the second delta of tau covering
+    both, and the computed mu_lo would be at least above: the factor 1e-12
+    covers the rounding of above^2, of lambda - delta and of the square
+    root, and of a caller's mu_lo - slack for 0 <= slack <= above.
+    Vectors are formed, tested and solved ``_SLICE`` at a time; LAPACK
+    solves each matrix of a stack on its own, so the vectors that are
+    solved get the same bounds bit for bit, whichever others were settled.
     """
+    if above is None:
+        above = np.full(len(e_batch), np.inf)
+    tau = above ** 2 * (1.0 + 1e-12) + 2.0 * con.margin + con.ldl_margin
     out = np.empty(len(e_batch))
     for i in range(0, len(e_batch), _SLICE):
         e = e_batch[i:i + _SLICE]
         weights = (np.conj(e)[:, :, None] * e[:, None, :]).reshape(-1, 4)
         gram = (weights @ con.gram).reshape(-1, con.d, con.d)
-        if shift is None:
-            lam = linalg.min_eigs(gram)
-        else:
-            lam = np.full(len(gram), np.inf)
-            rest = ~linalg.positive_definite(gram, shift[i:i + _SLICE])
-            lam[rest] = linalg.min_eigs(gram[rest])
+        lam = np.full(len(gram), np.inf)
+        rest = ~linalg.positive_definite(gram, tau[i:i + _SLICE])
+        lam[rest] = linalg.min_eigs(gram[rest])
         out[i:i + _SLICE] = np.sqrt(np.maximum(lam - con.margin, 0.0))
     return out
 
@@ -364,7 +369,7 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
 
     Cells are rectangles in (theta, phi), all of one size per level.  Each
     level bounds mu from below at the centres of the open cells
-    (``_mu_batch``: a batched eigensolve of the Gram matrices) and
+    (``_mu_batch``: a batched test and eigensolve of the Gram matrices) and
     excludes a cell when mu_lo(centre) - L r / 2 > ``threshold``, with r
     the cell's largest Bloch angle from the centre (``_cell_radius``) and
     L the stacked Lipschitz constant; a Bloch angle r is a distance of
@@ -380,20 +385,20 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
     pass ``EVALUATION_CAP``; the certified bound is the least mu_lo(centre)
     - L r / 2 over the cells it ended with.
 
-    A search that ``certify``s (``edge_check``) eigensolves every cell and
-    returns a ``RangeSearchCertificate``.  One that does not (the
-    enumeration) returns an ``_Enumeration``, its vectors and work record,
-    and eigensolves only the cells a cheaper test leaves.  The eigensolve
-    excludes a cell when its computed lambda exceeds
-    (threshold + L r / 2)^2 + delta, so the enumeration first tests G
-    against tau = (threshold + L r / 2)^2 (1 + 1e-12) + 2 delta + delta_LDL
-    (``_mu_batch``; the factor covers the rounding of tau).  A pass proves
-    lambda_min(G) > (threshold + L r / 2)^2 + 2 delta for the computed G,
-    and the eigensolve's lambda is within its backward error d eps n <
-    delta of lambda_min(G), so it would exclude the cell too.  Every open
-    cell, polish, found vector and evaluation count is therefore the one
-    the eigensolve alone gives; the cells excluded unsolved have no bound,
-    so such a search reports neither a bound nor a least residual.
+    Every search passes ``_mu_batch``, per cell, a value ``above`` such
+    that a cell with mu_lo(centre) >= ``above`` changes nothing the search
+    reports, and ``_mu_batch`` settles such cells without an eigensolve.
+    For the enumeration, ``above`` = threshold + L r / 2: such a cell is
+    excluded.  A search that ``certify``s (``edge_check``) also reports
+    ``bound``, the least mu_lo(centre) - L r / 2 over the cells it has
+    excluded, and ``worst``, the least mu it has seen, so its ``above`` is
+    the larger of max(threshold, bound) + L r / 2 and ``worst``: such a
+    cell is excluded and lowers neither.  Both are infinite at the first
+    level, so every cell of it is solved.  Every open cell, polish, found
+    vector, bound and evaluation count is therefore the one the eigensolve
+    alone gives.  ``certify`` decides only what is returned: a
+    ``RangeSearchCertificate``, or for the enumeration an ``_Enumeration``,
+    its vectors and work record, with neither a bound nor a least residual.
 
     With fewer constraint rows than d, M(e) has a nullspace at every e and
     mu vanishes identically.  Nothing is searched then: ``found`` is an
@@ -429,12 +434,13 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
         levels += 1
         e = _bloch(theta, phi)
         radius = _cell_radius(theta, h_theta, h_phi)
-        shift = None if certify else ((threshold + lip * radius / 2.0) ** 2 * (1.0 + 1e-12)
-                                      + 2.0 * con.margin + con.ldl_margin)
-        mu = _mu_batch(con, e, shift)
+        slack = lip * radius / 2.0
+        above = (np.maximum(max(threshold, bound) + slack, worst) if certify
+                 else threshold + slack)
+        mu = _mu_batch(con, e, above)
         evaluations += len(mu)
         worst = min(worst, float(mu.min()))
-        lower = mu - lip * radius / 2.0
+        lower = mu - slack
         open_ = lower <= threshold
         attempts = 0
         for i in np.flatnonzero(open_)[np.argsort(mu[open_])]:

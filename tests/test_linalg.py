@@ -285,10 +285,12 @@ class TestPositiveDefinite:
             passed = linalg.positive_definite(stack, np.zeros(len(stack)))
             shifted = linalg.positive_definite(stack, np.full(len(stack), -2.0))
             overflowed = linalg.positive_definite(tiny, np.zeros(1))
+            unbounded = linalg.positive_definite(stack, np.full(len(stack), np.inf))
         np.testing.assert_array_equal(passed, np.linalg.eigvalsh(stack)[:, 0] > 0)
         np.testing.assert_array_equal(shifted, np.linalg.eigvalsh(stack)[:, 0] > -2.0)
         assert 0 < shifted.sum() < len(stack)
         assert not overflowed.any()
+        assert not unbounded.any()
 
 
 @st.composite

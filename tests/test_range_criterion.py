@@ -1,5 +1,7 @@
 """Tests for the product-vector range search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -352,6 +354,77 @@ class TestEnumerationExclusion:
             assert np.array_equal(pv.e, ref.e) and np.array_equal(pv.f, ref.f)
             assert (pv.residual_range, pv.residual_pt_range) == (
                 ref.residual_range, ref.residual_pt_range)
+
+    def test_one_block_per_level_changes_nothing(self, monkeypatch):
+        # the flat remainder's levels reach 5592 cells, several blocks of
+        # _SLICE; a block larger than any level must give the same bits
+        state = flat_remainder()
+        found, result = enumerate_with_record(state, monkeypatch)
+        monkeypatch.setattr(range_criterion, "_SLICE", 10**6)
+        one_block, whole = enumerate_with_record(state, monkeypatch)
+        assert (result.search["evaluations"], result.search["levels"]) == (
+            whole.search["evaluations"], whole.search["levels"])
+        assert_same_vectors(found, one_block)
+
+
+def assert_same_vectors(found, ref):
+    assert len(found) == len(ref)
+    for pv, other in zip(found, ref):
+        assert np.array_equal(pv.e, other.e) and np.array_equal(pv.f, other.f)
+        assert (pv.residual_range, pv.residual_pt_range) == (
+            other.residual_range, other.residual_pt_range)
+
+
+def count_passes(state, monkeypatch):
+    """edge_check(state), and the cells its positive_definite calls passed, per call."""
+    passes = []
+    test = linalg.positive_definite
+
+    def counting(stack, shift):
+        passed = test(stack, shift)
+        passes.append(int(passed.sum()))
+        return passed
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "positive_definite", counting)
+        return edge_check(state), passes
+
+
+class TestCertifiedExclusion:
+    """edge_check settles by linalg.positive_definite only cells that change nothing."""
+
+    @pytest.mark.parametrize("b", [0.2, 0.5, 0.8])
+    def test_settles_cells_after_the_first_level(self, b, monkeypatch):
+        cert, passes = count_passes(horodecki_2x4(b), monkeypatch)
+        assert cert.conclusion == "NoneFound"
+        # the first level has no bound yet, so it solves every cell
+        assert passes[:1] == [0] and sum(passes) > 0
+
+    @pytest.mark.parametrize("state", [
+        *(horodecki_2x4(b) for b in (0.2, 0.5, 0.8)), random_separable(4, 3, seed=2)[0],
+    ], ids=["horodecki-0.2", "horodecki-0.5", "horodecki-0.8", "separable-4-3"])
+    def test_rejecting_every_cell_changes_nothing(self, state, monkeypatch):
+        self.assert_as_if_every_cell_solved(state, monkeypatch)
+
+    @pytest.mark.parametrize("b", [0.1, 0.5, 0.9])
+    def test_unpolished_search_keeps_its_least_residual(self, b, monkeypatch):
+        # without polishes the least mu seen is a cell's; cells below it
+        # must be solved, though they are excluded
+        monkeypatch.setattr(range_criterion, "_POLISH_PER_LEVEL", 0)
+        self.assert_as_if_every_cell_solved(horodecki_2x4(b), monkeypatch)
+
+    @staticmethod
+    def assert_as_if_every_cell_solved(state, monkeypatch):
+        cert, _ = count_passes(state, monkeypatch)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "positive_definite",
+                          lambda stack, shift: np.zeros(len(stack), dtype=bool))
+            solved = edge_check(state)
+        # every field, floats by their shortest round-trip repr, so bit for bit
+        for f in dataclasses.fields(cert):
+            if f.name != "found":
+                assert repr(getattr(cert, f.name)) == repr(getattr(solved, f.name)), f.name
+        assert_same_vectors(cert.found, solved.found)
 
 
 class TestLipschitz:
