@@ -17,13 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import range_criterion, separability, sppt
+from . import range_criterion, separability
 from .errors import ParseError
 from .states import QubitQuditState, make_state
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:
-    """Nested [re, im] lists of Python floats for a complex matrix."""
+    """Nested [re, im] lists of Python floats for a complex vector or matrix."""
     m = np.asarray(m, dtype=complex)
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
@@ -39,11 +39,6 @@ def pairs_to_matrix(data) -> np.ndarray:
     if m.ndim != 2:
         raise ParseError("matrix data must be two-dimensional")
     return m
-
-
-def vector_to_pairs(v: np.ndarray) -> list:
-    v = np.asarray(v, dtype=complex)
-    return np.stack([v.real, v.imag], axis=-1).tolist()
 
 
 def state_to_dict(s: QubitQuditState) -> dict:
@@ -99,8 +94,8 @@ def decomposition_to_dict(dec: separability.SeparableDecomposition) -> dict:
 
 def product_vector_to_dict(pv: range_criterion.ProductVector) -> dict:
     return {
-        "e": vector_to_pairs(pv.e),
-        "f": vector_to_pairs(pv.f),
+        "e": matrix_to_pairs(pv.e),
+        "f": matrix_to_pairs(pv.f),
         "residual_range": pv.residual_range,
         "residual_pt_range": pv.residual_pt_range,
     }
@@ -137,7 +132,7 @@ def certificate_to_dict(cert) -> dict:
         return decomposition_to_dict(cert)
     if isinstance(cert, separability.NptCertificate):
         return {"type": "npt", "min_eigenvalue": cert.min_eigenvalue,
-                "eigenvector": vector_to_pairs(cert.eigenvector)}
+                "eigenvector": matrix_to_pairs(cert.eigenvector)}
     if isinstance(cert, range_criterion.RangeSearchCertificate):
         return range_certificate_to_dict(cert)
     if isinstance(cert, separability.TheoremCertificate):

@@ -184,11 +184,6 @@ def _svd_of_diagonal(m: np.ndarray) -> SvdResult:
     return SvdResult(u, sigma, v)
 
 
-def rank_of(m, cutoff: float = RANK_CUTOFF) -> int:
-    """Number of singular values above ``cutoff * sigma_max``."""
-    return _rank(np.linalg.svd(as_matrix(m), compute_uv=False), cutoff)
-
-
 def _rank(sigma: np.ndarray, cutoff: float) -> int:
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0

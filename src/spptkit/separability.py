@@ -48,7 +48,7 @@ from .errors import (
 )
 from .range_criterion import edge_check
 from .sppt import SpptVerdict, sppt_check, sppt_residual
-from .states import QubitQuditState, SpptFactors, assemble_state, blocks, join_blocks
+from .states import QubitQuditState, SpptFactors, assemble_state, join_blocks
 
 DEFAULT_TOL = 1e-9
 # Floor of every tolerance a construction is gated or validated with: the

@@ -71,7 +71,7 @@ class TestStateFiles:
         per_entry = [[[float(z.real), float(z.imag)] for z in row] for row in m]
         assert json.dumps(io.matrix_to_pairs(m)) == json.dumps(per_entry)
         for row, ref in zip(m, per_entry):
-            assert json.dumps(io.vector_to_pairs(row)) == json.dumps(ref)
+            assert json.dumps(io.matrix_to_pairs(row)) == json.dumps(ref)
         assert all(type(x) is float for row in io.matrix_to_pairs(m) for z in row for x in z)
         assert json.dumps(io.matrix_to_pairs(m)).count("-0.0") == 2
 
