@@ -440,10 +440,14 @@ def decompose_small(s: QubitQuditState, tol: float = DEFAULT_TOL) -> SeparableDe
     Such states are separable outright, so the subtraction loop (budget
     12 d) ends in a constructive exit, read as ``classify`` reads it.  A
     theorem there is made explicit by decomposing its PPT 2 x k core in
-    turn; the core has k < d qudit levels, so the recursion ends.
+    turn; the core has k < d qudit levels, so the recursion ends.  Raises
+    ValidationError, as ``classify`` does, for a state without positive
+    trace, which has no terms to decompose into.
     """
     if s.d > 3:
         raise ValidationError("decompose_small handles qudit dimension <= 3 only")
+    if s.trace() <= 0:
+        raise ValidationError("state must have positive trace")
     sub = subtract_product_vectors(s, budget=12 * s.d, tol=tol)
     outcome = _verdict_from_subtraction(s, sub, tol, [], {})
     if outcome is None:

@@ -253,6 +253,14 @@ class TestDecomposeSmall:
         decompose_small(state).validate(state.rho, tol=TOL_FLOOR)
         assert calls
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_zero_state_rejected_as_classify_rejects_it(self, d):
+        # the prover returns no terms for it, and a decomposition needs one
+        state = make_state(d, np.zeros((2 * d, 2 * d)))
+        for check in (classify, decompose_small):
+            with pytest.raises(ValidationError, match="positive trace"):
+                check(state)
+
 
 class TestSubtractionWeight:
     """The closed-form weight 1 / <v|rho^+|v>, bounded by the partial transpose."""
@@ -339,6 +347,19 @@ class TestClassify:
     def test_horodecki_core_entangled_range(self):
         v = classify(horodecki_2x4(0.5))
         assert v.classification == ENTANGLED_RANGE
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_vanishing_x1_gives_one_product_term(self, d):
+        # |1><1| (x) c has x1 = 0: the strong-PPT router's rank-0 exit
+        rng = np.random.default_rng(d)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        c = g @ g.conj().T + 0.1 * np.eye(d)
+        state = make_state(d, np.kron(np.diag([0.0, 1.0]), c))
+        v = classify(state)
+        assert v.classification == SEPARABLE
+        assert len(v.certificate.terms) == 1
+        v.certificate.validate(state.rho, tol=TOL_FLOOR)
+        assert "x1 vanishes: the state is a single product term" in v.trace_log
 
     def test_counterexample_2x4_separable_class(self):
         v = classify(sppt_counterexample_2x4())
