@@ -2,8 +2,9 @@
 
 Invertible x1 forces the middle factor to be normal, and its spectral
 decomposition turns the state into an explicit sum of product terms.
-Rank-deficient x1 instead reduces the state to a smaller 2 x k core; a
-decomposition of the core lifts back to the full state.
+Rank-deficient x1 instead reduces the state to a smaller 2 x k core plus
+a tail term; the reduction embeds a decomposition of the core and appends
+the tail, giving one of the full state.
 """
 
 import numpy as np
@@ -12,7 +13,6 @@ from spptkit import (
     classify,
     decompose_full_rank,
     decompose_small,
-    lift_decomposition,
     svd_reduce,
 )
 from spptkit.states import random_sppt
@@ -32,17 +32,18 @@ print("first qubit factor is rank one: eigenvalues",
       np.round(np.linalg.eigvalsh(qubit0), 5))
 print()
 
-# --- rank-deficient route: reduce, decompose the core, lift -----------------
-state, factors = random_sppt(5, rank=3, normal_s=False, seed=22)
+# --- rank-deficient route: reduce, decompose the core, embed ----------------
+state, factors = random_sppt(5, rank=3, normal_s=False, seed=22, with_tail=True)
 reduction = svd_reduce(factors)
+(_, tail), = reduction.terms
 print(f"rank-3 2x5 instance reduces to a 2x{reduction.k} core "
-      f"(PPT, tail weight {reduction.tail_weight:.1e})")
-core_dec = decompose_small(reduction.reduced)
+      f"(PPT) plus a tail term of weight {np.linalg.norm(tail):.2f}")
+core_dec = decompose_small(reduction.core)
 print(f"core decomposed into {len(core_dec.terms)} product terms by "
       "subtraction")
-lifted = lift_decomposition(reduction, core_dec)
-print("lifted decomposition residual against the full state:",
-      f"{lifted.reconstruction_residual(state.rho):.2e}")
+lifted = reduction.explicit(core_dec)
+print(f"embedded with the tail: {len(lifted.terms)} terms, residual against "
+      f"the full state {lifted.reconstruction_residual(state.rho):.2e}")
 print()
 
 # --- the classifier picks these routes automatically ------------------------

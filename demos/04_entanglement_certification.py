@@ -34,7 +34,8 @@ print()
 reduction = svd_reduce(factors)
 core = horodecki_2x4(b)
 print(f"reduction: k={reduction.k}; core equals the closed-form 2x4 state:",
-      np.abs(reduction.reduced.rho - core.rho).max() < 1e-12)
+      np.abs(reduction.core.rho - core.rho).max() < 1e-12,
+      f"(tail terms: {len(reduction.terms)})")
 print()
 
 print("searching for qualifying product vectors (full state)...")

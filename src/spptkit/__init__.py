@@ -20,13 +20,12 @@ from .range_criterion import (
     product_vectors_in_range,
 )
 from .separability import (
-    ReductionResult,
+    Reduction,
     SeparableDecomposition,
     Verdict,
     classify,
     decompose_full_rank,
     decompose_small,
-    lift_decomposition,
     subtract_product_vectors,
     svd_reduce,
 )
@@ -60,7 +59,7 @@ __all__ = [
     "ProductVector",
     "QubitQuditState",
     "RangeSearchCertificate",
-    "ReductionResult",
+    "Reduction",
     "SeparableDecomposition",
     "SpptFactors",
     "SpptVerdict",
@@ -78,7 +77,6 @@ __all__ = [
     "horodecki_2x4",
     "io",
     "kernel_basis",
-    "lift_decomposition",
     "linalg",
     "local_qudit_transform",
     "make_state",

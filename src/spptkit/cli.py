@@ -32,8 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--rank", type=int, default=None,
                      help="rank of the x1 factor (random-sppt; default d)")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--normal-s", action="store_true", default=False,
-                     help="draw a normal middle factor (random-sppt)")
+    gen.add_argument("--normal-s", action=argparse.BooleanOptionalAction, default=True,
+                     help="draw a normal middle factor (random-sppt; default on)")
     gen.add_argument("--with-tail", action="store_true", default=False,
                      help="add a random x2 tail (random-sppt)")
     gen.add_argument("--out", required=True, help="output state file")

@@ -115,16 +115,11 @@ def range_certificate_to_dict(cert: range_criterion.RangeSearchCertificate) -> d
     }
 
 
-def reduction_to_dict(r: separability.ReductionResult) -> dict:
-    """The reduction of a ReductionChain, whose core is 2 x k with k >= 4."""
-    return {
-        "type": "reduction",
-        "k": r.k,
-        "dk": [float(x) for x in np.diagonal(r.dk)],
-        "v": matrix_to_pairs(r.v),
-        "tail": matrix_to_pairs(r.tail),
-        "reduced": state_to_dict(r.reduced),
-    }
+def reduction_to_dict(r: separability.Reduction) -> dict:
+    """The fields every reduction shares, a theorem certificate included:
+    rho = sum of terms + (1 (x) V) core (1 (x) V)^dag with V = embed."""
+    return {"type": "reduction", "k": r.k, "terms": terms_to_list(r.terms),
+            "core": state_to_dict(r.core), "embed": matrix_to_pairs(r.embed)}
 
 
 def certificate_to_dict(cert) -> dict:
@@ -136,10 +131,8 @@ def certificate_to_dict(cert) -> dict:
     if isinstance(cert, range_criterion.RangeSearchCertificate):
         return range_certificate_to_dict(cert)
     if isinstance(cert, separability.TheoremCertificate):
-        return {"type": "by_theorem", "k": cert.k, "reason": cert.reason,
-                "min_pt_eigenvalue": cert.min_pt_eigenvalue,
-                "terms": terms_to_list(cert.terms), "core": state_to_dict(cert.core),
-                "embed": matrix_to_pairs(cert.embed)}
+        return {**reduction_to_dict(cert), "type": "by_theorem", "reason": cert.reason,
+                "min_pt_eigenvalue": cert.min_pt_eigenvalue}
     if isinstance(cert, separability.ReductionChain):
         return {"type": "reduction_chain",
                 "reduction": reduction_to_dict(cert.reduction),

@@ -102,29 +102,6 @@ class SeparableDecomposition:
 
 
 @dataclass(frozen=True)
-class ReductionResult:
-    """SVD reduction of factors (x1, s, x2) to a 2 x k core plus tail.
-
-    With x1 = u diag(dk, 0) v^dag and s_tilde = u^dag s u partitioned at k,
-    the state equals the v-conjugated, zero-padded ``reduced`` core plus
-    |1><1| (x) tail.  The core blocks are (dk^2, dk s11 dk,
-    dk (s11^dag s11 + s21^dag s21) dk), so (dk, s11) are the x1 and s of
-    the core's factors; of the blocks of s_tilde only s11 is kept.
-    """
-
-    v: np.ndarray
-    dk: np.ndarray
-    k: int
-    s11: np.ndarray
-    reduced: Optional[QubitQuditState]
-    tail: np.ndarray
-
-    @property
-    def tail_weight(self) -> float:
-        return linalg.frob(self.tail)
-
-
-@dataclass(frozen=True)
 class Verdict:
     """Classification outcome with its certificate and pipeline trace.
 
@@ -154,31 +131,41 @@ class NptCertificate:
 
 
 @dataclass(frozen=True)
-class TheoremCertificate:
-    """Separability by dimension: rho = sum of terms + (1 (x) V) core (1 (x) V)^dag
-    with explicit PSD product ``terms``, a PPT 2 x k ``core`` with k <= 3
-    (separable, as PPT suffices there) and a d x k isometry V = ``embed``."""
+class Reduction:
+    """rho = sum of ``terms`` + (1 (x) V) core (1 (x) V)^dag, with explicit PSD
+    product ``terms``, a 2 x k ``core`` (None when k = 0) and a d x k
+    isometry V = ``embed``."""
 
     terms: list  # of (qubit 2x2, qudit d x d) PSD pairs
-    core: QubitQuditState
+    core: Optional[QubitQuditState]
     embed: np.ndarray
-    min_pt_eigenvalue: float
-    reason: str
 
     @property
     def k(self) -> int:
-        return self.core.d
+        return self.embed.shape[1]
 
-    def explicit(self, core_dec: SeparableDecomposition) -> SeparableDecomposition:
-        """The decomposition this certificate stands for, given one of its core."""
+    def explicit(self, core_dec: Optional[SeparableDecomposition]) -> SeparableDecomposition:
+        """The decomposition this reduction stands for, given one of its core
+        (None when there is no core)."""
+        if self.core is None:
+            return SeparableDecomposition(terms=list(self.terms))
         return SeparableDecomposition(terms=self.terms + _embed(core_dec.terms, self.embed))
 
 
 @dataclass(frozen=True)
-class ReductionChain:
-    """A reduction step wrapping the entangled verdict of the reduced core."""
+class TheoremCertificate(Reduction):
+    """Separability by dimension: a reduction whose core is a PPT 2 x k
+    state with k <= 3, separable as PPT suffices there."""
 
-    reduction: ReductionResult
+    min_pt_eigenvalue: float
+    reason: str
+
+
+@dataclass(frozen=True)
+class ReductionChain:
+    """A reduction step wrapping the entangled verdict of its core."""
+
+    reduction: Reduction
     inner: Verdict
 
 
@@ -218,13 +205,20 @@ def decompose_full_rank(f: SpptFactors, tol: float = DEFAULT_TOL) -> SeparableDe
     return dec
 
 
-def svd_reduce(f: SpptFactors, tol: float = DEFAULT_TOL) -> ReductionResult:
-    """Reduce factors to the 2 x k core via the SVD of x1.
+def svd_reduce(f: SpptFactors, tol: float = DEFAULT_TOL) -> Reduction:
+    """Reduce factors to a 2 x k core via the SVD of x1.
 
-    Requires the strong-PPT condition to hold for the factors; the core
-    then satisfies the conjugated condition
+    With x1 = u diag(dk, 0) v^dag and s_tilde = u^dag s u partitioned at k,
+    the state is the core conjugated by V = v[:, :k] plus the term
+    |1><1| (x) x2^dag x2.  The core blocks are (dk^2, dk s11 dk,
+    dk (s11^dag s11 + s21^dag s21) dk), so (dk, s11) are the x1 and s of
+    its factors.  Requires the strong-PPT condition to hold for the
+    factors; the core then satisfies the conjugated condition
     dk (s11^dag s11 + s21^dag s21) dk = dk (s11 s11^dag + s12 s12^dag) dk
-    and is PPT.
+    and is PPT.  The tail term is left out when its Frobenius norm is at
+    most ``linalg.RANK_CUTOFF`` times the core's; both parts are PSD, so
+    the state's norm is at least the core's.  With k = 0 there is no core,
+    and the tail term is the whole state.
     """
     # Both gates scale with the state, as the residuals do: ||x1|| times the
     # square root of the state's trace tr(a) + tr(c).
@@ -235,29 +229,22 @@ def svd_reduce(f: SpptFactors, tol: float = DEFAULT_TOL) -> ReductionResult:
         raise NotSppt(f"factors violate the strong-PPT condition by {residual:g}")
     u, sigma, v = f.x1_svd
     k = f.x1_svd.rank
+    tail = f.x2.conj().T @ f.x2
+    if k == 0:
+        return Reduction(terms=[(_TAIL_QUBIT, tail)], core=None, embed=v[:, :0])
     s_tilde = u.conj().T @ f.s @ u
     dk = np.diag(sigma[:k])
     s11 = s_tilde[:k, :k]
     s12 = s_tilde[:k, k:]
     s21 = s_tilde[k:, :k]
-    tail = f.x2.conj().T @ f.x2
-    if k == 0:
-        reduced = None
-    else:
-        a_r = dk @ dk
-        b_r = dk @ s11 @ dk
-        c_r = dk @ (s11.conj().T @ s11 + s21.conj().T @ s21) @ dk
-        core_identity = linalg.frob(
-            c_r - dk @ (s11 @ s11.conj().T + s12 @ s12.conj().T) @ dk
-        )
-        if core_identity > max(tol, TOL_FLOOR) * max(scale, trace):
-            raise NotSppt(
-                f"conjugated strong-PPT identity fails by {core_identity:g}"
-            )
-        reduced = states._state(
-            k, join_blocks(linalg.hermitianize(a_r), b_r, linalg.hermitianize(c_r))
-        )
-    return ReductionResult(v=v, dk=dk, k=k, s11=s11, reduced=reduced, tail=tail)
+    a_r = dk @ dk
+    b_r = dk @ s11 @ dk
+    c_r = dk @ (s11.conj().T @ s11 + s21.conj().T @ s21) @ dk
+    core_identity = linalg.frob(c_r - dk @ (s11 @ s11.conj().T + s12 @ s12.conj().T) @ dk)
+    if core_identity > max(tol, TOL_FLOOR) * max(scale, trace):
+        raise NotSppt(f"conjugated strong-PPT identity fails by {core_identity:g}")
+    core = states._state(k, join_blocks(linalg.hermitianize(a_r), b_r, linalg.hermitianize(c_r)))
+    return Reduction(terms=_tail_terms(tail, core.norm()), core=core, embed=v[:, :k])
 
 
 _TAIL_QUBIT = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -265,7 +252,7 @@ _TAIL_QUBIT = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 def _tail_terms(tail: np.ndarray, scale: float) -> list:
     """The |1><1| (x) tail term, or none when the tail's Frobenius norm is at
-    most ``linalg.RANK_CUTOFF`` times ``scale``, the state's norm."""
+    most ``linalg.RANK_CUTOFF`` times ``scale``."""
     if linalg.frob(tail) <= linalg.RANK_CUTOFF * scale:
         return []
     return [(_TAIL_QUBIT, tail)]
@@ -274,25 +261,6 @@ def _tail_terms(tail: np.ndarray, scale: float) -> list:
 def _embed(terms: list, iso: np.ndarray) -> list:
     """Product terms on k qudit levels mapped into d by the d x k isometry."""
     return [(qubit, iso @ qudit @ iso.conj().T) for qubit, qudit in terms]
-
-
-def lift_decomposition(r: ReductionResult, dec: Optional[SeparableDecomposition],
-                       tol: float = DEFAULT_TOL) -> SeparableDecomposition:
-    """Lift a decomposition of the reduced core back to the full state.
-
-    Maps each k-dimensional qudit factor into d through the first k right
-    singular vectors v[:, :k] and appends the |1><1| (x) tail term unless
-    it is zero up to rounding.  With k = 0 the lift is the tail term alone.
-    """
-    if r.k == 0:
-        return SeparableDecomposition(terms=[(_TAIL_QUBIT, r.tail)])
-    if dec is None:
-        raise InvalidDecomposition("a core decomposition is required when k > 0")
-    dec.validate(r.reduced.rho, tol=max(tol, TOL_FLOOR))
-    # Both parts are PSD, so the state's norm is at least the core's: a tail
-    # left out against the core's norm is also negligible against the state's.
-    return SeparableDecomposition(terms=_embed(dec.terms, r.v[:, :r.k])
-                                  + _tail_terms(r.tail, r.reduced.norm()))
 
 
 # ---------------------------------------------------------------------------
@@ -571,35 +539,37 @@ def _classify_sppt(work, verdict: SpptVerdict, tol, budget, log, residuals):
         return SEPARABLE, dec
 
     reduction = svd_reduce(factors, tol=tol)
-    if reduction.k == 0:
-        lifted = lift_decomposition(reduction, None, tol=tol)
-        lifted.validate(work.rho, tol=max(tol, TOL_FLOOR))
+    if reduction.core is None:
+        dec = reduction.explicit(None)
+        dec.validate(work.rho, tol=max(tol, TOL_FLOOR))
         log.append("x1 vanishes: the state is a single product term")
-        return SEPARABLE, lifted
-    embed = reduction.v[:, :k]
-    tail = _tail_terms(reduction.tail, work.norm())
-    pt_core_min, _ = states.pt_min_eig(reduction.reduced.rho, reduction.k)
+        return SEPARABLE, dec
     if k <= 3:
+        pt_core_min, _ = states.pt_min_eig(reduction.core.rho, k)
         log.append(f"factor rank {k} <= 3: reduced 2x{k} core is PPT "
                    f"(min eigenvalue {pt_core_min:.3e}), hence separable; "
                    "the lift preserves separability")
         return SEPARABLE_BY_THEOREM, TheoremCertificate(
-            terms=tail, core=reduction.reduced, embed=embed, min_pt_eigenvalue=pt_core_min,
+            **vars(reduction), min_pt_eigenvalue=pt_core_min,
             reason="reduction to a PPT 2x3-or-smaller core")
 
     log.append(f"factor rank {k}: classifying the reduced 2x{k} core")
     # The core is 2 x k with k < d, so this recursion ends.
-    inner = classify(reduction.reduced, tol=tol, budget=budget)
+    inner = classify(reduction.core, tol=tol, budget=budget)
     log.append(f"core verdict: {inner.classification}")
     if inner.classification == SEPARABLE:
-        lifted = lift_decomposition(reduction, inner.certificate)
-        lifted.validate(work.rho, tol=max(tol, TOL_FLOOR))
-        return SEPARABLE, lifted
+        inner.certificate.validate(reduction.core.rho, tol=max(tol, TOL_FLOOR))
+        dec = reduction.explicit(inner.certificate)
+        dec.validate(work.rho, tol=max(tol, TOL_FLOOR))
+        return SEPARABLE, dec
     if inner.classification == SEPARABLE_BY_THEOREM:
         cert = inner.certificate
         return SEPARABLE_BY_THEOREM, dataclasses.replace(
-            cert, terms=_embed(cert.terms, embed) + tail, embed=embed @ cert.embed)
-    tail_weight = reduction.tail_weight
+            cert, terms=_embed(cert.terms, reduction.embed) + reduction.terms,
+            embed=reduction.embed @ cert.embed)
+    # The tail term, when kept, is the only term; one left out weighs at
+    # most linalg.RANK_CUTOFF times the core's norm, well inside the gate.
+    tail_weight = sum(linalg.frob(qudit) for _, qudit in reduction.terms)
     if inner.is_entangled_class:
         if tail_weight <= max(tol, TOL_FLOOR) * max(work.norm(), 1e-300):
             log.append("tail is negligible, so the core verdict transfers")

@@ -358,8 +358,9 @@ def random_sppt(d: int, rank: int, normal_s: bool = True, seed: int = 0,
     rank < d) the condition is enforced on the support of x1 by
     construction: the off-support couplings are drawn freely and the
     on-support block is built to carry exactly the commutator defect they
-    require.  ``with_tail`` adds a random full-rank x2, making the
-    assembled state full rank.  Deterministic per seed.
+    require.  ``with_tail`` adds a random full-rank x2, which gives the
+    assembled state rank d + rank, full only when rank = d.  Deterministic
+    per seed.
     """
     if not 1 <= rank <= d:
         raise BadParameter(f"need 1 <= rank <= d, got rank={rank}, d={d}")

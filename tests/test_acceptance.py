@@ -129,7 +129,7 @@ def test_criterion_4_entangled_family(b):
     reduction = svd_reduce(factors)
     assert reduction.k == 4
     core = horodecki_2x4(b)
-    assert np.abs(reduction.reduced.rho - core.rho).max() <= 1e-12
+    assert np.abs(reduction.core.rho - core.rho).max() <= 1e-12
 
     # (d) no qualifying product vector for either state; classify agrees
     cert_full = edge_check(state)

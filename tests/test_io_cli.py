@@ -114,31 +114,57 @@ class TestVerdictSerialization:
             io.certificate_to_dict(object())
 
 
-def replay_theorem(report: dict, rho: np.ndarray) -> None:
-    """Check a by_theorem certificate from its JSON alone.
+def replay_reduction(cert: dict, rho: np.ndarray) -> tuple:
+    """Check the fields every reduction shares from their JSON alone.
 
-    Its claim is rho = sum of terms + (1 (x) V) core (1 (x) V)^dag with V
-    an isometry and core a PPT 2 x k state, k <= 3.
+    Their claim is rho = sum of terms + (1 (x) V) core (1 (x) V)^dag with V
+    a d x k isometry and core a 2 x k state; returns (terms, core, V).
     """
-    cert = json.loads(json.dumps(report))["certificate"]
-    assert cert["type"] == "by_theorem"
     terms = [(io.pairs_to_matrix(t["qubit"]), io.pairs_to_matrix(t["qudit"]))
              for t in cert["terms"]]
     core = io.state_from_dict(cert["core"])
     v = io.pairs_to_matrix(cert["embed"])
     k = core.d
-    assert cert["k"] == k <= 3 and v.shape == (rho.shape[0] // 2, k)
+    assert cert["k"] == k and v.shape == (rho.shape[0] // 2, k)
     assert linalg.frob(v.conj().T @ v - np.eye(k)) <= 1e-12
     lift = np.kron(np.eye(2), v)
     total = lift @ core.rho @ lift.conj().T
     for qubit, qudit in terms:
         total = total + np.kron(qubit, qudit)
     assert linalg.frob(total - rho) <= TOL_FLOOR * linalg.frob(rho)
-    assert states.pt_min_eig(core.rho, k)[0] >= -TOL_FLOOR * core.norm()
+    return terms, core, v
+
+
+def replay_theorem(report: dict, rho: np.ndarray) -> None:
+    """Check a by_theorem certificate from its JSON alone: a reduction whose
+    core is a PPT 2 x k state, k <= 3."""
+    cert = json.loads(json.dumps(report))["certificate"]
+    assert cert["type"] == "by_theorem"
+    terms, core, v = replay_reduction(cert, rho)
+    assert core.d <= 3
+    assert states.pt_min_eig(core.rho, core.d)[0] >= -TOL_FLOOR * core.norm()
     explicit = TheoremCertificate(terms=terms, core=core, embed=v,
                                   min_pt_eigenvalue=cert["min_pt_eigenvalue"],
                                   reason=cert["reason"]).explicit(decompose_small(core))
     explicit.validate(rho, tol=TOL_FLOOR)
+
+
+class TestReductionChainReplay:
+    """A reduction chain's reduction replays from its JSON as a theorem's
+    does; its 2 x 4 core is entangled by the range criterion's bound."""
+
+    @pytest.mark.parametrize("state", [
+        entangled_sppt_2x5(0.5).state,
+        random_sppt(5, 4, normal_s=False, seed=0)[0],
+    ], ids=["rho0", "random_sppt(5,4,normal_s=False)"])
+    def test_chain_replays(self, state):
+        cert = json.loads(json.dumps(io.verdict_to_dict(classify(state))))["certificate"]
+        assert cert["type"] == "reduction_chain"
+        assert cert["reduction"]["type"] == "reduction"
+        replay_reduction(cert["reduction"], state.rho)
+        inner = cert["inner"]["certificate"]
+        assert inner["type"] == "range_search" and inner["conclusion"] == "NoneFound"
+        assert inner["certified_bound"] > inner["exclusion_threshold"]
 
 
 class TestTheoremReplay:
@@ -226,6 +252,15 @@ class TestCli:
         assert main(base + ["--out", str(p1)]) == 0
         assert main(base + ["--out", str(p2)]) == 0
         assert p1.read_text() == p2.read_text()
+
+    @pytest.mark.parametrize("flag, normal_s", [([], True), (["--no-normal-s"], False)])
+    def test_generate_random_normal_s_default(self, flag, normal_s, tmp_path):
+        # the CLI draws what random_sppt draws by default, normal s included
+        path = tmp_path / "r.json"
+        argv = ["generate", "random-sppt", "--d", "5", "--rank", "3", "--seed", "1"]
+        assert main(argv + flag + ["--out", str(path)]) == 0
+        expected = random_sppt(5, 3, normal_s=normal_s, seed=1)[0]
+        assert path.read_text() == io.dumps_state(expected)
 
     def test_generate_bad_parameter_exit_2(self, tmp_path, capsys):
         rc = main(["generate", "rho0", "--b", "1.5",

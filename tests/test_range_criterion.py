@@ -468,6 +468,51 @@ class TestCellRadius:
                 np.testing.assert_allclose(2 * np.arccos(overlap), angles[:, j], atol=1e-7)
 
 
+class TestExclusionMargins:
+    """_mu_batch settles a vector only where its bound would reach ``above``."""
+
+    @staticmethod
+    def constraints(g: np.ndarray, n: int) -> range_criterion._Constraints:
+        # G as H_00 and the other blocks zero, so e = (1, 0) gives G exactly;
+        # the margins are those of _constraints_of for n kernel rows
+        d = len(g)
+        gram = np.zeros((4, d * d), dtype=complex)
+        gram[0] = g.ravel()
+        rounding = float(d * np.finfo(float).eps * n)
+        return range_criterion._Constraints(
+            d=d, cutoff=range_criterion.KERNEL_CUTOFF,
+            w_state=np.zeros((n, 2, d), dtype=complex), w_pt=np.zeros((0, 2, d), dtype=complex),
+            gram=gram, margin=16 * rounding, ldl_margin=4 * rounding)
+
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    def test_settled_vectors_reach_above(self, d):
+        # lambda_min(G) = above^2 (1 + r) + delta / 2 lies just above the
+        # exclusion line yet gives mu_lo = sqrt(lambda - delta) < above: the
+        # margins of tau must keep such a G from being settled
+        rng = np.random.default_rng(d)
+        e = np.array([[1.0, 0.0]], dtype=complex)
+        wrong = []
+        for n in (d, 2 * d, 4 * d):
+            delta = 16 * d * np.finfo(float).eps * n
+            for above in (1e-3, 0.1, 1.0):
+                for r in (1e-14, 1e-13, 1e-12):
+                    for _ in range(4):
+                        # trace at most n, as for n unit kernel rows
+                        lam = above ** 2 * (1 + r) + delta / 2
+                        spread = rng.uniform(size=d) * max(n / d - lam, 0.0)
+                        spread[0] = 0.0
+                        q = linalg.haar_unitary(d, rng)
+                        con = self.constraints((q * (lam + spread)) @ q.conj().T, n)
+                        mu = range_criterion._mu_batch(con, e, np.array([above]))[0]
+                        if np.isinf(mu) and range_criterion._mu_batch(con, e)[0] < above:
+                            wrong.append((n, above, r))
+                # well above the line, the test settles the vector
+                q = linalg.haar_unitary(d, rng)
+                con = self.constraints((q * (2 * above ** 2 + 1e-6)) @ q.conj().T, n)
+                assert np.isinf(range_criterion._mu_batch(con, e, np.array([above]))[0])
+        assert not wrong, wrong
+
+
 class TestGramLowerBound:
     @pytest.mark.parametrize("state", [
         horodecki_2x4(0.5), random_separable(4, 5, seed=0)[0],

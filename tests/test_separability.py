@@ -23,14 +23,12 @@ from spptkit.separability import (
     classify,
     decompose_full_rank,
     decompose_small,
-    lift_decomposition,
     subtract_product_vectors,
     svd_reduce,
 )
 from spptkit.range_criterion import kernel_basis
 from spptkit.sppt import SpptFactors, assemble_state, sppt_check
 from spptkit.states import (
-    blocks,
     entangled_sppt_2x5,
     horodecki_2x4,
     make_state,
@@ -102,17 +100,17 @@ class TestSvdReduce:
         f = entangled_sppt_2x5(b).factors
         r = svd_reduce(f)
         assert r.k == 4
-        np.testing.assert_allclose(r.reduced.rho, horodecki_2x4(b).rho, atol=1e-12)
+        np.testing.assert_allclose(r.core.rho, horodecki_2x4(b).rho, atol=1e-12)
 
     def test_full_rank_keeps_dimension(self):
         state, f = random_sppt(4, rank=4, normal_s=True, seed=1, with_tail=True)
         r = svd_reduce(f)
         assert r.k == 4
-        # the core is the v-conjugate of the state minus its tail
-        a, b, c = blocks(state)
-        lifted = np.kron(np.eye(2), r.v) @ r.reduced.rho @ np.kron(np.eye(2), r.v).conj().T
+        # the core is the embed-conjugate of the state minus its tail
+        lifted = np.kron(np.eye(2), r.embed) @ r.core.rho @ np.kron(np.eye(2), r.embed).conj().T
         tailed = state.rho.copy()
-        tailed[4:, 4:] -= r.tail
+        for qubit, qudit in r.terms:
+            tailed -= np.kron(qubit, qudit)
         assert linalg.frob(lifted - tailed) <= 1e-9 * state.norm()
 
     def test_zero_x1(self):
@@ -121,8 +119,8 @@ class TestSvdReduce:
         f = SpptFactors(np.zeros((3, 3), dtype=complex),
                         rng.normal(size=(3, 3)).astype(complex), x2)
         r = svd_reduce(f)
-        assert r.k == 0 and r.reduced is None
-        np.testing.assert_allclose(r.tail, x2.conj().T @ x2, atol=1e-13)
+        assert r.k == 0 and r.core is None and len(r.terms) == 1
+        np.testing.assert_allclose(r.terms[0][1], x2.conj().T @ x2, atol=1e-13)
 
     def test_core_is_ppt_for_random_instances(self):
         from spptkit.states import partial_transpose_matrix
@@ -133,10 +131,10 @@ class TestSvdReduce:
             state, f = random_sppt(d, rank=rank, normal_s=(seed % 3 == 0),
                                    seed=seed)
             r = svd_reduce(f)
-            if r.reduced is None:
+            if r.core is None:
                 continue
-            w = np.linalg.eigvalsh(partial_transpose_matrix(r.reduced.rho, r.k))
-            assert w.min() >= -1e-10 * max(r.reduced.norm(), 1.0)
+            w = np.linalg.eigvalsh(partial_transpose_matrix(r.core.rho, r.k))
+            assert w.min() >= -1e-10 * max(r.core.norm(), 1.0)
 
     def test_rejects_non_sppt_factors(self):
         s = np.zeros((3, 3), dtype=complex)
@@ -150,10 +148,8 @@ class TestLift:
     def test_identity_reduction(self):
         state, f = random_sppt(4, rank=4, normal_s=True, seed=3, with_tail=True)
         r = svd_reduce(f)
-        core_dec = decompose_full_rank(
-            SpptFactors(r.dk.astype(complex), r.s11,
-                        np.zeros((r.k, r.k), dtype=complex)))
-        lifted = lift_decomposition(r, core_dec)
+        core_dec = decompose_full_rank(sppt_check(r.core).factors)
+        lifted = r.explicit(core_dec)
         assert lifted.reconstruction_residual(state.rho) <= 1e-9 * state.norm()
 
     def test_zero_rank_lift(self):
@@ -162,7 +158,7 @@ class TestLift:
         f = SpptFactors(np.zeros((3, 3), dtype=complex),
                         np.zeros((3, 3), dtype=complex), x2)
         r = svd_reduce(f)
-        lifted = lift_decomposition(r, None)
+        lifted = r.explicit(None)
         assert len(lifted.terms) == 1
         state = assemble_state(f)
         assert lifted.reconstruction_residual(state.rho) <= 1e-12
@@ -173,8 +169,8 @@ class TestLift:
         for seed in (5, 6, 7):
             state, f = random_sppt(5, rank=3, normal_s=False, seed=seed)
             r = svd_reduce(f)
-            core_dec = decompose_small(r.reduced)
-            lifted = lift_decomposition(r, core_dec)
+            core_dec = decompose_small(r.core)
+            lifted = r.explicit(core_dec)
             assert lifted.reconstruction_residual(state.rho) <= 1e-9 * state.norm()
             assert lifted.min_factor_eig() >= -1e-10 * state.norm()
 
@@ -224,7 +220,7 @@ def _small_inputs():
     for d in (4, 5, 6):
         for k in (1, 2, 3):
             f = random_sppt(d, k, normal_s=False, seed=d + k)[1]
-            yield pytest.param(svd_reduce(f).reduced, id=f"core of random_sppt({d},{k})")
+            yield pytest.param(svd_reduce(f).core, id=f"core of random_sppt({d},{k})")
     yield pytest.param(sppt_counterexample_2x3(), id="rho1")
 
 
