@@ -11,7 +11,6 @@ digits), so write -> read -> write is bit-identical.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -137,12 +136,10 @@ def certificate_to_dict(cert) -> dict:
         return {"type": "reduction_chain",
                 "reduction": reduction_to_dict(cert.reduction),
                 "inner": verdict_to_dict(cert.inner)}
-    if isinstance(cert, dict):
-        return {"type": "diagnostics",
-                **{k: (certificate_to_dict(v)
-                       if dataclasses.is_dataclass(v) and not isinstance(v, type)
-                       else v)
-                   for k, v in cert.items()}}
+    if isinstance(cert, dict):  # PptUndecided
+        return {"type": "diagnostics", "sppt": cert["sppt"],
+                "range_search": range_certificate_to_dict(cert["range_search"]),
+                "subtraction_status": cert["subtraction_status"]}
     raise TypeError(f"no JSON form for certificate of type {type(cert).__name__}")
 
 

@@ -318,7 +318,7 @@ def _polish(con: _Constraints, e: np.ndarray, f: np.ndarray):
         # The state rows are linear in e, the partial-transpose rows in e*.
         m_perp_i = 1j * m_perp
         m_perp_i[k1:] *= -1.0
-        f_perp = np.conj(np.linalg.svd(np.conj(f)[None, :])[2][1:]).T
+        f_perp = linalg.nullspace(np.conj(f)[None, :])
         c = m @ f_perp
         k = np.column_stack([m_perp, m_perp_i, c, 1j * c])
         x = np.linalg.lstsq(np.vstack([k.real, k.imag]),

@@ -144,12 +144,14 @@ class Reduction:
     def k(self) -> int:
         return self.embed.shape[1]
 
-    def explicit(self, core_dec: Optional[SeparableDecomposition]) -> SeparableDecomposition:
-        """The decomposition this reduction stands for, given one of its core
-        (None when there is no core)."""
+    def explicit(self, core_dec) -> SeparableDecomposition:
+        """The reduction's terms, then those of ``core_dec`` (a decomposition
+        or theorem certificate of the core; None without a core), embedded."""
         if self.core is None:
             return SeparableDecomposition(terms=list(self.terms))
-        return SeparableDecomposition(terms=self.terms + _embed(core_dec.terms, self.embed))
+        v = self.embed
+        embedded = [(qubit, v @ qudit @ v.conj().T) for qubit, qudit in core_dec.terms]
+        return SeparableDecomposition(terms=self.terms + embedded)
 
 
 @dataclass(frozen=True)
@@ -171,13 +173,15 @@ class ReductionChain:
 
 @dataclass(frozen=True)
 class SubtractionResult:
-    """Outcome of the product-vector subtraction loop."""
+    """Outcome of the product-vector subtraction loop: the subtracted terms
+    and the remainder as a ``reduction`` (at ``small_support``, the remainder
+    on its qudit support), and at ``sppt_core`` the remainder's verdict."""
 
-    terms: SeparableDecomposition
+    reduction: Reduction
     remainder: QubitQuditState
     status: str  # decomposed | small_support | sppt_core | budget_exhausted | stalled
     iterations: int
-    detail: dict = field(default_factory=dict)
+    sppt: Optional[SpptVerdict] = None
 
 
 def decompose_full_rank(f: SpptFactors, tol: float = DEFAULT_TOL) -> SeparableDecomposition:
@@ -258,11 +262,6 @@ def _tail_terms(tail: np.ndarray, scale: float) -> list:
     return [(_TAIL_QUBIT, tail)]
 
 
-def _embed(terms: list, iso: np.ndarray) -> list:
-    """Product terms on k qudit levels mapped into d by the d x k isometry."""
-    return [(qubit, iso @ qudit @ iso.conj().T) for qubit, qudit in terms]
-
-
 # ---------------------------------------------------------------------------
 # Product-vector subtraction
 # ---------------------------------------------------------------------------
@@ -310,14 +309,11 @@ def _qudit_support(rho: np.ndarray, d: int):
     return eig.vectors[:, eig.support(SUPPORT_CUTOFF)]
 
 
-def _compress_qudit(rho: np.ndarray, d: int, iso: np.ndarray) -> np.ndarray:
-    k = iso.shape[1]
-    out = np.zeros((2 * k, 2 * k), dtype=complex)
-    out[:k, :k] = iso.conj().T @ rho[:d, :d] @ iso
-    out[:k, k:] = iso.conj().T @ rho[:d, d:] @ iso
-    out[k:, :k] = iso.conj().T @ rho[d:, :d] @ iso
-    out[k:, k:] = iso.conj().T @ rho[d:, d:] @ iso
-    return out
+def _compress_qudit(rho: np.ndarray, d: int, iso: np.ndarray) -> QubitQuditState:
+    """The 2 x k state (1 (x) V)^dag rho (1 (x) V) for the d x k isometry V."""
+    halves = (slice(None, d), slice(d, None))
+    return states._state(iso.shape[1], np.block(
+        [[iso.conj().T @ rho[i, j] @ iso for j in halves] for i in halves]))
 
 
 def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
@@ -345,7 +341,7 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
     scale0 = max(linalg.frob(rho), 1e-300)
     terms = []
     status = "budget_exhausted"
-    detail: dict = {}
+    reduction = sppt_verdict = None
     iterations = 0
     for iterations in range(budget + 1):
         if linalg.frob(rho) <= max(tol, 1e-10) * scale0:
@@ -354,11 +350,10 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
         iso = _qudit_support(rho, d)
         if iso.shape[1] <= 3 and iso.shape[1] < d:
             core = _compress_qudit(rho, d, iso)
-            pt_min, _ = states.pt_min_eig(core, iso.shape[1])
+            pt_min, _ = states.pt_min_eig(core.rho, core.d)
             if pt_min >= -max(tol, TOL_FLOOR) * scale0:
                 status = "small_support"
-                detail = {"support_isometry": iso, "compressed": core,
-                          "compressed_min_pt_eig": pt_min}
+                reduction = Reduction(terms=terms, core=core, embed=iso)
                 break
         remainder_state = states._state(d, rho)
         verdict = sppt_check(remainder_state, tol=max(tol, TOL_FLOOR))
@@ -366,7 +361,7 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
             k = verdict.factors.x1_svd.rank
             if k == d or k <= 3:
                 status = "sppt_core"
-                detail = {"verdict": verdict}
+                sppt_verdict = verdict
                 break
         if iterations == budget:
             break
@@ -393,13 +388,11 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
         _, lam, e, f = best
         terms.append((np.outer(e, e.conj()), lam * np.outer(f, f.conj())))
         rho = linalg.hermitianize(rho - lam * np.kron(terms[-1][0], np.outer(f, f.conj())))
-    return SubtractionResult(
-        terms=SeparableDecomposition(terms=terms),
-        remainder=states._state(d, rho),
-        status=status,
-        iterations=iterations,
-        detail=detail,
-    )
+    remainder = states._state(d, rho)
+    if reduction is None:
+        reduction = Reduction(terms=terms, core=remainder, embed=np.eye(d, dtype=complex))
+    return SubtractionResult(reduction=reduction, remainder=remainder, status=status,
+                             iterations=iterations, sppt=sppt_verdict)
 
 
 def decompose_small(s: QubitQuditState, tol: float = DEFAULT_TOL) -> SeparableDecomposition:
@@ -423,8 +416,7 @@ def decompose_small(s: QubitQuditState, tol: float = DEFAULT_TOL) -> SeparableDe
             f"subtraction did not terminate constructively ({sub.status})")
     classification, cert = outcome
     if classification == SEPARABLE_BY_THEOREM:
-        cert = cert.explicit(decompose_small(cert.core, tol=tol))
-        cert.validate(s.rho, tol=max(tol, TOL_FLOOR))
+        _, cert = _lift(cert, (SEPARABLE, decompose_small(cert.core, tol=tol)), s, tol)
     return cert
 
 
@@ -486,9 +478,9 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
     if s.d <= 3:
         log.append(f"2x{s.d} PPT: positivity of the partial transpose is "
                    "sufficient for separability here")
-        return done(SEPARABLE_BY_THEOREM, TheoremCertificate(
-            terms=[], core=s, embed=np.eye(s.d, dtype=complex), min_pt_eigenvalue=min_pt,
-            reason="PPT is sufficient for separability in 2x2 and 2x3"))
+        return done(SEPARABLE_BY_THEOREM, _theorem(
+            Reduction(terms=[], core=s, embed=np.eye(s.d, dtype=complex)),
+            "PPT is sufficient for separability in 2x2 and 2x3"))
 
     # 3-5: strong-PPT constructions (the state is PPT, tested above)
     verdict = sppt._check_ppt(s, tol)
@@ -545,28 +537,18 @@ def _classify_sppt(work, verdict: SpptVerdict, tol, budget, log, residuals):
         log.append("x1 vanishes: the state is a single product term")
         return SEPARABLE, dec
     if k <= 3:
-        pt_core_min, _ = states.pt_min_eig(reduction.core.rho, k)
+        cert = _theorem(reduction, "reduction to a PPT 2x3-or-smaller core")
         log.append(f"factor rank {k} <= 3: reduced 2x{k} core is PPT "
-                   f"(min eigenvalue {pt_core_min:.3e}), hence separable; "
+                   f"(min eigenvalue {cert.min_pt_eigenvalue:.3e}), hence separable; "
                    "the lift preserves separability")
-        return SEPARABLE_BY_THEOREM, TheoremCertificate(
-            **vars(reduction), min_pt_eigenvalue=pt_core_min,
-            reason="reduction to a PPT 2x3-or-smaller core")
+        return SEPARABLE_BY_THEOREM, cert
 
     log.append(f"factor rank {k}: classifying the reduced 2x{k} core")
     # The core is 2 x k with k < d, so this recursion ends.
     inner = classify(reduction.core, tol=tol, budget=budget)
     log.append(f"core verdict: {inner.classification}")
-    if inner.classification == SEPARABLE:
-        inner.certificate.validate(reduction.core.rho, tol=max(tol, TOL_FLOOR))
-        dec = reduction.explicit(inner.certificate)
-        dec.validate(work.rho, tol=max(tol, TOL_FLOOR))
-        return SEPARABLE, dec
-    if inner.classification == SEPARABLE_BY_THEOREM:
-        cert = inner.certificate
-        return SEPARABLE_BY_THEOREM, dataclasses.replace(
-            cert, terms=_embed(cert.terms, reduction.embed) + reduction.terms,
-            embed=reduction.embed @ cert.embed)
+    if inner.is_separable_class:
+        return _lift(reduction, (inner.classification, inner.certificate), work, tol)
     # The tail term, when kept, is the only term; one left out weighs at
     # most linalg.RANK_CUTOFF times the core's norm, well inside the gate.
     tail_weight = sum(linalg.frob(qudit) for _, qudit in reduction.terms)
@@ -582,32 +564,53 @@ def _classify_sppt(work, verdict: SpptVerdict, tol, budget, log, residuals):
 
 def _verdict_from_subtraction(work, sub: SubtractionResult, tol, log, residuals):
     """Step 7: translate a subtraction outcome into a verdict."""
+    reduction = sub.reduction
     if sub.status == "decomposed":
-        dec = sub.terms
+        dec = SeparableDecomposition(terms=reduction.terms)
         dec.validate(work.rho, tol=max(tol, TOL_FLOOR))
         log.append(f"full decomposition with {len(dec.terms)} product terms")
         return SEPARABLE, dec
     if sub.status == "small_support":
-        iso = sub.detail["support_isometry"]
-        log.append(f"remainder supported on {iso.shape[1]} qudit levels and PPT: "
+        log.append(f"remainder supported on {reduction.k} qudit levels and PPT: "
                    "separable by dimension")
-        return SEPARABLE_BY_THEOREM, TheoremCertificate(
-            terms=sub.terms.terms, core=states._state(iso.shape[1], sub.detail["compressed"]),
-            embed=iso, min_pt_eigenvalue=sub.detail["compressed_min_pt_eig"],
-            reason="subtraction reduced the remainder to a PPT 2x3-or-smaller support")
+        return SEPARABLE_BY_THEOREM, _theorem(
+            reduction, "subtraction reduced the remainder to a PPT 2x3-or-smaller support")
     if sub.status == "sppt_core":
         # The prover exits here only at factor rank d or <= 3, so the router
         # ends in a decomposition or a theorem, never in a further core.
         log.append("remainder is strong-PPT: routing it by its factor rank")
-        outcome = _classify_sppt(sub.remainder, sub.detail["verdict"], tol, None, log, residuals)
+        outcome = _classify_sppt(reduction.core, sub.sppt, tol, None, log, residuals)
         if outcome is None:
             return None
-        classification, certificate = outcome
-        certificate = dataclasses.replace(certificate,
-                                          terms=sub.terms.terms + certificate.terms)
+        classification, certificate = _lift(reduction, outcome, work, tol)
         if classification == SEPARABLE:
-            certificate.validate(work.rho, tol=max(tol, TOL_FLOOR))
             residuals["decomposition_residual"] = certificate.reconstruction_residual(work.rho)
             log.append("subtracted terms and remainder decomposition validate together")
         return classification, certificate
     return None
+
+
+def _theorem(reduction: Reduction, reason: str) -> TheoremCertificate:
+    """The theorem certificate of a reduction whose core is a PPT 2 x k
+    state with k <= 3, with the core's least partial-transpose eigenvalue."""
+    min_pt = states.pt_min_eig(reduction.core.rho, reduction.k)[0]
+    return TheoremCertificate(**vars(reduction), min_pt_eigenvalue=min_pt, reason=reason)
+
+
+def _lift(reduction: Reduction, core_outcome: tuple, work, tol):
+    """The outcome of ``work`` from the separable outcome of the core of its
+    ``reduction``, with the terms of ``reduction.explicit`` less those of
+    Frobenius norm at most ``linalg.RANK_CUTOFF`` times that of ``work``.
+    A decomposition is validated against the core, then against ``work``."""
+    classification, cert = core_outcome
+    if classification == SEPARABLE:
+        cert.validate(reduction.core.rho, tol=max(tol, TOL_FLOOR))
+    floor = linalg.RANK_CUTOFF * work.norm()
+    terms = [(qubit, qudit) for qubit, qudit in reduction.explicit(cert).terms
+             if linalg.frob(qubit) * linalg.frob(qudit) > floor]
+    if classification == SEPARABLE_BY_THEOREM:
+        return classification, dataclasses.replace(cert, terms=terms,
+                                                   embed=reduction.embed @ cert.embed)
+    dec = SeparableDecomposition(terms=terms)
+    dec.validate(work.rho, tol=max(tol, TOL_FLOOR))
+    return classification, dec

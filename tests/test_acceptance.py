@@ -264,8 +264,8 @@ def test_criterion_9_heuristic_prover_on_embedded_counterexample():
     s = sppt_counterexample_2x4()
     sub = subtract_product_vectors(s)
     if sub.status == "decomposed":
-        sub.terms.validate(s.rho, tol=1e-8)
-        detail = f"full decomposition with {len(sub.terms.terms)} terms"
+        SeparableDecomposition(terms=sub.reduction.terms).validate(s.rho, tol=1e-8)
+        detail = f"full decomposition with {len(sub.reduction.terms)} terms"
     else:
         detail = f"subtraction stopped with status {sub.status}"
     verdict = classify(s)

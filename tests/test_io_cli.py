@@ -189,7 +189,12 @@ class TestTheoremReplay:
         # separable by theorem, so the core's decomposition is rewritten as
         # one: its first two terms, on their qudit support, become the core.
         real = separability.classify
-        inner_terms = []
+        inner_terms, inner_certs, reductions = [], [], []
+        reduce = separability.svd_reduce
+
+        def recording_reduce(f, tol=separability.DEFAULT_TOL):
+            reductions.append(reduce(f, tol=tol))
+            return reductions[-1]
 
         def core_by_theorem(s, tol=separability.DEFAULT_TOL, budget=None):
             v = real(s, tol=tol, budget=budget)
@@ -198,11 +203,12 @@ class TestTheoremReplay:
             inner_terms.append(len(v.certificate.terms))
             head = SeparableDecomposition(terms=v.certificate.terms[:2]).reconstruct()
             iso = separability._qudit_support(head, 4)
-            core = states._state(iso.shape[1], separability._compress_qudit(head, 4, iso))
+            core = separability._compress_qudit(head, 4, iso)
             cert = TheoremCertificate(
                 terms=v.certificate.terms[2:], core=core, embed=iso,
                 min_pt_eigenvalue=states.pt_min_eig(core.rho, core.d)[0],
                 reason="two product terms on two qudit levels")
+            inner_certs.append(cert)
             return separability.Verdict(SEPARABLE_BY_THEOREM, cert, v.trace_log)
 
         # four product terms with a |0> component give x1 rank 4, two on
@@ -216,11 +222,19 @@ class TestTheoremReplay:
             rho += np.outer(w, w.conj())
         state = make_state(5, rho)
         monkeypatch.setattr(separability, "classify", core_by_theorem)
+        monkeypatch.setattr(separability, "svd_reduce", recording_reduce)
         v = real(state)
         assert any("classifying the reduced 2x4 core" in line for line in v.trace_log)
         assert v.classification == SEPARABLE_BY_THEOREM
         assert v.certificate.k == 2 and v.certificate.embed.shape == (5, 2)
         assert len(v.certificate.terms) == inner_terms[0] - 2 + 1  # and the tail
+        # the reduction's own terms (the tail) first, then the core's, embedded
+        own = reductions[0].terms
+        assert len(own) == 1
+        iso = reductions[0].embed
+        embedded = [(qubit, iso @ qudit @ iso.conj().T) for qubit, qudit in inner_certs[0].terms]
+        for got, want in zip(v.certificate.terms, own + embedded, strict=True):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
         replay_theorem(io.verdict_to_dict(v), state.rho)
 
 

@@ -185,7 +185,7 @@ class TestSubtraction:
         assert res.status in ("decomposed", "small_support")
         if res.status == "decomposed":
             assert res.remainder.norm() <= 1e-9
-            assert len(res.terms.terms) == 1
+            assert len(res.reduction.terms) == 1
 
     def test_counterexample_2x4_terminates_soundly(self):
         res = subtract_product_vectors(sppt_counterexample_2x4())
@@ -222,6 +222,11 @@ def _small_inputs():
             f = random_sppt(d, k, normal_s=False, seed=d + k)[1]
             yield pytest.param(svd_reduce(f).core, id=f"core of random_sppt({d},{k})")
     yield pytest.param(sppt_counterexample_2x3(), id="rho1")
+    # each once gave a last term of 5e-13 to 9e-13 of the input's norm
+    yield pytest.param(random_separable(2, 5, seed=3)[0], id="random_separable(2,5,seed=3)")
+    for d in (5, 6):
+        f = random_sppt(d, 2, normal_s=False, seed=1)[1]
+        yield pytest.param(svd_reduce(f).core, id=f"core of random_sppt({d},2,seed=1)")
 
 
 class TestDecomposeSmall:
@@ -230,6 +235,9 @@ class TestDecomposeSmall:
         dec = decompose_small(state)
         dec.validate(state.rho, tol=TOL_FLOOR)
         assert dec.min_factor_eig() >= -1e-10 * state.norm()
+        floor = linalg.RANK_CUTOFF * state.norm()
+        assert all(linalg.frob(qubit) * linalg.frob(qudit) > floor
+                   for qubit, qudit in dec.terms)
 
     def test_product_state_gives_one_term(self):
         # the tail |1><1| (x) x2^dag x2 is zero here and is left out
