@@ -31,11 +31,19 @@ the search reports, so only the other cells are solved.
 ``product_vectors_in_range``, the subtraction prover's candidate source,
 keeps enumerating distinct ones: against the wider kernel at
 ``ENUMERATION_KERNEL_CUTOFF``, up to ``ENUMERATION_CANDIDATES`` vectors
-with residual at most ``ENUMERATION_TOL``.  When every cell is excluded
-the search concludes ``NoneFound`` with a lower bound on mu over the
-whole sphere: a proof, up to floating point and
-the kernel cutoff, that no qualifying product vector exists, which for a
-PPT state certifies entanglement.
+with residual at most ``ENUMERATION_TOL``.  An enumeration is exhaustive
+when it searched the sphere (at least d constraint rows), every cell was
+excluded or dropped, and it found fewer than ``ENUMERATION_CANDIDATES``
+vectors.  The prover subtracts a product term and keeps the remainder
+and its partial transpose PSD, so both ranges only shrink and every
+qualifying vector of the remainder qualifies for the state before; after
+an exhaustive enumeration, ``_recheck`` re-solves the remainder's
+constraints at the directions found, and polishes those that the
+exclusion test does not clear, instead of searching again; what it keeps
+is again exhaustive.  When every cell is excluded ``edge_check``
+concludes ``NoneFound`` with a lower bound on mu over the whole sphere: a
+proof, up to floating point and the kernel cutoff, that no qualifying
+product vector exists, which for a PPT state certifies entanglement.
 
 Index convention: a kernel vector w of the 2d x 2d state is reshaped to a
 2 x d array W with the qubit index first, so <w, e (x) f> = sum_{a,j}
@@ -357,10 +365,13 @@ _CANONICAL = ((0.0, 0.0), (np.pi, 0.0), (np.pi / 2, 0.0), (np.pi / 2, np.pi),
 
 @dataclass(frozen=True)
 class _Enumeration:
-    """What a search that does not certify returns: the vectors and its work."""
+    """What a search that does not certify returns: the vectors, its work,
+    and whether the vectors are every qualifying one (see the module
+    docstring)."""
 
     found: list
     search: dict
+    exhaustive: bool
 
 
 def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
@@ -398,7 +409,9 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
     vector, bound and evaluation count is therefore the one the eigensolve
     alone gives.  ``certify`` decides only what is returned: a
     ``RangeSearchCertificate``, or for the enumeration an ``_Enumeration``,
-    its vectors and work record, with neither a bound nor a least residual.
+    its vectors and work record, with neither a bound nor a least residual;
+    it is exhaustive when the search ends ``NoneFound`` (every cell excluded
+    or dropped) with fewer than ``limit`` vectors.
 
     With fewer constraint rows than d, M(e) has a nullspace at every e and
     mu vanishes identically.  Nothing is searched then: ``found`` is an
@@ -414,7 +427,7 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
             found.extend(_product_vector_at(s, con, e, f) for f in _null_space(con, e))
         record = _search_record(con, lip, 0, 0)
         if not certify:
-            return _Enumeration(found, record)
+            return _Enumeration(found, record, exhaustive=False)
         residual = found[0].combined_residual
         return RangeSearchCertificate(
             search=record, certified_bound=0.0,
@@ -476,7 +489,8 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
     found.sort(key=lambda pv: pv.combined_residual)
     record = _search_record(con, lip, evaluations, levels)
     if not certify:
-        return _Enumeration(found, record)
+        return _Enumeration(found, record,
+                            exhaustive=conclusion == "NoneFound" and len(found) < limit)
     return RangeSearchCertificate(
         search=record,
         certified_bound=max(min(bound, float(lower.min())), 0.0),
@@ -507,8 +521,49 @@ def product_vectors_in_range(s: QubitQuditState) -> list[ProductVector]:
     vectors at every qubit direction; it gets, uncapped, an orthonormal
     basis of them at six canonical directions.
     """
+    return _enumerate(s).found
+
+
+def _enumerate(s: QubitQuditState) -> _Enumeration:
+    """The search behind ``product_vectors_in_range``, with its record."""
     con = _constraints_of(s, ENUMERATION_KERNEL_CUTOFF)
-    return _search(s, con, ENUMERATION_TOL, ENUMERATION_CANDIDATES, certify=False).found
+    return _search(s, con, ENUMERATION_TOL, ENUMERATION_CANDIDATES, certify=False)
+
+
+def _recheck(s: QubitQuditState, previous: _Enumeration) -> _Enumeration:
+    """The enumeration of ``s`` from an exhaustive one of a state whose two
+    ranges contain those of ``s``.
+
+    Every qualifying vector of ``s`` then qualifies for the earlier state,
+    so its qubit direction is one of ``previous``'s.  At each of those the
+    qudit vector is re-solved against ``s``'s constraints at
+    ``ENUMERATION_KERNEL_CUTOFF``, the kernels a fresh search would use.
+    A direction the search's own exclusion test clears for a cell of
+    radius ``_BASIN`` round it, mu - L ``_BASIN`` / 2 > ``ENUMERATION_TOL``,
+    has no qualifying vector that near and is passed over; any other is
+    polished by Gauss-Newton, and its vector kept, once, when the combined
+    residual is at most ``ENUMERATION_TOL``, the fresh search's own test.
+    The vectors kept are again exhaustive.  With fewer constraint rows than
+    d there is nothing to re-check: that is the fresh search's continuum
+    case, and it runs.
+    """
+    con = _constraints_of(s, ENUMERATION_KERNEL_CUTOFF)
+    if con.n_rows < s.d:
+        return _search(s, con, ENUMERATION_TOL, ENUMERATION_CANDIDATES, certify=False)
+    lip = _lipschitz(con)
+    found, known = [], np.empty((0, 2), dtype=complex)
+    for pv in previous.found:
+        f, mu = _null_vector(con, pv.e)
+        if mu - lip * _BASIN / 2.0 > ENUMERATION_TOL:
+            continue
+        e, f, _ = _polish(con, pv.e, f)
+        candidate = _product_vector_at(s, con, e, f)
+        if candidate.combined_residual > ENUMERATION_TOL or (_bloch_angle(e, known) < _SAME).any():
+            continue
+        found.append(candidate)
+        known = np.vstack([known, e])
+    found.sort(key=lambda pv: pv.combined_residual)
+    return _Enumeration(found, _search_record(con, lip, 0, 0), exhaustive=True)
 
 
 def edge_check(s: QubitQuditState) -> RangeSearchCertificate:

@@ -23,7 +23,12 @@ For PPT states outside these routes, a best-effort prover subtracts
 product vectors that satisfy both range conditions, each with the largest
 weight that keeps the remainder and its partial transpose positive (a
 closed form); it succeeds when the remainder hits zero or lands in a
-constructively certified case.  Classification runs
+constructively certified case.  Such a subtraction leaves
+0 <= rho' <= rho and 0 <= rho'^Gamma <= rho^Gamma, so the remainder's
+ranges lie in the state's and its qualifying product vectors are among
+the state's: the prover searches the Bloch sphere afresh only at its
+first iteration or after an enumeration that was not exhaustive, and
+otherwise re-checks the vectors it last enumerated.  Classification runs
 sound certificates first (negative partial-transpose eigenvalue, small
 dimension, strong-PPT constructions, the range criterion's certified bound)
 and only then the best-effort subtraction, so a verdict never depends on a
@@ -174,13 +179,18 @@ class ReductionChain:
 @dataclass(frozen=True)
 class SubtractionResult:
     """Outcome of the product-vector subtraction loop: the subtracted terms
-    and the remainder as a ``reduction`` (at ``small_support``, the remainder
-    on its qudit support), and at ``sppt_core`` the remainder's verdict."""
+    and the remainder as a ``reduction`` (at ``small_support``, the theorem
+    certificate of the remainder on its qudit support), at ``sppt_core`` the
+    remainder's verdict, and how many iterations searched the Bloch sphere
+    (``searches``) and how many re-checked the last enumeration
+    (``rechecks``)."""
 
     reduction: Reduction
     remainder: QubitQuditState
     status: str  # decomposed | small_support | sppt_core | budget_exhausted | stalled
     iterations: int
+    searches: int
+    rechecks: int
     sppt: Optional[SpptVerdict] = None
 
 
@@ -329,6 +339,18 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
     most 3 (``sppt_core``).  Best effort: exhausting the budget or running
     out of candidates proves nothing about the input.
 
+    The candidates come from ``range_criterion``'s enumeration.  A
+    subtraction that keeps rho' = rho - lam |e,f><e,f| and rho'^Gamma PSD
+    gives rho' <= rho and rho'^Gamma <= rho^Gamma, so range rho' lies in
+    range rho, range rho'^Gamma in range rho^Gamma, and every product vector
+    that qualifies for rho' qualifies for rho.  The sphere is therefore
+    searched only at the first iteration and after an enumeration that was
+    not exhaustive (the continuum case of fewer kernel constraints than d,
+    ``ENUMERATION_CANDIDATES`` reached, or the search ending inconclusive);
+    after an exhaustive one, its vectors are re-checked against the
+    remainder (``range_criterion._recheck``), and none left means
+    ``stalled``, as a fresh search would find none either.
+
     On 2 x 2 and 2 x 3 PPT states every exit left is constructive and the
     loop terminates: qualifying vectors exist for every PPT remainder
     there, and a maximal subtraction drops the rank of the remainder or of
@@ -341,8 +363,8 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
     scale0 = max(linalg.frob(rho), 1e-300)
     terms = []
     status = "budget_exhausted"
-    reduction = sppt_verdict = None
-    iterations = 0
+    reduction = sppt_verdict = enumeration = None
+    iterations = searches = rechecks = 0
     for iterations in range(budget + 1):
         if linalg.frob(rho) <= max(tol, 1e-10) * scale0:
             status = "decomposed"
@@ -353,7 +375,9 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
             pt_min, _ = states.pt_min_eig(core.rho, core.d)
             if pt_min >= -max(tol, TOL_FLOOR) * scale0:
                 status = "small_support"
-                reduction = Reduction(terms=terms, core=core, embed=iso)
+                reduction = _theorem(
+                    Reduction(terms=terms, core=core, embed=iso),
+                    "subtraction reduced the remainder to a PPT 2x3-or-smaller support", pt_min)
                 break
         remainder_state = states._state(d, rho)
         verdict = sppt_check(remainder_state, tol=max(tol, TOL_FLOOR))
@@ -373,8 +397,13 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
         best = None
         trace = float(rho.trace().real)
         lam_floor = 1e-10 * trace
-        candidates = range_criterion.product_vectors_in_range(remainder_state)
-        for e, f in ((pv.e, pv.f) for pv in candidates):
+        if enumeration is not None and enumeration.exhaustive:
+            enumeration = range_criterion._recheck(remainder_state, enumeration)
+            rechecks += 1
+        else:
+            enumeration = range_criterion._enumerate(remainder_state)
+            searches += 1
+        for e, f in ((pv.e, pv.f) for pv in enumeration.found):
             lam = _max_subtraction_weight(rho_eig, pt_eig, e, f, trace)
             if lam <= lam_floor:
                 continue
@@ -392,7 +421,8 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
     if reduction is None:
         reduction = Reduction(terms=terms, core=remainder, embed=np.eye(d, dtype=complex))
     return SubtractionResult(reduction=reduction, remainder=remainder, status=status,
-                             iterations=iterations, sppt=sppt_verdict)
+                             iterations=iterations, searches=searches, rechecks=rechecks,
+                             sppt=sppt_verdict)
 
 
 def decompose_small(s: QubitQuditState, tol: float = DEFAULT_TOL) -> SeparableDecomposition:
@@ -480,7 +510,7 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
                    "sufficient for separability here")
         return done(SEPARABLE_BY_THEOREM, _theorem(
             Reduction(terms=[], core=s, embed=np.eye(s.d, dtype=complex)),
-            "PPT is sufficient for separability in 2x2 and 2x3"))
+            "PPT is sufficient for separability in 2x2 and 2x3", min_pt))
 
     # 3-5: strong-PPT constructions (the state is PPT, tested above)
     verdict = sppt._check_ppt(s, tol)
@@ -503,7 +533,8 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
 
     # 7: subtraction prover
     sub = subtract_product_vectors(s, budget=budget, tol=tol)
-    log.append(f"subtraction: {sub.status} after {sub.iterations} iterations, "
+    log.append(f"subtraction: {sub.status} after {sub.iterations} iterations "
+               f"({sub.searches} searched the sphere, {sub.rechecks} re-checked), "
                f"remainder norm {sub.remainder.norm():.3e}")
     outcome = _verdict_from_subtraction(s, sub, tol, log, residuals)
     if outcome is not None:
@@ -537,7 +568,8 @@ def _classify_sppt(work, verdict: SpptVerdict, tol, budget, log, residuals):
         log.append("x1 vanishes: the state is a single product term")
         return SEPARABLE, dec
     if k <= 3:
-        cert = _theorem(reduction, "reduction to a PPT 2x3-or-smaller core")
+        cert = _theorem(reduction, "reduction to a PPT 2x3-or-smaller core",
+                        states.pt_min_eig(reduction.core.rho, k)[0])
         log.append(f"factor rank {k} <= 3: reduced 2x{k} core is PPT "
                    f"(min eigenvalue {cert.min_pt_eigenvalue:.3e}), hence separable; "
                    "the lift preserves separability")
@@ -573,8 +605,7 @@ def _verdict_from_subtraction(work, sub: SubtractionResult, tol, log, residuals)
     if sub.status == "small_support":
         log.append(f"remainder supported on {reduction.k} qudit levels and PPT: "
                    "separable by dimension")
-        return SEPARABLE_BY_THEOREM, _theorem(
-            reduction, "subtraction reduced the remainder to a PPT 2x3-or-smaller support")
+        return SEPARABLE_BY_THEOREM, reduction
     if sub.status == "sppt_core":
         # The prover exits here only at factor rank d or <= 3, so the router
         # ends in a decomposition or a theorem, never in a further core.
@@ -590,10 +621,10 @@ def _verdict_from_subtraction(work, sub: SubtractionResult, tol, log, residuals)
     return None
 
 
-def _theorem(reduction: Reduction, reason: str) -> TheoremCertificate:
+def _theorem(reduction: Reduction, reason: str, min_pt: float) -> TheoremCertificate:
     """The theorem certificate of a reduction whose core is a PPT 2 x k
-    state with k <= 3, with the core's least partial-transpose eigenvalue."""
-    min_pt = states.pt_min_eig(reduction.core.rho, reduction.k)[0]
+    state with k <= 3, with the core's least partial-transpose eigenvalue
+    ``min_pt``, as its caller computed it."""
     return TheoremCertificate(**vars(reduction), min_pt_eigenvalue=min_pt, reason=reason)
 
 

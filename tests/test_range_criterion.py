@@ -107,6 +107,22 @@ class TestEdgeCheck:
         assert cert.conclusion == "FoundProductVector"
         assert cert.found[0].combined_residual <= 1e-8
 
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @pytest.mark.parametrize("theta, phi", [(np.pi / 4, np.pi / 4), (np.pi / 8, np.pi / 2),
+                                            (3 * np.pi / 8, 0.0), (0.3, 1.0)])
+    def test_pure_product_found_at_a_cell_corner(self, d, theta, phi):
+        # For a pure product state mu = sqrt(2) sin(gamma / 2) at Bloch angle
+        # gamma from e, tight against L = sqrt(2) near e.  With e at a corner
+        # of first-level cells of radius r, mu at their centres, sqrt(2)
+        # sin(r / 2), is just below L r / 2, so a smaller L or r would
+        # exclude every cell round e.
+        e = range_criterion._bloch(theta, phi)
+        f = np.arange(1, d + 1) * np.exp(1j * np.arange(d))
+        s, _, _ = product_state(e, f)
+        cert = edge_check(s)
+        assert cert.conclusion == "FoundProductVector"
+        assert abs(abs(np.vdot(cert.found[0].e, e)) - 1.0) <= 1e-9
+
     @pytest.mark.parametrize("b", [0.2, 0.5, 0.8])
     def test_family_none_found(self, b):
         cert = edge_check(entangled_sppt_2x5(b).state)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spptkit import linalg, separability
+from spptkit import linalg, range_criterion, separability
 from spptkit.errors import (
     InvalidDecomposition,
     NotNormal,
@@ -203,6 +203,107 @@ class TestSubtraction:
         assert linalg.svd(state.rho[:3, :3] + state.rho[3:, 3:]).rank == 3
         res = subtract_product_vectors(state)
         assert not (res.status == "small_support" and res.iterations == 0)
+
+
+def _record_enumerations(monkeypatch):
+    """Record every enumeration the prover makes, as ("search" | "recheck",
+    state, result), in call order."""
+    calls = []
+    fresh, recheck = range_criterion._enumerate, range_criterion._recheck
+
+    def searching(s):
+        calls.append(("search", s, fresh(s)))
+        return calls[-1][2]
+
+    def rechecking(s, previous):
+        calls.append(("recheck", s, recheck(s, previous)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(range_criterion, "_enumerate", searching)
+    monkeypatch.setattr(range_criterion, "_recheck", rechecking)
+    return calls
+
+
+def _assert_rechecks_follow_exhaustive(calls):
+    assert calls[0][0] == "search"
+    for (_, _, before), (kind, _, _) in zip(calls, calls[1:]):
+        assert kind == ("recheck" if before.exhaustive else "search")
+
+
+class TestEnumerationReuse:
+    """The prover re-checks an exhaustive enumeration instead of searching."""
+
+    @pytest.mark.parametrize("state", [
+        *(random_separable(d, n, seed=0)[0] for d, n in ((5, 6), (4, 7), (5, 7))),
+        random_separable(4, 6, seed=0)[0], random_separable(4, 6, seed=1)[0],
+        sppt_counterexample_2x4(),
+    ])
+    def test_same_verdicts_as_fresh_searches(self, state, monkeypatch):
+        reused = classify(state)
+        monkeypatch.setattr(range_criterion, "_recheck",
+                            lambda s, previous: range_criterion._enumerate(s))
+        fresh = classify(state)
+        assert reused.classification == fresh.classification
+        for verdict in (reused, fresh):
+            if verdict.classification == SEPARABLE:
+                verdict.certificate.validate(state.rho, tol=TOL_FLOOR)
+        if reused.classification == SEPARABLE:
+            assert len(reused.certificate.terms) == len(fresh.certificate.terms)
+
+    def test_one_sphere_search(self, monkeypatch):
+        state, _ = random_separable(5, 7, seed=0)
+        calls = []
+        search = range_criterion._search
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["certify"])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(range_criterion, "_search", counting)
+        verdict = classify(state)
+        assert verdict.classification == SEPARABLE
+        assert calls == [True, False]      # edge_check, then one enumeration
+        line = next(entry for entry in verdict.trace_log if entry.startswith("subtraction:"))
+        assert "1 searched the sphere" in line
+
+    @pytest.mark.parametrize("d, n", [(5, 7), (3, 6)])
+    def test_rechecked_vectors_qualify_for_the_remainder(self, d, n, monkeypatch):
+        calls = _record_enumerations(monkeypatch)
+        res = subtract_product_vectors(random_separable(d, n, seed=0)[0])
+        assert res.status == "sppt_core"
+        assert res.rechecks >= 1 and res.searches + res.rechecks == len(calls)
+        _assert_rechecks_follow_exhaustive(calls)
+        rechecked = [(s, out.found) for kind, s, out in calls if kind == "recheck"]
+        assert sum(len(found) for _, found in rechecked) > 0
+        cutoff = range_criterion.ENUMERATION_KERNEL_CUTOFF
+        for s, found in rechecked:
+            ker = kernel_basis(s.rho, cutoff)
+            ker_pt = kernel_basis(partial_transpose_matrix(s.rho, s.d), cutoff)
+            for pv in found:
+                residual = np.hypot(np.linalg.norm(ker.conj() @ np.kron(pv.e, pv.f)),
+                                    np.linalg.norm(ker_pt.conj() @ np.kron(np.conj(pv.e), pv.f)))
+                assert residual <= range_criterion.ENUMERATION_TOL
+
+    def test_continuum_enumeration_is_followed_by_a_search(self, monkeypatch):
+        # full rank: the first remainders have fewer kernel rows than d
+        state, _ = random_separable(4, 8, seed=0)
+        calls = _record_enumerations(monkeypatch)
+        res = subtract_product_vectors(state)
+        continuum = [i for i, (_, s, out) in enumerate(calls[:-1])
+                     if sum(out.search["kernel_dims"]) < s.d]
+        assert continuum
+        assert all(calls[i + 1][0] == "search" for i in continuum)
+        _assert_rechecks_follow_exhaustive(calls)
+        assert res.searches + res.rechecks == len(calls)
+
+    def test_capped_enumeration_is_followed_by_a_search(self, monkeypatch):
+        monkeypatch.setattr(range_criterion, "ENUMERATION_CANDIDATES", 1)
+        calls = _record_enumerations(monkeypatch)
+        res = subtract_product_vectors(random_separable(5, 7, seed=0)[0])
+        assert len(calls) >= 2
+        assert all(len(out.found) == 1 and not out.exhaustive for _, _, out in calls[:-1])
+        assert [kind for kind, _, _ in calls] == ["search"] * len(calls)
+        assert (res.searches, res.rechecks) == (len(calls), 0)
 
 
 def _small_inputs():
