@@ -11,7 +11,7 @@ import json
 import sys
 import time
 
-from . import __version__, io, linalg, range_criterion, separability, states, sppt
+from . import __version__, io, range_criterion, separability, states, sppt
 from .errors import ValidationError
 
 _GENERATORS = ("rho0", "rho1", "rho2", "horodecki", "random-sppt")
@@ -41,13 +41,9 @@ def _build_parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check", help="run a single test on a state file")
     chk.add_argument("which", choices=("ppt", "sppt"))
     chk.add_argument("input", help="state file")
-    chk.add_argument("--tol", type=float, default=separability.DEFAULT_TOL)
 
     cls = sub.add_parser("classify", help="full separability classification")
     cls.add_argument("input", help="state file")
-    cls.add_argument("--tol", type=float, default=separability.DEFAULT_TOL)
-    cls.add_argument("--budget", type=int, default=None,
-                     help="subtraction iteration budget (default 4d)")
     cls.add_argument("--json", dest="json_out", default=None, metavar="PATH",
                      help="write the full JSON report to PATH ('-' for stdout)")
     return parser
@@ -73,14 +69,13 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    linalg.check_tol(args.tol)
     state = io.load_state(args.input)
     if args.which == "ppt":
         min_eig, _ = states.pt_min_eig(state.rho, state.d)
-        verdict = "PPT" if min_eig >= -args.tol * state.norm() else "NPT"
+        verdict = "PPT" if min_eig >= -separability.DEFAULT_TOL * state.norm() else "NPT"
         print(f"min partial-transpose eigenvalue: {min_eig:.6e}  ({verdict})")
     else:
-        v = sppt.sppt_check(state, tol=args.tol)
+        v = sppt.sppt_check(state, tol=separability.DEFAULT_TOL)
         print(f"strong-PPT status: {v.status}")
         print(f"residual: {v.residual:.6e}")
         if v.note:
@@ -93,19 +88,21 @@ def _cmd_classify(args) -> int:
     state = io.load_state(args.input)
     load_ms = 1000.0 * (time.perf_counter() - started)
     t0 = time.perf_counter()
-    verdict = separability.classify(state, tol=args.tol, budget=args.budget)
+    verdict = separability.classify(state)
     classify_ms = 1000.0 * (time.perf_counter() - t0)
 
-    print(f"class: {verdict.classification}")
+    # With the report on stdout, the summary goes to stderr.
+    summary = sys.stderr if args.json_out == "-" else sys.stdout
+    print(f"class: {verdict.classification}", file=summary)
     for line in verdict.trace_log:
-        print(f"  - {line}")
+        print(f"  - {line}", file=summary)
 
     if args.json_out is not None:
         report = {
             "input": args.input,
             "tool_version": __version__,
             "tolerances": {
-                "tol": args.tol,
+                "tol": separability.DEFAULT_TOL,
                 "tol_floor": separability.TOL_FLOOR,
                 "exclusion_threshold": range_criterion.EXCLUSION_THRESHOLD,
                 "kernel_cutoff": range_criterion.KERNEL_CUTOFF,

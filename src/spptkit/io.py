@@ -27,11 +27,20 @@ def matrix_to_pairs(m: np.ndarray) -> list:
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
+def _not_two_numbers(re, im):
+    raise TypeError(f"entry {[re, im]!r} does not hold two numbers")
+
+
 def pairs_to_matrix(data) -> np.ndarray:
+    """The complex matrix of rows of [re, im] entries, each two JSON numbers
+    (int or float, not bool); the type tests are inline, as a helper call
+    per entry would double the cost of reading a state."""
     try:
-        rows = [[complex(entry[0], entry[1]) for entry in row] for row in data]
-    except (TypeError, IndexError, ValueError) as exc:
-        raise ParseError(f"malformed matrix data: {exc}") from exc
+        rows = [[complex(re, im) if (type(re) is float or type(re) is int)
+                 and (type(im) is float or type(im) is int) else _not_two_numbers(re, im)
+                 for re, im in row] for row in data]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"malformed matrix data, entries must be [re, im]: {exc}") from exc
     if len({len(row) for row in rows}) > 1:
         raise ParseError("matrix rows differ in length")
     m = np.array(rows, dtype=complex)

@@ -44,13 +44,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg, range_criterion, sppt, states
-from .errors import (
-    BadParameter,
-    InvalidDecomposition,
-    NotSppt,
-    SingularX1,
-    ValidationError,
-)
+from .errors import InvalidDecomposition, NotSppt, SingularX1, ValidationError
 from .range_criterion import edge_check
 from .sppt import SpptVerdict, sppt_check, sppt_residual
 from .states import QubitQuditState, SpptFactors, assemble_state, join_blocks
@@ -194,7 +188,7 @@ class SubtractionResult:
     sppt: Optional[SpptVerdict] = None
 
 
-def decompose_full_rank(f: SpptFactors, tol: float = DEFAULT_TOL) -> SeparableDecomposition:
+def decompose_full_rank(f: SpptFactors) -> SeparableDecomposition:
     """Explicit separable decomposition for invertible x1 and normal s.
 
     Emits one rank-one-qubit term per eigenvalue of s plus the |1><1| tail
@@ -204,7 +198,7 @@ def decompose_full_rank(f: SpptFactors, tol: float = DEFAULT_TOL) -> SeparableDe
     d = f.d
     if f.x1_svd.rank < d:
         raise SingularX1("x1 must be invertible for the spectral construction")
-    values, vectors = linalg.normal_eig(f.s, rtol=max(tol, TOL_FLOOR))
+    values, vectors = linalg.normal_eig(f.s, rtol=TOL_FLOOR)
     terms = []
     for lam, z in zip(values, vectors.T):
         qubit = np.array([[1.0, lam], [np.conj(lam), abs(lam) ** 2]], dtype=complex)
@@ -215,11 +209,11 @@ def decompose_full_rank(f: SpptFactors, tol: float = DEFAULT_TOL) -> SeparableDe
                                                            linalg.frob(rho)))
     # Validation tolerance matches the normality gate: the spectral step
     # loses exactly the normality defect of s.
-    dec.validate(rho, tol=max(tol, TOL_FLOOR))
+    dec.validate(rho, tol=TOL_FLOOR)
     return dec
 
 
-def svd_reduce(f: SpptFactors, tol: float = DEFAULT_TOL) -> Reduction:
+def svd_reduce(f: SpptFactors) -> Reduction:
     """Reduce factors to a 2 x k core via the SVD of x1.
 
     With x1 = u diag(dk, 0) v^dag and s_tilde = u^dag s u partitioned at k,
@@ -229,17 +223,20 @@ def svd_reduce(f: SpptFactors, tol: float = DEFAULT_TOL) -> Reduction:
     its factors.  Requires the strong-PPT condition to hold for the
     factors; the core then satisfies the conjugated condition
     dk (s11^dag s11 + s21^dag s21) dk = dk (s11 s11^dag + s12 s12^dag) dk
-    and is PPT.  The tail term is left out when its Frobenius norm is at
-    most ``linalg.RANK_CUTOFF`` times the core's; both parts are PSD, so
-    the state's norm is at least the core's.  With k = 0 there is no core,
-    and the tail term is the whole state.
+    and is PPT.  One gate checks both: x1^dag (s^dag s - s s^dag) x1 =
+    v diag(D, 0) v^dag for D the left minus the right side of the core's
+    condition, so ||D|| is ``sppt_residual(x1, s)`` up to rounding.  The
+    tail term is left out when its Frobenius norm is at most
+    ``linalg.RANK_CUTOFF`` times the core's; both parts are PSD, so the
+    state's norm is at least the core's.  With k = 0 there is no core, and
+    the tail term is the whole state.
     """
-    # Both gates scale with the state, as the residuals do: ||x1|| times the
+    # The gate scales with the state, as the residual does: ||x1|| times the
     # square root of the state's trace tr(a) + tr(c).
     trace = linalg.frob(f.x1) ** 2 + linalg.frob(f.s @ f.x1) ** 2 + linalg.frob(f.x2) ** 2
     scale = max(linalg.frob(f.x1) * np.sqrt(trace) * max(linalg.frob(f.s), 1.0), 1e-300)
     residual = sppt_residual(f.x1, f.s)
-    if residual > max(tol, TOL_FLOOR) * scale:
+    if residual > TOL_FLOOR * scale:
         raise NotSppt(f"factors violate the strong-PPT condition by {residual:g}")
     u, sigma, v = f.x1_svd
     k = f.x1_svd.rank
@@ -249,14 +246,10 @@ def svd_reduce(f: SpptFactors, tol: float = DEFAULT_TOL) -> Reduction:
     s_tilde = u.conj().T @ f.s @ u
     dk = np.diag(sigma[:k])
     s11 = s_tilde[:k, :k]
-    s12 = s_tilde[:k, k:]
     s21 = s_tilde[k:, :k]
     a_r = dk @ dk
     b_r = dk @ s11 @ dk
     c_r = dk @ (s11.conj().T @ s11 + s21.conj().T @ s21) @ dk
-    core_identity = linalg.frob(c_r - dk @ (s11 @ s11.conj().T + s12 @ s12.conj().T) @ dk)
-    if core_identity > max(tol, TOL_FLOOR) * max(scale, trace):
-        raise NotSppt(f"conjugated strong-PPT identity fails by {core_identity:g}")
     core = states._state(k, join_blocks(linalg.hermitianize(a_r), b_r, linalg.hermitianize(c_r)))
     return Reduction(terms=_tail_terms(tail, core.norm()), core=core, embed=v[:, :k])
 
@@ -326,17 +319,18 @@ def _compress_qudit(rho: np.ndarray, d: int, iso: np.ndarray) -> QubitQuditState
         [[iso.conj().T @ rho[i, j] @ iso for j in halves] for i in halves]))
 
 
-def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
-                             tol: float = DEFAULT_TOL) -> SubtractionResult:
+def subtract_product_vectors(s: QubitQuditState,
+                             budget: Optional[int] = None) -> SubtractionResult:
     """Greedy separable-part extraction for a PPT state.
 
     Repeatedly finds a product vector |e, f> in the range of the remainder
     (with |e*, f> in the partial-transpose range), subtracts the largest
     weight keeping both the remainder and its partial transpose PSD, and
-    stops when the remainder vanishes (``decomposed``), is PPT on fewer
-    than d and at most 3 qudit levels (``small_support``: 2 x 3 PPT, hence
-    separable), or passes the strong-PPT check with factor rank d or at
-    most 3 (``sppt_core``).  Best effort: exhausting the budget or running
+    stops when the remainder vanishes (``decomposed``, at ``DEFAULT_TOL``),
+    is PPT on fewer than d and at most 3 qudit levels (``small_support``:
+    2 x 3 PPT, hence separable), or passes the strong-PPT check with factor
+    rank d or at most 3 (``sppt_core``), both at ``TOL_FLOOR``.  Best
+    effort: exhausting the budget (4 d iterations by default) or running
     out of candidates proves nothing about the input.
 
     The candidates come from ``range_criterion``'s enumeration.  A
@@ -366,21 +360,21 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
     reduction = sppt_verdict = enumeration = None
     iterations = searches = rechecks = 0
     for iterations in range(budget + 1):
-        if linalg.frob(rho) <= max(tol, 1e-10) * scale0:
+        if linalg.frob(rho) <= DEFAULT_TOL * scale0:
             status = "decomposed"
             break
         iso = _qudit_support(rho, d)
         if iso.shape[1] <= 3 and iso.shape[1] < d:
             core = _compress_qudit(rho, d, iso)
             pt_min, _ = states.pt_min_eig(core.rho, core.d)
-            if pt_min >= -max(tol, TOL_FLOOR) * scale0:
+            if pt_min >= -TOL_FLOOR * scale0:
                 status = "small_support"
                 reduction = _theorem(
                     Reduction(terms=terms, core=core, embed=iso),
                     "subtraction reduced the remainder to a PPT 2x3-or-smaller support", pt_min)
                 break
         remainder_state = states._state(d, rho)
-        verdict = sppt_check(remainder_state, tol=max(tol, TOL_FLOOR))
+        verdict = sppt_check(remainder_state, tol=TOL_FLOOR)
         if verdict.status == "Sppt":
             k = verdict.factors.x1_svd.rank
             if k == d or k <= 3:
@@ -425,13 +419,14 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
                              sppt=sppt_verdict)
 
 
-def decompose_small(s: QubitQuditState, tol: float = DEFAULT_TOL) -> SeparableDecomposition:
+def decompose_small(s: QubitQuditState) -> SeparableDecomposition:
     """Explicit decomposition of a PPT 2 x 2 or 2 x 3 state.
 
     Such states are separable outright, so the subtraction loop (budget
-    12 d) ends in a constructive exit, read as ``classify`` reads it.  A
-    theorem there is made explicit by decomposing its PPT 2 x k core in
-    turn; the core has k < d qudit levels, so the recursion ends.  Raises
+    12 d) ends in a constructive exit, read as ``classify`` reads it and
+    validated at ``TOL_FLOOR``.  A theorem there is made explicit by
+    decomposing its PPT 2 x k core in turn; the core has k < d qudit
+    levels, so the recursion ends.  Raises
     ValidationError, as ``classify`` does, for a state without positive
     trace, which has no terms to decompose into.
     """
@@ -439,14 +434,14 @@ def decompose_small(s: QubitQuditState, tol: float = DEFAULT_TOL) -> SeparableDe
         raise ValidationError("decompose_small handles qudit dimension <= 3 only")
     if s.trace() <= 0:
         raise ValidationError("state must have positive trace")
-    sub = subtract_product_vectors(s, budget=12 * s.d, tol=tol)
-    outcome = _verdict_from_subtraction(s, sub, tol, [], {})
+    sub = subtract_product_vectors(s, budget=12 * s.d)
+    outcome = _verdict_from_subtraction(s, sub, [], {})
     if outcome is None:
         raise InvalidDecomposition(
             f"subtraction did not terminate constructively ({sub.status})")
     classification, cert = outcome
     if classification == SEPARABLE_BY_THEOREM:
-        _, cert = _lift(cert, (SEPARABLE, decompose_small(cert.core, tol=tol)), s, tol)
+        _, cert = _lift(cert, (SEPARABLE, decompose_small(cert.core)), s)
     return cert
 
 
@@ -454,8 +449,7 @@ def decompose_small(s: QubitQuditState, tol: float = DEFAULT_TOL) -> SeparableDe
 # Classification pipeline
 # ---------------------------------------------------------------------------
 
-def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
-             budget: Optional[int] = None) -> Verdict:
+def classify(s: QubitQuditState) -> Verdict:
     """Classify a 2 x d state as separable or entangled, with certificate.
 
     Pipeline (sound certificates before heuristics):
@@ -479,12 +473,10 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
 
     The state is classified as given, with tolerances relative to its
     norm: certificates and residuals are in its units, whatever its trace.
-    Raises BadParameter unless ``tol`` is finite and positive and
-    ``budget`` is None or at least 0.
+    The NPT and strong-PPT tests read ``DEFAULT_TOL``, every construction
+    is gated and validated at ``TOL_FLOOR``, and the subtraction prover
+    runs its default budget of 4 d iterations.
     """
-    linalg.check_tol(tol)
-    if budget is not None and budget < 0:
-        raise BadParameter(f"budget must be None or >= 0, got {budget!r}")
     if s.trace() <= 0:
         raise ValidationError("state must have positive trace")
     scale = max(s.norm(), 1e-300)
@@ -498,7 +490,7 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
     # 1: NPT test
     min_pt, pt_vec = states.pt_min_eig(s.rho, s.d)
     residuals["min_pt_eigenvalue"] = min_pt
-    if min_pt < -tol * scale:
+    if min_pt < -DEFAULT_TOL * scale:
         log.append(f"partial transpose has eigenvalue {min_pt:.3e} < 0: NPT")
         return done(ENTANGLED_NPT, NptCertificate(min_eigenvalue=min_pt,
                                                   eigenvector=pt_vec))
@@ -513,11 +505,11 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
             "PPT is sufficient for separability in 2x2 and 2x3", min_pt))
 
     # 3-5: strong-PPT constructions (the state is PPT, tested above)
-    verdict = sppt._check_ppt(s, tol)
+    verdict = sppt._check_ppt(s, DEFAULT_TOL)
     residuals["sppt_residual"] = verdict.residual
     log.append(f"sppt_check: {verdict.status} (residual {verdict.residual:.3e})")
     if verdict.status == "Sppt":
-        outcome = _classify_sppt(s, verdict, tol, budget, log, residuals)
+        outcome = _classify_sppt(s, verdict, log, residuals)
         if outcome is not None:
             return done(*outcome)
 
@@ -532,11 +524,11 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
         return done(ENTANGLED_RANGE, cert)
 
     # 7: subtraction prover
-    sub = subtract_product_vectors(s, budget=budget, tol=tol)
+    sub = subtract_product_vectors(s)
     log.append(f"subtraction: {sub.status} after {sub.iterations} iterations "
                f"({sub.searches} searched the sphere, {sub.rechecks} re-checked), "
                f"remainder norm {sub.remainder.norm():.3e}")
-    outcome = _verdict_from_subtraction(s, sub, tol, log, residuals)
+    outcome = _verdict_from_subtraction(s, sub, log, residuals)
     if outcome is not None:
         return done(*outcome)
 
@@ -545,14 +537,14 @@ def classify(s: QubitQuditState, tol: float = DEFAULT_TOL,
                                 "subtraction_status": sub.status})
 
 
-def _classify_sppt(work, verdict: SpptVerdict, tol, budget, log, residuals):
+def _classify_sppt(work, verdict: SpptVerdict, log, residuals):
     """Steps 3-5: route a confirmed strong-PPT state by its factor rank;
     the one rank router, also behind the prover's exit and decompose_small."""
     factors = verdict.factors
     k = factors.x1_svd.rank
     if k == work.d:
         try:
-            dec = decompose_full_rank(factors, tol=tol)
+            dec = decompose_full_rank(factors)
         except (ValidationError, np.linalg.LinAlgError) as exc:
             log.append(f"spectral construction failed ({exc}); falling through")
             return None
@@ -561,10 +553,10 @@ def _classify_sppt(work, verdict: SpptVerdict, tol, budget, log, residuals):
                    "terms validates")
         return SEPARABLE, dec
 
-    reduction = svd_reduce(factors, tol=tol)
+    reduction = svd_reduce(factors)
     if reduction.core is None:
         dec = reduction.explicit(None)
-        dec.validate(work.rho, tol=max(tol, TOL_FLOOR))
+        dec.validate(work.rho, tol=TOL_FLOOR)
         log.append("x1 vanishes: the state is a single product term")
         return SEPARABLE, dec
     if k <= 3:
@@ -577,15 +569,15 @@ def _classify_sppt(work, verdict: SpptVerdict, tol, budget, log, residuals):
 
     log.append(f"factor rank {k}: classifying the reduced 2x{k} core")
     # The core is 2 x k with k < d, so this recursion ends.
-    inner = classify(reduction.core, tol=tol, budget=budget)
+    inner = classify(reduction.core)
     log.append(f"core verdict: {inner.classification}")
     if inner.is_separable_class:
-        return _lift(reduction, (inner.classification, inner.certificate), work, tol)
+        return _lift(reduction, (inner.classification, inner.certificate), work)
     # The tail term, when kept, is the only term; one left out weighs at
     # most linalg.RANK_CUTOFF times the core's norm, well inside the gate.
     tail_weight = sum(linalg.frob(qudit) for _, qudit in reduction.terms)
     if inner.is_entangled_class:
-        if tail_weight <= max(tol, TOL_FLOOR) * max(work.norm(), 1e-300):
+        if tail_weight <= TOL_FLOOR * max(work.norm(), 1e-300):
             log.append("tail is negligible, so the core verdict transfers")
             return inner.classification, ReductionChain(reduction=reduction,
                                                         inner=inner)
@@ -594,12 +586,12 @@ def _classify_sppt(work, verdict: SpptVerdict, tol, budget, log, residuals):
     return None
 
 
-def _verdict_from_subtraction(work, sub: SubtractionResult, tol, log, residuals):
+def _verdict_from_subtraction(work, sub: SubtractionResult, log, residuals):
     """Step 7: translate a subtraction outcome into a verdict."""
     reduction = sub.reduction
     if sub.status == "decomposed":
         dec = SeparableDecomposition(terms=reduction.terms)
-        dec.validate(work.rho, tol=max(tol, TOL_FLOOR))
+        dec.validate(work.rho, tol=TOL_FLOOR)
         log.append(f"full decomposition with {len(dec.terms)} product terms")
         return SEPARABLE, dec
     if sub.status == "small_support":
@@ -610,10 +602,10 @@ def _verdict_from_subtraction(work, sub: SubtractionResult, tol, log, residuals)
         # The prover exits here only at factor rank d or <= 3, so the router
         # ends in a decomposition or a theorem, never in a further core.
         log.append("remainder is strong-PPT: routing it by its factor rank")
-        outcome = _classify_sppt(reduction.core, sub.sppt, tol, None, log, residuals)
+        outcome = _classify_sppt(reduction.core, sub.sppt, log, residuals)
         if outcome is None:
             return None
-        classification, certificate = _lift(reduction, outcome, work, tol)
+        classification, certificate = _lift(reduction, outcome, work)
         if classification == SEPARABLE:
             residuals["decomposition_residual"] = certificate.reconstruction_residual(work.rho)
             log.append("subtracted terms and remainder decomposition validate together")
@@ -628,14 +620,14 @@ def _theorem(reduction: Reduction, reason: str, min_pt: float) -> TheoremCertifi
     return TheoremCertificate(**vars(reduction), min_pt_eigenvalue=min_pt, reason=reason)
 
 
-def _lift(reduction: Reduction, core_outcome: tuple, work, tol):
+def _lift(reduction: Reduction, core_outcome: tuple, work):
     """The outcome of ``work`` from the separable outcome of the core of its
     ``reduction``, with the terms of ``reduction.explicit`` less those of
     Frobenius norm at most ``linalg.RANK_CUTOFF`` times that of ``work``.
     A decomposition is validated against the core, then against ``work``."""
     classification, cert = core_outcome
     if classification == SEPARABLE:
-        cert.validate(reduction.core.rho, tol=max(tol, TOL_FLOOR))
+        cert.validate(reduction.core.rho, tol=TOL_FLOOR)
     floor = linalg.RANK_CUTOFF * work.norm()
     terms = [(qubit, qudit) for qubit, qudit in reduction.explicit(cert).terms
              if linalg.frob(qubit) * linalg.frob(qudit) > floor]
@@ -643,5 +635,5 @@ def _lift(reduction: Reduction, core_outcome: tuple, work, tol):
         return classification, dataclasses.replace(cert, terms=terms,
                                                    embed=reduction.embed @ cert.embed)
     dec = SeparableDecomposition(terms=terms)
-    dec.validate(work.rho, tol=max(tol, TOL_FLOOR))
+    dec.validate(work.rho, tol=TOL_FLOOR)
     return classification, dec

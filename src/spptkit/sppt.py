@@ -64,20 +64,19 @@ def sppt_residual(x1, s) -> float:
     return linalg.frob(x1.conj().T @ g @ x1)
 
 
-def extract_factors_full_rank(s: QubitQuditState,
-                              tol: float = SPPT_RTOL) -> SpptFactors:
+def extract_factors_full_rank(s: QubitQuditState) -> SpptFactors:
     """Canonical factors of a PPT state with invertible a-block.
 
     x1 = a^{1/2}, s = a^{-1/2} b a^{-1/2}, x2 = (c - b^dag a^-1 b)^{1/2}.
     Raises NotFullRank when a is singular and NotPpt when either Schur
     complement fails positivity (the state or its partial transpose is not
-    PSD).
+    PSD) by more than ``SPPT_RTOL`` of the state's norm.
     """
     a, b, c = blocks(s)
     eig = linalg.EigResult.of(a)
     if eig.support(linalg.RANK_CUTOFF).sum() < s.d:
         raise NotFullRank("the <0|rho|0> block is singular")
-    return _full_rank_factors(s, eig, eig.apply(np.reciprocal), b, c, tol)
+    return _full_rank_factors(s, eig, eig.apply(np.reciprocal), b, c, SPPT_RTOL)
 
 
 def _full_rank_factors(s: QubitQuditState, eig: linalg.EigResult,

@@ -416,18 +416,24 @@ class TestValidate:
         with pytest.raises(InvalidDecomposition, match="not PSD"):
             dec.validate(dec.reconstruct(), tol=1e-8)
 
+    @pytest.mark.parametrize("t", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    def test_missing_term_raises_at_every_scale(self, t):
+        # the miss is judged against the state's norm, so a dropped term of
+        # weight ~0.2 of it fails at any scale
+        _, mixture = random_separable(4, 5, seed=0)
+        dec = SeparableDecomposition(terms=[
+            (np.outer(e, e.conj()), t * w * np.outer(f, f.conj())) for w, e, f in mixture])
+        rho = dec.reconstruct()
+        dec.validate(rho, tol=TOL_FLOOR)
+        with pytest.raises(InvalidDecomposition, match="misses"):
+            SeparableDecomposition(terms=dec.terms[1:]).validate(rho, tol=TOL_FLOOR)
+
 
 class TestClassify:
     @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
     def test_bad_tol_rejected(self, tol):
-        state = random_separable(4, 3, seed=1)[0]
-        for check in (classify, sppt_check):
-            with pytest.raises(ValidationError):
-                check(state, tol=tol)
-
-    def test_negative_budget_rejected(self):
         with pytest.raises(ValidationError):
-            classify(sppt_counterexample_2x4(), budget=-3)
+            sppt_check(random_separable(4, 3, seed=1)[0], tol=tol)
 
     def test_bell_state_npt(self):
         v = classify(bell_state())
@@ -544,14 +550,6 @@ class TestClassify:
                 if v.classification == ENTANGLED_NPT:
                     least = np.linalg.eigvalsh(partial_transpose_matrix(raw.rho, raw.d))[0]
                     assert abs(v.certificate.min_eigenvalue - least) <= 1e-10 * abs(least)
-
-    def test_verdict_stability_under_tolerance_perturbation(self):
-        fixed = [sppt_counterexample_2x3(), sppt_counterexample_2x4(),
-                 entangled_sppt_2x5(0.5).state]
-        for s in fixed:
-            base = classify(s, tol=1e-9).classification
-            for eps in (1e-9 * (1 - 1e-8), 1e-9 * (1 + 1e-8)):
-                assert classify(s, tol=eps).classification == base
 
     @pytest.mark.parametrize("seed", [3, 39])
     def test_lifted_core_decomposition_validates(self, seed):
