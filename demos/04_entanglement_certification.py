@@ -5,12 +5,15 @@ transpose is automatically positive), yet entangled: its 2x4 core is a
 bound entangled state whose range contains no product vector |e, f> with
 |e*, f> in the range of the partial transpose.  The search is a
 branch-and-bound over the qubit Bloch sphere: a cell is excluded when a
-lower bound on the residual at its centre, sqrt(lambda_min(G) - delta) for
-the Gram matrix G of the constraints and a rounding margin delta
-(``mu_margin``), less the Lipschitz constant L (the state and
+lower bound on the residual over the cell stays above the threshold; the
+most promising cells are polished by Gauss-Newton.  The bound at the
+centre is sqrt(lambda_min(G) - delta) for the Gram matrix G of the
+constraints and a rounding margin delta (``mu_margin``); over the cell it
+is the larger of that less the Lipschitz constant L (the state and
 partial-transpose rows stacked in quadrature) times half the cell's exact
-corner radius, stays above the threshold; the most promising cells are
-polished by Gauss-Newton.  When every cell is excluded, the certificate's
+corner radius, and a first-order bound from G's eigenpair at the centre,
+which follows the local slope of the residual
+(``first_order_exclusions`` counts the cells only it excluded).  When every cell is excluded, the certificate's
 ``certified_bound`` is a lower bound on the residual over the whole
 sphere, above the exclusion threshold: a proof, up to floating point and
 the kernel cutoff, that no qualifying product vector exists.
@@ -51,7 +54,8 @@ print("  conclusion:", cert_core.conclusion,
       "| best residual:", f"{cert_core.worst_min_residual:.3e}")
 print("  L:", f"{cert_core.search['lipschitz']:.3f}",
       "| margin delta:", f"{cert_core.search['mu_margin']:.1e}",
-      "| evaluations:", cert_core.search["evaluations"])
+      "| evaluations:", cert_core.search["evaluations"],
+      "| first-order exclusions:", cert_core.search["first_order_exclusions"])
 print()
 
 verdict = classify(state)

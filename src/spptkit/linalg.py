@@ -59,14 +59,15 @@ def min_eig(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitianize(m))[0])
 
 
-def min_eigs(stack: np.ndarray) -> np.ndarray:
-    """Least eigenvalues of a stack (..., n, n) of hermitian matrices.
+def eigh(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, ascending, and orthonormal eigenvectors (columns) of a
+    stack (..., n, n) of hermitian matrices.
 
     Reads the lower triangle of each matrix, as LAPACK does: a matrix built
     hermitian up to rounding is taken as the hermitian matrix its lower
     triangle defines, and the caller's error bound must cover that rounding.
     """
-    return np.linalg.eigvalsh(stack)[..., 0]
+    return np.linalg.eigh(stack)
 
 
 def positive_definite(stack: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -77,7 +78,7 @@ def positive_definite(stack: np.ndarray, shift: np.ndarray) -> np.ndarray:
     working copy of the stack, so a caller bounds its memory by the stacks
     it passes; A - shift I passes when every computed pivot is positive,
     and an infinite shift fails every matrix.  Like
-    ``min_eigs`` it reads the lower triangle and the real part of the
+    ``eigh`` it reads the lower triangle and the real part of the
     diagonal.  A matrix divides only by positive pivots: from its first
     pivot that is not positive on, it divides by infinity, so its columns
     become zero and its entries change no further.  A quotient that

@@ -15,18 +15,22 @@ direction is a point of the Bloch sphere, e = (cos(theta/2),
 e^{i phi} sin(theta/2)); mu does not depend on the phase of e.
 
 One routine, ``_search``, does all the searching: a branch-and-bound over
-cells in (theta, phi) that excludes a cell when a lower bound on mu at its
-centre, less a Lipschitz constant (Weyl's inequality) times the cell
-radius, exceeds the threshold, splits the others and polishes the most
-promising by Gauss-Newton on M(e) f = 0.  The lower bound comes from the
-d x d Gram matrix G(e) = M(e)^dag M(e), whose least eigenvalue is mu^2:
-G(e) is a fixed combination of four precomputed blocks, so a batch of
-centres costs one matrix product and one batched hermitian eigensolve,
-and a margin covering their rounding keeps the bound below mu.  Before
-the eigensolve, each cell's G is tested by a batched LDL^H factorization
-(``linalg.positive_definite``), several times cheaper: all pivots positive
-proves that the eigensolve would give a bound too large to change what
-the search reports, so only the other cells are solved.
+cells in (theta, phi) that excludes a cell when a lower bound on mu over
+the cell exceeds the threshold, splits the others and polishes the most
+promising by Gauss-Newton on M(e) f = 0.  The bound at the centre comes
+from the d x d Gram matrix G(e) = M(e)^dag M(e), whose least eigenvalue
+is mu^2: G(e) is a fixed combination of four precomputed blocks, so a
+batch of centres costs one matrix product and one batched hermitian
+eigensolve, and a margin covering their rounding keeps the bound below
+mu.  Over the cell the bound is the larger of two: the centre's less a
+Lipschitz constant (Weyl's inequality) times the cell radius, and a
+first-order bound from the same eigenpair, which follows the actual slope
+of mu at the centre and so excludes cells of a flat landscape levels
+earlier.  Before the eigensolve, each cell's G is tested by a batched
+LDL^H factorization (``linalg.positive_definite``), several times
+cheaper: all pivots positive proves that the eigensolve would give a
+bound too large to change what the search reports, so only the other
+cells are solved.
 ``edge_check`` stops at the first product vector at ``EXCLUSION_THRESHOLD``;
 ``product_vectors_in_range``, the subtraction prover's candidate source,
 keeps enumerating distinct ones: against the wider kernel at
@@ -54,6 +58,7 @@ conj(W).  This convention is pinned by the pure-product recovery test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -157,6 +162,25 @@ class _Constraints:
     def n_rows(self) -> int:
         return self.w_state.shape[0] + self.w_pt.shape[0]
 
+    @cached_property
+    def lipschitz(self) -> float:
+        """L with |mu(e) - mu(e')| <= L min_phi ||e - e^{i phi} e'||.
+
+        The state rows of M are X(e) f = W (e (x) f), with W the (k, 2d)
+        matrix of the conjugated kernel rows, and the partial-transpose rows
+        are Y(e) f = V (e* (x) f).  So X(e) - X(e') = W ((e - e') (x) I)
+        moves by at most ||W||_2 ||e - e'|| in operator norm, and Y by
+        ||V||_2 ||e - e'||.  The parts are stacked, ||[X; Y] f||^2 = ||X f||^2
+        + ||Y f||^2, so M moves by at most L ||e - e'|| with L = sqrt(||W||_2^2
+        + ||V||_2^2); Weyl's inequality carries that over to mu, which does
+        not depend on the phase of e.  The same argument gives ||M(e)||_2 <=
+        L for a unit e.  The kernel rows are orthonormal, so L is 1 per
+        non-empty part up to rounding.
+        """
+        norms = [np.linalg.norm(w.reshape(len(w), -1), 2)
+                 for w in (self.w_state, self.w_pt) if len(w)]
+        return float(np.sqrt(np.sum(np.square(norms))))
+
 
 def _constraints_of(s: QubitQuditState, cutoff: float) -> _Constraints:
     d = s.d
@@ -181,11 +205,15 @@ def _constraint_rows(con: _Constraints, e_batch: np.ndarray) -> np.ndarray:
     return np.concatenate([rows_state.reshape(n, -1, d), rows_pt.reshape(n, -1, d)], axis=1)
 
 
-def _mu_batch(con: _Constraints, e_batch: np.ndarray, above=None) -> np.ndarray:
-    """Lower bounds mu_lo <= mu over a batch of unit qubit vectors (n, 2).
+def _mu_batch(con: _Constraints, e_batch: np.ndarray, radius, above=None):
+    """Lower bounds on mu at cell centres (n, 2) and over the cells round them.
+
+    Returns ``(mu_lo, lower)``: mu_lo <= mu at each centre, and lower <= mu
+    on each cell of Bloch radius ``radius`` (one per centre, or one for
+    all), lower = max(mu_lo - L r / 2, the first-order bound below).
 
     mu(e)^2 is the least eigenvalue of G(e) = sum_ab conj(e_a) e_b H_ab, and
-    mu_lo = sqrt(max(lambda_min - delta, 0)) for the computed lambda_min and
+    mu_lo = sqrt(max(lambda_1 - delta, 0)) for the computed lambda_1 and
     delta = ``con.margin`` = 16 d eps n, n the number of constraint rows.
     By Weyl's inequality delta need only bound the spectral norm of the
     rounding, which has three parts, each in units of eps n:
@@ -204,40 +232,129 @@ def _mu_batch(con: _Constraints, e_batch: np.ndarray, above=None) -> np.ndarray:
     |e_0|^2 + |e_1|^2 = 1; the kernel rows are unit vectors); and
     ||G||_2 <= ||M(e)||_F^2 <= n.  The total, (3d + 8) eps n, is at most
     7 d eps n for d >= 2 (11 d eps n at d = 1); the constant 16 is above
-    both.
+    both.  Every computed eigenvalue lambda_i is within it of the exact
+    one, not only the least.
+
+    First-order bound.  A cell of Bloch radius r round the centre c holds,
+    up to phase, the vectors (c + t c_perp) / sqrt(1 + |t|^2) with |t| <=
+    tau = tan(r / 2) and c_perp = (-conj(c_1), conj(c_0)).  M is linear in
+    e on the state rows and in e* on the partial-transpose rows, so M(c +
+    t c_perp) = M(c) + N with N = [t X; conj(t) Y] for [X; Y] = M(c_perp),
+    and ||N f|| = |t| ||M(c_perp) f|| <= tau L ||f||.  Take any unit v (the
+    computed eigenvector of lambda_1 serves; nothing below asks it to be
+    exact), w = M(c) v = [w_s; w_p], a = v^dag G v = ||w||^2 and the
+    residual rho = ||G v - a v||.  Split a unit f = alpha v + beta g with g
+    a unit vector orthogonal to v, and the rows into u = w / ||w|| and its
+    complement, with projector Q:
+
+    * u^dag M(c) g = (G v - a v)^dag g / ||w|| is at most rho / ||w|| in
+      modulus, and u^dag N v = (t w_s^dag X v + conj(t) w_p^dag Y v) /
+      ||w|| at most tau p sigma_1 / ||w||, p sigma_1 = |w_s^dag X v| +
+      |w_p^dag Y v|.  With ||w|| >= sigma_1 = sqrt(lambda_1 - delta) and x
+      - tau p sigma_1 / x rising in x, |u^dag (M(c) + N) f| >= |alpha| A -
+      |beta| B, with A = sigma_1 - tau p and B = tau L + rho / sigma_1.
+    * The compression of G to span(v, g) has, by Cauchy interlacing, its
+      two eigenvalues above lambda_1 and lambda_2, and its trace is a +
+      g^dag G g, so ||M(c) g||^2 >= lambda_1 + lambda_2 - a.  (lambda_2 -
+      rho is no bound for every v: it fails for the top eigenvector of a
+      2 x 2 G.)  Q w = 0, so ||Q (M(c) + N) f|| >= |beta| C - D, with C^2
+      = lambda_1 + lambda_2 - a - (rho / sigma_1)^2 <= ||Q M(c) g||^2 and
+      D = tau L.
+
+    ||(M(c) + N) f|| is at least both.  For A > 0, |alpha| >= 1 - |beta|
+    puts the first above A - |beta| (A + B), which falls in |beta| while
+    the second rises; they cross at |beta| = (A + D) / (A + B + C) <= 1,
+    as D <= B + C, both at F = (A C - D (A + B)) / (A + B + C).  So mu >=
+    F / sqrt(1 + tau^2) on the cell.  At d = 1, beta = 0 and F = A.  For
+    an exact eigenvector, rho = 0 and a = lambda_1, so B = D = tau L and C
+    = sqrt(lambda_2).  Near a simple zero of mu the first order gains
+    most: the zero-order bound subtracts L r / 2, this one about tau p,
+    with p the actual slope of mu along c_perp in place of L.
+
+    F rises in A and C and falls in B and D, so each input is taken at a
+    bound in the safe direction.  Both lambda less delta, by Weyl's
+    inequality as above.  a, p sigma_1 and rho are formed from the computed
+    G and M rows and a computed v, unit up to d eps; against the exact ones
+    for the unit v / ||v||, a and p sigma_1 are off by at most (6d + 10) eps
+    n <= delta (the rows' and G's rounding as above, the products with v,
+    the inner products over at most 2d rows; ||M(c)||_2, ||M(c_perp)||_2
+    <= L and the entrywise bound by U again), rho by at most twice that:
+    each is taken plus delta, rho plus 2 delta.  The factor 1 + 1e-12 on
+    tau covers the rounding of tan, of L and of tau L, and F is taken less
+    delta, which covers its own rounding, at most 6 eps (C + D), and that
+    of the division by sqrt(1 + tau^2).
 
     ``above`` holds, per vector, a value past which its bound need not be
     known; None settles no vector.  Each computed G is first tested by
-    ``linalg.positive_definite`` against tau = above^2 (1 + 1e-12) + 2 delta
-    + delta_LDL, and a vector that passes gets +inf in place of its bound
-    and no eigensolve.  A pass proves lambda_min(G) > tau - 4 d eps tr(G -
-    tau I) for the computed G.  The exact G has tr G <= ||M(e)||_F^2 <= n,
-    and the rounding of the first two parts above adds at most d (2d + 8)
-    eps n to the computed trace, so a pass proves lambda_min(G) > tau -
-    delta_LDL, with delta_LDL = ``con.ldl_margin`` = 4 d eps n, up to a
-    relative 1e-13 of delta_LDL.  The eigensolve's lambda is within its
-    backward error d eps n <= delta / 16 of lambda_min(G), so it would
-    exceed above^2 (1 + 1e-12) + delta, the second delta of tau covering
-    both, and the computed mu_lo would be at least above: the factor 1e-12
-    covers the rounding of above^2, of lambda - delta and of the square
-    root, and of a caller's mu_lo - slack for 0 <= slack <= above.
-    Vectors are formed, tested and solved ``_SLICE`` at a time; LAPACK
-    solves each matrix of a stack on its own, so the vectors that are
+    ``linalg.positive_definite`` against tau_LDL = above^2 (1 + 1e-12) + 2
+    delta + delta_LDL, and a vector that passes gets +inf for both bounds
+    and no eigensolve.  A pass proves lambda_min(G) > tau_LDL - 4 d eps
+    tr(G - tau_LDL I) for the computed G.  The exact G has tr G <=
+    ||M(e)||_F^2 <= n, and the rounding of the first two parts above adds
+    at most d (2d + 8) eps n to the computed trace, so a pass proves
+    lambda_min(G) > tau_LDL - delta_LDL = above^2 (1 + 1e-12) + 2 delta,
+    with delta_LDL = ``con.ldl_margin`` = 4 d eps n, up to a relative
+    1e-13 of delta_LDL.  The eigensolve's lambda is within its backward
+    error d eps n <= delta / 16 of lambda_min(G), so it would exceed above^2
+    (1 + 1e-12) + delta, the second delta covering both, and the computed
+    mu_lo would be at least above: the factor 1e-12 covers the rounding of
+    above^2, of lambda - delta and of the square root, and of a caller's
+    mu_lo - slack for 0 <= slack <= above.  Vectors are formed, tested and
+    solved ``_SLICE`` at a time; LAPACK solves each matrix of a stack on
+    its own and every other step is per vector, so the vectors that are
     solved get the same bounds bit for bit, whichever others were settled.
     """
+    n = len(e_batch)
+    radius = np.broadcast_to(np.asarray(radius, dtype=float), (n,))
     if above is None:
-        above = np.full(len(e_batch), np.inf)
-    tau = above ** 2 * (1.0 + 1e-12) + 2.0 * con.margin + con.ldl_margin
-    out = np.empty(len(e_batch))
-    for i in range(0, len(e_batch), _SLICE):
+        above = np.full(n, np.inf)
+    shift = above ** 2 * (1.0 + 1e-12) + 2.0 * con.margin + con.ldl_margin
+    tau = np.tan(radius / 2.0) * (1.0 + 1e-12)
+    lam, first = np.full(n, np.inf), np.full(n, np.inf)
+    for i in range(0, n, _SLICE):
         e = e_batch[i:i + _SLICE]
         weights = (np.conj(e)[:, :, None] * e[:, None, :]).reshape(-1, 4)
         gram = (weights @ con.gram).reshape(-1, con.d, con.d)
-        lam = np.full(len(gram), np.inf)
-        rest = ~linalg.positive_definite(gram, tau[i:i + _SLICE])
-        lam[rest] = linalg.min_eigs(gram[rest])
-        out[i:i + _SLICE] = np.sqrt(np.maximum(lam - con.margin, 0.0))
-    return out
+        rest = np.flatnonzero(~linalg.positive_definite(gram, shift[i:i + _SLICE]))
+        if len(rest):
+            values, vectors = linalg.eigh(gram[rest])
+            lam[i + rest] = values[:, 0]
+            first[i + rest] = _first_order(con, e[rest], tau[i + rest], values,
+                                           vectors[:, :, 0], gram[rest])
+    mu = np.sqrt(np.maximum(lam - con.margin, 0.0))
+    return mu, np.maximum(mu - con.lipschitz * radius / 2.0, first)
+
+
+def _first_order(con: _Constraints, e: np.ndarray, tau: np.ndarray, values: np.ndarray,
+                 v: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """The first-order lower bound on mu over cells round centres e (n, 2),
+    -inf where it has none (see ``_mu_batch``).
+
+    ``tau`` is tan(r / 2) per cell, inflated; ``values`` the computed
+    eigenvalues of the computed G(e) ``gram``, ascending; ``v`` any unit
+    vectors (n, d).
+    """
+    delta, lip, n = con.margin, con.lipschitz, len(e)
+    perp = np.stack([-np.conj(e[:, 1]), np.conj(e[:, 0])], axis=1)
+    rows = _constraint_rows(con, np.concatenate([e, perp])) @ np.concatenate([v, v])[:, :, None]
+    # w = M(c) v and M(c_perp) v; p sigma_1 sums the overlaps of the two parts
+    overlap = np.conj(rows[:n, :, 0]) * rows[n:, :, 0]
+    k1 = con.w_state.shape[0]
+    p_sigma = np.abs(overlap[:, :k1].sum(axis=1)) + np.abs(overlap[:, k1:].sum(axis=1)) + delta
+    gv = (gram @ v[:, :, None])[:, :, 0]
+    a = np.sum(np.conj(v) * gv, axis=1).real
+    residual = np.linalg.norm(gv - a[:, None] * v, axis=1) + 2.0 * delta
+    sigma1 = np.sqrt(np.maximum(values[:, 0] - delta, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        big_a = sigma1 - tau * p_sigma / sigma1
+        if con.d == 1:
+            bound = big_a
+        else:
+            big_b, big_d = tau * lip + residual / sigma1, tau * lip
+            big_c = np.sqrt(np.maximum(values[:, 0] + values[:, 1] - a - 3.0 * delta
+                                       - (residual / sigma1) ** 2, 0.0))
+            bound = (big_a * big_c - big_d * (big_a + big_b)) / (big_a + big_b + big_c)
+    return np.where(big_a > 0.0, (bound - delta) / np.sqrt(1.0 + tau ** 2), -np.inf)
 
 
 def _null_vector(con: _Constraints, e: np.ndarray) -> tuple[np.ndarray, float]:
@@ -262,23 +379,6 @@ def _bloch_angle(e: np.ndarray, others: np.ndarray) -> np.ndarray:
     """Bloch-sphere angles between unit qubit vectors e (..., 2) and others (m, 2)."""
     overlap = np.abs(np.conj(e) @ others.T)
     return 2.0 * np.arccos(np.minimum(overlap, 1.0))
-
-
-def _lipschitz(con: _Constraints) -> float:
-    """L with |mu(e) - mu(e')| <= L min_phi ||e - e^{i phi} e'||.
-
-    The state rows of M are X(e) f = W (e (x) f), with W the (k, 2d) matrix
-    of the conjugated kernel rows, and the partial-transpose rows are
-    Y(e) f = V (e* (x) f).  So X(e) - X(e') = W ((e - e') (x) I) moves by at
-    most ||W||_2 ||e - e'|| in operator norm, and Y by ||V||_2 ||e - e'||.
-    The parts are stacked, ||[X; Y] f||^2 = ||X f||^2 + ||Y f||^2, so M
-    moves by at most L ||e - e'|| with L = sqrt(||W||_2^2 + ||V||_2^2);
-    Weyl's inequality carries that over to mu, which does not depend on the
-    phase of e.  The kernel rows are orthonormal, so L is 1 per non-empty
-    part up to rounding.
-    """
-    norms = [np.linalg.norm(w.reshape(len(w), -1), 2) for w in (con.w_state, con.w_pt) if len(w)]
-    return float(np.sqrt(np.sum(np.square(norms))))
 
 
 def _cell_radius(theta, h_theta: float, h_phi: float) -> np.ndarray:
@@ -349,8 +449,8 @@ def _minimum_record(e: np.ndarray, residual: float) -> dict:
 def _product_vector_at(s: QubitQuditState, con: _Constraints, e: np.ndarray,
                        f: np.ndarray) -> ProductVector:
     """Build a ProductVector with residuals recomputed from the definitions."""
-    r1 = con.w_state.reshape(-1, 2 * s.d) @ np.kron(e, f)
-    r2 = con.w_pt.reshape(-1, 2 * s.d) @ np.kron(np.conj(e), f)
+    r1 = con.w_state.reshape(-1, 2 * s.d) @ np.outer(e, f).ravel()
+    r2 = con.w_pt.reshape(-1, 2 * s.d) @ np.outer(np.conj(e), f).ravel()
     return ProductVector(
         e=e.copy(), f=f.copy(),
         residual_range=float(np.linalg.norm(r1)),
@@ -379,12 +479,15 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
     """Branch-and-bound over the Bloch sphere behind both public entry points.
 
     Cells are rectangles in (theta, phi), all of one size per level.  Each
-    level bounds mu from below at the centres of the open cells
-    (``_mu_batch``: a batched test and eigensolve of the Gram matrices) and
-    excludes a cell when mu_lo(centre) - L r / 2 > ``threshold``, with r
+    level bounds mu from below at the centres of the open cells and over
+    the cells (``_mu_batch``: a batched test and eigensolve of the Gram
+    matrices) and excludes a cell when its bound, lower, exceeds
+    ``threshold``.  lower is the larger of mu_lo(centre) - L r / 2, with r
     the cell's largest Bloch angle from the centre (``_cell_radius``) and
-    L the stacked Lipschitz constant; a Bloch angle r is a distance of
-    2 sin(r/4) <= r/2 between unit vectors modulo phase.  The best open
+    L the stacked Lipschitz constant (a Bloch angle r is a distance of
+    2 sin(r/4) <= r/2 between unit vectors modulo phase), and a first-order
+    bound from the centre's eigenpair; ``first_order_exclusions`` in the
+    record counts the cells that only the second excluded.  The best open
     cells, and every open centre already at the threshold, are polished by
     Gauss-Newton; a polished mu at most ``threshold`` is a product vector.
     A found vector's basin is the ball out to the farthest polish start
@@ -393,16 +496,17 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
     split into four.  The search
     stops once ``limit`` distinct vectors are found, every cell is excluded
     or dropped, or a cell reaches ``CELL_FLOOR`` or the next level would
-    pass ``EVALUATION_CAP``; the certified bound is the least mu_lo(centre)
-    - L r / 2 over the cells it ended with.
+    pass ``EVALUATION_CAP``; the certified bound is the least lower over
+    the cells it ended with.
 
     Every search passes ``_mu_batch``, per cell, a value ``above`` such
     that a cell with mu_lo(centre) >= ``above`` changes nothing the search
     reports, and ``_mu_batch`` settles such cells without an eigensolve.
     For the enumeration, ``above`` = threshold + L r / 2: such a cell is
-    excluded.  A search that ``certify``s (``edge_check``) also reports
-    ``bound``, the least mu_lo(centre) - L r / 2 over the cells it has
-    excluded, and ``worst``, the least mu it has seen, so its ``above`` is
+    excluded, as lower >= mu_lo(centre) - L r / 2.  A search that
+    ``certify``s (``edge_check``) also reports ``bound``, the least lower
+    over the cells it has excluded, and ``worst``, the least mu it has
+    seen, so its ``above`` is
     the larger of max(threshold, bound) + L r / 2 and ``worst``: such a
     cell is excluded and lowers neither.  Both are infinite at the first
     level, so every cell of it is solved.  Every open cell, polish, found
@@ -419,13 +523,13 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
     (uncapped, at most 6d vectors), and a single record at theta = 0 stands
     for the landscape.
     """
-    lip = _lipschitz(con)
+    lip = con.lipschitz
     found, minima = [], []
     if con.n_rows < s.d:
         for theta, phi in _CANONICAL:
             e = _bloch(theta, phi)
             found.extend(_product_vector_at(s, con, e, f) for f in _null_space(con, e))
-        record = _search_record(con, lip, 0, 0)
+        record = _search_record(con, 0, 0, 0)
         if not certify:
             return _Enumeration(found, record, exhaustive=False)
         residual = found[0].combined_residual
@@ -441,7 +545,7 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
     theta, phi = theta.ravel(), phi.ravel()
     known, radii = np.empty((0, 2), dtype=complex), np.empty(0)
     bound = worst = np.inf
-    evaluations = levels = 0
+    evaluations = levels = first_order = 0
     conclusion = "NoneFound"
     while True:
         levels += 1
@@ -450,11 +554,11 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
         slack = lip * radius / 2.0
         above = (np.maximum(max(threshold, bound) + slack, worst) if certify
                  else threshold + slack)
-        mu = _mu_batch(con, e, above)
+        mu, lower = _mu_batch(con, e, radius, above)
         evaluations += len(mu)
         worst = min(worst, float(mu.min()))
-        lower = mu - slack
         open_ = lower <= threshold
+        first_order += int(np.count_nonzero(~open_ & (mu - slack <= threshold)))
         attempts = 0
         for i in np.flatnonzero(open_)[np.argsort(mu[open_])]:
             if len(found) >= limit or (attempts >= _POLISH_PER_LEVEL and mu[i] > threshold):
@@ -487,7 +591,7 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
         theta = (theta[open_, None] + h_theta * np.array([-1.0, -1.0, 1.0, 1.0])).ravel()
         phi = (phi[open_, None] + h_phi * np.array([-1.0, 1.0, -1.0, 1.0])).ravel()
     found.sort(key=lambda pv: pv.combined_residual)
-    record = _search_record(con, lip, evaluations, levels)
+    record = _search_record(con, evaluations, levels, first_order)
     if not certify:
         return _Enumeration(found, record,
                             exhaustive=conclusion == "NoneFound" and len(found) < limit)
@@ -499,11 +603,12 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
         found=found, exclusion_threshold=threshold)
 
 
-def _search_record(con: _Constraints, lip: float, evaluations: int, levels: int) -> dict:
+def _search_record(con: _Constraints, evaluations: int, levels: int, first_order: int) -> dict:
     return {"kernel_cutoff": con.cutoff,
             "kernel_dims": [int(con.w_state.shape[0]), int(con.w_pt.shape[0])],
-            "lipschitz": lip, "mu_margin": con.margin,
+            "lipschitz": con.lipschitz, "mu_margin": con.margin,
             "evaluations": evaluations, "levels": levels,
+            "first_order_exclusions": first_order,
             "cell_floor": CELL_FLOOR, "evaluation_cap": EVALUATION_CAP}
 
 
@@ -538,9 +643,9 @@ def _recheck(s: QubitQuditState, previous: _Enumeration) -> _Enumeration:
     so its qubit direction is one of ``previous``'s.  At each of those the
     qudit vector is re-solved against ``s``'s constraints at
     ``ENUMERATION_KERNEL_CUTOFF``, the kernels a fresh search would use.
-    A direction the search's own exclusion test clears for a cell of
-    radius ``_BASIN`` round it, mu - L ``_BASIN`` / 2 > ``ENUMERATION_TOL``,
-    has no qualifying vector that near and is passed over; any other is
+    A direction whose cell of radius ``_BASIN`` the search's own exclusion
+    test clears (``_mu_batch``'s lower above ``ENUMERATION_TOL``) has no
+    qualifying vector that near and is passed over; any other is
     polished by Gauss-Newton, and its vector kept, once, when the combined
     residual is at most ``ENUMERATION_TOL``, the fresh search's own test.
     The vectors kept are again exhaustive.  With fewer constraint rows than
@@ -550,20 +655,25 @@ def _recheck(s: QubitQuditState, previous: _Enumeration) -> _Enumeration:
     con = _constraints_of(s, ENUMERATION_KERNEL_CUTOFF)
     if con.n_rows < s.d:
         return _search(s, con, ENUMERATION_TOL, ENUMERATION_CANDIDATES, certify=False)
-    lip = _lipschitz(con)
+    slack = con.lipschitz * _BASIN / 2.0
+    directions = np.array([pv.e for pv in previous.found], dtype=complex).reshape(-1, 2)
+    above = np.full(len(directions), ENUMERATION_TOL + slack)
+    mu, lower = _mu_batch(con, directions, _BASIN, above)
+    cleared = lower > ENUMERATION_TOL
     found, known = [], np.empty((0, 2), dtype=complex)
-    for pv in previous.found:
-        f, mu = _null_vector(con, pv.e)
-        if mu - lip * _BASIN / 2.0 > ENUMERATION_TOL:
+    for pv, clear in zip(previous.found, cleared):
+        if clear:
             continue
-        e, f, _ = _polish(con, pv.e, f)
+        e, f, _ = _polish(con, pv.e, _null_vector(con, pv.e)[0])
         candidate = _product_vector_at(s, con, e, f)
         if candidate.combined_residual > ENUMERATION_TOL or (_bloch_angle(e, known) < _SAME).any():
             continue
         found.append(candidate)
         known = np.vstack([known, e])
     found.sort(key=lambda pv: pv.combined_residual)
-    return _Enumeration(found, _search_record(con, lip, 0, 0), exhaustive=True)
+    first_order = int(np.count_nonzero(cleared & (mu - slack <= ENUMERATION_TOL)))
+    return _Enumeration(found, _search_record(con, len(directions), 0, first_order),
+                        exhaustive=True)
 
 
 def edge_check(s: QubitQuditState) -> RangeSearchCertificate:

@@ -286,6 +286,13 @@ def _rank_one_weight(eig: linalg.EigResult, v: np.ndarray) -> float:
     return 1.0 / float(np.sum(np.abs(c[keep]) ** 2 / eig.values[keep]))
 
 
+def _product_term(qubit: np.ndarray, qudit: np.ndarray) -> np.ndarray:
+    """np.kron(qubit, qudit) of a 2 x 2 and a d x d matrix, by broadcasting:
+    the same products, without np.kron's general reshaping."""
+    d = len(qudit)
+    return (qubit[:, None, :, None] * qudit[None, :, None, :]).reshape(2 * d, 2 * d)
+
+
 def _max_subtraction_weight(rho: linalg.EigResult, pt: linalg.EigResult,
                             e: np.ndarray, f: np.ndarray, trace: float) -> float:
     """Largest weight of |e,f><e,f| keeping the state and its partial
@@ -295,8 +302,8 @@ def _max_subtraction_weight(rho: linalg.EigResult, pt: linalg.EigResult,
     are rank-one closed forms of the two eigendecompositions.
     """
     return min(trace,
-               _rank_one_weight(rho, np.kron(e, f)),
-               _rank_one_weight(pt, np.kron(np.conj(e), f)))
+               _rank_one_weight(rho, np.outer(e, f).ravel()),
+               _rank_one_weight(pt, np.outer(np.conj(e), f).ravel()))
 
 
 # Relative cutoff of the small-support exit's qudit support.  Looser than
@@ -401,7 +408,7 @@ def subtract_product_vectors(s: QubitQuditState,
             lam = _max_subtraction_weight(rho_eig, pt_eig, e, f, trace)
             if lam <= lam_floor:
                 continue
-            trial = rho - lam * np.kron(np.outer(e, e.conj()), np.outer(f, f.conj()))
+            trial = rho - lam * _product_term(np.outer(e, e.conj()), np.outer(f, f.conj()))
             key = (_qudit_support(trial, d).shape[1], -lam)
             if best is None or key < best[0]:
                 best = (key, lam, e, f)
@@ -410,7 +417,7 @@ def subtract_product_vectors(s: QubitQuditState,
             break
         _, lam, e, f = best
         terms.append((np.outer(e, e.conj()), lam * np.outer(f, f.conj())))
-        rho = linalg.hermitianize(rho - lam * np.kron(terms[-1][0], np.outer(f, f.conj())))
+        rho = linalg.hermitianize(rho - lam * _product_term(terms[-1][0], np.outer(f, f.conj())))
     remainder = states._state(d, rho)
     if reduction is None:
         reduction = Reduction(terms=terms, core=remainder, embed=np.eye(d, dtype=complex))

@@ -121,6 +121,7 @@ class TestVerdictSerialization:
         assert cert["conclusion"] == "NoneFound"
         assert cert["certified_bound"] > cert["exclusion_threshold"]
         assert cert["search"]["evaluations"] > 0
+        assert 0 < cert["search"]["first_order_exclusions"] < cert["search"]["evaluations"]
         assert 0 < cert["search"]["mu_margin"] < cert["certified_bound"] ** 2
         assert "search certificate" in cert["note"]
 

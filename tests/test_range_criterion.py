@@ -519,13 +519,53 @@ class TestExclusionMargins:
                         spread[0] = 0.0
                         q = linalg.haar_unitary(d, rng)
                         con = self.constraints((q * (lam + spread)) @ q.conj().T, n)
-                        mu = range_criterion._mu_batch(con, e, np.array([above]))[0]
-                        if np.isinf(mu) and range_criterion._mu_batch(con, e)[0] < above:
+                        mu = range_criterion._mu_batch(con, e, 0.0, np.array([above]))[0][0]
+                        if np.isinf(mu) and range_criterion._mu_batch(con, e, 0.0)[0][0] < above:
                             wrong.append((n, above, r))
                 # well above the line, the test settles the vector
                 q = linalg.haar_unitary(d, rng)
                 con = self.constraints((q * (2 * above ** 2 + 1e-6)) @ q.conj().T, n)
-                assert np.isinf(range_criterion._mu_batch(con, e, np.array([above]))[0])
+                assert np.isinf(range_criterion._mu_batch(con, e, 0.0, np.array([above]))[0][0])
+        assert not wrong, wrong
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_settled_vectors_clear_the_proven_line(self, d):
+        # A pass proves lambda_min(G) > above^2 (1 + 1e-12) + 2 delta, the
+        # line the eigensolve's margins need.  G = B B^dag + m I with B an
+        # integer d x (d - 1) matrix has lambda_min = m exactly, and every
+        # entry is exact for m a multiple of 2^-50.  m steps across the three
+        # margins of tau below the line and onto the line itself, which for
+        # some values of above is a multiple of 2^-50: there G - tau I is
+        # B B^dag - delta_LDL I, and without delta_LDL it would be the
+        # singular B B^dag, which the LDL^H test's rounding passes for some
+        # B at d >= 3.
+        rng = np.random.default_rng(30 + d)
+        e = np.array([[1.0, 0.0]], dtype=complex)
+        n, grid = 4 * d, 2.0 ** -50
+        delta = 16 * d * np.finfo(float).eps * n
+        ldl = 4 * d * np.finfo(float).eps * n
+
+        def line(above):
+            return above ** 2 * (1.0 + 1e-12) + 2.0 * delta
+
+        on_grid = [a for a in np.arange(200, 1000) / 1000 if line(a) % grid == 0.0][:2]
+        wrong, settled = [], 0
+        for above in [0.3, 1.0, *on_grid]:
+            span = above ** 2 * 1e-12 + 2.0 * delta + ldl
+            base = np.floor((line(above) - span) / grid) * grid
+            sweep = np.linspace(0.0, (span + 2.0 * ldl) / grid, 40).round()
+            at = np.round((line(above) - base) / grid) - np.arange(2)
+            for m, draws in [*((base + k * grid, 4) for k in sweep),
+                             *((base + k * grid, 32) for k in at)]:
+                for _ in range(draws):
+                    parts = rng.integers(-1, 2, size=(2, d, d - 1))
+                    b = parts[0] + 1j * parts[1]
+                    con = self.constraints(b @ b.conj().T + m * np.eye(d), n)
+                    if np.isinf(range_criterion._mu_batch(con, e, 0.0, np.array([above]))[0][0]):
+                        settled += 1
+                        if not m > line(above):
+                            wrong.append((above, m - line(above)))
+        assert len(on_grid) == 2 and settled > 0
         assert not wrong, wrong
 
 
@@ -537,7 +577,7 @@ class TestGramLowerBound:
     def test_random_directions(self, state):
         con = range_criterion._constraints_of(state, range_criterion.KERNEL_CUTOFF)
         e = random_qubits(20_000, np.random.default_rng(5))
-        lower, mu = range_criterion._mu_batch(con, e), mu_svd(state, e)
+        lower, mu = range_criterion._mu_batch(con, e, 0.0)[0], mu_svd(state, e)
         assert np.all(lower <= mu)
         assert np.all(lower ** 2 >= mu ** 2 - 2 * con.margin)
 
@@ -553,7 +593,146 @@ class TestGramLowerBound:
             phase = np.exp(2j * np.pi * rng.uniform(size=len(steps)))
             e = e0[None, :] + (steps * phase)[:, None] * perp[None, :]
             e /= np.linalg.norm(e, axis=1, keepdims=True)
-            lower, mu = range_criterion._mu_batch(con, e), mu_svd(state, e)
+            lower, mu = range_criterion._mu_batch(con, e, 0.0)[0], mu_svd(state, e)
             assert mu.min() < 1e-9 and mu.max() > 0.1
             assert np.all(lower <= mu)
             assert np.all(lower ** 2 >= mu ** 2 - 2 * con.margin)
+
+
+def mu_at(con, e):
+    """mu at unit qubit vectors e (n, 2), by SVD of the constraint rows."""
+    return np.linalg.svd(range_criterion._constraint_rows(con, e), compute_uv=False)[:, con.d - 1]
+
+
+def level_half_widths(level):
+    """Half-widths (theta, phi) of the search's cells at a level, 1 the first."""
+    n_theta, n_phi = range_criterion._INITIAL_CELLS
+    scale = 2.0 ** (level - 1)
+    return np.pi / (2 * n_theta * scale), np.pi / (n_phi * scale)
+
+
+def cell_minima(con, theta, phi, h_theta, h_phi, rng, points=600):
+    """The least mu at ``points`` points of each cell: its corners, its edge
+    midpoints and uniform draws."""
+    edges = np.array([[-1, -1], [-1, 1], [1, -1], [1, 1], [0, -1], [0, 1], [-1, 0], [1, 0]])
+    offsets = np.vstack([edges, rng.uniform(-1.0, 1.0, size=(points - len(edges), 2))])
+    e = range_criterion._bloch(theta[:, None] + h_theta * offsets[None, :, 0],
+                               phi[:, None] + h_phi * offsets[None, :, 1])
+    return mu_at(con, e.reshape(-1, 2)).reshape(len(theta), points).min(axis=1)
+
+
+def cells_near_the_minimum(con, level, rng, count=8):
+    """Centres of ``count`` cells of a level: the half of least mu among 500
+    drawn from the level's grid, and random ones."""
+    h_theta, h_phi = level_half_widths(level)
+    i = rng.integers(0, round(np.pi / (2 * h_theta)), 500)
+    j = rng.integers(0, round(np.pi / h_phi), 500)
+    theta, phi = (2 * i + 1) * h_theta, (2 * j + 1) * h_phi
+    mu = mu_at(con, range_criterion._bloch(theta, phi))
+    pick = np.concatenate([np.argsort(mu)[:count // 2],
+                           rng.choice(len(mu), count - count // 2, replace=False)])
+    return theta[pick], phi[pick]
+
+
+def rows_framed_at(c, x_centre, x_perp):
+    """Constraints of state rows W with X(c) = ``x_centre`` and X(c_perp) =
+    ``x_perp`` for the unit qubit vector c, and no partial-transpose rows."""
+    perp = np.array([-np.conj(c[1]), np.conj(c[0])])
+    k, d = x_centre.shape
+    # X(e) = W (e (x) I), so W = [X(c), X(c_perp)] (U^dag (x) I) for U = [c, c_perp]
+    w = np.hstack([x_centre, x_perp]) @ np.kron(np.column_stack([c, perp]).conj().T, np.eye(d))
+    w_state = w.reshape(k, 2, d).astype(complex)
+    gram = np.einsum("kai,kbj->abij", np.conj(w_state), w_state).reshape(4, d * d)
+    rounding = float(d * np.finfo(float).eps * k)
+    return range_criterion._Constraints(
+        d=d, cutoff=0.0, w_state=w_state, w_pt=np.zeros((0, 2, d), dtype=complex),
+        gram=gram, margin=16 * rounding, ldl_margin=4 * rounding)
+
+
+def product_state_d1():
+    """A pure 2 x 1 state: M(e) has one column, so the first-order bound is A."""
+    return product_state([1.0, 0.3 - 0.2j], [1.0])[0]
+
+
+class TestCellBound:
+    """lower = max(mu_lo - L r / 2, first order) bounds mu on the whole cell."""
+
+    @pytest.mark.parametrize("cutoff", [range_criterion.KERNEL_CUTOFF,
+                                        range_criterion.ENUMERATION_KERNEL_CUTOFF],
+                             ids=["kernel", "enumeration"])
+    @pytest.mark.parametrize("state", [
+        horodecki_2x4(0.2), horodecki_2x4(0.5), horodecki_2x4(0.95),
+        random_sppt(5, 4, normal_s=False, seed=1)[0],
+        random_sppt(8, 7, normal_s=False, seed=1)[0],
+        flat_remainder(), product_state_d1(),
+    ], ids=["horodecki-0.2", "horodecki-0.5", "horodecki-0.95", "random_sppt-5",
+            "random_sppt-8", "flat-remainder", "d-1"])
+    def test_dense_sampling_never_below_the_cell_bound(self, state, cutoff):
+        con = range_criterion._constraints_of(state, cutoff)
+        rng = np.random.default_rng(12)
+        first_order = 0
+        for level in range(1, 8):
+            h_theta, h_phi = level_half_widths(level)
+            theta, phi = cells_near_the_minimum(con, level, rng)
+            radius = range_criterion._cell_radius(theta, h_theta, h_phi)
+            mu, lower = range_criterion._mu_batch(con, range_criterion._bloch(theta, phi), radius)
+            least = cell_minima(con, theta, phi, h_theta, h_phi, rng)
+            assert np.all(least >= lower), level
+            first_order += np.count_nonzero(lower > mu - con.lipschitz * radius / 2.0)
+        # the first-order bound, not only the zero-order one, was tested
+        assert first_order > 0
+
+    @pytest.mark.parametrize("s", [0.3, 0.1, 0.03, 0.01, 0.003])
+    def test_a_zero_at_second_order(self, s):
+        # X(c) = diag(s, 1), X(c_perp) = [[0, 1], [1, 0]]: det M(c + t c_perp)
+        # = s - t^2, so mu vanishes at t = +-sqrt(s) while its slope at c is
+        # 0.  Only the D (A + B) term, with the full L, accounts for the
+        # second order; the bound stays positive where sqrt(s) is outside
+        # the cell.
+        theta, phi = np.array([5 * np.pi / 16]), np.array([3 * np.pi / 16])
+        c = range_criterion._bloch(theta, phi)[0]
+        con = rows_framed_at(c, np.diag([s, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        rng = np.random.default_rng(13)
+        positive = 0
+        for level in range(1, 6):
+            h_theta, h_phi = level_half_widths(level)
+            radius = range_criterion._cell_radius(theta, h_theta, h_phi)
+            _, lower = range_criterion._mu_batch(con, c[None, :], radius)
+            assert cell_minima(con, theta, phi, h_theta, h_phi, rng, 2000)[0] >= lower[0], level
+            positive += lower[0] > 0
+        assert positive > 0
+
+    @pytest.mark.parametrize("s", [0.04, 0.01, 0.0025])
+    def test_any_unit_vector_gives_a_bound(self, s):
+        # X(c) = diag(s, 1), X(c_perp) = diag(1, -1): mu vanishes at t = -s,
+        # and the eigenvector e_1 has slope 1.  The unit v = (cos a, sin a)
+        # with tan(a)^2 = s has w^dag X(c_perp) v = 0, a slope of 0; only the
+        # residual rho of v keeps its bound below mu.
+        theta, phi = np.array([5 * np.pi / 16]), np.array([3 * np.pi / 16])
+        c = range_criterion._bloch(theta, phi)[0]
+        con = rows_framed_at(c, np.diag([s, 1.0]), np.diag([1.0, -1.0]))
+        weights = (np.conj(c)[:, None] * c[None, :]).reshape(1, 4)
+        gram = (weights @ con.gram).reshape(1, 2, 2)
+        values, vectors = linalg.eigh(gram)
+        angles = np.concatenate([np.linspace(0.0, np.pi / 2, 25), [np.arctan(np.sqrt(s))]])
+        phases = np.exp(2j * np.pi * np.arange(8) / 8)
+        v = (np.cos(angles)[:, None, None] * vectors[0, :, 0]
+             + (np.sin(angles)[:, None] * phases[None, :])[:, :, None] * vectors[0, :, 1])
+        v = v.reshape(-1, 2)
+        rng = np.random.default_rng(14)
+        for level in range(1, 8):
+            h_theta, h_phi = level_half_widths(level)
+            radius = range_criterion._cell_radius(theta, h_theta, h_phi)
+            tau = np.full(len(v), np.tan(radius[0] / 2.0) * (1.0 + 1e-12))
+            bound = range_criterion._first_order(con, np.repeat(c[None, :], len(v), axis=0), tau,
+                                                 np.repeat(values, len(v), axis=0), v,
+                                                 np.repeat(gram, len(v), axis=0))
+            least = cell_minima(con, theta, phi, h_theta, h_phi, rng, 2000)[0]
+            assert np.all(bound <= least), level
+
+    def test_the_flat_remainder_is_excluded_early(self, monkeypatch):
+        # mu < 0.15 on the whole sphere with slope ~0.14 against L = 2.34:
+        # the zero-order bound alone needs 23,808 evaluations
+        _, result = enumerate_with_record(flat_remainder(), monkeypatch)
+        assert result.search["first_order_exclusions"] > 0
+        assert result.search["evaluations"] <= 5000
