@@ -75,7 +75,7 @@ def _cmd_check(args) -> int:
         verdict = "PPT" if min_eig >= -separability.DEFAULT_TOL * state.norm() else "NPT"
         print(f"min partial-transpose eigenvalue: {min_eig:.6e}  ({verdict})")
     else:
-        v = sppt.sppt_check(state, tol=separability.DEFAULT_TOL)
+        v = sppt.sppt_check(state)
         print(f"strong-PPT status: {v.status}")
         print(f"residual: {v.residual:.6e}")
         if v.note:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadParameter, NotNormal, NotSquare, ValidationError
+from .errors import NotNormal, NotSquare, ValidationError
 
 # Relative tolerance floors chosen at the double-precision factorization
 # error level: hermiticity/PSD checks at 1e-9 * ||M||_F, rank cutoff at
@@ -114,12 +114,6 @@ def positive_definite(stack: np.ndarray, shift: np.ndarray) -> np.ndarray:
             scaled = column / np.where(passed, pivot, np.inf)[:, None]
             a[:, j + 1:, j + 1:] -= scaled[:, :, None] * np.conj(column)[:, None, :]
     return passed
-
-
-def check_tol(tol) -> None:
-    """Raise BadParameter unless ``tol`` is a finite positive number."""
-    if not (np.isfinite(tol) and tol > 0):
-        raise BadParameter(f"tolerance must be finite and > 0, got {tol!r}")
 
 
 class SvdResult(NamedTuple):

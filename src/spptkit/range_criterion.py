@@ -32,7 +32,7 @@ cheaper: all pivots positive proves that the eigensolve would give a
 bound too large to change what the search reports, so only the other
 cells are solved.
 ``edge_check`` stops at the first product vector at ``EXCLUSION_THRESHOLD``;
-``product_vectors_in_range``, the subtraction prover's candidate source,
+``product_vectors_in_range``, like the subtraction prover's enumeration,
 keeps enumerating distinct ones: against the wider kernel at
 ``ENUMERATION_KERNEL_CUTOFF``, up to ``ENUMERATION_CANDIDATES`` vectors
 with residual at most ``ENUMERATION_TOL``.  An enumeration is exhaustive
@@ -183,9 +183,12 @@ class _Constraints:
 
 
 def _constraints_of(s: QubitQuditState, cutoff: float) -> _Constraints:
-    d = s.d
-    ker = kernel_basis(s.rho, cutoff)
-    ker_pt = kernel_basis(states.partial_transpose_matrix(s.rho, d), cutoff)
+    """The constraints of outside input, whose positivity ``kernel_basis`` checks."""
+    pt = states.partial_transpose_matrix(s.rho, s.d)
+    return _constraints(s.d, kernel_basis(s.rho, cutoff), kernel_basis(pt, cutoff), cutoff)
+
+
+def _constraints(d: int, ker: np.ndarray, ker_pt: np.ndarray, cutoff: float) -> _Constraints:
     w_state, w_pt = np.conj(ker.reshape(-1, 2, d)), np.conj(ker_pt.reshape(-1, 2, d))
     # The state rows are linear in e, so they give W_a^dag W_b; the
     # partial-transpose rows are linear in e*, so they give V_b^dag V_a.
@@ -626,22 +629,22 @@ def product_vectors_in_range(s: QubitQuditState) -> list[ProductVector]:
     vectors at every qubit direction; it gets, uncapped, an orthonormal
     basis of them at six canonical directions.
     """
-    return _enumerate(s).found
+    return _enumerate(s, _constraints_of(s, ENUMERATION_KERNEL_CUTOFF)).found
 
 
-def _enumerate(s: QubitQuditState) -> _Enumeration:
-    """The search behind ``product_vectors_in_range``, with its record."""
-    con = _constraints_of(s, ENUMERATION_KERNEL_CUTOFF)
+def _enumerate(s: QubitQuditState, con: _Constraints) -> _Enumeration:
+    """The search behind ``product_vectors_in_range``, with its record, on
+    the constraints of ``s`` at ``ENUMERATION_KERNEL_CUTOFF``."""
     return _search(s, con, ENUMERATION_TOL, ENUMERATION_CANDIDATES, certify=False)
 
 
-def _recheck(s: QubitQuditState, previous: _Enumeration) -> _Enumeration:
+def _recheck(s: QubitQuditState, con: _Constraints, previous: _Enumeration) -> _Enumeration:
     """The enumeration of ``s`` from an exhaustive one of a state whose two
     ranges contain those of ``s``.
 
     Every qualifying vector of ``s`` then qualifies for the earlier state,
     so its qubit direction is one of ``previous``'s.  At each of those the
-    qudit vector is re-solved against ``s``'s constraints at
+    qudit vector is re-solved against ``con``, ``s``'s constraints at
     ``ENUMERATION_KERNEL_CUTOFF``, the kernels a fresh search would use.
     A direction whose cell of radius ``_BASIN`` the search's own exclusion
     test clears (``_mu_batch``'s lower above ``ENUMERATION_TOL``) has no
@@ -652,7 +655,6 @@ def _recheck(s: QubitQuditState, previous: _Enumeration) -> _Enumeration:
     d there is nothing to re-check: that is the fresh search's continuum
     case, and it runs.
     """
-    con = _constraints_of(s, ENUMERATION_KERNEL_CUTOFF)
     if con.n_rows < s.d:
         return _search(s, con, ENUMERATION_TOL, ENUMERATION_CANDIDATES, certify=False)
     slack = con.lipschitz * _BASIN / 2.0

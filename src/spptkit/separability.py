@@ -46,7 +46,7 @@ import numpy as np
 from . import linalg, range_criterion, sppt, states
 from .errors import InvalidDecomposition, NotSppt, SingularX1, ValidationError
 from .range_criterion import edge_check
-from .sppt import SpptVerdict, sppt_check, sppt_residual
+from .sppt import SpptVerdict, sppt_residual
 from .states import QubitQuditState, SpptFactors, assemble_state, join_blocks
 
 DEFAULT_TOL = 1e-9
@@ -70,11 +70,7 @@ class SeparableDecomposition:
     terms: list  # of (qubit 2x2, qudit d x d) PSD pairs
 
     def reconstruct(self) -> np.ndarray:
-        qubit0, qudit0 = self.terms[0]
-        out = np.kron(qubit0, qudit0)
-        for qubit, qudit in self.terms[1:]:
-            out = out + np.kron(qubit, qudit)
-        return out
+        return sum(_product_term(qubit, qudit) for qubit, qudit in self.terms)
 
     def reconstruction_residual(self, rho: np.ndarray) -> float:
         return linalg.frob(self.reconstruct() - rho)
@@ -340,6 +336,12 @@ def subtract_product_vectors(s: QubitQuditState,
     effort: exhausting the budget (4 d iterations by default) or running
     out of candidates proves nothing about the input.
 
+    Past those exits, each iteration eigendecomposes the remainder and its
+    partial transpose once, for the strong-PPT check, the weights and the
+    enumeration's kernels; an eigenvalue of either below ``-TOL_FLOOR``
+    times its largest magnitude (a maximal subtraction can leave one on an
+    ill-conditioned remainder) first ends the loop ``stalled``.
+
     The candidates come from ``range_criterion``'s enumeration.  A
     subtraction that keeps rho' = rho - lam |e,f><e,f| and rho'^Gamma PSD
     gives rho' <= rho and rho'^Gamma <= rho^Gamma, so range rho' lies in
@@ -380,8 +382,13 @@ def subtract_product_vectors(s: QubitQuditState,
                     Reduction(terms=terms, core=core, embed=iso),
                     "subtraction reduced the remainder to a PPT 2x3-or-smaller support", pt_min)
                 break
+        rho_eig = linalg.EigResult.of(rho)
+        pt_eig = linalg.EigResult.of(states.partial_transpose_matrix(rho, d))
+        if any(eig.values[0] < -TOL_FLOOR * eig.scale for eig in (rho_eig, pt_eig)):
+            status = "stalled"
+            break
         remainder_state = states._state(d, rho)
-        verdict = sppt_check(remainder_state, tol=TOL_FLOOR)
+        verdict = sppt._check_ppt(remainder_state, TOL_FLOOR)
         if verdict.status == "Sppt":
             k = verdict.factors.x1_svd.rank
             if k == d or k <= 3:
@@ -390,19 +397,20 @@ def subtract_product_vectors(s: QubitQuditState,
                 break
         if iterations == budget:
             break
-        rho_eig = linalg.EigResult.of(rho)
-        pt_eig = linalg.EigResult.of(states.partial_transpose_matrix(rho, d))
         # Prefer subtractions that shrink the qudit support (the certified
         # exit), then the largest admissible weight; greedy max-weight alone
         # can strand the remainder in an edge-like state.
         best = None
         trace = float(rho.trace().real)
         lam_floor = 1e-10 * trace
+        cutoff = range_criterion.ENUMERATION_KERNEL_CUTOFF
+        kernels = (eig.vectors[:, ~eig.support(cutoff)].T for eig in (rho_eig, pt_eig))
+        con = range_criterion._constraints(d, *kernels, cutoff)
         if enumeration is not None and enumeration.exhaustive:
-            enumeration = range_criterion._recheck(remainder_state, enumeration)
+            enumeration = range_criterion._recheck(remainder_state, con, enumeration)
             rechecks += 1
         else:
-            enumeration = range_criterion._enumerate(remainder_state)
+            enumeration = range_criterion._enumerate(remainder_state, con)
             searches += 1
         for e, f in ((pv.e, pv.f) for pv in enumeration.found):
             lam = _max_subtraction_weight(rho_eig, pt_eig, e, f, trace)
@@ -552,10 +560,10 @@ def _classify_sppt(work, verdict: SpptVerdict, log, residuals):
     if k == work.d:
         try:
             dec = decompose_full_rank(factors)
+            residuals["decomposition_residual"] = dec.validate(work.rho, tol=TOL_FLOOR)
         except (ValidationError, np.linalg.LinAlgError) as exc:
             log.append(f"spectral construction failed ({exc}); falling through")
             return None
-        residuals["decomposition_residual"] = dec.reconstruction_residual(work.rho)
         log.append(f"invertible x1: spectral construction with {len(dec.terms)} "
                    "terms validates")
         return SEPARABLE, dec

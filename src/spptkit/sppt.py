@@ -224,25 +224,23 @@ def _check_singular_support(s: QubitQuditState, a, b, c, eig: linalg.EigResult,
     )
 
 
-def sppt_check(s: QubitQuditState, tol: float = SPPT_RTOL) -> SpptVerdict:
-    """Decide the strong-PPT property of a PPT state.
+def sppt_check(s: QubitQuditState) -> SpptVerdict:
+    """Decide the strong-PPT property of a PPT state, at ``SPPT_RTOL``.
 
     Non-PPT input yields Undecided with note "NPT" (the property is defined
     within PPT states).  With invertible a the closed-form criterion decides
     exactly; with singular a a verified factorization gives Sppt, otherwise
-    the verdict is Undecided, never NotSppt.  Raises BadParameter unless
-    ``tol`` is finite and positive.
+    the verdict is Undecided, never NotSppt.
     """
-    linalg.check_tol(tol)
     min_pt, _ = states.pt_min_eig(s.rho, s.d)
-    if min_pt < -tol * max(s.norm(), 1e-300):
+    if min_pt < -SPPT_RTOL * max(s.norm(), 1e-300):
         return SpptVerdict(status="Undecided", residual=0.0,
                            note=f"NPT (partial transpose eigenvalue {min_pt:.3e})")
-    return _check_ppt(s, tol)
+    return _check_ppt(s, SPPT_RTOL)
 
 
 def _check_ppt(s: QubitQuditState, tol: float) -> SpptVerdict:
-    """``sppt_check`` of a state whose partial transpose is known to be PSD."""
+    """``sppt_check`` at ``tol`` of a state whose partial transpose is known to be PSD."""
     scale = max(s.norm(), 1e-300)
     a, b, c = blocks(s)
     eig = linalg.EigResult.of(a)

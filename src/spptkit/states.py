@@ -65,15 +65,14 @@ def _state(d: int, rho: np.ndarray, normalized: bool = False) -> QubitQuditState
     return QubitQuditState(d=d, rho=_freeze(rho), normalized=normalized)
 
 
-def make_state(d: int, entries, normalized: bool = False,
-               tol: float = linalg.PSD_RTOL) -> QubitQuditState:
+def make_state(d: int, entries, normalized: bool = False) -> QubitQuditState:
     """Validate and wrap a 2d x 2d matrix as a qubit-qudit state.
 
-    Checks dimensions, finiteness, hermiticity (within ``max(tol,
-    linalg.HERM_RTOL)``), positivity (least eigenvalue at least
-    ``-tol * ||rho||_F``) and, when ``normalized``, unit trace.  This is the
-    only place the package validates a state; everything it derives from
-    one is hermitianized instead.
+    Checks dimensions, finiteness, hermiticity (within ``linalg.HERM_RTOL``
+    of ``||rho||_F``), positivity (least eigenvalue at least
+    ``-linalg.PSD_RTOL * ||rho||_F``) and, when ``normalized``, unit trace.
+    This is the only place the package validates a state; everything it
+    derives from one is hermitianized instead.
     """
     if d < 1:
         raise BadDimensions(f"qudit dimension must be >= 1, got {d}")
@@ -81,13 +80,12 @@ def make_state(d: int, entries, normalized: bool = False,
     if rho.shape != (2 * d, 2 * d):
         raise BadDimensions(f"expected shape {(2 * d, 2 * d)}, got {rho.shape}")
     scale = max(linalg.frob(rho), 1e-300)
-    herm_tol = max(tol, linalg.HERM_RTOL)
-    if linalg.frob(rho - rho.conj().T) > herm_tol * scale:
-        raise NotHermitian(f"state is not hermitian within relative tolerance {herm_tol:g}")
+    if linalg.frob(rho - rho.conj().T) > linalg.HERM_RTOL * scale:
+        raise NotHermitian(f"state is not hermitian within relative tolerance {linalg.HERM_RTOL:g}")
     min_eig = linalg.min_eig(rho)
-    if min_eig < -tol * scale:
+    if min_eig < -linalg.PSD_RTOL * scale:
         raise NotPsd(f"state has negative eigenvalue {min_eig:g}")
-    if normalized and abs(rho.trace().real - 1.0) > max(tol * linalg.frob(rho), tol):
+    if normalized and abs(rho.trace().real - 1.0) > linalg.PSD_RTOL * max(linalg.frob(rho), 1.0):
         raise NotNormalized(f"trace {rho.trace().real!r} is not 1")
     return _state(d, rho, normalized)
 

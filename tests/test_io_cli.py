@@ -30,6 +30,7 @@ from spptkit.states import (
     sppt_counterexample_2x4,
 )
 
+from helpers import ill_conditioned_sppt
 
 def bell_state():
     psi = np.zeros(4, dtype=complex)
@@ -323,6 +324,12 @@ class TestCli:
         io.save_state(bell_state(), tmp_path / "bell.json")
         assert main(["classify", str(tmp_path / "bell.json")]) == 0
         assert "EntangledNpt" in capsys.readouterr().out
+
+    def test_classify_ill_conditioned_sppt(self, tmp_path, capsys):
+        # separable by construction; its prover once raised NotPsd, exit 2
+        io.save_state(ill_conditioned_sppt(75), tmp_path / "ill.json")
+        assert main(["classify", str(tmp_path / "ill.json")]) == 0
+        assert "class: Entangled" not in capsys.readouterr().out
 
     def test_classify_json_report(self, tmp_path, capsys):
         src = tmp_path / "rho1.json"

@@ -40,6 +40,7 @@ from spptkit.states import (
     sppt_counterexample_2x4,
 )
 
+from helpers import ill_conditioned_sppt
 
 
 def bell_state():
@@ -211,12 +212,12 @@ def _record_enumerations(monkeypatch):
     calls = []
     fresh, recheck = range_criterion._enumerate, range_criterion._recheck
 
-    def searching(s):
-        calls.append(("search", s, fresh(s)))
+    def searching(s, con):
+        calls.append(("search", s, fresh(s, con)))
         return calls[-1][2]
 
-    def rechecking(s, previous):
-        calls.append(("recheck", s, recheck(s, previous)))
+    def rechecking(s, con, previous):
+        calls.append(("recheck", s, recheck(s, con, previous)))
         return calls[-1][2]
 
     monkeypatch.setattr(range_criterion, "_enumerate", searching)
@@ -241,7 +242,7 @@ class TestEnumerationReuse:
     def test_same_verdicts_as_fresh_searches(self, state, monkeypatch):
         reused = classify(state)
         monkeypatch.setattr(range_criterion, "_recheck",
-                            lambda s, previous: range_criterion._enumerate(s))
+                            lambda s, con, previous: range_criterion._enumerate(s, con))
         fresh = classify(state)
         assert reused.classification == fresh.classification
         for verdict in (reused, fresh):
@@ -304,6 +305,58 @@ class TestEnumerationReuse:
         assert all(len(out.found) == 1 and not out.exhaustive for _, _, out in calls[:-1])
         assert [kind for kind, _, _ in calls] == ["search"] * len(calls)
         assert (res.searches, res.rechecks) == (len(calls), 0)
+
+
+def _fails_positivity_rule(rho, d):
+    """The prover's rule: the state or its partial transpose has an
+    eigenvalue below -TOL_FLOOR times its largest magnitude."""
+    for m in (rho, partial_transpose_matrix(rho, d)):
+        values = np.linalg.eigvalsh(m)
+        if values[0] < -TOL_FLOOR * np.abs(values).max():
+            return True
+    return False
+
+
+class TestOnePositivityRule:
+    """One rule, on one pair of full-size eigendecompositions per iteration,
+    decides whether the prover's remainder is still a PPT state."""
+
+    @pytest.mark.parametrize("seed", [75, 81])
+    def test_ill_conditioned_sppt_is_not_entangled(self, seed):
+        # a maximal subtraction overshoots on these remainders, and the
+        # enumeration's kernel_basis once raised NotPsd out of classify
+        assert not classify(ill_conditioned_sppt(seed)).is_entangled_class
+
+    @pytest.mark.parametrize("seed", [75, 81])
+    def test_stalls_before_enumerating_a_remainder_that_fails(self, seed, monkeypatch):
+        state = ill_conditioned_sppt(seed)
+        calls = _record_enumerations(monkeypatch)
+        res = subtract_product_vectors(state)
+        assert res.status == "stalled"
+        assert _fails_positivity_rule(res.remainder.rho, state.d)
+        assert calls and not any(_fails_positivity_rule(s.rho, s.d) for _, s, _ in calls)
+
+    def test_npt_input_stalls_at_once(self, monkeypatch):
+        calls = _record_enumerations(monkeypatch)
+        res = subtract_product_vectors(bell_state())
+        assert (res.status, res.iterations, calls) == ("stalled", 0, [])
+
+    @pytest.mark.parametrize("state", [random_separable(5, 7, seed=0)[0],
+                                       random_separable(4, 7, seed=0)[0],
+                                       ill_conditioned_sppt(75)])
+    def test_two_full_size_eigendecompositions_per_iteration(self, state, monkeypatch):
+        full = (2 * state.d, 2 * state.d)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counting(m, *args, _real=getattr(np.linalg, name), **kwargs):
+                if np.shape(m) == full:
+                    calls.append(m)
+                return _real(m, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        res = subtract_product_vectors(state)
+        # every pass of these runs reaches the eigendecompositions
+        assert res.status in ("sppt_core", "stalled", "budget_exhausted")
+        assert len(calls) == 2 * (res.iterations + 1)
 
 
 def _small_inputs():
@@ -430,10 +483,16 @@ class TestValidate:
 
 
 class TestClassify:
-    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
-    def test_bad_tol_rejected(self, tol):
-        with pytest.raises(ValidationError):
-            sppt_check(random_separable(4, 3, seed=1)[0], tol=tol)
+    def test_invertible_x1_route_is_validated_against_the_input(self, monkeypatch):
+        state, _ = random_sppt(4, 4, seed=7)
+        assert classify(state).classification == SEPARABLE
+        construct = separability.decompose_full_rank
+        # a decomposition of a state 1e-6 away from the input
+        monkeypatch.setattr(separability, "decompose_full_rank", lambda f: SeparableDecomposition(
+            terms=[(q, (1 + 1e-6) * m) for q, m in construct(f).terms]))
+        verdict = classify(state)
+        assert any(line.startswith("spectral construction failed") for line in verdict.trace_log)
+        assert "decomposition_residual" not in verdict.residuals
 
     def test_bell_state_npt(self):
         v = classify(bell_state())
