@@ -59,6 +59,11 @@ def min_eig(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitianize(m))[0])
 
 
+def min_eigs(stack: np.ndarray) -> np.ndarray:
+    """Least eigenvalue of the hermitian part of each matrix of a stack (n, d, d)."""
+    return np.linalg.eigvalsh((stack + np.conj(stack.swapaxes(-1, -2))) / 2)[:, 0]
+
+
 def eigh(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues, ascending, and orthonormal eigenvectors (columns) of a
     stack (..., n, n) of hermitian matrices.
@@ -204,10 +209,14 @@ def normal_eig(s, rtol: float = HERM_RTOL) -> tuple[np.ndarray, np.ndarray]:
     """Spectral decomposition of a (numerically) normal matrix.
 
     Returns ``(values, vectors)`` with orthonormal ``vectors`` columns such
-    that ``s = vectors @ diag(values) @ vectors.conj().T``.  Uses the complex
-    Schur form, which is diagonal for normal input, so degenerate eigenvalues
-    still yield an orthonormal eigenbasis.  Eigenvalues are sorted by real
-    part, then imaginary part, for deterministic output.
+    that ``s = vectors @ diag(values) @ vectors.conj().T``.  The vectors are
+    a Schur basis, built with numpy alone: the eigenvectors V of
+    ``np.linalg.eig`` (sV = V Lambda) orthonormalized as V = QR.  Then
+    Q^dag s Q = R Lambda R^-1 is upper triangular, a complex Schur form,
+    which for normal input is diagonal up to the normality defect; so
+    degenerate eigenvalues still yield an orthonormal eigenbasis.  The
+    values are its diagonal, the Rayleigh quotients q^dag s q, sorted by
+    real part, then imaginary part, for deterministic output.
     """
     s = as_matrix(s)
     if s.shape[0] != s.shape[1]:
@@ -215,12 +224,10 @@ def normal_eig(s, rtol: float = HERM_RTOL) -> tuple[np.ndarray, np.ndarray]:
     defect = frob(s.conj().T @ s - s @ s.conj().T)
     if defect > rtol * max(frob(s) ** 2, 1e-300):
         raise NotNormal(f"normality defect {defect:g} exceeds tolerance")
-    import scipy.linalg  # deferred: importing it dominates `import spptkit`
-
-    t, z = scipy.linalg.schur(s, output="complex")
-    values = np.diagonal(t).copy()
+    q, _ = np.linalg.qr(np.linalg.eig(s)[1])
+    values = np.einsum("ij,ij->j", np.conj(q), s @ q)
     order = np.lexsort((values.imag, values.real))
-    return values[order], z[:, order]
+    return values[order], q[:, order]
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

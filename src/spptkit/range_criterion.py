@@ -492,7 +492,12 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
     bound from the centre's eigenpair; ``first_order_exclusions`` in the
     record counts the cells that only the second excluded.  The best open
     cells, and every open centre already at the threshold, are polished by
-    Gauss-Newton; a polished mu at most ``threshold`` is a product vector.
+    Gauss-Newton, at most ``_POLISH_PER_LEVEL + limit`` per level; a
+    polished mu at most ``threshold`` is a product vector.  The cap bounds
+    the work in a near-miss valley, where the floor of mu_lo(centre) at
+    sqrt(con.margin) can lie above the threshold and read every centre as
+    at it, and nearly every polish fails; a cell left unpolished stays open
+    and splits, so the cap excludes nothing.
     A found vector's basin is the ball out to the farthest polish start
     that converged to it, at least ``_BASIN``: no start inside it is
     polished again, open cells wholly inside it are dropped, and the others
@@ -564,7 +569,8 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
         first_order += int(np.count_nonzero(~open_ & (mu - slack <= threshold)))
         attempts = 0
         for i in np.flatnonzero(open_)[np.argsort(mu[open_])]:
-            if len(found) >= limit or (attempts >= _POLISH_PER_LEVEL and mu[i] > threshold):
+            if (len(found) >= limit or attempts >= _POLISH_PER_LEVEL + limit
+                    or (attempts >= _POLISH_PER_LEVEL and mu[i] > threshold)):
                 break
             if (_bloch_angle(e[i], known) < radii).any():
                 continue

@@ -75,11 +75,13 @@ class SeparableDecomposition:
     def reconstruction_residual(self, rho: np.ndarray) -> float:
         return linalg.frob(self.reconstruct() - rho)
 
+    def _factor_stacks(self):
+        """The qubit factors, then the qudit factors, each as one stack."""
+        return [np.array(factors) for factors in zip(*self.terms)]
+
     def min_factor_eig(self) -> float:
-        worst = np.inf
-        for qubit, qudit in self.terms:
-            worst = min(worst, linalg.min_eig(qubit), linalg.min_eig(qudit))
-        return worst
+        return min((float(linalg.min_eigs(stack).min()) for stack in self._factor_stacks()),
+                   default=np.inf)
 
     def validate(self, rho: np.ndarray, tol: float = DEFAULT_TOL) -> float:
         residual = self.reconstruction_residual(rho)
@@ -90,8 +92,9 @@ class SeparableDecomposition:
             )
         # Each factor against its own norm: a unit qubit projector's rounding
         # says nothing about the scale of the state or of its qudit partner.
-        for factor in (m for term in self.terms for m in term):
-            if linalg.min_eig(factor) < -1e-10 * linalg.frob(factor):
+        for stack in self._factor_stacks():
+            norms = np.array([linalg.frob(m) for m in stack])
+            if (linalg.min_eigs(stack) < -1e-10 * norms).any():
                 raise InvalidDecomposition("a decomposition factor is not PSD")
         return residual
 

@@ -204,6 +204,16 @@ class TestNullspace:
         assert linalg.frob(m @ basis) <= 1e-14
 
 
+class TestMinEigs:
+    def test_equals_the_least_eigenvalue_of_each_matrix(self):
+        # the stacked solve is the per-matrix one, bit for bit, so a
+        # decomposition's PSD check does not depend on how it is batched
+        rng = np.random.default_rng(3)
+        for d in (2, 4, 7):
+            stack = np.array([random_complex(d, d, rng) for _ in range(5)])
+            assert linalg.min_eigs(stack).tolist() == [linalg.min_eig(m) for m in stack]
+
+
 class TestNormalEig:
     def test_normal_reconstruction(self):
         rng = np.random.default_rng(46)
@@ -227,6 +237,63 @@ class TestNormalEig:
         m = np.diag([2.0, -1.0, 0.5 + 0.5j])
         values, _ = linalg.normal_eig(m)
         assert values[0].real <= values[1].real <= values[2].real
+
+    @staticmethod
+    def assert_decomposes(m, values, vectors, tol):
+        n = len(m)
+        rebuilt = (vectors * values) @ vectors.conj().T
+        assert linalg.frob(rebuilt - m) <= tol * max(linalg.frob(m), 1e-300)
+        assert linalg.frob(vectors.conj().T @ vectors - np.eye(n)) <= tol
+        assert np.all(np.diff(values.real) >= 0)
+
+    @pytest.mark.parametrize("family", ["random", "repeated", "cube_roots", "zero",
+                                        "apart_1e-5", "apart_1e-9"])
+    def test_spectral_families(self, family):
+        # the eig + QR Schur basis is as exact as the Schur form on every
+        # spectrum shape, clusters and a vanishing matrix included
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            n = int(rng.integers(2, 9))
+            lam = rng.normal(size=n) + 1j * rng.normal(size=n)
+            if family == "repeated":
+                lam[: n // 2 + 1] = lam[0]
+            elif family == "cube_roots":
+                lam = np.exp(2j * np.pi * rng.integers(0, 3, size=n) / 3)
+            elif family == "zero":
+                lam = np.zeros(n)
+            elif family.startswith("apart_"):
+                lam[1] = lam[0] + float(family[len("apart_"):]) * np.exp(1j * rng.uniform(0, 7))
+            u = linalg.haar_unitary(n, rng)
+            m = (u * lam) @ u.conj().T
+            self.assert_decomposes(m, *linalg.normal_eig(m), tol=1e-12)
+
+    def test_eigenvalues_on_one_line(self):
+        # Re(lambda) + 0.618 Im(lambda) is 0 for two of them: an eigh of
+        # H + 0.618 K, the commuting hermitian pair, would mix their vectors
+        rng = np.random.default_rng(5)
+        u = linalg.haar_unitary(4, rng)
+        lam = np.array([0.0, 0.618 - 1j, 2.0, 1.0 + 1j])
+        m = (u * lam) @ u.conj().T
+        values, vectors = linalg.normal_eig(m)
+        self.assert_decomposes(m, values, vectors, tol=1e-12)
+        np.testing.assert_allclose(values, np.sort_complex(lam), atol=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-10, 1e-9])
+    def test_near_normal_loses_only_the_perturbation(self, eps):
+        rng = np.random.default_rng(23)
+        for trial in range(20):
+            n = int(rng.integers(2, 9))
+            lam = rng.normal(size=n) + 1j * rng.normal(size=n)
+            if trial % 2:
+                lam[1] = lam[0]
+            u = linalg.haar_unitary(n, rng)
+            m = (u * lam) @ u.conj().T
+            p = random_complex(n, n, rng)
+            m = m + eps * linalg.frob(m) * p / linalg.frob(p)
+            values, vectors = linalg.normal_eig(m, rtol=1e-8)
+            rebuilt = (vectors * values) @ vectors.conj().T
+            assert linalg.frob(rebuilt - m) <= 2 * eps * linalg.frob(m)
+            assert linalg.frob(vectors.conj().T @ vectors - np.eye(n)) <= 1e-12
 
 
 def psd_stack(n, d, rank, rng):

@@ -1,5 +1,11 @@
 """Tests for decompositions, reduction, lifting, subtraction, and classify."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -359,6 +365,23 @@ class TestOnePositivityRule:
         assert len(calls) == 2 * (res.iterations + 1)
 
 
+class TestPolishCap:
+    def test_near_miss_valley_polishes_few_centres(self, monkeypatch):
+        # every centre of this state's near-miss valleys reads mu_lo = 0, so
+        # every one counts as at the threshold; the per-level cap on polish
+        # attempts keeps them to a few hundred (some 55,000 uncapped)
+        calls = []
+        polish = range_criterion._polish
+
+        def counting(*args):
+            calls.append(args)
+            return polish(*args)
+
+        monkeypatch.setattr(range_criterion, "_polish", counting)
+        assert classify(ill_conditioned_sppt(51)).classification == SEPARABLE_BY_THEOREM
+        assert len(calls) < 1000
+
+
 def _small_inputs():
     """PPT 2 x 2 and 2 x 3 states of every family decompose_small meets."""
     for d in (2, 3):
@@ -576,6 +599,31 @@ class TestClassify:
         monkeypatch.setattr(np.linalg, "svd", counting)
         assert classify(state).is_separable_class
         assert shapes.count((6, 6)) == 1
+
+    def test_classify_needs_no_scipy(self):
+        # a fresh interpreter in which importing scipy fails runs both
+        # spectral constructions: the invertible-x1 route and the prover's
+        # strong-PPT exit at rank d
+        script = textwrap.dedent("""
+            import sys
+
+            class Refuse:
+                def find_spec(self, name, path=None, target=None):
+                    if name.partition(".")[0] == "scipy":
+                        raise ImportError(f"{name} is refused")
+
+            sys.meta_path.insert(0, Refuse())
+            from spptkit import classify, random_separable, random_sppt
+            for state in (random_sppt(6, 6, seed=1)[0], random_separable(5, 6, seed=0)[0]):
+                print(classify(state).classification)
+            print("scipy" in sys.modules)
+        """)
+        src = str(Path(separability.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True).stdout.split()
+        assert out == [SEPARABLE, SEPARABLE, "False"]
 
     def test_separable_mixtures_not_entangled(self):
         for seed in range(5):
