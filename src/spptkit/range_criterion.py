@@ -30,7 +30,9 @@ earlier.  Before the eigensolve, each cell's G is tested by a batched
 LDL^H factorization (``linalg.positive_definite``), several times
 cheaper: all pivots positive proves that the eigensolve would give a
 bound too large to change what the search reports, so only the other
-cells are solved.
+cells are solved.  Round each vector it finds, one SVD certifies an
+annulus free of other qualifying vectors (``_isolation``), and the cells
+inside it are dropped.
 ``edge_check`` stops at the first product vector at ``EXCLUSION_THRESHOLD``;
 ``product_vectors_in_range``, like the subtraction prover's enumeration,
 keeps enumerating distinct ones: against the wider kernel at
@@ -211,9 +213,12 @@ def _constraint_rows(con: _Constraints, e_batch: np.ndarray) -> np.ndarray:
 def _mu_batch(con: _Constraints, e_batch: np.ndarray, radius, above=None):
     """Lower bounds on mu at cell centres (n, 2) and over the cells round them.
 
-    Returns ``(mu_lo, lower)``: mu_lo <= mu at each centre, and lower <= mu
-    on each cell of Bloch radius ``radius`` (one per centre, or one for
-    all), lower = max(mu_lo - L r / 2, the first-order bound below).
+    Returns ``(mu_lo, lower, vectors)``: mu_lo <= mu at each centre, lower
+    <= mu on each cell of Bloch radius ``radius`` (one per centre, or one
+    for all), lower = max(mu_lo - L r / 2, the first-order bound below),
+    and per centre the computed unit eigenvector of lambda_1(G), zero where
+    no eigensolve ran; ``_search`` and ``_recheck`` start their polishes
+    from it.
 
     mu(e)^2 is the least eigenvalue of G(e) = sum_ab conj(e_a) e_b H_ab, and
     mu_lo = sqrt(max(lambda_1 - delta, 0)) for the computed lambda_1 and
@@ -251,11 +256,14 @@ def _mu_batch(con: _Constraints, e_batch: np.ndarray, radius, above=None):
     complement, with projector Q:
 
     * u^dag M(c) g = (G v - a v)^dag g / ||w|| is at most rho / ||w|| in
-      modulus, and u^dag N v = (t w_s^dag X v + conj(t) w_p^dag Y v) /
-      ||w|| at most tau p sigma_1 / ||w||, p sigma_1 = |w_s^dag X v| +
-      |w_p^dag Y v|.  With ||w|| >= sigma_1 = sqrt(lambda_1 - delta) and x
-      - tau p sigma_1 / x rising in x, |u^dag (M(c) + N) f| >= |alpha| A -
-      |beta| B, with A = sigma_1 - tau p and B = tau L + rho / sigma_1.
+      modulus, and u^dag (M(c) + N) v = ||w|| + (t p_s + conj(t) p_p) /
+      ||w|| with p_s = w_s^dag X v and p_p = w_p^dag Y v.  As |x + z| >= x
+      + Re z for real x > 0 and Re(t p_s + conj(t) p_p) = Re(t (p_s +
+      conj(p_p))) >= -tau p sigma_1 with the slope p sigma_1 = |p_s +
+      conj(p_p)|, this is at least ||w|| - tau p sigma_1 / ||w||.  With
+      ||w|| >= sigma_1 = sqrt(lambda_1 - delta) and x - tau p sigma_1 / x
+      rising in x, |u^dag (M(c) + N) f| >= |alpha| A - |beta| B, with A =
+      sigma_1 - tau p and B = tau L + rho / sigma_1.
     * The compression of G to span(v, g) has, by Cauchy interlacing, its
       two eigenvalues above lambda_1 and lambda_2, and its trace is a +
       g^dag G g, so ||M(c) g||^2 >= lambda_1 + lambda_2 - a.  (lambda_2 -
@@ -264,15 +272,21 @@ def _mu_batch(con: _Constraints, e_batch: np.ndarray, radius, above=None):
       = lambda_1 + lambda_2 - a - (rho / sigma_1)^2 <= ||Q M(c) g||^2 and
       D = tau L.
 
-    ||(M(c) + N) f|| is at least both.  For A > 0, |alpha| >= 1 - |beta|
-    puts the first above A - |beta| (A + B), which falls in |beta| while
-    the second rises; they cross at |beta| = (A + D) / (A + B + C) <= 1,
-    as D <= B + C, both at F = (A C - D (A + B)) / (A + B + C).  So mu >=
-    F / sqrt(1 + tau^2) on the cell.  At d = 1, beta = 0 and F = A.  For
-    an exact eigenvector, rho = 0 and a = lambda_1, so B = D = tau L and C
-    = sqrt(lambda_2).  Near a simple zero of mu the first order gains
-    most: the zero-order bound subtracts L r / 2, this one about tau p,
-    with p the actual slope of mu along c_perp in place of L.
+    ||(M(c) + N) f|| is at least both.  For A > 0, with b = |beta| and
+    |alpha| = sqrt(1 - b^2) exactly, the first, sqrt(1 - b^2) A - b B,
+    falls in b on [0, 1] while the second, b C - D, rises; at b = 0 the
+    first is the larger, at b = 1 not, as D <= B + C, so the least over b
+    of the larger is where they cross.  Squaring sqrt(1 - b^2) A = b S - D,
+    S = B + C, leaves b* = (D S + A sqrt(S^2 + A^2 - D^2)) / (S^2 + A^2)
+    (the other root has b S < D), and F = b* C - D (``_crossing``).  So mu
+    >= F / sqrt(1 + tau^2) on the cell.  The chord |alpha| >= 1 - b only
+    lowers the first, so F is never below the chord's crossing, (A C - D
+    (A + B)) / (A + B + C); where lambda_1 and lambda_2 are close it is
+    well above it.  At d = 1, beta = 0 and F = A.  For an exact
+    eigenvector, rho = 0 and a = lambda_1, so B = D = tau L and C =
+    sqrt(lambda_2).  Near a simple zero of mu the first order gains most:
+    the zero-order bound subtracts L r / 2, this one about tau p, with p
+    the actual slope of mu along c_perp in place of L.
 
     F rises in A and C and falls in B and D, so each input is taken at a
     bound in the safe direction.  Both lambda less delta, by Weyl's
@@ -280,12 +294,14 @@ def _mu_batch(con: _Constraints, e_batch: np.ndarray, radius, above=None):
     G and M rows and a computed v, unit up to d eps; against the exact ones
     for the unit v / ||v||, a and p sigma_1 are off by at most (6d + 10) eps
     n <= delta (the rows' and G's rounding as above, the products with v,
-    the inner products over at most 2d rows; ||M(c)||_2, ||M(c_perp)||_2
-    <= L and the entrywise bound by U again), rho by at most twice that:
-    each is taken plus delta, rho plus 2 delta.  The factor 1 + 1e-12 on
-    tau covers the rounding of tan, of L and of tau L, and F is taken less
-    delta, which covers its own rounding, at most 6 eps (C + D), and that
-    of the division by sqrt(1 + tau^2).
+    the inner products over at most 2d rows, p_s and p_p summed into one;
+    ||M(c)||_2, ||M(c_perp)||_2 <= L and the entrywise bound by U again),
+    rho by at most twice that: each is taken plus delta, rho plus 2 delta.
+    The factor 1 + 1e-12 on tau covers the rounding of tan, of L and of tau
+    L.  ``_crossing`` takes the rounding of its square root and division
+    off F, at most 8 eps (C + D); F is then taken less delta, which covers
+    the rounding of A, B, C, D from those inputs and of the division by
+    sqrt(1 + tau^2).
 
     ``above`` holds, per vector, a value past which its bound need not be
     known; None settles no vector.  Each computed G is first tested by
@@ -314,6 +330,7 @@ def _mu_batch(con: _Constraints, e_batch: np.ndarray, radius, above=None):
     shift = above ** 2 * (1.0 + 1e-12) + 2.0 * con.margin + con.ldl_margin
     tau = np.tan(radius / 2.0) * (1.0 + 1e-12)
     lam, first = np.full(n, np.inf), np.full(n, np.inf)
+    least = np.zeros((n, con.d), dtype=complex)
     for i in range(0, n, _SLICE):
         e = e_batch[i:i + _SLICE]
         weights = (np.conj(e)[:, :, None] * e[:, None, :]).reshape(-1, 4)
@@ -322,16 +339,19 @@ def _mu_batch(con: _Constraints, e_batch: np.ndarray, radius, above=None):
         if len(rest):
             values, vectors = linalg.eigh(gram[rest])
             lam[i + rest] = values[:, 0]
+            least[i + rest] = vectors[:, :, 0]
             first[i + rest] = _first_order(con, e[rest], tau[i + rest], values,
                                            vectors[:, :, 0], gram[rest])
     mu = np.sqrt(np.maximum(lam - con.margin, 0.0))
-    return mu, np.maximum(mu - con.lipschitz * radius / 2.0, first)
+    return mu, np.maximum(mu - con.lipschitz * radius / 2.0, first), least
 
 
 def _first_order(con: _Constraints, e: np.ndarray, tau: np.ndarray, values: np.ndarray,
                  v: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """The first-order lower bound on mu over cells round centres e (n, 2),
-    -inf where it has none (see ``_mu_batch``).
+    -inf where it has none (see ``_mu_batch``): the centre's sigma_1 less
+    tau times the slope |p_s + conj(p_p)|, against the complement's growth,
+    crossed on the circle |alpha|^2 + |beta|^2 = 1 by ``_crossing``.
 
     ``tau`` is tan(r / 2) per cell, inflated; ``values`` the computed
     eigenvalues of the computed G(e) ``gram``, ascending; ``v`` any unit
@@ -340,10 +360,11 @@ def _first_order(con: _Constraints, e: np.ndarray, tau: np.ndarray, values: np.n
     delta, lip, n = con.margin, con.lipschitz, len(e)
     perp = np.stack([-np.conj(e[:, 1]), np.conj(e[:, 0])], axis=1)
     rows = _constraint_rows(con, np.concatenate([e, perp])) @ np.concatenate([v, v])[:, :, None]
-    # w = M(c) v and M(c_perp) v; p sigma_1 sums the overlaps of the two parts
+    # w = M(c) v and M(c_perp) v; the slope adds p_s and conj(p_p), the
+    # overlaps of the two parts
     overlap = np.conj(rows[:n, :, 0]) * rows[n:, :, 0]
     k1 = con.w_state.shape[0]
-    p_sigma = np.abs(overlap[:, :k1].sum(axis=1)) + np.abs(overlap[:, k1:].sum(axis=1)) + delta
+    p_sigma = np.abs(overlap[:, :k1].sum(axis=1) + np.conj(overlap[:, k1:].sum(axis=1))) + delta
     gv = (gram @ v[:, :, None])[:, :, 0]
     a = np.sum(np.conj(v) * gv, axis=1).real
     residual = np.linalg.norm(gv - a[:, None] * v, axis=1) + 2.0 * delta
@@ -353,11 +374,30 @@ def _first_order(con: _Constraints, e: np.ndarray, tau: np.ndarray, values: np.n
         if con.d == 1:
             bound = big_a
         else:
-            big_b, big_d = tau * lip + residual / sigma1, tau * lip
             big_c = np.sqrt(np.maximum(values[:, 0] + values[:, 1] - a - 3.0 * delta
                                        - (residual / sigma1) ** 2, 0.0))
-            bound = (big_a * big_c - big_d * (big_a + big_b)) / (big_a + big_b + big_c)
+            bound = _crossing(big_a, tau * lip + residual / sigma1, big_c, tau * lip)
     return np.where(big_a > 0.0, (bound - delta) / np.sqrt(1.0 + tau ** 2), -np.inf)
+
+
+def _crossing(big_a, big_b, big_c, big_d):
+    """min over b in [0, 1] of max(sqrt(1 - b^2) A - b B, b C - D), less
+    its rounding, for A > 0, B >= D >= 0 and C >= 0 (see ``_mu_batch``).
+
+    The least is at b* = (D S + A sqrt(R)) / (S^2 + A^2), S = B + C, with R
+    = S^2 + A^2 - D^2 formed as (S - D)(S + D) + A^2 and S - D as (B - D) +
+    C.  Then every operation but the last, F = b* C - D, adds or multiplies
+    nonnegative numbers, subtracts D from the input B >= D, divides or
+    takes a root, each off by at most u = eps / 2 relative: R is within 6
+    u, its root within 4 u, numerator and
+    denominator within 6 u and 4 u, so b* within 11 u and b* C within 12
+    u.  With b* <= 1 the computed F is off by at most 13 u C + u D, and 8
+    eps (C + D) is taken off; its own rounding is within the slack.
+    """
+    s = big_b + big_c
+    root = np.sqrt(((big_b - big_d) + big_c) * (s + big_d) + big_a * big_a)
+    beta = (big_d * s + big_a * root) / (s * s + big_a * big_a)
+    return beta * big_c - big_d - 8.0 * np.finfo(float).eps * (big_c + big_d)
 
 
 def _null_vector(con: _Constraints, e: np.ndarray) -> tuple[np.ndarray, float]:
@@ -403,7 +443,7 @@ def _cell_radius(theta, h_theta: float, h_phi: float) -> np.ndarray:
 
 
 def _polish(con: _Constraints, e: np.ndarray, f: np.ndarray):
-    """Gauss-Newton on the bilinear system M(e) f = 0.
+    """Gauss-Newton on the bilinear system M(e) f = 0, from unit e and f.
 
     Each step solves the real least-squares linearization for a move t of
     e along its orthogonal complement e_perp (the tangent plane modulo
@@ -412,34 +452,139 @@ def _polish(con: _Constraints, e: np.ndarray, f: np.ndarray):
     or after ``_POLISH_STALL`` steps in a row that do not halve the best
     residual.  Returns ``(e, f, mu(e))`` at the best iterate, with f the
     null vector of M(e) there.
+
+    A step forms M(e) and M(e_perp) in one call.  It spans f's complement
+    by the columns j >= 1 of the Householder reflection I - v v^dag / (1 +
+    |f_0|), v = f + (f_0 / |f_0|) 1_0, which maps f to a multiple of the
+    first unit vector 1_0, applied without forming it; the minimal-norm
+    solution does not depend on the orthonormal basis of the complement,
+    so the step is the one any such basis gives.  The
+    complex columns are filled in place into one array whose real view,
+    transposed, is the real 2n x 2d system with the real and imaginary
+    part of each row next to each other, an order the solution does not
+    depend on either.
     """
-    d, k1 = con.d, con.w_state.shape[0]
+    d, n, k1 = con.d, con.n_rows, con.w_state.shape[0]
+    columns = np.empty((2 * d, n), dtype=complex)
+    system = columns.view(float).T
     best, best_e, stalled = np.inf, e, 0
     for _ in range(_POLISH_ITERATIONS):
-        m = _constraint_rows(con, e[None, :])[0]
-        r = m @ f
-        norm = float(np.linalg.norm(r))
+        pair = np.array([e, [-np.conj(e[1]), np.conj(e[0])]])
+        rows = _constraint_rows(con, pair)
+        r, g = rows @ f
+        norm = float(np.sqrt(np.vdot(r, r).real))
         stalled = 0 if norm < 0.5 * best else stalled + 1
         if norm < best:
             best, best_e = norm, e
         if norm <= _POLISH_TOL or stalled >= _POLISH_STALL:
             break
-        e_perp = np.array([-np.conj(e[1]), np.conj(e[0])])
-        m_perp = _constraint_rows(con, e_perp[None, :])[0] @ f
-        # The state rows are linear in e, the partial-transpose rows in e*.
-        m_perp_i = 1j * m_perp
-        m_perp_i[k1:] *= -1.0
-        f_perp = linalg.nullspace(np.conj(f)[None, :])
-        c = m @ f_perp
-        k = np.column_stack([m_perp, m_perp_i, c, 1j * c])
-        x = np.linalg.lstsq(np.vstack([k.real, k.imag]),
-                            -np.concatenate([r.real, r.imag]), rcond=None)[0]
-        e = e + (x[0] + 1j * x[1]) * e_perp
-        e /= np.linalg.norm(e)
-        f = f + f_perp @ (x[2:d + 1] + 1j * x[d + 1:])
-        f /= np.linalg.norm(f)
+        head = abs(f[0])
+        v = f.copy()
+        v[0] += f[0] / head if head > 0.0 else 1.0
+        w = np.conj(v[1:]) / (1.0 + head)
+        m = rows[0]
+        # The state rows are linear in e, the partial-transpose rows in e*:
+        # columns for Re t and Im t, then for the real and imaginary parts
+        # of the move of f.
+        columns[0] = g
+        columns[1] = 1j * g
+        columns[1, k1:] *= -1.0
+        columns[2:d + 1] = (m[:, 1:] - np.outer(m @ v, w)).T
+        columns[d + 1:] = 1j * columns[2:d + 1]
+        x = np.linalg.lstsq(system, -r.view(float), rcond=None)[0]
+        e = e + (x[0] + 1j * x[1]) * pair[1]
+        e /= np.sqrt(np.vdot(e, e).real)
+        z = x[2:d + 1] + 1j * x[d + 1:]
+        f = f - (w @ z) * v
+        f[1:] += z
+        f /= np.sqrt(np.vdot(f, f).real)
     f, mu = _null_vector(con, best_e)
     return best_e, f, mu
+
+
+def _isolation(con: _Constraints, e: np.ndarray, threshold: float) -> tuple[float, float]:
+    """Bloch radii (inner, outer) of a certified isolation annulus round a
+    found vector e, (0, 0) where none is certified.
+
+    Write the directions near e as (e + t e_perp) / sqrt(1 + |t|^2).  No
+    other vector with mu at most ``threshold`` lies at t_lo < |t| <= tau*;
+    within t_lo, a few times threshold / kappa, lies only e's own blob.
+    Take one SVD of M_0 = M(e): s_1 <= s_2 its two least singular values,
+    f_0 the right vector of s_1, U_2 the left vectors of the other d - 1, P
+    = I - U_2 U_2^dag.  X f_0 and Y f_0 are the state and the
+    partial-transpose rows of M(e_perp) f_0, each with the other part zeroed,
+    and kappa^2 = ||P X f_0||^2 + ||P Y f_0||^2 - 2 |<P X f_0, P Y f_0>|.
+    Then with N = [t X; conj(t) Y], ||P N f_0|| = ||t P X f_0 + conj(t) P Y
+    f_0|| >= |t| kappa, and ||N h|| <= |t| L ||h||.
+
+    A qualifying direction has a unit f = alpha f_0 + beta g, g a unit
+    vector orthogonal to f_0, with ||(M_0 + N) f|| <= threshold sqrt(1 +
+    |t|^2) =: eps_t.  M_0 g lies in the span of U_2 with norm at least s_2,
+    and P M_0 f_0 = s_1 u_1, so projecting on U_2 and on P gives
+
+        s_2 |beta| <= |t| L + eps,     |alpha| (|t| kappa - s_1) <= |beta| |t| L + eps,
+
+    for eps >= eps_t.  The SVD computed from the computed rows is the exact
+    SVD of M_0 + E with orthonormal factors within d eps of the computed
+    ones and ||E|| <= (d + 2) eps ||M_0||_F <= (d + 2) eps sqrt(n) L,
+    the rows' own rounding included (LAPACK states a modestly growing
+    factor, as for the eigensolve of ``_mu_batch``); so eps = threshold
+    sqrt(1 + tau*^2) + delta L with delta = ``con.margin`` = 16 d eps n
+    covers E, and kappa^2 is taken less
+    delta L^2, which covers the computed factors' distance from those
+    orthonormal ones and the rounding of x, y and their products, at most
+    4 sqrt(2) (3d + n) eps L^2.
+
+    Take |t| = r; the first inequality asks b = |beta| <= b_r = (r L +
+    eps) / s_2.  The second's left side falls in b and its right side
+    rises, so once h(r) = sqrt(1 - b_r^2) (r kappa - s_1) - b_r r L - eps
+    > 0 the second fails for every b <= b_r, and no b meets both.  Where r
+    kappa >= s_1 and b_r <= 1, h is concave:
+    -b_r r L is, and sqrt(1 - b_r^2) is concave, positive and falling
+    while r kappa - s_1 is affine, nonnegative and rising, so their product
+    has second derivative at most 0.  h > 0 at both ends of [t_lo, tau*]
+    thus proves it on the whole interval (and r kappa > s_1 at t_lo).
+    Without eps and s_1, h vanishes at r = s_2 kappa / (L sqrt(kappa^2 +
+    L^2)); tau* is 7/8 of that, and t_lo = 2 (s_1 + eps) / kappa.  Each end
+    is accepted only with b_r <= 3/4, which keeps the rounding of sqrt(1 -
+    b_r^2) within a few eps, and h above 16 eps times the sum of its
+    terms' magnitudes, which covers h's rounding.  The radii returned
+    are 2 atan(t_lo), plus a relative 1e-12, and 2 atan(tau*), less a
+    relative 1e-12 for the rounding of atan and less 1e-7, which covers the
+    rounding of the arccos in ``_bloch_angle`` near 0.  At d = 1 nothing is
+    certified.
+    """
+    d, lip, delta = con.d, con.lipschitz, con.margin
+    if d < 2:
+        return 0.0, 0.0
+    rows = _constraint_rows(con, np.stack([e, [-np.conj(e[1]), np.conj(e[0])]]))
+    u, sigma, vh = np.linalg.svd(rows[0], full_matrices=False)
+    s1, s2, u2 = sigma[d - 1], sigma[d - 2], u[:, :d - 1]
+    moved = rows[1] @ np.conj(vh[d - 1])
+    parts = np.zeros((2, len(moved)), dtype=complex)
+    k1 = con.w_state.shape[0]
+    parts[0, :k1], parts[1, k1:] = moved[:k1], moved[k1:]
+    parts -= (parts @ np.conj(u2)) @ u2.T
+    x, y = parts
+    kappa2 = (np.vdot(x, x).real + np.vdot(y, y).real - 2.0 * abs(np.vdot(x, y))
+              - delta * lip ** 2)
+    if not (kappa2 > 0.0 and s2 > 0.0):
+        return 0.0, 0.0
+    kappa = np.sqrt(kappa2)
+    tau = 0.875 * s2 * kappa / (lip * np.hypot(kappa, lip))
+    eps = threshold * np.sqrt(1.0 + tau ** 2) + delta * lip
+    t_lo = 2.0 * (s1 + eps) / kappa
+
+    def clear(r):
+        b = (r * lip + eps) / s2
+        terms = (np.sqrt(max(1.0 - b * b, 0.0)) * (r * kappa - s1), b * r * lip, eps)
+        return b <= 0.75 and terms[0] - terms[1] - terms[2] > 16.0 * np.finfo(float).eps * (
+            r * kappa + s1 + terms[1] + terms[2])
+
+    if not (t_lo < tau and clear(t_lo) and clear(tau)):
+        return 0.0, 0.0
+    return (float(2.0 * np.arctan(t_lo) * (1.0 + 1e-12)),
+            float(2.0 * np.arctan(tau) * (1.0 - 1e-12) - 1e-7))
 
 
 def _minimum_record(e: np.ndarray, residual: float) -> dict:
@@ -492,16 +637,22 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
     bound from the centre's eigenpair; ``first_order_exclusions`` in the
     record counts the cells that only the second excluded.  The best open
     cells, and every open centre already at the threshold, are polished by
-    Gauss-Newton, at most ``_POLISH_PER_LEVEL + limit`` per level; a
-    polished mu at most ``threshold`` is a product vector.  The cap bounds
+    Gauss-Newton, at most ``_POLISH_PER_LEVEL + limit`` per level, each
+    from its centre's eigenvector of lambda_1(G), which ``_mu_batch``
+    computed anyway (every open cell was eigensolved); a polished mu at
+    most ``threshold`` is a product vector.  The cap bounds
     the work in a near-miss valley, where the floor of mu_lo(centre) at
     sqrt(con.margin) can lie above the threshold and read every centre as
     at it, and nearly every polish fails; a cell left unpolished stays open
     and splits, so the cap excludes nothing.
     A found vector's basin is the ball out to the farthest polish start
-    that converged to it, at least ``_BASIN``: no start inside it is
+    that converged to it, at least ``_BASIN``, and at least the outer
+    radius of its certified isolation annulus (``_isolation``), in which no
+    other vector has mu at most ``threshold``: no start inside it is
     polished again, open cells wholly inside it are dropped, and the others
-    split into four.  The search
+    split into four.  The record counts the polishes (``polishes``) and the
+    open cells that only a certified annulus dropped (``isolation_drops``).
+    The search
     stops once ``limit`` distinct vectors are found, every cell is excluded
     or dropped, or a cell reaches ``CELL_FLOOR`` or the next level would
     pass ``EVALUATION_CAP``; the certified bound is the least lower over
@@ -537,7 +688,7 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
         for theta, phi in _CANONICAL:
             e = _bloch(theta, phi)
             found.extend(_product_vector_at(s, con, e, f) for f in _null_space(con, e))
-        record = _search_record(con, 0, 0, 0)
+        record = _search_record(con, 0, 0, 0, 0, 0)
         if not certify:
             return _Enumeration(found, record, exhaustive=False)
         residual = found[0].combined_residual
@@ -551,9 +702,9 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
     theta, phi = np.meshgrid((2 * np.arange(n_theta) + 1) * h_theta,
                              (2 * np.arange(n_phi) + 1) * h_phi, indexing="ij")
     theta, phi = theta.ravel(), phi.ravel()
-    known, radii = np.empty((0, 2), dtype=complex), np.empty(0)
+    known, radii, plain = np.empty((0, 2), dtype=complex), np.empty(0), np.empty(0)
     bound = worst = np.inf
-    evaluations = levels = first_order = 0
+    evaluations = levels = first_order = polishes = isolated = 0
     conclusion = "NoneFound"
     while True:
         levels += 1
@@ -562,7 +713,7 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
         slack = lip * radius / 2.0
         above = (np.maximum(max(threshold, bound) + slack, worst) if certify
                  else threshold + slack)
-        mu, lower = _mu_batch(con, e, radius, above)
+        mu, lower, least = _mu_batch(con, e, radius, above)
         evaluations += len(mu)
         worst = min(worst, float(mu.min()))
         open_ = lower <= threshold
@@ -575,7 +726,8 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
             if (_bloch_angle(e[i], known) < radii).any():
                 continue
             attempts += 1
-            e_pol, f_pol, mu_pol = _polish(con, e[i], _null_vector(con, e[i])[0])
+            polishes += 1
+            e_pol, f_pol, mu_pol = _polish(con, e[i], least[i])
             minima.append(_minimum_record(e_pol, mu_pol))
             worst = min(worst, mu_pol)
             if mu_pol > threshold:
@@ -585,11 +737,17 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
             same = np.flatnonzero(_bloch_angle(e_pol, known) < _SAME)
             if len(same):
                 radii[same[0]] = max(radii[same[0]], start)
+                plain[same[0]] = max(plain[same[0]], start)
             else:
                 found.append(_product_vector_at(s, con, e_pol, f_pol))
                 known = np.vstack([known, e_pol])
-                radii = np.append(radii, max(start, _BASIN))
-        open_ &= ~(_bloch_angle(e, known) + radius[:, None] <= radii).any(axis=1)
+                plain = np.append(plain, max(start, _BASIN))
+                ball = _isolation(con, e_pol, threshold)[1] if len(found) < limit else 0.0
+                radii = np.append(radii, max(plain[-1], ball))
+        reach = _bloch_angle(e, known) + radius[:, None]
+        inside = (reach <= radii).any(axis=1)
+        isolated += int(np.count_nonzero(open_ & inside & ~(reach <= plain).any(axis=1)))
+        open_ &= ~inside
         if len(found) >= limit or not open_.any():
             break
         if 2.0 * h_theta < CELL_FLOOR or evaluations + 4 * open_.sum() > EVALUATION_CAP:
@@ -600,7 +758,7 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
         theta = (theta[open_, None] + h_theta * np.array([-1.0, -1.0, 1.0, 1.0])).ravel()
         phi = (phi[open_, None] + h_phi * np.array([-1.0, 1.0, -1.0, 1.0])).ravel()
     found.sort(key=lambda pv: pv.combined_residual)
-    record = _search_record(con, evaluations, levels, first_order)
+    record = _search_record(con, evaluations, levels, first_order, polishes, isolated)
     if not certify:
         return _Enumeration(found, record,
                             exhaustive=conclusion == "NoneFound" and len(found) < limit)
@@ -612,12 +770,14 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
         found=found, exclusion_threshold=threshold)
 
 
-def _search_record(con: _Constraints, evaluations: int, levels: int, first_order: int) -> dict:
+def _search_record(con: _Constraints, evaluations: int, levels: int, first_order: int,
+                   polishes: int, isolated: int) -> dict:
     return {"kernel_cutoff": con.cutoff,
             "kernel_dims": [int(con.w_state.shape[0]), int(con.w_pt.shape[0])],
             "lipschitz": con.lipschitz, "mu_margin": con.margin,
             "evaluations": evaluations, "levels": levels,
             "first_order_exclusions": first_order,
+            "polishes": polishes, "isolation_drops": isolated,
             "cell_floor": CELL_FLOOR, "evaluation_cap": EVALUATION_CAP}
 
 
@@ -655,7 +815,8 @@ def _recheck(s: QubitQuditState, con: _Constraints, previous: _Enumeration) -> _
     A direction whose cell of radius ``_BASIN`` the search's own exclusion
     test clears (``_mu_batch``'s lower above ``ENUMERATION_TOL``) has no
     qualifying vector that near and is passed over; any other is
-    polished by Gauss-Newton, and its vector kept, once, when the combined
+    polished by Gauss-Newton, from the eigenvector ``_mu_batch`` computed
+    there, and its vector kept, once, when the combined
     residual is at most ``ENUMERATION_TOL``, the fresh search's own test.
     The vectors kept are again exhaustive.  With fewer constraint rows than
     d there is nothing to re-check: that is the fresh search's continuum
@@ -666,13 +827,13 @@ def _recheck(s: QubitQuditState, con: _Constraints, previous: _Enumeration) -> _
     slack = con.lipschitz * _BASIN / 2.0
     directions = np.array([pv.e for pv in previous.found], dtype=complex).reshape(-1, 2)
     above = np.full(len(directions), ENUMERATION_TOL + slack)
-    mu, lower = _mu_batch(con, directions, _BASIN, above)
+    mu, lower, least = _mu_batch(con, directions, _BASIN, above)
     cleared = lower > ENUMERATION_TOL
     found, known = [], np.empty((0, 2), dtype=complex)
-    for pv, clear in zip(previous.found, cleared):
+    for pv, clear, start in zip(previous.found, cleared, least):
         if clear:
             continue
-        e, f, _ = _polish(con, pv.e, _null_vector(con, pv.e)[0])
+        e, f, _ = _polish(con, pv.e, start)
         candidate = _product_vector_at(s, con, e, f)
         if candidate.combined_residual > ENUMERATION_TOL or (_bloch_angle(e, known) < _SAME).any():
             continue
@@ -680,8 +841,9 @@ def _recheck(s: QubitQuditState, con: _Constraints, previous: _Enumeration) -> _
         known = np.vstack([known, e])
     found.sort(key=lambda pv: pv.combined_residual)
     first_order = int(np.count_nonzero(cleared & (mu - slack <= ENUMERATION_TOL)))
-    return _Enumeration(found, _search_record(con, len(directions), 0, first_order),
-                        exhaustive=True)
+    record = _search_record(con, len(directions), 0, first_order,
+                            int(np.count_nonzero(~cleared)), 0)
+    return _Enumeration(found, record, exhaustive=True)
 
 
 def edge_check(s: QubitQuditState) -> RangeSearchCertificate:

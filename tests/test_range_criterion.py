@@ -1,6 +1,7 @@
 """Tests for the product-vector range search."""
 
 import dataclasses
+import decimal
 
 import numpy as np
 import pytest
@@ -283,8 +284,13 @@ class TestCertifiedBound:
         assert certs[0].search["evaluations"] < cap
 
     def test_inconclusive_at_the_evaluation_cap(self, monkeypatch):
-        monkeypatch.setattr(range_criterion, "EVALUATION_CAP", 200)
+        # the cap is half of what the uncapped search spends to conclude
+        # over more than one level, so the capped one stops at a level
+        # whose successor would pass the cap
         state = horodecki_2x4(0.5)
+        uncapped = edge_check(state)
+        assert uncapped.conclusion == "NoneFound" and uncapped.search["levels"] > 1
+        monkeypatch.setattr(range_criterion, "EVALUATION_CAP", uncapped.search["evaluations"] // 2)
         cert = edge_check(state)
         assert cert.conclusion == "Inconclusive"
         assert not cert.found
@@ -667,20 +673,49 @@ class TestCellBound:
         flat_remainder(), product_state_d1(),
     ], ids=["horodecki-0.2", "horodecki-0.5", "horodecki-0.95", "random_sppt-5",
             "random_sppt-8", "flat-remainder", "d-1"])
-    def test_dense_sampling_never_below_the_cell_bound(self, state, cutoff):
+    def test_dense_sampling_never_below_the_cell_bound(self, state, cutoff, monkeypatch):
         con = range_criterion._constraints_of(state, cutoff)
         rng = np.random.default_rng(12)
-        first_order = 0
+        first_order = crossing = 0
         for level in range(1, 8):
             h_theta, h_phi = level_half_widths(level)
             theta, phi = cells_near_the_minimum(con, level, rng)
             radius = range_criterion._cell_radius(theta, h_theta, h_phi)
-            mu, lower = range_criterion._mu_batch(con, range_criterion._bloch(theta, phi), radius)
+            e = range_criterion._bloch(theta, phi)
+            mu, lower, _ = range_criterion._mu_batch(con, e, radius)
             least = cell_minima(con, theta, phi, h_theta, h_phi, rng)
             assert np.all(least >= lower), level
-            first_order += np.count_nonzero(lower > mu - con.lipschitz * radius / 2.0)
-        # the first-order bound, not only the zero-order one, was tested
+            zero_order = mu - con.lipschitz * radius / 2.0
+            first_order += np.count_nonzero(lower > zero_order)
+            with monkeypatch.context() as patch:
+                patch.setattr(range_criterion, "_crossing", chord)
+                chord_lower = range_criterion._mu_batch(con, e, radius)[1]
+            crossing += np.count_nonzero(lower > np.maximum(zero_order, chord_lower))
+        # the first-order bound, not only the zero-order one, was tested, and
+        # so was the crossing on the circle, where it bounds cells higher
+        # than the chord |alpha| >= 1 - |beta| does
         assert first_order > 0
+        assert crossing > 0 or con.d == 1
+
+    @pytest.mark.parametrize("s", [0.3, 0.1, 0.03])
+    def test_a_zero_at_first_order(self, s):
+        # X(c) = s I, X(c_perp) = I: M(c + t c_perp) = (s + t) I, so mu falls
+        # at slope 1 ~ L from s at c to 0 at t = -s.  lambda_1 = lambda_2 at
+        # c leaves the first-order bound weak, and the zero-order bound s -
+        # L r / 2 sets the cell's, tight against mu along the ray: half of L
+        # would put it above mu
+        theta, phi = np.array([5 * np.pi / 16]), np.array([3 * np.pi / 16])
+        c = range_criterion._bloch(theta, phi)[0]
+        con = rows_framed_at(c, s * np.eye(2), np.eye(2))
+        rng = np.random.default_rng(15)
+        zero_order = 0
+        for level in range(1, 8):
+            h_theta, h_phi = level_half_widths(level)
+            radius = range_criterion._cell_radius(theta, h_theta, h_phi)
+            mu, lower, _ = range_criterion._mu_batch(con, c[None, :], radius)
+            assert cell_minima(con, theta, phi, h_theta, h_phi, rng, 2000)[0] >= lower[0], level
+            zero_order += 0 < lower[0] == mu[0] - con.lipschitz * radius[0] / 2.0
+        assert zero_order > 0
 
     @pytest.mark.parametrize("s", [0.3, 0.1, 0.03, 0.01, 0.003])
     def test_a_zero_at_second_order(self, s):
@@ -697,7 +732,7 @@ class TestCellBound:
         for level in range(1, 6):
             h_theta, h_phi = level_half_widths(level)
             radius = range_criterion._cell_radius(theta, h_theta, h_phi)
-            _, lower = range_criterion._mu_batch(con, c[None, :], radius)
+            _, lower, _ = range_criterion._mu_batch(con, c[None, :], radius)
             assert cell_minima(con, theta, phi, h_theta, h_phi, rng, 2000)[0] >= lower[0], level
             positive += lower[0] > 0
         assert positive > 0
@@ -733,6 +768,142 @@ class TestCellBound:
     def test_the_flat_remainder_is_excluded_early(self, monkeypatch):
         # mu < 0.15 on the whole sphere with slope ~0.14 against L = 2.34:
         # the zero-order bound alone needs 23,808 evaluations
-        _, result = enumerate_with_record(flat_remainder(), monkeypatch)
+        found, result = enumerate_with_record(flat_remainder(), monkeypatch)
         assert result.search["first_order_exclusions"] > 0
         assert result.search["evaluations"] <= 5000
+        # the crossing on the circle excludes cells the chord does not, with
+        # the same vectors found
+        monkeypatch.setattr(range_criterion, "_crossing", chord)
+        by_chord, chord_result = enumerate_with_record(flat_remainder(), monkeypatch)
+        assert chord_result.search["evaluations"] > result.search["evaluations"]
+        assert len(by_chord) == len(found)
+
+
+def chord(big_a, big_b, big_c, big_d):
+    """The first-order crossing with |alpha| >= 1 - |beta| in place of the
+    circle, the bound before the crossing on the circle."""
+    return (big_a * big_c - big_d * (big_a + big_b)) / (big_a + big_b + big_c)
+
+
+def exact_crossing(a, b, c, d):
+    """``_crossing``'s closed form at 60 digits, for float inputs."""
+    a, b, c, d = (decimal.Decimal(float(x)) for x in (a, b, c, d))
+    s = b + c
+    root = (s * s + a * a - d * d).sqrt()
+    return (d * s + a * root) / (s * s + a * a) * c - d
+
+
+class TestCrossing:
+    """_crossing is the least over |beta| of the first-order pair, rounded down."""
+
+    @staticmethod
+    def draws(rng, n=3000):
+        # magnitudes over many decades, B = D (an exact eigenvector) and C =
+        # 0 among them, and B + C close to D
+        a, c, d = (10.0 ** rng.uniform(-12, 1, n) for _ in range(3))
+        b = d + 10.0 ** rng.uniform(-16, 1, n) * rng.choice([0.0, 1.0], n, p=[0.1, 0.9])
+        c[rng.uniform(size=n) < 0.05] = 0.0
+        return a, b, c, d
+
+    def test_at_most_the_exact_crossing(self):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            a, b, c, d = self.draws(np.random.default_rng(16))
+            got = range_criterion._crossing(a, b, c, d)
+            exact = [exact_crossing(*x) for x in zip(a, b, c, d)]
+            over = [g for g, x in zip(got, exact) if decimal.Decimal(float(g)) > x]
+            assert not over
+            # and below it by no more than its margin of 8 eps (C + D)
+            slack = np.array([float(x - decimal.Decimal(float(g))) for g, x in zip(got, exact)])
+            assert np.all(slack <= 16 * np.finfo(float).eps * (c + d))
+
+    def test_the_least_of_the_larger_over_beta(self):
+        a, b, c, d = self.draws(np.random.default_rng(17), 300)
+        beta = np.linspace(0.0, 1.0, 20001)[:, None]
+        pair = np.maximum(np.sqrt(1.0 - beta ** 2) * a - beta * b, beta * c - d)
+        least = pair.min(axis=0)
+        got = range_criterion._crossing(a, b, c, d)
+        scale = a + b + c + d
+        assert np.all(got <= least + 1e-15 * scale)
+        # the grid's step of 5e-5 in beta moves the larger by at most 5e-5 (A
+        # + B + C) where sqrt(1 - beta^2) is not steep
+        assert np.all(least - got <= 1e-3 * scale)
+        assert np.all(got >= chord(a, b, c, d) - 1e-12 * scale)
+
+
+def annulus_points(e0, inner, outer, rng, count=4000):
+    """Unit qubit vectors at Bloch angles from e0 log-spaced over (inner,
+    outer], outer itself included, at random phases."""
+    angles = np.concatenate([np.geomspace(inner, outer, count + 1)[1:], np.full(200, outer)])
+    t = np.tan(angles / 2) * np.exp(2j * np.pi * rng.uniform(size=len(angles)))
+    perp = np.array([-np.conj(e0[1]), np.conj(e0[0])])
+    e = e0[None, :] + t[:, None] * perp[None, :]
+    return e / np.linalg.norm(e, axis=1, keepdims=True)
+
+
+class TestIsolationRadius:
+    """No other vector with mu at most the threshold lies in a found vector's
+    certified annulus."""
+
+    @pytest.mark.parametrize("d, n", [(5, 6), (5, 7)])
+    def test_dense_sampling_clears_the_annulus(self, d, n):
+        state, _ = random_separable(d, n, seed=0)
+        con = range_criterion._constraints_of(state, range_criterion.ENUMERATION_KERNEL_CUTOFF)
+        found = range_criterion._enumerate(state, con).found
+        rng = np.random.default_rng(18)
+        certified = 0
+        for pv in found:
+            inner, outer = range_criterion._isolation(con, pv.e, range_criterion.ENUMERATION_TOL)
+            if outer == 0.0:
+                continue
+            certified += 1
+            # the inner ball is the found vector's own: mu is below the
+            # threshold somewhere in it
+            assert 0.0 < inner < outer
+            assert mu_at(con, annulus_points(pv.e, 1e-12, inner, rng)).min() <= (
+                range_criterion.ENUMERATION_TOL)
+            mu = mu_at(con, annulus_points(pv.e, inner, outer, rng))
+            assert mu.min() > range_criterion.ENUMERATION_TOL
+        assert certified == len(found) > 0
+
+    @pytest.mark.parametrize("s", [0.3, 0.1, 0.03])
+    def test_a_second_zero_stays_outside(self, s):
+        # X(c) = diag(0, s), X(c_perp) = I: det M(c + t c_perp) = t (s + t),
+        # so mu vanishes at c and again at t = -s, a Bloch angle of 2 atan(s)
+        theta, phi = np.array([5 * np.pi / 16]), np.array([3 * np.pi / 16])
+        c = range_criterion._bloch(theta, phi)[0]
+        con = rows_framed_at(c, np.diag([0.0, s]), np.eye(2))
+        inner, outer = range_criterion._isolation(con, c, range_criterion.ENUMERATION_TOL)
+        assert 0.0 < inner < outer < 2 * np.arctan(s)
+        # well more than half of the way there
+        assert outer > np.arctan(s)
+        rng = np.random.default_rng(19)
+        assert mu_at(con, annulus_points(c, inner, outer, rng)).min() > (
+            range_criterion.ENUMERATION_TOL)
+
+    def test_no_ball_without_a_second_singular_value(self):
+        # d = 1: nothing is certified, the basin keeps its old rule
+        state = product_state_d1()
+        con = range_criterion._constraints_of(state, range_criterion.ENUMERATION_KERNEL_CUTOFF)
+        pv = range_criterion._enumerate(state, con).found[0]
+        assert range_criterion._isolation(con, pv.e, range_criterion.ENUMERATION_TOL) == (0.0, 0.0)
+
+    def test_the_record_counts_polishes_and_isolation_drops(self, monkeypatch):
+        calls = []
+        polish = range_criterion._polish
+
+        def counting(*args):
+            calls.append(args)
+            return polish(*args)
+
+        monkeypatch.setattr(range_criterion, "_polish", counting)
+        state, _ = random_separable(5, 6, seed=0)
+        con = range_criterion._constraints_of(state, range_criterion.ENUMERATION_KERNEL_CUTOFF)
+        search = range_criterion._enumerate(state, con).search
+        assert search["polishes"] == len(calls) > 0
+        assert search["isolation_drops"] > 0
+        # without certified annuli, no cell is dropped for one
+        monkeypatch.setattr(range_criterion, "_isolation", lambda *args: (0.0, 0.0))
+        plain = range_criterion._enumerate(state, con).search
+        assert plain["isolation_drops"] == 0
+        assert plain["evaluations"] > search["evaluations"]
