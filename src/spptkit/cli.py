@@ -7,6 +7,7 @@ included), 2 for unusable input or parameters.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -17,7 +18,9 @@ from .errors import ValidationError
 _GENERATORS = ("rho0", "rho1", "rho2", "horodecki", "random-sppt")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="spptkit",
         description="Separability and strong-PPT analysis of 2 x d states.")

@@ -93,7 +93,12 @@ def load_state(path) -> QubitQuditState:
 # ---------------------------------------------------------------------------
 
 def terms_to_list(terms: list) -> list:
-    return [{"qubit": matrix_to_pairs(q), "qudit": matrix_to_pairs(p)} for q, p in terms]
+    """[{"qubit": pairs, "qudit": pairs}, ...] for (qubit, qudit) terms; the
+    qubit factors and the qudit factors are each converted as one stack."""
+    if not terms:
+        return []
+    qubits, qudits = (matrix_to_pairs(np.array(stack)) for stack in zip(*terms))
+    return [{"qubit": q, "qudit": p} for q, p in zip(qubits, qudits)]
 
 
 def decomposition_to_dict(dec: separability.SeparableDecomposition) -> dict:

@@ -149,7 +149,7 @@ def as_matrix(m) -> np.ndarray:
     out = np.asarray(m, dtype=complex)
     if out.ndim != 2 or out.shape[0] < 1 or out.shape[1] < 1:
         raise ValidationError(f"expected a 2-D matrix, got shape {out.shape}")
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
+    if not np.isfinite(out).all():
         raise ValidationError("matrix entries must be finite")
     return out
 

@@ -419,9 +419,18 @@ def _bloch(theta, phi) -> np.ndarray:
 
 
 def _bloch_angle(e: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Bloch-sphere angles between unit qubit vectors e (..., 2) and others (m, 2)."""
-    overlap = np.abs(np.conj(e) @ others.T)
-    return 2.0 * np.arccos(np.minimum(overlap, 1.0))
+    """Bloch-sphere angles between unit qubit vectors e (..., 2) and others (m, 2).
+
+    The angle gamma has cos(gamma/2) = |<e, e'>| and sin(gamma/2) =
+    |<e_perp, e'>| = |e_0 e'_1 - e_1 e'_0|, e_perp = (-conj(e_1), conj(e_0));
+    it is taken as 2 atan2 of the two.  For unit vectors each part is
+    rounded by at most ~2 eps, so the angle is within ~8 eps of that of the
+    stored vectors at every angle, where 2 arccos |<e, e'>| reads angles
+    below ~2e-8 as 0.
+    """
+    e0, e1 = e[..., 0, None], e[..., 1, None]
+    o0, o1 = others[:, 0], others[:, 1]
+    return 2.0 * np.arctan2(np.abs(e0 * o1 - e1 * o0), np.abs(np.conj(e0) * o0 + np.conj(e1) * o1))
 
 
 def _cell_radius(theta, h_theta: float, h_phi: float) -> np.ndarray:
@@ -550,9 +559,8 @@ def _isolation(con: _Constraints, e: np.ndarray, threshold: float) -> tuple[floa
     b_r^2) within a few eps, and h above 16 eps times the sum of its
     terms' magnitudes, which covers h's rounding.  The radii returned
     are 2 atan(t_lo), plus a relative 1e-12, and 2 atan(tau*), less a
-    relative 1e-12 for the rounding of atan and less 1e-7, which covers the
-    rounding of the arccos in ``_bloch_angle`` near 0.  At d = 1 nothing is
-    certified.
+    relative 1e-12 for the rounding of atan and less 16 eps, which covers
+    that of ``_bloch_angle`` (~8 eps).  At d = 1 nothing is certified.
     """
     d, lip, delta = con.d, con.lipschitz, con.margin
     if d < 2:
@@ -584,7 +592,7 @@ def _isolation(con: _Constraints, e: np.ndarray, threshold: float) -> tuple[floa
     if not (t_lo < tau and clear(t_lo) and clear(tau)):
         return 0.0, 0.0
     return (float(2.0 * np.arctan(t_lo) * (1.0 + 1e-12)),
-            float(2.0 * np.arctan(tau) * (1.0 - 1e-12) - 1e-7))
+            float(2.0 * np.arctan(tau) * (1.0 - 1e-12) - 16.0 * np.finfo(float).eps))
 
 
 def _minimum_record(e: np.ndarray, residual: float) -> dict:

@@ -46,7 +46,7 @@ import numpy as np
 from . import linalg, range_criterion, sppt, states
 from .errors import InvalidDecomposition, NotSppt, SingularX1, ValidationError
 from .range_criterion import edge_check
-from .sppt import SpptVerdict, sppt_residual
+from .sppt import SpptVerdict
 from .states import QubitQuditState, SpptFactors, assemble_state, join_blocks
 
 DEFAULT_TOL = 1e-9
@@ -93,8 +93,7 @@ class SeparableDecomposition:
         # Each factor against its own norm: a unit qubit projector's rounding
         # says nothing about the scale of the state or of its qudit partner.
         for stack in self._factor_stacks():
-            norms = np.array([linalg.frob(m) for m in stack])
-            if (linalg.min_eigs(stack) < -1e-10 * norms).any():
+            if (linalg.min_eigs(stack) < -1e-10 * np.linalg.norm(stack, axis=(1, 2))).any():
                 raise InvalidDecomposition("a decomposition factor is not PSD")
         return residual
 
@@ -176,7 +175,8 @@ class SubtractionResult:
     certificate of the remainder on its qudit support), at ``sppt_core`` the
     remainder's verdict, and how many iterations searched the Bloch sphere
     (``searches``) and how many re-checked the last enumeration
-    (``rechecks``)."""
+    (``rechecks``), with the ``evaluations``, ``polishes`` and
+    ``isolation_drops`` summed over the records of those enumerations."""
 
     reduction: Reduction
     remainder: QubitQuditState
@@ -184,6 +184,9 @@ class SubtractionResult:
     iterations: int
     searches: int
     rechecks: int
+    evaluations: int
+    polishes: int
+    isolation_drops: int
     sppt: Optional[SpptVerdict] = None
 
 
@@ -191,11 +194,23 @@ def decompose_full_rank(f: SpptFactors) -> SeparableDecomposition:
     """Explicit separable decomposition for invertible x1 and normal s.
 
     Emits one rank-one-qubit term per eigenvalue of s plus the |1><1| tail
-    unless it is zero up to rounding.  The result is validated against the
-    assembled state before being returned.
+    unless it is zero up to rounding (``_spectral_terms``, which
+    ``classify`` calls directly and validates against its input).  The
+    result is validated against the assembled state before being returned.
     """
-    d = f.d
-    if f.x1_svd.rank < d:
+    rho = assemble_state(f).rho
+    dec = SeparableDecomposition(terms=_spectral_terms(f, linalg.frob(rho)))
+    # Validation tolerance matches the normality gate: the spectral step
+    # loses exactly the normality defect of s.
+    dec.validate(rho, tol=TOL_FLOOR)
+    return dec
+
+
+def _spectral_terms(f: SpptFactors, scale: float) -> list:
+    """The terms of ``decompose_full_rank``, unvalidated, with the tail term
+    left out at most ``linalg.RANK_CUTOFF`` times ``scale``, the norm of
+    the state the factors assemble."""
+    if f.x1_svd.rank < f.d:
         raise SingularX1("x1 must be invertible for the spectral construction")
     values, vectors = linalg.normal_eig(f.s, rtol=TOL_FLOOR)
     terms = []
@@ -203,19 +218,16 @@ def decompose_full_rank(f: SpptFactors) -> SeparableDecomposition:
         qubit = np.array([[1.0, lam], [np.conj(lam), abs(lam) ** 2]], dtype=complex)
         proj = np.outer(z, z.conj())
         terms.append((qubit, f.x1.conj().T @ proj @ f.x1))
-    rho = assemble_state(f).rho
-    dec = SeparableDecomposition(terms=terms + _tail_terms(f.x2.conj().T @ f.x2,
-                                                           linalg.frob(rho)))
-    # Validation tolerance matches the normality gate: the spectral step
-    # loses exactly the normality defect of s.
-    dec.validate(rho, tol=TOL_FLOOR)
-    return dec
+    return terms + _tail_terms(f.x2.conj().T @ f.x2, scale)
 
 
 def svd_reduce(f: SpptFactors) -> Reduction:
     """Reduce factors to a 2 x k core via the SVD of x1.
 
-    With x1 = u diag(dk, 0) v^dag and s_tilde = u^dag s u partitioned at k,
+    With x1 = u diag(dk, 0) v^dag (``f.x1_svd``; u = v for the hermitian
+    PSD x1 that ``sppt`` builds, whose SVD it seeds from the
+    eigendecomposition of the state's a-block, so the embedding is then
+    spanned by eigenvectors of a) and s_tilde = u^dag s u partitioned at k,
     the state is the core conjugated by V = v[:, :k] plus the term
     |1><1| (x) x2^dag x2.  The core blocks are (dk^2, dk s11 dk,
     dk (s11^dag s11 + s21^dag s21) dk), so (dk, s11) are the x1 and s of
@@ -224,7 +236,9 @@ def svd_reduce(f: SpptFactors) -> Reduction:
     dk (s11^dag s11 + s21^dag s21) dk = dk (s11 s11^dag + s12 s12^dag) dk
     and is PPT.  One gate checks both: x1^dag (s^dag s - s s^dag) x1 =
     v diag(D, 0) v^dag for D the left minus the right side of the core's
-    condition, so ||D|| is ``sppt_residual(x1, s)`` up to rounding.  The
+    condition, so ||D|| is ``sppt_residual(x1, s)`` up to rounding; the gate
+    reads the residual cached on the factors (``f.sppt_residual``), which
+    ``sppt`` already computed to accept them.  The
     tail term is left out when its Frobenius norm is at most
     ``linalg.RANK_CUTOFF`` times the core's; both parts are PSD, so the
     state's norm is at least the core's.  With k = 0 there is no core, and
@@ -234,7 +248,7 @@ def svd_reduce(f: SpptFactors) -> Reduction:
     # square root of the state's trace tr(a) + tr(c).
     trace = linalg.frob(f.x1) ** 2 + linalg.frob(f.s @ f.x1) ** 2 + linalg.frob(f.x2) ** 2
     scale = max(linalg.frob(f.x1) * np.sqrt(trace) * max(linalg.frob(f.s), 1.0), 1e-300)
-    residual = sppt_residual(f.x1, f.s)
+    residual = f.sppt_residual
     if residual > TOL_FLOOR * scale:
         raise NotSppt(f"factors violate the strong-PPT condition by {residual:g}")
     u, sigma, v = f.x1_svd
@@ -371,6 +385,7 @@ def subtract_product_vectors(s: QubitQuditState,
     status = "budget_exhausted"
     reduction = sppt_verdict = enumeration = None
     iterations = searches = rechecks = 0
+    effort = dict.fromkeys(("evaluations", "polishes", "isolation_drops"), 0)
     for iterations in range(budget + 1):
         if linalg.frob(rho) <= DEFAULT_TOL * scale0:
             status = "decomposed"
@@ -415,6 +430,8 @@ def subtract_product_vectors(s: QubitQuditState,
         else:
             enumeration = range_criterion._enumerate(remainder_state, con)
             searches += 1
+        for key in effort:
+            effort[key] += enumeration.search[key]
         for e, f in ((pv.e, pv.f) for pv in enumeration.found):
             lam = _max_subtraction_weight(rho_eig, pt_eig, e, f, trace)
             if lam <= lam_floor:
@@ -434,7 +451,7 @@ def subtract_product_vectors(s: QubitQuditState,
         reduction = Reduction(terms=terms, core=remainder, embed=np.eye(d, dtype=complex))
     return SubtractionResult(reduction=reduction, remainder=remainder, status=status,
                              iterations=iterations, searches=searches, rechecks=rechecks,
-                             sppt=sppt_verdict)
+                             sppt=sppt_verdict, **effort)
 
 
 def decompose_small(s: QubitQuditState) -> SeparableDecomposition:
@@ -543,8 +560,13 @@ def classify(s: QubitQuditState) -> Verdict:
 
     # 7: subtraction prover
     sub = subtract_product_vectors(s)
+    residuals["subtraction_evaluations"] = sub.evaluations
+    residuals["subtraction_polishes"] = sub.polishes
+    residuals["subtraction_isolation_drops"] = sub.isolation_drops
     log.append(f"subtraction: {sub.status} after {sub.iterations} iterations "
-               f"({sub.searches} searched the sphere, {sub.rechecks} re-checked), "
+               f"({sub.searches} searched the sphere, {sub.rechecks} re-checked; "
+               f"{sub.evaluations} evaluations, {sub.polishes} polishes, "
+               f"{sub.isolation_drops} isolation drops), "
                f"remainder norm {sub.remainder.norm():.3e}")
     outcome = _verdict_from_subtraction(s, sub, log, residuals)
     if outcome is not None:
@@ -561,8 +583,11 @@ def _classify_sppt(work, verdict: SpptVerdict, log, residuals):
     factors = verdict.factors
     k = factors.x1_svd.rank
     if k == work.d:
+        # One validation, against the state classified: the check a
+        # Separable verdict needs (decompose_full_rank would also validate
+        # against the state the factors assemble).
         try:
-            dec = decompose_full_rank(factors)
+            dec = SeparableDecomposition(terms=_spectral_terms(factors, work.norm()))
             residuals["decomposition_residual"] = dec.validate(work.rho, tol=TOL_FLOOR)
         except (ValidationError, np.linalg.LinAlgError) as exc:
             log.append(f"spectral construction failed ({exc}); falling through")
@@ -642,10 +667,10 @@ def _lift(reduction: Reduction, core_outcome: tuple, work):
     """The outcome of ``work`` from the separable outcome of the core of its
     ``reduction``, with the terms of ``reduction.explicit`` less those of
     Frobenius norm at most ``linalg.RANK_CUTOFF`` times that of ``work``.
-    A decomposition is validated against the core, then against ``work``."""
+    A core decomposition comes validated against the core at ``TOL_FLOOR``
+    by whatever built it (``classify``, ``_classify_sppt`` or
+    ``decompose_small``); the lifted one is validated against ``work``."""
     classification, cert = core_outcome
-    if classification == SEPARABLE:
-        cert.validate(reduction.core.rho, tol=TOL_FLOOR)
     floor = linalg.RANK_CUTOFF * work.norm()
     terms = [(qubit, qudit) for qubit, qudit in reduction.explicit(cert).terms
              if linalg.frob(qubit) * linalg.frob(qudit) > floor]

@@ -60,8 +60,7 @@ def sppt_residual(x1, s) -> float:
     s = linalg.as_matrix(s)
     if x1.shape != s.shape or x1.shape[0] != x1.shape[1]:
         raise DimensionMismatch("x1 and s must be square and equal size")
-    g = s.conj().T @ s - s @ s.conj().T
-    return linalg.frob(x1.conj().T @ g @ x1)
+    return states._sppt_residual(x1, s)
 
 
 def extract_factors_full_rank(s: QubitQuditState) -> SpptFactors:
@@ -90,7 +89,21 @@ def _full_rank_factors(s: QubitQuditState, eig: linalg.EigResult,
     # numerically zero matrix.
     x2 = schur.apply(_clamped_sqrt)
     a_mhalf = eig.apply(_inv_sqrt)
-    return SpptFactors(x1=eig.apply(np.sqrt), s=a_mhalf @ b @ a_mhalf, x2=x2)
+    x1, sigma = _root(eig, s.d)
+    return states._with_svd(SpptFactors(x1=x1, s=a_mhalf @ b @ a_mhalf, x2=x2),
+                            eig.vectors[:, ::-1], sigma)
+
+
+def _root(eig: linalg.EigResult, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """x1 = a^{1/2} on the ``rank`` largest eigenvalues of a, zero on the
+    others, from the eigendecomposition of a, with its singular values,
+    descending: x1 is hermitian PSD, so its singular vectors are a's
+    eigenvectors, ``eig.vectors[:, ::-1]``.  Eigenvalues above
+    ``linalg.RANK_CUTOFF`` times the largest have square roots above 1e-6
+    times the largest, so x1's rank is ``rank``."""
+    root = np.zeros(len(eig.values))
+    root[len(root) - rank:] = np.sqrt(eig.values[len(root) - rank:])
+    return (eig.vectors * root) @ eig.vectors.conj().T, root[::-1]
 
 
 def _clamped_sqrt(values: np.ndarray) -> np.ndarray:
@@ -128,11 +141,17 @@ def _check_singular_support(s: QubitQuditState, a, b, c, eig: linalg.EigResult,
         P - Q = s11 s11^dag - s11^dag s11 =: delta,
 
     while c must dominate the on-support part of x1^dag s^dag s x1.  Two
-    candidates are tried: the positive part of delta (smallest coupling)
-    and the Schur-complement upper bound (largest admissible coupling,
-    which is exact when x2 = 0).  Each candidate must pass rank and
-    positivity gates and is then verified by reassembly; failure of both
-    leaves the existence question open, hence Undecided.
+    candidates are tried in turn: the positive part of delta (smallest
+    coupling) and the Schur-complement upper bound p_max (largest admissible
+    coupling, which is exact when x2 = 0).  p_max, a pseudo-inverse and a
+    Schur complement, is formed only when the first candidate fails; the
+    first candidate's Gram matrices, the positive and negative parts of
+    delta, share delta's eigendecomposition.  Each candidate must pass rank
+    and positivity gates and is then verified by reassembly; failure of
+    both leaves the existence question open, hence Undecided.  x1 =
+    a^{1/2} on the support of a, and its SVD, come once from the
+    eigendecomposition of a (``_root``); the residual that accepts a
+    candidate stays cached on its factors.
     """
     d = s.d
     m_dim = d - rank
@@ -163,30 +182,32 @@ def _check_singular_support(s: QubitQuditState, a, b, c, eig: linalg.EigResult,
                  "factorization cannot reproduce it",
         )
 
-    eig_s = linalg.EigResult.of(q.conj().T @ a @ q)
-    a_half = eig_s.apply(np.sqrt)
-    a_mhalf = eig_s.apply(_inv_sqrt)
+    x1, x1_sigma = _root(eig, rank)
+    # In the basis q, a is diagonal: a^{1/2} and a^{-1/2} are too.
+    root = np.sqrt(eig.values[d - rank:])
+    a_half, a_mhalf = np.diag(root), np.diag(1.0 / root)
     s11 = a_mhalf @ (q.conj().T @ b @ q) @ a_mhalf
     delta = linalg.hermitianize(s11 @ s11.conj().T - s11.conj().T @ s11)
     compressed_residual = linalg.frob(a_half @ delta @ a_half)
 
-    # Slack of c against the on-support part, split along support/kernel.
-    t11 = linalg.hermitianize(
-        q.conj().T @ c @ q - a_half @ s11.conj().T @ s11 @ a_half
-    )
-    t12 = q.conj().T @ c @ q_perp
-    t22 = linalg.hermitianize(q_perp.conj().T @ c @ q_perp)
-
-    delta_plus = linalg.EigResult.of(delta).apply(lambda w: np.maximum(w, 0.0))
-    t22_pinv = np.linalg.pinv(t22, rcond=1e-10)
-    schur = linalg.hermitianize(t11 - t12 @ t22_pinv @ t12.conj().T)
-    p_max = a_mhalf @ schur @ a_mhalf
+    def candidates():
+        """(P, Q) eigendecompositions of each candidate coupling in turn."""
+        w, vectors = linalg.EigResult.of(delta)
+        yield (linalg.EigResult(np.maximum(w, 0.0), vectors),
+               linalg.EigResult(np.maximum(-w[::-1], 0.0), vectors[:, ::-1]))
+        # Slack of c against the on-support part, split along support/kernel.
+        t11 = linalg.hermitianize(
+            q.conj().T @ c @ q - a_half @ s11.conj().T @ s11 @ a_half
+        )
+        t12 = q.conj().T @ c @ q_perp
+        t22 = linalg.hermitianize(q_perp.conj().T @ c @ q_perp)
+        t22_pinv = np.linalg.pinv(t22, rcond=1e-10)
+        schur = linalg.hermitianize(t11 - t12 @ t22_pinv @ t12.conj().T)
+        p_h = linalg.hermitianize(a_mhalf @ schur @ a_mhalf)
+        yield linalg.EigResult.of(p_h), linalg.EigResult.of(p_h - delta)
 
     omega = np.hstack([q, q_perp])
-    for p_cand in (delta_plus, p_max):
-        p_h = linalg.hermitianize(p_cand)
-        eig_p = linalg.EigResult.of(p_h)
-        eig_q = linalg.EigResult.of(p_h - delta)
+    for eig_p, eig_q in candidates():
         if (eig_p.values[0] < -1e-8 * eig_p.scale or eig_q.values[0] < -1e-8 * eig_q.scale
                 or eig_p.support(1e-8).sum() > m_dim or eig_q.support(1e-8).sum() > m_dim):
             continue
@@ -197,20 +218,19 @@ def _check_singular_support(s: QubitQuditState, a, b, c, eig: linalg.EigResult,
         s_tilde[:rank, rank:] = s12
         s_tilde[rank:, :rank] = s21
         s_full = omega @ s_tilde @ omega.conj().T
-        x1 = q @ a_half @ q.conj().T
         inner = a_half @ (s11.conj().T @ s11 + s21.conj().T @ s21) @ a_half
         tail = linalg.EigResult.of(c - q @ inner @ q.conj().T)
         # Noise floor is set by the state scale; the reassembly check below
         # is the binding validation.
         if tail.values[0] < -1e-8 * scale:
             continue
-        cand = SpptFactors(x1=x1, s=s_full, x2=tail.apply(_clamped_sqrt))
-        residual = sppt_residual(cand.x1, cand.s)
-        rebuilt = assemble_state(cand)
-        if residual <= tol * scale and linalg.frob(rebuilt.rho - s.rho) <= 10 * tol * scale:
+        cand = states._with_svd(SpptFactors(x1=x1, s=s_full, x2=tail.apply(_clamped_sqrt)),
+                                eig.vectors[:, ::-1], x1_sigma)
+        if (cand.sppt_residual <= tol * scale
+                and linalg.frob(assemble_state(cand).rho - s.rho) <= 10 * tol * scale):
             return SpptVerdict(
                 status="Sppt",
-                residual=residual,
+                residual=cand.sppt_residual,
                 factors=cand,
                 note=f"singular a (rank {rank}); factorization found by "
                      f"kernel-coupling search and verified by reassembly",

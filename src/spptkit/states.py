@@ -101,8 +101,14 @@ def blocks(s: QubitQuditState) -> BlockView:
 
 
 def join_blocks(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Assemble [[a, b], [b^dag, c]]."""
-    return np.block([[a, b], [b.conj().T, c]])
+    """Assemble [[a, b], [b^dag, c]], filling one preallocated array."""
+    d = len(a)
+    out = np.empty((2 * d, 2 * d), dtype=complex)
+    out[:d, :d] = a
+    out[:d, d:] = b
+    out[d:, :d] = b.conj().T
+    out[d:, d:] = c
+    return out
 
 
 def partial_transpose_matrix(rho: np.ndarray, d: int) -> np.ndarray:
@@ -157,7 +163,14 @@ def maximally_mixed(d: int) -> QubitQuditState:
 
 @dataclass(frozen=True)
 class SpptFactors:
-    """The triple (x1, s, x2) of equal-size d x d matrices."""
+    """The triple (x1, s, x2) of equal-size d x d matrices.
+
+    The SVD of x1 and the strong-PPT residual are cached: each is computed
+    at most once per triple and shared by every rank gate, reduction and
+    residual gate that reads it.  ``sppt`` builds x1 as a square root of
+    the state's a-block and seeds the SVD from the eigendecomposition of a
+    it has already taken (``_with_svd``), so its factors run no SVD at all.
+    """
 
     x1: np.ndarray
     s: np.ndarray
@@ -177,6 +190,25 @@ class SpptFactors:
     def x1_svd(self) -> linalg.SvdResult:
         """SVD of x1, computed once and shared by every rank gate and reduction."""
         return linalg.svd(self.x1)
+
+    @cached_property
+    def sppt_residual(self) -> float:
+        """``sppt.sppt_residual(x1, s)``: the Frobenius norm of
+        x1^dag (s^dag s - s s^dag) x1, zero iff the factors are strong-PPT."""
+        return _sppt_residual(self.x1, self.s)
+
+
+def _sppt_residual(x1: np.ndarray, s: np.ndarray) -> float:
+    g = s.conj().T @ s - s @ s.conj().T
+    return linalg.frob(x1.conj().T @ g @ x1)
+
+
+def _with_svd(factors: SpptFactors, vectors: np.ndarray, sigma: np.ndarray) -> SpptFactors:
+    """``factors`` with the SVD of x1 seeded as u = v = ``vectors``, singular
+    values ``sigma`` (descending): the caller built the hermitian PSD x1 as
+    vectors @ diag(sigma) @ vectors^dag."""
+    factors.__dict__["x1_svd"] = linalg.SvdResult(vectors, sigma, vectors)
+    return factors
 
 
 def assemble_state(f: SpptFactors) -> QubitQuditState:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from spptkit import io, linalg, range_criterion, separability, states
+from spptkit import cli, io, linalg, range_criterion, separability, states
 from spptkit.cli import main
 from spptkit.errors import ParseError
 from spptkit.separability import (
@@ -146,6 +146,22 @@ class TestVerdictSerialization:
             assert data["class"] == PPT_UNDECIDED
             found = cert["range_search"]["found"]
             assert found and all(len(pv["e"]) == 2 and len(pv["f"]) == 4 for pv in found)
+
+    @pytest.mark.parametrize("state, kind", [
+        (random_sppt(4, 4, seed=1, with_tail=True)[0], "decomposition"),
+        (random_sppt(5, 3, normal_s=False, seed=0, with_tail=True)[0], "by_theorem"),
+        (entangled_sppt_2x5(0.5).state, "reduction_chain"),
+    ], ids=["decomposition", "by_theorem", "reduction_chain"])
+    def test_stacked_terms_match_the_per_matrix_form(self, monkeypatch, state, kind):
+        v = classify(state)
+        stacked = json.dumps(io.verdict_to_dict(v))
+        data = json.loads(stacked)
+        assert data["certificate"]["type"] == kind
+        if kind != "reduction_chain":
+            assert data["certificate"]["terms"]
+        monkeypatch.setattr(io, "terms_to_list", lambda terms: [
+            {"qubit": io.matrix_to_pairs(q), "qudit": io.matrix_to_pairs(p)} for q, p in terms])
+        assert json.dumps(io.verdict_to_dict(v)) == stacked
 
     def test_unknown_certificate_raises(self):
         with pytest.raises(TypeError):
@@ -288,6 +304,15 @@ class TestCli:
         assert f"{np.sqrt(142.0) / 12.0:.6e}" in out
         assert main(["check", "ppt", str(path)]) == 0
         assert "(PPT)" in capsys.readouterr().out
+
+    def test_parser_built_once(self, tmp_path, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        path = tmp_path / "rho0.json"
+        assert main(["generate", "rho0", "--b", "0.25", "--out", str(path)]) == 0
+        assert abs(io.load_state(path).trace() - 11.0) < 1e-12
+        # a second parse starts from the defaults (b = 0.5), not from the first's values
+        assert main(["generate", "rho0", "--out", str(path)]) == 0
+        assert abs(io.load_state(path).trace() - 9.0) < 1e-12
 
     def test_generate_rho0_trace(self, tmp_path, capsys):
         path = tmp_path / "rho0.json"

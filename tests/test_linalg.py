@@ -87,6 +87,16 @@ class TestHermEig:
         with pytest.raises(ValidationError):
             make_state(1, m)
 
+    @pytest.mark.parametrize("entry", [complex(0.0, np.nan), complex(np.inf, 0.0),
+                                       complex(1.0, -np.inf), complex(np.nan, np.nan)],
+                             ids=["nan-imaginary", "inf-real", "inf-imaginary", "nan-both"])
+    def test_rejects_any_non_finite_part(self, entry):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = entry
+        with pytest.raises(ValidationError, match="finite"):
+            linalg.as_matrix(m)
+        assert linalg.as_matrix(np.eye(2)).dtype == complex
+
 
 class TestSvd:
     def test_identity(self):

@@ -467,6 +467,56 @@ def haversine_angle(theta, d_theta, d_phi):
     return 2 * np.arcsin(np.sqrt(hav))
 
 
+def exact_bloch_angle(e: np.ndarray, other: np.ndarray) -> float:
+    """The Bloch angle between two float qubit vectors, from 2 atan(s / c)
+    with s = |<e_perp, e'>| and c = |<e, e'>| in 50-digit decimals; for
+    s / c below 1e-8, atan(x) = x (1 - x^2 / 3) to double precision."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        re = [decimal.Decimal(float(z.real)) for z in (*e, *other)]
+        im = [decimal.Decimal(float(z.imag)) for z in (*e, *other)]
+        # <e, e'> = conj(e0) e'0 + conj(e1) e'1, <e_perp, e'> = e0 e'1 - e1 e'0
+        c = abs(complex_abs2(re[0] * re[2] + im[0] * im[2] + re[1] * re[3] + im[1] * im[3],
+                             re[0] * im[2] - im[0] * re[2] + re[1] * im[3] - im[1] * re[3]))
+        s = abs(complex_abs2(re[0] * re[3] - im[0] * im[3] - re[1] * re[2] + im[1] * im[2],
+                             re[0] * im[3] + im[0] * re[3] - re[1] * im[2] - im[1] * re[2]))
+        x = s / c
+        assert x < decimal.Decimal("1e-8")
+        return float(2 * x * (1 - x * x / 3))
+
+
+def complex_abs2(re: decimal.Decimal, im: decimal.Decimal) -> decimal.Decimal:
+    return (re * re + im * im).sqrt()
+
+
+class TestBlochAngle:
+    def test_small_angles_read_to_relative_1e_6(self):
+        # 2 arccos |<e, e'>| reads these as 0 or misses them by up to ~7e-8;
+        # the atan2 form keeps them to within 1e-6 relative
+        rng = np.random.default_rng(23)
+        starts = [np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)]
+        starts += [range_criterion._bloch(*rng.uniform(0.0, np.pi, 2)) for _ in range(6)]
+        for e in starts:
+            e_perp = np.array([-np.conj(e[1]), np.conj(e[0])])
+            for gamma in np.logspace(-10, -8, 9):
+                phase = np.exp(1j * rng.uniform(0.0, 2 * np.pi, 2))
+                other = phase[0] * (np.cos(gamma / 2) * e
+                                    + phase[1] * np.sin(gamma / 2) * e_perp)
+                got = range_criterion._bloch_angle(e, other[None, :])[0]
+                exact = exact_bloch_angle(e, other)
+                assert abs(got - exact) <= 1e-6 * exact, (e, gamma, got, exact)
+                assert abs(exact - gamma) <= 1e-5 * gamma
+
+    def test_matches_the_haversine_angle(self):
+        rng = np.random.default_rng(24)
+        theta, phi = rng.uniform(0.0, np.pi, (2, 50)), rng.uniform(0.0, 2 * np.pi, (2, 50))
+        e = range_criterion._bloch(theta[0], phi[0])
+        other = range_criterion._bloch(theta[1], phi[1])
+        got = np.array([range_criterion._bloch_angle(a, b[None, :])[0] for a, b in zip(e, other)])
+        np.testing.assert_allclose(got, haversine_angle(theta[0], theta[1] - theta[0],
+                                                        phi[1] - phi[0]), rtol=1e-12)
+
+
 class TestCellRadius:
     @pytest.mark.parametrize("h", [np.pi / 16, 1e-3, 5e-10],
                              ids=["first-level", "1e-3", "1e-9-wide"])

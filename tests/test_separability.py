@@ -1,5 +1,6 @@
 """Tests for decompositions, reduction, lifting, subtraction, and classify."""
 
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spptkit import linalg, range_criterion, separability
+from spptkit import io, linalg, range_criterion, separability
 from spptkit.errors import (
     InvalidDecomposition,
     NotNormal,
@@ -509,10 +510,10 @@ class TestClassify:
     def test_invertible_x1_route_is_validated_against_the_input(self, monkeypatch):
         state, _ = random_sppt(4, 4, seed=7)
         assert classify(state).classification == SEPARABLE
-        construct = separability.decompose_full_rank
-        # a decomposition of a state 1e-6 away from the input
-        monkeypatch.setattr(separability, "decompose_full_rank", lambda f: SeparableDecomposition(
-            terms=[(q, (1 + 1e-6) * m) for q, m in construct(f).terms]))
+        construct = separability._spectral_terms
+        # the terms of a state 1e-6 away from the input
+        monkeypatch.setattr(separability, "_spectral_terms", lambda f, scale: [
+            (q, (1 + 1e-6) * m) for q, m in construct(f, scale)])
         verdict = classify(state)
         assert any(line.startswith("spectral construction failed") for line in verdict.trace_log)
         assert "decomposition_residual" not in verdict.residuals
@@ -586,8 +587,9 @@ class TestClassify:
 
     @pytest.mark.parametrize("rank", [6, 3])
     def test_x1_factored_once(self, monkeypatch, rank):
-        # the rank gate and the spectral construction or the reduction share
-        # one SVD of x1, the only 6 x 6 SVD on these routes
+        # the rank gate and the spectral construction or the reduction read
+        # the SVD of x1 that the strong-PPT check seeds from the
+        # eigendecomposition of the a-block, so no 6 x 6 SVD runs
         state, _ = random_sppt(6, rank=rank, seed=2)
         shapes = []
         svd = np.linalg.svd
@@ -598,7 +600,72 @@ class TestClassify:
 
         monkeypatch.setattr(np.linalg, "svd", counting)
         assert classify(state).is_separable_class
-        assert shapes.count((6, 6)) == 1
+        assert shapes.count((6, 6)) == 0
+
+    @pytest.mark.parametrize("rank, pinv_calls", [(1, 0), (2, 1)])
+    def test_p_max_formed_only_when_delta_plus_fails(self, monkeypatch, rank, pinv_calls):
+        # the singular-a check accepts the positive part of delta at rank 1
+        # and needs the Schur-complement bound, a pseudo-inverse, at rank 2
+        state, _ = random_sppt(4, rank, normal_s=False, seed=0)
+        calls = []
+        pinv = np.linalg.pinv
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return pinv(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", counting)
+        assert classify(state).classification == SEPARABLE_BY_THEOREM
+        assert len(calls) == pinv_calls
+
+    def test_invertible_x1_route_validates_once(self, monkeypatch):
+        # classify validates the spectral terms against its input, once;
+        # decompose_full_rank on its own still validates against the state
+        # its factors assemble
+        state, factors = random_sppt(5, 5, seed=3, with_tail=True)
+        checked = []
+        validate = SeparableDecomposition.validate
+
+        def recording(dec, rho, tol=separability.DEFAULT_TOL):
+            checked.append(rho)
+            return validate(dec, rho, tol)
+
+        monkeypatch.setattr(SeparableDecomposition, "validate", recording)
+        v = classify(state)
+        assert v.classification == SEPARABLE
+        assert len(checked) == 1 and checked[0] is state.rho
+        checked.clear()
+        decompose_full_rank(factors)
+        assert len(checked) == 1
+        assert np.array_equal(checked[0], assemble_state(factors).rho)
+
+    @pytest.mark.parametrize("n, enumerations", [(6, 1), (7, 2)])
+    def test_subtraction_work_is_reported(self, monkeypatch, n, enumerations):
+        # a Separable verdict through the prover carries the summed work of
+        # its enumerations, fresh searches and re-checks alike (n = 7: one
+        # of each)
+        records = []
+        for name in ("_enumerate", "_recheck"):
+            real = getattr(range_criterion, name)
+
+            def recording(*args, real=real):
+                out = real(*args)
+                records.append(out.search)
+                return out
+
+            monkeypatch.setattr(range_criterion, name, recording)
+        state, _ = random_separable(5, n, seed=0)
+        report = json.loads(json.dumps(io.verdict_to_dict(classify(state))))
+        assert report["class"] == SEPARABLE
+        assert len(records) == enumerations
+        for key in ("evaluations", "polishes", "isolation_drops"):
+            total = sum(record[key] for record in records)
+            assert report["residuals"][f"subtraction_{key}"] == total
+            assert type(report["residuals"][f"subtraction_{key}"]) is int
+        assert report["residuals"]["subtraction_evaluations"] > 0
+        line = next(line for line in report["trace_log"] if line.startswith("subtraction:"))
+        assert f"{report['residuals']['subtraction_evaluations']} evaluations" in line
+        assert f"{report['residuals']['subtraction_polishes']} polishes" in line
 
     def test_classify_needs_no_scipy(self):
         # a fresh interpreter in which importing scipy fails runs both

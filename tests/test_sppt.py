@@ -192,6 +192,26 @@ class TestSpptCheck:
             assert abs(v.residual - sppt_residual(f.x1, f.s)) <= 1e-9
 
 
+    @pytest.mark.parametrize("d, rank, normal_s", [
+        (5, 5, True), (5, 3, True), (6, 2, False), (4, 1, False), (6, 4, False)])
+    def test_seeded_svd_and_cached_residual(self, monkeypatch, d, rank, normal_s):
+        # the factors carry x1's SVD, read off the eigendecomposition of a
+        # (u = v, exact zeros on ker a), and the residual that accepted them
+        state, _ = random_sppt(d, rank, normal_s=normal_s, seed=4, with_tail=True)
+        monkeypatch.setattr(np.linalg, "svd", None)
+        f = sppt_check(state).factors
+        u, sigma, v = f.x1_svd
+        assert u is v
+        assert np.all(np.diff(sigma) <= 0) and np.count_nonzero(sigma) == rank
+        assert f.x1_svd.rank == rank
+        assert linalg.frob(u.conj().T @ u - np.eye(d)) <= 1e-12
+        assert linalg.frob((u * sigma) @ v.conj().T - f.x1) <= 1e-12 * linalg.frob(f.x1)
+        monkeypatch.undo()
+        np.testing.assert_allclose(f.x1_svd.sigma, linalg.svd(f.x1).sigma,
+                                   atol=1e-12 * sigma[0])
+        assert f.sppt_residual == sppt_residual(f.x1, f.s)
+
+
 class TestVerdictInvariance:
     def test_status_invariant_under_local_transform(self):
         rng = np.random.default_rng(5)
