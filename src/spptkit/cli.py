@@ -75,7 +75,7 @@ def _cmd_check(args) -> int:
     state = io.load_state(args.input)
     if args.which == "ppt":
         min_eig, _ = states.pt_min_eig(state.rho, state.d)
-        verdict = "PPT" if min_eig >= -separability.DEFAULT_TOL * state.norm() else "NPT"
+        verdict = "NPT" if states.is_npt(min_eig, state) else "PPT"
         print(f"min partial-transpose eigenvalue: {min_eig:.6e}  ({verdict})")
     else:
         v = sppt.sppt_check(state)

@@ -22,6 +22,16 @@ from .errors import NotNormal, NotSquare, ValidationError
 HERM_RTOL = 1e-9
 PSD_RTOL = 1e-9
 RANK_CUTOFF = 1e-12
+# The decision tolerance of the NPT and strong-PPT tests, relative to the
+# state's norm.
+DEFAULT_TOL = 1e-9
+# Floor of every tolerance a construction is gated or validated with: the
+# spectral, reduction and lifting steps each lose a few digits to the
+# conditioning of the factors, and a core validated below this floor can
+# fail on valid input.
+TOL_FLOOR = 1e-8
+# Relative singular-value cutoff of ``nullspace``.
+NULL_CUTOFF = 1e-8
 
 
 class EigResult(NamedTuple):
@@ -43,7 +53,7 @@ class EigResult(NamedTuple):
     @property
     def scale(self) -> float:
         """Largest eigenvalue magnitude, floored at 1e-300."""
-        return max(float(np.abs(self.values).max()), 1e-300)
+        return max(float(np.abs(self.values).max(initial=0.0)), 1e-300)
 
     def support(self, cutoff: float) -> np.ndarray:
         """Mask of the eigenvalues above ``cutoff * scale``; the rest is the kernel."""
@@ -190,8 +200,9 @@ def _rank(sigma: np.ndarray, cutoff: float) -> int:
     return int((sigma > cutoff * sigma[0]).sum())
 
 
-def nullspace(m, cutoff: float = RANK_CUTOFF) -> np.ndarray:
-    """Orthonormal basis of the right nullspace, as columns.
+def nullspace(m) -> np.ndarray:
+    """Orthonormal basis of the right nullspace, as columns, at singular
+    values at most ``NULL_CUTOFF`` times the largest.
 
     A matrix with no rows has the full space as nullspace.
     """
@@ -202,11 +213,13 @@ def nullspace(m, cutoff: float = RANK_CUTOFF) -> np.ndarray:
     if m.shape[0] == 0:
         return np.eye(cols, dtype=complex)
     _, sigma, vh = np.linalg.svd(m, full_matrices=True)
-    return vh[_rank(sigma, cutoff):].conj().T
+    return vh[_rank(sigma, NULL_CUTOFF):].conj().T
 
 
-def normal_eig(s, rtol: float = HERM_RTOL) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral decomposition of a (numerically) normal matrix.
+def normal_eig(s) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral decomposition of a (numerically) normal matrix, whose
+    normality defect ||s^dag s - s s^dag|| is at most ``TOL_FLOOR`` times
+    ||s||^2.
 
     Returns ``(values, vectors)`` with orthonormal ``vectors`` columns such
     that ``s = vectors @ diag(values) @ vectors.conj().T``.  The vectors are
@@ -222,7 +235,7 @@ def normal_eig(s, rtol: float = HERM_RTOL) -> tuple[np.ndarray, np.ndarray]:
     if s.shape[0] != s.shape[1]:
         raise NotSquare(f"expected a square matrix, got shape {s.shape}")
     defect = frob(s.conj().T @ s - s @ s.conj().T)
-    if defect > rtol * max(frob(s) ** 2, 1e-300):
+    if defect > TOL_FLOOR * max(frob(s) ** 2, 1e-300):
         raise NotNormal(f"normality defect {defect:g} exceeds tolerance")
     q, _ = np.linalg.qr(np.linalg.eig(s)[1])
     values = np.einsum("ij,ij->j", np.conj(q), s @ q)

@@ -85,7 +85,6 @@ _POLISH_TOL = 1e-14                # residual at which Gauss-Newton stops
 _BASIN = 1e-3                      # least radius (Bloch angle, rad) of a found vector's basin
 _SAME = 1e-6                       # Bloch angle (rad) within which two vectors are one
 _SLICE = 1024                      # cells formed, tested and solved together
-_NULL_CUTOFF = 1e-8                # relative singular-value cutoff of M(e) nullspaces
 
 
 @dataclass(frozen=True)
@@ -134,10 +133,13 @@ def kernel_basis(m, cutoff: float = KERNEL_CUTOFF) -> np.ndarray:
     """Orthonormal kernel basis (rows) of a PSD matrix.
 
     Spans the eigenvectors with eigenvalue at most ``cutoff`` times the
-    largest eigenvalue.
+    largest eigenvalue.  The positivity gate reads the Frobenius norm, as
+    ``states.make_state`` and ``states.is_npt`` do: a state they accept,
+    and its partial transpose, pass it.
     """
-    eig = linalg.EigResult.of(linalg.as_matrix(m))
-    if eig.values[0] < -max(cutoff, 1e-9) * eig.scale:
+    m = linalg.as_matrix(m)
+    eig = linalg.EigResult.of(m)
+    if eig.values[0] < -max(cutoff, linalg.PSD_RTOL) * max(linalg.frob(m), 1e-300):
         raise NotPsd(f"kernel_basis expects a PSD matrix, min eigenvalue {eig.values[0]:g}")
     return eig.vectors[:, ~eig.support(cutoff)].T
 
@@ -188,6 +190,17 @@ def _constraints_of(s: QubitQuditState, cutoff: float) -> _Constraints:
     """The constraints of outside input, whose positivity ``kernel_basis`` checks."""
     pt = states.partial_transpose_matrix(s.rho, s.d)
     return _constraints(s.d, kernel_basis(s.rho, cutoff), kernel_basis(pt, cutoff), cutoff)
+
+
+def _enumeration_constraints(d: int, rho: linalg.EigResult,
+                             pt: linalg.EigResult) -> _Constraints:
+    """The constraints at ``ENUMERATION_KERNEL_CUTOFF`` from the
+    eigendecompositions of a state and its partial transpose, whose
+    positivity the caller has checked: the prover's, without another
+    eigendecomposition."""
+    cutoff = ENUMERATION_KERNEL_CUTOFF
+    kernels = (eig.vectors[:, ~eig.support(cutoff)].T for eig in (rho, pt))
+    return _constraints(d, *kernels, cutoff)
 
 
 def _constraints(d: int, ker: np.ndarray, ker_pt: np.ndarray, cutoff: float) -> _Constraints:
@@ -409,7 +422,7 @@ def _null_vector(con: _Constraints, e: np.ndarray) -> tuple[np.ndarray, float]:
 def _null_space(con: _Constraints, e: np.ndarray) -> np.ndarray:
     """Orthonormal basis (rows) of the nullspace of M(e), best residual first."""
     m = _constraint_rows(con, e[None, :])[0]
-    return linalg.nullspace(m, cutoff=_NULL_CUTOFF)[:, ::-1].T
+    return linalg.nullspace(m)[:, ::-1].T
 
 
 def _bloch(theta, phi) -> np.ndarray:
@@ -630,9 +643,12 @@ class _Enumeration:
     exhaustive: bool
 
 
-def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
-            certify: bool):
+def _search(s: QubitQuditState, con: _Constraints, certify: bool):
     """Branch-and-bound over the Bloch sphere behind both public entry points.
+
+    A search that ``certify``s (``edge_check``) runs at ``threshold`` =
+    ``EXCLUSION_THRESHOLD`` and stops at ``limit`` = 1 vector; the
+    enumeration at ``ENUMERATION_TOL`` and ``ENUMERATION_CANDIDATES``.
 
     Cells are rectangles in (theta, phi), all of one size per level.  Each
     level bounds mu from below at the centres of the open cells and over
@@ -690,6 +706,8 @@ def _search(s: QubitQuditState, con: _Constraints, threshold: float, limit: int,
     (uncapped, at most 6d vectors), and a single record at theta = 0 stands
     for the landscape.
     """
+    threshold, limit = ((EXCLUSION_THRESHOLD, 1) if certify
+                        else (ENUMERATION_TOL, ENUMERATION_CANDIDATES))
     lip = con.lipschitz
     found, minima = [], []
     if con.n_rows < s.d:
@@ -809,7 +827,7 @@ def product_vectors_in_range(s: QubitQuditState) -> list[ProductVector]:
 def _enumerate(s: QubitQuditState, con: _Constraints) -> _Enumeration:
     """The search behind ``product_vectors_in_range``, with its record, on
     the constraints of ``s`` at ``ENUMERATION_KERNEL_CUTOFF``."""
-    return _search(s, con, ENUMERATION_TOL, ENUMERATION_CANDIDATES, certify=False)
+    return _search(s, con, certify=False)
 
 
 def _recheck(s: QubitQuditState, con: _Constraints, previous: _Enumeration) -> _Enumeration:
@@ -831,7 +849,7 @@ def _recheck(s: QubitQuditState, con: _Constraints, previous: _Enumeration) -> _
     case, and it runs.
     """
     if con.n_rows < s.d:
-        return _search(s, con, ENUMERATION_TOL, ENUMERATION_CANDIDATES, certify=False)
+        return _search(s, con, certify=False)
     slack = con.lipschitz * _BASIN / 2.0
     directions = np.array([pv.e for pv in previous.found], dtype=complex).reshape(-1, 2)
     above = np.full(len(directions), ENUMERATION_TOL + slack)
@@ -864,4 +882,4 @@ def edge_check(s: QubitQuditState) -> RangeSearchCertificate:
     ``Inconclusive`` when it reaches ``CELL_FLOOR`` or ``EVALUATION_CAP``
     with neither outcome.
     """
-    return _search(s, _constraints_of(s, KERNEL_CUTOFF), EXCLUSION_THRESHOLD, 1, certify=True)
+    return _search(s, _constraints_of(s, KERNEL_CUTOFF), certify=True)

@@ -45,16 +45,10 @@ import numpy as np
 
 from . import linalg, range_criterion, sppt, states
 from .errors import InvalidDecomposition, NotSppt, SingularX1, ValidationError
+from .linalg import DEFAULT_TOL, TOL_FLOOR
 from .range_criterion import edge_check
 from .sppt import SpptVerdict
 from .states import QubitQuditState, SpptFactors, assemble_state, join_blocks
-
-DEFAULT_TOL = 1e-9
-# Floor of every tolerance a construction is gated or validated with: the
-# spectral, reduction and lifting steps each lose a few digits to the
-# conditioning of the factors, and a core validated below this floor can
-# fail on valid input.
-TOL_FLOOR = 1e-8
 
 SEPARABLE = "Separable"
 SEPARABLE_BY_THEOREM = "SeparableByTheorem"
@@ -173,8 +167,9 @@ class SubtractionResult:
     """Outcome of the product-vector subtraction loop: the subtracted terms
     and the remainder as a ``reduction`` (at ``small_support``, the theorem
     certificate of the remainder on its qudit support), at ``sppt_core`` the
-    remainder's verdict, and how many iterations searched the Bloch sphere
-    (``searches``) and how many re-checked the last enumeration
+    remainder's verdict, the number of subtractions (``iterations``, the
+    length of the reduction's terms), and how many enumerations searched
+    the Bloch sphere (``searches``) and how many re-checked the last one
     (``rechecks``), with the ``evaluations``, ``polishes`` and
     ``isolation_drops`` summed over the records of those enumerations."""
 
@@ -212,7 +207,7 @@ def _spectral_terms(f: SpptFactors, scale: float) -> list:
     the state the factors assemble."""
     if f.x1_svd.rank < f.d:
         raise SingularX1("x1 must be invertible for the spectral construction")
-    values, vectors = linalg.normal_eig(f.s, rtol=TOL_FLOOR)
+    values, vectors = linalg.normal_eig(f.s)
     terms = []
     for lam, z in zip(values, vectors.T):
         qubit = np.array([[1.0, lam], [np.conj(lam), abs(lam) ** 2]], dtype=complex)
@@ -421,9 +416,7 @@ def subtract_product_vectors(s: QubitQuditState,
         best = None
         trace = float(rho.trace().real)
         lam_floor = 1e-10 * trace
-        cutoff = range_criterion.ENUMERATION_KERNEL_CUTOFF
-        kernels = (eig.vectors[:, ~eig.support(cutoff)].T for eig in (rho_eig, pt_eig))
-        con = range_criterion._constraints(d, *kernels, cutoff)
+        con = range_criterion._enumeration_constraints(d, rho_eig, pt_eig)
         if enumeration is not None and enumeration.exhaustive:
             enumeration = range_criterion._recheck(remainder_state, con, enumeration)
             rechecks += 1
@@ -514,7 +507,6 @@ def classify(s: QubitQuditState) -> Verdict:
     """
     if s.trace() <= 0:
         raise ValidationError("state must have positive trace")
-    scale = max(s.norm(), 1e-300)
     log: list = []
     residuals: dict = {}
 
@@ -525,7 +517,7 @@ def classify(s: QubitQuditState) -> Verdict:
     # 1: NPT test
     min_pt, pt_vec = states.pt_min_eig(s.rho, s.d)
     residuals["min_pt_eigenvalue"] = min_pt
-    if min_pt < -DEFAULT_TOL * scale:
+    if states.is_npt(min_pt, s):
         log.append(f"partial transpose has eigenvalue {min_pt:.3e} < 0: NPT")
         return done(ENTANGLED_NPT, NptCertificate(min_eigenvalue=min_pt,
                                                   eigenvector=pt_vec))
@@ -563,7 +555,8 @@ def classify(s: QubitQuditState) -> Verdict:
     residuals["subtraction_evaluations"] = sub.evaluations
     residuals["subtraction_polishes"] = sub.polishes
     residuals["subtraction_isolation_drops"] = sub.isolation_drops
-    log.append(f"subtraction: {sub.status} after {sub.iterations} iterations "
+    log.append(f"subtraction: {sub.status} after {sub.iterations} subtractions and "
+               f"{sub.searches + sub.rechecks} enumerations "
                f"({sub.searches} searched the sphere, {sub.rechecks} re-checked; "
                f"{sub.evaluations} evaluations, {sub.polishes} polishes, "
                f"{sub.isolation_drops} isolation drops), "

@@ -19,7 +19,8 @@ criterion  b^dag a^-1 b = b a^-1 b^dag  and the check is exact.  With
 singular a the state may still be SPPT through couplings into ker(a);
 ``sppt_check`` searches two canonical candidates for those couplings and
 accepts only factorizations that replay (reassemble the state and satisfy
-(*) within tolerance), reporting Undecided otherwise.
+(*) within tolerance), reporting Undecided otherwise.  a = 0 is the
+search's rank-0 case: x1 = s = 0 and x2 = c^{1/2}.
 """
 
 from __future__ import annotations
@@ -30,10 +31,8 @@ from typing import Optional
 import numpy as np
 
 from . import linalg, states
-from .errors import DimensionMismatch, NotFullRank, NotPpt, NotPsd
+from .errors import DimensionMismatch, NotFullRank, NotPpt
 from .states import QubitQuditState, SpptFactors, assemble_state, blocks
-
-SPPT_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -69,13 +68,13 @@ def extract_factors_full_rank(s: QubitQuditState) -> SpptFactors:
     x1 = a^{1/2}, s = a^{-1/2} b a^{-1/2}, x2 = (c - b^dag a^-1 b)^{1/2}.
     Raises NotFullRank when a is singular and NotPpt when either Schur
     complement fails positivity (the state or its partial transpose is not
-    PSD) by more than ``SPPT_RTOL`` of the state's norm.
+    PSD) by more than ``linalg.DEFAULT_TOL`` of the state's norm.
     """
     a, b, c = blocks(s)
     eig = linalg.EigResult.of(a)
     if eig.support(linalg.RANK_CUTOFF).sum() < s.d:
         raise NotFullRank("the <0|rho|0> block is singular")
-    return _full_rank_factors(s, eig, eig.apply(np.reciprocal), b, c, SPPT_RTOL)
+    return _full_rank_factors(s, eig, eig.apply(np.reciprocal), b, c, linalg.DEFAULT_TOL)
 
 
 def _full_rank_factors(s: QubitQuditState, eig: linalg.EigResult,
@@ -147,28 +146,19 @@ def _check_singular_support(s: QubitQuditState, a, b, c, eig: linalg.EigResult,
     Schur complement, is formed only when the first candidate fails; the
     first candidate's Gram matrices, the positive and negative parts of
     delta, share delta's eigendecomposition.  Each candidate must pass rank
-    and positivity gates and is then verified by reassembly; failure of
-    both leaves the existence question open, hence Undecided.  x1 =
-    a^{1/2} on the support of a, and its SVD, come once from the
-    eigendecomposition of a (``_root``); the residual that accepts a
-    candidate stays cached on its factors.
+    and positivity gates at ``linalg.TOL_FLOOR`` and is then verified by
+    reassembly; failure of both leaves the existence question open, hence
+    Undecided.  x1 = a^{1/2} on the support of a, and its SVD, come once
+    from the eigendecomposition of a (``_root``); the residual that accepts
+    a candidate stays cached on its factors.
+
+    a = 0 is the rank-0 case: the support is empty, so b must vanish, and
+    delta, P and Q are 0 x 0; the first candidate then gives x1 = s = 0 and
+    x2 = c^{1/2}, with residual 0.
     """
     d = s.d
     m_dim = d - rank
     scale = max(s.norm(), 1e-300)
-    if rank == 0:
-        # a = 0 forces b = 0 (PSD), so rho = |1><1| (x) c: factor directly.
-        if linalg.frob(b) > tol * scale:
-            return SpptVerdict(status="Undecided", residual=linalg.frob(b),
-                               note="a vanishes but b does not")
-        eig_c = linalg.EigResult.of(c)
-        if eig_c.values[0] < -max(tol, 1e-8) * max(linalg.frob(c), 1e-300):
-            raise NotPsd(f"c-block has eigenvalue {eig_c.values[0]:g}")
-        x2 = eig_c.apply(_clamped_sqrt)
-        zero = np.zeros((d, d), dtype=complex)
-        return SpptVerdict(status="Sppt", residual=0.0,
-                           factors=SpptFactors(x1=zero, s=zero, x2=x2),
-                           note="a vanishes; the state is the qubit-|1> block")
     q = eig.vectors[:, d - rank:]      # support of a (eigenvalues ascending)
     q_perp = eig.vectors[:, :d - rank]
 
@@ -208,8 +198,10 @@ def _check_singular_support(s: QubitQuditState, a, b, c, eig: linalg.EigResult,
 
     omega = np.hstack([q, q_perp])
     for eig_p, eig_q in candidates():
-        if (eig_p.values[0] < -1e-8 * eig_p.scale or eig_q.values[0] < -1e-8 * eig_q.scale
-                or eig_p.support(1e-8).sum() > m_dim or eig_q.support(1e-8).sum() > m_dim):
+        # At rank 0 both are 0 x 0: an empty spectrum's least eigenvalue
+        # reads 0, so the candidate passes.
+        if any(eig.values.min(initial=0.0) < -linalg.TOL_FLOOR * eig.scale
+               or eig.support(linalg.TOL_FLOOR).sum() > m_dim for eig in (eig_p, eig_q)):
             continue
         s21 = _psd_factor_rows(eig_p, m_dim)
         s12 = _psd_factor_rows(eig_q, m_dim).conj().T
@@ -222,7 +214,7 @@ def _check_singular_support(s: QubitQuditState, a, b, c, eig: linalg.EigResult,
         tail = linalg.EigResult.of(c - q @ inner @ q.conj().T)
         # Noise floor is set by the state scale; the reassembly check below
         # is the binding validation.
-        if tail.values[0] < -1e-8 * scale:
+        if tail.values[0] < -linalg.TOL_FLOOR * scale:
             continue
         cand = states._with_svd(SpptFactors(x1=x1, s=s_full, x2=tail.apply(_clamped_sqrt)),
                                 eig.vectors[:, ::-1], x1_sigma)
@@ -245,7 +237,7 @@ def _check_singular_support(s: QubitQuditState, a, b, c, eig: linalg.EigResult,
 
 
 def sppt_check(s: QubitQuditState) -> SpptVerdict:
-    """Decide the strong-PPT property of a PPT state, at ``SPPT_RTOL``.
+    """Decide the strong-PPT property of a PPT state, at ``linalg.DEFAULT_TOL``.
 
     Non-PPT input yields Undecided with note "NPT" (the property is defined
     within PPT states).  With invertible a the closed-form criterion decides
@@ -253,10 +245,10 @@ def sppt_check(s: QubitQuditState) -> SpptVerdict:
     the verdict is Undecided, never NotSppt.
     """
     min_pt, _ = states.pt_min_eig(s.rho, s.d)
-    if min_pt < -SPPT_RTOL * max(s.norm(), 1e-300):
+    if states.is_npt(min_pt, s):
         return SpptVerdict(status="Undecided", residual=0.0,
                            note=f"NPT (partial transpose eigenvalue {min_pt:.3e})")
-    return _check_ppt(s, SPPT_RTOL)
+    return _check_ppt(s, linalg.DEFAULT_TOL)
 
 
 def _check_ppt(s: QubitQuditState, tol: float) -> SpptVerdict:

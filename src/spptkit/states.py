@@ -122,11 +122,18 @@ def partial_transpose_matrix(rho: np.ndarray, d: int) -> np.ndarray:
 def pt_min_eig(rho: np.ndarray, d: int) -> tuple[float, np.ndarray]:
     """Least eigenvalue of the partial transpose of rho, with its eigenvector.
 
-    The one positivity test of the partial transpose: a value below minus
-    a tolerance times the state's norm certifies entanglement.
+    The one positivity test of the partial transpose; ``is_npt`` reads it.
     """
     values, vectors = linalg.EigResult.of(partial_transpose_matrix(rho, d))
     return float(values[0]), vectors[:, 0]
+
+
+def is_npt(min_pt: float, s: QubitQuditState) -> bool:
+    """The one NPT rule, of ``classify``, ``sppt_check`` and the CLI: the
+    least partial-transpose eigenvalue ``min_pt`` of ``s`` certifies
+    entanglement when it is below -``linalg.DEFAULT_TOL`` times the state's
+    norm."""
+    return min_pt < -linalg.DEFAULT_TOL * max(s.norm(), 1e-300)
 
 
 def partial_transpose(s: QubitQuditState) -> QubitQuditState:

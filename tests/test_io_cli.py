@@ -436,6 +436,28 @@ class TestCli:
         else:
             assert "NPT" not in note
 
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("x, npt", [(0.5e-9, False), (2e-9, True)])
+    def test_one_npt_rule_at_the_tolerance(self, d, x, npt, tmp_path, capsys):
+        # rho = (1/2d + (tau - 1/2d) |Phi><Phi|)^Gamma is PSD and its partial
+        # transpose has least eigenvalue tau = -x ||rho||: classify,
+        # sppt_check and `check ppt` split at x = 1e-9 together
+        phi = np.zeros(2 * d)
+        phi[0] = phi[d + 1] = 1 / np.sqrt(2)
+
+        def state(tau):
+            m = np.eye(2 * d) / (2 * d) + (tau - 1 / (2 * d)) * np.outer(phi, phi)
+            return make_state(d, states.partial_transpose_matrix(m, d))
+
+        s = state(-x * state(0.0).norm())
+        assert np.isclose(states.pt_min_eig(s.rho, d)[0], -x * s.norm(), rtol=1e-3)
+        assert (classify(s).classification == ENTANGLED_NPT) == npt
+        assert sppt_check(s).note.startswith("NPT") == npt
+        path = tmp_path / "state.json"
+        io.save_state(s, path)
+        assert main(["check", "ppt", str(path)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("(NPT)" if npt else "(PPT)")
+
     def test_missing_file_exit_2(self, capsys):
         assert main(["check", "ppt", "/nonexistent/state.json"]) == 2
         capsys.readouterr()

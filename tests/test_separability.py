@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -435,6 +436,10 @@ class TestDecomposeSmall:
         decompose_small(state).validate(state.rho, tol=TOL_FLOOR)
         assert calls
 
+    def test_rejects_qudit_dimension_above_3(self):
+        with pytest.raises(ValidationError, match="qudit dimension <= 3"):
+            decompose_small(random_separable(4, 2, seed=0)[0])
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_zero_state_rejected_as_classify_rejects_it(self, d):
         # the prover returns no terms for it, and a decomposition needs one
@@ -554,6 +559,42 @@ class TestClassify:
         assert len(v.certificate.terms) == 1
         v.certificate.validate(state.rho, tol=TOL_FLOOR)
         assert "x1 vanishes: the state is a single product term" in v.trace_log
+
+    @pytest.mark.parametrize("t", [1e-3, 0.1])
+    def test_entangled_core_with_a_tail_does_not_transfer(self, t):
+        # the 2 x 5 family's factors with x2 = t |4><4|: the 2 x 4 core is
+        # entangled, but the tail |1><1| (x) t^2 |4><4| keeps its verdict
+        # from transferring to the state
+        f = entangled_sppt_2x5(0.5).factors
+        x2 = np.zeros((5, 5), dtype=complex)
+        x2[4, 4] = t
+        v = classify(assemble_state(SpptFactors(x1=f.x1, s=f.s, x2=x2)))
+        assert "core verdict: EntangledRange" in v.trace_log
+        assert (f"core is entangled but the tail has weight {t * t:.3e}; "
+                "the verdict does not transfer") in v.trace_log
+        assert not isinstance(v.certificate, separability.ReductionChain)
+        assert not v.is_separable_class
+
+    def test_subtraction_line_adds_up(self, monkeypatch):
+        # "after N subtractions and M enumerations (X searched the sphere,
+        # Y re-checked; ...)": X + Y = M, and N is the number of terms
+        results = []
+        prover = separability.subtract_product_vectors
+
+        def recording(*args, **kwargs):
+            results.append(prover(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(separability, "subtract_product_vectors", recording)
+        v = classify(random_separable(4, 7, seed=0)[0])
+        line = next(entry for entry in v.trace_log if entry.startswith("subtraction:"))
+        match = re.search(r" after (\d+) subtractions and (\d+) enumerations "
+                          r"\((\d+) searched the sphere, (\d+) re-checked; ", line)
+        n, m, x, y = map(int, match.groups())
+        (sub,) = results
+        assert x + y == m
+        assert (x, y) == (sub.searches, sub.rechecks)
+        assert n == len(sub.reduction.terms) == sub.iterations
 
     def test_counterexample_2x4_separable_class(self):
         v = classify(sppt_counterexample_2x4())

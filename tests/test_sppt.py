@@ -162,14 +162,20 @@ class TestSpptCheck:
             assert linalg.frob(rebuilt.rho - state.rho) <= 1e-8 * state.norm()
 
     def test_zero_a_block(self):
-        # rho = |1><1| (x) tau factors as x1 = 0, x2 = tau^(1/2)
+        # rho = |1><1| (x) tau factors as x1 = s = 0, x2 = tau^(1/2): the
+        # kernel-coupling search's rank-0 case
         rng = np.random.default_rng(17)
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         tau = g @ g.conj().T
         rho = np.zeros((8, 8), dtype=complex)
         rho[4:, 4:] = tau
         v = sppt_check(make_state(4, rho))
-        assert v.status == "Sppt"
+        assert v.status == "Sppt" and "rank 0" in v.note
+        assert v.residual == 0.0
+        f = v.factors
+        assert not f.x1.any() and not f.s.any() and f.x1_svd.rank == 0
+        assert linalg.frob(f.x2 - f.x2.conj().T) <= 1e-12 * linalg.frob(f.x2)
+        assert linalg.frob(f.x2 @ f.x2 - tau) <= 1e-12 * linalg.frob(tau)
         rebuilt = assemble_state(v.factors)
         assert linalg.frob(rebuilt.rho - rho) <= 1e-9 * linalg.frob(rho)
 
