@@ -74,9 +74,8 @@ def _cmd_generate(args) -> int:
 def _cmd_check(args) -> int:
     state = io.load_state(args.input)
     if args.which == "ppt":
-        min_eig, _ = states.pt_min_eig(state.rho, state.d)
-        verdict = "NPT" if states.is_npt(min_eig, state) else "PPT"
-        print(f"min partial-transpose eigenvalue: {min_eig:.6e}  ({verdict})")
+        verdict = "NPT" if states.is_npt(state) else "PPT"
+        print(f"min partial-transpose eigenvalue: {state.pt_eig.values[0]:.6e}  ({verdict})")
     else:
         v = sppt.sppt_check(state)
         print(f"strong-PPT status: {v.status}")

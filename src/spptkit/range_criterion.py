@@ -64,7 +64,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg, states
+from . import linalg
 from .errors import NotPsd
 from .states import QubitQuditState
 
@@ -135,11 +135,17 @@ def kernel_basis(m, cutoff: float = KERNEL_CUTOFF) -> np.ndarray:
     Spans the eigenvectors with eigenvalue at most ``cutoff`` times the
     largest eigenvalue.  The positivity gate reads the Frobenius norm, as
     ``states.make_state`` and ``states.is_npt`` do: a state they accept,
-    and its partial transpose, pass it.
+    and its partial transpose, pass it.  The matrix-level form of the
+    kernels ``_constraints_of`` cuts from a state's cached spectra.
     """
     m = linalg.as_matrix(m)
-    eig = linalg.EigResult.of(m)
-    if eig.values[0] < -max(cutoff, linalg.PSD_RTOL) * max(linalg.frob(m), 1e-300):
+    return _kernel(linalg.EigResult.of(m), linalg.frob(m), cutoff)
+
+
+def _kernel(eig: linalg.EigResult, norm: float, cutoff: float) -> np.ndarray:
+    """The kernel rows of ``kernel_basis`` from the eigendecomposition
+    ``eig`` of a matrix of Frobenius norm ``norm``, behind its PSD gate."""
+    if eig.values[0] < -max(cutoff, linalg.PSD_RTOL) * max(norm, 1e-300):
         raise NotPsd(f"kernel_basis expects a PSD matrix, min eigenvalue {eig.values[0]:g}")
     return eig.vectors[:, ~eig.support(cutoff)].T
 
@@ -187,20 +193,11 @@ class _Constraints:
 
 
 def _constraints_of(s: QubitQuditState, cutoff: float) -> _Constraints:
-    """The constraints of outside input, whose positivity ``kernel_basis`` checks."""
-    pt = states.partial_transpose_matrix(s.rho, s.d)
-    return _constraints(s.d, kernel_basis(s.rho, cutoff), kernel_basis(pt, cutoff), cutoff)
-
-
-def _enumeration_constraints(d: int, rho: linalg.EigResult,
-                             pt: linalg.EigResult) -> _Constraints:
-    """The constraints at ``ENUMERATION_KERNEL_CUTOFF`` from the
-    eigendecompositions of a state and its partial transpose, whose
-    positivity the caller has checked: the prover's, without another
-    eigendecomposition."""
-    cutoff = ENUMERATION_KERNEL_CUTOFF
-    kernels = (eig.vectors[:, ~eig.support(cutoff)].T for eig in (rho, pt))
-    return _constraints(d, *kernels, cutoff)
+    """The constraints of ``s``, from the kernels of its cached spectra
+    ``s.eig`` and ``s.pt_eig`` behind ``kernel_basis``'s positivity gate
+    (the partial transpose has the state's Frobenius norm)."""
+    kernels = (_kernel(eig, s.norm(), cutoff) for eig in (s.eig, s.pt_eig))
+    return _constraints(s.d, *kernels, cutoff)
 
 
 def _constraints(d: int, ker: np.ndarray, ker_pt: np.ndarray, cutoff: float) -> _Constraints:

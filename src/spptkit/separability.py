@@ -348,8 +348,10 @@ def subtract_product_vectors(s: QubitQuditState,
     effort: exhausting the budget (4 d iterations by default) or running
     out of candidates proves nothing about the input.
 
-    Past those exits, each iteration eigendecomposes the remainder and its
-    partial transpose once, for the strong-PPT check, the weights and the
+    The loop holds one working state, ``s`` at first and a new state after
+    each subtraction.  Past those exits it reads the state's cached spectra
+    (``eig`` and ``pt_eig``; at the first iteration, those ``classify``
+    already took) for its positivity rule, the weights and the
     enumeration's kernels; an eigenvalue of either below ``-TOL_FLOOR``
     times its largest magnitude (a maximal subtraction can leave one on an
     ill-conditioned remainder) first ends the loop ``stalled``.
@@ -374,34 +376,30 @@ def subtract_product_vectors(s: QubitQuditState,
     d = s.d
     if budget is None:
         budget = 4 * d
-    rho = np.array(s.rho)
-    scale0 = max(linalg.frob(rho), 1e-300)
+    state = s
+    scale0 = max(s.norm(), 1e-300)
     terms = []
     status = "budget_exhausted"
     reduction = sppt_verdict = enumeration = None
     iterations = searches = rechecks = 0
     effort = dict.fromkeys(("evaluations", "polishes", "isolation_drops"), 0)
     for iterations in range(budget + 1):
-        if linalg.frob(rho) <= DEFAULT_TOL * scale0:
+        if state.norm() <= DEFAULT_TOL * scale0:
             status = "decomposed"
             break
-        iso = _qudit_support(rho, d)
+        iso = _qudit_support(state.rho, d)
         if iso.shape[1] <= 3 and iso.shape[1] < d:
-            core = _compress_qudit(rho, d, iso)
-            pt_min, _ = states.pt_min_eig(core.rho, core.d)
-            if pt_min >= -TOL_FLOOR * scale0:
+            core = _compress_qudit(state.rho, d, iso)
+            if core.pt_eig.values[0] >= -TOL_FLOOR * scale0:
                 status = "small_support"
                 reduction = _theorem(
                     Reduction(terms=terms, core=core, embed=iso),
-                    "subtraction reduced the remainder to a PPT 2x3-or-smaller support", pt_min)
+                    "subtraction reduced the remainder to a PPT 2x3-or-smaller support")
                 break
-        rho_eig = linalg.EigResult.of(rho)
-        pt_eig = linalg.EigResult.of(states.partial_transpose_matrix(rho, d))
-        if any(eig.values[0] < -TOL_FLOOR * eig.scale for eig in (rho_eig, pt_eig)):
+        if any(eig.values[0] < -TOL_FLOOR * eig.scale for eig in (state.eig, state.pt_eig)):
             status = "stalled"
             break
-        remainder_state = states._state(d, rho)
-        verdict = sppt._check_ppt(remainder_state, TOL_FLOOR)
+        verdict = sppt._check_ppt(state, TOL_FLOOR)
         if verdict.status == "Sppt":
             k = verdict.factors.x1_svd.rank
             if k == d or k <= 3:
@@ -414,22 +412,22 @@ def subtract_product_vectors(s: QubitQuditState,
         # exit), then the largest admissible weight; greedy max-weight alone
         # can strand the remainder in an edge-like state.
         best = None
-        trace = float(rho.trace().real)
+        trace = state.trace()
         lam_floor = 1e-10 * trace
-        con = range_criterion._enumeration_constraints(d, rho_eig, pt_eig)
+        con = range_criterion._constraints_of(state, range_criterion.ENUMERATION_KERNEL_CUTOFF)
         if enumeration is not None and enumeration.exhaustive:
-            enumeration = range_criterion._recheck(remainder_state, con, enumeration)
+            enumeration = range_criterion._recheck(state, con, enumeration)
             rechecks += 1
         else:
-            enumeration = range_criterion._enumerate(remainder_state, con)
+            enumeration = range_criterion._enumerate(state, con)
             searches += 1
         for key in effort:
             effort[key] += enumeration.search[key]
         for e, f in ((pv.e, pv.f) for pv in enumeration.found):
-            lam = _max_subtraction_weight(rho_eig, pt_eig, e, f, trace)
+            lam = _max_subtraction_weight(state.eig, state.pt_eig, e, f, trace)
             if lam <= lam_floor:
                 continue
-            trial = rho - lam * _product_term(np.outer(e, e.conj()), np.outer(f, f.conj()))
+            trial = state.rho - lam * _product_term(np.outer(e, e.conj()), np.outer(f, f.conj()))
             key = (_qudit_support(trial, d).shape[1], -lam)
             if best is None or key < best[0]:
                 best = (key, lam, e, f)
@@ -438,11 +436,11 @@ def subtract_product_vectors(s: QubitQuditState,
             break
         _, lam, e, f = best
         terms.append((np.outer(e, e.conj()), lam * np.outer(f, f.conj())))
-        rho = linalg.hermitianize(rho - lam * _product_term(terms[-1][0], np.outer(f, f.conj())))
-    remainder = states._state(d, rho)
+        state = states._state(d, linalg.hermitianize(
+            state.rho - lam * _product_term(terms[-1][0], np.outer(f, f.conj()))))
     if reduction is None:
-        reduction = Reduction(terms=terms, core=remainder, embed=np.eye(d, dtype=complex))
-    return SubtractionResult(reduction=reduction, remainder=remainder, status=status,
+        reduction = Reduction(terms=terms, core=state, embed=np.eye(d, dtype=complex))
+    return SubtractionResult(reduction=reduction, remainder=state, status=status,
                              iterations=iterations, searches=searches, rechecks=rechecks,
                              sppt=sppt_verdict, **effort)
 
@@ -469,7 +467,7 @@ def decompose_small(s: QubitQuditState) -> SeparableDecomposition:
             f"subtraction did not terminate constructively ({sub.status})")
     classification, cert = outcome
     if classification == SEPARABLE_BY_THEOREM:
-        _, cert = _lift(cert, (SEPARABLE, decompose_small(cert.core)), s)
+        _, cert = _lift(cert, (SEPARABLE, decompose_small(cert.core)), s, {})
     return cert
 
 
@@ -515,12 +513,12 @@ def classify(s: QubitQuditState) -> Verdict:
                        trace_log=log, residuals=residuals)
 
     # 1: NPT test
-    min_pt, pt_vec = states.pt_min_eig(s.rho, s.d)
+    min_pt = float(s.pt_eig.values[0])
     residuals["min_pt_eigenvalue"] = min_pt
-    if states.is_npt(min_pt, s):
+    if states.is_npt(s):
         log.append(f"partial transpose has eigenvalue {min_pt:.3e} < 0: NPT")
         return done(ENTANGLED_NPT, NptCertificate(min_eigenvalue=min_pt,
-                                                  eigenvector=pt_vec))
+                                                  eigenvector=s.pt_eig.vectors[:, 0]))
     log.append(f"partial transpose PSD (min eigenvalue {min_pt:.3e}): PPT")
 
     # 2: small qudit dimension
@@ -529,7 +527,7 @@ def classify(s: QubitQuditState) -> Verdict:
                    "sufficient for separability here")
         return done(SEPARABLE_BY_THEOREM, _theorem(
             Reduction(terms=[], core=s, embed=np.eye(s.d, dtype=complex)),
-            "PPT is sufficient for separability in 2x2 and 2x3", min_pt))
+            "PPT is sufficient for separability in 2x2 and 2x3"))
 
     # 3-5: strong-PPT constructions (the state is PPT, tested above)
     verdict = sppt._check_ppt(s, DEFAULT_TOL)
@@ -592,12 +590,11 @@ def _classify_sppt(work, verdict: SpptVerdict, log, residuals):
     reduction = svd_reduce(factors)
     if reduction.core is None:
         dec = reduction.explicit(None)
-        dec.validate(work.rho, tol=TOL_FLOOR)
+        residuals["decomposition_residual"] = dec.validate(work.rho, tol=TOL_FLOOR)
         log.append("x1 vanishes: the state is a single product term")
         return SEPARABLE, dec
     if k <= 3:
-        cert = _theorem(reduction, "reduction to a PPT 2x3-or-smaller core",
-                        states.pt_min_eig(reduction.core.rho, k)[0])
+        cert = _theorem(reduction, "reduction to a PPT 2x3-or-smaller core")
         log.append(f"factor rank {k} <= 3: reduced 2x{k} core is PPT "
                    f"(min eigenvalue {cert.min_pt_eigenvalue:.3e}), hence separable; "
                    "the lift preserves separability")
@@ -608,7 +605,7 @@ def _classify_sppt(work, verdict: SpptVerdict, log, residuals):
     inner = classify(reduction.core)
     log.append(f"core verdict: {inner.classification}")
     if inner.is_separable_class:
-        return _lift(reduction, (inner.classification, inner.certificate), work)
+        return _lift(reduction, (inner.classification, inner.certificate), work, residuals)
     # The tail term, when kept, is the only term; one left out weighs at
     # most linalg.RANK_CUTOFF times the core's norm, well inside the gate.
     tail_weight = sum(linalg.frob(qudit) for _, qudit in reduction.terms)
@@ -627,7 +624,7 @@ def _verdict_from_subtraction(work, sub: SubtractionResult, log, residuals):
     reduction = sub.reduction
     if sub.status == "decomposed":
         dec = SeparableDecomposition(terms=reduction.terms)
-        dec.validate(work.rho, tol=TOL_FLOOR)
+        residuals["decomposition_residual"] = dec.validate(work.rho, tol=TOL_FLOOR)
         log.append(f"full decomposition with {len(dec.terms)} product terms")
         return SEPARABLE, dec
     if sub.status == "small_support":
@@ -641,28 +638,30 @@ def _verdict_from_subtraction(work, sub: SubtractionResult, log, residuals):
         outcome = _classify_sppt(reduction.core, sub.sppt, log, residuals)
         if outcome is None:
             return None
-        classification, certificate = _lift(reduction, outcome, work)
+        classification, certificate = _lift(reduction, outcome, work, residuals)
         if classification == SEPARABLE:
-            residuals["decomposition_residual"] = certificate.reconstruction_residual(work.rho)
             log.append("subtracted terms and remainder decomposition validate together")
         return classification, certificate
     return None
 
 
-def _theorem(reduction: Reduction, reason: str, min_pt: float) -> TheoremCertificate:
+def _theorem(reduction: Reduction, reason: str) -> TheoremCertificate:
     """The theorem certificate of a reduction whose core is a PPT 2 x k
-    state with k <= 3, with the core's least partial-transpose eigenvalue
-    ``min_pt``, as its caller computed it."""
-    return TheoremCertificate(**vars(reduction), min_pt_eigenvalue=min_pt, reason=reason)
+    state with k <= 3, with the core's least partial-transpose eigenvalue,
+    read from its cached spectrum ``reduction.core.pt_eig``."""
+    return TheoremCertificate(**vars(reduction), reason=reason,
+                              min_pt_eigenvalue=float(reduction.core.pt_eig.values[0]))
 
 
-def _lift(reduction: Reduction, core_outcome: tuple, work):
+def _lift(reduction: Reduction, core_outcome: tuple, work, residuals: dict):
     """The outcome of ``work`` from the separable outcome of the core of its
     ``reduction``, with the terms of ``reduction.explicit`` less those of
     Frobenius norm at most ``linalg.RANK_CUTOFF`` times that of ``work``.
     A core decomposition comes validated against the core at ``TOL_FLOOR``
     by whatever built it (``classify``, ``_classify_sppt`` or
-    ``decompose_small``); the lifted one is validated against ``work``."""
+    ``decompose_small``); the lifted one is validated against ``work``, and
+    that residual is recorded in ``residuals`` as the
+    ``decomposition_residual``."""
     classification, cert = core_outcome
     floor = linalg.RANK_CUTOFF * work.norm()
     terms = [(qubit, qudit) for qubit, qudit in reduction.explicit(cert).terms
@@ -671,5 +670,5 @@ def _lift(reduction: Reduction, core_outcome: tuple, work):
         return classification, dataclasses.replace(cert, terms=terms,
                                                    embed=reduction.embed @ cert.embed)
     dec = SeparableDecomposition(terms=terms)
-    dec.validate(work.rho, tol=TOL_FLOOR)
+    residuals["decomposition_residual"] = dec.validate(work.rho, tol=TOL_FLOOR)
     return classification, dec

@@ -244,10 +244,9 @@ def sppt_check(s: QubitQuditState) -> SpptVerdict:
     exactly; with singular a a verified factorization gives Sppt, otherwise
     the verdict is Undecided, never NotSppt.
     """
-    min_pt, _ = states.pt_min_eig(s.rho, s.d)
-    if states.is_npt(min_pt, s):
+    if states.is_npt(s):
         return SpptVerdict(status="Undecided", residual=0.0,
-                           note=f"NPT (partial transpose eigenvalue {min_pt:.3e})")
+                           note=f"NPT (partial transpose eigenvalue {s.pt_eig.values[0]:.3e})")
     return _check_ppt(s, linalg.DEFAULT_TOL)
 
 

@@ -35,7 +35,13 @@ from .errors import (
 
 @dataclass(frozen=True)
 class QubitQuditState:
-    """A 2 x d density operator, possibly unnormalized."""
+    """A 2 x d density operator, possibly unnormalized.
+
+    The eigendecompositions of rho and of its partial transpose are cached,
+    read-only like rho: each is computed at most once per state and shared
+    by every reader of either spectrum (the NPT rule, the theorem
+    certificate, the range criterion's kernels and the subtraction prover).
+    """
 
     d: int
     rho: np.ndarray
@@ -46,6 +52,16 @@ class QubitQuditState:
 
     def norm(self) -> float:
         return linalg.frob(self.rho)
+
+    @cached_property
+    def eig(self) -> linalg.EigResult:
+        """Eigendecomposition of rho, computed once."""
+        return _freeze_eig(self.rho)
+
+    @cached_property
+    def pt_eig(self) -> linalg.EigResult:
+        """Eigendecomposition of the partial transpose of rho, computed once."""
+        return _freeze_eig(partial_transpose_matrix(self.rho, self.d))
 
 
 class BlockView(NamedTuple):
@@ -58,6 +74,13 @@ def _freeze(m: np.ndarray) -> np.ndarray:
     out = np.array(m, dtype=complex)
     out.flags.writeable = False
     return out
+
+
+def _freeze_eig(m: np.ndarray) -> linalg.EigResult:
+    eig = linalg.EigResult.of(m)
+    for part in eig:
+        part.flags.writeable = False
+    return eig
 
 
 def _state(d: int, rho: np.ndarray, normalized: bool = False) -> QubitQuditState:
@@ -119,21 +142,12 @@ def partial_transpose_matrix(rho: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def pt_min_eig(rho: np.ndarray, d: int) -> tuple[float, np.ndarray]:
-    """Least eigenvalue of the partial transpose of rho, with its eigenvector.
-
-    The one positivity test of the partial transpose; ``is_npt`` reads it.
-    """
-    values, vectors = linalg.EigResult.of(partial_transpose_matrix(rho, d))
-    return float(values[0]), vectors[:, 0]
-
-
-def is_npt(min_pt: float, s: QubitQuditState) -> bool:
+def is_npt(s: QubitQuditState) -> bool:
     """The one NPT rule, of ``classify``, ``sppt_check`` and the CLI: the
-    least partial-transpose eigenvalue ``min_pt`` of ``s`` certifies
+    least partial-transpose eigenvalue of ``s`` (``s.pt_eig``) certifies
     entanglement when it is below -``linalg.DEFAULT_TOL`` times the state's
     norm."""
-    return min_pt < -linalg.DEFAULT_TOL * max(s.norm(), 1e-300)
+    return float(s.pt_eig.values[0]) < -linalg.DEFAULT_TOL * max(s.norm(), 1e-300)
 
 
 def partial_transpose(s: QubitQuditState) -> QubitQuditState:

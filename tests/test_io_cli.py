@@ -196,7 +196,7 @@ def replay_theorem(report: dict, rho: np.ndarray) -> None:
     assert cert["type"] == "by_theorem"
     terms, core, v = replay_reduction(cert, rho)
     assert core.d <= 3
-    assert states.pt_min_eig(core.rho, core.d)[0] >= -TOL_FLOOR * core.norm()
+    assert core.pt_eig.values[0] >= -TOL_FLOOR * core.norm()
     explicit = TheoremCertificate(terms=terms, core=core, embed=v,
                                   min_pt_eigenvalue=cert["min_pt_eigenvalue"],
                                   reason=cert["reason"]).explicit(decompose_small(core))
@@ -260,7 +260,7 @@ class TestTheoremReplay:
             core = separability._compress_qudit(head, 4, iso)
             cert = TheoremCertificate(
                 terms=v.certificate.terms[2:], core=core, embed=iso,
-                min_pt_eigenvalue=states.pt_min_eig(core.rho, core.d)[0],
+                min_pt_eigenvalue=float(core.pt_eig.values[0]),
                 reason="two product terms on two qudit levels")
             inner_certs.append(cert)
             return separability.Verdict(SEPARABLE_BY_THEOREM, cert, v.trace_log)
@@ -450,7 +450,7 @@ class TestCli:
             return make_state(d, states.partial_transpose_matrix(m, d))
 
         s = state(-x * state(0.0).norm())
-        assert np.isclose(states.pt_min_eig(s.rho, d)[0], -x * s.norm(), rtol=1e-3)
+        assert np.isclose(s.pt_eig.values[0], -x * s.norm(), rtol=1e-3)
         assert (classify(s).classification == ENTANGLED_NPT) == npt
         assert sppt_check(s).note.startswith("NPT") == npt
         path = tmp_path / "state.json"

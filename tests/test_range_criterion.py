@@ -60,6 +60,30 @@ class TestKernelBasis:
         with pytest.raises(NotPsd):
             kernel_basis(np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize("cutoff", [range_criterion.KERNEL_CUTOFF,
+                                        range_criterion.ENUMERATION_KERNEL_CUTOFF])
+    @pytest.mark.parametrize("state", [
+        horodecki_2x4(0.5), entangled_sppt_2x5(0.5).state, random_separable(5, 6, seed=0)[0],
+    ], ids=["horodecki", "rho0", "random_separable(5,6)"])
+    def test_state_constraints_match_the_matrix_kernels(self, state, cutoff):
+        # the kernels a state cuts from its cached spectra are kernel_basis's,
+        # bit for bit
+        pt = partial_transpose_matrix(state.rho, state.d)
+        want = range_criterion._constraints(state.d, kernel_basis(state.rho, cutoff),
+                                            kernel_basis(pt, cutoff), cutoff)
+        got = range_criterion._constraints_of(state, cutoff)
+        assert got.n_rows > 0
+        for field in dataclasses.fields(want):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+
+    def test_state_constraints_gate_positivity(self):
+        # the partial transpose of a Bell state has eigenvalue -1/2
+        psi = np.zeros(4)
+        psi[0] = psi[3] = 1 / np.sqrt(2)
+        with pytest.raises(NotPsd):
+            range_criterion._constraints_of(make_state(2, np.outer(psi, psi)),
+                                            range_criterion.KERNEL_CUTOFF)
+
 
 class TestProductVectorsInRange:
     def test_full_rank_state_trivial(self):
@@ -99,6 +123,21 @@ class TestProductVectorsInRange:
                 recorded = (pv.residual_range if mat is s.rho
                             else pv.residual_pt_range)
                 assert abs(resid - recorded) <= 1e-9
+
+
+class TestRecheck:
+    def test_continuum_case_searches_afresh(self):
+        # maximally_mixed(3) has no kernel: fewer constraint rows than d is
+        # the search's continuum case, which a re-check runs as a fresh search
+        s = maximally_mixed(3)
+        con = range_criterion._constraints_of(s, range_criterion.ENUMERATION_KERNEL_CUTOFF)
+        assert con.n_rows == 0
+        fresh = range_criterion._search(s, con, certify=False)
+        again = range_criterion._recheck(s, con, fresh)
+        assert len(again.found) == len(fresh.found) == 18
+        assert not again.exhaustive
+        for a, b in zip(again.found, fresh.found):
+            assert np.array_equal(a.e, b.e) and np.array_equal(a.f, b.f)
 
 
 class TestEdgeCheck:

@@ -367,6 +367,33 @@ class TestOnePositivityRule:
         assert len(calls) == 2 * (res.iterations + 1)
 
 
+class TestOneSpectralPass:
+    """A state owns its two spectra: one ``classify`` eigendecomposes no
+    2k x 2k matrix twice, k the qudit dimension of a state it classifies."""
+
+    @pytest.mark.parametrize("state", [
+        horodecki_2x4(0.5), entangled_sppt_2x5(0.5).state, random_separable(5, 6, seed=0)[0],
+    ], ids=["horodecki", "rho0", "random_separable(5,6)"])
+    def test_no_full_size_matrix_is_decomposed_twice(self, state, monkeypatch):
+        sizes, seen = set(), []
+        real_eigh, real_classify = np.linalg.eigh, separability.classify
+
+        def eigh(m, *args, **kwargs):
+            seen.append((np.shape(m), np.asarray(m).tobytes()))
+            return real_eigh(m, *args, **kwargs)
+
+        def recording_classify(s):
+            sizes.add(2 * s.d)
+            return real_classify(s)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(separability, "classify", recording_classify)
+        separability.classify(state)
+        full = [m for m in seen if m[0] in {(n, n) for n in sizes}]
+        repeats = len(full) - len(set(full))
+        assert full and repeats == 0
+
+
 class TestPolishCap:
     def test_near_miss_valley_polishes_few_centres(self, monkeypatch):
         # every centre of this state's near-miss valleys reads mu_lo = 0, so
@@ -511,6 +538,25 @@ class TestValidate:
             SeparableDecomposition(terms=dec.terms[1:]).validate(rho, tol=TOL_FLOOR)
 
 
+class TestDecompositionResidual:
+    """Every Separable verdict records the residual of the validation that
+    accepted it."""
+
+    @pytest.mark.parametrize("state", [
+        *(random_sppt(d, 4, normal_s=True, seed=seed)[0] for d in (5, 6) for seed in range(4)),
+        random_separable(5, 6, seed=0)[0],
+    ], ids=[*(f"random_sppt({d},4,T,seed={seed})" for d in (5, 6) for seed in range(4)),
+            "random_separable(5,6)"])
+    def test_residual_is_the_certificate_residual(self, state):
+        # the random_sppt inputs lift a separable 2 x 4 core; the
+        # random_separable one ends in the prover's strong-PPT exit
+        v = classify(state)
+        assert v.classification == SEPARABLE
+        residual = v.residuals["decomposition_residual"]
+        assert residual == v.certificate.reconstruction_residual(state.rho)
+        assert residual <= TOL_FLOOR * state.norm()
+
+
 class TestClassify:
     def test_invertible_x1_route_is_validated_against_the_input(self, monkeypatch):
         state, _ = random_sppt(4, 4, seed=7)
@@ -557,7 +603,8 @@ class TestClassify:
         v = classify(state)
         assert v.classification == SEPARABLE
         assert len(v.certificate.terms) == 1
-        v.certificate.validate(state.rho, tol=TOL_FLOOR)
+        assert v.residuals["decomposition_residual"] == v.certificate.validate(state.rho,
+                                                                                tol=TOL_FLOOR)
         assert "x1 vanishes: the state is a single product term" in v.trace_log
 
     @pytest.mark.parametrize("t", [1e-3, 0.1])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spptkit import linalg
-from spptkit.errors import DimensionMismatch, NotFullRank
+from spptkit.errors import DimensionMismatch, NotFullRank, NotPpt
 from spptkit.sppt import (
     SpptFactors,
     assemble_state,
@@ -82,6 +82,10 @@ class TestResidual:
             f = entangled_sppt_2x5(b).factors
             assert sppt_residual(f.x1, f.s) <= 1e-12
 
+    def test_rejects_unequal_sizes(self):
+        with pytest.raises(DimensionMismatch):
+            sppt_residual(np.eye(2), np.eye(3))
+
 
 class TestExtractFullRank:
     def test_maximally_mixed(self):
@@ -109,6 +113,14 @@ class TestExtractFullRank:
     def test_rejects_singular_a(self):
         with pytest.raises(NotFullRank):
             extract_factors_full_rank(entangled_sppt_2x5(0.5).state)
+
+    def test_rejects_npt_input(self):
+        # 0.9 |Phi><Phi| + 0.1 I/4 has invertible a, but its partial
+        # transpose, hence one Schur complement, is not PSD
+        phi = np.zeros(4)
+        phi[0] = phi[3] = 1 / np.sqrt(2)
+        with pytest.raises(NotPpt):
+            extract_factors_full_rank(make_state(2, 0.9 * np.outer(phi, phi) + 0.1 * np.eye(4) / 4))
 
 
 class TestSpptCheck:
@@ -178,6 +190,18 @@ class TestSpptCheck:
         assert linalg.frob(f.x2 @ f.x2 - tau) <= 1e-12 * linalg.frob(tau)
         rebuilt = assemble_state(v.factors)
         assert linalg.frob(rebuilt.rho - rho) <= 1e-9 * linalg.frob(rho)
+
+    def test_b_outside_the_support_of_a_is_undecided(self):
+        # strong-PPT by construction (s is normal), but a's eigenvalue 1e-14
+        # is under linalg.RANK_CUTOFF, so a counts as singular and b's
+        # content on that level stays outside its support
+        f = SpptFactors(np.diag([1.0, 1e-7]), np.array([[0.3, 1.0], [1.0, -0.2]]),
+                        np.zeros((2, 2)))
+        assert f.sppt_residual == 0.0
+        v = sppt_check(assemble_state(f))
+        assert v.status == "Undecided"
+        assert v.note.startswith("b-block has content outside the support of a")
+        assert np.isclose(v.residual, np.sqrt(2) * 1e-7, rtol=1e-6)
 
     def test_separable_mixture_not_sppt_or_undecided(self):
         # generic mixtures fail the exact criterion; the check must not

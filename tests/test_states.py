@@ -148,6 +148,22 @@ class TestPartialTranspose:
             assert linalg.frob(pt - pt_witness_gram(factors)) <= 1e-10 * s.norm()
 
 
+class TestSpectra:
+    def test_cached_read_only_spectra(self):
+        s = sppt_counterexample_2x3()
+        assert s.eig is s.eig and s.pt_eig is s.pt_eig
+        for eig, m in ((s.eig, s.rho), (s.pt_eig, partial_transpose(s).rho)):
+            np.testing.assert_allclose(eig.values, np.linalg.eigvalsh(m), atol=1e-12)
+            assert not eig.values.flags.writeable and not eig.vectors.flags.writeable
+
+    def test_npt_rule_reads_the_partial_transpose_spectrum(self):
+        bell = np.zeros((4, 4))
+        bell[np.ix_([0, 3], [0, 3])] = 0.5
+        s = make_state(2, bell)
+        assert states.is_npt(s) is True and s.pt_eig.values[0] == pytest.approx(-0.5)
+        assert states.is_npt(maximally_mixed(3)) is False
+
+
 class TestLocalQuditTransform:
     def test_identity(self):
         s = sppt_counterexample_2x3()
