@@ -77,7 +77,11 @@ class SeparableDecomposition:
         return min((float(linalg.min_eigs(stack).min()) for stack in self._factor_stacks()),
                    default=np.inf)
 
-    def validate(self, rho: np.ndarray, tol: float = DEFAULT_TOL) -> float:
+    def validate(self, rho: np.ndarray, tol: float = TOL_FLOOR) -> float:
+        """The reconstruction residual against ``rho``; raises
+        InvalidDecomposition when it exceeds ``tol`` (``TOL_FLOOR``, the
+        tolerance every construction is validated at) times ``||rho||_F``
+        or a factor is not PSD."""
         residual = self.reconstruction_residual(rho)
         scale = max(linalg.frob(rho), 1e-300)
         if residual > tol * scale:
@@ -197,7 +201,7 @@ def decompose_full_rank(f: SpptFactors) -> SeparableDecomposition:
     dec = SeparableDecomposition(terms=_spectral_terms(f, linalg.frob(rho)))
     # Validation tolerance matches the normality gate: the spectral step
     # loses exactly the normality defect of s.
-    dec.validate(rho, tol=TOL_FLOOR)
+    dec.validate(rho)
     return dec
 
 
@@ -314,17 +318,26 @@ def _max_subtraction_weight(rho: linalg.EigResult, pt: linalg.EigResult,
                _rank_one_weight(pt, np.outer(np.conj(e), f).ravel()))
 
 
-# Relative cutoff of the small-support exit's qudit support.  Looser than
-# ``linalg.RANK_CUTOFF``: a subtraction drains a direction only up to the
-# rounding of its weight, which the remainder's conditioning lifts above
-# 1e-12; what it cuts off stays an order below ``TOL_FLOOR``.
+# Relative cutoff of the prover's qudit support, the support of the
+# marginal a + c.  Looser than ``linalg.RANK_CUTOFF``: a subtraction drains
+# a direction only up to the rounding of its weight, which the remainder's
+# conditioning lifts above 1e-12; what it cuts off stays an order below
+# ``TOL_FLOOR``.
 SUPPORT_CUTOFF = 1e-9
 
 
-def _qudit_support(rho: np.ndarray, d: int):
-    """Isometry onto the joint qudit support of the two diagonal blocks."""
-    eig = linalg.EigResult.of(rho[:d, :d] + rho[d:, d:])
-    return eig.vectors[:, eig.support(SUPPORT_CUTOFF)]
+def _drains_level(marginal: linalg.EigResult, f: np.ndarray, lam: float) -> bool:
+    """Whether subtracting lam |e,f><e,f| (unit e and f) from a PSD state
+    drains a level of its qudit support, given the eigendecomposition
+    ``marginal`` of the state's qudit marginal M = a + c.
+
+    The remainder's marginal is M - lam |f><f|, PSD when the remainder is,
+    so lam <= w = 1 / <f|M^+|f> (``_rank_one_weight``).  A rank-one
+    downdate drains at most one level, and exactly at lam = w; at the
+    support's cutoff it does when w > 0 and lam >= (1 - ``SUPPORT_CUTOFF``) w.
+    A zero w (f off the support) drains none.
+    """
+    return 0 < (1 - SUPPORT_CUTOFF) * _rank_one_weight(marginal, f) <= lam
 
 
 def _compress_qudit(rho: np.ndarray, d: int, iso: np.ndarray) -> QubitQuditState:
@@ -354,7 +367,17 @@ def subtract_product_vectors(s: QubitQuditState,
     already took) for its positivity rule, the weights and the
     enumeration's kernels; an eigenvalue of either below ``-TOL_FLOOR``
     times its largest magnitude (a maximal subtraction can leave one on an
-    ill-conditioned remainder) first ends the loop ``stalled``.
+    ill-conditioned remainder) first ends the loop ``stalled``.  Its
+    strong-PPT exit reads the state's ``a_eig``, which at the first
+    iteration is the one ``classify``'s ``sppt_check`` took.
+
+    Each iteration eigendecomposes the qudit marginal M = a + c once; its
+    support at ``SUPPORT_CUTOFF`` is the small-support exit's, and its
+    spectrum ranks the candidates.  A candidate that drains a level of
+    that support comes first, then the largest weight; draining is a
+    closed form (``_drains_level``: lam >= (1 - ``SUPPORT_CUTOFF``) /
+    <f|M^+|f> > 0), so no candidate's remainder is built or
+    eigendecomposed.
 
     The candidates come from ``range_criterion``'s enumeration.  A
     subtraction that keeps rho' = rho - lam |e,f><e,f| and rho'^Gamma PSD
@@ -387,7 +410,8 @@ def subtract_product_vectors(s: QubitQuditState,
         if state.norm() <= DEFAULT_TOL * scale0:
             status = "decomposed"
             break
-        iso = _qudit_support(state.rho, d)
+        marginal = linalg.EigResult.of(state.rho[:d, :d] + state.rho[d:, d:])
+        iso = marginal.vectors[:, marginal.support(SUPPORT_CUTOFF)]
         if iso.shape[1] <= 3 and iso.shape[1] < d:
             core = _compress_qudit(state.rho, d, iso)
             if core.pt_eig.values[0] >= -TOL_FLOOR * scale0:
@@ -408,9 +432,9 @@ def subtract_product_vectors(s: QubitQuditState,
                 break
         if iterations == budget:
             break
-        # Prefer subtractions that shrink the qudit support (the certified
-        # exit), then the largest admissible weight; greedy max-weight alone
-        # can strand the remainder in an edge-like state.
+        # Prefer subtractions that drain a qudit level (the certified exit),
+        # then the largest admissible weight; greedy max-weight alone can
+        # strand the remainder in an edge-like state.
         best = None
         trace = state.trace()
         lam_floor = 1e-10 * trace
@@ -427,8 +451,7 @@ def subtract_product_vectors(s: QubitQuditState,
             lam = _max_subtraction_weight(state.eig, state.pt_eig, e, f, trace)
             if lam <= lam_floor:
                 continue
-            trial = state.rho - lam * _product_term(np.outer(e, e.conj()), np.outer(f, f.conj()))
-            key = (_qudit_support(trial, d).shape[1], -lam)
+            key = (not _drains_level(marginal, f, lam), -lam)
             if best is None or key < best[0]:
                 best = (key, lam, e, f)
         if best is None:
@@ -529,8 +552,9 @@ def classify(s: QubitQuditState) -> Verdict:
             Reduction(terms=[], core=s, embed=np.eye(s.d, dtype=complex)),
             "PPT is sufficient for separability in 2x2 and 2x3"))
 
-    # 3-5: strong-PPT constructions (the state is PPT, tested above)
-    verdict = sppt._check_ppt(s, DEFAULT_TOL)
+    # 3-5: strong-PPT constructions; sppt_check's NPT test reads the
+    # cached pt_eig that step 1 read
+    verdict = sppt.sppt_check(s)
     residuals["sppt_residual"] = verdict.residual
     log.append(f"sppt_check: {verdict.status} (residual {verdict.residual:.3e})")
     if verdict.status == "Sppt":
@@ -579,7 +603,7 @@ def _classify_sppt(work, verdict: SpptVerdict, log, residuals):
         # against the state the factors assemble).
         try:
             dec = SeparableDecomposition(terms=_spectral_terms(factors, work.norm()))
-            residuals["decomposition_residual"] = dec.validate(work.rho, tol=TOL_FLOOR)
+            residuals["decomposition_residual"] = dec.validate(work.rho)
         except (ValidationError, np.linalg.LinAlgError) as exc:
             log.append(f"spectral construction failed ({exc}); falling through")
             return None
@@ -590,7 +614,7 @@ def _classify_sppt(work, verdict: SpptVerdict, log, residuals):
     reduction = svd_reduce(factors)
     if reduction.core is None:
         dec = reduction.explicit(None)
-        residuals["decomposition_residual"] = dec.validate(work.rho, tol=TOL_FLOOR)
+        residuals["decomposition_residual"] = dec.validate(work.rho)
         log.append("x1 vanishes: the state is a single product term")
         return SEPARABLE, dec
     if k <= 3:
@@ -624,7 +648,7 @@ def _verdict_from_subtraction(work, sub: SubtractionResult, log, residuals):
     reduction = sub.reduction
     if sub.status == "decomposed":
         dec = SeparableDecomposition(terms=reduction.terms)
-        residuals["decomposition_residual"] = dec.validate(work.rho, tol=TOL_FLOOR)
+        residuals["decomposition_residual"] = dec.validate(work.rho)
         log.append(f"full decomposition with {len(dec.terms)} product terms")
         return SEPARABLE, dec
     if sub.status == "small_support":
@@ -670,5 +694,5 @@ def _lift(reduction: Reduction, core_outcome: tuple, work, residuals: dict):
         return classification, dataclasses.replace(cert, terms=terms,
                                                    embed=reduction.embed @ cert.embed)
     dec = SeparableDecomposition(terms=terms)
-    residuals["decomposition_residual"] = dec.validate(work.rho, tol=TOL_FLOOR)
+    residuals["decomposition_residual"] = dec.validate(work.rho)
     return classification, dec

@@ -70,16 +70,15 @@ def extract_factors_full_rank(s: QubitQuditState) -> SpptFactors:
     complement fails positivity (the state or its partial transpose is not
     PSD) by more than ``linalg.DEFAULT_TOL`` of the state's norm.
     """
-    a, b, c = blocks(s)
-    eig = linalg.EigResult.of(a)
-    if eig.support(linalg.RANK_CUTOFF).sum() < s.d:
+    if s.a_eig.support(linalg.RANK_CUTOFF).sum() < s.d:
         raise NotFullRank("the <0|rho|0> block is singular")
-    return _full_rank_factors(s, eig, eig.apply(np.reciprocal), b, c, linalg.DEFAULT_TOL)
+    _, b, c = blocks(s)
+    return _full_rank_factors(s, s.a_eig.apply(np.reciprocal), b, c, linalg.DEFAULT_TOL)
 
 
-def _full_rank_factors(s: QubitQuditState, eig: linalg.EigResult,
-                       a_inv: np.ndarray, b, c, tol: float) -> SpptFactors:
-    """``extract_factors_full_rank`` from the eigendecomposition of a and a^-1."""
+def _full_rank_factors(s: QubitQuditState, a_inv: np.ndarray, b, c, tol: float) -> SpptFactors:
+    """``extract_factors_full_rank`` from a^-1 and the state's eigendecomposition
+    of a, ``s.a_eig``."""
     schur = linalg.EigResult.of(c - b.conj().T @ a_inv @ b)
     min_pt = linalg.min_eig(c - b @ a_inv @ b.conj().T)
     if min(schur.values[0], min_pt) < -tol * max(s.norm(), 1e-300):
@@ -87,10 +86,10 @@ def _full_rank_factors(s: QubitQuditState, eig: linalg.EigResult,
     # Clamp against the state scale: the Schur complement itself may be a
     # numerically zero matrix.
     x2 = schur.apply(_clamped_sqrt)
-    a_mhalf = eig.apply(_inv_sqrt)
-    x1, sigma = _root(eig, s.d)
+    a_mhalf = s.a_eig.apply(_inv_sqrt)
+    x1, sigma = _root(s.a_eig, s.d)
     return states._with_svd(SpptFactors(x1=x1, s=a_mhalf @ b @ a_mhalf, x2=x2),
-                            eig.vectors[:, ::-1], sigma)
+                            s.a_eig.vectors[:, ::-1], sigma)
 
 
 def _root(eig: linalg.EigResult, rank: int) -> tuple[np.ndarray, np.ndarray]:
@@ -129,7 +128,7 @@ def _psd_factor_rows(eig: linalg.EigResult, n_rows: int) -> np.ndarray:
     return g
 
 
-def _check_singular_support(s: QubitQuditState, a, b, c, eig: linalg.EigResult,
+def _check_singular_support(s: QubitQuditState, b, c, eig: linalg.EigResult,
                             rank: int, tol: float) -> SpptVerdict:
     """Decision attempt for singular a: search couplings into ker(a).
 
@@ -253,15 +252,15 @@ def sppt_check(s: QubitQuditState) -> SpptVerdict:
 def _check_ppt(s: QubitQuditState, tol: float) -> SpptVerdict:
     """``sppt_check`` at ``tol`` of a state whose partial transpose is known to be PSD."""
     scale = max(s.norm(), 1e-300)
-    a, b, c = blocks(s)
-    eig = linalg.EigResult.of(a)
+    _, b, c = blocks(s)
+    eig = s.a_eig
     rank = int(eig.support(linalg.RANK_CUTOFF).sum())
     if rank == s.d:
         a_inv = eig.apply(np.reciprocal)
         residual_matrix = b.conj().T @ a_inv @ b - b @ a_inv @ b.conj().T
         residual = linalg.frob(residual_matrix)
         if residual <= tol * scale:
-            factors = _full_rank_factors(s, eig, a_inv, b, c, tol)
+            factors = _full_rank_factors(s, a_inv, b, c, tol)
             return SpptVerdict(
                 status="Sppt", residual=residual, factors=factors,
                 note="invertible a; closed-form criterion",
@@ -272,4 +271,4 @@ def _check_ppt(s: QubitQuditState, tol: float) -> SpptVerdict:
             note="invertible a; closed-form criterion",
             residual_matrix=residual_matrix,
         )
-    return _check_singular_support(s, a, b, c, eig, rank, tol)
+    return _check_singular_support(s, b, c, eig, rank, tol)

@@ -37,10 +37,12 @@ from .errors import (
 class QubitQuditState:
     """A 2 x d density operator, possibly unnormalized.
 
-    The eigendecompositions of rho and of its partial transpose are cached,
-    read-only like rho: each is computed at most once per state and shared
-    by every reader of either spectrum (the NPT rule, the theorem
-    certificate, the range criterion's kernels and the subtraction prover).
+    The eigendecompositions of rho, of its partial transpose and of its
+    a-block <0|rho|0> are cached, read-only like rho: each is computed at
+    most once per state and shared by every reader of that spectrum (the
+    NPT rule, the theorem certificate, the range criterion's kernels and
+    the subtraction prover read the first two; the strong-PPT check and
+    its factors the third).
     """
 
     d: int
@@ -62,6 +64,11 @@ class QubitQuditState:
     def pt_eig(self) -> linalg.EigResult:
         """Eigendecomposition of the partial transpose of rho, computed once."""
         return _freeze_eig(partial_transpose_matrix(self.rho, self.d))
+
+    @cached_property
+    def a_eig(self) -> linalg.EigResult:
+        """Eigendecomposition of the a-block <0|rho|0>, computed once."""
+        return _freeze_eig(self.rho[:self.d, :self.d])
 
 
 class BlockView(NamedTuple):
@@ -373,6 +380,14 @@ def horodecki_2x4(b: float) -> QubitQuditState:
 # Random instances
 # ---------------------------------------------------------------------------
 
+def _rng(seed: int) -> np.random.Generator:
+    """numpy's generator for ``seed``; BadParameter for a negative seed,
+    which numpy would reject with a bare ValueError."""
+    if seed < 0:
+        raise BadParameter(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _random_unit(n: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     return v / np.linalg.norm(v)
@@ -411,11 +426,11 @@ def random_sppt(d: int, rank: int, normal_s: bool = True, seed: int = 0,
     on-support block is built to carry exactly the commutator defect they
     require.  ``with_tail`` adds a random full-rank x2, which gives the
     assembled state rank d + rank, full only when rank = d.  Deterministic
-    per seed.
+    per seed; a negative seed raises BadParameter.
     """
     if not 1 <= rank <= d:
         raise BadParameter(f"need 1 <= rank <= d, got rank={rank}, d={d}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     u = linalg.haar_unitary(d, rng)
     v = linalg.haar_unitary(d, rng)
     sigma = np.sort(rng.uniform(0.5, 1.5, size=rank))[::-1]
@@ -459,9 +474,9 @@ def random_separable(d: int, n_terms: int | None = None, seed: int = 0):
     Returns ``(state, terms)`` where ``terms`` is a list of
     ``(weight, e, f)`` with unit vectors e (qubit) and f (qudit).  The
     mixture is normalized.  When ``n_terms`` is None a count in [1, 2d] is
-    drawn.
+    drawn.  A negative seed raises BadParameter.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     if n_terms is None:
         n_terms = int(rng.integers(1, 2 * d + 1))
     if n_terms < 1:

@@ -1,0 +1,154 @@
+"""Parity corpus: fingerprints of spptkit's outputs on a fixed set of inputs.
+
+Usage, from the root of a checkout:
+
+    python3 tests/parity_corpus.py SRC OUT       # fingerprint spptkit from SRC
+    python3 tests/parity_corpus.py --compare A B  # list the lines that differ
+
+The first form imports spptkit from the directory SRC (say ``src`` of this
+checkout, or of another checkout of the parent commit) and writes one
+tab-separated line per input to OUT.  A state's line holds its label, its
+class, the sha1 of ``json.dumps(io.verdict_to_dict(classify(s)),
+sort_keys=True)``, the ``sppt_check`` status and ``repr(residual)``, and the
+sha1 of the note and factor bytes; a ``decompose_small`` input's line holds
+the sha1 of its certificate's JSON, or the name of the error it raised.
+``--compare`` prints every label whose lines differ, or that only one file
+has, and exits 1 when there is any.  The inputs and the helpers that draw
+them come from this checkout (``perfbench/workloads.py`` and
+``tests/helpers.py``), so both runs see the same corpus.  One run takes
+about 40 s on one core of a 2-core x86-64 VM; pytest does not collect
+this file.
+"""
+
+import os
+
+# One BLAS thread, as in the benchmark, so that rounding does not depend on
+# how LAPACK splits the work.  Set before numpy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+
+WORKLOAD_SEEDS = (0, 7, 11)
+FAMILY_B = (0.2, 0.5, 0.8)
+
+
+def _sha1(*parts) -> str:
+    h = hashlib.sha1()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else str(part).encode())
+    return h.hexdigest()
+
+
+def _states():
+    """(label, state) for every input that ``classify`` and ``sppt_check`` see."""
+    from helpers import ill_conditioned_sppt
+    from perfbench import workloads
+    from spptkit import states
+
+    for name in workloads.WORKLOADS:
+        for seed in WORKLOAD_SEEDS:
+            for case in workloads.build(name, seed):
+                yield f"{name}@{seed}:{case.label}", case.state
+    for d in range(4, 7):
+        for n in range(d, 2 * d + 3):
+            for seed in range(4):
+                yield (f"random_separable({d}, {n}, seed={seed})",
+                       states.random_separable(d, n, seed=seed)[0])
+    for d in range(5, 9):
+        for k in range(2, 6):
+            for normal in (True, False):
+                for tail in (False, True):
+                    for seed in range(3):
+                        yield (f"random_sppt({d}, {k}, normal_s={normal}, "
+                               f"with_tail={tail}, seed={seed})",
+                               states.random_sppt(d, k, normal_s=normal, seed=seed,
+                                                  with_tail=tail)[0])
+    for seed in range(40):
+        yield f"ill_conditioned_sppt({seed})", ill_conditioned_sppt(seed)
+    for b in FAMILY_B:
+        yield f"horodecki_2x4({b})", states.horodecki_2x4(b)
+        yield f"entangled_sppt_2x5({b})", states.entangled_sppt_2x5(b).state
+
+
+def _small_states():
+    """(label, state) for every input that ``decompose_small`` sees."""
+    from spptkit import states
+
+    for d in (2, 3):
+        for n in range(1, 8):
+            for seed in range(10):
+                yield (f"decompose_small(random_separable({d}, {n}, seed={seed}))",
+                       states.random_separable(d, n, seed=seed)[0])
+
+
+def _factor_bytes(factors) -> bytes:
+    if factors is None:
+        return b"-"
+    return b"".join(m.tobytes() for m in (factors.x1, factors.s, factors.x2))
+
+
+def fingerprint(src: Path, out: Path) -> int:
+    sys.path[:0] = [str(src), str(ROOT), str(ROOT / "tests")]
+    from spptkit import io, separability, sppt
+    from spptkit.errors import ValidationError
+
+    lines = []
+    for label, s in _states():
+        verdict = separability.classify(s)
+        report = json.dumps(io.verdict_to_dict(verdict), sort_keys=True)
+        check = sppt.sppt_check(s)
+        try:
+            full_rank = _sha1(_factor_bytes(sppt.extract_factors_full_rank(s)))
+        except ValidationError as exc:
+            full_rank = type(exc).__name__
+        lines.append("\t".join((label, verdict.classification, _sha1(report),
+                                check.status, repr(check.residual),
+                                _sha1(check.note, _factor_bytes(check.factors)), full_rank)))
+    for label, s in _small_states():
+        try:
+            dec = separability.decompose_small(s)
+            cert = _sha1(json.dumps(io.certificate_to_dict(dec), sort_keys=True))
+        except ValidationError as exc:
+            cert = type(exc).__name__
+        lines.append("\t".join((label, "decompose_small", cert)))
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"{len(lines)} inputs fingerprinted to {out}")
+    return 0
+
+
+def _read(path: Path) -> dict:
+    rows = (line.split("\t", 1) for line in path.read_text(encoding="utf-8").splitlines())
+    return {label: rest for label, rest in rows}
+
+
+def compare(a: Path, b: Path) -> int:
+    left, right = _read(a), _read(b)
+    differ = [label for label in left.keys() | right.keys()
+              if left.get(label) != right.get(label)]
+    for label in sorted(differ):
+        print(f"{label}\n  {a}: {left.get(label, '(missing)')}\n  {b}: {right.get(label, '(missing)')}")
+    print(f"{len(differ)} of {len(left.keys() | right.keys())} inputs differ")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--compare", action="store_true",
+                        help="compare two fingerprint files instead of writing one")
+    parser.add_argument("first", type=Path, help="spptkit source directory, or file A")
+    parser.add_argument("second", type=Path, help="output file, or file B")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(args.first, args.second)
+    return fingerprint(args.first, args.second)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

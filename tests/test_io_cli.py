@@ -256,7 +256,8 @@ class TestTheoremReplay:
                 return v
             inner_terms.append(len(v.certificate.terms))
             head = SeparableDecomposition(terms=v.certificate.terms[:2]).reconstruct()
-            iso = separability._qudit_support(head, 4)
+            marginal = linalg.EigResult.of(head[:4, :4] + head[4:, 4:])
+            iso = marginal.vectors[:, marginal.support(separability.SUPPORT_CUTOFF)]
             core = separability._compress_qudit(head, 4, iso)
             cert = TheoremCertificate(
                 terms=v.certificate.terms[2:], core=core, embed=iso,
@@ -344,6 +345,12 @@ class TestCli:
                    "--out", str(tmp_path / "x.json")])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_generate_negative_seed_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        assert main(["generate", "random-sppt", "--seed", "-1", "--out", str(path)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_classify_bell_via_file(self, tmp_path, capsys):
         io.save_state(bell_state(), tmp_path / "bell.json")

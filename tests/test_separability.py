@@ -368,30 +368,29 @@ class TestOnePositivityRule:
 
 
 class TestOneSpectralPass:
-    """A state owns its two spectra: one ``classify`` eigendecomposes no
-    2k x 2k matrix twice, k the qudit dimension of a state it classifies."""
+    """Every block of a state has one eigendecomposition: one ``classify``
+    eigendecomposes no single matrix twice, whatever its size.  Stacks (the
+    search's batched cells, the validation's factors) are left out."""
 
     @pytest.mark.parametrize("state", [
-        horodecki_2x4(0.5), entangled_sppt_2x5(0.5).state, random_separable(5, 6, seed=0)[0],
-    ], ids=["horodecki", "rho0", "random_separable(5,6)"])
-    def test_no_full_size_matrix_is_decomposed_twice(self, state, monkeypatch):
-        sizes, seen = set(), []
-        real_eigh, real_classify = np.linalg.eigh, separability.classify
+        horodecki_2x4(0.5), entangled_sppt_2x5(0.5).state, sppt_counterexample_2x4(),
+        random_separable(5, 6, seed=0)[0], random_separable(4, 7, seed=0)[0],
+    ], ids=["horodecki", "rho0", "rho2", "random_separable(5,6)", "random_separable(4,7)"])
+    def test_no_matrix_is_decomposed_twice(self, state, monkeypatch):
+        seen = []
 
-        def eigh(m, *args, **kwargs):
-            seen.append((np.shape(m), np.asarray(m).tobytes()))
-            return real_eigh(m, *args, **kwargs)
+        def recording(real):
+            def decompose(m, *args, **kwargs):
+                if np.ndim(m) == 2:
+                    seen.append((np.shape(m), np.asarray(m).tobytes()))
+                return real(m, *args, **kwargs)
+            return decompose
 
-        def recording_classify(s):
-            sizes.add(2 * s.d)
-            return real_classify(s)
-
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
-        monkeypatch.setattr(separability, "classify", recording_classify)
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
         separability.classify(state)
-        full = [m for m in seen if m[0] in {(n, n) for n in sizes}]
-        repeats = len(full) - len(set(full))
-        assert full and repeats == 0
+        repeats = len(seen) - len(set(seen))
+        assert seen and repeats == 0
 
 
 class TestPolishCap:
@@ -510,6 +509,71 @@ class TestSubtractionWeight:
         pt = partial_transpose_matrix(rho, 4)
         assert _max_subtraction_weight(linalg.EigResult.of(rho), linalg.EigResult.of(pt),
                                        e, f, rho.trace().real) == 0.0
+
+
+class TestDrainsLevel:
+    """The prover's closed-form ranking against the eigendecomposition it
+    replaces: a candidate drains a qudit level exactly when the remainder's
+    marginal M - lam |f><f| has fewer eigenvalues above ``SUPPORT_CUTOFF``
+    times its largest than the marginal M = a + c."""
+
+    @staticmethod
+    def _marginal(rho, d):
+        return rho[:d, :d] + rho[d:, d:]
+
+    def _eig_drains(self, rho, d, f, lam):
+        def levels(m):
+            return int(linalg.EigResult.of(m).support(separability.SUPPORT_CUTOFF).sum())
+        m = self._marginal(rho, d)
+        return levels(m - lam * np.outer(f, f.conj())) < levels(m)
+
+    def _closed_drains(self, rho, d, f, lam):
+        return separability._drains_level(linalg.EigResult.of(self._marginal(rho, d)), f, lam)
+
+    @pytest.mark.parametrize("state", [
+        random_separable(4, 7, seed=0)[0], random_separable(5, 6, seed=0)[0],
+        sppt_counterexample_2x4(),
+    ], ids=["random_separable(4,7)", "random_separable(5,6)", "rho2"])
+    def test_every_candidate_the_prover_meets(self, state, monkeypatch):
+        met = []
+
+        def recording(real):
+            def enumeration(s, *args):
+                out = real(s, *args)
+                met.extend((s, pv.e, pv.f) for pv in out.found)
+                return out
+            return enumeration
+
+        for name in ("_enumerate", "_recheck"):
+            monkeypatch.setattr(range_criterion, name, recording(getattr(range_criterion, name)))
+        subtract_product_vectors(state)
+        ranked = 0
+        for s, e, f in met:
+            lam = _max_subtraction_weight(s.eig, s.pt_eig, e, f, s.trace())
+            if lam <= 1e-10 * s.trace():
+                continue    # the prover skips it unranked
+            assert (self._closed_drains(s.rho, s.d, f, lam)
+                    == self._eig_drains(s.rho, s.d, f, lam))
+            ranked += 1
+        assert ranked
+
+    def test_drains_exactly_at_the_marginal_weight(self):
+        state, terms = random_separable(4, 7, seed=0)
+        marginal = linalg.EigResult.of(self._marginal(state.rho, 4))
+        for _, _, f in terms:
+            w = separability._rank_one_weight(marginal, f)
+            assert w > 0
+            for lam, drains in ((w / 2, False), ((1 - 1e-12) * w, True), (w, True)):
+                assert self._closed_drains(state.rho, 4, f, lam) is drains
+                assert self._eig_drains(state.rho, 4, f, lam) is drains
+
+    def test_off_support_vector_drains_nothing(self):
+        # f outside the marginal's support: w = 0, which reads "no level"
+        rho = np.zeros((8, 8), dtype=complex)
+        rho[:3, :3] = rho[4:7, 4:7] = np.eye(3) / 6
+        f = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
+        assert separability._rank_one_weight(linalg.EigResult.of(self._marginal(rho, 4)), f) == 0
+        assert not self._closed_drains(rho, 4, f, 0.5)
 
 
 class TestValidate:
@@ -714,9 +778,9 @@ class TestClassify:
         checked = []
         validate = SeparableDecomposition.validate
 
-        def recording(dec, rho, tol=separability.DEFAULT_TOL):
+        def recording(dec, rho, *args, **kwargs):
             checked.append(rho)
-            return validate(dec, rho, tol)
+            return validate(dec, rho, *args, **kwargs)
 
         monkeypatch.setattr(SeparableDecomposition, "validate", recording)
         v = classify(state)

@@ -304,6 +304,10 @@ class TestRandomSppt:
         with pytest.raises(BadParameter):
             random_sppt(3, rank=4)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(BadParameter, match="seed"):
+            random_sppt(4, rank=4, seed=-1)
+
 
 class TestRandomSeparable:
     def test_normalized_and_reconstructs(self):
@@ -313,6 +317,12 @@ class TestRandomSeparable:
         for w, e, f in terms:
             total += w * np.kron(np.outer(e, e.conj()), np.outer(f, f.conj()))
         np.testing.assert_allclose(total, state.rho, atol=1e-14)
+
+    @pytest.mark.parametrize("n_terms", [None, 3])
+    def test_negative_seed_rejected(self, n_terms):
+        # rejected before n_terms is drawn, not by numpy's generator
+        with pytest.raises(BadParameter, match="seed"):
+            random_separable(4, n_terms=n_terms, seed=-1)
 
     def test_ppt(self):
         state, _ = random_separable(5, n_terms=7, seed=11)
