@@ -85,6 +85,16 @@ def _cmd_check(args) -> int:
     return 0
 
 
+def _report_text(report: dict) -> str:
+    """``report`` as one JSON object with one top-level key per line, each
+    value compact: json's C encoder writes every value, where ``indent``
+    would run its pure-Python one.  ``json.loads`` reads it as it read the
+    indented form."""
+    lines = (f"{json.dumps(key)}: {json.dumps(value, separators=(',', ':'))}"
+             for key, value in report.items())
+    return "{\n  " + ",\n  ".join(lines) + "\n}\n"
+
+
 def _cmd_classify(args) -> int:
     started = time.perf_counter()
     state = io.load_state(args.input)
@@ -116,7 +126,7 @@ def _cmd_classify(args) -> int:
             "verdict": io.verdict_to_dict(verdict),
             "timings_ms": {"load": load_ms, "classify": classify_ms},
         }
-        text = json.dumps(report, indent=2) + "\n"
+        text = _report_text(report)
         if args.json_out == "-":
             sys.stdout.write(text)
         else:

@@ -28,11 +28,11 @@ first-order bound from the same eigenpair, which follows the actual slope
 of mu at the centre and so excludes cells of a flat landscape levels
 earlier.  Before the eigensolve, each cell's G is tested by a batched
 LDL^H factorization (``linalg.positive_definite``), several times
-cheaper: all pivots positive proves that the eigensolve would give a
-bound too large to change what the search reports, so only the other
-cells are solved.  Round each vector it finds, one SVD certifies an
-annulus free of other qualifying vectors (``_isolation``), and the cells
-inside it are dropped.
+cheaper, wherever the search has a finite line to test against: all
+pivots positive proves that the eigensolve would give a bound too large
+to change what the search reports, so only the other cells are solved.
+Round each vector it finds, one SVD certifies an annulus free of other
+qualifying vectors (``_isolation``), and the cells inside it are dropped.
 ``edge_check`` stops at the first product vector at ``EXCLUSION_THRESHOLD``;
 ``product_vectors_in_range``, like the subtraction prover's enumeration,
 keeps enumerating distinct ones: against the wider kernel at
@@ -78,7 +78,7 @@ ENUMERATION_TOL = 1e-7
 CELL_FLOOR = 1e-9                  # polar width (rad) below which a cell is not split
 EVALUATION_CAP = 100_000           # evaluations of mu per search
 _INITIAL_CELLS = (8, 16)           # polar x azimuthal cells of the first level
-_POLISH_PER_LEVEL = 2              # open cells polished per level, best first
+_POLISH_PER_LEVEL = 2              # polishes per level above the threshold (at most limit)
 _POLISH_ITERATIONS = 30
 _POLISH_STALL = 3                  # steps without halving the residual before giving up
 _POLISH_TOL = 1e-14                # residual at which Gauss-Newton stops
@@ -314,11 +314,13 @@ def _mu_batch(con: _Constraints, e_batch: np.ndarray, radius, above=None):
     sqrt(1 + tau^2).
 
     ``above`` holds, per vector, a value past which its bound need not be
-    known; None settles no vector.  Each computed G is first tested by
-    ``linalg.positive_definite`` against tau_LDL = above^2 (1 + 1e-12) + 2
-    delta + delta_LDL, and a vector that passes gets +inf for both bounds
-    and no eigensolve.  A pass proves lambda_min(G) > tau_LDL - 4 d eps
-    tr(G - tau_LDL I) for the computed G.  The exact G has tr G <=
+    known; None, like an infinite value, settles no vector.  Each computed
+    G with a finite ``above`` is first tested by ``linalg.positive_definite``
+    against tau_LDL = above^2 (1 + 1e-12) + 2 delta + delta_LDL, and a
+    vector that passes gets +inf for both bounds and no eigensolve; an
+    infinite tau_LDL would fail every matrix, so the others skip the test.
+    A pass proves lambda_min(G) > tau_LDL - 4 d eps tr(G - tau_LDL I) for
+    the computed G.  The exact G has tr G <=
     ||M(e)||_F^2 <= n, and the rounding of the first two parts above adds
     at most d (2d + 8) eps n to the computed trace, so a pass proves
     lambda_min(G) > tau_LDL - delta_LDL = above^2 (1 + 1e-12) + 2 delta,
@@ -345,7 +347,11 @@ def _mu_batch(con: _Constraints, e_batch: np.ndarray, radius, above=None):
         e = e_batch[i:i + _SLICE]
         weights = (np.conj(e)[:, :, None] * e[:, None, :]).reshape(-1, 4)
         gram = (weights @ con.gram).reshape(-1, con.d, con.d)
-        rest = np.flatnonzero(~linalg.positive_definite(gram, shift[i:i + _SLICE]))
+        settled = np.zeros(len(e), dtype=bool)
+        test = np.flatnonzero(np.isfinite(shift[i:i + _SLICE]))
+        if len(test):
+            settled[test] = linalg.positive_definite(gram[test], shift[i + test])
+        rest = np.flatnonzero(~settled)
         if len(rest):
             values, vectors = linalg.eigh(gram[rest])
             lam[i + rest] = values[:, 0]
@@ -657,11 +663,14 @@ def _search(s: QubitQuditState, con: _Constraints, certify: bool):
     2 sin(r/4) <= r/2 between unit vectors modulo phase), and a first-order
     bound from the centre's eigenpair; ``first_order_exclusions`` in the
     record counts the cells that only the second excluded.  The best open
-    cells, and every open centre already at the threshold, are polished by
-    Gauss-Newton, at most ``_POLISH_PER_LEVEL + limit`` per level, each
-    from its centre's eigenvector of lambda_1(G), which ``_mu_batch``
-    computed anyway (every open cell was eigensolved); a polished mu at
-    most ``threshold`` is a product vector.  The cap bounds
+    cells are polished by Gauss-Newton, best first, each from its centre's
+    eigenvector of lambda_1(G), which ``_mu_batch`` computed anyway (every
+    open cell was eigensolved); a polished mu at most ``threshold`` is a
+    product vector.  Per level at most min(``_POLISH_PER_LEVEL``, limit)
+    polishes start from a centre above the threshold, one for
+    ``edge_check``, whose NoneFound inputs fail every such polish, and two
+    for the enumeration; centres already at the threshold are polished up
+    to ``_POLISH_PER_LEVEL + limit`` in all.  The cap bounds
     the work in a near-miss valley, where the floor of mu_lo(centre) at
     sqrt(con.margin) can lie above the threshold and read every centre as
     at it, and nearly every polish fails; a cell left unpolished stays open
@@ -689,9 +698,9 @@ def _search(s: QubitQuditState, con: _Constraints, certify: bool):
     seen, so its ``above`` is
     the larger of max(threshold, bound) + L r / 2 and ``worst``: such a
     cell is excluded and lowers neither.  Both are infinite at the first
-    level, so every cell of it is solved.  Every open cell, polish, found
-    vector, bound and evaluation count is therefore the one the eigensolve
-    alone gives.  ``certify`` decides only what is returned: a
+    level, so every cell of it is solved and no LDL pass is run.  Every
+    open cell, polish, found vector, bound and evaluation count is
+    therefore the one the eigensolve alone gives.  ``certify`` decides only what is returned: a
     ``RangeSearchCertificate``, or for the enumeration an ``_Enumeration``,
     its vectors and work record, with neither a bound nor a least residual;
     it is exhaustive when the search ends ``NoneFound`` (every cell excluded
@@ -744,7 +753,7 @@ def _search(s: QubitQuditState, con: _Constraints, certify: bool):
         attempts = 0
         for i in np.flatnonzero(open_)[np.argsort(mu[open_])]:
             if (len(found) >= limit or attempts >= _POLISH_PER_LEVEL + limit
-                    or (attempts >= _POLISH_PER_LEVEL and mu[i] > threshold)):
+                    or (attempts >= min(_POLISH_PER_LEVEL, limit) and mu[i] > threshold)):
                 break
             if (_bloch_angle(e[i], known) < radii).any():
                 continue

@@ -474,8 +474,11 @@ def random_separable(d: int, n_terms: int | None = None, seed: int = 0):
     Returns ``(state, terms)`` where ``terms`` is a list of
     ``(weight, e, f)`` with unit vectors e (qubit) and f (qudit).  The
     mixture is normalized.  When ``n_terms`` is None a count in [1, 2d] is
-    drawn.  A negative seed raises BadParameter.
+    drawn.  A qudit dimension below 1 raises BadDimensions, as in
+    ``make_state``, and a negative seed BadParameter.
     """
+    if d < 1:
+        raise BadDimensions(f"qudit dimension must be >= 1, got {d}")
     rng = _rng(seed)
     if n_terms is None:
         n_terms = int(rng.integers(1, 2 * d + 1))

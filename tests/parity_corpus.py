@@ -4,6 +4,7 @@ Usage, from the root of a checkout:
 
     python3 tests/parity_corpus.py SRC OUT       # fingerprint spptkit from SRC
     python3 tests/parity_corpus.py --compare A B  # list the lines that differ
+    python3 tests/parity_corpus.py --compare --classes A B  # fail only on class changes
 
 The first form imports spptkit from the directory SRC (say ``src`` of this
 checkout, or of another checkout of the parent commit) and writes one
@@ -13,7 +14,10 @@ sort_keys=True)``, the ``sppt_check`` status and ``repr(residual)``, and the
 sha1 of the note and factor bytes; a ``decompose_small`` input's line holds
 the sha1 of its certificate's JSON, or the name of the error it raised.
 ``--compare`` prints every label whose lines differ, or that only one file
-has, and exits 1 when there is any.  The inputs and the helpers that draw
+has, and exits 1 when there is any; with ``--classes`` it also lists the
+inputs whose class changed and exits 1 only when one did, other than a
+``PptUndecided`` input that is now decided (an input only one file has
+counts as a change).  The inputs and the helpers that draw
 them come from this checkout (``perfbench/workloads.py`` and
 ``tests/helpers.py``), so both runs see the same corpus.  One run takes
 about 40 s on one core of a 2-core x86-64 VM; pytest does not collect
@@ -128,25 +132,37 @@ def _read(path: Path) -> dict:
     return {label: rest for label, rest in rows}
 
 
-def compare(a: Path, b: Path) -> int:
+def compare(a: Path, b: Path, classes: bool = False) -> int:
     left, right = _read(a), _read(b)
     differ = [label for label in left.keys() | right.keys()
               if left.get(label) != right.get(label)]
     for label in sorted(differ):
         print(f"{label}\n  {a}: {left.get(label, '(missing)')}\n  {b}: {right.get(label, '(missing)')}")
     print(f"{len(differ)} of {len(left.keys() | right.keys())} inputs differ")
-    return 1 if differ else 0
+    if not classes:
+        return 1 if differ else 0
+    moved = []
+    for label in sorted(differ):
+        old, new = (side.get(label, "(missing)").split("\t")[0] for side in (left, right))
+        if old != new and not (old == "PptUndecided" and new not in ("PptUndecided", "(missing)")):
+            moved.append(label)
+            print(f"class changed: {label}: {old} -> {new}")
+    print(f"{len(moved)} inputs changed class other than from PptUndecided to decided")
+    return 1 if moved else 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--compare", action="store_true",
                         help="compare two fingerprint files instead of writing one")
+    parser.add_argument("--classes", action="store_true",
+                        help="with --compare, fail only on a class change other than "
+                             "PptUndecided to decided")
     parser.add_argument("first", type=Path, help="spptkit source directory, or file A")
     parser.add_argument("second", type=Path, help="output file, or file B")
     args = parser.parse_args(argv)
     if args.compare:
-        return compare(args.first, args.second)
+        return compare(args.first, args.second, args.classes)
     return fingerprint(args.first, args.second)
 
 

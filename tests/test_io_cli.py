@@ -380,6 +380,24 @@ class TestCli:
         assert tolerances["support_cutoff"] == separability.SUPPORT_CUTOFF
         assert "classify" in report["timings_ms"]
 
+    def test_classify_json_report_layout(self, tmp_path, capsys):
+        # one top-level key per line, each value compact, read as one document
+        src = tmp_path / "rho0.json"
+        io.save_state(entangled_sppt_2x5(0.5).state, src)
+        report_path = tmp_path / "report.json"
+        assert main(["classify", str(src), "--json", str(report_path)]) == 0
+        capsys.readouterr()
+        text = report_path.read_text()
+        report = json.loads(text)
+        lines = text.splitlines()
+        assert text.endswith("}\n") and lines[0] == "{" and lines[-1] == "}"
+        assert len(lines) == len(report) + 2
+        for line, (key, value) in zip(lines[1:-1], report.items()):
+            head = f"  {json.dumps(key)}: "
+            assert line.startswith(head)
+            assert line.rstrip(",")[len(head):] == json.dumps(value, separators=(",", ":"))
+        assert json.loads(json.dumps(report, indent=2)) == report
+
     def test_classify_json_to_stdout_is_the_report(self, tmp_path, capsys):
         state = sppt_counterexample_2x4()
         path = tmp_path / "rho2.json"

@@ -17,8 +17,10 @@ from spptkit.range_criterion import (
 from spptkit.separability import (
     ENTANGLED_RANGE,
     PPT_UNDECIDED,
+    SEPARABLE,
     classify,
     subtract_product_vectors,
+    svd_reduce,
 )
 from spptkit.states import (
     entangled_sppt_2x5,
@@ -436,19 +438,30 @@ def assert_same_vectors(found, ref):
             other.residual_range, other.residual_pt_range)
 
 
-def count_passes(state, monkeypatch):
-    """edge_check(state), and the cells its positive_definite calls passed, per call."""
-    passes = []
-    test = linalg.positive_definite
+def count_calls(state, monkeypatch):
+    """edge_check(state), and its calls in order: ("settled", the cells a
+    positive_definite call passed) and ("solved", the cells an eigh call took)."""
+    calls = []
+    test, solve = linalg.positive_definite, linalg.eigh
 
-    def counting(stack, shift):
+    def testing(stack, shift):
         passed = test(stack, shift)
-        passes.append(int(passed.sum()))
+        calls.append(("settled", int(passed.sum())))
         return passed
 
+    def solving(stack):
+        calls.append(("solved", len(stack)))
+        return solve(stack)
+
     with monkeypatch.context() as patch:
-        patch.setattr(linalg, "positive_definite", counting)
-        return edge_check(state), passes
+        patch.setattr(linalg, "positive_definite", testing)
+        patch.setattr(linalg, "eigh", solving)
+        return edge_check(state), calls
+
+
+def rho0_core():
+    """The 2 x 4 core of rho0, the paper's entangled strong-PPT 2 x 5 state."""
+    return svd_reduce(entangled_sppt_2x5(0.5).factors).core
 
 
 class TestCertifiedExclusion:
@@ -456,10 +469,12 @@ class TestCertifiedExclusion:
 
     @pytest.mark.parametrize("b", [0.2, 0.5, 0.8])
     def test_settles_cells_after_the_first_level(self, b, monkeypatch):
-        cert, passes = count_passes(horodecki_2x4(b), monkeypatch)
+        cert, calls = count_calls(horodecki_2x4(b), monkeypatch)
         assert cert.conclusion == "NoneFound"
-        # the first level has no bound yet, so it solves every cell
-        assert passes[:1] == [0] and sum(passes) > 0
+        # the first level has no bound yet, so no LDL pass could settle a
+        # cell: it makes none and solves every cell
+        assert calls[0] == ("solved", int(np.prod(range_criterion._INITIAL_CELLS)))
+        assert sum(n for kind, n in calls[1:] if kind == "settled") > 0
 
     @pytest.mark.parametrize("state", [
         *(horodecki_2x4(b) for b in (0.2, 0.5, 0.8)), random_separable(4, 3, seed=2)[0],
@@ -476,7 +491,7 @@ class TestCertifiedExclusion:
 
     @staticmethod
     def assert_as_if_every_cell_solved(state, monkeypatch):
-        cert, _ = count_passes(state, monkeypatch)
+        cert = edge_check(state)
         with monkeypatch.context() as patch:
             patch.setattr(linalg, "positive_definite",
                           lambda stack, shift: np.zeros(len(stack), dtype=bool))
@@ -486,6 +501,60 @@ class TestCertifiedExclusion:
             if f.name != "found":
                 assert repr(getattr(cert, f.name)) == repr(getattr(solved, f.name)), f.name
         assert_same_vectors(cert.found, solved.found)
+
+
+BOUND_STATES = [*(pytest.param(horodecki_2x4(b), id=f"horodecki-{b}") for b in (0.2, 0.5, 0.8)),
+                pytest.param(rho0_core(), id="rho0-core")]
+
+
+class TestPolishBudget:
+    """A search for one vector polishes at most one cell above the threshold
+    per level; polishing excludes no cell, so the bound does not depend on it."""
+
+    @pytest.mark.parametrize("state", BOUND_STATES)
+    def test_at_most_one_polish_per_level(self, state, monkeypatch):
+        levels = []
+        bound, polish = range_criterion._mu_batch, range_criterion._polish
+
+        def level(*args):
+            levels.append(0)
+            return bound(*args)
+
+        def polishing(*args):
+            levels[-1] += 1
+            return polish(*args)
+
+        monkeypatch.setattr(range_criterion, "_mu_batch", level)
+        monkeypatch.setattr(range_criterion, "_polish", polishing)
+        cert = edge_check(state)
+        assert cert.conclusion == "NoneFound"
+        assert cert.search["polishes"] <= cert.search["levels"] == len(levels)
+        assert max(levels) == 1
+
+    @pytest.mark.parametrize("state", BOUND_STATES)
+    def test_bound_and_evaluations_do_not_depend_on_polishing(self, state, monkeypatch):
+        cert = edge_check(state)
+        monkeypatch.setattr(range_criterion, "_POLISH_PER_LEVEL", 0)
+        unpolished = edge_check(state)
+        assert unpolished.search["polishes"] == 0
+        assert np.float64(cert.certified_bound).tobytes() == np.float64(
+            unpolished.certified_bound).tobytes()
+        assert cert.search["evaluations"] == unpolished.search["evaluations"]
+
+    @pytest.mark.parametrize("d, n, evaluations, polishes", [
+        (5, 6, 512, 6), (4, 7, 2270, 11), (5, 7, 1819, 18)])
+    def test_enumeration_keeps_its_budget(self, d, n, evaluations, polishes):
+        # the separable_mix inputs; a search for eight vectors still takes
+        # two polishes per level above the threshold
+        residuals = classify(random_separable(d, n, seed=0)[0]).residuals
+        assert (residuals["subtraction_evaluations"], residuals["subtraction_polishes"]) == (
+            evaluations, polishes)
+
+    @pytest.mark.parametrize("d, n, seed", [(5, 7, 3), (6, 9, 2)])
+    def test_deeper_first_vector_still_separable(self, d, n, seed):
+        # one polish per level finds these inputs' first product vector
+        # levels later than two did; the verdict does not move
+        assert classify(random_separable(d, n, seed=seed)[0]).classification == SEPARABLE
 
 
 class TestLipschitz:

@@ -324,6 +324,12 @@ class TestRandomSeparable:
         with pytest.raises(BadParameter, match="seed"):
             random_separable(4, n_terms=n_terms, seed=-1)
 
+    @pytest.mark.parametrize("args", [(0, 2), (0,), (-1, 2)])
+    def test_bad_dimension_rejected(self, args):
+        # rejected as make_state rejects it, not by numpy or as a 0 x 0 state
+        with pytest.raises(BadDimensions, match="dimension"):
+            random_separable(*args)
+
     def test_ppt(self):
         state, _ = random_separable(5, n_terms=7, seed=11)
         assert np.linalg.eigvalsh(partial_transpose(state).rho).min() >= -1e-12
