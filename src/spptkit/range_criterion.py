@@ -467,16 +467,42 @@ def _cell_radius(theta, h_theta: float, h_phi: float) -> np.ndarray:
     return 2.0 * np.arcsin(np.sqrt(np.minimum(hav, 1.0))) * (1.0 + 1e-12)
 
 
-def _polish(con: _Constraints, e: np.ndarray, f: np.ndarray):
+def _first_level():
+    """The first level's cells, which depend on ``_INITIAL_CELLS`` alone:
+    half-widths ``(h_theta, h_phi)`` and, read-only, the centres' theta,
+    phi, qubit vectors (``_bloch``) and radii (``_cell_radius``)."""
+    n_theta, n_phi = _INITIAL_CELLS
+    h_theta, h_phi = np.pi / (2 * n_theta), np.pi / n_phi
+    theta, phi = np.meshgrid((2 * np.arange(n_theta) + 1) * h_theta,
+                             (2 * np.arange(n_phi) + 1) * h_phi, indexing="ij")
+    theta, phi = theta.ravel(), phi.ravel()
+    cells = (theta, phi, _bloch(theta, phi), _cell_radius(theta, h_theta, h_phi))
+    for a in cells:
+        a.flags.writeable = False
+    return (h_theta, h_phi), cells
+
+
+_FIRST_LEVEL = _first_level()
+
+
+def _polish(con: _Constraints, e: np.ndarray, f: np.ndarray, certify: bool = False):
     """Gauss-Newton on the bilinear system M(e) f = 0, from unit e and f.
 
     Each step solves the real least-squares linearization for a move t of
     e along its orthogonal complement e_perp (the tangent plane modulo
     phase) and a move of f orthogonal to f (the gauge f^H df = 0); it
-    converges quadratically onto a zero of mu.  Stops at ``_POLISH_TOL``
-    or after ``_POLISH_STALL`` steps in a row that do not halve the best
-    residual.  Returns ``(e, f, mu(e))`` at the best iterate, with f the
-    null vector of M(e) there.
+    converges quadratically onto a zero of mu.  It stops at the first of
+    three rules: the residual ||M(e) f|| is at most ``_POLISH_TOL``;
+    ``_POLISH_STALL`` steps in a row have not halved the best residual;
+    or, for a polish of a search that ``certify``s (``edge_check``), a
+    step whose own linear model cannot halve the residual has been taken,
+    that is, the residual ``lstsq`` reports for the linearization is
+    above half the residual it started from.  There the iterate after the
+    step is still evaluated, and then the polish stops.  Where ``lstsq``
+    reports no residual (a square system, n_rows = d, or a rank-deficient
+    one) only the first two rules apply, as they do to every polish of
+    the enumeration and of ``_recheck``.  Returns ``(e, f, mu(e))`` at the
+    best iterate, with f the null vector of M(e) there.
 
     A step forms M(e) and M(e_perp) in one call.  It spans f's complement
     by the columns j >= 1 of the Householder reflection I - v v^dag / (1 +
@@ -492,7 +518,7 @@ def _polish(con: _Constraints, e: np.ndarray, f: np.ndarray):
     d, n, k1 = con.d, con.n_rows, con.w_state.shape[0]
     columns = np.empty((2 * d, n), dtype=complex)
     system = columns.view(float).T
-    best, best_e, stalled = np.inf, e, 0
+    best, best_e, stalled, last = np.inf, e, 0, False
     for _ in range(_POLISH_ITERATIONS):
         pair = np.array([e, [-np.conj(e[1]), np.conj(e[0])]])
         rows = _constraint_rows(con, pair)
@@ -501,7 +527,7 @@ def _polish(con: _Constraints, e: np.ndarray, f: np.ndarray):
         stalled = 0 if norm < 0.5 * best else stalled + 1
         if norm < best:
             best, best_e = norm, e
-        if norm <= _POLISH_TOL or stalled >= _POLISH_STALL:
+        if norm <= _POLISH_TOL or stalled >= _POLISH_STALL or last:
             break
         head = abs(f[0])
         v = f.copy()
@@ -516,7 +542,9 @@ def _polish(con: _Constraints, e: np.ndarray, f: np.ndarray):
         columns[1, k1:] *= -1.0
         columns[2:d + 1] = (m[:, 1:] - np.outer(m @ v, w)).T
         columns[d + 1:] = 1j * columns[2:d + 1]
-        x = np.linalg.lstsq(system, -r.view(float), rcond=None)[0]
+        x, model = np.linalg.lstsq(system, -r.view(float), rcond=None)[:2]
+        # model holds the squared residual of the linearization, or nothing
+        last = certify and len(model) > 0 and float(np.sqrt(model[0])) > 0.5 * norm
         e = e + (x[0] + 1j * x[1]) * pair[1]
         e /= np.sqrt(np.vdot(e, e).real)
         z = x[2:d + 1] + 1j * x[d + 1:]
@@ -653,7 +681,8 @@ def _search(s: QubitQuditState, con: _Constraints, certify: bool):
     ``EXCLUSION_THRESHOLD`` and stops at ``limit`` = 1 vector; the
     enumeration at ``ENUMERATION_TOL`` and ``ENUMERATION_CANDIDATES``.
 
-    Cells are rectangles in (theta, phi), all of one size per level.  Each
+    Cells are rectangles in (theta, phi), all of one size per level; the
+    first level is the module's read-only ``_FIRST_LEVEL``.  Each
     level bounds mu from below at the centres of the open cells and over
     the cells (``_mu_batch``: a batched test and eigensolve of the Gram
     matrices) and excludes a cell when its bound, lower, exceeds
@@ -674,7 +703,12 @@ def _search(s: QubitQuditState, con: _Constraints, certify: bool):
     the work in a near-miss valley, where the floor of mu_lo(centre) at
     sqrt(con.margin) can lie above the threshold and read every centre as
     at it, and nearly every polish fails; a cell left unpolished stays open
-    and splits, so the cap excludes nothing.
+    and splits, so the cap excludes nothing.  Nor does a polish that gives
+    up early: ``edge_check``'s stop after the first Gauss-Newton step
+    whose linear model cannot halve the residual (``_polish``), one
+    least-squares solve each on a NoneFound input, and move no bound or
+    evaluation count.  The enumeration's polishes keep the stall rule
+    alone, as where they give up decides which vectors the prover sees.
     A found vector's basin is the ball out to the farthest polish start
     that converged to it, at least ``_BASIN``, and at least the outer
     radius of its certified isolation annulus (``_isolation``), in which no
@@ -729,19 +763,13 @@ def _search(s: QubitQuditState, con: _Constraints, certify: bool):
             worst_min_residual=residual, refined_minima=[_minimum_record(found[0].e, residual)],
             conclusion="FoundProductVector", found=found, exclusion_threshold=threshold)
 
-    n_theta, n_phi = _INITIAL_CELLS
-    h_theta, h_phi = np.pi / (2 * n_theta), np.pi / n_phi     # half-widths
-    theta, phi = np.meshgrid((2 * np.arange(n_theta) + 1) * h_theta,
-                             (2 * np.arange(n_phi) + 1) * h_phi, indexing="ij")
-    theta, phi = theta.ravel(), phi.ravel()
+    (h_theta, h_phi), (theta, phi, e, radius) = _FIRST_LEVEL    # half-widths, cells
     known, radii, plain = np.empty((0, 2), dtype=complex), np.empty(0), np.empty(0)
     bound = worst = np.inf
     evaluations = levels = first_order = polishes = isolated = 0
     conclusion = "NoneFound"
     while True:
         levels += 1
-        e = _bloch(theta, phi)
-        radius = _cell_radius(theta, h_theta, h_phi)
         slack = lip * radius / 2.0
         above = (np.maximum(max(threshold, bound) + slack, worst) if certify
                  else threshold + slack)
@@ -759,7 +787,7 @@ def _search(s: QubitQuditState, con: _Constraints, certify: bool):
                 continue
             attempts += 1
             polishes += 1
-            e_pol, f_pol, mu_pol = _polish(con, e[i], least[i])
+            e_pol, f_pol, mu_pol = _polish(con, e[i], least[i], certify)
             minima.append(_minimum_record(e_pol, mu_pol))
             worst = min(worst, mu_pol)
             if mu_pol > threshold:
@@ -789,6 +817,7 @@ def _search(s: QubitQuditState, con: _Constraints, certify: bool):
         h_theta, h_phi = h_theta / 2.0, h_phi / 2.0
         theta = (theta[open_, None] + h_theta * np.array([-1.0, -1.0, 1.0, 1.0])).ravel()
         phi = (phi[open_, None] + h_phi * np.array([-1.0, 1.0, -1.0, 1.0])).ravel()
+        e, radius = _bloch(theta, phi), _cell_radius(theta, h_theta, h_phi)
     found.sort(key=lambda pv: pv.combined_residual)
     record = _search_record(con, evaluations, levels, first_order, polishes, isolated)
     if not certify:

@@ -15,6 +15,7 @@ read-only), so states can be shared and certificates replayed safely.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -98,12 +99,21 @@ def _state(d: int, rho: np.ndarray, normalized: bool = False) -> QubitQuditState
 def make_state(d: int, entries, normalized: bool = False) -> QubitQuditState:
     """Validate and wrap a 2d x 2d matrix as a qubit-qudit state.
 
-    Checks dimensions, finiteness, hermiticity (within ``linalg.HERM_RTOL``
-    of ``||rho||_F``), positivity (least eigenvalue at least
+    Checks dimensions (``d`` an integer, numpy's included, but not a bool
+    or a float), finiteness, hermiticity (within ``linalg.HERM_RTOL`` of
+    ``||rho||_F``), positivity (least eigenvalue at least
     ``-linalg.PSD_RTOL * ||rho||_F``) and, when ``normalized``, unit trace.
     This is the only place the package validates a state; everything it
     derives from one is hermitianized instead.
     """
+    try:
+        index = operator.index(d)
+    except TypeError:
+        index = None
+    # bool is an int subclass, which operator.index admits
+    if index is None or isinstance(d, bool):
+        raise BadDimensions(f"qudit dimension must be an integer, got {d!r}")
+    d = index
     if d < 1:
         raise BadDimensions(f"qudit dimension must be >= 1, got {d}")
     rho = linalg.as_matrix(entries)

@@ -10,9 +10,15 @@ The first form imports spptkit from the directory SRC (say ``src`` of this
 checkout, or of another checkout of the parent commit) and writes one
 tab-separated line per input to OUT.  A state's line holds its label, its
 class, the sha1 of ``json.dumps(io.verdict_to_dict(classify(s)),
-sort_keys=True)``, the ``sppt_check`` status and ``repr(residual)``, and the
-sha1 of the note and factor bytes; a ``decompose_small`` input's line holds
-the sha1 of its certificate's JSON, or the name of the error it raised.
+sort_keys=True)``, the ``sppt_check`` status and ``repr(residual)``, the
+sha1 of the note and factor bytes, that of ``extract_factors_full_rank``'s
+factors or the name of its error, and one record per ``edge_check`` call
+made while classifying it, inner ones (a reduced core's) included, in call
+order and joined by ``;`` (``-`` for none):
+``conclusion:evaluations:polishes:repr(certified_bound):repr(worst_min_residual)``.
+The records are collected by wrapping ``separability.edge_check``, a name
+every checkout has.  A ``decompose_small`` input's line holds the sha1 of
+its certificate's JSON, or the name of the error it raised.
 ``--compare`` prints every label whose lines differ, or that only one file
 has, and exits 1 when there is any; with ``--classes`` it also lists the
 inputs whose class changed and exits 1 only when one did, other than a
@@ -103,9 +109,22 @@ def fingerprint(src: Path, out: Path) -> int:
     from spptkit import io, separability, sppt
     from spptkit.errors import ValidationError
 
+    searches = []
+    edge_check = separability.edge_check
+
+    def recording(s):
+        cert = edge_check(s)
+        searches.append(":".join((cert.conclusion, str(cert.search["evaluations"]),
+                                  str(cert.search["polishes"]), repr(float(cert.certified_bound)),
+                                  repr(float(cert.worst_min_residual)))))
+        return cert
+
+    separability.edge_check = recording
     lines = []
     for label, s in _states():
+        searches.clear()
         verdict = separability.classify(s)
+        edge_checks = ";".join(searches) or "-"
         report = json.dumps(io.verdict_to_dict(verdict), sort_keys=True)
         check = sppt.sppt_check(s)
         try:
@@ -114,7 +133,8 @@ def fingerprint(src: Path, out: Path) -> int:
             full_rank = type(exc).__name__
         lines.append("\t".join((label, verdict.classification, _sha1(report),
                                 check.status, repr(check.residual),
-                                _sha1(check.note, _factor_bytes(check.factors)), full_rank)))
+                                _sha1(check.note, _factor_bytes(check.factors)), full_rank,
+                                edge_checks)))
     for label, s in _small_states():
         try:
             dec = separability.decompose_small(s)

@@ -509,7 +509,9 @@ BOUND_STATES = [*(pytest.param(horodecki_2x4(b), id=f"horodecki-{b}") for b in (
 
 class TestPolishBudget:
     """A search for one vector polishes at most one cell above the threshold
-    per level; polishing excludes no cell, so the bound does not depend on it."""
+    per level and stops each polish after a step whose linear model cannot
+    halve the residual; polishing excludes no cell, so the bound does not
+    depend on it."""
 
     @pytest.mark.parametrize("state", BOUND_STATES)
     def test_at_most_one_polish_per_level(self, state, monkeypatch):
@@ -540,6 +542,59 @@ class TestPolishBudget:
         assert np.float64(cert.certified_bound).tobytes() == np.float64(
             unpolished.certified_bound).tobytes()
         assert cert.search["evaluations"] == unpolished.search["evaluations"]
+
+    @pytest.mark.parametrize("state", BOUND_STATES)
+    def test_one_step_per_failing_polish(self, state, monkeypatch):
+        # every polish of these NoneFound searches fails, and the first step's
+        # linear model already tells it: one lstsq call each
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(0)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        cert = edge_check(state)
+        assert cert.conclusion == "NoneFound"
+        assert len(calls) == cert.search["polishes"] > 0
+
+    @pytest.mark.parametrize("state", BOUND_STATES)
+    def test_early_stop_changes_no_bound(self, state, monkeypatch):
+        cert = edge_check(state)
+        polish = range_criterion._polish
+        monkeypatch.setattr(range_criterion, "_polish",
+                            lambda con, e, f, certify: polish(con, e, f))
+        full = edge_check(state)
+        assert np.float64(cert.certified_bound).tobytes() == np.float64(
+            full.certified_bound).tobytes()
+        for key in ("evaluations", "polishes"):
+            assert cert.search[key] == full.search[key], key
+        assert cert.conclusion == full.conclusion == "NoneFound"
+        assert cert.worst_min_residual >= full.worst_min_residual
+        assert cert.worst_min_residual >= cert.certified_bound
+
+    def test_first_level_is_one_read_only_grid(self):
+        (h_theta, h_phi), cells = range_criterion._FIRST_LEVEL
+        n_theta, n_phi = range_criterion._INITIAL_CELLS
+        assert (h_theta, h_phi) == (np.pi / (2 * n_theta), np.pi / n_phi)
+        theta, phi = np.meshgrid((2 * np.arange(n_theta) + 1) * h_theta,
+                                 (2 * np.arange(n_phi) + 1) * h_phi, indexing="ij")
+        theta, phi = theta.ravel(), phi.ravel()
+        fresh = (theta, phi, range_criterion._bloch(theta, phi),
+                 range_criterion._cell_radius(theta, h_theta, h_phi))
+        for kept, built in zip(cells, fresh, strict=True):
+            assert kept.dtype == built.dtype and kept.shape == built.shape
+            assert kept.tobytes() == built.tobytes()
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError):
+                kept[0] = 0
+
+    def test_first_level_still_finds(self):
+        cert = edge_check(random_separable(5, 6, seed=0)[0])
+        assert cert.conclusion == "FoundProductVector"
+        assert (cert.search["levels"], cert.search["evaluations"],
+                cert.search["polishes"]) == (1, 128, 1)
 
     @pytest.mark.parametrize("d, n, evaluations, polishes", [
         (5, 6, 512, 6), (4, 7, 2270, 11), (5, 7, 1819, 18)])

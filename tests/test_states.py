@@ -48,6 +48,15 @@ class TestMakeState:
         with pytest.raises(BadDimensions):
             make_state(3, np.eye(4))
 
+    @pytest.mark.parametrize("d, entries", [(2.0, np.eye(4) / 4), (True, np.eye(2) / 2)])
+    def test_dimension_that_is_no_integer_rejected(self, d, entries):
+        with pytest.raises(BadDimensions, match="integer"):
+            make_state(d, entries)
+
+    def test_numpy_integer_dimension_accepted(self):
+        s = make_state(np.int64(2), np.eye(4) / 4)
+        assert s.d == 2 and type(s.d) is int
+
     def test_negative_rejected(self):
         with pytest.raises(NotPsd):
             make_state(1, np.diag([1.0, -0.5]))
