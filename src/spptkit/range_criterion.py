@@ -17,12 +17,16 @@ e^{i phi} sin(theta/2)); mu does not depend on the phase of e.
 One routine, ``_search``, does all the searching: a branch-and-bound over
 cells in (theta, phi) that excludes a cell when a lower bound on mu over
 the cell exceeds the threshold, splits the others and polishes the most
-promising by Gauss-Newton on M(e) f = 0.  The bound at the centre comes
-from the d x d Gram matrix G(e) = M(e)^dag M(e), whose least eigenvalue
-is mu^2: G(e) is a fixed combination of four precomputed blocks, so a
-batch of centres costs one matrix product and one batched hermitian
-eigensolve, and a margin covering their rounding keeps the bound below
-mu.  Over the cell the bound is the larger of two: the centre's less a
+promising by Gauss-Newton on M(e) f = 0.  Each cell has its own
+half-widths and is halved only along the axes that set its Bloch radius
+(``_split``), so cells near the poles are not cut into slivers along phi.
+M(e) for any batch of e is one product of (e, conj(e)) with a (4, n d)
+operator built once per set of constraints (``_Constraints.operator``).
+The bound at the centre comes from the d x d Gram matrix G(e) =
+M(e)^dag M(e), whose least eigenvalue is mu^2: G(e) is a fixed
+combination of four precomputed blocks, so a batch of centres costs one
+matrix product and one batched hermitian eigensolve, and a margin
+covering their rounding keeps the bound below mu.  Over the cell the bound is the larger of two: the centre's less a
 Lipschitz constant (Weyl's inequality) times the cell radius, and a
 first-order bound from the same eigenpair, which follows the actual slope
 of mu at the centre and so excludes cells of a flat landscape levels
@@ -59,6 +63,7 @@ conj(W).  This convention is pinned by the pure-product recovery test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -85,6 +90,7 @@ _POLISH_TOL = 1e-14                # residual at which Gauss-Newton stops
 _BASIN = 1e-3                      # least radius (Bloch angle, rad) of a found vector's basin
 _SAME = 1e-6                       # Bloch angle (rad) within which two vectors are one
 _SLICE = 1024                      # cells formed, tested and solved together
+_UNIT = np.array([[1.0], [1j]])    # a complex unknown's real and imaginary column
 
 
 @dataclass(frozen=True)
@@ -157,7 +163,8 @@ class _Constraints:
     ``gram`` holds the d x d blocks H_ab, flattened and in the order 00, 01,
     10, 11, with M(e)^dag M(e) = sum_ab conj(e_a) e_b H_ab; ``margin`` and
     ``ldl_margin`` are the rounding margins of ``_mu_batch``'s eigensolve and
-    positive-definiteness test.
+    positive-definiteness test; ``operator``, built once, gives M(e) for any
+    batch of e in one product (``_constraint_rows``).
     """
 
     d: int
@@ -173,6 +180,17 @@ class _Constraints:
         return self.w_state.shape[0] + self.w_pt.shape[0]
 
     @cached_property
+    def operator(self) -> np.ndarray:
+        """The (4, n_rows d) operator taking (e_0, e_1, conj(e_0), conj(e_1))
+        to M(e), flattened: the state rows are linear in e, the
+        partial-transpose rows in conj(e), and the other blocks are zero."""
+        k1 = self.w_state.shape[0]
+        op = np.zeros((4, self.n_rows, self.d), dtype=complex)
+        op[:2, :k1] = self.w_state.transpose(1, 0, 2)
+        op[2:, k1:] = self.w_pt.transpose(1, 0, 2)
+        return op.reshape(4, -1)
+
+    @cached_property
     def lipschitz(self) -> float:
         """L with |mu(e) - mu(e')| <= L min_phi ||e - e^{i phi} e'||.
 
@@ -186,10 +204,29 @@ class _Constraints:
         not depend on the phase of e.  The same argument gives ||M(e)||_2 <=
         L for a unit e.  The kernel rows are orthonormal, so L is 1 per
         non-empty part up to rounding.
+
+        No SVD is taken: ||W||_2^2 is the largest eigenvalue of the k x k
+        Gram G = W W^dag, at most its largest absolute row sum (Gershgorin),
+        and so for V.  Each computed entry of G, an inner product over m =
+        2d terms, is within (m + 4) eps ||W_i|| ||W_j|| of the exact one, so
+        the row norms ||W_i|| are at most sqrt|G_ii| (1 + (m + 6) eps) and
+        the exact row sum of row i at most the computed one, widened by (k +
+        1) eps for its absolute values and sum, plus (m + 4) eps ||W_i||
+        sum_j ||W_j||.  The factor 1 + 8 eps on L covers the rounding of
+        these bounds, of their sum over the parts and of the square root.
+        For orthonormal rows the bound is within ~(m + 4) k eps of the SVD's
+        norm.
         """
-        norms = [np.linalg.norm(w.reshape(len(w), -1), 2)
-                 for w in (self.w_state, self.w_pt) if len(w)]
-        return float(np.sqrt(np.sum(np.square(norms))))
+        eps, squares = np.finfo(float).eps, 0.0
+        for w in (self.w_state, self.w_pt):
+            if len(w):
+                k, m = len(w), w[0].size
+                w = w.reshape(k, m)
+                gram = w @ w.conj().T
+                norms = np.sqrt(np.abs(gram.diagonal())) * (1.0 + (m + 6) * eps)
+                sums = np.abs(gram).sum(axis=1) * (1.0 + (k + 1) * eps)
+                squares += float(np.max(sums + (m + 4) * eps * norms * norms.sum()))
+        return float(np.sqrt(squares) * (1.0 + 8.0 * eps))
 
 
 def _constraints_of(s: QubitQuditState, cutoff: float) -> _Constraints:
@@ -213,11 +250,10 @@ def _constraints(d: int, ker: np.ndarray, ker_pt: np.ndarray, cutoff: float) -> 
 
 
 def _constraint_rows(con: _Constraints, e_batch: np.ndarray) -> np.ndarray:
-    """M(e) for a batch of unit qubit vectors of shape (n, 2): (n, n_rows, d)."""
-    n, d = len(e_batch), con.d
-    rows_state = e_batch @ con.w_state.transpose(1, 0, 2).reshape(2, -1)
-    rows_pt = np.conj(e_batch) @ con.w_pt.transpose(1, 0, 2).reshape(2, -1)
-    return np.concatenate([rows_state.reshape(n, -1, d), rows_pt.reshape(n, -1, d)], axis=1)
+    """M(e) for a batch of unit qubit vectors of shape (n, 2): (n, n_rows, d),
+    one product against ``con.operator``."""
+    e4 = np.concatenate([e_batch, np.conj(e_batch)], axis=1)
+    return (e4 @ con.operator).reshape(len(e_batch), con.n_rows, con.d)
 
 
 def _mu_batch(con: _Constraints, e_batch: np.ndarray, radius, above=None):
@@ -449,37 +485,91 @@ def _bloch_angle(e: np.ndarray, others: np.ndarray) -> np.ndarray:
     return 2.0 * np.arctan2(np.abs(e0 * o1 - e1 * o0), np.abs(np.conj(e0) * o0 + np.conj(e1) * o1))
 
 
-def _cell_radius(theta, h_theta: float, h_phi: float) -> np.ndarray:
+def _haversine_terms(theta, h_theta, h_phi):
+    """The polar and azimuthal terms, sin^2(h_theta/2) and sin theta sin
+    theta_far sin^2(h_phi/2), of the haversine of the largest Bloch angle
+    from the centres of cells |theta' - theta| <= h_theta, |phi' - phi| <=
+    h_phi (see ``_cell_radius``); sin theta_far is the larger sine of the
+    two polar edges."""
+    far = np.maximum(np.sin(theta - h_theta), np.sin(theta + h_theta))
+    return np.sin(h_theta / 2.0) ** 2, np.sin(theta) * far * np.sin(h_phi / 2.0) ** 2
+
+
+def _cell_radius(theta, h_theta, h_phi) -> np.ndarray:
     """Largest Bloch angle from a cell's centre to its points, inflated.
 
-    The cell is |theta' - theta| <= h_theta, |phi' - phi| <= h_phi.  The
-    angle gamma to (theta', phi') satisfies the haversine formula
-    sin^2(gamma/2) = sin^2(dtheta/2) + sin theta sin theta' sin^2(dphi/2),
-    which grows with |dphi|; on the far meridians |dphi| = h_phi its second
-    derivative in theta', cos(dtheta)/2 - sin theta sin theta'
-    sin^2(h_phi/2), is positive for half-widths below pi/4, so the largest
-    angle is at a far corner (theta +- h_theta, phi + h_phi).  It is taken
-    through asin, not arccos, which rounds angles below ~1e-8 to 0; the
-    relative 1e-12 covers the rounding.
+    The cell is |theta' - theta| <= h_theta, |phi' - phi| <= h_phi, its
+    half-widths its own.  The angle gamma to (theta', phi') satisfies the
+    haversine formula sin^2(gamma/2) = sin^2(dtheta/2) + sin theta sin
+    theta' sin^2(dphi/2), which grows with |dphi|; on the far meridians
+    |dphi| = h_phi its second derivative in theta', cos(dtheta)/2 - sin
+    theta sin theta' sin^2(h_phi/2), is positive when both half-widths are
+    below pi/4, as every cell of the search's is (at most pi/8), so the
+    largest angle is at a far corner (theta +- h_theta, phi + h_phi), the
+    sum of the two terms of ``_haversine_terms``.  It is taken through
+    asin, not arccos, which rounds angles below ~1e-8 to 0; the relative
+    1e-12 covers the rounding.
     """
-    far = np.maximum(np.sin(theta - h_theta), np.sin(theta + h_theta))
-    hav = np.sin(h_theta / 2.0) ** 2 + np.sin(theta) * far * np.sin(h_phi / 2.0) ** 2
-    return 2.0 * np.arcsin(np.sqrt(np.minimum(hav, 1.0))) * (1.0 + 1e-12)
+    polar, azimuthal = _haversine_terms(theta, h_theta, h_phi)
+    return 2.0 * np.arcsin(np.sqrt(np.minimum(polar + azimuthal, 1.0))) * (1.0 + 1e-12)
+
+
+def _split(theta, h_theta, h_phi):
+    """The axes along which cells are halved, ``(along_theta, along_phi)``:
+    those that set the cell's Bloch radius.  A cell whose azimuthal term
+    (``_haversine_terms``) is under a quarter of its polar term is halved
+    along theta alone, one whose polar term is under a quarter of its
+    azimuthal term along phi alone, any other along both."""
+    polar, azimuthal = _haversine_terms(theta, h_theta, h_phi)
+    return polar >= azimuthal / 4.0, azimuthal >= polar / 4.0
+
+
+# (theta, phi) signs of a cell's four quarters, in the order children are made
+_QUARTERS = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+
+
+def _children(theta, phi, h_theta, h_phi):
+    """The cells that tile the given ones, each halved along the axes
+    ``_split`` picks: two or four children per cell, in the order of
+    ``_QUARTERS`` with the unhalved axis's sign dropped, as ``(theta, phi,
+    h_theta, h_phi)``."""
+    along_theta, along_phi = _split(theta, h_theta, h_phi)
+    h_theta = np.where(along_theta, h_theta / 2.0, h_theta)
+    h_phi = np.where(along_phi, h_phi / 2.0, h_phi)
+    keep = (((_QUARTERS[:, 0] < 0) | along_theta[:, None])
+            & ((_QUARTERS[:, 1] < 0) | along_phi[:, None]))
+    step_theta = np.where(along_theta, h_theta, 0.0)[:, None]
+    step_phi = np.where(along_phi, h_phi, 0.0)[:, None]
+    return ((theta[:, None] + step_theta * _QUARTERS[:, 0])[keep],
+            (phi[:, None] + step_phi * _QUARTERS[:, 1])[keep],
+            np.broadcast_to(h_theta[:, None], keep.shape)[keep],
+            np.broadcast_to(h_phi[:, None], keep.shape)[keep])
 
 
 def _first_level():
-    """The first level's cells, which depend on ``_INITIAL_CELLS`` alone:
-    half-widths ``(h_theta, h_phi)`` and, read-only, the centres' theta,
-    phi, qubit vectors (``_bloch``) and radii (``_cell_radius``)."""
+    """The first level's cells, which depend on ``_INITIAL_CELLS`` alone, as
+    read-only arrays: the centres' theta and phi, the half-widths h_theta
+    and h_phi, and the centres' qubit vectors (``_bloch``) and radii
+    (``_cell_radius``).
+
+    Each of the n_theta polar rows has n_phi azimuthal cells, except where
+    ``_split`` would halve those along theta alone: there the row has half
+    as many, twice as wide, the split rule run backwards.  That merges the
+    two rows at the poles, 8 cells each at the (8, 16) grid, 112 cells in
+    all, and leaves every half-width at most pi / 8.
+    """
     n_theta, n_phi = _INITIAL_CELLS
-    h_theta, h_phi = np.pi / (2 * n_theta), np.pi / n_phi
-    theta, phi = np.meshgrid((2 * np.arange(n_theta) + 1) * h_theta,
-                             (2 * np.arange(n_phi) + 1) * h_phi, indexing="ij")
-    theta, phi = theta.ravel(), phi.ravel()
-    cells = (theta, phi, _bloch(theta, phi), _cell_radius(theta, h_theta, h_phi))
+    h = np.pi / (2 * n_theta)
+    rows = (2 * np.arange(n_theta) + 1) * h
+    counts = np.where(_split(rows, h, np.pi / n_phi)[1], n_phi, n_phi // 2)
+    theta = np.repeat(rows, counts)
+    h_theta = np.full(len(theta), h)
+    h_phi = np.repeat(np.pi / counts, counts)
+    phi = (2 * np.concatenate([np.arange(count) for count in counts]) + 1) * h_phi
+    cells = (theta, phi, h_theta, h_phi, _bloch(theta, phi), _cell_radius(theta, h_theta, h_phi))
     for a in cells:
         a.flags.writeable = False
-    return (h_theta, h_phi), cells
+    return cells
 
 
 _FIRST_LEVEL = _first_level()
@@ -504,29 +594,52 @@ def _polish(con: _Constraints, e: np.ndarray, f: np.ndarray, certify: bool = Fal
     the enumeration and of ``_recheck``.  Returns ``(e, f, mu(e))`` at the
     best iterate, with f the null vector of M(e) there.
 
-    A step forms M(e) and M(e_perp) in one call.  It spans f's complement
-    by the columns j >= 1 of the Householder reflection I - v v^dag / (1 +
-    |f_0|), v = f + (f_0 / |f_0|) 1_0, which maps f to a multiple of the
-    first unit vector 1_0, applied without forming it; the minimal-norm
-    solution does not depend on the orthonormal basis of the complement,
-    so the step is the one any such basis gives.  The
-    complex columns are filled in place into one array whose real view,
+    After a step that has not halved the best residual, and that the
+    polish does not stop at, f is re-solved at the new e: the least right
+    singular vector of M(e) (n_rows >= d, as in every search), one SVD, and the residual is taken again with
+    it before the stall rule counts the step.  Near a zero of mu where the
+    two least singular values of M(e) are both small, the linearization
+    otherwise moves f far along the second one, and the iterates wander an
+    order or more above the zero until the stall rule gives up; with f
+    re-solved they converge, from nearly every start, to the zero itself.
+
+    e is carried as two complex scalars, and a step forms M(e) and
+    M(e_perp) in one product against ``con.operator``.  It spans f's
+    complement by the columns j >= 1 of the Householder reflection I - v
+    v^dag / (1 + |f_0|), v = f + (f_0 / |f_0|) 1_0, which maps f to a
+    multiple of the first unit vector 1_0, applied without forming it; the
+    minimal-norm solution does not depend on the orthonormal basis of the
+    complement, so the step is the one any such basis gives.  The complex
+    columns are filled in place into one array whose real view,
     transposed, is the real 2n x 2d system with the real and imaginary
-    part of each row next to each other, an order the solution does not
-    depend on either.
+    part of each row next to each other; the unknowns are ordered Re t, Im
+    t, then the real and imaginary part of each coordinate of the move of
+    f in turn, so the solution's tail is that move as a complex view.
+    Neither order changes the minimal-norm solution.
     """
     d, n, k1 = con.d, con.n_rows, con.w_state.shape[0]
+    # The state rows are linear in e, the partial-transpose rows in e*: the
+    # columns for Re t and Im t are M(e_perp) f times these.
+    tangent = np.ones((2, n), dtype=complex)
+    tangent[1, :k1], tangent[1, k1:] = 1j, -1j
     columns = np.empty((2 * d, n), dtype=complex)
     system = columns.view(float).T
-    best, best_e, stalled, last = np.inf, e, 0, False
+    moves = columns[2:].reshape(d - 1, 2, n)
+    e0, e1 = complex(e[0]), complex(e[1])
+    best, best_e, stalled, last = np.inf, (e0, e1), 0, False
     for _ in range(_POLISH_ITERATIONS):
-        pair = np.array([e, [-np.conj(e[1]), np.conj(e[0])]])
-        rows = _constraint_rows(con, pair)
+        c0, c1 = e0.conjugate(), e1.conjugate()
+        rows = (np.array([[e0, e1, c0, c1], [-c1, c0, -e1, e0]]) @ con.operator).reshape(2, n, d)
         r, g = rows @ f
         norm = float(np.sqrt(np.vdot(r, r).real))
+        if not last and _POLISH_TOL < norm and norm >= 0.5 * best:
+            # the step did not halve the residual: f is re-solved at e
+            f = np.conj(np.linalg.svd(rows[0])[2][d - 1])
+            r, g = rows @ f
+            norm = float(np.sqrt(np.vdot(r, r).real))
         stalled = 0 if norm < 0.5 * best else stalled + 1
         if norm < best:
-            best, best_e = norm, e
+            best, best_e = norm, (e0, e1)
         if norm <= _POLISH_TOL or stalled >= _POLISH_STALL or last:
             break
         head = abs(f[0])
@@ -534,23 +647,20 @@ def _polish(con: _Constraints, e: np.ndarray, f: np.ndarray, certify: bool = Fal
         v[0] += f[0] / head if head > 0.0 else 1.0
         w = np.conj(v[1:]) / (1.0 + head)
         m = rows[0]
-        # The state rows are linear in e, the partial-transpose rows in e*:
-        # columns for Re t and Im t, then for the real and imaginary parts
-        # of the move of f.
-        columns[0] = g
-        columns[1] = 1j * g
-        columns[1, k1:] *= -1.0
-        columns[2:d + 1] = (m[:, 1:] - np.outer(m @ v, w)).T
-        columns[d + 1:] = 1j * columns[2:d + 1]
+        np.multiply(g, tangent, out=columns[:2])
+        np.multiply((m.T[1:] - np.outer(w, m @ v))[:, None], _UNIT, out=moves)
         x, model = np.linalg.lstsq(system, -r.view(float), rcond=None)[:2]
         # model holds the squared residual of the linearization, or nothing
         last = certify and len(model) > 0 and float(np.sqrt(model[0])) > 0.5 * norm
-        e = e + (x[0] + 1j * x[1]) * pair[1]
-        e /= np.sqrt(np.vdot(e, e).real)
-        z = x[2:d + 1] + 1j * x[d + 1:]
+        t = complex(x[0], x[1])
+        e0, e1 = e0 - t * c1, e1 + t * c0
+        scale = math.hypot(e0.real, e0.imag, e1.real, e1.imag)
+        e0, e1 = e0 / scale, e1 / scale
+        z = x[2:].view(complex)
         f = f - (w @ z) * v
         f[1:] += z
         f /= np.sqrt(np.vdot(f, f).real)
+    best_e = np.array(best_e)
     f, mu = _null_vector(con, best_e)
     return best_e, f, mu
 
@@ -681,15 +791,16 @@ def _search(s: QubitQuditState, con: _Constraints, certify: bool):
     ``EXCLUSION_THRESHOLD`` and stops at ``limit`` = 1 vector; the
     enumeration at ``ENUMERATION_TOL`` and ``ENUMERATION_CANDIDATES``.
 
-    Cells are rectangles in (theta, phi), all of one size per level; the
-    first level is the module's read-only ``_FIRST_LEVEL``.  Each
-    level bounds mu from below at the centres of the open cells and over
-    the cells (``_mu_batch``: a batched test and eigensolve of the Gram
-    matrices) and excludes a cell when its bound, lower, exceeds
-    ``threshold``.  lower is the larger of mu_lo(centre) - L r / 2, with r
-    the cell's largest Bloch angle from the centre (``_cell_radius``) and
-    L the stacked Lipschitz constant (a Bloch angle r is a distance of
-    2 sin(r/4) <= r/2 between unit vectors modulo phase), and a first-order
+    Cells are rectangles in (theta, phi), each with its own half-widths;
+    the first level is the module's read-only ``_FIRST_LEVEL``
+    (``_first_level``).  Each level bounds mu from below at the centres of
+    the open cells and over the cells (``_mu_batch``: a batched test and
+    eigensolve of the Gram matrices) and excludes a cell when its bound,
+    lower, exceeds ``threshold``.  lower is the larger of mu_lo(centre) - L
+    r / 2, with r the cell's largest Bloch angle from the centre
+    (``_cell_radius``) and L the stacked Lipschitz constant (a Bloch angle
+    r is a distance of 2 sin(r/4) <= r/2 between unit vectors modulo
+    phase), and a first-order
     bound from the centre's eigenpair; ``first_order_exclusions`` in the
     record counts the cells that only the second excluded.  The best open
     cells are polished by Gauss-Newton, best first, each from its centre's
@@ -714,13 +825,14 @@ def _search(s: QubitQuditState, con: _Constraints, certify: bool):
     radius of its certified isolation annulus (``_isolation``), in which no
     other vector has mu at most ``threshold``: no start inside it is
     polished again, open cells wholly inside it are dropped, and the others
-    split into four.  The record counts the polishes (``polishes``) and the
-    open cells that only a certified annulus dropped (``isolation_drops``).
-    The search
-    stops once ``limit`` distinct vectors are found, every cell is excluded
-    or dropped, or a cell reaches ``CELL_FLOOR`` or the next level would
-    pass ``EVALUATION_CAP``; the certified bound is the least lower over
-    the cells it ended with.
+    are split by ``_children``, each halved along theta, phi or both,
+    whichever set its radius (``_split``).  The record counts the polishes
+    (``polishes``) and the open cells that only a certified annulus dropped
+    (``isolation_drops``).  The search stops once ``limit`` distinct vectors are found, every cell is excluded
+    or dropped, or an open cell's polar width is below ``CELL_FLOOR`` or
+    the children the next level would make would take the evaluations past
+    ``EVALUATION_CAP``; the certified bound is the least lower over the
+    cells it ended with.
 
     Every search passes ``_mu_batch``, per cell, a value ``above`` such
     that a cell with mu_lo(centre) >= ``above`` changes nothing the search
@@ -763,7 +875,7 @@ def _search(s: QubitQuditState, con: _Constraints, certify: bool):
             worst_min_residual=residual, refined_minima=[_minimum_record(found[0].e, residual)],
             conclusion="FoundProductVector", found=found, exclusion_threshold=threshold)
 
-    (h_theta, h_phi), (theta, phi, e, radius) = _FIRST_LEVEL    # half-widths, cells
+    theta, phi, h_theta, h_phi, e, radius = _FIRST_LEVEL
     known, radii, plain = np.empty((0, 2), dtype=complex), np.empty(0), np.empty(0)
     bound = worst = np.inf
     evaluations = levels = first_order = polishes = isolated = 0
@@ -810,13 +922,13 @@ def _search(s: QubitQuditState, con: _Constraints, certify: bool):
         open_ &= ~inside
         if len(found) >= limit or not open_.any():
             break
-        if 2.0 * h_theta < CELL_FLOOR or evaluations + 4 * open_.sum() > EVALUATION_CAP:
+        children = _children(theta[open_], phi[open_], h_theta[open_], h_phi[open_])
+        if ((2.0 * h_theta[open_] < CELL_FLOOR).any()
+                or evaluations + len(children[0]) > EVALUATION_CAP):
             conclusion = "Inconclusive"
             break
         bound = min(bound, float(lower[~open_].min(initial=np.inf)))
-        h_theta, h_phi = h_theta / 2.0, h_phi / 2.0
-        theta = (theta[open_, None] + h_theta * np.array([-1.0, -1.0, 1.0, 1.0])).ravel()
-        phi = (phi[open_, None] + h_phi * np.array([-1.0, 1.0, -1.0, 1.0])).ravel()
+        theta, phi, h_theta, h_phi = children
         e, radius = _bloch(theta, phi), _cell_radius(theta, h_theta, h_phi)
     found.sort(key=lambda pv: pv.combined_residual)
     record = _search_record(con, evaluations, levels, first_order, polishes, isolated)

@@ -31,6 +31,7 @@ from .errors import (
     NotNormalized,
     NotPsd,
     SingularTransform,
+    ValidationError,
 )
 
 
@@ -96,6 +97,27 @@ def _state(d: int, rho: np.ndarray, normalized: bool = False) -> QubitQuditState
     return QubitQuditState(d=d, rho=_freeze(rho), normalized=normalized)
 
 
+def _integer(value, what: str, error: type[ValidationError]) -> int:
+    """``value`` as an int, numpy's integers included, or ``error``: a float,
+    a bool (an int subclass, which ``operator.index`` admits) or any other
+    non-integer is rejected."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or isinstance(value, (bool, np.bool_)):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return index
+
+
+def _dimension(d) -> int:
+    """The qudit dimension ``d`` as an int >= 1, or BadDimensions."""
+    d = _integer(d, "qudit dimension", BadDimensions)
+    if d < 1:
+        raise BadDimensions(f"qudit dimension must be >= 1, got {d}")
+    return d
+
+
 def make_state(d: int, entries, normalized: bool = False) -> QubitQuditState:
     """Validate and wrap a 2d x 2d matrix as a qubit-qudit state.
 
@@ -106,16 +128,7 @@ def make_state(d: int, entries, normalized: bool = False) -> QubitQuditState:
     This is the only place the package validates a state; everything it
     derives from one is hermitianized instead.
     """
-    try:
-        index = operator.index(d)
-    except TypeError:
-        index = None
-    # bool is an int subclass, which operator.index admits
-    if index is None or isinstance(d, bool):
-        raise BadDimensions(f"qudit dimension must be an integer, got {d!r}")
-    d = index
-    if d < 1:
-        raise BadDimensions(f"qudit dimension must be >= 1, got {d}")
+    d = _dimension(d)
     rho = linalg.as_matrix(entries)
     if rho.shape != (2 * d, 2 * d):
         raise BadDimensions(f"expected shape {(2 * d, 2 * d)}, got {rho.shape}")
@@ -391,8 +404,10 @@ def horodecki_2x4(b: float) -> QubitQuditState:
 # ---------------------------------------------------------------------------
 
 def _rng(seed: int) -> np.random.Generator:
-    """numpy's generator for ``seed``; BadParameter for a negative seed,
-    which numpy would reject with a bare ValueError."""
+    """numpy's generator for ``seed``; BadParameter for a seed that is not
+    an integer (a bool or a float included) or is negative, which numpy
+    would take or reject with a bare error."""
+    seed = _integer(seed, "seed", BadParameter)
     if seed < 0:
         raise BadParameter(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed)
@@ -436,8 +451,13 @@ def random_sppt(d: int, rank: int, normal_s: bool = True, seed: int = 0,
     on-support block is built to carry exactly the commutator defect they
     require.  ``with_tail`` adds a random full-rank x2, which gives the
     assembled state rank d + rank, full only when rank = d.  Deterministic
-    per seed; a negative seed raises BadParameter.
+    per seed.  A qudit dimension that is not an integer >= 1 raises
+    BadDimensions, as in ``make_state``; a rank or seed that is not an
+    integer (bools and floats included), a rank outside [1, d] and a
+    negative seed raise BadParameter.
     """
+    d = _dimension(d)
+    rank = _integer(rank, "rank", BadParameter)
     if not 1 <= rank <= d:
         raise BadParameter(f"need 1 <= rank <= d, got rank={rank}, d={d}")
     rng = _rng(seed)
@@ -484,11 +504,14 @@ def random_separable(d: int, n_terms: int | None = None, seed: int = 0):
     Returns ``(state, terms)`` where ``terms`` is a list of
     ``(weight, e, f)`` with unit vectors e (qubit) and f (qudit).  The
     mixture is normalized.  When ``n_terms`` is None a count in [1, 2d] is
-    drawn.  A qudit dimension below 1 raises BadDimensions, as in
-    ``make_state``, and a negative seed BadParameter.
+    drawn.  A qudit dimension that is not an integer >= 1 raises
+    BadDimensions, as in ``make_state``; a term count or seed that is not
+    an integer (bools and floats included), a count below 1 and a negative
+    seed raise BadParameter.
     """
-    if d < 1:
-        raise BadDimensions(f"qudit dimension must be >= 1, got {d}")
+    d = _dimension(d)
+    if n_terms is not None:
+        n_terms = _integer(n_terms, "n_terms", BadParameter)
     rng = _rng(seed)
     if n_terms is None:
         n_terms = int(rng.integers(1, 2 * d + 1))

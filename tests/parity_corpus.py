@@ -15,16 +15,21 @@ sha1 of the note and factor bytes, that of ``extract_factors_full_rank``'s
 factors or the name of its error, and one record per ``edge_check`` call
 made while classifying it, inner ones (a reduced core's) included, in call
 order and joined by ``;`` (``-`` for none):
-``conclusion:evaluations:polishes:repr(certified_bound):repr(worst_min_residual)``.
-The records are collected by wrapping ``separability.edge_check``, a name
-every checkout has.  A ``decompose_small`` input's line holds the sha1 of
-its certificate's JSON, or the name of the error it raised.
+``conclusion:evaluations:polishes:repr(certified_bound):repr(worst_min_residual)``,
+then, in the same form, one record per enumeration of the subtraction
+prover, ``range_criterion._enumerate`` and ``_recheck`` calls in call
+order: ``evaluations:polishes:exhaustive:found``, with ``found`` the number
+of vectors returned.  The records are collected by wrapping
+``separability.edge_check`` and those two functions, names every checkout
+has.  A ``decompose_small`` input's line holds the sha1 of its
+certificate's JSON, or the name of the error it raised.
 ``--compare`` prints every label whose lines differ, or that only one file
-has, and exits 1 when there is any; with ``--classes`` it also lists the
-inputs whose class changed and exits 1 only when one did, other than a
-``PptUndecided`` input that is now decided (an input only one file has
-counts as a change).  The inputs and the helpers that draw
-them come from this checkout (``perfbench/workloads.py`` and
+has, then each file's search work: the evaluations and polishes summed
+over both columns of every line.  It exits 1 when any line differs; with
+``--classes`` it also lists the inputs whose class changed and exits 1
+only when one did, other than a ``PptUndecided`` input that is now decided
+(an input only one file has counts as a change).  The inputs and the
+helpers that draw them come from this checkout (``perfbench/workloads.py`` and
 ``tests/helpers.py``), so both runs see the same corpus.  One run takes
 about 40 s on one core of a 2-core x86-64 VM; pytest does not collect
 this file.
@@ -106,10 +111,10 @@ def _factor_bytes(factors) -> bytes:
 
 def fingerprint(src: Path, out: Path) -> int:
     sys.path[:0] = [str(src), str(ROOT), str(ROOT / "tests")]
-    from spptkit import io, separability, sppt
+    from spptkit import io, range_criterion, separability, sppt
     from spptkit.errors import ValidationError
 
-    searches = []
+    searches, enumerations = [], []
     edge_check = separability.edge_check
 
     def recording(s):
@@ -119,12 +124,25 @@ def fingerprint(src: Path, out: Path) -> int:
                                   repr(float(cert.worst_min_residual)))))
         return cert
 
+    def enumerating(search):
+        def record(*args):
+            result = search(*args)
+            enumerations.append(":".join((str(result.search["evaluations"]),
+                                          str(result.search["polishes"]),
+                                          str(result.exhaustive), str(len(result.found)))))
+            return result
+        return record
+
     separability.edge_check = recording
+    range_criterion._enumerate = enumerating(range_criterion._enumerate)
+    range_criterion._recheck = enumerating(range_criterion._recheck)
     lines = []
     for label, s in _states():
         searches.clear()
+        enumerations.clear()
         verdict = separability.classify(s)
         edge_checks = ";".join(searches) or "-"
+        enumerated = ";".join(enumerations) or "-"
         report = json.dumps(io.verdict_to_dict(verdict), sort_keys=True)
         check = sppt.sppt_check(s)
         try:
@@ -134,7 +152,7 @@ def fingerprint(src: Path, out: Path) -> int:
         lines.append("\t".join((label, verdict.classification, _sha1(report),
                                 check.status, repr(check.residual),
                                 _sha1(check.note, _factor_bytes(check.factors)), full_rank,
-                                edge_checks)))
+                                edge_checks, enumerated)))
     for label, s in _small_states():
         try:
             dec = separability.decompose_small(s)
@@ -152,6 +170,24 @@ def _read(path: Path) -> dict:
     return {label: rest for label, rest in rows}
 
 
+def search_work(lines: dict) -> tuple[int, int]:
+    """Evaluations and polishes summed over the edge_check and enumeration
+    records of every line; a file without the enumeration column sums its
+    edge_check records alone."""
+    evaluations = polishes = 0
+    for rest in lines.values():
+        fields = rest.split("\t")
+        # (column, position of the evaluations in each of its records)
+        for column, at in ((6, 1), (7, 0)):
+            if len(fields) <= column or fields[column] == "-":
+                continue
+            for record in fields[column].split(";"):
+                parts = record.split(":")
+                evaluations += int(parts[at])
+                polishes += int(parts[at + 1])
+    return evaluations, polishes
+
+
 def compare(a: Path, b: Path, classes: bool = False) -> int:
     left, right = _read(a), _read(b)
     differ = [label for label in left.keys() | right.keys()
@@ -159,6 +195,9 @@ def compare(a: Path, b: Path, classes: bool = False) -> int:
     for label in sorted(differ):
         print(f"{label}\n  {a}: {left.get(label, '(missing)')}\n  {b}: {right.get(label, '(missing)')}")
     print(f"{len(differ)} of {len(left.keys() | right.keys())} inputs differ")
+    for path, lines in ((a, left), (b, right)):
+        evaluations, polishes = search_work(lines)
+        print(f"search work in {path}: {evaluations} evaluations, {polishes} polishes")
     if not classes:
         return 1 if differ else 0
     moved = []

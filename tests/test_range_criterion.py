@@ -18,6 +18,7 @@ from spptkit.separability import (
     ENTANGLED_RANGE,
     PPT_UNDECIDED,
     SEPARABLE,
+    SEPARABLE_BY_THEOREM,
     classify,
     subtract_product_vectors,
     svd_reduce,
@@ -32,6 +33,8 @@ from spptkit.states import (
     random_sppt,
     sppt_counterexample_2x3,
 )
+
+from helpers import ill_conditioned_sppt
 
 
 def product_state(e, f):
@@ -473,7 +476,7 @@ class TestCertifiedExclusion:
         assert cert.conclusion == "NoneFound"
         # the first level has no bound yet, so no LDL pass could settle a
         # cell: it makes none and solves every cell
-        assert calls[0] == ("solved", int(np.prod(range_criterion._INITIAL_CELLS)))
+        assert calls[0] == ("solved", len(range_criterion._FIRST_LEVEL[0]))
         assert sum(n for kind, n in calls[1:] if kind == "settled") > 0
 
     @pytest.mark.parametrize("state", [
@@ -575,13 +578,17 @@ class TestPolishBudget:
         assert cert.worst_min_residual >= cert.certified_bound
 
     def test_first_level_is_one_read_only_grid(self):
-        (h_theta, h_phi), cells = range_criterion._FIRST_LEVEL
+        cells = range_criterion._FIRST_LEVEL
         n_theta, n_phi = range_criterion._INITIAL_CELLS
-        assert (h_theta, h_phi) == (np.pi / (2 * n_theta), np.pi / n_phi)
-        theta, phi = np.meshgrid((2 * np.arange(n_theta) + 1) * h_theta,
-                                 (2 * np.arange(n_phi) + 1) * h_phi, indexing="ij")
-        theta, phi = theta.ravel(), phi.ravel()
-        fresh = (theta, phi, range_criterion._bloch(theta, phi),
+        # the rows at the poles have half as many azimuthal cells, twice as wide
+        counts = np.full(n_theta, n_phi)
+        counts[[0, -1]] = n_phi // 2
+        theta = np.repeat((2 * np.arange(n_theta) + 1) * (np.pi / (2 * n_theta)), counts)
+        h_theta = np.full(len(theta), np.pi / (2 * n_theta))
+        h_phi = np.repeat(np.pi / counts, counts)
+        phi = (2 * np.concatenate([np.arange(count) for count in counts]) + 1) * h_phi
+        assert len(theta) == 112
+        fresh = (theta, phi, h_theta, h_phi, range_criterion._bloch(theta, phi),
                  range_criterion._cell_radius(theta, h_theta, h_phi))
         for kept, built in zip(cells, fresh, strict=True):
             assert kept.dtype == built.dtype and kept.shape == built.shape
@@ -594,10 +601,10 @@ class TestPolishBudget:
         cert = edge_check(random_separable(5, 6, seed=0)[0])
         assert cert.conclusion == "FoundProductVector"
         assert (cert.search["levels"], cert.search["evaluations"],
-                cert.search["polishes"]) == (1, 128, 1)
+                cert.search["polishes"]) == (1, 112, 1)
 
     @pytest.mark.parametrize("d, n, evaluations, polishes", [
-        (5, 6, 512, 6), (4, 7, 2270, 11), (5, 7, 1819, 18)])
+        (5, 6, 492, 6), (4, 7, 2102, 12), (5, 7, 1425, 16)])
     def test_enumeration_keeps_its_budget(self, d, n, evaluations, polishes):
         # the separable_mix inputs; a search for eight vectors still takes
         # two polishes per level above the threshold
@@ -612,6 +619,38 @@ class TestPolishBudget:
         assert classify(random_separable(d, n, seed=seed)[0]).classification == SEPARABLE
 
 
+class TestPolishAtADegenerateZero:
+    """After a step that does not halve the residual, a polish re-solves f
+    at the new e, so it converges at a zero where M(e)'s two least singular
+    values are both small."""
+
+    @pytest.mark.parametrize("s2", [1e-6, 1e-7, 1e-8])
+    def test_every_start_converges(self, s2):
+        # X(c) has the null vector 1_0 and second singular value s2: the
+        # linearization alone moves f far along the second direction, and
+        # about a quarter of these polishes stalled an order above the zero
+        c = range_criterion._bloch(5 * np.pi / 16, 3 * np.pi / 16)
+        perp = np.array([-np.conj(c[1]), np.conj(c[0])])
+        rng = np.random.default_rng(21)
+        for _ in range(8):
+            x_centre = np.zeros((4, 3), dtype=complex)
+            x_centre[0, 1], x_centre[1, 2] = s2, 1.0
+            con = rows_framed_at(c, x_centre,
+                                 rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)))
+            for angle in np.linspace(0.0, 2 * np.pi, 12, endpoint=False):
+                e = c + 0.002 * np.exp(1j * angle) * perp
+                e /= np.linalg.norm(e)
+                least = range_criterion._mu_batch(con, e[None, :], 0.0)[2][0]
+                assert range_criterion._polish(con, e, least)[2] <= 1e-12, angle
+
+    @pytest.mark.parametrize("seed", [6, 12])
+    def test_ill_conditioned_sppt_is_decided(self, seed):
+        # separable by construction; the prover's remainders have product
+        # vectors at such zeros, and a vector polished only to ~1e-8 lets a
+        # maximal subtraction overshoot and stall the prover
+        assert classify(ill_conditioned_sppt(seed)).classification == SEPARABLE_BY_THEOREM
+
+
 class TestLipschitz:
     @pytest.mark.parametrize("state, parts", [
         (horodecki_2x4(0.5), 2), (random_separable(4, 5, seed=0)[0], 2),
@@ -621,6 +660,30 @@ class TestLipschitz:
         search = edge_check(state).search
         assert sum(k > 0 for k in search["kernel_dims"]) == parts
         assert abs(search["lipschitz"] - np.sqrt(parts)) <= 1e-12
+
+    @pytest.mark.parametrize("cutoff", [range_criterion.KERNEL_CUTOFF,
+                                        range_criterion.ENUMERATION_KERNEL_CUTOFF],
+                             ids=["kernel", "enumeration"])
+    @pytest.mark.parametrize("state", [
+        horodecki_2x4(0.5), random_separable(4, 5, seed=0)[0], symmetric_2x2(), maximally_mixed(3),
+    ], ids=["horodecki", "separable", "one-part", "full-rank"])
+    def test_bound_is_the_spectral_norm_to_rounding(self, state, cutoff):
+        # the Gershgorin bound on the Gram of each part's orthonormal rows
+        # is at least the SVD's norm and within 1e-12 of it
+        con = range_criterion._constraints_of(state, cutoff)
+        exact = np.sqrt(sum(np.linalg.norm(w.reshape(len(w), -1), 2) ** 2
+                            for w in (con.w_state, con.w_pt) if len(w)))
+        assert exact <= con.lipschitz <= exact * (1.0 + 1e-12)
+
+    def test_bound_holds_for_rows_that_are_not_orthonormal(self):
+        rng = np.random.default_rng(31)
+        for k, d in [(1, 1), (3, 2), (5, 4), (12, 6)]:
+            for scale in (1e-6, 1.0, 1e6):
+                rows = [scale * (rng.normal(size=(k, 2, d)) + 1j * rng.normal(size=(k, 2, d)))
+                        for _ in range(2)]
+                con = dataclasses.replace(framed_constraints(rows[0]), w_pt=rows[1])
+                exact = np.sqrt(sum(np.linalg.norm(w.reshape(k, -1), 2) ** 2 for w in rows))
+                assert exact <= con.lipschitz
 
 
 def haversine_angle(theta, d_theta, d_phi):
@@ -701,6 +764,117 @@ class TestCellRadius:
                 other = range_criterion._bloch(theta + offsets[j, 0], phi + offsets[j, 1])
                 overlap = np.minimum(np.abs(np.sum(np.conj(e) * other, axis=1)), 1.0)
                 np.testing.assert_allclose(2 * np.arccos(overlap), angles[:, j], atol=1e-7)
+
+
+def generations(count):
+    """The cells of the first ``count`` levels of a search that excludes no
+    cell, as (theta, phi, h_theta, h_phi), the first level first."""
+    cells = range_criterion._FIRST_LEVEL[:4]
+    for _ in range(count):
+        yield cells
+        cells = range_criterion._children(*cells)
+
+
+def random_cells(rng, n=300):
+    """Cells with half-widths drawn log-uniformly up to pi / 8, inside the
+    rectangle: every split kind occurs among them, the phi-only one too,
+    which the first levels of a search without exclusions never make."""
+    h_theta, h_phi = np.pi / 8 * 10.0 ** rng.uniform(-3.0, 0.0, (2, n))
+    theta = rng.uniform(h_theta, np.pi - h_theta)
+    return theta, rng.uniform(0.0, 2 * np.pi, n), h_theta, h_phi
+
+
+def split_kind(cells):
+    """Per cell, the axes ``_split`` halves it along: "theta", "phi" or "both"."""
+    theta, phi, h_theta, h_phi = cells
+    along_theta, along_phi = range_criterion._split(theta, h_theta, h_phi)
+    return np.where(along_theta & along_phi, "both", np.where(along_theta, "theta", "phi"))
+
+
+def containing(cells, theta, phi):
+    """For points (theta, phi), the number of cells that hold each one."""
+    c_theta, c_phi, h_theta, h_phi = cells
+    inside = ((np.abs(theta[:, None] - c_theta) <= h_theta)
+              & (np.abs(phi[:, None] - c_phi) <= h_phi))
+    return inside.sum(axis=1)
+
+
+class TestCellGeometry:
+    """Every level tiles the sphere's (theta, phi) rectangle, and every
+    cell's radius bounds the Bloch angle to its points, so excluding a cell
+    leaves no direction unsearched."""
+
+    def test_levels_tile_the_rectangle(self):
+        rng = np.random.default_rng(40)
+        theta, phi = rng.uniform(0.0, np.pi, 4000), rng.uniform(0.0, 2 * np.pi, 4000)
+        for level, cells in enumerate(generations(4), start=1):
+            # no gap or overlap: the areas add up to the rectangle's, and
+            # every point lies in exactly one cell
+            area = np.sum(4.0 * cells[2] * cells[3])
+            assert abs(area - 2 * np.pi ** 2) <= 1e-12 * area, level
+            assert np.all(containing(cells, theta, phi) == 1), level
+            # the rectangle's edges are cell edges
+            assert np.isclose(np.min(cells[0] - cells[2]), 0.0, atol=1e-15)
+            assert np.isclose(np.max(cells[0] + cells[2]), np.pi, atol=1e-15)
+            assert np.isclose(np.min(cells[1] - cells[3]), 0.0, atol=1e-15)
+            assert np.isclose(np.max(cells[1] + cells[3]), 2 * np.pi, atol=1e-15)
+            # every half-width at most pi / 8, as _cell_radius's proof asks
+            assert np.all(np.maximum(cells[2], cells[3]) <= np.pi / 8)
+
+    def test_each_split_kind_tiles_its_parent(self):
+        rng = np.random.default_rng(41)
+        seen = set()
+        for cells in [*generations(5), random_cells(rng)]:
+            kinds = split_kind(cells)
+            for kind in ("theta", "phi", "both"):
+                pick = np.flatnonzero(kinds == kind)[:20]
+                if not len(pick):
+                    continue
+                seen.add(kind)
+                parents = tuple(a[pick] for a in cells)
+                children = range_criterion._children(*parents)
+                count = 4 if kind == "both" else 2
+                assert len(children[0]) == count * len(pick)
+                for i in range(len(pick)):
+                    # each parent's children come together, in order
+                    parent = tuple(a[i:i + 1] for a in parents)
+                    child = tuple(a[count * i:count * (i + 1)] for a in children)
+                    assert np.all(containing(parent, *child[:2]) == 1)
+                    assert np.isclose(np.sum(child[2] * child[3]),
+                                      parents[2][i] * parents[3][i], rtol=1e-13)
+                    offsets = rng.uniform(-1.0, 1.0, size=(500, 2))
+                    points = (parent[0] + parent[2] * offsets[:, 0],
+                              parent[1] + parent[3] * offsets[:, 1])
+                    assert np.all(containing(child, *points) == 1)
+        assert seen == {"theta", "phi", "both"}
+
+    def test_radius_bounds_every_sampled_point(self):
+        rng = np.random.default_rng(42)
+        checked = {"first": 0, "theta": 0, "phi": 0, "both": 0}
+        for level, cells in enumerate([*generations(5), random_cells(rng)], start=1):
+            if level == 1:
+                self.assert_within_radius(cells, rng)
+                checked["first"] += len(cells[0])
+            kinds = split_kind(cells)
+            for kind in ("theta", "phi", "both"):
+                pick = np.flatnonzero(kinds == kind)
+                if len(pick):
+                    pick = rng.choice(pick, min(len(pick), 24), replace=False)
+                    children = range_criterion._children(*(a[pick] for a in cells))
+                    self.assert_within_radius(children, rng)
+                    checked[kind] += len(children[0])
+        assert checked["first"] == 112 and min(checked.values()) > 0
+
+    @staticmethod
+    def assert_within_radius(cells, rng, points=600):
+        theta, phi, h_theta, h_phi = cells
+        offsets = cell_offsets(rng, points)
+        e = range_criterion._bloch(theta[:, None] + h_theta[:, None] * offsets[:, 0],
+                                   phi[:, None] + h_phi[:, None] * offsets[:, 1])
+        radius = range_criterion._cell_radius(theta, h_theta, h_phi)
+        centres = range_criterion._bloch(theta, phi)
+        for centre, sampled, r in zip(centres, e, radius):
+            assert np.all(range_criterion._bloch_angle(centre, sampled) <= r)
 
 
 class TestExclusionMargins:
@@ -830,11 +1004,16 @@ def level_half_widths(level):
     return np.pi / (2 * n_theta * scale), np.pi / (n_phi * scale)
 
 
-def cell_minima(con, theta, phi, h_theta, h_phi, rng, points=600):
-    """The least mu at ``points`` points of each cell: its corners, its edge
-    midpoints and uniform draws."""
+def cell_offsets(rng, points=600):
+    """Offsets, in half-widths, of ``points`` points of a cell: its corners,
+    its edge midpoints and uniform draws."""
     edges = np.array([[-1, -1], [-1, 1], [1, -1], [1, 1], [0, -1], [0, 1], [-1, 0], [1, 0]])
-    offsets = np.vstack([edges, rng.uniform(-1.0, 1.0, size=(points - len(edges), 2))])
+    return np.vstack([edges, rng.uniform(-1.0, 1.0, size=(points - len(edges), 2))])
+
+
+def cell_minima(con, theta, phi, h_theta, h_phi, rng, points=600):
+    """The least mu at ``points`` points of each cell (``cell_offsets``)."""
+    offsets = cell_offsets(rng, points)
     e = range_criterion._bloch(theta[:, None] + h_theta * offsets[None, :, 0],
                                phi[:, None] + h_phi * offsets[None, :, 1])
     return mu_at(con, e.reshape(-1, 2)).reshape(len(theta), points).min(axis=1)
@@ -860,7 +1039,12 @@ def rows_framed_at(c, x_centre, x_perp):
     k, d = x_centre.shape
     # X(e) = W (e (x) I), so W = [X(c), X(c_perp)] (U^dag (x) I) for U = [c, c_perp]
     w = np.hstack([x_centre, x_perp]) @ np.kron(np.column_stack([c, perp]).conj().T, np.eye(d))
-    w_state = w.reshape(k, 2, d).astype(complex)
+    return framed_constraints(w.reshape(k, 2, d).astype(complex))
+
+
+def framed_constraints(w_state):
+    """Constraints of the state rows ``w_state`` (k, 2, d) alone."""
+    k, _, d = w_state.shape
     gram = np.einsum("kai,kbj->abij", np.conj(w_state), w_state).reshape(4, d * d)
     rounding = float(d * np.finfo(float).eps * k)
     return range_criterion._Constraints(

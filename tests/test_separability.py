@@ -335,7 +335,7 @@ class TestOnePositivityRule:
         # enumeration's kernel_basis once raised NotPsd out of classify
         assert not classify(ill_conditioned_sppt(seed)).is_entangled_class
 
-    @pytest.mark.parametrize("seed", [75, 81])
+    @pytest.mark.parametrize("seed", [73, 81])
     def test_stalls_before_enumerating_a_remainder_that_fails(self, seed, monkeypatch):
         state = ill_conditioned_sppt(seed)
         calls = _record_enumerations(monkeypatch)
@@ -351,7 +351,7 @@ class TestOnePositivityRule:
 
     @pytest.mark.parametrize("state", [random_separable(5, 7, seed=0)[0],
                                        random_separable(4, 7, seed=0)[0],
-                                       ill_conditioned_sppt(75)])
+                                       ill_conditioned_sppt(73)])
     def test_two_full_size_eigendecompositions_per_iteration(self, state, monkeypatch):
         full = (2 * state.d, 2 * state.d)
         calls = []

@@ -317,6 +317,27 @@ class TestRandomSppt:
         with pytest.raises(BadParameter, match="seed"):
             random_sppt(4, rank=4, seed=-1)
 
+    @pytest.mark.parametrize("args, kwargs, error, match", [
+        ((True, 1), {}, BadDimensions, "dimension"),
+        ((4.0, 2), {}, BadDimensions, "dimension"),
+        ((0, 1), {}, BadDimensions, "dimension"),
+        ((4, 2.0), {}, BadParameter, "rank"),
+        ((4, True), {}, BadParameter, "rank"),
+        ((4, 2), {"seed": 1.5}, BadParameter, "seed"),
+        ((4, 2), {"seed": True}, BadParameter, "seed"),
+        ((4, 2), {"seed": np.True_}, BadParameter, "seed"),
+    ], ids=["bool-d", "float-d", "zero-d", "float-rank", "bool-rank", "float-seed",
+            "bool-seed", "numpy-bool-seed"])
+    def test_non_integer_arguments_rejected(self, args, kwargs, error, match):
+        # rejected as make_state rejects a dimension, not by numpy or Python
+        with pytest.raises(error, match=match):
+            random_sppt(*args, **kwargs)
+
+    def test_numpy_integers_accepted(self):
+        state, _ = random_sppt(np.int64(4), np.int32(2), seed=np.uint8(3))
+        assert state.d == 4 and type(state.d) is int
+        assert np.array_equal(state.rho, random_sppt(4, 2, seed=3)[0].rho)
+
 
 class TestRandomSeparable:
     def test_normalized_and_reconstructs(self):
@@ -333,11 +354,29 @@ class TestRandomSeparable:
         with pytest.raises(BadParameter, match="seed"):
             random_separable(4, n_terms=n_terms, seed=-1)
 
-    @pytest.mark.parametrize("args", [(0, 2), (0,), (-1, 2)])
+    @pytest.mark.parametrize("args", [(0, 2), (0,), (-1, 2), (4.0, 3), (True, 2)])
     def test_bad_dimension_rejected(self, args):
         # rejected as make_state rejects it, not by numpy or as a 0 x 0 state
         with pytest.raises(BadDimensions, match="dimension"):
             random_separable(*args)
+
+    @pytest.mark.parametrize("args, kwargs, match", [
+        ((4, 2.5), {}, "n_terms"),
+        ((4, True), {}, "n_terms"),
+        ((4, 0), {}, "term"),
+        ((4, 3), {"seed": 1.5}, "seed"),
+        ((4, 3), {"seed": True}, "seed"),
+        ((4,), {"seed": 2.0}, "seed"),
+    ], ids=["float-terms", "bool-terms", "no-terms", "float-seed", "bool-seed",
+            "float-seed-drawn-terms"])
+    def test_bad_parameter_rejected(self, args, kwargs, match):
+        with pytest.raises(BadParameter, match=match):
+            random_separable(*args, **kwargs)
+
+    def test_numpy_integers_accepted(self):
+        state, terms = random_separable(np.int64(4), np.int32(3), seed=np.uint8(2))
+        assert state.d == 4 and type(state.d) is int and len(terms) == 3
+        assert np.array_equal(state.rho, random_separable(4, 3, seed=2)[0].rho)
 
     def test_ppt(self):
         state, _ = random_separable(5, n_terms=7, seed=11)
