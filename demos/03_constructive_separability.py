@@ -10,8 +10,8 @@ the tail, giving one of the full state.
 import numpy as np
 
 from spptkit import (
+    assemble_state,
     classify,
-    decompose_full_rank,
     decompose_small,
     svd_reduce,
 )
@@ -21,7 +21,9 @@ np.set_printoptions(precision=4, suppress=True)
 
 # --- full-rank route: spectral construction ---------------------------------
 state, factors = random_sppt(4, rank=4, normal_s=True, seed=11, with_tail=True)
-dec = decompose_full_rank(factors)
+verdict = classify(assemble_state(factors))
+dec = verdict.certificate
+print(f"classify: {verdict.classification}, by the spectral construction")
 print(f"full-rank 2x4 instance: {len(dec.terms)} product terms "
       "(one per eigenvalue of s, plus the tail)")
 print("reconstruction residual:",

@@ -11,20 +11,17 @@ certifies entanglement of PPT states through a range-criterion search.
 
 __version__ = "0.1.0"
 
-from . import cli, errors, io, linalg, range_criterion, separability, sppt, states
+from . import cli, errors, io, linalg, range_criterion, separability, sphere, sppt, states
 from .range_criterion import (
     ProductVector,
     RangeSearchCertificate,
     edge_check,
-    kernel_basis,
-    product_vectors_in_range,
 )
 from .separability import (
     Reduction,
     SeparableDecomposition,
     Verdict,
     classify,
-    decompose_full_rank,
     decompose_small,
     subtract_product_vectors,
     svd_reduce,
@@ -33,7 +30,6 @@ from .sppt import (
     SpptFactors,
     SpptVerdict,
     assemble_state,
-    extract_factors_full_rank,
     sppt_check,
     sppt_residual,
 )
@@ -68,25 +64,22 @@ __all__ = [
     "blocks",
     "classify",
     "cli",
-    "decompose_full_rank",
     "decompose_small",
     "edge_check",
     "entangled_sppt_2x5",
     "errors",
-    "extract_factors_full_rank",
     "horodecki_2x4",
     "io",
-    "kernel_basis",
     "linalg",
     "local_qudit_transform",
     "make_state",
     "maximally_mixed",
     "partial_transpose",
-    "product_vectors_in_range",
     "random_separable",
     "random_sppt",
     "range_criterion",
     "separability",
+    "sphere",
     "sppt",
     "sppt_check",
     "sppt_counterexample_2x3",

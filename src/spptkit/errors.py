@@ -41,10 +41,6 @@ class SingularTransform(ValidationError):
     pass
 
 
-class NotFullRank(ValidationError):
-    pass
-
-
 class NotPpt(ValidationError):
     pass
 

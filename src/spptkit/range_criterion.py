@@ -14,46 +14,41 @@ vanishes exactly when a qualifying product vector exists at e.  The qubit
 direction is a point of the Bloch sphere, e = (cos(theta/2),
 e^{i phi} sin(theta/2)); mu does not depend on the phase of e.
 
-One routine, ``_search``, does all the searching: a branch-and-bound over
-cells in (theta, phi) that excludes a cell when a lower bound on mu over
-the cell exceeds the threshold, splits the others and polishes the most
-promising by Gauss-Newton on M(e) f = 0.  Each cell has its own
-half-widths and is halved only along the axes that set its Bloch radius
-(``_split``), so cells near the poles are not cut into slivers along phi.
-M(e) for any batch of e is one product of (e, conj(e)) with a (4, n d)
-operator built once per set of constraints (``_Constraints.operator``).
-The bound at the centre comes from the d x d Gram matrix G(e) =
-M(e)^dag M(e), whose least eigenvalue is mu^2: G(e) is a fixed
-combination of four precomputed blocks, so a batch of centres costs one
-matrix product and one batched hermitian eigensolve, and a margin
-covering their rounding keeps the bound below mu.  Over the cell the bound is the larger of two: the centre's less a
-Lipschitz constant (Weyl's inequality) times the cell radius, and a
+One routine, ``_search``, does all the searching, through the Bloch-sphere
+branch-and-bound of ``sphere``: this module supplies its objective, mu, as
+``_Constraints``, with a lower bound on mu over cells (``_mu_batch``), a
+Gauss-Newton polish on M(e) f = 0 (``_polish``) and a certified isolation
+radius round a found vector (``_isolation``).  The bound at the centre
+comes from the d x d Gram matrix G(e) = M(e)^dag M(e), whose least
+eigenvalue is mu^2: G(e) is a fixed combination of four precomputed
+blocks, so a batch of centres costs one matrix product and one batched
+hermitian eigensolve, and a margin covering their rounding keeps the bound
+below mu.  Over the cell the bound is the larger of two: the centre's less
+a Lipschitz constant (Weyl's inequality) times the cell radius, and a
 first-order bound from the same eigenpair, which follows the actual slope
 of mu at the centre and so excludes cells of a flat landscape levels
 earlier.  Before the eigensolve, each cell's G is tested by a batched
-LDL^H factorization (``linalg.positive_definite``), several times
-cheaper, wherever the search has a finite line to test against: all
-pivots positive proves that the eigensolve would give a bound too large
-to change what the search reports, so only the other cells are solved.
-Round each vector it finds, one SVD certifies an annulus free of other
-qualifying vectors (``_isolation``), and the cells inside it are dropped.
-``edge_check`` stops at the first product vector at ``EXCLUSION_THRESHOLD``;
-``product_vectors_in_range``, like the subtraction prover's enumeration,
-keeps enumerating distinct ones: against the wider kernel at
-``ENUMERATION_KERNEL_CUTOFF``, up to ``ENUMERATION_CANDIDATES`` vectors
-with residual at most ``ENUMERATION_TOL``.  An enumeration is exhaustive
-when it searched the sphere (at least d constraint rows), every cell was
-excluded or dropped, and it found fewer than ``ENUMERATION_CANDIDATES``
-vectors.  The prover subtracts a product term and keeps the remainder
-and its partial transpose PSD, so both ranges only shrink and every
-qualifying vector of the remainder qualifies for the state before; after
-an exhaustive enumeration, ``_recheck`` re-solves the remainder's
-constraints at the directions found, and polishes those that the
-exclusion test does not clear, instead of searching again; what it keeps
-is again exhaustive.  When every cell is excluded ``edge_check``
-concludes ``NoneFound`` with a lower bound on mu over the whole sphere: a
-proof, up to floating point and the kernel cutoff, that no qualifying
-product vector exists, which for a PPT state certifies entanglement.
+LDL^H factorization (``linalg.positive_definite``), several times cheaper,
+wherever the search has a finite line to test against: all pivots positive
+proves that the eigensolve would give a bound too large to change what the
+search reports, so only the other cells are solved.  ``edge_check`` stops
+at the first product vector at ``EXCLUSION_THRESHOLD``; the subtraction
+prover's enumeration (``_enumerate``) keeps enumerating distinct ones:
+against the wider kernel at ``ENUMERATION_KERNEL_CUTOFF``, up to
+``ENUMERATION_CANDIDATES`` vectors with residual at most
+``ENUMERATION_TOL``.  An enumeration is exhaustive when it searched the
+sphere (at least d constraint rows), every cell was excluded or dropped,
+and it found fewer than ``ENUMERATION_CANDIDATES`` vectors.  The prover
+subtracts a product term and keeps the remainder and its partial transpose
+PSD, so both ranges only shrink and every qualifying vector of the
+remainder qualifies for the state before; after an exhaustive enumeration,
+``_recheck`` re-solves the remainder's constraints at the directions
+found, and polishes those that the exclusion test does not clear, instead
+of searching again; what it keeps is again exhaustive.  When every cell is
+excluded ``edge_check`` concludes ``NoneFound`` with a lower bound on mu
+over the whole sphere: a proof, up to floating point and the kernel
+cutoff, that no qualifying product vector exists, which for a PPT state
+certifies entanglement.
 
 Index convention: a kernel vector w of the 2d x 2d state is reshaped to a
 2 x d array W with the qubit index first, so <w, e (x) f> = sum_{a,j}
@@ -69,7 +64,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg
+from . import linalg, sphere
 from .errors import NotPsd
 from .states import QubitQuditState
 
@@ -80,15 +75,9 @@ KERNEL_CUTOFF = 1e-10
 ENUMERATION_KERNEL_CUTOFF = 1e-8
 ENUMERATION_CANDIDATES = 8
 ENUMERATION_TOL = 1e-7
-CELL_FLOOR = 1e-9                  # polar width (rad) below which a cell is not split
-EVALUATION_CAP = 100_000           # evaluations of mu per search
-_INITIAL_CELLS = (8, 16)           # polar x azimuthal cells of the first level
-_POLISH_PER_LEVEL = 2              # polishes per level above the threshold (at most limit)
 _POLISH_ITERATIONS = 30
 _POLISH_STALL = 3                  # steps without halving the residual before giving up
 _POLISH_TOL = 1e-14                # residual at which Gauss-Newton stops
-_BASIN = 1e-3                      # least radius (Bloch angle, rad) of a found vector's basin
-_SAME = 1e-6                       # Bloch angle (rad) within which two vectors are one
 _SLICE = 1024                      # cells formed, tested and solved together
 _UNIT = np.array([[1.0], [1j]])    # a complex unknown's real and imaginary column
 
@@ -135,30 +124,22 @@ class RangeSearchCertificate:
     note: str = "range-criterion search certificate"
 
 
-def kernel_basis(m, cutoff: float = KERNEL_CUTOFF) -> np.ndarray:
-    """Orthonormal kernel basis (rows) of a PSD matrix.
-
-    Spans the eigenvectors with eigenvalue at most ``cutoff`` times the
-    largest eigenvalue.  The positivity gate reads the Frobenius norm, as
-    ``states.make_state`` and ``states.is_npt`` do: a state they accept,
-    and its partial transpose, pass it.  The matrix-level form of the
-    kernels ``_constraints_of`` cuts from a state's cached spectra.
-    """
-    m = linalg.as_matrix(m)
-    return _kernel(linalg.EigResult.of(m), linalg.frob(m), cutoff)
-
-
 def _kernel(eig: linalg.EigResult, norm: float, cutoff: float) -> np.ndarray:
-    """The kernel rows of ``kernel_basis`` from the eigendecomposition
-    ``eig`` of a matrix of Frobenius norm ``norm``, behind its PSD gate."""
+    """Orthonormal kernel basis (rows) of a PSD matrix of Frobenius norm
+    ``norm`` from its eigendecomposition ``eig``: the eigenvectors with
+    eigenvalue at most ``cutoff`` times the largest.  The positivity gate
+    reads the Frobenius norm, as ``states.make_state`` and ``states.is_npt``
+    do: a state they accept, and its partial transpose, pass it."""
     if eig.values[0] < -max(cutoff, linalg.PSD_RTOL) * max(norm, 1e-300):
-        raise NotPsd(f"kernel_basis expects a PSD matrix, min eigenvalue {eig.values[0]:g}")
+        raise NotPsd(f"a kernel needs a PSD matrix, min eigenvalue {eig.values[0]:g}")
     return eig.vectors[:, ~eig.support(cutoff)].T
 
 
 @dataclass(frozen=True)
 class _Constraints:
-    """Precontracted kernel data of a state and its partial transpose.
+    """Precontracted kernel data of a state and its partial transpose, and
+    ``sphere.search``'s objective mu: ``lipschitz``, ``bounds`` (``_mu_batch``),
+    ``polish`` (``_polish``) and ``isolation`` (``_isolation``).
 
     ``gram`` holds the d x d blocks H_ab, flattened and in the order 00, 01,
     10, 11, with M(e)^dag M(e) = sum_ab conj(e_a) e_b H_ab; ``margin`` and
@@ -228,11 +209,20 @@ class _Constraints:
                 squares += float(np.max(sums + (m + 4) * eps * norms * norms.sum()))
         return float(np.sqrt(squares) * (1.0 + 8.0 * eps))
 
+    def bounds(self, e_batch, radius, above):
+        return _mu_batch(self, e_batch, radius, above)
+
+    def polish(self, e, start, certify):
+        return _polish(self, e, start, certify)
+
+    def isolation(self, e, threshold):
+        return _isolation(self, e, threshold)
+
 
 def _constraints_of(s: QubitQuditState, cutoff: float) -> _Constraints:
     """The constraints of ``s``, from the kernels of its cached spectra
-    ``s.eig`` and ``s.pt_eig`` behind ``kernel_basis``'s positivity gate
-    (the partial transpose has the state's Frobenius norm)."""
+    ``s.eig`` and ``s.pt_eig`` behind ``_kernel``'s positivity gate (the
+    partial transpose has the state's Frobenius norm)."""
     kernels = (_kernel(eig, s.norm(), cutoff) for eig in (s.eig, s.pt_eig))
     return _constraints(s.d, *kernels, cutoff)
 
@@ -464,117 +454,6 @@ def _null_space(con: _Constraints, e: np.ndarray) -> np.ndarray:
     return linalg.nullspace(m)[:, ::-1].T
 
 
-def _bloch(theta, phi) -> np.ndarray:
-    """Unit qubit vectors (cos(theta/2), e^{i phi} sin(theta/2)), shape (..., 2)."""
-    return np.stack([np.cos(theta / 2.0) + 0j, np.exp(1j * phi) * np.sin(theta / 2.0)],
-                    axis=-1)
-
-
-def _bloch_angle(e: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Bloch-sphere angles between unit qubit vectors e (..., 2) and others (m, 2).
-
-    The angle gamma has cos(gamma/2) = |<e, e'>| and sin(gamma/2) =
-    |<e_perp, e'>| = |e_0 e'_1 - e_1 e'_0|, e_perp = (-conj(e_1), conj(e_0));
-    it is taken as 2 atan2 of the two.  For unit vectors each part is
-    rounded by at most ~2 eps, so the angle is within ~8 eps of that of the
-    stored vectors at every angle, where 2 arccos |<e, e'>| reads angles
-    below ~2e-8 as 0.
-    """
-    e0, e1 = e[..., 0, None], e[..., 1, None]
-    o0, o1 = others[:, 0], others[:, 1]
-    return 2.0 * np.arctan2(np.abs(e0 * o1 - e1 * o0), np.abs(np.conj(e0) * o0 + np.conj(e1) * o1))
-
-
-def _haversine_terms(theta, h_theta, h_phi):
-    """The polar and azimuthal terms, sin^2(h_theta/2) and sin theta sin
-    theta_far sin^2(h_phi/2), of the haversine of the largest Bloch angle
-    from the centres of cells |theta' - theta| <= h_theta, |phi' - phi| <=
-    h_phi (see ``_cell_radius``); sin theta_far is the larger sine of the
-    two polar edges."""
-    far = np.maximum(np.sin(theta - h_theta), np.sin(theta + h_theta))
-    return np.sin(h_theta / 2.0) ** 2, np.sin(theta) * far * np.sin(h_phi / 2.0) ** 2
-
-
-def _cell_radius(theta, h_theta, h_phi) -> np.ndarray:
-    """Largest Bloch angle from a cell's centre to its points, inflated.
-
-    The cell is |theta' - theta| <= h_theta, |phi' - phi| <= h_phi, its
-    half-widths its own.  The angle gamma to (theta', phi') satisfies the
-    haversine formula sin^2(gamma/2) = sin^2(dtheta/2) + sin theta sin
-    theta' sin^2(dphi/2), which grows with |dphi|; on the far meridians
-    |dphi| = h_phi its second derivative in theta', cos(dtheta)/2 - sin
-    theta sin theta' sin^2(h_phi/2), is positive when both half-widths are
-    below pi/4, as every cell of the search's is (at most pi/8), so the
-    largest angle is at a far corner (theta +- h_theta, phi + h_phi), the
-    sum of the two terms of ``_haversine_terms``.  It is taken through
-    asin, not arccos, which rounds angles below ~1e-8 to 0; the relative
-    1e-12 covers the rounding.
-    """
-    polar, azimuthal = _haversine_terms(theta, h_theta, h_phi)
-    return 2.0 * np.arcsin(np.sqrt(np.minimum(polar + azimuthal, 1.0))) * (1.0 + 1e-12)
-
-
-def _split(theta, h_theta, h_phi):
-    """The axes along which cells are halved, ``(along_theta, along_phi)``:
-    those that set the cell's Bloch radius.  A cell whose azimuthal term
-    (``_haversine_terms``) is under a quarter of its polar term is halved
-    along theta alone, one whose polar term is under a quarter of its
-    azimuthal term along phi alone, any other along both."""
-    polar, azimuthal = _haversine_terms(theta, h_theta, h_phi)
-    return polar >= azimuthal / 4.0, azimuthal >= polar / 4.0
-
-
-# (theta, phi) signs of a cell's four quarters, in the order children are made
-_QUARTERS = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
-
-
-def _children(theta, phi, h_theta, h_phi):
-    """The cells that tile the given ones, each halved along the axes
-    ``_split`` picks: two or four children per cell, in the order of
-    ``_QUARTERS`` with the unhalved axis's sign dropped, as ``(theta, phi,
-    h_theta, h_phi)``."""
-    along_theta, along_phi = _split(theta, h_theta, h_phi)
-    h_theta = np.where(along_theta, h_theta / 2.0, h_theta)
-    h_phi = np.where(along_phi, h_phi / 2.0, h_phi)
-    keep = (((_QUARTERS[:, 0] < 0) | along_theta[:, None])
-            & ((_QUARTERS[:, 1] < 0) | along_phi[:, None]))
-    step_theta = np.where(along_theta, h_theta, 0.0)[:, None]
-    step_phi = np.where(along_phi, h_phi, 0.0)[:, None]
-    return ((theta[:, None] + step_theta * _QUARTERS[:, 0])[keep],
-            (phi[:, None] + step_phi * _QUARTERS[:, 1])[keep],
-            np.broadcast_to(h_theta[:, None], keep.shape)[keep],
-            np.broadcast_to(h_phi[:, None], keep.shape)[keep])
-
-
-def _first_level():
-    """The first level's cells, which depend on ``_INITIAL_CELLS`` alone, as
-    read-only arrays: the centres' theta and phi, the half-widths h_theta
-    and h_phi, and the centres' qubit vectors (``_bloch``) and radii
-    (``_cell_radius``).
-
-    Each of the n_theta polar rows has n_phi azimuthal cells, except where
-    ``_split`` would halve those along theta alone: there the row has half
-    as many, twice as wide, the split rule run backwards.  That merges the
-    two rows at the poles, 8 cells each at the (8, 16) grid, 112 cells in
-    all, and leaves every half-width at most pi / 8.
-    """
-    n_theta, n_phi = _INITIAL_CELLS
-    h = np.pi / (2 * n_theta)
-    rows = (2 * np.arange(n_theta) + 1) * h
-    counts = np.where(_split(rows, h, np.pi / n_phi)[1], n_phi, n_phi // 2)
-    theta = np.repeat(rows, counts)
-    h_theta = np.full(len(theta), h)
-    h_phi = np.repeat(np.pi / counts, counts)
-    phi = (2 * np.concatenate([np.arange(count) for count in counts]) + 1) * h_phi
-    cells = (theta, phi, h_theta, h_phi, _bloch(theta, phi), _cell_radius(theta, h_theta, h_phi))
-    for a in cells:
-        a.flags.writeable = False
-    return cells
-
-
-_FIRST_LEVEL = _first_level()
-
-
 def _polish(con: _Constraints, e: np.ndarray, f: np.ndarray, certify: bool = False):
     """Gauss-Newton on the bilinear system M(e) f = 0, from unit e and f.
 
@@ -714,7 +593,7 @@ def _isolation(con: _Constraints, e: np.ndarray, threshold: float) -> tuple[floa
     terms' magnitudes, which covers h's rounding.  The radii returned
     are 2 atan(t_lo), plus a relative 1e-12, and 2 atan(tau*), less a
     relative 1e-12 for the rounding of atan and less 16 eps, which covers
-    that of ``_bloch_angle`` (~8 eps).  At d = 1 nothing is certified.
+    that of ``sphere._bloch_angle`` (~8 eps).  At d = 1 nothing is certified.
     """
     d, lip, delta = con.d, con.lipschitz, con.margin
     if d < 2:
@@ -749,13 +628,6 @@ def _isolation(con: _Constraints, e: np.ndarray, threshold: float) -> tuple[floa
             float(2.0 * np.arctan(tau) * (1.0 - 1e-12) - 16.0 * np.finfo(float).eps))
 
 
-def _minimum_record(e: np.ndarray, residual: float) -> dict:
-    """Serializable record of a polished minimum, by its Bloch angles."""
-    return {"theta": float(2.0 * np.arctan2(abs(e[1]), abs(e[0]))),
-            "phi": float(np.angle(e[1] * np.conj(e[0]))),
-            "residual": residual}
-
-
 def _product_vector_at(s: QubitQuditState, con: _Constraints, e: np.ndarray,
                        f: np.ndarray) -> ProductVector:
     """Build a ProductVector with residuals recomputed from the definitions."""
@@ -768,9 +640,10 @@ def _product_vector_at(s: QubitQuditState, con: _Constraints, e: np.ndarray,
     )
 
 
-# (theta, phi) of the poles and of four points on the equator
-_CANONICAL = ((0.0, 0.0), (np.pi, 0.0), (np.pi / 2, 0.0), (np.pi / 2, np.pi),
-              (np.pi / 2, np.pi / 2), (np.pi / 2, -np.pi / 2))
+# The qubit vectors at the poles and at four points on the equator
+_CANONICAL = [sphere._bloch(theta, phi) for theta, phi in (
+    (0.0, 0.0), (np.pi, 0.0), (np.pi / 2, 0.0), (np.pi / 2, np.pi),
+    (np.pi / 2, np.pi / 2), (np.pi / 2, -np.pi / 2))]
 
 
 @dataclass(frozen=True)
@@ -785,72 +658,28 @@ class _Enumeration:
 
 
 def _search(s: QubitQuditState, con: _Constraints, certify: bool):
-    """Branch-and-bound over the Bloch sphere behind both public entry points.
+    """``sphere.search`` on the objective ``con``, behind ``edge_check`` and
+    the enumeration.
 
     A search that ``certify``s (``edge_check``) runs at ``threshold`` =
-    ``EXCLUSION_THRESHOLD`` and stops at ``limit`` = 1 vector; the
-    enumeration at ``ENUMERATION_TOL`` and ``ENUMERATION_CANDIDATES``.
-
-    Cells are rectangles in (theta, phi), each with its own half-widths;
-    the first level is the module's read-only ``_FIRST_LEVEL``
-    (``_first_level``).  Each level bounds mu from below at the centres of
-    the open cells and over the cells (``_mu_batch``: a batched test and
-    eigensolve of the Gram matrices) and excludes a cell when its bound,
-    lower, exceeds ``threshold``.  lower is the larger of mu_lo(centre) - L
-    r / 2, with r the cell's largest Bloch angle from the centre
-    (``_cell_radius``) and L the stacked Lipschitz constant (a Bloch angle
-    r is a distance of 2 sin(r/4) <= r/2 between unit vectors modulo
-    phase), and a first-order
-    bound from the centre's eigenpair; ``first_order_exclusions`` in the
-    record counts the cells that only the second excluded.  The best open
-    cells are polished by Gauss-Newton, best first, each from its centre's
-    eigenvector of lambda_1(G), which ``_mu_batch`` computed anyway (every
-    open cell was eigensolved); a polished mu at most ``threshold`` is a
-    product vector.  Per level at most min(``_POLISH_PER_LEVEL``, limit)
-    polishes start from a centre above the threshold, one for
-    ``edge_check``, whose NoneFound inputs fail every such polish, and two
-    for the enumeration; centres already at the threshold are polished up
-    to ``_POLISH_PER_LEVEL + limit`` in all.  The cap bounds
-    the work in a near-miss valley, where the floor of mu_lo(centre) at
-    sqrt(con.margin) can lie above the threshold and read every centre as
-    at it, and nearly every polish fails; a cell left unpolished stays open
-    and splits, so the cap excludes nothing.  Nor does a polish that gives
-    up early: ``edge_check``'s stop after the first Gauss-Newton step
-    whose linear model cannot halve the residual (``_polish``), one
-    least-squares solve each on a NoneFound input, and move no bound or
-    evaluation count.  The enumeration's polishes keep the stall rule
-    alone, as where they give up decides which vectors the prover sees.
-    A found vector's basin is the ball out to the farthest polish start
-    that converged to it, at least ``_BASIN``, and at least the outer
-    radius of its certified isolation annulus (``_isolation``), in which no
-    other vector has mu at most ``threshold``: no start inside it is
-    polished again, open cells wholly inside it are dropped, and the others
-    are split by ``_children``, each halved along theta, phi or both,
-    whichever set its radius (``_split``).  The record counts the polishes
-    (``polishes``) and the open cells that only a certified annulus dropped
-    (``isolation_drops``).  The search stops once ``limit`` distinct vectors are found, every cell is excluded
-    or dropped, or an open cell's polar width is below ``CELL_FLOOR`` or
-    the children the next level would make would take the evaluations past
-    ``EVALUATION_CAP``; the certified bound is the least lower over the
-    cells it ended with.
-
-    Every search passes ``_mu_batch``, per cell, a value ``above`` such
-    that a cell with mu_lo(centre) >= ``above`` changes nothing the search
-    reports, and ``_mu_batch`` settles such cells without an eigensolve.
-    For the enumeration, ``above`` = threshold + L r / 2: such a cell is
-    excluded, as lower >= mu_lo(centre) - L r / 2.  A search that
-    ``certify``s (``edge_check``) also reports ``bound``, the least lower
-    over the cells it has excluded, and ``worst``, the least mu it has
-    seen, so its ``above`` is
-    the larger of max(threshold, bound) + L r / 2 and ``worst``: such a
-    cell is excluded and lowers neither.  Both are infinite at the first
-    level, so every cell of it is solved and no LDL pass is run.  Every
-    open cell, polish, found vector, bound and evaluation count is
-    therefore the one the eigensolve alone gives.  ``certify`` decides only what is returned: a
-    ``RangeSearchCertificate``, or for the enumeration an ``_Enumeration``,
-    its vectors and work record, with neither a bound nor a least residual;
-    it is exhaustive when the search ends ``NoneFound`` (every cell excluded
-    or dropped) with fewer than ``limit`` vectors.
+    ``EXCLUSION_THRESHOLD`` and stops at ``limit`` = 1 vector, so it
+    polishes at most one centre above the threshold per level (its
+    NoneFound inputs fail every such polish); the enumeration runs at
+    ``ENUMERATION_TOL`` and ``ENUMERATION_CANDIDATES``.  Each polish starts
+    from its centre's eigenvector of lambda_1(G), which ``_mu_batch``
+    computed (every open cell was eigensolved).  The polish cap bounds the
+    work in a near-miss valley, where the floor of mu_lo at sqrt(con.margin)
+    can read every centre as at the threshold.  ``edge_check``'s polishes
+    also stop after a step whose linear model cannot halve the residual
+    (``_polish``), which moves no bound or evaluation count; the
+    enumeration's keep the stall rule alone, as where they give up decides
+    which vectors the prover sees.  ``_mu_batch`` settles a cell that
+    reaches the search's ``above`` without an eigensolve, and
+    ``edge_check``'s first level has no finite ``above``, so every open
+    cell, polish, vector, bound and evaluation count is the one the
+    eigensolve alone gives.  ``certify`` decides what is returned: a
+    ``RangeSearchCertificate``, or an ``_Enumeration``, its vectors, best
+    first, and work record, exhaustive when the search ends ``NoneFound``.
 
     With fewer constraint rows than d, M(e) has a nullspace at every e and
     mu vanishes identically.  Nothing is searched then: ``found`` is an
@@ -860,86 +689,27 @@ def _search(s: QubitQuditState, con: _Constraints, certify: bool):
     """
     threshold, limit = ((EXCLUSION_THRESHOLD, 1) if certify
                         else (ENUMERATION_TOL, ENUMERATION_CANDIDATES))
-    lip = con.lipschitz
-    found, minima = [], []
     if con.n_rows < s.d:
-        for theta, phi in _CANONICAL:
-            e = _bloch(theta, phi)
-            found.extend(_product_vector_at(s, con, e, f) for f in _null_space(con, e))
+        found = [_product_vector_at(s, con, e, f) for e in _CANONICAL for f in _null_space(con, e)]
         record = _search_record(con, 0, 0, 0, 0, 0)
         if not certify:
             return _Enumeration(found, record, exhaustive=False)
         residual = found[0].combined_residual
         return RangeSearchCertificate(
-            search=record, certified_bound=0.0,
-            worst_min_residual=residual, refined_minima=[_minimum_record(found[0].e, residual)],
+            search=record, certified_bound=0.0, worst_min_residual=residual,
+            refined_minima=[sphere._minimum_record(found[0].e, residual)],
             conclusion="FoundProductVector", found=found, exclusion_threshold=threshold)
 
-    theta, phi, h_theta, h_phi, e, radius = _FIRST_LEVEL
-    known, radii, plain = np.empty((0, 2), dtype=complex), np.empty(0), np.empty(0)
-    bound = worst = np.inf
-    evaluations = levels = first_order = polishes = isolated = 0
-    conclusion = "NoneFound"
-    while True:
-        levels += 1
-        slack = lip * radius / 2.0
-        above = (np.maximum(max(threshold, bound) + slack, worst) if certify
-                 else threshold + slack)
-        mu, lower, least = _mu_batch(con, e, radius, above)
-        evaluations += len(mu)
-        worst = min(worst, float(mu.min()))
-        open_ = lower <= threshold
-        first_order += int(np.count_nonzero(~open_ & (mu - slack <= threshold)))
-        attempts = 0
-        for i in np.flatnonzero(open_)[np.argsort(mu[open_])]:
-            if (len(found) >= limit or attempts >= _POLISH_PER_LEVEL + limit
-                    or (attempts >= min(_POLISH_PER_LEVEL, limit) and mu[i] > threshold)):
-                break
-            if (_bloch_angle(e[i], known) < radii).any():
-                continue
-            attempts += 1
-            polishes += 1
-            e_pol, f_pol, mu_pol = _polish(con, e[i], least[i], certify)
-            minima.append(_minimum_record(e_pol, mu_pol))
-            worst = min(worst, mu_pol)
-            if mu_pol > threshold:
-                continue
-            # A start that converged to a vector widens that vector's basin.
-            start = float(_bloch_angle(e[i], e_pol[None, :])[0])
-            same = np.flatnonzero(_bloch_angle(e_pol, known) < _SAME)
-            if len(same):
-                radii[same[0]] = max(radii[same[0]], start)
-                plain[same[0]] = max(plain[same[0]], start)
-            else:
-                found.append(_product_vector_at(s, con, e_pol, f_pol))
-                known = np.vstack([known, e_pol])
-                plain = np.append(plain, max(start, _BASIN))
-                ball = _isolation(con, e_pol, threshold)[1] if len(found) < limit else 0.0
-                radii = np.append(radii, max(plain[-1], ball))
-        reach = _bloch_angle(e, known) + radius[:, None]
-        inside = (reach <= radii).any(axis=1)
-        isolated += int(np.count_nonzero(open_ & inside & ~(reach <= plain).any(axis=1)))
-        open_ &= ~inside
-        if len(found) >= limit or not open_.any():
-            break
-        children = _children(theta[open_], phi[open_], h_theta[open_], h_phi[open_])
-        if ((2.0 * h_theta[open_] < CELL_FLOOR).any()
-                or evaluations + len(children[0]) > EVALUATION_CAP):
-            conclusion = "Inconclusive"
-            break
-        bound = min(bound, float(lower[~open_].min(initial=np.inf)))
-        theta, phi, h_theta, h_phi = children
-        e, radius = _bloch(theta, phi), _cell_radius(theta, h_theta, h_phi)
-    found.sort(key=lambda pv: pv.combined_residual)
-    record = _search_record(con, evaluations, levels, first_order, polishes, isolated)
+    result = sphere.search(con, threshold, limit, certify)
+    found = sorted((_product_vector_at(s, con, e, f) for e, f in result.found),
+                   key=lambda pv: pv.combined_residual)
+    record = _search_record(con, **result.work)
     if not certify:
-        return _Enumeration(found, record,
-                            exhaustive=conclusion == "NoneFound" and len(found) < limit)
+        return _Enumeration(found, record, exhaustive=result.conclusion == "NoneFound")
     return RangeSearchCertificate(
-        search=record,
-        certified_bound=max(min(bound, float(lower.min())), 0.0),
-        worst_min_residual=worst, refined_minima=minima,
-        conclusion="FoundProductVector" if found else conclusion,
+        search=record, certified_bound=result.bound,
+        worst_min_residual=result.worst, refined_minima=result.minima,
+        conclusion="FoundProductVector" if found else result.conclusion,
         found=found, exclusion_threshold=threshold)
 
 
@@ -951,29 +721,13 @@ def _search_record(con: _Constraints, evaluations: int, levels: int, first_order
             "evaluations": evaluations, "levels": levels,
             "first_order_exclusions": first_order,
             "polishes": polishes, "isolation_drops": isolated,
-            "cell_floor": CELL_FLOOR, "evaluation_cap": EVALUATION_CAP}
-
-
-def product_vectors_in_range(s: QubitQuditState) -> list[ProductVector]:
-    """Find product vectors |e, f> in range(rho) with |e*, f> in the
-    partial-transpose range.
-
-    For each qubit direction the qudit vector is solved exactly by a
-    nullspace computation on the contracted kernel constraints, the kernels
-    taken at ``ENUMERATION_KERNEL_CUTOFF``; the branch-and-bound search
-    polishes its most promising cells and keeps enumerating distinct
-    vectors, up to ``ENUMERATION_CANDIDATES`` with combined residual at most
-    ``ENUMERATION_TOL``, best first.  A state with fewer independent kernel
-    constraints than d (in particular any full-rank state) admits product
-    vectors at every qubit direction; it gets, uncapped, an orthonormal
-    basis of them at six canonical directions.
-    """
-    return _enumerate(s, _constraints_of(s, ENUMERATION_KERNEL_CUTOFF)).found
+            "cell_floor": sphere.CELL_FLOOR, "evaluation_cap": sphere.EVALUATION_CAP}
 
 
 def _enumerate(s: QubitQuditState, con: _Constraints) -> _Enumeration:
-    """The search behind ``product_vectors_in_range``, with its record, on
-    the constraints of ``s`` at ``ENUMERATION_KERNEL_CUTOFF``."""
+    """The prover's candidates, product vectors in both ranges of ``s``, best
+    first, and the search's record, on ``s``'s constraints ``con`` at
+    ``ENUMERATION_KERNEL_CUTOFF`` (see ``_search``)."""
     return _search(s, con, certify=False)
 
 
@@ -985,9 +739,9 @@ def _recheck(s: QubitQuditState, con: _Constraints, previous: _Enumeration) -> _
     so its qubit direction is one of ``previous``'s.  At each of those the
     qudit vector is re-solved against ``con``, ``s``'s constraints at
     ``ENUMERATION_KERNEL_CUTOFF``, the kernels a fresh search would use.
-    A direction whose cell of radius ``_BASIN`` the search's own exclusion
-    test clears (``_mu_batch``'s lower above ``ENUMERATION_TOL``) has no
-    qualifying vector that near and is passed over; any other is
+    A direction whose cell of radius ``sphere._BASIN`` the search's own
+    exclusion test clears (``_mu_batch``'s lower above ``ENUMERATION_TOL``)
+    has no qualifying vector that near and is passed over; any other is
     polished by Gauss-Newton, from the eigenvector ``_mu_batch`` computed
     there, and its vector kept, once, when the combined
     residual is at most ``ENUMERATION_TOL``, the fresh search's own test.
@@ -997,10 +751,10 @@ def _recheck(s: QubitQuditState, con: _Constraints, previous: _Enumeration) -> _
     """
     if con.n_rows < s.d:
         return _search(s, con, certify=False)
-    slack = con.lipschitz * _BASIN / 2.0
+    slack = con.lipschitz * sphere._BASIN / 2.0
     directions = np.array([pv.e for pv in previous.found], dtype=complex).reshape(-1, 2)
     above = np.full(len(directions), ENUMERATION_TOL + slack)
-    mu, lower, least = _mu_batch(con, directions, _BASIN, above)
+    mu, lower, least = _mu_batch(con, directions, sphere._BASIN, above)
     cleared = lower > ENUMERATION_TOL
     found, known = [], np.empty((0, 2), dtype=complex)
     for pv, clear, start in zip(previous.found, cleared, least):
@@ -1008,7 +762,8 @@ def _recheck(s: QubitQuditState, con: _Constraints, previous: _Enumeration) -> _
             continue
         e, f, _ = _polish(con, pv.e, start)
         candidate = _product_vector_at(s, con, e, f)
-        if candidate.combined_residual > ENUMERATION_TOL or (_bloch_angle(e, known) < _SAME).any():
+        if (candidate.combined_residual > ENUMERATION_TOL
+                or (sphere._bloch_angle(e, known) < sphere._SAME).any()):
             continue
         found.append(candidate)
         known = np.vstack([known, e])
@@ -1026,7 +781,7 @@ def edge_check(s: QubitQuditState) -> RangeSearchCertificate:
     most ``EXCLUSION_THRESHOLD``, ``NoneFound`` when every cell is excluded
     (for a PPT state, entanglement by the range criterion, proved up to
     floating point and ``KERNEL_CUTOFF`` by ``certified_bound``), and
-    ``Inconclusive`` when it reaches ``CELL_FLOOR`` or ``EVALUATION_CAP``
-    with neither outcome.
+    ``Inconclusive`` when it reaches ``sphere.CELL_FLOOR`` or
+    ``sphere.EVALUATION_CAP`` with neither outcome.
     """
     return _search(s, _constraints_of(s, KERNEL_CUTOFF), certify=True)

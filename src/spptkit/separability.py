@@ -48,7 +48,7 @@ from .errors import InvalidDecomposition, NotSppt, SingularX1, ValidationError
 from .linalg import DEFAULT_TOL, TOL_FLOOR
 from .range_criterion import edge_check
 from .sppt import SpptVerdict
-from .states import QubitQuditState, SpptFactors, assemble_state, join_blocks
+from .states import QubitQuditState, SpptFactors, join_blocks
 
 SEPARABLE = "Separable"
 SEPARABLE_BY_THEOREM = "SeparableByTheorem"
@@ -189,26 +189,12 @@ class SubtractionResult:
     sppt: Optional[SpptVerdict] = None
 
 
-def decompose_full_rank(f: SpptFactors) -> SeparableDecomposition:
-    """Explicit separable decomposition for invertible x1 and normal s.
-
-    Emits one rank-one-qubit term per eigenvalue of s plus the |1><1| tail
-    unless it is zero up to rounding (``_spectral_terms``, which
-    ``classify`` calls directly and validates against its input).  The
-    result is validated against the assembled state before being returned.
-    """
-    rho = assemble_state(f).rho
-    dec = SeparableDecomposition(terms=_spectral_terms(f, linalg.frob(rho)))
-    # Validation tolerance matches the normality gate: the spectral step
-    # loses exactly the normality defect of s.
-    dec.validate(rho)
-    return dec
-
-
 def _spectral_terms(f: SpptFactors, scale: float) -> list:
-    """The terms of ``decompose_full_rank``, unvalidated, with the tail term
-    left out at most ``linalg.RANK_CUTOFF`` times ``scale``, the norm of
-    the state the factors assemble."""
+    """Explicit product terms for invertible x1 and normal s, unvalidated:
+    one rank-one-qubit term per eigenvalue of s, then the |1><1| tail term,
+    left out when at most ``linalg.RANK_CUTOFF`` times ``scale``, the norm
+    of the state the factors assemble.  ``_classify_sppt`` validates them
+    against the state it classifies."""
     if f.x1_svd.rank < f.d:
         raise SingularX1("x1 must be invertible for the spectral construction")
     values, vectors = linalg.normal_eig(f.s)
@@ -599,8 +585,7 @@ def _classify_sppt(work, verdict: SpptVerdict, log, residuals):
     k = factors.x1_svd.rank
     if k == work.d:
         # One validation, against the state classified: the check a
-        # Separable verdict needs (decompose_full_rank would also validate
-        # against the state the factors assemble).
+        # Separable verdict needs.
         try:
             dec = SeparableDecomposition(terms=_spectral_terms(factors, work.norm()))
             residuals["decomposition_residual"] = dec.validate(work.rho)

@@ -15,11 +15,15 @@ Every SPPT state is PPT by construction; the converse fails.
 
 For a PPT state with invertible a the factorization is essentially unique
 (x1 = a^{1/2}, s the whitened b-block), so (*) reduces to the closed-form
-criterion  b^dag a^-1 b = b a^-1 b^dag  and the check is exact.  With
-singular a the state may still be SPPT through couplings into ker(a);
-``sppt_check`` searches two canonical candidates for those couplings and
-accepts only factorizations that replay (reassemble the state and satisfy
-(*) within tolerance), reporting Undecided otherwise.  a = 0 is the
+criterion  b^dag a^-1 b = b a^-1 b^dag.  The check answers NotSppt when
+||b^dag a^-1 b - b a^-1 b^dag||_F exceeds ``linalg.DEFAULT_TOL`` times
+||rho||_F.  Forming a^-1 adds rounding of order cond(a) eps ||rho||,
+which for an ill-conditioned a can exceed that tolerance, so NotSppt
+rests on the tolerance, not on exact arithmetic.  With singular a the
+state may still be SPPT through couplings into ker(a); ``sppt_check``
+searches two canonical candidates for those couplings and accepts only
+factorizations that replay (reassemble the state and satisfy (*) within
+tolerance), reporting Undecided otherwise.  a = 0 is the
 search's rank-0 case: x1 = s = 0 and x2 = c^{1/2}.
 """
 
@@ -31,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg, states
-from .errors import DimensionMismatch, NotFullRank, NotPpt
+from .errors import DimensionMismatch, NotPpt
 from .states import QubitQuditState, SpptFactors, assemble_state, blocks
 
 
@@ -42,8 +46,9 @@ class SpptVerdict:
     ``status`` is one of "Sppt", "NotSppt", "Undecided".  A "Sppt" verdict
     always carries factors whose residual and reassembly were verified, so
     it can be replayed independently.  "NotSppt" is only issued in the
-    invertible-a regime, where the criterion is exact; there
-    ``residual_matrix`` holds  b^dag a^-1 b - b a^-1 b^dag.
+    invertible-a regime, where ``residual_matrix`` holds  b^dag a^-1 b -
+    b a^-1 b^dag, when its norm exceeds the check's tolerance (see
+    ``sppt_check``: a bound that rounding can pass).
     """
 
     status: str
@@ -62,23 +67,12 @@ def sppt_residual(x1, s) -> float:
     return states._sppt_residual(x1, s)
 
 
-def extract_factors_full_rank(s: QubitQuditState) -> SpptFactors:
-    """Canonical factors of a PPT state with invertible a-block.
-
-    x1 = a^{1/2}, s = a^{-1/2} b a^{-1/2}, x2 = (c - b^dag a^-1 b)^{1/2}.
-    Raises NotFullRank when a is singular and NotPpt when either Schur
-    complement fails positivity (the state or its partial transpose is not
-    PSD) by more than ``linalg.DEFAULT_TOL`` of the state's norm.
-    """
-    if s.a_eig.support(linalg.RANK_CUTOFF).sum() < s.d:
-        raise NotFullRank("the <0|rho|0> block is singular")
-    _, b, c = blocks(s)
-    return _full_rank_factors(s, s.a_eig.apply(np.reciprocal), b, c, linalg.DEFAULT_TOL)
-
-
 def _full_rank_factors(s: QubitQuditState, a_inv: np.ndarray, b, c, tol: float) -> SpptFactors:
-    """``extract_factors_full_rank`` from a^-1 and the state's eigendecomposition
-    of a, ``s.a_eig``."""
+    """The canonical factors of a PPT state with invertible a-block, from a^-1
+    and the state's eigendecomposition of a, ``s.a_eig``: x1 = a^{1/2}, s =
+    a^{-1/2} b a^{-1/2}, x2 = (c - b^dag a^-1 b)^{1/2}.  Raises NotPpt when
+    either Schur complement fails positivity (the state or its partial
+    transpose is not PSD) by more than ``tol`` times the state's norm."""
     schur = linalg.EigResult.of(c - b.conj().T @ a_inv @ b)
     min_pt = linalg.min_eig(c - b @ a_inv @ b.conj().T)
     if min(schur.values[0], min_pt) < -tol * max(s.norm(), 1e-300):
@@ -86,7 +80,7 @@ def _full_rank_factors(s: QubitQuditState, a_inv: np.ndarray, b, c, tol: float) 
     # Clamp against the state scale: the Schur complement itself may be a
     # numerically zero matrix.
     x2 = schur.apply(_clamped_sqrt)
-    a_mhalf = s.a_eig.apply(_inv_sqrt)
+    a_mhalf = s.a_eig.apply(lambda values: 1.0 / np.sqrt(values))
     x1, sigma = _root(s.a_eig, s.d)
     return states._with_svd(SpptFactors(x1=x1, s=a_mhalf @ b @ a_mhalf, x2=x2),
                             s.a_eig.vectors[:, ::-1], sigma)
@@ -106,10 +100,6 @@ def _root(eig: linalg.EigResult, rank: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _clamped_sqrt(values: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(values, 0.0))
-
-
-def _inv_sqrt(values: np.ndarray) -> np.ndarray:
-    return 1.0 / np.sqrt(values)
 
 
 def _psd_factor_rows(eig: linalg.EigResult, n_rows: int) -> np.ndarray:
@@ -239,9 +229,14 @@ def sppt_check(s: QubitQuditState) -> SpptVerdict:
     """Decide the strong-PPT property of a PPT state, at ``linalg.DEFAULT_TOL``.
 
     Non-PPT input yields Undecided with note "NPT" (the property is defined
-    within PPT states).  With invertible a the closed-form criterion decides
-    exactly; with singular a a verified factorization gives Sppt, otherwise
-    the verdict is Undecided, never NotSppt.
+    within PPT states).  With invertible a the closed-form criterion
+    decides: NotSppt when ||b^dag a^-1 b - b a^-1 b^dag||_F exceeds
+    ``linalg.DEFAULT_TOL`` times ||rho||_F, else Sppt with the canonical
+    factors.  Forming a^-1 adds rounding of order cond(a) eps ||rho||,
+    which passes that tolerance once cond(a) passes ``DEFAULT_TOL`` / eps,
+    about 4.5e6, so a strong-PPT state with ill-conditioned a can read
+    NotSppt.  With singular a a verified factorization gives Sppt,
+    otherwise the verdict is Undecided, never NotSppt.
     """
     if states.is_npt(s):
         return SpptVerdict(status="Undecided", residual=0.0,

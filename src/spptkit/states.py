@@ -208,7 +208,9 @@ def local_qudit_transform(s: QubitQuditState, v) -> QubitQuditState:
 
 
 def maximally_mixed(d: int) -> QubitQuditState:
-    """The normalized maximally mixed 2 x d state."""
+    """The normalized maximally mixed 2 x d state; ``d`` as ``make_state``
+    takes it, else BadDimensions."""
+    d = _dimension(d)
     return _state(d, np.eye(2 * d, dtype=complex) / (2 * d), normalized=True)
 
 

@@ -2,8 +2,14 @@
 
 import numpy as np
 
-from spptkit import linalg
+from spptkit import linalg, range_criterion
 from spptkit.states import SpptFactors, assemble_state, make_state
+
+
+def kernel_of(m, cutoff=range_criterion.KERNEL_CUTOFF):
+    """Orthonormal kernel rows of the PSD matrix m, behind the range
+    criterion's positivity gate."""
+    return range_criterion._kernel(linalg.EigResult.of(m), linalg.frob(m), cutoff)
 
 
 def pt_witness_gram(f):
@@ -39,3 +45,10 @@ def ill_conditioned_sppt(seed):
     s = (w * (rng.normal(size=d) + 1j * rng.normal(size=d))) @ w.conj().T
     x2 = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) * rng.choice([0, 1])
     return make_state(d, assemble_state(SpptFactors(x1=x1, s=s, x2=x2)).rho)
+
+
+def cell_offsets(rng, points=600):
+    """Offsets, in half-widths, of ``points`` points of a Bloch-sphere cell:
+    its corners, its edge midpoints and uniform draws."""
+    edges = np.array([[-1, -1], [-1, 1], [1, -1], [1, 1], [0, -1], [0, 1], [-1, 0], [1, 0]])
+    return np.vstack([edges, rng.uniform(-1.0, 1.0, size=(points - len(edges), 2))])

@@ -11,8 +11,7 @@ checkout, or of another checkout of the parent commit) and writes one
 tab-separated line per input to OUT.  A state's line holds its label, its
 class, the sha1 of ``json.dumps(io.verdict_to_dict(classify(s)),
 sort_keys=True)``, the ``sppt_check`` status and ``repr(residual)``, the
-sha1 of the note and factor bytes, that of ``extract_factors_full_rank``'s
-factors or the name of its error, and one record per ``edge_check`` call
+sha1 of the note and factor bytes, and one record per ``edge_check`` call
 made while classifying it, inner ones (a reduced core's) included, in call
 order and joined by ``;`` (``-`` for none):
 ``conclusion:evaluations:polishes:repr(certified_bound):repr(worst_min_residual)``,
@@ -145,13 +144,9 @@ def fingerprint(src: Path, out: Path) -> int:
         enumerated = ";".join(enumerations) or "-"
         report = json.dumps(io.verdict_to_dict(verdict), sort_keys=True)
         check = sppt.sppt_check(s)
-        try:
-            full_rank = _sha1(_factor_bytes(sppt.extract_factors_full_rank(s)))
-        except ValidationError as exc:
-            full_rank = type(exc).__name__
         lines.append("\t".join((label, verdict.classification, _sha1(report),
                                 check.status, repr(check.residual),
-                                _sha1(check.note, _factor_bytes(check.factors)), full_rank,
+                                _sha1(check.note, _factor_bytes(check.factors)),
                                 edge_checks, enumerated)))
     for label, s in _small_states():
         try:
@@ -172,13 +167,12 @@ def _read(path: Path) -> dict:
 
 def search_work(lines: dict) -> tuple[int, int]:
     """Evaluations and polishes summed over the edge_check and enumeration
-    records of every line; a file without the enumeration column sums its
-    edge_check records alone."""
+    records of every line."""
     evaluations = polishes = 0
     for rest in lines.values():
         fields = rest.split("\t")
         # (column, position of the evaluations in each of its records)
-        for column, at in ((6, 1), (7, 0)):
+        for column, at in ((5, 1), (6, 0)):
             if len(fields) <= column or fields[column] == "-":
                 continue
             for record in fields[column].split(";"):

@@ -6,14 +6,9 @@ import decimal
 import numpy as np
 import pytest
 
-from spptkit import linalg, range_criterion
+from spptkit import linalg, range_criterion, sphere
 from spptkit.errors import NotPsd
-from spptkit.range_criterion import (
-    ProductVector,
-    edge_check,
-    kernel_basis,
-    product_vectors_in_range,
-)
+from spptkit.range_criterion import ProductVector, edge_check
 from spptkit.separability import (
     ENTANGLED_RANGE,
     PPT_UNDECIDED,
@@ -34,7 +29,14 @@ from spptkit.states import (
     sppt_counterexample_2x3,
 )
 
-from helpers import ill_conditioned_sppt
+from helpers import cell_offsets, ill_conditioned_sppt, kernel_of
+
+
+def enumeration(state):
+    """The subtraction prover's enumeration of ``state``: its vectors and
+    its work record."""
+    con = range_criterion._constraints_of(state, range_criterion.ENUMERATION_KERNEL_CUTOFF)
+    return range_criterion._enumerate(state, con)
 
 
 def product_state(e, f):
@@ -44,12 +46,12 @@ def product_state(e, f):
     return make_state(len(f), rho, normalized=True), e, f
 
 
-class TestKernelBasis:
+class TestKernel:
     def test_full_rank_empty(self):
-        assert kernel_basis(np.eye(4)).shape == (0, 4)
+        assert kernel_of(np.eye(4)).shape == (0, 4)
 
     def test_diagonal(self):
-        basis = kernel_basis(np.diag([1.0, 1.0, 0.0]))
+        basis = kernel_of(np.diag([1.0, 1.0, 0.0]))
         assert basis.shape == (1, 3)
         np.testing.assert_allclose(np.abs(basis[0]), [0, 0, 1])
 
@@ -59,11 +61,11 @@ class TestKernelBasis:
         s = entangled_sppt_2x5(0.5).state
         w = np.linalg.eigvalsh(s.rho)
         assert int((w > 1e-10 * w.max()).sum()) == 5
-        assert kernel_basis(s.rho).shape == (5, 10)
+        assert kernel_of(s.rho).shape == (5, 10)
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPsd):
-            kernel_basis(np.diag([1.0, -1.0]))
+            kernel_of(np.diag([1.0, -1.0]))
 
     @pytest.mark.parametrize("cutoff", [range_criterion.KERNEL_CUTOFF,
                                         range_criterion.ENUMERATION_KERNEL_CUTOFF])
@@ -71,11 +73,11 @@ class TestKernelBasis:
         horodecki_2x4(0.5), entangled_sppt_2x5(0.5).state, random_separable(5, 6, seed=0)[0],
     ], ids=["horodecki", "rho0", "random_separable(5,6)"])
     def test_state_constraints_match_the_matrix_kernels(self, state, cutoff):
-        # the kernels a state cuts from its cached spectra are kernel_basis's,
-        # bit for bit
+        # the kernels a state cuts from its cached spectra are those of
+        # fresh eigendecompositions of rho and its partial transpose, bit for bit
         pt = partial_transpose_matrix(state.rho, state.d)
-        want = range_criterion._constraints(state.d, kernel_basis(state.rho, cutoff),
-                                            kernel_basis(pt, cutoff), cutoff)
+        want = range_criterion._constraints(state.d, kernel_of(state.rho, cutoff),
+                                            kernel_of(pt, cutoff), cutoff)
         got = range_criterion._constraints_of(state, cutoff)
         assert got.n_rows > 0
         for field in dataclasses.fields(want):
@@ -90,9 +92,9 @@ class TestKernelBasis:
                                             range_criterion.KERNEL_CUTOFF)
 
 
-class TestProductVectorsInRange:
+class TestEnumeration:
     def test_full_rank_state_trivial(self):
-        vs = product_vectors_in_range(maximally_mixed(3))
+        vs = enumeration(maximally_mixed(3)).found
         assert len(vs) >= 1
         assert all(v.combined_residual <= 1e-12 for v in vs)
 
@@ -101,7 +103,7 @@ class TestProductVectorsInRange:
         e0 = rng.normal(size=2) + 1j * rng.normal(size=2)
         f0 = rng.normal(size=4) + 1j * rng.normal(size=4)
         s, e0, f0 = product_state(e0, f0)
-        vs = product_vectors_in_range(s)
+        vs = enumeration(s).found
         assert vs, "no product vector found for a pure product state"
         best = vs[0]
         assert best.combined_residual <= 1e-10
@@ -109,7 +111,7 @@ class TestProductVectorsInRange:
         assert abs(abs(np.vdot(best.f, f0)) - 1.0) <= 1e-6
 
     def test_counterexample_2x3_has_qualifying_vector(self):
-        vs = product_vectors_in_range(sppt_counterexample_2x3())
+        vs = enumeration(sppt_counterexample_2x3()).found
         assert vs
         assert vs[0].residual_range <= 1e-8
         assert vs[0].residual_pt_range <= 1e-8
@@ -117,11 +119,11 @@ class TestProductVectorsInRange:
     def test_residuals_replay(self):
         # recompute the residuals from scratch using kernel projectors
         s, _ = random_separable(4, n_terms=5, seed=1)
-        vs = product_vectors_in_range(s)
+        vs = enumeration(s).found
         for pv in vs[:3]:
             for mat, e in ((s.rho, pv.e), (partial_transpose_matrix(s.rho, s.d),
                                            np.conj(pv.e))):
-                basis = kernel_basis(mat)  # rows are kernel vectors w
+                basis = kernel_of(mat)  # rows are kernel vectors w
                 # projector onto span{w} is sum of w w^dag
                 proj = basis.T @ basis.conj() if len(basis) else np.zeros_like(mat)
                 resid = np.linalg.norm(proj @ np.kron(e, pv.f))
@@ -161,7 +163,7 @@ class TestEdgeCheck:
         # of first-level cells of radius r, mu at their centres, sqrt(2)
         # sin(r / 2), is just below L r / 2, so a smaller L or r would
         # exclude every cell round e.
-        e = range_criterion._bloch(theta, phi)
+        e = sphere._bloch(theta, phi)
         f = np.arange(1, d + 1) * np.exp(1j * np.arange(d))
         s, _, _ = product_state(e, f)
         cert = edge_check(s)
@@ -221,7 +223,7 @@ def assert_mu_at_least(s, e, bound):
     d = s.d
     grams = []
     for mat in (s.rho, partial_transpose_matrix(s.rho, d)):
-        w = np.conj(kernel_basis(mat).reshape(-1, 2, d))
+        w = np.conj(kernel_of(mat).reshape(-1, 2, d))
         grams.append(np.einsum("mai,mbj->abij", np.conj(w), w).reshape(4, -1))
     for i in range(0, len(e), 50000):
         x = e[i:i + 50000]
@@ -234,7 +236,7 @@ def mu_svd(s, e):
     """mu at unit qubit vectors e (n, 2) by SVD of M(e): the state's kernel
     rows contracted with e, the partial transpose's with e*."""
     d = s.d
-    w, w_pt = (np.conj(kernel_basis(m).reshape(-1, 2, d))
+    w, w_pt = (np.conj(kernel_of(m).reshape(-1, 2, d))
                for m in (s.rho, partial_transpose_matrix(s.rho, d)))
     m = np.concatenate([np.einsum("na,mad->nmd", e, w),
                         np.einsum("na,mad->nmd", np.conj(e), w_pt)], axis=1)
@@ -311,21 +313,13 @@ class TestCertifiedBound:
         # after two subtractions from random_separable(4, 7, seed=0) mu stays
         # below 0.15 on the whole sphere; the search must still exclude or
         # drop every cell on its own, so a higher cap changes nothing
-        cap = range_criterion.EVALUATION_CAP
-        monkeypatch.setattr(range_criterion, "EVALUATION_CAP", 10 * cap)
+        cap = sphere.EVALUATION_CAP
+        monkeypatch.setattr(sphere, "EVALUATION_CAP", 10 * cap)
         state, _ = random_separable(4, 7, seed=0)
         remainder = subtract_product_vectors(state, budget=2).remainder
-        certs = []
-        search = range_criterion._search
-
-        def recording(*args, **kwargs):
-            certs.append(search(*args, **kwargs))
-            return certs[-1]
-
-        monkeypatch.setattr(range_criterion, "_search", recording)
-        found = product_vectors_in_range(remainder)
-        assert found
-        assert certs[0].search["evaluations"] < cap
+        result = enumeration(remainder)
+        assert result.found
+        assert result.search["evaluations"] < cap
 
     def test_inconclusive_at_the_evaluation_cap(self, monkeypatch):
         # the cap is half of what the uncapped search spends to conclude
@@ -334,7 +328,7 @@ class TestCertifiedBound:
         state = horodecki_2x4(0.5)
         uncapped = edge_check(state)
         assert uncapped.conclusion == "NoneFound" and uncapped.search["levels"] > 1
-        monkeypatch.setattr(range_criterion, "EVALUATION_CAP", uncapped.search["evaluations"] // 2)
+        monkeypatch.setattr(sphere, "EVALUATION_CAP", uncapped.search["evaluations"] // 2)
         cert = edge_check(state)
         assert cert.conclusion == "Inconclusive"
         assert not cert.found
@@ -356,21 +350,6 @@ class TestCertifiedBound:
             cert = edge_check(rotated(separable, u, v))
             assert cert.conclusion == "FoundProductVector"
             assert cert.found[0].combined_residual <= 1e-8
-
-
-def enumerate_with_record(state, monkeypatch):
-    """product_vectors_in_range(state) and what its search returned."""
-    records = []
-    search = range_criterion._search
-
-    def recording(*args, **kwargs):
-        records.append(search(*args, **kwargs))
-        return records[-1]
-
-    with monkeypatch.context() as patch:
-        patch.setattr(range_criterion, "_search", recording)
-        found = product_vectors_in_range(state)
-    return found, records[0]
 
 
 def flat_remainder():
@@ -404,7 +383,8 @@ class TestEnumerationExclusion:
             return test(stack, shift)
 
         monkeypatch.setattr(linalg, "positive_definite", counting)
-        found, result = enumerate_with_record(state, monkeypatch)
+        result = enumeration(state)
+        found = result.found
         # a kernel with fewer rows than d is not searched
         assert sum(passes) > 0 or result.search["levels"] == 0
         # the enumeration reports no bound: it did not bound every cell
@@ -412,7 +392,8 @@ class TestEnumerationExclusion:
         assert not hasattr(result, "worst_min_residual")
         monkeypatch.setattr(linalg, "positive_definite",
                             lambda stack, shift: np.zeros(len(stack), dtype=bool))
-        every_cell_solved, solved = enumerate_with_record(state, monkeypatch)
+        solved = enumeration(state)
+        every_cell_solved = solved.found
         assert (result.search["evaluations"], result.search["levels"]) == (
             solved.search["evaluations"], solved.search["levels"])
         assert len(found) == len(every_cell_solved)
@@ -425,12 +406,12 @@ class TestEnumerationExclusion:
         # the flat remainder's levels reach 5592 cells, several blocks of
         # _SLICE; a block larger than any level must give the same bits
         state = flat_remainder()
-        found, result = enumerate_with_record(state, monkeypatch)
+        result = enumeration(state)
         monkeypatch.setattr(range_criterion, "_SLICE", 10**6)
-        one_block, whole = enumerate_with_record(state, monkeypatch)
+        whole = enumeration(state)
         assert (result.search["evaluations"], result.search["levels"]) == (
             whole.search["evaluations"], whole.search["levels"])
-        assert_same_vectors(found, one_block)
+        assert_same_vectors(result.found, whole.found)
 
 
 def assert_same_vectors(found, ref):
@@ -476,7 +457,7 @@ class TestCertifiedExclusion:
         assert cert.conclusion == "NoneFound"
         # the first level has no bound yet, so no LDL pass could settle a
         # cell: it makes none and solves every cell
-        assert calls[0] == ("solved", len(range_criterion._FIRST_LEVEL[0]))
+        assert calls[0] == ("solved", len(sphere._FIRST_LEVEL[0]))
         assert sum(n for kind, n in calls[1:] if kind == "settled") > 0
 
     @pytest.mark.parametrize("state", [
@@ -489,7 +470,7 @@ class TestCertifiedExclusion:
     def test_unpolished_search_keeps_its_least_residual(self, b, monkeypatch):
         # without polishes the least mu seen is a cell's; cells below it
         # must be solved, though they are excluded
-        monkeypatch.setattr(range_criterion, "_POLISH_PER_LEVEL", 0)
+        monkeypatch.setattr(sphere, "_POLISH_PER_LEVEL", 0)
         self.assert_as_if_every_cell_solved(horodecki_2x4(b), monkeypatch)
 
     @staticmethod
@@ -539,7 +520,7 @@ class TestPolishBudget:
     @pytest.mark.parametrize("state", BOUND_STATES)
     def test_bound_and_evaluations_do_not_depend_on_polishing(self, state, monkeypatch):
         cert = edge_check(state)
-        monkeypatch.setattr(range_criterion, "_POLISH_PER_LEVEL", 0)
+        monkeypatch.setattr(sphere, "_POLISH_PER_LEVEL", 0)
         unpolished = edge_check(state)
         assert unpolished.search["polishes"] == 0
         assert np.float64(cert.certified_bound).tobytes() == np.float64(
@@ -577,26 +558,6 @@ class TestPolishBudget:
         assert cert.worst_min_residual >= full.worst_min_residual
         assert cert.worst_min_residual >= cert.certified_bound
 
-    def test_first_level_is_one_read_only_grid(self):
-        cells = range_criterion._FIRST_LEVEL
-        n_theta, n_phi = range_criterion._INITIAL_CELLS
-        # the rows at the poles have half as many azimuthal cells, twice as wide
-        counts = np.full(n_theta, n_phi)
-        counts[[0, -1]] = n_phi // 2
-        theta = np.repeat((2 * np.arange(n_theta) + 1) * (np.pi / (2 * n_theta)), counts)
-        h_theta = np.full(len(theta), np.pi / (2 * n_theta))
-        h_phi = np.repeat(np.pi / counts, counts)
-        phi = (2 * np.concatenate([np.arange(count) for count in counts]) + 1) * h_phi
-        assert len(theta) == 112
-        fresh = (theta, phi, h_theta, h_phi, range_criterion._bloch(theta, phi),
-                 range_criterion._cell_radius(theta, h_theta, h_phi))
-        for kept, built in zip(cells, fresh, strict=True):
-            assert kept.dtype == built.dtype and kept.shape == built.shape
-            assert kept.tobytes() == built.tobytes()
-            assert not kept.flags.writeable
-            with pytest.raises(ValueError):
-                kept[0] = 0
-
     def test_first_level_still_finds(self):
         cert = edge_check(random_separable(5, 6, seed=0)[0])
         assert cert.conclusion == "FoundProductVector"
@@ -629,7 +590,7 @@ class TestPolishAtADegenerateZero:
         # X(c) has the null vector 1_0 and second singular value s2: the
         # linearization alone moves f far along the second direction, and
         # about a quarter of these polishes stalled an order above the zero
-        c = range_criterion._bloch(5 * np.pi / 16, 3 * np.pi / 16)
+        c = sphere._bloch(5 * np.pi / 16, 3 * np.pi / 16)
         perp = np.array([-np.conj(c[1]), np.conj(c[0])])
         rng = np.random.default_rng(21)
         for _ in range(8):
@@ -684,197 +645,6 @@ class TestLipschitz:
                 con = dataclasses.replace(framed_constraints(rows[0]), w_pt=rows[1])
                 exact = np.sqrt(sum(np.linalg.norm(w.reshape(k, -1), 2) ** 2 for w in rows))
                 assert exact <= con.lipschitz
-
-
-def haversine_angle(theta, d_theta, d_phi):
-    """Bloch angle between (theta, phi) and (theta + d_theta, phi + d_phi)."""
-    hav = (np.sin(d_theta / 2) ** 2
-           + np.sin(theta) * np.sin(theta + d_theta) * np.sin(d_phi / 2) ** 2)
-    return 2 * np.arcsin(np.sqrt(hav))
-
-
-def exact_bloch_angle(e: np.ndarray, other: np.ndarray) -> float:
-    """The Bloch angle between two float qubit vectors, from 2 atan(s / c)
-    with s = |<e_perp, e'>| and c = |<e, e'>| in 50-digit decimals; for
-    s / c below 1e-8, atan(x) = x (1 - x^2 / 3) to double precision."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        re = [decimal.Decimal(float(z.real)) for z in (*e, *other)]
-        im = [decimal.Decimal(float(z.imag)) for z in (*e, *other)]
-        # <e, e'> = conj(e0) e'0 + conj(e1) e'1, <e_perp, e'> = e0 e'1 - e1 e'0
-        c = abs(complex_abs2(re[0] * re[2] + im[0] * im[2] + re[1] * re[3] + im[1] * im[3],
-                             re[0] * im[2] - im[0] * re[2] + re[1] * im[3] - im[1] * re[3]))
-        s = abs(complex_abs2(re[0] * re[3] - im[0] * im[3] - re[1] * re[2] + im[1] * im[2],
-                             re[0] * im[3] + im[0] * re[3] - re[1] * im[2] - im[1] * re[2]))
-        x = s / c
-        assert x < decimal.Decimal("1e-8")
-        return float(2 * x * (1 - x * x / 3))
-
-
-def complex_abs2(re: decimal.Decimal, im: decimal.Decimal) -> decimal.Decimal:
-    return (re * re + im * im).sqrt()
-
-
-class TestBlochAngle:
-    def test_small_angles_read_to_relative_1e_6(self):
-        # 2 arccos |<e, e'>| reads these as 0 or misses them by up to ~7e-8;
-        # the atan2 form keeps them to within 1e-6 relative
-        rng = np.random.default_rng(23)
-        starts = [np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)]
-        starts += [range_criterion._bloch(*rng.uniform(0.0, np.pi, 2)) for _ in range(6)]
-        for e in starts:
-            e_perp = np.array([-np.conj(e[1]), np.conj(e[0])])
-            for gamma in np.logspace(-10, -8, 9):
-                phase = np.exp(1j * rng.uniform(0.0, 2 * np.pi, 2))
-                other = phase[0] * (np.cos(gamma / 2) * e
-                                    + phase[1] * np.sin(gamma / 2) * e_perp)
-                got = range_criterion._bloch_angle(e, other[None, :])[0]
-                exact = exact_bloch_angle(e, other)
-                assert abs(got - exact) <= 1e-6 * exact, (e, gamma, got, exact)
-                assert abs(exact - gamma) <= 1e-5 * gamma
-
-    def test_matches_the_haversine_angle(self):
-        rng = np.random.default_rng(24)
-        theta, phi = rng.uniform(0.0, np.pi, (2, 50)), rng.uniform(0.0, 2 * np.pi, (2, 50))
-        e = range_criterion._bloch(theta[0], phi[0])
-        other = range_criterion._bloch(theta[1], phi[1])
-        got = np.array([range_criterion._bloch_angle(a, b[None, :])[0] for a, b in zip(e, other)])
-        np.testing.assert_allclose(got, haversine_angle(theta[0], theta[1] - theta[0],
-                                                        phi[1] - phi[0]), rtol=1e-12)
-
-
-class TestCellRadius:
-    @pytest.mark.parametrize("h", [np.pi / 16, 1e-3, 5e-10],
-                             ids=["first-level", "1e-3", "1e-9-wide"])
-    def test_dense_sampling_within_radius(self, h):
-        rng = np.random.default_rng(4)
-        # random cells, and the cells touching each pole
-        theta = np.concatenate([rng.uniform(h, np.pi - h, 300), [h, np.pi - h]])
-        radius = range_criterion._cell_radius(theta, h, h)
-        assert np.all(radius > 0)
-        corners = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
-        offsets = np.vstack([corners, rng.uniform(-1.0, 1.0, size=(2000, 2))]) * h
-        angles = haversine_angle(theta[:, None], offsets[None, :, 0], offsets[None, :, 1])
-        assert np.all(angles <= radius[:, None])
-        # the haversine angles are the Bloch angles of the qubit vectors
-        if h >= 1e-3:
-            phi = rng.uniform(0.0, 2 * np.pi, len(theta))
-            e = range_criterion._bloch(theta, phi)
-            for j in range(0, len(offsets), 100):
-                other = range_criterion._bloch(theta + offsets[j, 0], phi + offsets[j, 1])
-                overlap = np.minimum(np.abs(np.sum(np.conj(e) * other, axis=1)), 1.0)
-                np.testing.assert_allclose(2 * np.arccos(overlap), angles[:, j], atol=1e-7)
-
-
-def generations(count):
-    """The cells of the first ``count`` levels of a search that excludes no
-    cell, as (theta, phi, h_theta, h_phi), the first level first."""
-    cells = range_criterion._FIRST_LEVEL[:4]
-    for _ in range(count):
-        yield cells
-        cells = range_criterion._children(*cells)
-
-
-def random_cells(rng, n=300):
-    """Cells with half-widths drawn log-uniformly up to pi / 8, inside the
-    rectangle: every split kind occurs among them, the phi-only one too,
-    which the first levels of a search without exclusions never make."""
-    h_theta, h_phi = np.pi / 8 * 10.0 ** rng.uniform(-3.0, 0.0, (2, n))
-    theta = rng.uniform(h_theta, np.pi - h_theta)
-    return theta, rng.uniform(0.0, 2 * np.pi, n), h_theta, h_phi
-
-
-def split_kind(cells):
-    """Per cell, the axes ``_split`` halves it along: "theta", "phi" or "both"."""
-    theta, phi, h_theta, h_phi = cells
-    along_theta, along_phi = range_criterion._split(theta, h_theta, h_phi)
-    return np.where(along_theta & along_phi, "both", np.where(along_theta, "theta", "phi"))
-
-
-def containing(cells, theta, phi):
-    """For points (theta, phi), the number of cells that hold each one."""
-    c_theta, c_phi, h_theta, h_phi = cells
-    inside = ((np.abs(theta[:, None] - c_theta) <= h_theta)
-              & (np.abs(phi[:, None] - c_phi) <= h_phi))
-    return inside.sum(axis=1)
-
-
-class TestCellGeometry:
-    """Every level tiles the sphere's (theta, phi) rectangle, and every
-    cell's radius bounds the Bloch angle to its points, so excluding a cell
-    leaves no direction unsearched."""
-
-    def test_levels_tile_the_rectangle(self):
-        rng = np.random.default_rng(40)
-        theta, phi = rng.uniform(0.0, np.pi, 4000), rng.uniform(0.0, 2 * np.pi, 4000)
-        for level, cells in enumerate(generations(4), start=1):
-            # no gap or overlap: the areas add up to the rectangle's, and
-            # every point lies in exactly one cell
-            area = np.sum(4.0 * cells[2] * cells[3])
-            assert abs(area - 2 * np.pi ** 2) <= 1e-12 * area, level
-            assert np.all(containing(cells, theta, phi) == 1), level
-            # the rectangle's edges are cell edges
-            assert np.isclose(np.min(cells[0] - cells[2]), 0.0, atol=1e-15)
-            assert np.isclose(np.max(cells[0] + cells[2]), np.pi, atol=1e-15)
-            assert np.isclose(np.min(cells[1] - cells[3]), 0.0, atol=1e-15)
-            assert np.isclose(np.max(cells[1] + cells[3]), 2 * np.pi, atol=1e-15)
-            # every half-width at most pi / 8, as _cell_radius's proof asks
-            assert np.all(np.maximum(cells[2], cells[3]) <= np.pi / 8)
-
-    def test_each_split_kind_tiles_its_parent(self):
-        rng = np.random.default_rng(41)
-        seen = set()
-        for cells in [*generations(5), random_cells(rng)]:
-            kinds = split_kind(cells)
-            for kind in ("theta", "phi", "both"):
-                pick = np.flatnonzero(kinds == kind)[:20]
-                if not len(pick):
-                    continue
-                seen.add(kind)
-                parents = tuple(a[pick] for a in cells)
-                children = range_criterion._children(*parents)
-                count = 4 if kind == "both" else 2
-                assert len(children[0]) == count * len(pick)
-                for i in range(len(pick)):
-                    # each parent's children come together, in order
-                    parent = tuple(a[i:i + 1] for a in parents)
-                    child = tuple(a[count * i:count * (i + 1)] for a in children)
-                    assert np.all(containing(parent, *child[:2]) == 1)
-                    assert np.isclose(np.sum(child[2] * child[3]),
-                                      parents[2][i] * parents[3][i], rtol=1e-13)
-                    offsets = rng.uniform(-1.0, 1.0, size=(500, 2))
-                    points = (parent[0] + parent[2] * offsets[:, 0],
-                              parent[1] + parent[3] * offsets[:, 1])
-                    assert np.all(containing(child, *points) == 1)
-        assert seen == {"theta", "phi", "both"}
-
-    def test_radius_bounds_every_sampled_point(self):
-        rng = np.random.default_rng(42)
-        checked = {"first": 0, "theta": 0, "phi": 0, "both": 0}
-        for level, cells in enumerate([*generations(5), random_cells(rng)], start=1):
-            if level == 1:
-                self.assert_within_radius(cells, rng)
-                checked["first"] += len(cells[0])
-            kinds = split_kind(cells)
-            for kind in ("theta", "phi", "both"):
-                pick = np.flatnonzero(kinds == kind)
-                if len(pick):
-                    pick = rng.choice(pick, min(len(pick), 24), replace=False)
-                    children = range_criterion._children(*(a[pick] for a in cells))
-                    self.assert_within_radius(children, rng)
-                    checked[kind] += len(children[0])
-        assert checked["first"] == 112 and min(checked.values()) > 0
-
-    @staticmethod
-    def assert_within_radius(cells, rng, points=600):
-        theta, phi, h_theta, h_phi = cells
-        offsets = cell_offsets(rng, points)
-        e = range_criterion._bloch(theta[:, None] + h_theta[:, None] * offsets[:, 0],
-                                   phi[:, None] + h_phi[:, None] * offsets[:, 1])
-        radius = range_criterion._cell_radius(theta, h_theta, h_phi)
-        centres = range_criterion._bloch(theta, phi)
-        for centre, sampled, r in zip(centres, e, radius):
-            assert np.all(range_criterion._bloch_angle(centre, sampled) <= r)
 
 
 class TestExclusionMargins:
@@ -999,22 +769,15 @@ def mu_at(con, e):
 
 def level_half_widths(level):
     """Half-widths (theta, phi) of the search's cells at a level, 1 the first."""
-    n_theta, n_phi = range_criterion._INITIAL_CELLS
+    n_theta, n_phi = sphere._INITIAL_CELLS
     scale = 2.0 ** (level - 1)
     return np.pi / (2 * n_theta * scale), np.pi / (n_phi * scale)
-
-
-def cell_offsets(rng, points=600):
-    """Offsets, in half-widths, of ``points`` points of a cell: its corners,
-    its edge midpoints and uniform draws."""
-    edges = np.array([[-1, -1], [-1, 1], [1, -1], [1, 1], [0, -1], [0, 1], [-1, 0], [1, 0]])
-    return np.vstack([edges, rng.uniform(-1.0, 1.0, size=(points - len(edges), 2))])
 
 
 def cell_minima(con, theta, phi, h_theta, h_phi, rng, points=600):
     """The least mu at ``points`` points of each cell (``cell_offsets``)."""
     offsets = cell_offsets(rng, points)
-    e = range_criterion._bloch(theta[:, None] + h_theta * offsets[None, :, 0],
+    e = sphere._bloch(theta[:, None] + h_theta * offsets[None, :, 0],
                                phi[:, None] + h_phi * offsets[None, :, 1])
     return mu_at(con, e.reshape(-1, 2)).reshape(len(theta), points).min(axis=1)
 
@@ -1026,7 +789,7 @@ def cells_near_the_minimum(con, level, rng, count=8):
     i = rng.integers(0, round(np.pi / (2 * h_theta)), 500)
     j = rng.integers(0, round(np.pi / h_phi), 500)
     theta, phi = (2 * i + 1) * h_theta, (2 * j + 1) * h_phi
-    mu = mu_at(con, range_criterion._bloch(theta, phi))
+    mu = mu_at(con, sphere._bloch(theta, phi))
     pick = np.concatenate([np.argsort(mu)[:count // 2],
                            rng.choice(len(mu), count - count // 2, replace=False)])
     return theta[pick], phi[pick]
@@ -1077,8 +840,8 @@ class TestCellBound:
         for level in range(1, 8):
             h_theta, h_phi = level_half_widths(level)
             theta, phi = cells_near_the_minimum(con, level, rng)
-            radius = range_criterion._cell_radius(theta, h_theta, h_phi)
-            e = range_criterion._bloch(theta, phi)
+            radius = sphere._cell_radius(theta, h_theta, h_phi)
+            e = sphere._bloch(theta, phi)
             mu, lower, _ = range_criterion._mu_batch(con, e, radius)
             least = cell_minima(con, theta, phi, h_theta, h_phi, rng)
             assert np.all(least >= lower), level
@@ -1102,13 +865,13 @@ class TestCellBound:
         # L r / 2 sets the cell's, tight against mu along the ray: half of L
         # would put it above mu
         theta, phi = np.array([5 * np.pi / 16]), np.array([3 * np.pi / 16])
-        c = range_criterion._bloch(theta, phi)[0]
+        c = sphere._bloch(theta, phi)[0]
         con = rows_framed_at(c, s * np.eye(2), np.eye(2))
         rng = np.random.default_rng(15)
         zero_order = 0
         for level in range(1, 8):
             h_theta, h_phi = level_half_widths(level)
-            radius = range_criterion._cell_radius(theta, h_theta, h_phi)
+            radius = sphere._cell_radius(theta, h_theta, h_phi)
             mu, lower, _ = range_criterion._mu_batch(con, c[None, :], radius)
             assert cell_minima(con, theta, phi, h_theta, h_phi, rng, 2000)[0] >= lower[0], level
             zero_order += 0 < lower[0] == mu[0] - con.lipschitz * radius[0] / 2.0
@@ -1122,13 +885,13 @@ class TestCellBound:
         # second order; the bound stays positive where sqrt(s) is outside
         # the cell.
         theta, phi = np.array([5 * np.pi / 16]), np.array([3 * np.pi / 16])
-        c = range_criterion._bloch(theta, phi)[0]
+        c = sphere._bloch(theta, phi)[0]
         con = rows_framed_at(c, np.diag([s, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
         rng = np.random.default_rng(13)
         positive = 0
         for level in range(1, 6):
             h_theta, h_phi = level_half_widths(level)
-            radius = range_criterion._cell_radius(theta, h_theta, h_phi)
+            radius = sphere._cell_radius(theta, h_theta, h_phi)
             _, lower, _ = range_criterion._mu_batch(con, c[None, :], radius)
             assert cell_minima(con, theta, phi, h_theta, h_phi, rng, 2000)[0] >= lower[0], level
             positive += lower[0] > 0
@@ -1141,7 +904,7 @@ class TestCellBound:
         # with tan(a)^2 = s has w^dag X(c_perp) v = 0, a slope of 0; only the
         # residual rho of v keeps its bound below mu.
         theta, phi = np.array([5 * np.pi / 16]), np.array([3 * np.pi / 16])
-        c = range_criterion._bloch(theta, phi)[0]
+        c = sphere._bloch(theta, phi)[0]
         con = rows_framed_at(c, np.diag([s, 1.0]), np.diag([1.0, -1.0]))
         weights = (np.conj(c)[:, None] * c[None, :]).reshape(1, 4)
         gram = (weights @ con.gram).reshape(1, 2, 2)
@@ -1154,7 +917,7 @@ class TestCellBound:
         rng = np.random.default_rng(14)
         for level in range(1, 8):
             h_theta, h_phi = level_half_widths(level)
-            radius = range_criterion._cell_radius(theta, h_theta, h_phi)
+            radius = sphere._cell_radius(theta, h_theta, h_phi)
             tau = np.full(len(v), np.tan(radius[0] / 2.0) * (1.0 + 1e-12))
             bound = range_criterion._first_order(con, np.repeat(c[None, :], len(v), axis=0), tau,
                                                  np.repeat(values, len(v), axis=0), v,
@@ -1165,15 +928,15 @@ class TestCellBound:
     def test_the_flat_remainder_is_excluded_early(self, monkeypatch):
         # mu < 0.15 on the whole sphere with slope ~0.14 against L = 2.34:
         # the zero-order bound alone needs 23,808 evaluations
-        found, result = enumerate_with_record(flat_remainder(), monkeypatch)
+        result = enumeration(flat_remainder())
         assert result.search["first_order_exclusions"] > 0
         assert result.search["evaluations"] <= 5000
         # the crossing on the circle excludes cells the chord does not, with
         # the same vectors found
         monkeypatch.setattr(range_criterion, "_crossing", chord)
-        by_chord, chord_result = enumerate_with_record(flat_remainder(), monkeypatch)
+        chord_result = enumeration(flat_remainder())
         assert chord_result.search["evaluations"] > result.search["evaluations"]
-        assert len(by_chord) == len(found)
+        assert len(chord_result.found) == len(result.found)
 
 
 def chord(big_a, big_b, big_c, big_d):
@@ -1268,7 +1031,7 @@ class TestIsolationRadius:
         # X(c) = diag(0, s), X(c_perp) = I: det M(c + t c_perp) = t (s + t),
         # so mu vanishes at c and again at t = -s, a Bloch angle of 2 atan(s)
         theta, phi = np.array([5 * np.pi / 16]), np.array([3 * np.pi / 16])
-        c = range_criterion._bloch(theta, phi)[0]
+        c = sphere._bloch(theta, phi)[0]
         con = rows_framed_at(c, np.diag([0.0, s]), np.eye(2))
         inner, outer = range_criterion._isolation(con, c, range_criterion.ENUMERATION_TOL)
         assert 0.0 < inner < outer < 2 * np.arctan(s)

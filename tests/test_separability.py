@@ -29,12 +29,10 @@ from spptkit.separability import (
     SeparableDecomposition,
     _max_subtraction_weight,
     classify,
-    decompose_full_rank,
     decompose_small,
     subtract_product_vectors,
     svd_reduce,
 )
-from spptkit.range_criterion import kernel_basis
 from spptkit.sppt import SpptFactors, assemble_state, sppt_check
 from spptkit.states import (
     entangled_sppt_2x5,
@@ -48,7 +46,14 @@ from spptkit.states import (
     sppt_counterexample_2x4,
 )
 
-from helpers import ill_conditioned_sppt
+from helpers import ill_conditioned_sppt, kernel_of
+
+
+def spectral_terms(f):
+    """The spectral construction of factors f with invertible x1 and normal
+    s, as the decomposition ``classify`` validates."""
+    rho = assemble_state(f).rho
+    return SeparableDecomposition(terms=separability._spectral_terms(f, linalg.frob(rho)))
 
 
 def bell_state():
@@ -57,11 +62,11 @@ def bell_state():
     return make_state(2, np.outer(psi, psi.conj()), normalized=True)
 
 
-class TestDecomposeFullRank:
+class TestSpectralTerms:
     def test_two_level_example(self):
         f = SpptFactors(np.eye(2, dtype=complex), np.diag([1.0, 1j]),
                         np.zeros((2, 2), dtype=complex))
-        dec = decompose_full_rank(f)
+        dec = spectral_terms(f)
         assert len(dec.terms) == 2  # d terms: the zero tail is left out
         # terms are sorted by eigenvalue (real part first): 1j before 1.0
         qubits = [q for q, _ in dec.terms]
@@ -75,7 +80,7 @@ class TestDecomposeFullRank:
         d = 3
         f = SpptFactors(np.eye(d, dtype=complex), np.eye(d, dtype=complex),
                         np.zeros((d, d), dtype=complex))
-        dec = decompose_full_rank(f)
+        dec = spectral_terms(f)
         total = dec.reconstruct()
         np.testing.assert_allclose(
             total, np.kron(np.array([[1, 1], [1, 1]]), np.eye(d)), atol=1e-12)
@@ -85,7 +90,7 @@ class TestDecomposeFullRank:
         for seed in range(20):
             state, f = random_sppt(4, rank=4, normal_s=True, seed=seed,
                                    with_tail=(seed % 2 == 0))
-            dec = decompose_full_rank(f)
+            dec = spectral_terms(f)
             assert len(dec.terms) == 4 + (seed % 2 == 0)  # d, plus the tail if any
             assert dec.reconstruction_residual(state.rho) <= 1e-10 * state.norm()
             assert dec.min_factor_eig() >= -1e-10
@@ -93,14 +98,14 @@ class TestDecomposeFullRank:
     def test_rejects_singular_x1(self):
         f = entangled_sppt_2x5(0.5).factors
         with pytest.raises(SingularX1):
-            decompose_full_rank(f)
+            spectral_terms(f)
 
     def test_rejects_non_normal_s(self):
         s = np.zeros((2, 2), dtype=complex)
         s[0, 1] = 1.0
         f = SpptFactors(np.eye(2, dtype=complex), s, np.zeros((2, 2), dtype=complex))
         with pytest.raises(NotNormal):
-            decompose_full_rank(f)
+            spectral_terms(f)
 
 
 class TestSvdReduce:
@@ -157,7 +162,7 @@ class TestLift:
     def test_identity_reduction(self):
         state, f = random_sppt(4, rank=4, normal_s=True, seed=3, with_tail=True)
         r = svd_reduce(f)
-        core_dec = decompose_full_rank(sppt_check(r.core).factors)
+        core_dec = spectral_terms(sppt_check(r.core).factors)
         lifted = r.explicit(core_dec)
         assert lifted.reconstruction_residual(state.rho) <= 1e-9 * state.norm()
 
@@ -286,8 +291,8 @@ class TestEnumerationReuse:
         assert sum(len(found) for _, found in rechecked) > 0
         cutoff = range_criterion.ENUMERATION_KERNEL_CUTOFF
         for s, found in rechecked:
-            ker = kernel_basis(s.rho, cutoff)
-            ker_pt = kernel_basis(partial_transpose_matrix(s.rho, s.d), cutoff)
+            ker = kernel_of(s.rho, cutoff)
+            ker_pt = kernel_of(partial_transpose_matrix(s.rho, s.d), cutoff)
             for pv in found:
                 residual = np.hypot(np.linalg.norm(ker.conj() @ np.kron(pv.e, pv.f)),
                                     np.linalg.norm(ker_pt.conj() @ np.kron(np.conj(pv.e), pv.f)))
@@ -332,7 +337,7 @@ class TestOnePositivityRule:
     @pytest.mark.parametrize("seed", [75, 81])
     def test_ill_conditioned_sppt_is_not_entangled(self, seed):
         # a maximal subtraction overshoots on these remainders, and the
-        # enumeration's kernel_basis once raised NotPsd out of classify
+        # enumeration's kernel gate once raised NotPsd out of classify
         assert not classify(ill_conditioned_sppt(seed)).is_entangled_class
 
     @pytest.mark.parametrize("seed", [73, 81])
@@ -504,7 +509,7 @@ class TestSubtractionWeight:
         e = np.array([1.0, 0.0], dtype=complex)
         f = rng.normal(size=4) + 1j * rng.normal(size=4)
         f /= np.linalg.norm(f)
-        outside = np.linalg.norm(kernel_basis(rho).conj() @ np.kron(e, f))
+        outside = np.linalg.norm(kernel_of(rho).conj() @ np.kron(e, f))
         assert outside > 1e-3
         pt = partial_transpose_matrix(rho, 4)
         assert _max_subtraction_weight(linalg.EigResult.of(rho), linalg.EigResult.of(pt),
@@ -771,10 +776,8 @@ class TestClassify:
         assert len(calls) == pinv_calls
 
     def test_invertible_x1_route_validates_once(self, monkeypatch):
-        # classify validates the spectral terms against its input, once;
-        # decompose_full_rank on its own still validates against the state
-        # its factors assemble
-        state, factors = random_sppt(5, 5, seed=3, with_tail=True)
+        # classify validates the spectral terms against its input, once
+        state, _ = random_sppt(5, 5, seed=3, with_tail=True)
         checked = []
         validate = SeparableDecomposition.validate
 
@@ -786,10 +789,6 @@ class TestClassify:
         v = classify(state)
         assert v.classification == SEPARABLE
         assert len(checked) == 1 and checked[0] is state.rho
-        checked.clear()
-        decompose_full_rank(factors)
-        assert len(checked) == 1
-        assert np.array_equal(checked[0], assemble_state(factors).rho)
 
     @pytest.mark.parametrize("n, enumerations", [(6, 1), (7, 2)])
     def test_subtraction_work_is_reported(self, monkeypatch, n, enumerations):

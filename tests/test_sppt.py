@@ -1,14 +1,13 @@
-"""Tests for factor assembly, residuals, extraction, and the SPPT check."""
+"""Tests for factor assembly, residuals, canonical factors, and the SPPT check."""
 
 import numpy as np
 import pytest
 
 from spptkit import linalg
-from spptkit.errors import DimensionMismatch, NotFullRank, NotPpt
+from spptkit.errors import DimensionMismatch
 from spptkit.sppt import (
     SpptFactors,
     assemble_state,
-    extract_factors_full_rank,
     sppt_check,
     sppt_residual,
 )
@@ -87,17 +86,16 @@ class TestResidual:
             sppt_residual(np.eye(2), np.eye(3))
 
 
-class TestExtractFullRank:
+class TestFullRankFactors:
+    """sppt_check's canonical factors of a strong-PPT state with invertible a."""
+
     def test_maximally_mixed(self):
-        f = extract_factors_full_rank(maximally_mixed(3))
+        v = sppt_check(maximally_mixed(3))
+        assert v.status == "Sppt"
+        f = v.factors
         np.testing.assert_allclose(f.x1, np.eye(3) / np.sqrt(6), atol=1e-14)
         np.testing.assert_allclose(f.s, np.zeros((3, 3)), atol=1e-14)
         np.testing.assert_allclose(f.x2, np.eye(3) / np.sqrt(6), atol=1e-14)
-
-    def test_roundtrip_on_counterexample(self):
-        s = sppt_counterexample_2x3()
-        f = extract_factors_full_rank(s)
-        assert linalg.frob(assemble_state(f).rho - s.rho) <= 1e-10 * s.norm()
 
     def test_product_state_gives_scalar_s(self):
         rng = np.random.default_rng(2)
@@ -106,21 +104,10 @@ class TestExtractFullRank:
         sigma = np.array([[2.0, 0.7 + 0.1j], [0.7 - 0.1j, 1.0]])
         rho = np.kron(sigma, tau)
         s = make_state(4, rho)
-        f = extract_factors_full_rank(s)
+        v = sppt_check(s)
+        assert v.status == "Sppt"
         ratio = sigma[0, 1] / sigma[0, 0]
-        np.testing.assert_allclose(f.s, ratio * np.eye(4), atol=1e-10)
-
-    def test_rejects_singular_a(self):
-        with pytest.raises(NotFullRank):
-            extract_factors_full_rank(entangled_sppt_2x5(0.5).state)
-
-    def test_rejects_npt_input(self):
-        # 0.9 |Phi><Phi| + 0.1 I/4 has invertible a, but its partial
-        # transpose, hence one Schur complement, is not PSD
-        phi = np.zeros(4)
-        phi[0] = phi[3] = 1 / np.sqrt(2)
-        with pytest.raises(NotPpt):
-            extract_factors_full_rank(make_state(2, 0.9 * np.outer(phi, phi) + 0.1 * np.eye(4) / 4))
+        np.testing.assert_allclose(v.factors.s, ratio * np.eye(4), atol=1e-10)
 
 
 class TestSpptCheck:
@@ -214,12 +201,15 @@ class TestSpptCheck:
 
     def test_cor1_residual_equals_canonical_factor_residual(self):
         # For invertible a the closed-form residual equals the residual of
-        # the extracted canonical factors.
+        # the canonical factors x1 = a^{1/2}, s = a^{-1/2} b a^{-1/2}.
         for seed in range(5):
             state, _ = random_separable(3, n_terms=9, seed=50 + seed)
             v = sppt_check(state)
-            f = extract_factors_full_rank(state)
-            assert abs(v.residual - sppt_residual(f.x1, f.s)) <= 1e-9
+            a, b, _ = blocks(state)
+            w, u = np.linalg.eigh(a)
+            x1 = (u * np.sqrt(w)) @ u.conj().T
+            a_mhalf = (u / np.sqrt(w)) @ u.conj().T
+            assert abs(v.residual - sppt_residual(x1, a_mhalf @ b @ a_mhalf)) <= 1e-9
 
 
     @pytest.mark.parametrize("d, rank, normal_s", [

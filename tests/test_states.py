@@ -90,6 +90,11 @@ class TestMakeState:
         with pytest.raises(ValueError):
             s.rho[0, 0] = 9.0
 
+    @pytest.mark.parametrize("d", [0, True, -1, 2.5])
+    def test_maximally_mixed_rejects_a_bad_dimension(self, d):
+        with pytest.raises(BadDimensions):
+            maximally_mixed(d)
+
 
 class TestBlocks:
     def test_maximally_mixed_blocks(self):
