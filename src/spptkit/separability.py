@@ -28,7 +28,12 @@ constructively certified case.  Such a subtraction leaves
 ranges lie in the state's and its qualifying product vectors are among
 the state's: the prover searches the Bloch sphere afresh only at its
 first iteration or after an enumeration that was not exhaustive, and
-otherwise re-checks the vectors it last enumerated.  Classification runs
+otherwise re-checks the vectors it last enumerated.  Inside ``classify``
+it first subtracts the product vector that the range search found on the
+sphere, and stops there when the remainder exits, as it does on inputs of
+rank d + 1 whose remainder has rank d and an invertible a-block (a 2 x d
+PPT state of rank d is separable; Kraus, Cirac, Karnas and Lewenstein,
+PRA 61, 062302, 2000).  Classification runs
 sound certificates first (negative partial-transpose eigenvalue, small
 dimension, strong-PPT constructions, the range criterion's certified bound)
 and only then the best-effort subtraction, so a verdict never depends on a
@@ -175,7 +180,9 @@ class SubtractionResult:
     length of the reduction's terms), and how many enumerations searched
     the Bloch sphere (``searches``) and how many re-checked the last one
     (``rechecks``), with the ``evaluations``, ``polishes`` and
-    ``isolation_drops`` summed over the records of those enumerations."""
+    ``isolation_drops`` summed over the records of those enumerations.
+    ``led`` says whether the subtraction of the range search's product
+    vector, tried first, ended the loop."""
 
     reduction: Reduction
     remainder: QubitQuditState
@@ -187,6 +194,7 @@ class SubtractionResult:
     polishes: int
     isolation_drops: int
     sppt: Optional[SpptVerdict] = None
+    led: bool = False
 
 
 def _spectral_terms(f: SpptFactors, scale: float) -> list:
@@ -333,8 +341,46 @@ def _compress_qudit(rho: np.ndarray, d: int, iso: np.ndarray) -> QubitQuditState
         [[iso.conj().T @ rho[i, j] @ iso for j in halves] for i in halves]))
 
 
-def subtract_product_vectors(s: QubitQuditState,
-                             budget: Optional[int] = None) -> SubtractionResult:
+def _exit(state: QubitQuditState, terms: list, scale0: float):
+    """The prover's exit tests on its working ``state``, after the
+    subtraction of ``terms`` from an input of norm ``scale0``, in order:
+    ``decomposed``, ``small_support``, ``stalled`` and ``sppt_core`` (see
+    ``subtract_product_vectors``).  Returns the status, None when no test
+    ends the loop; the theorem certificate of a ``small_support`` exit or
+    the strong-PPT verdict of an ``sppt_core`` one; and the
+    eigendecomposition of the state's qudit marginal M = a + c (None at
+    ``decomposed``), which ranks the next candidates."""
+    d = state.d
+    if state.norm() <= DEFAULT_TOL * scale0:
+        return "decomposed", None, None
+    marginal = linalg.EigResult.of(state.rho[:d, :d] + state.rho[d:, d:])
+    iso = marginal.vectors[:, marginal.support(SUPPORT_CUTOFF)]
+    if iso.shape[1] <= 3 and iso.shape[1] < d:
+        core = _compress_qudit(state.rho, d, iso)
+        if core.pt_eig.values[0] >= -TOL_FLOOR * scale0:
+            return "small_support", _theorem(
+                Reduction(terms=terms, core=core, embed=iso),
+                "subtraction reduced the remainder to a PPT 2x3-or-smaller support"), marginal
+    if any(eig.values[0] < -TOL_FLOOR * eig.scale for eig in (state.eig, state.pt_eig)):
+        return "stalled", None, marginal
+    verdict = sppt._check_ppt(state, TOL_FLOOR)
+    if verdict.status == "Sppt":
+        k = verdict.factors.x1_svd.rank
+        if k == d or k <= 3:
+            return "sppt_core", verdict, marginal
+    return None, None, marginal
+
+
+def _subtract(state: QubitQuditState, lam: float, e: np.ndarray, f: np.ndarray):
+    """The product term lam |e><e| (x) |f><f| and the state less it."""
+    qubit, qudit = np.outer(e, e.conj()), np.outer(f, f.conj())
+    return (qubit, lam * qudit), states._state(state.d, linalg.hermitianize(
+        state.rho - lam * _product_term(qubit, qudit)))
+
+
+def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
+                             lead: Optional[range_criterion.ProductVector] = None
+                             ) -> SubtractionResult:
     """Greedy separable-part extraction for a PPT state.
 
     Repeatedly finds a product vector |e, f> in the range of the remainder
@@ -348,14 +394,29 @@ def subtract_product_vectors(s: QubitQuditState,
     out of candidates proves nothing about the input.
 
     The loop holds one working state, ``s`` at first and a new state after
-    each subtraction.  Past those exits it reads the state's cached spectra
-    (``eig`` and ``pt_eig``; at the first iteration, those ``classify``
-    already took) for its positivity rule, the weights and the
-    enumeration's kernels; an eigenvalue of either below ``-TOL_FLOOR``
-    times its largest magnitude (a maximal subtraction can leave one on an
-    ill-conditioned remainder) first ends the loop ``stalled``.  Its
-    strong-PPT exit reads the state's ``a_eig``, which at the first
-    iteration is the one ``classify``'s ``sppt_check`` took.
+    each subtraction, and one helper, ``_exit``, runs the exit tests on it.
+    Their positivity rule reads the state's cached spectra (``eig`` and
+    ``pt_eig``; at the first iteration, those ``classify`` already took),
+    as the weights and the enumeration's kernels do: an eigenvalue of
+    either below ``-TOL_FLOOR`` times its largest magnitude (a maximal
+    subtraction can leave one on an ill-conditioned remainder) ends the
+    loop ``stalled`` before the strong-PPT test, which reads the state's
+    ``a_eig``, at the first iteration the one ``classify``'s
+    ``sppt_check`` took.
+
+    A ``lead``, a product vector of ``s``'s ranges that ``classify``'s range
+    search found by searching the sphere, is tried once, after the first
+    exit tests and before the first enumeration: it is subtracted at its
+    maximal weight, and when the remainder ends the loop by ``decomposed``,
+    ``small_support`` or ``sppt_core``, the prover returns after one
+    subtraction and no enumeration.  On a 2 x d input of rank d + 1 a
+    weight that the state, not its partial transpose, limits leaves a PPT
+    remainder of rank d, which is separable (Kraus, Cirac, Karnas and
+    Lewenstein, PRA 61, 062302, 2000) and, with an invertible a-block,
+    taken by the strong-PPT exit.  Otherwise the remainder is
+    set aside and the loop goes on as without a lead; should it subtract
+    the same term, it takes that remainder and its exit tests' outcome
+    rather than compute them again.
 
     Each iteration eigendecomposes the qudit marginal M = a + c once; its
     support at ``SUPPORT_CUTOFF`` is the small-support exit's, and its
@@ -388,42 +449,33 @@ def subtract_product_vectors(s: QubitQuditState,
     state = s
     scale0 = max(s.norm(), 1e-300)
     terms = []
-    status = "budget_exhausted"
-    reduction = sppt_verdict = enumeration = None
+    enumeration = aside = None
     iterations = searches = rechecks = 0
     effort = dict.fromkeys(("evaluations", "polishes", "isolation_drops"), 0)
-    for iterations in range(budget + 1):
-        if state.norm() <= DEFAULT_TOL * scale0:
-            status = "decomposed"
+    # The loop's first exit tests, then the lead's subtraction and its own.
+    outcome = _exit(s, terms, scale0)
+    led = False
+    if lead is not None and outcome[0] is None and budget > 0:
+        trace = s.trace()
+        lam = _max_subtraction_weight(s.eig, s.pt_eig, lead.e, lead.f, trace)
+        if lam > 1e-10 * trace:
+            term, remainder = _subtract(s, lam, lead.e, lead.f)
+            tried = _exit(remainder, [term], scale0)
+            if tried[0] not in (None, "stalled"):
+                terms, state, outcome, led = [term], remainder, tried, True
+            else:
+                aside = (lead.e, lead.f, term, remainder, tried)
+    for iterations in range(int(led), budget + 1):
+        status, detail, marginal = outcome or _exit(state, terms, scale0)
+        outcome = None
+        if status is not None or iterations == budget:
             break
-        marginal = linalg.EigResult.of(state.rho[:d, :d] + state.rho[d:, d:])
-        iso = marginal.vectors[:, marginal.support(SUPPORT_CUTOFF)]
-        if iso.shape[1] <= 3 and iso.shape[1] < d:
-            core = _compress_qudit(state.rho, d, iso)
-            if core.pt_eig.values[0] >= -TOL_FLOOR * scale0:
-                status = "small_support"
-                reduction = _theorem(
-                    Reduction(terms=terms, core=core, embed=iso),
-                    "subtraction reduced the remainder to a PPT 2x3-or-smaller support")
-                break
-        if any(eig.values[0] < -TOL_FLOOR * eig.scale for eig in (state.eig, state.pt_eig)):
-            status = "stalled"
-            break
-        verdict = sppt._check_ppt(state, TOL_FLOOR)
-        if verdict.status == "Sppt":
-            k = verdict.factors.x1_svd.rank
-            if k == d or k <= 3:
-                status = "sppt_core"
-                sppt_verdict = verdict
-                break
-        if iterations == budget:
-            break
+        trace = state.trace()
+        lam_floor = 1e-10 * trace
         # Prefer subtractions that drain a qudit level (the certified exit),
         # then the largest admissible weight; greedy max-weight alone can
         # strand the remainder in an edge-like state.
         best = None
-        trace = state.trace()
-        lam_floor = 1e-10 * trace
         con = range_criterion._constraints_of(state, range_criterion.ENUMERATION_KERNEL_CUTOFF)
         if enumeration is not None and enumeration.exhaustive:
             enumeration = range_criterion._recheck(state, con, enumeration)
@@ -444,14 +496,19 @@ def subtract_product_vectors(s: QubitQuditState,
             status = "stalled"
             break
         _, lam, e, f = best
-        terms.append((np.outer(e, e.conj()), lam * np.outer(f, f.conj())))
-        state = states._state(d, linalg.hermitianize(
-            state.rho - lam * _product_term(terms[-1][0], np.outer(f, f.conj()))))
-    if reduction is None:
-        reduction = Reduction(terms=terms, core=state, embed=np.eye(d, dtype=complex))
+        if aside is not None and np.array_equal(e, aside[0]) and np.array_equal(f, aside[1]):
+            term, state, outcome = aside[2:]
+        else:
+            term, state = _subtract(state, lam, e, f)
+        aside = None
+        terms.append(term)
+    if status is None:
+        status = "budget_exhausted"
+    reduction = detail if status == "small_support" else Reduction(
+        terms=terms, core=state, embed=np.eye(d, dtype=complex))
     return SubtractionResult(reduction=reduction, remainder=state, status=status,
                              iterations=iterations, searches=searches, rechecks=rechecks,
-                             sppt=sppt_verdict, **effort)
+                             sppt=detail if status == "sppt_core" else None, led=led, **effort)
 
 
 def decompose_small(s: QubitQuditState) -> SeparableDecomposition:
@@ -504,7 +561,11 @@ def classify(s: QubitQuditState) -> Verdict:
        (a strong-PPT remainder goes through the router of steps 3-4, with
        the subtracted terms prepended); otherwise PptUndecided.  A search that
        finds a product vector, or ends Inconclusive at its resolution floor
-       or evaluation cap, leads here, never to EntangledRange.
+       or evaluation cap, leads here, never to EntangledRange.  A vector
+       that step 6 found by searching the sphere is the prover's ``lead``:
+       subtracted first, it ends the proof at once when its remainder
+       exits (as at rank d + 1, where the remainder has rank d), and is
+       set aside otherwise.
 
     The state is classified as given, with tolerances relative to its
     norm: certificates and residuals are in its units, whatever its trace.
@@ -558,8 +619,10 @@ def classify(s: QubitQuditState) -> Verdict:
     if cert.conclusion == "NoneFound":
         return done(ENTANGLED_RANGE, cert)
 
-    # 7: subtraction prover
-    sub = subtract_product_vectors(s)
+    # 7: subtraction prover, led by the vector the search found on the
+    # sphere (not the continuum case's canonical directions)
+    lead = cert.found[0] if cert.found and cert.search["evaluations"] > 0 else None
+    sub = subtract_product_vectors(s, lead=lead)
     residuals["subtraction_evaluations"] = sub.evaluations
     residuals["subtraction_polishes"] = sub.polishes
     residuals["subtraction_isolation_drops"] = sub.isolation_drops
@@ -568,7 +631,9 @@ def classify(s: QubitQuditState) -> Verdict:
                f"({sub.searches} searched the sphere, {sub.rechecks} re-checked; "
                f"{sub.evaluations} evaluations, {sub.polishes} polishes, "
                f"{sub.isolation_drops} isolation drops), "
-               f"remainder norm {sub.remainder.norm():.3e}")
+               f"remainder norm {sub.remainder.norm():.3e}"
+               + ("; the range search's product vector, subtracted first, ended it"
+                  if sub.led else ""))
     outcome = _verdict_from_subtraction(s, sub, log, residuals)
     if outcome is not None:
         return done(*outcome)

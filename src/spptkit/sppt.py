@@ -15,11 +15,11 @@ Every SPPT state is PPT by construction; the converse fails.
 
 For a PPT state with invertible a the factorization is essentially unique
 (x1 = a^{1/2}, s the whitened b-block), so (*) reduces to the closed-form
-criterion  b^dag a^-1 b = b a^-1 b^dag.  The check answers NotSppt when
-||b^dag a^-1 b - b a^-1 b^dag||_F exceeds ``linalg.DEFAULT_TOL`` times
-||rho||_F.  Forming a^-1 adds rounding of order cond(a) eps ||rho||,
-which for an ill-conditioned a can exceed that tolerance, so NotSppt
-rests on the tolerance, not on exact arithmetic.  With singular a the
+criterion  b^dag a^-1 b = b a^-1 b^dag.  The check answers NotSppt only
+when ||b^dag a^-1 b - b a^-1 b^dag||_F exceeds both ``linalg.DEFAULT_TOL``
+times ||rho||_F and the rounding bound of forming it, c d cond(a) eps
+||rho||_F (``sppt_check``); a residual between the two reads Undecided, as
+rounding alone could have made it.  With singular a the
 state may still be SPPT through couplings into ker(a); ``sppt_check``
 searches two canonical candidates for those couplings and accepts only
 factorizations that replay (reassemble the state and satisfy (*) within
@@ -47,8 +47,10 @@ class SpptVerdict:
     always carries factors whose residual and reassembly were verified, so
     it can be replayed independently.  "NotSppt" is only issued in the
     invertible-a regime, where ``residual_matrix`` holds  b^dag a^-1 b -
-    b a^-1 b^dag, when its norm exceeds the check's tolerance (see
-    ``sppt_check``: a bound that rounding can pass).
+    b a^-1 b^dag, when its norm exceeds both the check's tolerance and the
+    rounding bound of forming it (``sppt_check``), so rounding alone cannot
+    produce it; below that bound the invertible-a verdict is "Undecided",
+    with a note that names cond(a).
     """
 
     status: str
@@ -56,6 +58,11 @@ class SpptVerdict:
     factors: Optional[SpptFactors] = None
     note: str = ""
     residual_matrix: Optional[np.ndarray] = None
+
+
+# The constant c of the NotSppt gate's rounding bound c d cond(a) eps ||rho||_F,
+# derived in ``sppt_check``.
+_ROUNDING = 16
 
 
 def sppt_residual(x1, s) -> float:
@@ -230,13 +237,44 @@ def sppt_check(s: QubitQuditState) -> SpptVerdict:
 
     Non-PPT input yields Undecided with note "NPT" (the property is defined
     within PPT states).  With invertible a the closed-form criterion
-    decides: NotSppt when ||b^dag a^-1 b - b a^-1 b^dag||_F exceeds
-    ``linalg.DEFAULT_TOL`` times ||rho||_F, else Sppt with the canonical
-    factors.  Forming a^-1 adds rounding of order cond(a) eps ||rho||,
-    which passes that tolerance once cond(a) passes ``DEFAULT_TOL`` / eps,
-    about 4.5e6, so a strong-PPT state with ill-conditioned a can read
-    NotSppt.  With singular a a verified factorization gives Sppt,
-    otherwise the verdict is Undecided, never NotSppt.
+    decides: Sppt with the canonical factors when the residual R = b^dag
+    a^-1 b - b a^-1 b^dag has ||R||_F at most ``linalg.DEFAULT_TOL`` times
+    ||rho||_F, NotSppt when ||R||_F also exceeds the rounding bound
+
+        ``_ROUNDING`` d cond(a) eps ||rho||_F,
+
+    cond(a) read from the state's eigendecomposition of a (``a_eig``), and
+    Undecided in between, with a note that names cond(a).  With singular a
+    a verified factorization gives Sppt, otherwise the verdict is
+    Undecided, never NotSppt.
+
+    The bound is the first-order rounding of R for a strong-PPT state, whose
+    exact R is 0, in the usual model that the eigensolver and each product
+    of d x d matrices err by at most d eps times the norms involved
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    2002, sections 3.5 and 14.1).  Write kappa = cond(a), and b =
+    a^{1/2} s a^{1/2} for the canonical s.
+
+    * a^-1 is formed from a's eigendecomposition, exact for a + E with
+      ||E|| <= d eps ||a||, through eigenvectors orthonormal to d eps, so
+      the computed inverse is a^-1 + D with ||a^{1/2} D a^{1/2}|| <= 3 d eps
+      kappa (1 for E, 2 for the vectors on either side).
+    * b^dag D b = (s a^{1/2})^dag (a^{1/2} D a^{1/2}) (s a^{1/2}), and
+      ||s a^{1/2}||^2 = ||b^dag a^-1 b|| <= ||c|| because rho is PSD; the
+      same holds for b D b^dag and ||s^dag a^{1/2}||^2 = ||b a^-1 b^dag||
+      <= ||c||, as rho^Gamma is PSD.  Each term: 3 d eps kappa ||c||.
+    * Each term takes two products, of rounding at most d eps ||b||^2
+      ||a^-1|| <= d eps kappa ||c|| each, as ||b||^2 <= ||a|| ||c||: 2 d eps
+      kappa ||c|| per term.
+    * Two terms: ||R|| <= 10 d eps kappa ||c|| <= 10 d eps kappa ||rho||_F.
+
+    ``_ROUNDING`` = 16 leaves 60% on top of the 10 for the second-order
+    terms and the final subtraction (2 eps ||c||).  Measured on the
+    strong-PPT ``ill_conditioned_sppt`` family of the tests (cond(a) 1e8 to
+    1e12), ||R|| reads 0.006 to 0.8 times kappa eps ||rho||_F, at least 80
+    times under the bound; on inputs that are not strong-PPT
+    (``horodecki_2x4``, the counterexamples, generic separable mixtures)
+    it reads 7e12 to 2e15 times it.
     """
     if states.is_npt(s):
         return SpptVerdict(status="Undecided", residual=0.0,
@@ -259,6 +297,16 @@ def _check_ppt(s: QubitQuditState, tol: float) -> SpptVerdict:
             return SpptVerdict(
                 status="Sppt", residual=residual, factors=factors,
                 note="invertible a; closed-form criterion",
+                residual_matrix=residual_matrix,
+            )
+        cond = float(eig.values[-1] / eig.values[0])
+        rounding = _ROUNDING * s.d * cond * np.finfo(float).eps * scale
+        if residual <= rounding:
+            return SpptVerdict(
+                status="Undecided", residual=residual,
+                note=f"invertible a; closed-form residual {residual:.3e} is within "
+                     f"the rounding bound {rounding:.3e} of forming it at cond(a) = "
+                     f"{cond:.3e}, so the criterion cannot decide",
                 residual_matrix=residual_matrix,
             )
         return SpptVerdict(

@@ -372,6 +372,23 @@ class TestOnePositivityRule:
         assert len(calls) == 2 * (res.iterations + 1)
 
 
+def _record_decompositions(monkeypatch):
+    """Record the shape and bytes of every single matrix (not stack) that
+    ``np.linalg.eigh`` or ``eigvalsh`` decomposes."""
+    seen = []
+
+    def recording(real):
+        def decompose(m, *args, **kwargs):
+            if np.ndim(m) == 2:
+                seen.append((np.shape(m), np.asarray(m).tobytes()))
+            return real(m, *args, **kwargs)
+        return decompose
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    return seen
+
+
 class TestOneSpectralPass:
     """Every block of a state has one eigendecomposition: one ``classify``
     eigendecomposes no single matrix twice, whatever its size.  Stacks (the
@@ -380,22 +397,97 @@ class TestOneSpectralPass:
     @pytest.mark.parametrize("state", [
         horodecki_2x4(0.5), entangled_sppt_2x5(0.5).state, sppt_counterexample_2x4(),
         random_separable(5, 6, seed=0)[0], random_separable(4, 7, seed=0)[0],
-    ], ids=["horodecki", "rho0", "rho2", "random_separable(5,6)", "random_separable(4,7)"])
+        random_separable(5, 7, seed=0)[0],
+    ], ids=["horodecki", "rho0", "rho2", "random_separable(5,6)", "random_separable(4,7)",
+            "random_separable(5,7)"])
     def test_no_matrix_is_decomposed_twice(self, state, monkeypatch):
-        seen = []
-
-        def recording(real):
-            def decompose(m, *args, **kwargs):
-                if np.ndim(m) == 2:
-                    seen.append((np.shape(m), np.asarray(m).tobytes()))
-                return real(m, *args, **kwargs)
-            return decompose
-
-        for name in ("eigh", "eigvalsh"):
-            monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+        # random_separable(5, 7): the lead's remainder does not exit and is
+        # set aside
+        seen = _record_decompositions(monkeypatch)
         separability.classify(state)
         repeats = len(seen) - len(set(seen))
         assert seen and repeats == 0
+
+
+def _lead_of(state):
+    """The product vector ``classify``'s range search hands the prover."""
+    cert = range_criterion.edge_check(state)
+    assert cert.conclusion == "FoundProductVector" and cert.search["evaluations"] > 0
+    return cert.found[0]
+
+
+class TestLead:
+    """The prover subtracts the range search's product vector before it
+    enumerates, and keeps the remainder only when it exits."""
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rank_d_plus_one_ends_after_one_subtraction(self, d, seed, monkeypatch):
+        # a PPT remainder of rank d is separable, and its a-block is
+        # invertible, so the strong-PPT exit decides it
+        state, _ = random_separable(d, d + 1, seed=seed)
+        calls = _record_enumerations(monkeypatch)
+        results = []
+        prover = separability.subtract_product_vectors
+
+        def recording(*args, **kwargs):
+            results.append(prover(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(separability, "subtract_product_vectors", recording)
+        v = classify(state)
+        assert v.classification == SEPARABLE
+        v.certificate.validate(state.rho, tol=TOL_FLOOR)
+        (sub,) = results
+        assert (sub.status, sub.iterations, sub.searches, sub.rechecks, sub.led) == (
+            "sppt_core", 1, 0, 0, True)
+        assert calls == []
+        line = next(entry for entry in v.trace_log if entry.startswith("subtraction:"))
+        assert " after 1 subtractions and 0 enumerations " in line
+        assert line.endswith("the range search's product vector, subtracted first, ended it")
+
+    def test_a_lead_that_does_not_exit_changes_nothing(self):
+        state, _ = random_separable(5, 7, seed=0)
+        led = subtract_product_vectors(state, lead=_lead_of(state))
+        plain = subtract_product_vectors(state)
+        assert not led.led and led.status == plain.status == "sppt_core"
+        for name in ("iterations", "searches", "rechecks", "evaluations", "polishes",
+                     "isolation_drops"):
+            assert getattr(led, name) == getattr(plain, name), name
+        for got, want in zip(led.reduction.terms, plain.reduction.terms, strict=True):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_the_same_subtraction_reuses_the_remainder(self, monkeypatch):
+        # an enumeration that offers the lead itself: the loop takes the
+        # remainder set aside, and its exit tests' outcome, as they are
+        state, _ = random_separable(5, 7, seed=0)
+        lead = _lead_of(state)
+        enumerate_ = range_criterion._enumerate
+
+        def offering_the_lead(s, con):
+            out = enumerate_(s, con)
+            return range_criterion._Enumeration([lead], out.search, exhaustive=False)
+
+        monkeypatch.setattr(range_criterion, "_enumerate", offering_the_lead)
+        seen = _record_decompositions(monkeypatch)
+        res = subtract_product_vectors(state, lead=lead)
+        assert not res.led and res.iterations >= 1
+        assert np.array_equal(res.reduction.terms[0][0], np.outer(lead.e, lead.e.conj()))
+        assert len(seen) == len(set(seen))
+
+    def test_continuum_case_gives_no_lead(self, monkeypatch):
+        # full rank: edge_check's vectors come from the canonical
+        # directions, without a search, and the prover gets none
+        leads = []
+        prover = separability.subtract_product_vectors
+
+        def recording(s, budget=None, lead=None):
+            leads.append(lead)
+            return prover(s, budget, lead)
+
+        monkeypatch.setattr(separability, "subtract_product_vectors", recording)
+        classify(random_separable(4, 8, seed=0)[0])
+        assert leads == [None]
 
 
 class TestPolishCap:
@@ -790,11 +882,11 @@ class TestClassify:
         assert v.classification == SEPARABLE
         assert len(checked) == 1 and checked[0] is state.rho
 
-    @pytest.mark.parametrize("n, enumerations", [(6, 1), (7, 2)])
+    @pytest.mark.parametrize("n, enumerations", [(6, 0), (7, 2)])
     def test_subtraction_work_is_reported(self, monkeypatch, n, enumerations):
         # a Separable verdict through the prover carries the summed work of
         # its enumerations, fresh searches and re-checks alike (n = 7: one
-        # of each)
+        # of each; n = 6: none, as the range search's vector ends the proof)
         records = []
         for name in ("_enumerate", "_recheck"):
             real = getattr(range_criterion, name)
@@ -813,7 +905,7 @@ class TestClassify:
             total = sum(record[key] for record in records)
             assert report["residuals"][f"subtraction_{key}"] == total
             assert type(report["residuals"][f"subtraction_{key}"]) is int
-        assert report["residuals"]["subtraction_evaluations"] > 0
+        assert (report["residuals"]["subtraction_evaluations"] > 0) == (enumerations > 0)
         line = next(line for line in report["trace_log"] if line.startswith("subtraction:"))
         assert f"{report['residuals']['subtraction_evaluations']} evaluations" in line
         assert f"{report['residuals']['subtraction_polishes']} polishes" in line

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spptkit import linalg
+from spptkit import linalg, sppt
 from spptkit.errors import DimensionMismatch
 from spptkit.sppt import (
     SpptFactors,
@@ -23,6 +23,8 @@ from spptkit.states import (
     sppt_counterexample_2x3,
     sppt_counterexample_2x4,
 )
+
+from helpers import ill_conditioned_sppt
 
 # residual matrix of the 2x3 counterexample: b^dag a^-1 b - b a^-1 b^dag,
 # computed by hand via a^-1 = (1/24) [[8,0,0],[0,9,-6],[0,-6,12]]
@@ -230,6 +232,39 @@ class TestSpptCheck:
         np.testing.assert_allclose(f.x1_svd.sigma, linalg.svd(f.x1).sigma,
                                    atol=1e-12 * sigma[0])
         assert f.sppt_residual == sppt_residual(f.x1, f.s)
+
+
+def _rounding_scale(state):
+    """cond(a) eps ||rho||_F, the scale of the NotSppt gate's rounding bound."""
+    values = state.a_eig.values
+    return values[-1] / values[0] * np.finfo(float).eps * state.norm()
+
+
+class TestNotSpptGate:
+    """NotSppt only where the residual clears the rounding bound
+    ``_ROUNDING`` d cond(a) eps ||rho||_F of forming it."""
+
+    def test_constant(self):
+        assert sppt._ROUNDING == 16
+
+    def test_ill_conditioned_sppt_is_undecided(self):
+        # strong-PPT by construction, cond(a) 1e8 to 1e12: the residual is
+        # rounding, under 0.8 of the scale here, so 80 times under the bound;
+        # pinned at 40 times, as other hardware rounds differently
+        for seed in range(130):
+            state = ill_conditioned_sppt(seed)
+            v = sppt_check(state)
+            assert v.status == "Undecided", seed
+            assert "cond(a)" in v.note and v.residual_matrix is not None
+            assert v.residual > 1e-9 * state.norm()
+            assert v.residual <= sppt._ROUNDING * state.d * _rounding_scale(state) / 40
+
+    @pytest.mark.parametrize("state", [horodecki_2x4(0.5), sppt_counterexample_2x4()],
+                             ids=["horodecki_2x4(0.5)", "rho2"])
+    def test_genuine_residuals_are_not_sppt(self, state):
+        v = sppt_check(state)
+        assert v.status == "NotSppt"
+        assert v.residual >= 1e10 * sppt._ROUNDING * state.d * _rounding_scale(state)
 
 
 class TestVerdictInvariance:
