@@ -30,10 +30,12 @@ the state's: the prover searches the Bloch sphere afresh only at its
 first iteration or after an enumeration that was not exhaustive, and
 otherwise re-checks the vectors it last enumerated.  Inside ``classify``
 it first subtracts the product vector that the range search found on the
-sphere, and stops there when the remainder exits, as it does on inputs of
-rank d + 1 whose remainder has rank d and an invertible a-block (a 2 x d
-PPT state of rank d is separable; Kraus, Cirac, Karnas and Lewenstein,
-PRA 61, 062302, 2000).  Classification runs
+sphere, then the one a range search finds on the sphere of each
+remainder, and stops when a remainder exits, as it does on inputs of
+rank d + k after k subtractions that each drop the rank, once the
+remainder has rank d and an invertible a-block (a 2 x d PPT state of
+rank d is separable; Kraus, Cirac, Karnas and Lewenstein, PRA 61,
+062302, 2000).  Classification runs
 sound certificates first (negative partial-transpose eigenvalue, small
 dimension, strong-PPT constructions, the range criterion's certified bound)
 and only then the best-effort subtraction, so a verdict never depends on a
@@ -180,9 +182,11 @@ class SubtractionResult:
     length of the reduction's terms), and how many enumerations searched
     the Bloch sphere (``searches``) and how many re-checked the last one
     (``rechecks``), with the ``evaluations``, ``polishes`` and
-    ``isolation_drops`` summed over the records of those enumerations.
-    ``led`` says whether the subtraction of the range search's product
-    vector, tried first, ended the loop."""
+    ``isolation_drops`` summed over the records of those enumerations and
+    of the chain's range searches.  ``chained`` counts the range-search
+    product vectors the chain subtracted before the loop and
+    ``chain_searches`` the range searches it ran on their remainders, and
+    ``led`` says whether the chain ended the loop."""
 
     reduction: Reduction
     remainder: QubitQuditState
@@ -194,6 +198,8 @@ class SubtractionResult:
     polishes: int
     isolation_drops: int
     sppt: Optional[SpptVerdict] = None
+    chained: int = 0
+    chain_searches: int = 0
     led: bool = False
 
 
@@ -378,6 +384,28 @@ def _subtract(state: QubitQuditState, lam: float, e: np.ndarray, f: np.ndarray):
         state.rho - lam * _product_term(qubit, qudit)))
 
 
+def _rank(state: QubitQuditState) -> int:
+    """The number of eigenvalues of the state's cached ``eig`` above
+    ``linalg.RANK_CUTOFF`` times the largest."""
+    return int(np.count_nonzero(state.eig.support(linalg.RANK_CUTOFF)))
+
+
+def _chain_vector(state: QubitQuditState, effort: dict):
+    """The product vector that ``edge_check`` finds for ``state`` by
+    searching the Bloch sphere, with the search's work added to ``effort``;
+    None when it finds none there, returns only the continuum case's
+    canonical vectors (no evaluations), or raises ValidationError."""
+    try:
+        cert = edge_check(state)
+    except ValidationError:
+        return None
+    for key in effort:
+        effort[key] += cert.search[key]
+    if cert.conclusion != "FoundProductVector" or cert.search["evaluations"] == 0:
+        return None
+    return cert.found[0]
+
+
 def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
                              lead: Optional[range_criterion.ProductVector] = None
                              ) -> SubtractionResult:
@@ -405,18 +433,30 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
     ``sppt_check`` took.
 
     A ``lead``, a product vector of ``s``'s ranges that ``classify``'s range
-    search found by searching the sphere, is tried once, after the first
+    search found by searching the sphere, starts a chain after the first
     exit tests and before the first enumeration: it is subtracted at its
-    maximal weight, and when the remainder ends the loop by ``decomposed``,
-    ``small_support`` or ``sppt_core``, the prover returns after one
-    subtraction and no enumeration.  On a 2 x d input of rank d + 1 a
-    weight that the state, not its partial transpose, limits leaves a PPT
-    remainder of rank d, which is separable (Kraus, Cirac, Karnas and
-    Lewenstein, PRA 61, 062302, 2000) and, with an invertible a-block,
-    taken by the strong-PPT exit.  Otherwise the remainder is
-    set aside and the loop goes on as without a lead; should it subtract
-    the same term, it takes that remainder and its exit tests' outcome
-    rather than compute them again.
+    maximal weight, and while the remainder does not exit, ``edge_check``
+    searches the remainder and the vector it finds on the sphere is
+    subtracted in turn.  When a remainder ends the loop by ``decomposed``,
+    ``small_support`` or ``sppt_core``, the prover returns after the
+    chain's subtractions and no enumeration.  A weight that the state, not
+    its partial transpose, limits drops the state's rank by one, and a PPT
+    remainder stays in both ranges; so on a 2 x d input of rank d + k, k
+    such subtractions leave a PPT remainder of rank d, which is separable
+    (Kraus, Cirac, Karnas and Lewenstein, PRA 61, 062302, 2000) and, with
+    an invertible a-block, taken by the strong-PPT exit.  The chain stops
+    when a remainder is ``stalled``, a subtraction leaves the rank (the
+    count of eigenvalues of the cached ``eig`` above ``linalg.RANK_CUTOFF``
+    times the largest) as it was, a remainder's search finds no vector on
+    the sphere (the continuum case's canonical vectors do not count) or
+    raises ValidationError, or the chain reaches the budget.  The loop then
+    goes on from ``s`` as without a lead, with the first subtraction's
+    remainder set aside: should the loop subtract the same term, it takes
+    that remainder and its exit tests' outcome rather than compute them
+    again.  The chain's searches go through the name ``edge_check`` of
+    this module, and their work counts in the result's ``evaluations``,
+    ``polishes`` and ``isolation_drops`` whether or not the chain ends the
+    loop.
 
     Each iteration eigendecomposes the qudit marginal M = a + c once; its
     support at ``SUPPORT_CUTOFF`` is the small-support exit's, and its
@@ -452,20 +492,28 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
     enumeration = aside = None
     iterations = searches = rechecks = 0
     effort = dict.fromkeys(("evaluations", "polishes", "isolation_drops"), 0)
-    # The loop's first exit tests, then the lead's subtraction and its own.
+    # The loop's first exit tests, then the chain: the lead and each vector
+    # the range search finds on the sphere of the last remainder, in turn.
     outcome = _exit(s, terms, scale0)
-    led = False
-    if lead is not None and outcome[0] is None and budget > 0:
-        trace = s.trace()
-        lam = _max_subtraction_weight(s.eig, s.pt_eig, lead.e, lead.f, trace)
-        if lam > 1e-10 * trace:
-            term, remainder = _subtract(s, lam, lead.e, lead.f)
-            tried = _exit(remainder, [term], scale0)
-            if tried[0] not in (None, "stalled"):
-                terms, state, outcome, led = [term], remainder, tried, True
-            else:
-                aside = (lead.e, lead.f, term, remainder, tried)
-    for iterations in range(int(led), budget + 1):
+    chain, work, pv, led, chain_searches = [], s, lead, False, 0
+    while pv is not None and outcome[0] is None and len(chain) < budget:
+        trace = work.trace()
+        lam = _max_subtraction_weight(work.eig, work.pt_eig, pv.e, pv.f, trace)
+        if lam <= 1e-10 * trace:
+            break
+        term, remainder = _subtract(work, lam, pv.e, pv.f)
+        tried = _exit(remainder, chain + [term], scale0)
+        chain.append(term)
+        if len(chain) == 1:
+            aside = (pv.e, pv.f, term, remainder, tried)
+        if tried[0] not in (None, "stalled"):
+            terms, state, outcome, led = chain, remainder, tried, True
+            break
+        if tried[0] == "stalled" or len(chain) == budget or _rank(remainder) >= _rank(work):
+            break
+        work, pv = remainder, _chain_vector(remainder, effort)
+        chain_searches += 1
+    for iterations in range(len(terms), budget + 1):
         status, detail, marginal = outcome or _exit(state, terms, scale0)
         outcome = None
         if status is not None or iterations == budget:
@@ -508,7 +556,9 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
         terms=terms, core=state, embed=np.eye(d, dtype=complex))
     return SubtractionResult(reduction=reduction, remainder=state, status=status,
                              iterations=iterations, searches=searches, rechecks=rechecks,
-                             sppt=detail if status == "sppt_core" else None, led=led, **effort)
+                             sppt=detail if status == "sppt_core" else None,
+                             chained=len(chain), chain_searches=chain_searches, led=led,
+                             **effort)
 
 
 def decompose_small(s: QubitQuditState) -> SeparableDecomposition:
@@ -562,10 +612,11 @@ def classify(s: QubitQuditState) -> Verdict:
        the subtracted terms prepended); otherwise PptUndecided.  A search that
        finds a product vector, or ends Inconclusive at its resolution floor
        or evaluation cap, leads here, never to EntangledRange.  A vector
-       that step 6 found by searching the sphere is the prover's ``lead``:
-       subtracted first, it ends the proof at once when its remainder
-       exits (as at rank d + 1, where the remainder has rank d), and is
-       set aside otherwise.
+       that step 6 found by searching the sphere is the prover's ``lead``,
+       the first of a chain of range-search vectors subtracted before any
+       enumeration: the chain ends the proof when a remainder exits (as at
+       rank d + k after k subtractions, where the remainder has rank d),
+       and is set aside otherwise.
 
     The state is classified as given, with tolerances relative to its
     norm: certificates and residuals are in its units, whatever its trace.
@@ -626,14 +677,18 @@ def classify(s: QubitQuditState) -> Verdict:
     residuals["subtraction_evaluations"] = sub.evaluations
     residuals["subtraction_polishes"] = sub.polishes
     residuals["subtraction_isolation_drops"] = sub.isolation_drops
+    # A chain that stopped before any search left nothing in the counts.
+    chained = ""
+    if sub.led or sub.chain_searches:
+        chained = (f"; a chain of {sub.chained} range-search product vectors and "
+                   f"{sub.chain_searches} range searches "
+                   + ("ended it" if sub.led else "stopped and was set aside"))
     log.append(f"subtraction: {sub.status} after {sub.iterations} subtractions and "
                f"{sub.searches + sub.rechecks} enumerations "
                f"({sub.searches} searched the sphere, {sub.rechecks} re-checked; "
                f"{sub.evaluations} evaluations, {sub.polishes} polishes, "
                f"{sub.isolation_drops} isolation drops), "
-               f"remainder norm {sub.remainder.norm():.3e}"
-               + ("; the range search's product vector, subtracted first, ended it"
-                  if sub.led else ""))
+               f"remainder norm {sub.remainder.norm():.3e}{chained}")
     outcome = _verdict_from_subtraction(s, sub, log, residuals)
     if outcome is not None:
         return done(*outcome)

@@ -565,11 +565,12 @@ class TestPolishBudget:
                 cert.search["polishes"]) == (1, 112, 1)
 
     @pytest.mark.parametrize("d, n, evaluations, polishes", [
-        (5, 6, 0, 0), (4, 7, 2102, 12), (5, 7, 1425, 16)])
+        (5, 6, 0, 0), (4, 7, 2102, 12), (5, 7, 112, 1)])
     def test_enumeration_keeps_its_budget(self, d, n, evaluations, polishes):
         # the separable_mix inputs; a search for eight vectors still takes
         # two polishes per level above the threshold (n = d + 1: none, as
-        # the range search's vector ends the proof)
+        # the range search's vector ends the proof; n = d + 2: only the
+        # chain's one range search, a first-level find, as the chain ends it)
         residuals = classify(random_separable(d, n, seed=0)[0]).residuals
         assert (residuals["subtraction_evaluations"], residuals["subtraction_polishes"]) == (
             evaluations, polishes)

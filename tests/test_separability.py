@@ -1,5 +1,6 @@
 """Tests for decompositions, reduction, lifting, subtraction, and classify."""
 
+import dataclasses
 import json
 import os
 import re
@@ -15,6 +16,7 @@ from spptkit import io, linalg, range_criterion, separability
 from spptkit.errors import (
     InvalidDecomposition,
     NotNormal,
+    NotPsd,
     NotSppt,
     SingularX1,
     ValidationError,
@@ -238,6 +240,29 @@ def _record_enumerations(monkeypatch):
     return calls
 
 
+def _record_range_searches(monkeypatch):
+    """Record the search record of every ``edge_check`` call made through
+    ``separability.edge_check`` (``classify``'s step 6 and the prover's
+    chain), in call order."""
+    searches = []
+    edge_check = separability.edge_check
+
+    def recording(s):
+        cert = edge_check(s)
+        searches.append(cert.search)
+        return cert
+
+    monkeypatch.setattr(separability, "edge_check", recording)
+    return searches
+
+
+def _same_terms(got, want):
+    """Whether two subtraction results hold bitwise equal terms."""
+    return len(got.reduction.terms) == len(want.reduction.terms) and all(
+        np.array_equal(g, w) for a, b in zip(got.reduction.terms, want.reduction.terms)
+        for g, w in zip(a, b))
+
+
 def _assert_rechecks_follow_exhaustive(calls):
     assert calls[0][0] == "search"
     for (_, _, before), (kind, _, _) in zip(calls, calls[1:]):
@@ -265,7 +290,10 @@ class TestEnumerationReuse:
             assert len(reused.certificate.terms) == len(fresh.certificate.terms)
 
     def test_one_sphere_search(self, monkeypatch):
-        state, _ = random_separable(5, 7, seed=0)
+        # the 2 x 4 core of random_sppt(6, 4): the chain stops after the
+        # lead, whose subtraction leaves the rank as it is, and the loop
+        # searches once and re-checks once
+        state = svd_reduce(random_sppt(6, 4, normal_s=False, seed=0)[1]).core
         calls = []
         search = range_criterion._search
 
@@ -275,10 +303,10 @@ class TestEnumerationReuse:
 
         monkeypatch.setattr(range_criterion, "_search", counting)
         verdict = classify(state)
-        assert verdict.classification == SEPARABLE
+        assert verdict.classification == PPT_UNDECIDED
         assert calls == [True, False]      # edge_check, then one enumeration
         line = next(entry for entry in verdict.trace_log if entry.startswith("subtraction:"))
-        assert "1 searched the sphere" in line
+        assert "1 searched the sphere, 1 re-checked" in line
 
     @pytest.mark.parametrize("d, n", [(5, 7), (3, 6)])
     def test_rechecked_vectors_qualify_for_the_remainder(self, d, n, monkeypatch):
@@ -397,12 +425,15 @@ class TestOneSpectralPass:
     @pytest.mark.parametrize("state", [
         horodecki_2x4(0.5), entangled_sppt_2x5(0.5).state, sppt_counterexample_2x4(),
         random_separable(5, 6, seed=0)[0], random_separable(4, 7, seed=0)[0],
-        random_separable(5, 7, seed=0)[0],
+        random_separable(5, 7, seed=0)[0], random_separable(4, 6, seed=0)[0],
+        random_separable(6, 9, seed=0)[0],
     ], ids=["horodecki", "rho0", "rho2", "random_separable(5,6)", "random_separable(4,7)",
-            "random_separable(5,7)"])
+            "random_separable(5,7)", "random_separable(4,6)", "random_separable(6,9)"])
     def test_no_matrix_is_decomposed_twice(self, state, monkeypatch):
-        # random_separable(5, 7): the lead's remainder does not exit and is
-        # set aside
+        # random_separable(5, 7): a chain of two subtractions ends the proof;
+        # random_separable(4, 6): the chain stops after the lead, set aside;
+        # random_separable(6, 9): the first remainder's range search finds
+        # no vector, and the loop runs from the input
         seen = _record_decompositions(monkeypatch)
         separability.classify(state)
         repeats = len(seen) - len(set(seen))
@@ -418,14 +449,15 @@ def _lead_of(state):
 
 class TestLead:
     """The prover subtracts the range search's product vector before it
-    enumerates, and keeps the remainder only when it exits."""
+    enumerates, then each vector the range search finds on the sphere of the
+    last remainder, and keeps the chain only when a remainder exits."""
 
-    @pytest.mark.parametrize("d", [4, 5, 6])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_rank_d_plus_one_ends_after_one_subtraction(self, d, seed, monkeypatch):
-        # a PPT remainder of rank d is separable, and its a-block is
-        # invertible, so the strong-PPT exit decides it
-        state, _ = random_separable(d, d + 1, seed=seed)
+    @staticmethod
+    def _classify_chained(d, n, seed, monkeypatch):
+        """``classify(random_separable(d, n, seed))``, its first prover
+        result, and, when that chain decided it, the checks that it took
+        n - d subtractions, n - d - 1 range searches and no enumeration."""
+        state, _ = random_separable(d, n, seed=seed)
         calls = _record_enumerations(monkeypatch)
         results = []
         prover = separability.subtract_product_vectors
@@ -436,31 +468,78 @@ class TestLead:
 
         monkeypatch.setattr(separability, "subtract_product_vectors", recording)
         v = classify(state)
-        assert v.classification == SEPARABLE
-        v.certificate.validate(state.rho, tol=TOL_FLOOR)
-        (sub,) = results
-        assert (sub.status, sub.iterations, sub.searches, sub.rechecks, sub.led) == (
-            "sppt_core", 1, 0, 0, True)
-        assert calls == []
-        line = next(entry for entry in v.trace_log if entry.startswith("subtraction:"))
-        assert " after 1 subtractions and 0 enumerations " in line
-        assert line.endswith("the range search's product vector, subtracted first, ended it")
+        sub = results[0]
+        if sub.led:
+            k = n - d
+            assert v.classification == SEPARABLE
+            v.certificate.validate(state.rho, tol=TOL_FLOOR)
+            assert (sub.status, sub.iterations, sub.searches, sub.rechecks, sub.chained,
+                    sub.chain_searches) == ("sppt_core", k, 0, 0, k, k - 1)
+            assert calls == []
+            line = next(entry for entry in v.trace_log if entry.startswith("subtraction:"))
+            assert f" after {k} subtractions and 0 enumerations " in line
+            assert line.endswith(f"; a chain of {k} range-search product vectors and "
+                                 f"{k - 1} range searches ended it")
+        return sub
 
-    def test_a_lead_that_does_not_exit_changes_nothing(self):
-        state, _ = random_separable(5, 7, seed=0)
-        led = subtract_product_vectors(state, lead=_lead_of(state))
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rank_d_plus_one_ends_after_one_subtraction(self, d, seed, monkeypatch):
+        # a PPT remainder of rank d is separable, and its a-block is
+        # invertible, so the strong-PPT exit decides it
+        assert self._classify_chained(d, d + 1, seed, monkeypatch).led
+
+    # Inputs of rank d + 2 and d + 3 with a lead whose chain stops: at
+    # (4, 6) the lead's weight is the partial transpose's, so the rank does
+    # not drop, and at (6, 9, 0) the first remainder's range search finds no
+    # vector.  (4, 7) and (5, 8) are the continuum case, with no lead.
+    CHAIN_STOPS = {(4, 6, 0), (4, 6, 1), (6, 9, 0)}
+
+    @pytest.mark.parametrize("d, n", [(d, d + k) for d in (4, 5, 6) for k in (2, 3)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rank_d_plus_k_ends_after_k_subtractions(self, d, n, seed, monkeypatch):
+        # each subtraction the state limits drops the rank by one, and a PPT
+        # remainder of rank d is separable (KCKL), so the chain decides a
+        # rank-(d + k) input in k subtractions and k - 1 range searches
+        sub = self._classify_chained(d, n, seed, monkeypatch)
+        if 2 * (2 * d - n) < d:         # fewer kernel rows than d: no lead
+            assert sub.chained == 0
+        else:
+            assert sub.led == ((d, n, seed) not in self.CHAIN_STOPS)
+
+    # (state, chained, chain_searches) of chains that stop: the lead's
+    # weight leaves the rank as it is; the first remainder's range search
+    # finds nothing; the third subtraction leaves the rank as it is
+    STOPPED = [
+        pytest.param(random_separable(4, 6, seed=0)[0], 1, 0, id="random_separable(4,6)"),
+        pytest.param(random_separable(6, 9, seed=0)[0], 1, 1, id="random_separable(6,9)"),
+        pytest.param(random_sppt(8, 4, normal_s=False, seed=2)[0], 3, 2,
+                     id="random_sppt(8,4,normal_s=False,seed=2)"),
+    ]
+
+    @pytest.mark.parametrize("state, chained, chain_searches", STOPPED)
+    def test_a_chain_that_stops_changes_nothing(self, state, chained, chain_searches,
+                                                monkeypatch):
+        # the terms, the status and the enumerations are those of a run
+        # without a lead; the work adds the chain's range searches
+        lead = _lead_of(state)
+        searches = _record_range_searches(monkeypatch)
+        led = subtract_product_vectors(state, lead=lead)
         plain = subtract_product_vectors(state)
-        assert not led.led and led.status == plain.status == "sppt_core"
-        for name in ("iterations", "searches", "rechecks", "evaluations", "polishes",
-                     "isolation_drops"):
+        assert (led.chained, led.chain_searches, led.led) == (chained, chain_searches, False)
+        assert len(searches) == chain_searches
+        assert led.status == plain.status
+        for name in ("iterations", "searches", "rechecks"):
             assert getattr(led, name) == getattr(plain, name), name
-        for got, want in zip(led.reduction.terms, plain.reduction.terms, strict=True):
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        for name in ("evaluations", "polishes", "isolation_drops"):
+            chain_work = sum(search[name] for search in searches)
+            assert getattr(led, name) == getattr(plain, name) + chain_work, name
+        assert _same_terms(led, plain)
 
     def test_the_same_subtraction_reuses_the_remainder(self, monkeypatch):
         # an enumeration that offers the lead itself: the loop takes the
         # remainder set aside, and its exit tests' outcome, as they are
-        state, _ = random_separable(5, 7, seed=0)
+        state = random_sppt(6, 4, normal_s=False, seed=2)[0]
         lead = _lead_of(state)
         enumerate_ = range_criterion._enumerate
 
@@ -471,7 +550,7 @@ class TestLead:
         monkeypatch.setattr(range_criterion, "_enumerate", offering_the_lead)
         seen = _record_decompositions(monkeypatch)
         res = subtract_product_vectors(state, lead=lead)
-        assert not res.led and res.iterations >= 1
+        assert not res.led and res.chained >= 1 and res.iterations >= 1
         assert np.array_equal(res.reduction.terms[0][0], np.outer(lead.e, lead.e.conj()))
         assert len(seen) == len(set(seen))
 
@@ -488,6 +567,42 @@ class TestLead:
         monkeypatch.setattr(separability, "subtract_product_vectors", recording)
         classify(random_separable(4, 8, seed=0)[0])
         assert leads == [None]
+
+    @pytest.mark.parametrize("outcome", ["continuum", "NoneFound", "NotPsd"])
+    def test_a_remainder_without_a_sphere_vector_stops_the_chain(self, outcome,
+                                                                 monkeypatch):
+        # random_separable(5, 7): the chain needs the first remainder's
+        # range search; a continuum-case answer (no evaluations), no vector
+        # or a ValidationError stops it after the lead, as it is
+        state, _ = random_separable(5, 7, seed=0)
+        lead = _lead_of(state)
+        edge_check = range_criterion.edge_check
+
+        def answering(s):
+            cert = edge_check(s)
+            if outcome == "NotPsd":
+                raise NotPsd("a kernel needs a PSD matrix")
+            if outcome == "NoneFound":
+                return dataclasses.replace(cert, conclusion="NoneFound", found=[])
+            return dataclasses.replace(cert, search={**cert.search, "evaluations": 0})
+
+        monkeypatch.setattr(separability, "edge_check", answering)
+        res = subtract_product_vectors(state, lead=lead)
+        plain = subtract_product_vectors(state)
+        assert (res.chained, res.chain_searches, res.led) == (1, 1, False)
+        assert res.status == plain.status == "sppt_core"
+        assert (res.searches, res.rechecks) == (plain.searches, plain.rechecks) == (1, 1)
+        assert _same_terms(res, plain)
+
+    def test_the_budget_stops_the_chain(self):
+        # random_separable(5, 7) needs a chain of two; a budget of one
+        # subtraction stops it after the lead, before any range search
+        state, _ = random_separable(5, 7, seed=0)
+        res = subtract_product_vectors(state, budget=1, lead=_lead_of(state))
+        plain = subtract_product_vectors(state, budget=1)
+        assert (res.chained, res.chain_searches, res.led) == (1, 0, False)
+        assert (res.status, res.iterations) == (plain.status, plain.iterations)
+        assert _same_terms(res, plain)
 
 
 class TestPolishCap:
@@ -882,11 +997,25 @@ class TestClassify:
         assert v.classification == SEPARABLE
         assert len(checked) == 1 and checked[0] is state.rho
 
-    @pytest.mark.parametrize("n, enumerations", [(6, 0), (7, 2)])
-    def test_subtraction_work_is_reported(self, monkeypatch, n, enumerations):
-        # a Separable verdict through the prover carries the summed work of
-        # its enumerations, fresh searches and re-checks alike (n = 7: one
-        # of each; n = 6: none, as the range search's vector ends the proof)
+    @pytest.mark.parametrize("state, verdict, chain_searches, enumerations", [
+        pytest.param(random_separable(5, 6, seed=0)[0], SEPARABLE, 0, 0,
+                     id="random_separable(5,6)"),
+        pytest.param(random_separable(5, 7, seed=0)[0], SEPARABLE, 1, 0,
+                     id="random_separable(5,7)"),
+        pytest.param(random_separable(6, 9, seed=9)[0], SEPARABLE, 1, 3,
+                     id="random_separable(6,9,seed=9)"),
+        pytest.param(svd_reduce(random_sppt(6, 4, normal_s=False, seed=0)[1]).core,
+                     PPT_UNDECIDED, 0, 2, id="core of random_sppt(6,4)"),
+    ])
+    def test_subtraction_work_is_reported(self, monkeypatch, state, verdict, chain_searches,
+                                          enumerations):
+        # a verdict through the prover carries the summed work of the
+        # chain's range searches and of its enumerations, fresh searches and
+        # re-checks alike (random_separable(5, 6): none, as the range
+        # search's vector ends the proof; random_separable(5, 7): the chain's
+        # one range search; random_separable(6, 9, seed=9): one range search
+        # and three fresh searches; the core: one fresh search and one
+        # re-check)
         records = []
         for name in ("_enumerate", "_recheck"):
             real = getattr(range_criterion, name)
@@ -897,15 +1026,17 @@ class TestClassify:
                 return out
 
             monkeypatch.setattr(range_criterion, name, recording)
-        state, _ = random_separable(5, n, seed=0)
+        searches = _record_range_searches(monkeypatch)
         report = json.loads(json.dumps(io.verdict_to_dict(classify(state))))
-        assert report["class"] == SEPARABLE
-        assert len(records) == enumerations
+        assert report["class"] == verdict
+        # the first range search is classify's own, step 6
+        assert (len(searches) - 1, len(records)) == (chain_searches, enumerations)
         for key in ("evaluations", "polishes", "isolation_drops"):
-            total = sum(record[key] for record in records)
+            total = sum(record[key] for record in records + searches[1:])
             assert report["residuals"][f"subtraction_{key}"] == total
             assert type(report["residuals"][f"subtraction_{key}"]) is int
-        assert (report["residuals"]["subtraction_evaluations"] > 0) == (enumerations > 0)
+        assert (report["residuals"]["subtraction_evaluations"] > 0) == (
+            chain_searches + enumerations > 0)
         line = next(line for line in report["trace_log"] if line.startswith("subtraction:"))
         assert f"{report['residuals']['subtraction_evaluations']} evaluations" in line
         assert f"{report['residuals']['subtraction_polishes']} polishes" in line
