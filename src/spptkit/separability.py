@@ -31,7 +31,8 @@ first iteration or after an enumeration that was not exhaustive, and
 otherwise re-checks the vectors it last enumerated.  Inside ``classify``
 it first subtracts the product vector that the range search found on the
 sphere, then the one a range search finds on the sphere of each
-remainder, and stops when a remainder exits, as it does on inputs of
+remainder, each only when its weight drains a level of the state (a
+closed form), and stops when a remainder exits, as it does on inputs of
 rank d + k after k subtractions that each drop the rank, once the
 remainder has rank d and an invertible a-block (a 2 x d PPT state of
 rank d is separable; Kraus, Cirac, Karnas and Lewenstein, PRA 61,
@@ -51,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg, range_criterion, sppt, states
-from .errors import InvalidDecomposition, NotSppt, SingularX1, ValidationError
+from .errors import InvalidDecomposition, NotPpt, NotSppt, SingularX1, ValidationError
 from .linalg import DEFAULT_TOL, TOL_FLOOR
 from .range_criterion import edge_check
 from .sppt import SpptVerdict
@@ -184,9 +185,11 @@ class SubtractionResult:
     (``rechecks``), with the ``evaluations``, ``polishes`` and
     ``isolation_drops`` summed over the records of those enumerations and
     of the chain's range searches.  ``chained`` counts the range-search
-    product vectors the chain subtracted before the loop and
-    ``chain_searches`` the range searches it ran on their remainders, and
-    ``led`` says whether the chain ended the loop."""
+    product vectors the chain subtracted before the loop, each one whose
+    weight drained a level of the state, ``chain_searches`` the range
+    searches it ran on their remainders, and ``led`` says whether the chain
+    ended the loop; when it did not, the loop ran from the input and the
+    chain's subtractions are not among the ``reduction``'s terms."""
 
     reduction: Reduction
     remainder: QubitQuditState
@@ -319,25 +322,27 @@ def _max_subtraction_weight(rho: linalg.EigResult, pt: linalg.EigResult,
 
 
 # Relative cutoff of the prover's qudit support, the support of the
-# marginal a + c.  Looser than ``linalg.RANK_CUTOFF``: a subtraction drains
-# a direction only up to the rounding of its weight, which the remainder's
-# conditioning lifts above 1e-12; what it cuts off stays an order below
-# ``TOL_FLOOR``.
+# marginal a + c, and the slack of its drained-level test.  Looser than
+# ``linalg.RANK_CUTOFF``: a subtraction drains a direction only up to the
+# rounding of its weight, which the remainder's conditioning lifts above
+# 1e-12; what it cuts off stays an order below ``TOL_FLOOR``.
 SUPPORT_CUTOFF = 1e-9
 
 
-def _drains_level(marginal: linalg.EigResult, f: np.ndarray, lam: float) -> bool:
-    """Whether subtracting lam |e,f><e,f| (unit e and f) from a PSD state
-    drains a level of its qudit support, given the eigendecomposition
-    ``marginal`` of the state's qudit marginal M = a + c.
+def _drains_level(eig: linalg.EigResult, v: np.ndarray, lam: float) -> bool:
+    """Whether subtracting lam |v><v| (unit v) from a PSD matrix m drains a
+    level of its support, given the eigendecomposition ``eig`` of m: the
+    prover reads it on a state's qudit marginal M = a + c with v = f (the
+    remainder's marginal is M - lam |f><f|, PSD when the remainder is), and
+    its chain on the state itself with v = |e, f>.
 
-    The remainder's marginal is M - lam |f><f|, PSD when the remainder is,
-    so lam <= w = 1 / <f|M^+|f> (``_rank_one_weight``).  A rank-one
-    downdate drains at most one level, and exactly at lam = w; at the
-    support's cutoff it does when w > 0 and lam >= (1 - ``SUPPORT_CUTOFF``) w.
-    A zero w (f off the support) drains none.
+    m - lam |v><v| is PSD only for lam <= w = 1 / <v|m^+|v>
+    (``_rank_one_weight``).  A rank-one downdate drains at most one level,
+    and exactly at lam = w; at the support's cutoff it does when w > 0 and
+    lam >= (1 - ``SUPPORT_CUTOFF``) w.  A zero w (v off the support) drains
+    none.
     """
-    return 0 < (1 - SUPPORT_CUTOFF) * _rank_one_weight(marginal, f) <= lam
+    return 0 < (1 - SUPPORT_CUTOFF) * _rank_one_weight(eig, v) <= lam
 
 
 def _compress_qudit(rho: np.ndarray, d: int, iso: np.ndarray) -> QubitQuditState:
@@ -384,12 +389,6 @@ def _subtract(state: QubitQuditState, lam: float, e: np.ndarray, f: np.ndarray):
         state.rho - lam * _product_term(qubit, qudit)))
 
 
-def _rank(state: QubitQuditState) -> int:
-    """The number of eigenvalues of the state's cached ``eig`` above
-    ``linalg.RANK_CUTOFF`` times the largest."""
-    return int(np.count_nonzero(state.eig.support(linalg.RANK_CUTOFF)))
-
-
 def _chain_vector(state: QubitQuditState, effort: dict):
     """The product vector that ``edge_check`` finds for ``state`` by
     searching the Bloch sphere, with the search's work added to ``effort``;
@@ -406,7 +405,7 @@ def _chain_vector(state: QubitQuditState, effort: dict):
     return cert.found[0]
 
 
-def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
+def subtract_product_vectors(s: QubitQuditState,
                              lead: Optional[range_criterion.ProductVector] = None
                              ) -> SubtractionResult:
     """Greedy separable-part extraction for a PPT state.
@@ -418,8 +417,8 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
     is PPT on fewer than d and at most 3 qudit levels (``small_support``:
     2 x 3 PPT, hence separable), or passes the strong-PPT check with factor
     rank d or at most 3 (``sppt_core``), both at ``TOL_FLOOR``.  Best
-    effort: exhausting the budget (4 d iterations by default) or running
-    out of candidates proves nothing about the input.
+    effort: exhausting the budget of 8 d subtractions or running out of
+    candidates proves nothing about the input.
 
     The loop holds one working state, ``s`` at first and a new state after
     each subtraction, and one helper, ``_exit``, runs the exit tests on it.
@@ -434,29 +433,28 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
 
     A ``lead``, a product vector of ``s``'s ranges that ``classify``'s range
     search found by searching the sphere, starts a chain after the first
-    exit tests and before the first enumeration: it is subtracted at its
-    maximal weight, and while the remainder does not exit, ``edge_check``
-    searches the remainder and the vector it finds on the sphere is
-    subtracted in turn.  When a remainder ends the loop by ``decomposed``,
-    ``small_support`` or ``sppt_core``, the prover returns after the
-    chain's subtractions and no enumeration.  A weight that the state, not
-    its partial transpose, limits drops the state's rank by one, and a PPT
-    remainder stays in both ranges; so on a 2 x d input of rank d + k, k
-    such subtractions leave a PPT remainder of rank d, which is separable
+    exit tests and before the first enumeration.  A weight that the state,
+    not its partial transpose, limits drops the state's rank by one, and a
+    PPT remainder stays in both ranges; so on a 2 x d input of rank d + k,
+    k such subtractions leave a PPT remainder of rank d, which is separable
     (Kraus, Cirac, Karnas and Lewenstein, PRA 61, 062302, 2000) and, with
-    an invertible a-block, taken by the strong-PPT exit.  The chain stops
-    when a remainder is ``stalled``, a subtraction leaves the rank (the
-    count of eigenvalues of the cached ``eig`` above ``linalg.RANK_CUTOFF``
-    times the largest) as it was, a remainder's search finds no vector on
-    the sphere (the continuum case's canonical vectors do not count) or
-    raises ValidationError, or the chain reaches the budget.  The loop then
-    goes on from ``s`` as without a lead, with the first subtraction's
-    remainder set aside: should the loop subtract the same term, it takes
-    that remainder and its exit tests' outcome rather than compute them
-    again.  The chain's searches go through the name ``edge_check`` of
-    this module, and their work counts in the result's ``evaluations``,
-    ``polishes`` and ``isolation_drops`` whether or not the chain ends the
-    loop.
+    an invertible a-block, taken by the strong-PPT exit.  The chain
+    therefore subtracts a vector only when its maximal weight drains a
+    level of the state, the closed form ``_drains_level`` read against the
+    state's cached ``eig`` (the (1 - ``SUPPORT_CUTOFF``) slack keeps the
+    exact ties of a state- and a transpose-limited weight); while the
+    remainder does not exit, ``edge_check`` searches the remainder and the
+    vector it finds on the sphere is tried in turn.  When a remainder ends
+    the loop by ``decomposed``, ``small_support`` or ``sppt_core``, the
+    prover returns after the chain's subtractions and no enumeration.  The
+    chain stops when a vector's weight does not drain a level (it is not
+    subtracted), a remainder is ``stalled``, a remainder's search finds no
+    vector on the sphere (the continuum case's canonical vectors do not
+    count) or raises ValidationError, or the chain reaches the budget.
+    The loop then goes on from ``s`` as without a lead.  The chain's
+    searches go through the name ``edge_check`` of this module, and their
+    work counts in the result's ``evaluations``, ``polishes`` and
+    ``isolation_drops`` whether or not the chain ends the loop.
 
     Each iteration eigendecomposes the qudit marginal M = a + c once; its
     support at ``SUPPORT_CUTOFF`` is the small-support exit's, and its
@@ -478,38 +476,36 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
     remainder (``range_criterion._recheck``), and none left means
     ``stalled``, as a fresh search would find none either.
 
-    On 2 x 2 and 2 x 3 PPT states every exit left is constructive and the
-    loop terminates: qualifying vectors exist for every PPT remainder
-    there, and a maximal subtraction drops the rank of the remainder or of
-    its partial transpose, so a budget of twice the total rank suffices.
+    A maximal subtraction drops the rank of the remainder or of its partial
+    transpose, and rank rho + rank rho^Gamma <= 4 d, so the budget of 8 d,
+    twice that, is not what ends a run that makes progress.  On 2 x 2 and
+    2 x 3 PPT states every exit left is constructive and the loop
+    terminates: qualifying vectors exist for every PPT remainder there.
     """
     d = s.d
-    if budget is None:
-        budget = 4 * d
+    budget = 8 * d
     state = s
     scale0 = max(s.norm(), 1e-300)
     terms = []
-    enumeration = aside = None
+    enumeration = None
     iterations = searches = rechecks = 0
     effort = dict.fromkeys(("evaluations", "polishes", "isolation_drops"), 0)
     # The loop's first exit tests, then the chain: the lead and each vector
-    # the range search finds on the sphere of the last remainder, in turn.
+    # the range search finds on the sphere of the last remainder, in turn,
+    # each subtracted only when its weight drains a level of the state.
     outcome = _exit(s, terms, scale0)
     chain, work, pv, led, chain_searches = [], s, lead, False, 0
     while pv is not None and outcome[0] is None and len(chain) < budget:
         trace = work.trace()
         lam = _max_subtraction_weight(work.eig, work.pt_eig, pv.e, pv.f, trace)
-        if lam <= 1e-10 * trace:
+        if lam <= 1e-10 * trace or not _drains_level(work.eig, np.outer(pv.e, pv.f).ravel(), lam):
             break
         term, remainder = _subtract(work, lam, pv.e, pv.f)
         tried = _exit(remainder, chain + [term], scale0)
         chain.append(term)
-        if len(chain) == 1:
-            aside = (pv.e, pv.f, term, remainder, tried)
-        if tried[0] not in (None, "stalled"):
-            terms, state, outcome, led = chain, remainder, tried, True
-            break
-        if tried[0] == "stalled" or len(chain) == budget or _rank(remainder) >= _rank(work):
+        if tried[0] is not None:
+            if tried[0] != "stalled":
+                terms, state, outcome, led = chain, remainder, tried, True
             break
         work, pv = remainder, _chain_vector(remainder, effort)
         chain_searches += 1
@@ -544,11 +540,7 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
             status = "stalled"
             break
         _, lam, e, f = best
-        if aside is not None and np.array_equal(e, aside[0]) and np.array_equal(f, aside[1]):
-            term, state, outcome = aside[2:]
-        else:
-            term, state = _subtract(state, lam, e, f)
-        aside = None
+        term, state = _subtract(state, lam, e, f)
         terms.append(term)
     if status is None:
         status = "budget_exhausted"
@@ -564,19 +556,23 @@ def subtract_product_vectors(s: QubitQuditState, budget: Optional[int] = None,
 def decompose_small(s: QubitQuditState) -> SeparableDecomposition:
     """Explicit decomposition of a PPT 2 x 2 or 2 x 3 state.
 
-    Such states are separable outright, so the subtraction loop (budget
-    12 d) ends in a constructive exit, read as ``classify`` reads it and
-    validated at ``TOL_FLOOR``.  A theorem there is made explicit by
-    decomposing its PPT 2 x k core in turn; the core has k < d qudit
-    levels, so the recursion ends.  Raises
+    Such states are separable outright, so the subtraction loop (its
+    budget of 8 d, as in ``classify``) ends in a constructive exit, read as
+    ``classify`` reads it and validated at ``TOL_FLOOR``.  A theorem there
+    is made explicit by decomposing its PPT 2 x k core in turn; the core
+    has k < d qudit levels, so the recursion ends.  Raises
     ValidationError, as ``classify`` does, for a state without positive
-    trace, which has no terms to decompose into.
+    trace, which has no terms to decompose into, and NotPpt, naming the
+    least partial-transpose eigenvalue, for a state that ``states.is_npt``
+    finds entangled.
     """
     if s.d > 3:
         raise ValidationError("decompose_small handles qudit dimension <= 3 only")
     if s.trace() <= 0:
         raise ValidationError("state must have positive trace")
-    sub = subtract_product_vectors(s, budget=12 * s.d)
+    if states.is_npt(s):
+        raise NotPpt(f"state is NPT (partial transpose eigenvalue {s.pt_eig.values[0]:.3e})")
+    sub = subtract_product_vectors(s)
     outcome = _verdict_from_subtraction(s, sub, [], {})
     if outcome is None:
         raise InvalidDecomposition(
@@ -614,15 +610,16 @@ def classify(s: QubitQuditState) -> Verdict:
        or evaluation cap, leads here, never to EntangledRange.  A vector
        that step 6 found by searching the sphere is the prover's ``lead``,
        the first of a chain of range-search vectors subtracted before any
-       enumeration: the chain ends the proof when a remainder exits (as at
-       rank d + k after k subtractions, where the remainder has rank d),
-       and is set aside otherwise.
+       enumeration, each only when its weight drains a level of the state:
+       the chain ends the proof when a remainder exits (as at rank d + k
+       after k subtractions, where the remainder has rank d), and
+       otherwise the prover starts again from the state.
 
     The state is classified as given, with tolerances relative to its
     norm: certificates and residuals are in its units, whatever its trace.
     The NPT and strong-PPT tests read ``DEFAULT_TOL``, every construction
     is gated and validated at ``TOL_FLOOR``, and the subtraction prover
-    runs its default budget of 4 d iterations.
+    runs its budget of 8 d subtractions.
     """
     if s.trace() <= 0:
         raise ValidationError("state must have positive trace")
@@ -677,7 +674,8 @@ def classify(s: QubitQuditState) -> Verdict:
     residuals["subtraction_evaluations"] = sub.evaluations
     residuals["subtraction_polishes"] = sub.polishes
     residuals["subtraction_isolation_drops"] = sub.isolation_drops
-    # A chain that stopped before any search left nothing in the counts.
+    # A chain that stopped before any search left nothing in the counts; one
+    # that stopped after a search was set aside, as the loop ran from the input.
     chained = ""
     if sub.led or sub.chain_searches:
         chained = (f"; a chain of {sub.chained} range-search product vectors and "

@@ -44,8 +44,15 @@ class SpptVerdict:
     """Outcome of ``sppt_check`` with the factorization actually tested.
 
     ``status`` is one of "Sppt", "NotSppt", "Undecided".  A "Sppt" verdict
-    always carries factors whose residual and reassembly were verified, so
-    it can be replayed independently.  "NotSppt" is only issued in the
+    always carries the factors it accepted, so it can be replayed
+    independently (``assemble_state``).  What was verified depends on a.
+    With invertible a, the canonical factors x1 = a^{1/2}, s = a^{-1/2} b
+    a^{-1/2} and x2 = (c - b^dag a^-1 b)^{1/2} reassemble the state by
+    construction and are not reassembled: the verdict rests on the
+    closed-form residual ||b^dag a^-1 b - b a^-1 b^dag||_F and on both
+    Schur complements being PSD, each within the check's tolerance.  With
+    singular a, a candidate's strong-PPT residual and its reassembly
+    against the state are both verified.  "NotSppt" is only issued in the
     invertible-a regime, where ``residual_matrix`` holds  b^dag a^-1 b -
     b a^-1 b^dag, when its norm exceeds both the check's tolerance and the
     rounding bound of forming it (``sppt_check``), so rounding alone cannot

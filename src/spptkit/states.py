@@ -122,9 +122,13 @@ def make_state(d: int, entries, normalized: bool = False) -> QubitQuditState:
     """Validate and wrap a 2d x 2d matrix as a qubit-qudit state.
 
     Checks dimensions (``d`` an integer, numpy's included, but not a bool
-    or a float), finiteness, hermiticity (within ``linalg.HERM_RTOL`` of
-    ``||rho||_F``), positivity (least eigenvalue at least
-    ``-linalg.PSD_RTOL * ||rho||_F``) and, when ``normalized``, unit trace.
+    or a float), finiteness of the entries and of ``||rho||_F``, hermiticity
+    (within ``linalg.HERM_RTOL`` of ``||rho||_F``), positivity (least
+    eigenvalue at least ``-linalg.PSD_RTOL * ||rho||_F``) and, when
+    ``normalized``, unit trace.  Every check is relative to ``||rho||_F``,
+    so a matrix whose norm overflows (entries near 1e154 and above) or
+    underflows to 0 (entries near 1e-162 and below, not all zero) is
+    rejected, naming its largest entry: no relative check could hold it.
     This is the only place the package validates a state; everything it
     derives from one is hermitianized instead.
     """
@@ -132,13 +136,18 @@ def make_state(d: int, entries, normalized: bool = False) -> QubitQuditState:
     rho = linalg.as_matrix(entries)
     if rho.shape != (2 * d, 2 * d):
         raise BadDimensions(f"expected shape {(2 * d, 2 * d)}, got {rho.shape}")
-    scale = max(linalg.frob(rho), 1e-300)
+    with np.errstate(over="ignore"):
+        norm = linalg.frob(rho)
+    if norm == np.inf or (norm == 0 and rho.any()):
+        raise ValidationError(f"the Frobenius norm {'overflows' if norm else 'underflows to 0'} "
+                              f"at largest entry {np.abs(rho).max():.3e}; rescale the state")
+    scale = max(norm, 1e-300)
     if linalg.frob(rho - rho.conj().T) > linalg.HERM_RTOL * scale:
         raise NotHermitian(f"state is not hermitian within relative tolerance {linalg.HERM_RTOL:g}")
     min_eig = linalg.min_eig(rho)
     if min_eig < -linalg.PSD_RTOL * scale:
         raise NotPsd(f"state has negative eigenvalue {min_eig:g}")
-    if normalized and abs(rho.trace().real - 1.0) > linalg.PSD_RTOL * max(linalg.frob(rho), 1.0):
+    if normalized and abs(rho.trace().real - 1.0) > linalg.PSD_RTOL * max(norm, 1.0):
         raise NotNormalized(f"trace {rho.trace().real!r} is not 1")
     return _state(d, rho, normalized)
 

@@ -32,7 +32,7 @@ only when one did, other than a ``PptUndecided`` input that is now decided
 (an input only one file has counts as a change).  The inputs and the
 helpers that draw them come from this checkout (``perfbench/workloads.py`` and
 ``tests/helpers.py``), so both runs see the same corpus.  One run takes
-about 40 s on one core of a 2-core x86-64 VM; pytest does not collect
+20 to 30 s on one core of a 2-core x86-64 VM; pytest does not collect
 this file.
 """
 

@@ -443,6 +443,17 @@ class TestCli:
         assert main(["classify", str(bad)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["check", "ppt"], ["classify"]])
+    def test_state_whose_norm_overflows_exit_2(self, command, tmp_path, capsys):
+        # entries of 1e160, not hermitian and not PSD: read against an
+        # infinite norm, they once passed every check
+        rho = [[3, 5, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"d": 2, "normalized": False,
+                                    "rho": [[[x * 1e160, 0.0] for x in row] for row in rho]}))
+        assert main(command + [str(path)]) == 2
+        assert "overflows" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["bell", "rho1", "horodecki"])
     def test_pt_checks_agree(self, name, tmp_path, capsys):
         state = {"bell": bell_state, "rho1": sppt_counterexample_2x3,

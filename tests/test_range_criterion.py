@@ -2,11 +2,12 @@
 
 import dataclasses
 import decimal
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from spptkit import linalg, range_criterion, sphere
+from spptkit import linalg, range_criterion, separability, sphere
 from spptkit.errors import NotPsd
 from spptkit.range_criterion import ProductVector, edge_check
 from spptkit.separability import (
@@ -315,9 +316,7 @@ class TestCertifiedBound:
         # drop every cell on its own, so a higher cap changes nothing
         cap = sphere.EVALUATION_CAP
         monkeypatch.setattr(sphere, "EVALUATION_CAP", 10 * cap)
-        state, _ = random_separable(4, 7, seed=0)
-        remainder = subtract_product_vectors(state, budget=2).remainder
-        result = enumeration(remainder)
+        result = enumeration(flat_remainder())
         assert result.found
         assert result.search["evaluations"] < cap
 
@@ -353,9 +352,19 @@ class TestCertifiedBound:
 
 
 def flat_remainder():
-    """random_separable(4, 7, seed=0) after two subtractions: mu < 0.15 everywhere."""
+    """random_separable(4, 7, seed=0) after two subtractions: mu < 0.15
+    everywhere.  Taken from the prover's exit tests, which see each
+    remainder it builds."""
     state, _ = random_separable(4, 7, seed=0)
-    return subtract_product_vectors(state, budget=2).remainder
+    exit_tests, remainders = separability._exit, {}
+
+    def recording(remainder, terms, scale0):
+        remainders.setdefault(len(terms), remainder)
+        return exit_tests(remainder, terms, scale0)
+
+    with mock.patch.object(separability, "_exit", recording):
+        subtract_product_vectors(state)
+    return remainders[2]
 
 
 def symmetric_2x2():

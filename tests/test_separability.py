@@ -16,6 +16,7 @@ from spptkit import io, linalg, range_criterion, separability
 from spptkit.errors import (
     InvalidDecomposition,
     NotNormal,
+    NotPpt,
     NotPsd,
     NotSppt,
     SingularX1,
@@ -208,8 +209,7 @@ class TestSubtraction:
         assert res.status in ("decomposed", "small_support", "sppt_core")
 
     def test_entangled_family_makes_no_false_claim(self):
-        res = subtract_product_vectors(entangled_sppt_2x5(0.5).state,
-                                       budget=3)
+        res = subtract_product_vectors(entangled_sppt_2x5(0.5).state)
         assert res.status in ("stalled", "budget_exhausted")
 
     def test_full_support_2x3_does_not_exit_by_dimension_at_once(self):
@@ -431,7 +431,8 @@ class TestOneSpectralPass:
             "random_separable(5,7)", "random_separable(4,6)", "random_separable(6,9)"])
     def test_no_matrix_is_decomposed_twice(self, state, monkeypatch):
         # random_separable(5, 7): a chain of two subtractions ends the proof;
-        # random_separable(4, 6): the chain stops after the lead, set aside;
+        # random_separable(4, 6): the lead drains no level, and the chain
+        # stops before subtracting it;
         # random_separable(6, 9): the first remainder's range search finds
         # no vector, and the loop runs from the input
         seen = _record_decompositions(monkeypatch)
@@ -490,9 +491,10 @@ class TestLead:
         assert self._classify_chained(d, d + 1, seed, monkeypatch).led
 
     # Inputs of rank d + 2 and d + 3 with a lead whose chain stops: at
-    # (4, 6) the lead's weight is the partial transpose's, so the rank does
-    # not drop, and at (6, 9, 0) the first remainder's range search finds no
-    # vector.  (4, 7) and (5, 8) are the continuum case, with no lead.
+    # (4, 6) the lead's weight is the partial transpose's, so it drains no
+    # level and is not subtracted, and at (6, 9, 0) the first remainder's
+    # range search finds no vector.  (4, 7) and (5, 8) are the continuum
+    # case, with no lead.
     CHAIN_STOPS = {(4, 6, 0), (4, 6, 1), (6, 9, 0)}
 
     @pytest.mark.parametrize("d, n", [(d, d + k) for d in (4, 5, 6) for k in (2, 3)])
@@ -508,12 +510,13 @@ class TestLead:
             assert sub.led == ((d, n, seed) not in self.CHAIN_STOPS)
 
     # (state, chained, chain_searches) of chains that stop: the lead's
-    # weight leaves the rank as it is; the first remainder's range search
-    # finds nothing; the third subtraction leaves the rank as it is
+    # weight drains no level of the state, so nothing is subtracted; the
+    # first remainder's range search finds nothing; the third vector's
+    # weight drains no level of the second remainder
     STOPPED = [
-        pytest.param(random_separable(4, 6, seed=0)[0], 1, 0, id="random_separable(4,6)"),
+        pytest.param(random_separable(4, 6, seed=0)[0], 0, 0, id="random_separable(4,6)"),
         pytest.param(random_separable(6, 9, seed=0)[0], 1, 1, id="random_separable(6,9)"),
-        pytest.param(random_sppt(8, 4, normal_s=False, seed=2)[0], 3, 2,
+        pytest.param(random_sppt(8, 4, normal_s=False, seed=2)[0], 2, 2,
                      id="random_sppt(8,4,normal_s=False,seed=2)"),
     ]
 
@@ -536,33 +539,15 @@ class TestLead:
             assert getattr(led, name) == getattr(plain, name) + chain_work, name
         assert _same_terms(led, plain)
 
-    def test_the_same_subtraction_reuses_the_remainder(self, monkeypatch):
-        # an enumeration that offers the lead itself: the loop takes the
-        # remainder set aside, and its exit tests' outcome, as they are
-        state = random_sppt(6, 4, normal_s=False, seed=2)[0]
-        lead = _lead_of(state)
-        enumerate_ = range_criterion._enumerate
-
-        def offering_the_lead(s, con):
-            out = enumerate_(s, con)
-            return range_criterion._Enumeration([lead], out.search, exhaustive=False)
-
-        monkeypatch.setattr(range_criterion, "_enumerate", offering_the_lead)
-        seen = _record_decompositions(monkeypatch)
-        res = subtract_product_vectors(state, lead=lead)
-        assert not res.led and res.chained >= 1 and res.iterations >= 1
-        assert np.array_equal(res.reduction.terms[0][0], np.outer(lead.e, lead.e.conj()))
-        assert len(seen) == len(set(seen))
-
     def test_continuum_case_gives_no_lead(self, monkeypatch):
         # full rank: edge_check's vectors come from the canonical
         # directions, without a search, and the prover gets none
         leads = []
         prover = separability.subtract_product_vectors
 
-        def recording(s, budget=None, lead=None):
+        def recording(s, lead=None):
             leads.append(lead)
-            return prover(s, budget, lead)
+            return prover(s, lead)
 
         monkeypatch.setattr(separability, "subtract_product_vectors", recording)
         classify(random_separable(4, 8, seed=0)[0])
@@ -594,15 +579,48 @@ class TestLead:
         assert (res.searches, res.rechecks) == (plain.searches, plain.rechecks) == (1, 1)
         assert _same_terms(res, plain)
 
-    def test_the_budget_stops_the_chain(self):
-        # random_separable(5, 7) needs a chain of two; a budget of one
-        # subtraction stops it after the lead, before any range search
-        state, _ = random_separable(5, 7, seed=0)
-        res = subtract_product_vectors(state, budget=1, lead=_lead_of(state))
-        plain = subtract_product_vectors(state, budget=1)
-        assert (res.chained, res.chain_searches, res.led) == (1, 0, False)
-        assert (res.status, res.iterations) == (plain.status, plain.iterations)
-        assert _same_terms(res, plain)
+    def test_a_lead_that_drains_no_level_builds_no_remainder(self, monkeypatch):
+        # random_separable(4, 6): the partial transpose limits the lead's
+        # weight, below the state's limit, so it drains no level of the
+        # state; the chain stops before subtracting it, and the prover's
+        # first subtraction comes after its first enumeration
+        state, _ = random_separable(4, 6, seed=0)
+        lead = _lead_of(state)
+        lam = _max_subtraction_weight(state.eig, state.pt_eig, lead.e, lead.f, state.trace())
+        limit = separability._rank_one_weight(state.eig, np.outer(lead.e, lead.f).ravel())
+        assert lam < (1 - separability.SUPPORT_CUTOFF) * limit
+        events = []
+        for module, name in ((separability, "_subtract"), (range_criterion, "_enumerate")):
+            def recording(*args, real=getattr(module, name), name=name):
+                events.append(name)
+                return real(*args)
+            monkeypatch.setattr(module, name, recording)
+        res = subtract_product_vectors(state, lead=lead)
+        assert (res.chained, res.chain_searches, res.led) == (0, 0, False)
+        assert events[0] == "_enumerate"
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_subtractions_stay_within_the_total_rank(self, d, k, monkeypatch):
+        # a maximal subtraction drops the rank of the remainder or of its
+        # partial transpose, so a run that makes progress needs at most
+        # rank rho + rank rho^Gamma <= 4 d subtractions, half the prover's
+        # budget of 8 d (the rank need not register a drop at RANK_CUTOFF
+        # after every step, so only the total is checked)
+        runs = []
+        prover = separability.subtract_product_vectors
+
+        def recording(s, lead=None):
+            runs.append((s, prover(s, lead)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(separability, "subtract_product_vectors", recording)
+        for seed in range(4):
+            classify(random_separable(d, d + k, seed=seed)[0])
+        assert runs
+        for s, sub in runs:
+            total = sum(int(eig.support(linalg.RANK_CUTOFF).sum()) for eig in (s.eig, s.pt_eig))
+            assert sub.iterations <= total
 
 
 class TestPolishCap:
@@ -677,6 +695,15 @@ class TestDecomposeSmall:
     def test_rejects_qudit_dimension_above_3(self):
         with pytest.raises(ValidationError, match="qudit dimension <= 3"):
             decompose_small(random_separable(4, 2, seed=0)[0])
+
+    def test_npt_input_raises_not_ppt(self):
+        # (|0,0> + |1,1>) / sqrt 2 in 2 x 3, of Schmidt rank 2: its partial
+        # transpose has eigenvalue -1/2, and no separable decomposition
+        psi = np.zeros(6)
+        psi[0] = psi[4] = 1 / np.sqrt(2)
+        state = make_state(3, np.outer(psi, psi), normalized=True)
+        with pytest.raises(NotPpt, match=r"partial transpose eigenvalue -5\.000e-01"):
+            decompose_small(state)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_zero_state_rejected_as_classify_rejects_it(self, d):

@@ -80,6 +80,25 @@ class TestMakeState:
                 with pytest.raises(NotPsd):
                     make_state(2, rho)
 
+    def test_norm_overflow_rejected(self):
+        # not hermitian, and its hermitian part has eigenvalue -2.2e160; its
+        # Frobenius norm overflows, and against an infinite norm every
+        # relative check would pass
+        rho = np.array([[3, 5, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]) * 1e160
+        assert linalg.min_eig(rho) < -2e160
+        with pytest.raises(ValidationError, match=r"norm overflows at largest entry 5\.000e\+160"):
+            make_state(2, rho)
+
+    def test_norm_underflow_rejected_for_its_scale(self):
+        # a valid state scaled by 1e-170: its Frobenius norm underflows to
+        # 0, and the rejection names the scale rather than a negative
+        # eigenvalue of rounding
+        rho = random_separable(5, 7, seed=0)[0].rho * 1e-170
+        with pytest.raises(ValidationError,
+                           match=r"norm underflows to 0 at largest entry \d\.\d{3}e-171") as exc:
+            make_state(5, rho)
+        assert not isinstance(exc.value, NotPsd)
+
     def test_family_state_unnormalized_is_valid(self):
         state = entangled_sppt_2x5(0.5).state
         rebuilt = make_state(5, state.rho, normalized=False)
