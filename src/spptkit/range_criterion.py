@@ -42,9 +42,9 @@ and it found fewer than ``ENUMERATION_CANDIDATES`` vectors.  The prover
 subtracts a product term and keeps the remainder and its partial transpose
 PSD, so both ranges only shrink and every qualifying vector of the
 remainder qualifies for the state before; after an exhaustive enumeration,
-``_recheck`` re-solves the remainder's constraints at the directions
-found, and polishes those that the exclusion test does not clear, instead
-of searching again; what it keeps is again exhaustive.  When every cell is
+``_recheck`` keeps each direction found and re-solves its qudit vector
+against the remainder's constraints, one SVD each, instead of searching
+again; what it keeps is again exhaustive.  When every cell is
 excluded ``edge_check`` concludes ``NoneFound`` with a lower bound on mu
 over the whole sphere: a proof, up to floating point and the kernel
 cutoff, that no qualifying product vector exists, which for a PPT state
@@ -253,8 +253,7 @@ def _mu_batch(con: _Constraints, e_batch: np.ndarray, radius, above=None):
     <= mu on each cell of Bloch radius ``radius`` (one per centre, or one
     for all), lower = max(mu_lo - L r / 2, the first-order bound below),
     and per centre the computed unit eigenvector of lambda_1(G), zero where
-    no eigensolve ran; ``_search`` and ``_recheck`` start their polishes
-    from it.
+    no eigensolve ran; the search starts its polishes from it.
 
     mu(e)^2 is the least eigenvalue of G(e) = sum_ab conj(e_a) e_b H_ab, and
     mu_lo = sqrt(max(lambda_1 - delta, 0)) for the computed lambda_1 and
@@ -454,7 +453,7 @@ def _null_space(con: _Constraints, e: np.ndarray) -> np.ndarray:
     return linalg.nullspace(m)[:, ::-1].T
 
 
-def _polish(con: _Constraints, e: np.ndarray, f: np.ndarray, certify: bool = False):
+def _polish(con: _Constraints, e: np.ndarray, f: np.ndarray, certify: bool):
     """Gauss-Newton on the bilinear system M(e) f = 0, from unit e and f.
 
     Each step solves the real least-squares linearization for a move t of
@@ -470,7 +469,7 @@ def _polish(con: _Constraints, e: np.ndarray, f: np.ndarray, certify: bool = Fal
     step is still evaluated, and then the polish stops.  Where ``lstsq``
     reports no residual (a square system, n_rows = d, or a rank-deficient
     one) only the first two rules apply, as they do to every polish of
-    the enumeration and of ``_recheck``.  Returns ``(e, f, mu(e))`` at the
+    the enumeration.  Returns ``(e, f, mu(e))`` at the
     best iterate, with f the null vector of M(e) there.
 
     After a step that has not halved the best residual, and that the
@@ -733,44 +732,30 @@ def _enumerate(s: QubitQuditState, con: _Constraints) -> _Enumeration:
 
 def _recheck(s: QubitQuditState, con: _Constraints, previous: _Enumeration) -> _Enumeration:
     """The enumeration of ``s`` from an exhaustive one of a state whose two
-    ranges contain those of ``s``.
+    ranges contain those of ``s``, by re-solving, not searching.
 
     Every qualifying vector of ``s`` then qualifies for the earlier state,
-    so its qubit direction is one of ``previous``'s.  At each of those the
-    qudit vector is re-solved against ``con``, ``s``'s constraints at
-    ``ENUMERATION_KERNEL_CUTOFF``, the kernels a fresh search would use.
-    A direction whose cell of radius ``sphere._BASIN`` the search's own
-    exclusion test clears (``_mu_batch``'s lower above ``ENUMERATION_TOL``)
-    has no qualifying vector that near and is passed over; any other is
-    polished by Gauss-Newton, from the eigenvector ``_mu_batch`` computed
-    there, and its vector kept, once, when the combined
-    residual is at most ``ENUMERATION_TOL``, the fresh search's own test.
-    The vectors kept are again exhaustive.  With fewer constraint rows than
-    d there is nothing to re-check: that is the fresh search's continuum
-    case, and it runs.
+    so its qubit direction is one of ``previous``'s.  Each of those
+    directions is kept unchanged, its qudit vector re-solved as the least
+    right singular vector of M(e) for ``con``, ``s``'s constraints at
+    ``ENUMERATION_KERNEL_CUTOFF``, the kernels a fresh search would use
+    (``_null_vector``, one SVD), and the vector kept when its combined
+    residual, recomputed from the definitions, is at most
+    ``ENUMERATION_TOL``, the fresh search's own test.  The vectors kept are
+    again exhaustive.  The record counts the directions re-solved as
+    evaluations, with no polish and no first-order exclusion.  With fewer
+    constraint rows than d there is nothing to re-solve: that is the fresh
+    search's continuum case, and it runs.
     """
     if con.n_rows < s.d:
         return _search(s, con, certify=False)
-    slack = con.lipschitz * sphere._BASIN / 2.0
-    directions = np.array([pv.e for pv in previous.found], dtype=complex).reshape(-1, 2)
-    above = np.full(len(directions), ENUMERATION_TOL + slack)
-    mu, lower, least = _mu_batch(con, directions, sphere._BASIN, above)
-    cleared = lower > ENUMERATION_TOL
-    found, known = [], np.empty((0, 2), dtype=complex)
-    for pv, clear, start in zip(previous.found, cleared, least):
-        if clear:
-            continue
-        e, f, _ = _polish(con, pv.e, start)
-        candidate = _product_vector_at(s, con, e, f)
-        if (candidate.combined_residual > ENUMERATION_TOL
-                or (sphere._bloch_angle(e, known) < sphere._SAME).any()):
-            continue
-        found.append(candidate)
-        known = np.vstack([known, e])
+    found = []
+    for pv in previous.found:
+        candidate = _product_vector_at(s, con, pv.e, _null_vector(con, pv.e)[0])
+        if candidate.combined_residual <= ENUMERATION_TOL:
+            found.append(candidate)
     found.sort(key=lambda pv: pv.combined_residual)
-    first_order = int(np.count_nonzero(cleared & (mu - slack <= ENUMERATION_TOL)))
-    record = _search_record(con, len(directions), 0, first_order,
-                            int(np.count_nonzero(~cleared)), 0)
+    record = _search_record(con, len(previous.found), 0, 0, 0, 0)
     return _Enumeration(found, record, exhaustive=True)
 
 

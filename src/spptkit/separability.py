@@ -28,7 +28,8 @@ constructively certified case.  Such a subtraction leaves
 ranges lie in the state's and its qualifying product vectors are among
 the state's: the prover searches the Bloch sphere afresh only at its
 first iteration or after an enumeration that was not exhaustive, and
-otherwise re-checks the vectors it last enumerated.  Inside ``classify``
+otherwise re-solves the qudit vectors of the remainder at the qubit
+directions it last enumerated.  Inside ``classify``
 it first subtracts the product vector that the range search found on the
 sphere, then the one a range search finds on the sphere of each
 remainder, each only when its weight drains a level of the state (a
@@ -360,7 +361,14 @@ def _exit(state: QubitQuditState, terms: list, scale0: float):
     ends the loop; the theorem certificate of a ``small_support`` exit or
     the strong-PPT verdict of an ``sppt_core`` one; and the
     eigendecomposition of the state's qudit marginal M = a + c (None at
-    ``decomposed``), which ranks the next candidates."""
+    ``decomposed``), which ranks the next candidates.
+
+    On the prover's input, the first call's strong-PPT test does not repeat
+    ``classify``'s ``sppt_check``: that one decides at ``DEFAULT_TOL``,
+    this one retries at ``TOL_FLOOR``.  ``ill_conditioned_sppt(11)`` and
+    ``(34)`` of the tests' helpers read ``Undecided`` there and ``Sppt``
+    here, and so end ``Separable`` by this exit after 0 subtractions and 0
+    enumerations; without the retry both stay ``PptUndecided``."""
     d = state.d
     if state.norm() <= DEFAULT_TOL * scale0:
         return "decomposed", None, None
@@ -472,9 +480,11 @@ def subtract_product_vectors(s: QubitQuditState,
     searched only at the first iteration and after an enumeration that was
     not exhaustive (the continuum case of fewer kernel constraints than d,
     ``ENUMERATION_CANDIDATES`` reached, or the search ending inconclusive);
-    after an exhaustive one, its vectors are re-checked against the
-    remainder (``range_criterion._recheck``), and none left means
-    ``stalled``, as a fresh search would find none either.
+    after an exhaustive one, its qubit directions are kept and each
+    qudit vector is re-solved against the remainder's constraints, one
+    SVD per direction and no polish (``range_criterion._recheck``); none
+    left within ``ENUMERATION_TOL`` means ``stalled``, as a fresh search
+    would find none either.
 
     A maximal subtraction drops the rank of the remainder or of its partial
     transpose, and rank rho + rank rho^Gamma <= 4 d, so the budget of 8 d,

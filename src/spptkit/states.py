@@ -126,9 +126,15 @@ def make_state(d: int, entries, normalized: bool = False) -> QubitQuditState:
     (within ``linalg.HERM_RTOL`` of ``||rho||_F``), positivity (least
     eigenvalue at least ``-linalg.PSD_RTOL * ||rho||_F``) and, when
     ``normalized``, unit trace.  Every check is relative to ``||rho||_F``,
-    so a matrix whose norm overflows (entries near 1e154 and above) or
-    underflows to 0 (entries near 1e-162 and below, not all zero) is
-    rejected, naming its largest entry: no relative check could hold it.
+    so a matrix whose norm overflows (entries near 1e154 and above), or
+    that is not all zero and whose norm is below sqrt of the smallest
+    normal double (``np.finfo(float).tiny``, about 1.49e-154), where its
+    squared entries are subnormal and lose their precision, is rejected,
+    naming its largest entry: no relative check could hold it.  The rule
+    is for scalings such as 1e-160, where ``random_separable(5, 7,
+    seed=0)``'s state would classify ``PptUndecided`` with no error (at
+    1e-170 its norm underflows to 0); it also refuses that state scaled by
+    1e-154 to 1e-158, which would still classify ``Separable``.
     This is the only place the package validates a state; everything it
     derives from one is hermitianized instead.
     """
@@ -138,9 +144,12 @@ def make_state(d: int, entries, normalized: bool = False) -> QubitQuditState:
         raise BadDimensions(f"expected shape {(2 * d, 2 * d)}, got {rho.shape}")
     with np.errstate(over="ignore"):
         norm = linalg.frob(rho)
-    if norm == np.inf or (norm == 0 and rho.any()):
-        raise ValidationError(f"the Frobenius norm {'overflows' if norm else 'underflows to 0'} "
-                              f"at largest entry {np.abs(rho).max():.3e}; rescale the state")
+    tiny = np.sqrt(np.finfo(float).tiny)
+    if norm == np.inf or (norm < tiny and rho.any()):
+        fault = ("overflows" if norm == np.inf else "underflows to 0" if norm == 0 else
+                 f"{norm:.3e} is below {tiny:.3e}, where the squared entries are subnormal,")
+        raise ValidationError(f"the Frobenius norm {fault} at largest entry "
+                              f"{np.abs(rho).max():.3e}; rescale the state")
     scale = max(norm, 1e-300)
     if linalg.frob(rho - rho.conj().T) > linalg.HERM_RTOL * scale:
         raise NotHermitian(f"state is not hermitian within relative tolerance {linalg.HERM_RTOL:g}")

@@ -20,7 +20,10 @@ by ``;`` (``-`` for none):
 then, in the same form, one record per enumeration of the subtraction
 prover, ``range_criterion._enumerate`` and ``_recheck`` calls in call
 order: ``evaluations:polishes:exhaustive:found``, with ``found`` the number
-of vectors returned.  The records are collected by wrapping
+of vectors returned.  A ``_recheck`` record's evaluations are the
+directions it re-solved, and its polishes field always reads 0: it
+re-solves each direction of the last enumeration by one SVD and polishes
+none.  The records are collected by wrapping
 ``separability.edge_check`` and those two functions, names every checkout
 has.  A ``decompose_small`` input's line holds the sha1 of its
 certificate's JSON, or the name of the error it raised.

@@ -454,6 +454,16 @@ class TestCli:
         assert main(command + [str(path)]) == 2
         assert "overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["check", "ppt"], ["classify"]])
+    def test_state_whose_squares_are_subnormal_exit_2(self, command, tmp_path, capsys):
+        # a valid state scaled by 1e-160: its norm is below sqrt(tiny)
+        rho = [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"d": 2, "normalized": False,
+                                    "rho": [[[x * 1e-160, 0.0] for x in row] for row in rho]}))
+        assert main(command + [str(path)]) == 2
+        assert "rescale the state" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["bell", "rho1", "horodecki"])
     def test_pt_checks_agree(self, name, tmp_path, capsys):
         state = {"bell": bell_state, "rho1": sppt_counterexample_2x3,

@@ -147,6 +147,43 @@ class TestRecheck:
         for a, b in zip(again.found, fresh.found):
             assert np.array_equal(a.e, b.e) and np.array_equal(a.f, b.f)
 
+    def test_recheck_re_solves_without_searching(self, monkeypatch):
+        # the prover re-checks random_separable(3, 7, seed=2) once: the
+        # re-check keeps the directions of the enumeration before it and
+        # re-solves only the qudit vectors, with neither the search's cell
+        # bounds nor its polish
+        recheck, rechecks, inside, forbidden = range_criterion._recheck, [], [], []
+
+        def rechecking(s, con, previous):
+            inside.append(True)
+            result = recheck(s, con, previous)
+            inside.pop()
+            rechecks.append((con, previous, result))
+            return result
+
+        def watched(name):
+            original = getattr(range_criterion, name)
+
+            def call(*args):
+                if inside:
+                    forbidden.append(name)
+                return original(*args)
+            return call
+
+        monkeypatch.setattr(range_criterion, "_recheck", rechecking)
+        for name in ("_mu_batch", "_polish"):
+            monkeypatch.setattr(range_criterion, name, watched(name))
+        subtract_product_vectors(random_separable(3, 7, seed=2)[0])
+        assert rechecks and forbidden == []
+        assert any(result.found for _, _, result in rechecks)
+        for con, previous, result in rechecks:
+            assert con.n_rows >= con.d
+            assert result.exhaustive
+            assert result.search["evaluations"] == len(previous.found)
+            assert result.search["polishes"] == result.search["first_order_exclusions"] == 0
+            directions = {pv.e.tobytes() for pv in previous.found}
+            assert all(pv.e.tobytes() in directions for pv in result.found)
+
 
 class TestEdgeCheck:
     def test_pure_product_found(self):
@@ -304,7 +341,7 @@ class TestCertifiedBound:
             start /= np.linalg.norm(start)
             f0, mu0 = range_criterion._null_vector(con, start)
             assert mu0 > 1e-4
-            e_pol, f_pol, mu = range_criterion._polish(con, start, f0)
+            e_pol, f_pol, mu = range_criterion._polish(con, start, f0, False)
             assert mu <= 1e-12
             assert abs(abs(np.vdot(e_pol, e)) - 1.0) <= 1e-9
             pv = range_criterion._product_vector_at(state, con, e_pol, f_pol)
@@ -557,7 +594,7 @@ class TestPolishBudget:
         cert = edge_check(state)
         polish = range_criterion._polish
         monkeypatch.setattr(range_criterion, "_polish",
-                            lambda con, e, f, certify: polish(con, e, f))
+                            lambda con, e, f, certify: polish(con, e, f, False))
         full = edge_check(state)
         assert np.float64(cert.certified_bound).tobytes() == np.float64(
             full.certified_bound).tobytes()
@@ -613,7 +650,7 @@ class TestPolishAtADegenerateZero:
                 e = c + 0.002 * np.exp(1j * angle) * perp
                 e /= np.linalg.norm(e)
                 least = range_criterion._mu_batch(con, e[None, :], 0.0)[2][0]
-                assert range_criterion._polish(con, e, least)[2] <= 1e-12, angle
+                assert range_criterion._polish(con, e, least, False)[2] <= 1e-12, angle
 
     @pytest.mark.parametrize("seed", [6, 12])
     def test_ill_conditioned_sppt_is_decided(self, seed):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spptkit import io, linalg, range_criterion, separability
+from spptkit import io, linalg, range_criterion, separability, sppt
 from spptkit.errors import (
     InvalidDecomposition,
     NotNormal,
@@ -211,6 +211,25 @@ class TestSubtraction:
     def test_entangled_family_makes_no_false_claim(self):
         res = subtract_product_vectors(entangled_sppt_2x5(0.5).state)
         assert res.status in ("stalled", "budget_exhausted")
+
+    @pytest.mark.parametrize("seed", [11, 34])
+    def test_first_exit_retries_the_strong_ppt_check_at_the_floor(self, seed, monkeypatch):
+        # sppt_check, at DEFAULT_TOL, cannot tell these strong-PPT states'
+        # closed-form residual from rounding; the prover's first exit test
+        # retries the check on the input at TOL_FLOOR, where it passes, and
+        # decides them before any subtraction or enumeration
+        state = ill_conditioned_sppt(seed)
+        assert sppt_check(state).status == "Undecided"
+        assert sppt._check_ppt(state, TOL_FLOOR).status == "Sppt"
+        verdict = classify(state)
+        assert verdict.classification == SEPARABLE
+        line = next(entry for entry in verdict.trace_log if entry.startswith("subtraction:"))
+        assert line.startswith("subtraction: sppt_core after 0 subtractions and 0 enumerations")
+        # without the retry on the input, the prover does not decide them
+        check = sppt._check_ppt
+        monkeypatch.setattr(sppt, "_check_ppt", lambda s, tol: check(
+            s, linalg.DEFAULT_TOL if np.array_equal(s.rho, state.rho) else tol))
+        assert classify(state).classification == PPT_UNDECIDED
 
     def test_full_support_2x3_does_not_exit_by_dimension_at_once(self):
         # the small-support exit needs fewer than d levels: a full-support

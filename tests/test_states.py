@@ -12,6 +12,7 @@ from spptkit.errors import (
     SingularTransform,
     ValidationError,
 )
+from spptkit.separability import SEPARABLE, classify
 from spptkit.sppt import SpptFactors, assemble_state, sppt_residual
 from spptkit.states import (
     BlockView,
@@ -98,6 +99,18 @@ class TestMakeState:
                            match=r"norm underflows to 0 at largest entry \d\.\d{3}e-171") as exc:
             make_state(5, rho)
         assert not isinstance(exc.value, NotPsd)
+
+    def test_norm_with_subnormal_squares_rejected(self):
+        # scaled by 1e-160 the state's squared entries are subnormal and its
+        # norm, 4.8e-161, is below sqrt(tiny); classify would read it
+        # PptUndecided with no error
+        rho = random_separable(5, 7, seed=0)[0].rho
+        with pytest.raises(ValidationError,
+                           match=r"norm \d\.\d{3}e-161 is below 1\.492e-154, .* at largest "
+                                 r"entry \d\.\d{3}e-161; rescale the state"):
+            make_state(5, rho * 1e-160)
+        state = make_state(5, rho * 1e-150)
+        assert classify(state).classification == SEPARABLE
 
     def test_family_state_unnormalized_is_valid(self):
         state = entangled_sppt_2x5(0.5).state
