@@ -122,6 +122,7 @@ def _cmd_classify(args) -> int:
                 "enumeration_candidates": range_criterion.ENUMERATION_CANDIDATES,
                 "enumeration_tol": range_criterion.ENUMERATION_TOL,
                 "support_cutoff": separability.SUPPORT_CUTOFF,
+                "weight_floor": separability.WEIGHT_FLOOR,
             },
             "verdict": io.verdict_to_dict(verdict),
             "timings_ms": {"load": load_ms, "classify": classify_ms},

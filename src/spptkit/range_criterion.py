@@ -16,9 +16,8 @@ e^{i phi} sin(theta/2)); mu does not depend on the phase of e.
 
 One routine, ``_search``, does all the searching, through the Bloch-sphere
 branch-and-bound of ``sphere``: this module supplies its objective, mu, as
-``_Constraints``, with a lower bound on mu over cells (``_mu_batch``), a
-Gauss-Newton polish on M(e) f = 0 (``_polish``) and a certified isolation
-radius round a found vector (``_isolation``).  The bound at the centre
+``_Constraints``, with a lower bound on mu over cells (``_mu_batch``) and
+a Gauss-Newton polish on M(e) f = 0 (``_polish``).  The bound at the centre
 comes from the d x d Gram matrix G(e) = M(e)^dag M(e), whose least
 eigenvalue is mu^2: G(e) is a fixed combination of four precomputed
 blocks, so a batch of centres costs one matrix product and one batched
@@ -138,8 +137,8 @@ def _kernel(eig: linalg.EigResult, norm: float, cutoff: float) -> np.ndarray:
 @dataclass(frozen=True)
 class _Constraints:
     """Precontracted kernel data of a state and its partial transpose, and
-    ``sphere.search``'s objective mu: ``lipschitz``, ``bounds`` (``_mu_batch``),
-    ``polish`` (``_polish``) and ``isolation`` (``_isolation``).
+    ``sphere.search``'s objective mu: ``lipschitz``, ``bounds`` (``_mu_batch``)
+    and ``polish`` (``_polish``).
 
     ``gram`` holds the d x d blocks H_ab, flattened and in the order 00, 01,
     10, 11, with M(e)^dag M(e) = sum_ab conj(e_a) e_b H_ab; ``margin`` and
@@ -214,9 +213,6 @@ class _Constraints:
 
     def polish(self, e, start, certify):
         return _polish(self, e, start, certify)
-
-    def isolation(self, e, threshold):
-        return _isolation(self, e, threshold)
 
 
 def _constraints_of(s: QubitQuditState, cutoff: float) -> _Constraints:
@@ -543,90 +539,6 @@ def _polish(con: _Constraints, e: np.ndarray, f: np.ndarray, certify: bool):
     return best_e, f, mu
 
 
-def _isolation(con: _Constraints, e: np.ndarray, threshold: float) -> tuple[float, float]:
-    """Bloch radii (inner, outer) of a certified isolation annulus round a
-    found vector e, (0, 0) where none is certified.
-
-    Write the directions near e as (e + t e_perp) / sqrt(1 + |t|^2).  No
-    other vector with mu at most ``threshold`` lies at t_lo < |t| <= tau*;
-    within t_lo, a few times threshold / kappa, lies only e's own blob.
-    Take one SVD of M_0 = M(e): s_1 <= s_2 its two least singular values,
-    f_0 the right vector of s_1, U_2 the left vectors of the other d - 1, P
-    = I - U_2 U_2^dag.  X f_0 and Y f_0 are the state and the
-    partial-transpose rows of M(e_perp) f_0, each with the other part zeroed,
-    and kappa^2 = ||P X f_0||^2 + ||P Y f_0||^2 - 2 |<P X f_0, P Y f_0>|.
-    Then with N = [t X; conj(t) Y], ||P N f_0|| = ||t P X f_0 + conj(t) P Y
-    f_0|| >= |t| kappa, and ||N h|| <= |t| L ||h||.
-
-    A qualifying direction has a unit f = alpha f_0 + beta g, g a unit
-    vector orthogonal to f_0, with ||(M_0 + N) f|| <= threshold sqrt(1 +
-    |t|^2) =: eps_t.  M_0 g lies in the span of U_2 with norm at least s_2,
-    and P M_0 f_0 = s_1 u_1, so projecting on U_2 and on P gives
-
-        s_2 |beta| <= |t| L + eps,     |alpha| (|t| kappa - s_1) <= |beta| |t| L + eps,
-
-    for eps >= eps_t.  The SVD computed from the computed rows is the exact
-    SVD of M_0 + E with orthonormal factors within d eps of the computed
-    ones and ||E|| <= (d + 2) eps ||M_0||_F <= (d + 2) eps sqrt(n) L,
-    the rows' own rounding included (LAPACK states a modestly growing
-    factor, as for the eigensolve of ``_mu_batch``); so eps = threshold
-    sqrt(1 + tau*^2) + delta L with delta = ``con.margin`` = 16 d eps n
-    covers E, and kappa^2 is taken less
-    delta L^2, which covers the computed factors' distance from those
-    orthonormal ones and the rounding of x, y and their products, at most
-    4 sqrt(2) (3d + n) eps L^2.
-
-    Take |t| = r; the first inequality asks b = |beta| <= b_r = (r L +
-    eps) / s_2.  The second's left side falls in b and its right side
-    rises, so once h(r) = sqrt(1 - b_r^2) (r kappa - s_1) - b_r r L - eps
-    > 0 the second fails for every b <= b_r, and no b meets both.  Where r
-    kappa >= s_1 and b_r <= 1, h is concave:
-    -b_r r L is, and sqrt(1 - b_r^2) is concave, positive and falling
-    while r kappa - s_1 is affine, nonnegative and rising, so their product
-    has second derivative at most 0.  h > 0 at both ends of [t_lo, tau*]
-    thus proves it on the whole interval (and r kappa > s_1 at t_lo).
-    Without eps and s_1, h vanishes at r = s_2 kappa / (L sqrt(kappa^2 +
-    L^2)); tau* is 7/8 of that, and t_lo = 2 (s_1 + eps) / kappa.  Each end
-    is accepted only with b_r <= 3/4, which keeps the rounding of sqrt(1 -
-    b_r^2) within a few eps, and h above 16 eps times the sum of its
-    terms' magnitudes, which covers h's rounding.  The radii returned
-    are 2 atan(t_lo), plus a relative 1e-12, and 2 atan(tau*), less a
-    relative 1e-12 for the rounding of atan and less 16 eps, which covers
-    that of ``sphere._bloch_angle`` (~8 eps).  At d = 1 nothing is certified.
-    """
-    d, lip, delta = con.d, con.lipschitz, con.margin
-    if d < 2:
-        return 0.0, 0.0
-    rows = _constraint_rows(con, np.stack([e, [-np.conj(e[1]), np.conj(e[0])]]))
-    u, sigma, vh = np.linalg.svd(rows[0], full_matrices=False)
-    s1, s2, u2 = sigma[d - 1], sigma[d - 2], u[:, :d - 1]
-    moved = rows[1] @ np.conj(vh[d - 1])
-    parts = np.zeros((2, len(moved)), dtype=complex)
-    k1 = con.w_state.shape[0]
-    parts[0, :k1], parts[1, k1:] = moved[:k1], moved[k1:]
-    parts -= (parts @ np.conj(u2)) @ u2.T
-    x, y = parts
-    kappa2 = (np.vdot(x, x).real + np.vdot(y, y).real - 2.0 * abs(np.vdot(x, y))
-              - delta * lip ** 2)
-    if not (kappa2 > 0.0 and s2 > 0.0):
-        return 0.0, 0.0
-    kappa = np.sqrt(kappa2)
-    tau = 0.875 * s2 * kappa / (lip * np.hypot(kappa, lip))
-    eps = threshold * np.sqrt(1.0 + tau ** 2) + delta * lip
-    t_lo = 2.0 * (s1 + eps) / kappa
-
-    def clear(r):
-        b = (r * lip + eps) / s2
-        terms = (np.sqrt(max(1.0 - b * b, 0.0)) * (r * kappa - s1), b * r * lip, eps)
-        return b <= 0.75 and terms[0] - terms[1] - terms[2] > 16.0 * np.finfo(float).eps * (
-            r * kappa + s1 + terms[1] + terms[2])
-
-    if not (t_lo < tau and clear(t_lo) and clear(tau)):
-        return 0.0, 0.0
-    return (float(2.0 * np.arctan(t_lo) * (1.0 + 1e-12)),
-            float(2.0 * np.arctan(tau) * (1.0 - 1e-12) - 16.0 * np.finfo(float).eps))
-
-
 def _product_vector_at(s: QubitQuditState, con: _Constraints, e: np.ndarray,
                        f: np.ndarray) -> ProductVector:
     """Build a ProductVector with residuals recomputed from the definitions."""
@@ -690,7 +602,7 @@ def _search(s: QubitQuditState, con: _Constraints, certify: bool):
                         else (ENUMERATION_TOL, ENUMERATION_CANDIDATES))
     if con.n_rows < s.d:
         found = [_product_vector_at(s, con, e, f) for e in _CANONICAL for f in _null_space(con, e)]
-        record = _search_record(con, 0, 0, 0, 0, 0)
+        record = _search_record(con, 0, 0, 0, 0)
         if not certify:
             return _Enumeration(found, record, exhaustive=False)
         residual = found[0].combined_residual
@@ -713,13 +625,13 @@ def _search(s: QubitQuditState, con: _Constraints, certify: bool):
 
 
 def _search_record(con: _Constraints, evaluations: int, levels: int, first_order: int,
-                   polishes: int, isolated: int) -> dict:
+                   polishes: int) -> dict:
     return {"kernel_cutoff": con.cutoff,
             "kernel_dims": [int(con.w_state.shape[0]), int(con.w_pt.shape[0])],
             "lipschitz": con.lipschitz, "mu_margin": con.margin,
             "evaluations": evaluations, "levels": levels,
             "first_order_exclusions": first_order,
-            "polishes": polishes, "isolation_drops": isolated,
+            "polishes": polishes,
             "cell_floor": sphere.CELL_FLOOR, "evaluation_cap": sphere.EVALUATION_CAP}
 
 
@@ -755,7 +667,7 @@ def _recheck(s: QubitQuditState, con: _Constraints, previous: _Enumeration) -> _
         if candidate.combined_residual <= ENUMERATION_TOL:
             found.append(candidate)
     found.sort(key=lambda pv: pv.combined_residual)
-    record = _search_record(con, len(previous.found), 0, 0, 0, 0)
+    record = _search_record(con, len(previous.found), 0, 0, 0)
     return _Enumeration(found, record, exhaustive=True)
 
 

@@ -183,14 +183,14 @@ class SubtractionResult:
     remainder's verdict, the number of subtractions (``iterations``, the
     length of the reduction's terms), and how many enumerations searched
     the Bloch sphere (``searches``) and how many re-checked the last one
-    (``rechecks``), with the ``evaluations``, ``polishes`` and
-    ``isolation_drops`` summed over the records of those enumerations and
-    of the chain's range searches.  ``chained`` counts the range-search
-    product vectors the chain subtracted before the loop, each one whose
-    weight drained a level of the state, ``chain_searches`` the range
-    searches it ran on their remainders, and ``led`` says whether the chain
-    ended the loop; when it did not, the loop ran from the input and the
-    chain's subtractions are not among the ``reduction``'s terms."""
+    (``rechecks``), with the ``evaluations`` and ``polishes`` summed over
+    the records of those enumerations and of the chain's range searches.
+    ``chained`` counts the range-search product vectors the chain
+    subtracted before the loop, each one whose weight drained a level of
+    the state, ``chain_searches`` the range searches it ran on their
+    remainders, and ``led`` says whether the chain ended the loop; when it
+    did not, the loop ran from the input and the chain's subtractions are
+    not among the ``reduction``'s terms."""
 
     reduction: Reduction
     remainder: QubitQuditState
@@ -200,7 +200,6 @@ class SubtractionResult:
     rechecks: int
     evaluations: int
     polishes: int
-    isolation_drops: int
     sppt: Optional[SpptVerdict] = None
     chained: int = 0
     chain_searches: int = 0
@@ -328,6 +327,10 @@ def _max_subtraction_weight(rho: linalg.EigResult, pt: linalg.EigResult,
 # rounding of its weight, which the remainder's conditioning lifts above
 # 1e-12; what it cuts off stays an order below ``TOL_FLOOR``.
 SUPPORT_CUTOFF = 1e-9
+# Least weight, relative to the working state's trace, of a product term the
+# prover subtracts: a candidate whose maximal weight is at most this is
+# skipped by the loop and ends the chain.
+WEIGHT_FLOOR = 1e-10
 
 
 def _drains_level(eig: linalg.EigResult, v: np.ndarray, lam: float) -> bool:
@@ -461,8 +464,8 @@ def subtract_product_vectors(s: QubitQuditState,
     count) or raises ValidationError, or the chain reaches the budget.
     The loop then goes on from ``s`` as without a lead.  The chain's
     searches go through the name ``edge_check`` of this module, and their
-    work counts in the result's ``evaluations``, ``polishes`` and
-    ``isolation_drops`` whether or not the chain ends the loop.
+    work counts in the result's ``evaluations`` and ``polishes`` whether or
+    not the chain ends the loop.
 
     Each iteration eigendecomposes the qudit marginal M = a + c once; its
     support at ``SUPPORT_CUTOFF`` is the small-support exit's, and its
@@ -499,7 +502,7 @@ def subtract_product_vectors(s: QubitQuditState,
     terms = []
     enumeration = None
     iterations = searches = rechecks = 0
-    effort = dict.fromkeys(("evaluations", "polishes", "isolation_drops"), 0)
+    effort = dict.fromkeys(("evaluations", "polishes"), 0)
     # The loop's first exit tests, then the chain: the lead and each vector
     # the range search finds on the sphere of the last remainder, in turn,
     # each subtracted only when its weight drains a level of the state.
@@ -508,7 +511,8 @@ def subtract_product_vectors(s: QubitQuditState,
     while pv is not None and outcome[0] is None and len(chain) < budget:
         trace = work.trace()
         lam = _max_subtraction_weight(work.eig, work.pt_eig, pv.e, pv.f, trace)
-        if lam <= 1e-10 * trace or not _drains_level(work.eig, np.outer(pv.e, pv.f).ravel(), lam):
+        if (lam <= WEIGHT_FLOOR * trace
+                or not _drains_level(work.eig, np.outer(pv.e, pv.f).ravel(), lam)):
             break
         term, remainder = _subtract(work, lam, pv.e, pv.f)
         tried = _exit(remainder, chain + [term], scale0)
@@ -525,7 +529,6 @@ def subtract_product_vectors(s: QubitQuditState,
         if status is not None or iterations == budget:
             break
         trace = state.trace()
-        lam_floor = 1e-10 * trace
         # Prefer subtractions that drain a qudit level (the certified exit),
         # then the largest admissible weight; greedy max-weight alone can
         # strand the remainder in an edge-like state.
@@ -541,7 +544,7 @@ def subtract_product_vectors(s: QubitQuditState,
             effort[key] += enumeration.search[key]
         for e, f in ((pv.e, pv.f) for pv in enumeration.found):
             lam = _max_subtraction_weight(state.eig, state.pt_eig, e, f, trace)
-            if lam <= lam_floor:
+            if lam <= WEIGHT_FLOOR * trace:
                 continue
             key = (not _drains_level(marginal, f, lam), -lam)
             if best is None or key < best[0]:
@@ -683,7 +686,6 @@ def classify(s: QubitQuditState) -> Verdict:
     sub = subtract_product_vectors(s, lead=lead)
     residuals["subtraction_evaluations"] = sub.evaluations
     residuals["subtraction_polishes"] = sub.polishes
-    residuals["subtraction_isolation_drops"] = sub.isolation_drops
     # A chain that stopped before any search left nothing in the counts; one
     # that stopped after a search was set aside, as the loop ran from the input.
     chained = ""
@@ -694,8 +696,7 @@ def classify(s: QubitQuditState) -> Verdict:
     log.append(f"subtraction: {sub.status} after {sub.iterations} subtractions and "
                f"{sub.searches + sub.rechecks} enumerations "
                f"({sub.searches} searched the sphere, {sub.rechecks} re-checked; "
-               f"{sub.evaluations} evaluations, {sub.polishes} polishes, "
-               f"{sub.isolation_drops} isolation drops), "
+               f"{sub.evaluations} evaluations, {sub.polishes} polishes), "
                f"remainder norm {sub.remainder.norm():.3e}{chained}")
     outcome = _verdict_from_subtraction(s, sub, log, residuals)
     if outcome is not None:

@@ -4,7 +4,7 @@ A qubit direction, a unit vector e = (cos(theta/2), e^{i phi}
 sin(theta/2)) up to phase, is a point of the Bloch sphere.  ``search``
 looks for directions where an objective's value v is at most a threshold,
 or bounds v from below over the whole sphere.  The objective is any object
-with four members; ``range_criterion._Constraints`` is the one the
+with three members; ``range_criterion._Constraints`` is the one the
 package has:
 
 * ``lipschitz``: L with |v(e) - v(e')| <= L min_phi ||e - e^{i phi} e'||,
@@ -16,10 +16,7 @@ package has:
   cell, and each centre's polish start; a centre with value_lo >=
   ``above`` may get +inf for both;
 * ``polish(e, start, certify)``: ``(e, payload, value)`` at the best point
-  of a local minimization from e;
-* ``isolation(e, threshold)``: Bloch radii (inner, outer) of an annulus
-  round a found direction in which no other direction has value at most
-  ``threshold``, (0, 0) where none is certified.
+  of a local minimization from e.
 """
 
 from __future__ import annotations
@@ -163,7 +160,7 @@ class Search:
     "Inconclusive"; ``bound`` is the least lower bound over the cells the
     search ended with, not below 0, and ``worst`` the least value seen;
     ``work`` counts the ``evaluations`` (cells bounded), ``levels``,
-    ``first_order`` exclusions, ``polishes`` and ``isolated`` cells."""
+    ``first_order`` exclusions and ``polishes``."""
 
     found: list
     minima: list
@@ -187,15 +184,14 @@ def search(objective, threshold: float, limit: int, certify: bool) -> Search:
     limit in all, a cap that excludes nothing, as an unpolished cell stays
     open.  A polished value at most ``threshold`` is a found direction.
     Its basin, the ball out to the farthest polish start that converged to
-    it, at least ``_BASIN`` and at least the outer radius of its certified
-    isolation annulus, takes no further polish start, and open cells
-    wholly inside it are dropped (``isolated`` counts those only an
-    annulus dropped).  The other open cells are split by ``_children``
-    along the axes that set their radius (``_split``), so cells near the
-    poles are not cut into slivers along phi.  The search stops once
-    ``limit`` directions are found, every cell is excluded or dropped, or
-    an open cell's polar width is below ``CELL_FLOOR`` or the next level's
-    children would take the evaluations past ``EVALUATION_CAP``.
+    it and at least ``_BASIN``, takes no further polish start, and open
+    cells wholly inside it are dropped.  The other open cells are split by
+    ``_children`` along the axes that set their radius (``_split``), so
+    cells near the poles are not cut into slivers along phi.  The search
+    stops once ``limit`` directions are found, every cell is excluded or
+    dropped, or an open cell's polar width is below ``CELL_FLOOR`` or the
+    next level's children would take the evaluations past
+    ``EVALUATION_CAP``.
 
     Each level passes ``bounds`` a value ``above`` per cell past which
     nothing the search reports can change: threshold + L r / 2, where the
@@ -208,9 +204,9 @@ def search(objective, threshold: float, limit: int, certify: bool) -> Search:
     lip = objective.lipschitz
     found, minima = [], []
     theta, phi, h_theta, h_phi, e, radius = _FIRST_LEVEL
-    known, radii, plain = np.empty((0, 2), dtype=complex), np.empty(0), np.empty(0)
+    known, radii = np.empty((0, 2), dtype=complex), np.empty(0)
     bound = worst = np.inf
-    work = dict.fromkeys(("evaluations", "levels", "first_order", "polishes", "isolated"), 0)
+    work = dict.fromkeys(("evaluations", "levels", "first_order", "polishes"), 0)
     conclusion = "NoneFound"
     while True:
         work["levels"] += 1
@@ -241,17 +237,11 @@ def search(objective, threshold: float, limit: int, certify: bool) -> Search:
             same = np.flatnonzero(_bloch_angle(e_pol, known) < _SAME)
             if len(same):
                 radii[same[0]] = max(radii[same[0]], start)
-                plain[same[0]] = max(plain[same[0]], start)
             else:
                 found.append((e_pol, payload))
                 known = np.vstack([known, e_pol])
-                plain = np.append(plain, max(start, _BASIN))
-                ball = objective.isolation(e_pol, threshold)[1] if len(found) < limit else 0.0
-                radii = np.append(radii, max(plain[-1], ball))
-        reach = _bloch_angle(e, known) + radius[:, None]
-        inside = (reach <= radii).any(axis=1)
-        work["isolated"] += int(np.count_nonzero(open_ & inside & ~(reach <= plain).any(axis=1)))
-        open_ &= ~inside
+                radii = np.append(radii, max(start, _BASIN))
+        open_ &= ~(_bloch_angle(e, known) + radius[:, None] <= radii).any(axis=1)
         if len(found) >= limit:
             conclusion = "Found"
             break

@@ -378,6 +378,7 @@ class TestCli:
                      "enumeration_candidates", "enumeration_tol"):
             assert tolerances[name] == getattr(range_criterion, name.upper())
         assert tolerances["support_cutoff"] == separability.SUPPORT_CUTOFF
+        assert tolerances["weight_floor"] == separability.WEIGHT_FLOOR
         assert "classify" in report["timings_ms"]
 
     def test_classify_json_report_layout(self, tmp_path, capsys):

@@ -3,6 +3,8 @@
 import spptkit
 from spptkit import range_criterion, separability, sppt
 
+from code_lines import code_lines
+
 # Public paths that classify never took, removed with their callers moved to
 # the paths it takes.
 REMOVED = ((range_criterion, "product_vectors_in_range"), (range_criterion, "kernel_basis"),
@@ -23,3 +25,14 @@ class TestPublicNames:
         for module, name in REMOVED:
             assert name not in spptkit.__all__
             assert not hasattr(spptkit, name) and not hasattr(module, name), name
+
+
+class TestCodeLines:
+    def test_counts_code_not_comments_or_docstrings(self):
+        source = ('"""Module\ndocstring."""\n# a comment\n\n'
+                  'class A:\n    """Class docstring."""\n\n'
+                  '    def f(self, x):\n        """Function\n        docstring."""\n'
+                  '        y = """a string\n        on two lines"""\n'
+                  '        return x  # trailing\n')
+        # class A, def f, the two lines of y and the return
+        assert code_lines(source) == 5

@@ -611,7 +611,7 @@ class TestPolishBudget:
                 cert.search["polishes"]) == (1, 112, 1)
 
     @pytest.mark.parametrize("d, n, evaluations, polishes", [
-        (5, 6, 0, 0), (4, 7, 2102, 12), (5, 7, 112, 1)])
+        (5, 6, 0, 0), (4, 7, 2150, 13), (5, 7, 112, 1)])
     def test_enumeration_keeps_its_budget(self, d, n, evaluations, polishes):
         # the separable_mix inputs; a search for eight vectors still takes
         # two polishes per level above the threshold (n = d + 1: none, as
@@ -1039,64 +1039,27 @@ class TestCrossing:
         assert np.all(got >= chord(a, b, c, d) - 1e-12 * scale)
 
 
-def annulus_points(e0, inner, outer, rng, count=4000):
-    """Unit qubit vectors at Bloch angles from e0 log-spaced over (inner,
-    outer], outer itself included, at random phases."""
-    angles = np.concatenate([np.geomspace(inner, outer, count + 1)[1:], np.full(200, outer)])
-    t = np.tan(angles / 2) * np.exp(2j * np.pi * rng.uniform(size=len(angles)))
-    perp = np.array([-np.conj(e0[1]), np.conj(e0[0])])
-    e = e0[None, :] + t[:, None] * perp[None, :]
-    return e / np.linalg.norm(e, axis=1, keepdims=True)
-
-
-class TestIsolationRadius:
-    """No other vector with mu at most the threshold lies in a found vector's
-    certified annulus."""
+class TestEnumerationOutput:
+    """What an enumeration returns on a separable state of n generic terms:
+    one vector at each term's qubit direction, and no other."""
 
     @pytest.mark.parametrize("d, n", [(5, 6), (5, 7)])
-    def test_dense_sampling_clears_the_annulus(self, d, n):
-        state, _ = random_separable(d, n, seed=0)
-        con = range_criterion._constraints_of(state, range_criterion.ENUMERATION_KERNEL_CUTOFF)
-        found = range_criterion._enumerate(state, con).found
-        rng = np.random.default_rng(18)
-        certified = 0
-        for pv in found:
-            inner, outer = range_criterion._isolation(con, pv.e, range_criterion.ENUMERATION_TOL)
-            if outer == 0.0:
-                continue
-            certified += 1
-            # the inner ball is the found vector's own: mu is below the
-            # threshold somewhere in it
-            assert 0.0 < inner < outer
-            assert mu_at(con, annulus_points(pv.e, 1e-12, inner, rng)).min() <= (
-                range_criterion.ENUMERATION_TOL)
-            mu = mu_at(con, annulus_points(pv.e, inner, outer, rng))
-            assert mu.min() > range_criterion.ENUMERATION_TOL
-        assert certified == len(found) > 0
+    def test_one_vector_at_each_constituent(self, d, n):
+        state, terms = random_separable(d, n, seed=0)
+        result = enumeration(state)
+        assert result.exhaustive
+        assert len(result.found) == n
+        found = np.array([pv.e for pv in result.found])
+        qubits = np.array([e for _, e, _ in terms])
+        angles = sphere._bloch_angle(found, qubits)
+        # a bijection: each vector sits at one term's direction, and each
+        # term's direction holds one vector
+        assert sorted(angles.argmin(axis=1)) == list(range(n))
+        assert angles.min(axis=1).max() <= 1e-6
+        apart = sphere._bloch_angle(found, found)
+        assert apart[~np.eye(n, dtype=bool)].min() > sphere._SAME
 
-    @pytest.mark.parametrize("s", [0.3, 0.1, 0.03])
-    def test_a_second_zero_stays_outside(self, s):
-        # X(c) = diag(0, s), X(c_perp) = I: det M(c + t c_perp) = t (s + t),
-        # so mu vanishes at c and again at t = -s, a Bloch angle of 2 atan(s)
-        theta, phi = np.array([5 * np.pi / 16]), np.array([3 * np.pi / 16])
-        c = sphere._bloch(theta, phi)[0]
-        con = rows_framed_at(c, np.diag([0.0, s]), np.eye(2))
-        inner, outer = range_criterion._isolation(con, c, range_criterion.ENUMERATION_TOL)
-        assert 0.0 < inner < outer < 2 * np.arctan(s)
-        # well more than half of the way there
-        assert outer > np.arctan(s)
-        rng = np.random.default_rng(19)
-        assert mu_at(con, annulus_points(c, inner, outer, rng)).min() > (
-            range_criterion.ENUMERATION_TOL)
-
-    def test_no_ball_without_a_second_singular_value(self):
-        # d = 1: nothing is certified, the basin keeps its old rule
-        state = product_state_d1()
-        con = range_criterion._constraints_of(state, range_criterion.ENUMERATION_KERNEL_CUTOFF)
-        pv = range_criterion._enumerate(state, con).found[0]
-        assert range_criterion._isolation(con, pv.e, range_criterion.ENUMERATION_TOL) == (0.0, 0.0)
-
-    def test_the_record_counts_polishes_and_isolation_drops(self, monkeypatch):
+    def test_the_record_counts_polishes(self, monkeypatch):
         calls = []
         polish = range_criterion._polish
 
@@ -1106,12 +1069,5 @@ class TestIsolationRadius:
 
         monkeypatch.setattr(range_criterion, "_polish", counting)
         state, _ = random_separable(5, 6, seed=0)
-        con = range_criterion._constraints_of(state, range_criterion.ENUMERATION_KERNEL_CUTOFF)
-        search = range_criterion._enumerate(state, con).search
-        assert search["polishes"] == len(calls) > 0
-        assert search["isolation_drops"] > 0
-        # without certified annuli, no cell is dropped for one
-        monkeypatch.setattr(range_criterion, "_isolation", lambda *args: (0.0, 0.0))
-        plain = range_criterion._enumerate(state, con).search
-        assert plain["isolation_drops"] == 0
-        assert plain["evaluations"] > search["evaluations"]
+        assert enumeration(state).search["polishes"] == len(calls) > 0
+

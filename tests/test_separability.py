@@ -553,7 +553,7 @@ class TestLead:
         assert led.status == plain.status
         for name in ("iterations", "searches", "rechecks"):
             assert getattr(led, name) == getattr(plain, name), name
-        for name in ("evaluations", "polishes", "isolation_drops"):
+        for name in ("evaluations", "polishes"):
             chain_work = sum(search[name] for search in searches)
             assert getattr(led, name) == getattr(plain, name) + chain_work, name
         assert _same_terms(led, plain)
@@ -1077,7 +1077,7 @@ class TestClassify:
         assert report["class"] == verdict
         # the first range search is classify's own, step 6
         assert (len(searches) - 1, len(records)) == (chain_searches, enumerations)
-        for key in ("evaluations", "polishes", "isolation_drops"):
+        for key in ("evaluations", "polishes"):
             total = sum(record[key] for record in records + searches[1:])
             assert report["residuals"][f"subtraction_{key}"] == total
             assert type(report["residuals"][f"subtraction_{key}"]) is int

@@ -14,8 +14,7 @@ from helpers import cell_offsets
 class ToyObjective:
     """value(e) = c + the Bloch angle from e to p.  By the angle's triangle
     inequality a cell of Bloch radius r round a centre bounds it by the
-    centre's value less r, L r / 2 for L = 2; the polish goes straight to p,
-    and no isolation annulus is certified."""
+    centre's value less r, L r / 2 for L = 2.  The polish goes straight to p."""
 
     lipschitz = 2.0
 
@@ -29,8 +28,24 @@ class ToyObjective:
     def polish(self, e, start, certify):
         return self.p, "payload", self.c
 
-    def isolation(self, e, threshold):
-        return 0.0, 0.0
+
+class TwoZeros:
+    """value(e) = the Bloch angle from e to the nearer of two points, bounded
+    over a cell as ``ToyObjective`` is.  The polish goes straight to the
+    nearer point, with its index as the payload."""
+
+    lipschitz = 2.0
+
+    def __init__(self, points):
+        self.points = points
+
+    def bounds(self, e, radius, above):
+        value = sphere._bloch_angle(e, self.points).min(axis=1)
+        return value, value - radius, np.zeros(len(e))
+
+    def polish(self, e, start, certify):
+        nearer = int(sphere._bloch_angle(e, self.points).argmin())
+        return self.points[nearer], nearer, 0.0
 
 
 class TestToyObjective:
@@ -56,6 +71,25 @@ class TestToyObjective:
         # be excluded
         assert result.work["levels"] > 1
         assert result.work["polishes"] == len(result.minima) > 0
+
+
+class TestTwoZeros:
+    POINTS = sphere._bloch(np.array([1.0, 2.2]), np.array([2.0, -1.0]))
+
+    def test_finds_each_zero_once(self):
+        result = sphere.search(TwoZeros(self.POINTS), 1e-6, 2, certify=False)
+        assert result.conclusion == "Found"
+        assert sorted(payload for _, payload in result.found) == [0, 1]
+        for e, payload in result.found:
+            assert np.array_equal(e, self.POINTS[payload])
+
+    def test_basins_drop_the_cells_round_the_zeros(self):
+        # a third direction is asked for, so the search runs until the open
+        # cells round the two zeros fall inside their basins
+        result = sphere.search(TwoZeros(self.POINTS), 1e-6, 3, certify=False)
+        assert result.conclusion == "NoneFound"
+        assert sorted(payload for _, payload in result.found) == [0, 1]
+        assert result.work["levels"] > 1
 
 
 class TestFirstLevel:
