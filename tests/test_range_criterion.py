@@ -1059,6 +1059,19 @@ class TestEnumerationOutput:
         apart = sphere._bloch_angle(found, found)
         assert apart[~np.eye(n, dtype=bool)].min() > sphere._SAME
 
+    @pytest.mark.parametrize("f", [[1.0], [1.0, 0.5j, -0.2], [0.3, 1.0, 0.1 - 0.4j, 0.2, 0.5]],
+                             ids=["d1", "d3", "d5"])
+    def test_a_pure_product_state_gives_its_one_vector(self, f):
+        # d = 1 included: M(e) has one column, so no second singular value
+        # exists, and the basin alone drops the cells round the vector
+        state, e, f = product_state([1.0, 0.3 - 0.2j], f)
+        result = enumeration(state)
+        assert result.exhaustive
+        assert len(result.found) == 1
+        pv = result.found[0]
+        assert sphere._bloch_angle(pv.e[None, :], e[None, :])[0, 0] <= 1e-12
+        assert abs(abs(np.vdot(pv.f, f)) - 1.0) <= 1e-12
+
     def test_the_record_counts_polishes(self, monkeypatch):
         calls = []
         polish = range_criterion._polish
