@@ -14,7 +14,7 @@ vanishes exactly when a qualifying product vector exists at e.  The qubit
 direction is a point of the Bloch sphere, e = (cos(theta/2),
 e^{i phi} sin(theta/2)); mu does not depend on the phase of e.
 
-One routine, ``_search``, does all the searching, through the Bloch-sphere
+One routine, ``_search``, searches the sphere, through the Bloch-sphere
 branch-and-bound of ``sphere``: this module supplies its objective, mu, as
 ``_Constraints``, with a lower bound on mu over cells (``_mu_batch``) and
 a Gauss-Newton polish on M(e) f = 0 (``_polish``).  The bound at the centre
@@ -32,12 +32,19 @@ wherever the search has a finite line to test against: all pivots positive
 proves that the eigensolve would give a bound too large to change what the
 search reports, so only the other cells are solved.  ``edge_check`` stops
 at the first product vector at ``EXCLUSION_THRESHOLD``; the subtraction
-prover's enumeration (``_enumerate``) keeps enumerating distinct ones:
-against the wider kernel at ``ENUMERATION_KERNEL_CUTOFF``, up to
-``ENUMERATION_CANDIDATES`` vectors with residual at most
-``ENUMERATION_TOL``.  An enumeration is exhaustive when it searched the
-sphere (at least d constraint rows), every cell was excluded or dropped,
-and it found fewer than ``ENUMERATION_CANDIDATES`` vectors.  The prover
+prover's enumeration (``_enumerate``) wants every qualifying vector with
+residual at most ``ENUMERATION_TOL``, against the wider kernel at
+``ENUMERATION_KERNEL_CUTOFF``.  With at least d constraint rows there are
+finitely many, generically (Kraus, Cirac, Karnas and Lewenstein, PRA 61,
+062302, 2000), the roots of a polynomial system in the qubit direction,
+and ``_roots`` finds them all with one eigensolve of a resultant's
+companion matrix; where one of its gates fails (a determinant that
+vanishes to rounding, an ill-conditioned leading coefficient or an
+ambiguous root), the enumeration searches the sphere for up to
+``ENUMERATION_CANDIDATES`` vectors.  An enumeration is exhaustive when
+the roots solved it, or when it searched the sphere (at least d
+constraint rows), every cell was excluded or dropped, and it found fewer
+than ``ENUMERATION_CANDIDATES`` vectors.  The prover
 subtracts a product term and keeps the remainder and its partial transpose
 PSD, so both ranges only shrink and every qualifying vector of the
 remainder qualifies for the state before; after an exhaustive enumeration,
@@ -70,7 +77,8 @@ from .states import QubitQuditState
 EXCLUSION_THRESHOLD = 1e-6
 KERNEL_CUTOFF = 1e-10
 # The enumeration behind the subtraction prover: a looser kernel cutoff than
-# the range criterion's, and up to eight candidates within residual 1e-7.
+# the range criterion's, and candidates within residual 1e-7, up to eight
+# where the sphere is searched (the roots keep every one).
 ENUMERATION_KERNEL_CUTOFF = 1e-8
 ENUMERATION_CANDIDATES = 8
 ENUMERATION_TOL = 1e-7
@@ -79,6 +87,15 @@ _POLISH_STALL = 3                  # steps without halving the residual before g
 _POLISH_TOL = 1e-14                # residual at which Gauss-Newton stops
 _SLICE = 1024                      # cells formed, tested and solved together
 _UNIT = np.array([[1.0], [1j]])    # a complex unknown's real and imaginary column
+# The enumeration's root finder (``_roots``): its fixed qubit frame U, its
+# Moebius shift sigma, the node whose powers combine surplus constraint rows,
+# and its three gates.
+_FRAME = np.array([[0.8, -0.36 + 0.48j], [0.36 + 0.48j, 0.8]])
+_SHIFT = 0.3 - 0.2j
+_NODE = np.exp(2j * np.pi * 0.6180339887498949)
+_ROOT_DET = 1e-8                   # |det| over Hadamard's bound above which p is not = 0
+_ROOT_COND = 1e3                   # largest condition number of the shifted leading coefficient
+_ROOT_MU = 1e-4                    # mu at a root below which it is polished
 
 
 @dataclass(frozen=True)
@@ -551,6 +568,10 @@ def _product_vector_at(s: QubitQuditState, con: _Constraints, e: np.ndarray,
     )
 
 
+def _best_first(vectors: list) -> list:
+    return sorted(vectors, key=lambda pv: pv.combined_residual)
+
+
 # The qubit vectors at the poles and at four points on the equator
 _CANONICAL = [sphere._bloch(theta, phi) for theta, phi in (
     (0.0, 0.0), (np.pi, 0.0), (np.pi / 2, 0.0), (np.pi / 2, np.pi),
@@ -570,7 +591,7 @@ class _Enumeration:
 
 def _search(s: QubitQuditState, con: _Constraints, certify: bool):
     """``sphere.search`` on the objective ``con``, behind ``edge_check`` and
-    the enumeration.
+    the enumerations that ``_roots`` does not solve.
 
     A search that ``certify``s (``edge_check``) runs at ``threshold`` =
     ``EXCLUSION_THRESHOLD`` and stops at ``limit`` = 1 vector, so it
@@ -602,7 +623,7 @@ def _search(s: QubitQuditState, con: _Constraints, certify: bool):
                         else (ENUMERATION_TOL, ENUMERATION_CANDIDATES))
     if con.n_rows < s.d:
         found = [_product_vector_at(s, con, e, f) for e in _CANONICAL for f in _null_space(con, e)]
-        record = _search_record(con, 0, 0, 0, 0)
+        record = _search_record(con, "sphere", 0, 0, 0, 0)
         if not certify:
             return _Enumeration(found, record, exhaustive=False)
         residual = found[0].combined_residual
@@ -612,9 +633,8 @@ def _search(s: QubitQuditState, con: _Constraints, certify: bool):
             conclusion="FoundProductVector", found=found, exclusion_threshold=threshold)
 
     result = sphere.search(con, threshold, limit, certify)
-    found = sorted((_product_vector_at(s, con, e, f) for e, f in result.found),
-                   key=lambda pv: pv.combined_residual)
-    record = _search_record(con, **result.work)
+    found = _best_first([_product_vector_at(s, con, e, f) for e, f in result.found])
+    record = _search_record(con, "sphere", **result.work)
     if not certify:
         return _Enumeration(found, record, exhaustive=result.conclusion == "NoneFound")
     return RangeSearchCertificate(
@@ -624,9 +644,9 @@ def _search(s: QubitQuditState, con: _Constraints, certify: bool):
         found=found, exclusion_threshold=threshold)
 
 
-def _search_record(con: _Constraints, evaluations: int, levels: int, first_order: int,
-                   polishes: int) -> dict:
-    return {"kernel_cutoff": con.cutoff,
+def _search_record(con: _Constraints, method: str, evaluations: int, levels: int,
+                   first_order: int, polishes: int) -> dict:
+    return {"method": method, "kernel_cutoff": con.cutoff,
             "kernel_dims": [int(con.w_state.shape[0]), int(con.w_pt.shape[0])],
             "lipschitz": con.lipschitz, "mu_margin": con.margin,
             "evaluations": evaluations, "levels": levels,
@@ -635,26 +655,137 @@ def _search_record(con: _Constraints, evaluations: int, levels: int, first_order
             "cell_floor": sphere.CELL_FLOOR, "evaluation_cap": sphere.EVALUATION_CAP}
 
 
+def _combined(rows: np.ndarray, count: int) -> np.ndarray:
+    """``count`` fixed combinations of the k constraint rows ``rows`` (2, k,
+    d), or the rows themselves when k = count: row c takes row j with weight
+    ``_NODE`` ** ((c + 1) (j + 1)), a Vandermonde matrix on k distinct nodes
+    of the unit circle, of full rank."""
+    k = rows.shape[1]
+    if k == count:
+        return rows
+    mix = _NODE ** np.outer(np.arange(1, count + 1), np.arange(1, k + 1))
+    return np.einsum("cj,tji->tci", mix, rows)
+
+
+def _roots(con: _Constraints):
+    """Every qualifying direction of ``con`` as a root of a polynomial
+    system, or None where a gate fails; needs n_rows >= d.  Returns the
+    polished ``(e, f)`` of each and the number of roots examined.
+
+    Write e = U (1, z) in the frame U = ``_FRAME``.  The state rows of M(e)
+    are then A0 + z A1, linear in z, and the partial-transpose rows B0 + w
+    B1, linear in w = conj(z).  Take a = clamp(ceil(d / 2), d - k2, k1)
+    state rows and b = d - a partial-transpose rows, a block with more rows
+    than that combined by ``_combined``.  A qualifying e makes this square
+    system S(z, w) singular at w = conj(z), so its z is a root of p(z, w) =
+    det S(z, w), of bidegree (a, b).  The coefficients of p come from one
+    batched det on the (a + 1) x (b + 1) grid of roots of unity and a 2-D
+    FFT.  Gate: |p| exceeds ``_ROOT_DET`` times Hadamard's bound, the
+    product of the rows' norms, somewhere on the grid; where it does not, p
+    vanishes to rounding, and what qualifies, if anything, is a continuum.
+
+    With q(z, w) = conj(p(conj(w), conj(z))), q(z, conj(z)) = conj(p(z,
+    conj(z))) vanishes too, so z is a root of the resultant of p and q in
+    w, det Syl(z) for their d x d Sylvester matrix, whose entries are
+    polynomials in z of degree at most m = max(a, b).  The Moebius shift z
+    = sigma + 1 / y, sigma = ``_SHIFT``, makes y^m Syl(sigma + 1 / y) a
+    matrix polynomial in y with leading coefficient Syl(sigma); a root at z
+    = infinity comes out at y = 0, e = U (0, 1), and one eigensolve of the
+    block companion matrix, of size m d (at most 32 for d <= 8), gives
+    every root.  Gate: cond Syl(sigma) <= ``_ROOT_COND``.  Where a or b is
+    0 the system is the pencil A0 + z A1, or B0 + w B1 with z = conj(w),
+    shifted alike.
+
+    One batched SVD of the full M(e) gives mu at every root.  A root with mu
+    below ``_ROOT_MU`` is polished as the sphere's enumeration polishes
+    (``_polish``) and qualifies when the polished mu is at most
+    ``ENUMERATION_TOL``.  Gate: no root is ambiguous, one with mu below
+    ``_ROOT_MU`` that does not qualify, and no two qualifying roots are
+    within ``sphere._SAME`` of each other.  The roots certify nothing: a
+    missed root costs the prover a candidate, never soundness.
+    """
+    d, k1, k2 = con.d, len(con.w_state), len(con.w_pt)
+    a = min(max(-(-d // 2), d - k2), k1)
+    b = d - a
+    # the coefficients of 1 and z of the state rows, of 1 and w of the others
+    state = _combined(np.einsum("kai,ab->bki", con.w_state, _FRAME), a)
+    pt = _combined(np.einsum("kai,ab->bki", con.w_pt, np.conj(_FRAME)), b)
+    z, w = (np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))[:, None, None] for n in (a, b))
+    top = np.broadcast_to((state[0] + z * state[1])[:, None], (a + 1, b + 1, a, d))
+    bottom = np.broadcast_to(pt[0] + w * pt[1], (a + 1, b + 1, b, d))
+    grid = np.concatenate([top, bottom], axis=2)
+    det = np.linalg.det(grid)
+    if not (np.abs(det) > _ROOT_DET * np.linalg.norm(grid, axis=-1).prod(axis=-1)).any():
+        return None
+    if a == 0 or b == 0:
+        coef = pt if a == 0 else state
+    else:
+        c = np.fft.fft2(det) / det.size        # c[i, k] multiplies z^i w^k
+        coef = np.zeros((max(a, b) + 1, d, d), dtype=complex)
+        for r in range(a):
+            coef[:a + 1, r, r:r + b + 1] = c
+        for r in range(b):
+            coef[:b + 1, a + r, r:r + a + 1] = np.conj(c).T
+    # Taylor coefficients at sigma, lowest first: y^m Syl(sigma + 1 / y)
+    # holds them highest first
+    m = len(coef) - 1
+    taylor = np.array([[math.comb(j, t) * _SHIFT ** (j - t) for j in range(m + 1)]
+                       for t in range(m + 1)])
+    coef = np.tensordot(taylor, coef, axes=1)
+    if np.linalg.cond(coef[0]) > _ROOT_COND:
+        return None
+    companion = np.eye(m * d, k=-d, dtype=complex)
+    companion[:d] = -np.linalg.solve(coef[0], coef[1:].transpose(1, 0, 2).reshape(d, m * d))
+    y = np.linalg.eigvals(companion)
+    v = np.stack([y, _SHIFT * y + 1.0], axis=1)          # y (1, z)
+    e = (np.conj(v) if a == 0 else v) @ _FRAME.T
+    e /= np.linalg.norm(e, axis=1, keepdims=True)
+    _, sigma, vh = np.linalg.svd(_constraint_rows(con, e))
+    found = []
+    for i in np.flatnonzero(sigma[:, d - 1] < _ROOT_MU):
+        e_pol, f, mu = _polish(con, e[i], np.conj(vh[i, d - 1]), False)
+        if mu > ENUMERATION_TOL:
+            return None
+        found.append((e_pol, f))
+    known = np.array([e for e, _ in found]).reshape(-1, 2)
+    apart = sphere._bloch_angle(known, known)
+    np.fill_diagonal(apart, np.inf)
+    if (apart < sphere._SAME).any():
+        return None
+    return found, len(y)
+
+
 def _enumerate(s: QubitQuditState, con: _Constraints) -> _Enumeration:
     """The prover's candidates, product vectors in both ranges of ``s``, best
-    first, and the search's record, on ``s``'s constraints ``con`` at
-    ``ENUMERATION_KERNEL_CUTOFF`` (see ``_search``)."""
-    return _search(s, con, certify=False)
+    first, and their record, on ``s``'s constraints ``con`` at
+    ``ENUMERATION_KERNEL_CUTOFF``.  Where M(e) has at least d rows and the
+    gates of ``_roots`` pass, they are every qualifying vector, uncapped,
+    and exhaustive; the record counts the roots examined as evaluations and
+    those polished, one per vector.  Otherwise ``_search`` finds them on the
+    sphere."""
+    roots = _roots(con) if con.n_rows >= s.d else None
+    if roots is None:
+        return _search(s, con, certify=False)
+    found, examined = roots
+    vectors = [_product_vector_at(s, con, e, f) for e, f in found]
+    return _Enumeration(_best_first(vectors),
+                        _search_record(con, "roots", examined, 0, 0, len(found)), exhaustive=True)
 
 
 def _recheck(s: QubitQuditState, con: _Constraints, previous: _Enumeration) -> _Enumeration:
-    """The enumeration of ``s`` from an exhaustive one of a state whose two
-    ranges contain those of ``s``, by re-solving, not searching.
+    """The enumeration of ``s`` from an exhaustive one, the roots' or the
+    sphere's, of a state whose two ranges contain those of ``s``, by
+    re-solving, not enumerating afresh.
 
     Every qualifying vector of ``s`` then qualifies for the earlier state,
     so its qubit direction is one of ``previous``'s.  Each of those
     directions is kept unchanged, its qudit vector re-solved as the least
     right singular vector of M(e) for ``con``, ``s``'s constraints at
-    ``ENUMERATION_KERNEL_CUTOFF``, the kernels a fresh search would use
-    (``_null_vector``, one SVD), and the vector kept when its combined
+    ``ENUMERATION_KERNEL_CUTOFF``, the kernels a fresh enumeration would
+    use (``_null_vector``, one SVD), and the vector kept when its combined
     residual, recomputed from the definitions, is at most
-    ``ENUMERATION_TOL``, the fresh search's own test.  The vectors kept are
-    again exhaustive.  The record counts the directions re-solved as
+    ``ENUMERATION_TOL``.  The vectors kept are again exhaustive.  The
+    record, of method "recheck", counts the directions re-solved as
     evaluations, with no polish and no first-order exclusion.  With fewer
     constraint rows than d there is nothing to re-solve: that is the fresh
     search's continuum case, and it runs.
@@ -666,9 +797,8 @@ def _recheck(s: QubitQuditState, con: _Constraints, previous: _Enumeration) -> _
         candidate = _product_vector_at(s, con, pv.e, _null_vector(con, pv.e)[0])
         if candidate.combined_residual <= ENUMERATION_TOL:
             found.append(candidate)
-    found.sort(key=lambda pv: pv.combined_residual)
-    record = _search_record(con, len(previous.found), 0, 0, 0)
-    return _Enumeration(found, record, exhaustive=True)
+    record = _search_record(con, "recheck", len(previous.found), 0, 0, 0)
+    return _Enumeration(_best_first(found), record, exhaustive=True)
 
 
 def edge_check(s: QubitQuditState) -> RangeSearchCertificate:

@@ -26,10 +26,11 @@ closed form); it succeeds when the remainder hits zero or lands in a
 constructively certified case.  Such a subtraction leaves
 0 <= rho' <= rho and 0 <= rho'^Gamma <= rho^Gamma, so the remainder's
 ranges lie in the state's and its qualifying product vectors are among
-the state's: the prover searches the Bloch sphere afresh only at its
-first iteration or after an enumeration that was not exhaustive, and
-otherwise re-solves the qudit vectors of the remainder at the qubit
-directions it last enumerated.  Inside ``classify``
+the state's: the prover enumerates them afresh, by the roots of a
+polynomial system or on the Bloch sphere, only at its first iteration or
+after an enumeration that was not exhaustive, and otherwise re-solves the
+qudit vectors of the remainder at the qubit directions it last
+enumerated.  Inside ``classify``
 it first subtracts the product vector that the range search found on the
 sphere, then the one a range search finds on the sphere of each
 remainder, each only when its weight drains a level of the state (a
@@ -181,8 +182,9 @@ class SubtractionResult:
     and the remainder as a ``reduction`` (at ``small_support``, the theorem
     certificate of the remainder on its qudit support), at ``sppt_core`` the
     remainder's verdict, the number of subtractions (``iterations``, the
-    length of the reduction's terms), and how many enumerations searched
-    the Bloch sphere (``searches``) and how many re-checked the last one
+    length of the reduction's terms), and how many enumerations ran afresh
+    (``searches``), how many of those the roots solved (``roots``; the
+    others searched the Bloch sphere) and how many re-checked the last one
     (``rechecks``), with the ``evaluations`` and ``polishes`` summed over
     the records of those enumerations and of the chain's range searches.
     ``chained`` counts the range-search product vectors the chain
@@ -197,6 +199,7 @@ class SubtractionResult:
     status: str  # decomposed | small_support | sppt_core | budget_exhausted | stalled
     iterations: int
     searches: int
+    roots: int
     rechecks: int
     evaluations: int
     polishes: int
@@ -479,15 +482,16 @@ def subtract_product_vectors(s: QubitQuditState,
     subtraction that keeps rho' = rho - lam |e,f><e,f| and rho'^Gamma PSD
     gives rho' <= rho and rho'^Gamma <= rho^Gamma, so range rho' lies in
     range rho, range rho'^Gamma in range rho^Gamma, and every product vector
-    that qualifies for rho' qualifies for rho.  The sphere is therefore
-    searched only at the first iteration and after an enumeration that was
-    not exhaustive (the continuum case of fewer kernel constraints than d,
-    ``ENUMERATION_CANDIDATES`` reached, or the search ending inconclusive);
-    after an exhaustive one, its qubit directions are kept and each
-    qudit vector is re-solved against the remainder's constraints, one
-    SVD per direction and no polish (``range_criterion._recheck``); none
-    left within ``ENUMERATION_TOL`` means ``stalled``, as a fresh search
-    would find none either.
+    that qualifies for rho' qualifies for rho.  An enumeration therefore
+    runs afresh (``range_criterion._enumerate``: the roots where its gates
+    pass, else the sphere) only at the first iteration and after one that
+    was not exhaustive (the continuum case of fewer kernel constraints than
+    d, or a sphere search that reached ``ENUMERATION_CANDIDATES`` or ended
+    inconclusive); after an exhaustive one, its qubit directions are kept
+    and each qudit vector is re-solved against the remainder's constraints,
+    one SVD per direction and no polish (``range_criterion._recheck``); none
+    left within ``ENUMERATION_TOL`` means ``stalled``, as a fresh
+    enumeration would find none either.
 
     A maximal subtraction drops the rank of the remainder or of its partial
     transpose, and rank rho + rank rho^Gamma <= 4 d, so the budget of 8 d,
@@ -501,7 +505,7 @@ def subtract_product_vectors(s: QubitQuditState,
     scale0 = max(s.norm(), 1e-300)
     terms = []
     enumeration = None
-    iterations = searches = rechecks = 0
+    iterations = searches = roots = rechecks = 0
     effort = dict.fromkeys(("evaluations", "polishes"), 0)
     # The loop's first exit tests, then the chain: the lead and each vector
     # the range search finds on the sphere of the last remainder, in turn,
@@ -540,6 +544,7 @@ def subtract_product_vectors(s: QubitQuditState,
         else:
             enumeration = range_criterion._enumerate(state, con)
             searches += 1
+            roots += enumeration.search["method"] == "roots"
         for key in effort:
             effort[key] += enumeration.search[key]
         for e, f in ((pv.e, pv.f) for pv in enumeration.found):
@@ -560,7 +565,8 @@ def subtract_product_vectors(s: QubitQuditState,
     reduction = detail if status == "small_support" else Reduction(
         terms=terms, core=state, embed=np.eye(d, dtype=complex))
     return SubtractionResult(reduction=reduction, remainder=state, status=status,
-                             iterations=iterations, searches=searches, rechecks=rechecks,
+                             iterations=iterations, searches=searches, roots=roots,
+                             rechecks=rechecks,
                              sppt=detail if status == "sppt_core" else None,
                              chained=len(chain), chain_searches=chain_searches, led=led,
                              **effort)
@@ -695,7 +701,8 @@ def classify(s: QubitQuditState) -> Verdict:
                    + ("ended it" if sub.led else "stopped and was set aside"))
     log.append(f"subtraction: {sub.status} after {sub.iterations} subtractions and "
                f"{sub.searches + sub.rechecks} enumerations "
-               f"({sub.searches} searched the sphere, {sub.rechecks} re-checked; "
+               f"({sub.searches - sub.roots} searched the sphere, {sub.roots} solved by roots, "
+               f"{sub.rechecks} re-checked; "
                f"{sub.evaluations} evaluations, {sub.polishes} polishes), "
                f"remainder norm {sub.remainder.norm():.3e}{chained}")
     outcome = _verdict_from_subtraction(s, sub, log, residuals)

@@ -19,9 +19,12 @@ by ``;`` (``-`` for none):
 ``conclusion:evaluations:polishes:repr(certified_bound):repr(worst_min_residual)``,
 then, in the same form, one record per enumeration of the subtraction
 prover, ``range_criterion._enumerate`` and ``_recheck`` calls in call
-order: ``evaluations:polishes:exhaustive:found``, with ``found`` the number
-of vectors returned.  A ``_recheck`` record's evaluations are the
-directions it re-solved, and its polishes field always reads 0: it
+order: ``method:evaluations:polishes:exhaustive:found``, with ``found`` the
+number of vectors returned.  The method of an ``_enumerate`` record is its
+search record's, ``sphere`` (cells bounded) or ``roots`` (roots examined),
+and ``sphere`` where the record has none, as in checkouts before the root
+finder; a ``_recheck`` record's is ``recheck``: its evaluations are the
+directions it re-solved, and its polishes field always reads 0, as it
 re-solves each direction of the last enumeration by one SVD and polishes
 none.  The records are collected by wrapping
 ``separability.edge_check`` and those two functions, names every checkout
@@ -29,10 +32,11 @@ has.  A ``decompose_small`` input's line holds the sha1 of its
 certificate's JSON, or the name of the error it raised.
 ``--compare`` prints every label whose lines differ, or that only one file
 has, then each file's search work: the evaluations and polishes summed
-over both columns of every line.  It exits 1 when any line differs; with
-``--classes`` it also lists the inputs whose class changed and exits 1
-only when one did, other than a ``PptUndecided`` input that is now decided
-(an input only one file has counts as a change).  The inputs and the
+over both columns of every line, per method, as they count different
+things (an ``edge_check`` record counts as ``sphere``).  It exits 1 when
+any line differs; with ``--classes`` it also lists the inputs whose class
+changed and exits 1 only when one did, other than a ``PptUndecided`` input
+that is now decided (an input only one file has counts as a change).  The inputs and the
 helpers that draw them come from this checkout (``perfbench/workloads.py`` and
 ``tests/helpers.py``), so both runs see the same corpus.  One run takes
 20 to 30 s on one core of a 2-core x86-64 VM; pytest does not collect
@@ -128,10 +132,11 @@ def fingerprint(src: Path, out: Path) -> int:
                                   repr(float(cert.worst_min_residual)))))
         return cert
 
-    def enumerating(search):
+    def enumerating(search, method=None):
         def record(*args):
             result = search(*args)
-            enumerations.append(":".join((str(result.search["evaluations"]),
+            enumerations.append(":".join((method or result.search.get("method", "sphere"),
+                                          str(result.search["evaluations"]),
                                           str(result.search["polishes"]),
                                           str(result.exhaustive), str(len(result.found)))))
             return result
@@ -139,7 +144,7 @@ def fingerprint(src: Path, out: Path) -> int:
 
     separability.edge_check = recording
     range_criterion._enumerate = enumerating(range_criterion._enumerate)
-    range_criterion._recheck = enumerating(range_criterion._recheck)
+    range_criterion._recheck = enumerating(range_criterion._recheck, "recheck")
     lines = []
     for label, s in _states():
         searches.clear()
@@ -170,21 +175,23 @@ def _read(path: Path) -> dict:
     return {label: rest for label, rest in rows}
 
 
-def search_work(lines: dict) -> tuple[int, int]:
-    """Evaluations and polishes summed over the edge_check and enumeration
-    records of every line."""
-    evaluations = polishes = 0
+def search_work(lines: dict) -> dict:
+    """Evaluations and polishes, ``[evaluations, polishes]`` per method,
+    summed over the edge_check and enumeration records of every line."""
+    work = {}
     for rest in lines.values():
         fields = rest.split("\t")
-        # (column, position of the evaluations in each of its records)
-        for column, at in ((5, 1), (6, 0)):
+        for column in (5, 6):
             if len(fields) <= column or fields[column] == "-":
                 continue
             for record in fields[column].split(";"):
-                parts = record.split(":")
-                evaluations += int(parts[at])
-                polishes += int(parts[at + 1])
-    return evaluations, polishes
+                # the first field is an edge_check's conclusion, a sphere
+                # search's, or an enumeration's method
+                head, evaluations, polishes = record.split(":")[:3]
+                total = work.setdefault("sphere" if column == 5 else head, [0, 0])
+                total[0] += int(evaluations)
+                total[1] += int(polishes)
+    return work
 
 
 def compare(a: Path, b: Path, classes: bool = False) -> int:
@@ -195,8 +202,10 @@ def compare(a: Path, b: Path, classes: bool = False) -> int:
         print(f"{label}\n  {a}: {left.get(label, '(missing)')}\n  {b}: {right.get(label, '(missing)')}")
     print(f"{len(differ)} of {len(left.keys() | right.keys())} inputs differ")
     for path, lines in ((a, left), (b, right)):
-        evaluations, polishes = search_work(lines)
-        print(f"search work in {path}: {evaluations} evaluations, {polishes} polishes")
+        work = search_work(lines)
+        print(f"search work in {path}: " + "; ".join(
+            f"{method} {evaluations} evaluations, {polishes} polishes"
+            for method, (evaluations, polishes) in sorted(work.items())))
     if not classes:
         return 1 if differ else 0
     moved = []

@@ -40,6 +40,13 @@ def enumeration(state):
     return range_criterion._enumerate(state, con)
 
 
+def sphere_enumeration(state):
+    """The same enumeration by the sphere's branch-and-bound, whatever the
+    root finder would do."""
+    con = range_criterion._constraints_of(state, range_criterion.ENUMERATION_KERNEL_CUTOFF)
+    return range_criterion._search(state, con, certify=False)
+
+
 def product_state(e, f):
     e = np.asarray(e, dtype=complex) / np.linalg.norm(e)
     f = np.asarray(f, dtype=complex) / np.linalg.norm(f)
@@ -353,7 +360,7 @@ class TestCertifiedBound:
         # drop every cell on its own, so a higher cap changes nothing
         cap = sphere.EVALUATION_CAP
         monkeypatch.setattr(sphere, "EVALUATION_CAP", 10 * cap)
-        result = enumeration(flat_remainder())
+        result = sphere_enumeration(flat_remainder())
         assert result.found
         assert result.search["evaluations"] < cap
 
@@ -414,7 +421,8 @@ def symmetric_2x2():
 
 
 class TestEnumerationExclusion:
-    """The enumeration settles cells by linalg.positive_definite before any eigensolve."""
+    """The sphere's enumeration settles cells by linalg.positive_definite
+    before any eigensolve."""
 
     @pytest.mark.parametrize("state", [
         *(random_separable(d, n, seed=0)[0] for d, n in ((5, 6), (4, 7), (5, 7))),
@@ -429,7 +437,7 @@ class TestEnumerationExclusion:
             return test(stack, shift)
 
         monkeypatch.setattr(linalg, "positive_definite", counting)
-        result = enumeration(state)
+        result = sphere_enumeration(state)
         found = result.found
         # a kernel with fewer rows than d is not searched
         assert sum(passes) > 0 or result.search["levels"] == 0
@@ -438,7 +446,7 @@ class TestEnumerationExclusion:
         assert not hasattr(result, "worst_min_residual")
         monkeypatch.setattr(linalg, "positive_definite",
                             lambda stack, shift: np.zeros(len(stack), dtype=bool))
-        solved = enumeration(state)
+        solved = sphere_enumeration(state)
         every_cell_solved = solved.found
         assert (result.search["evaluations"], result.search["levels"]) == (
             solved.search["evaluations"], solved.search["levels"])
@@ -452,9 +460,9 @@ class TestEnumerationExclusion:
         # the flat remainder's levels reach 5592 cells, several blocks of
         # _SLICE; a block larger than any level must give the same bits
         state = flat_remainder()
-        result = enumeration(state)
+        result = sphere_enumeration(state)
         monkeypatch.setattr(range_criterion, "_SLICE", 10**6)
-        whole = enumeration(state)
+        whole = sphere_enumeration(state)
         assert (result.search["evaluations"], result.search["levels"]) == (
             whole.search["evaluations"], whole.search["levels"])
         assert_same_vectors(result.found, whole.found)
@@ -611,12 +619,13 @@ class TestPolishBudget:
                 cert.search["polishes"]) == (1, 112, 1)
 
     @pytest.mark.parametrize("d, n, evaluations, polishes", [
-        (5, 6, 0, 0), (4, 7, 2150, 13), (5, 7, 112, 1)])
+        (5, 6, 0, 0), (4, 7, 14, 6), (5, 7, 112, 1)])
     def test_enumeration_keeps_its_budget(self, d, n, evaluations, polishes):
-        # the separable_mix inputs; a search for eight vectors still takes
-        # two polishes per level above the threshold (n = d + 1: none, as
-        # the range search's vector ends the proof; n = d + 2: only the
-        # chain's one range search, a first-level find, as the chain ends it)
+        # the separable_mix inputs (n = d + 1: none, as the range search's
+        # vector ends the proof; n = d + 2: only the chain's one range
+        # search, a first-level find, as the chain ends it; (4, 7): the
+        # roots solve its one finite-regime enumeration, 8 roots examined
+        # and 6 polished, and a re-check re-solves the 6 directions)
         residuals = classify(random_separable(d, n, seed=0)[0]).residuals
         assert (residuals["subtraction_evaluations"], residuals["subtraction_polishes"]) == (
             evaluations, polishes)
@@ -976,13 +985,13 @@ class TestCellBound:
     def test_the_flat_remainder_is_excluded_early(self, monkeypatch):
         # mu < 0.15 on the whole sphere with slope ~0.14 against L = 2.34:
         # the zero-order bound alone needs 23,808 evaluations
-        result = enumeration(flat_remainder())
+        result = sphere_enumeration(flat_remainder())
         assert result.search["first_order_exclusions"] > 0
         assert result.search["evaluations"] <= 5000
         # the crossing on the circle excludes cells the chord does not, with
         # the same vectors found
         monkeypatch.setattr(range_criterion, "_crossing", chord)
-        chord_result = enumeration(flat_remainder())
+        chord_result = sphere_enumeration(flat_remainder())
         assert chord_result.search["evaluations"] > result.search["evaluations"]
         assert len(chord_result.found) == len(result.found)
 
@@ -1084,3 +1093,119 @@ class TestEnumerationOutput:
         state, _ = random_separable(5, 6, seed=0)
         assert enumeration(state).search["polishes"] == len(calls) > 0
 
+
+
+def prover_enumerations(state):
+    """(remainder, constraints) of every enumeration the subtraction prover
+    runs afresh on ``state``, in call order."""
+    calls, fresh = [], range_criterion._enumerate
+
+    def recording(s, con):
+        calls.append((s, con))
+        return fresh(s, con)
+
+    with mock.patch.object(range_criterion, "_enumerate", recording):
+        subtract_product_vectors(state)
+    return calls
+
+
+def finite_regime(state):
+    """The first enumeration of ``state``'s prover with at least d rows."""
+    return next((s, con) for s, con in prover_enumerations(state) if con.n_rows >= s.d)
+
+
+def toy_constraints(d, k1, k2, seed):
+    """Constraints of k1 state and k2 partial-transpose kernel rows drawn at
+    random, each part orthonormal."""
+    rng = np.random.default_rng(seed)
+    ker = [np.linalg.qr(rng.normal(size=(2 * d, k)) + 1j * rng.normal(size=(2 * d, k)))[0].T
+           for k in (k1, k2)]
+    return range_criterion._constraints(d, *ker, range_criterion.ENUMERATION_KERNEL_CUTOFF)
+
+
+class TestRoots:
+    """The enumeration solves its finite regime as one eigenvalue problem,
+    and falls back to the sphere where a gate fails."""
+
+    @pytest.mark.parametrize("d, n, seed", [(4, 7, 0), (4, 6, 0), (5, 8, 2)])
+    def test_every_sphere_vector_is_a_root(self, d, n, seed):
+        s, con = finite_regime(random_separable(d, n, seed=seed)[0])
+        roots = range_criterion._enumerate(s, con)
+        assert roots.search["method"] == "roots" and roots.exhaustive
+        assert roots.search["levels"] == roots.search["first_order_exclusions"] == 0
+        assert roots.search["polishes"] == len(roots.found) > 0
+        assert all(pv.combined_residual <= range_criterion.ENUMERATION_TOL for pv in roots.found)
+        sphere_found = range_criterion._search(s, con, certify=False).found
+        found = np.array([pv.e for pv in roots.found])
+        assert sphere_found
+        assert sphere._bloch_angle(np.array([pv.e for pv in sphere_found]), found).min(
+            axis=1).max() <= 1e-6
+
+    def test_the_vector_a_basin_drops(self):
+        # the sphere drops the open cells inside a found direction's basin,
+        # and here a fourth direction lies in one: the search ends NoneFound,
+        # exhaustive, with three
+        s, con = finite_regime(random_separable(4, 9, seed=2)[0])
+        sphere_found = range_criterion._search(s, con, certify=False)
+        assert sphere_found.exhaustive and len(sphere_found.found) == 3
+        found = range_criterion._enumerate(s, con).found
+        assert len(found) == 4
+        angles = sphere._bloch_angle(np.array([pv.e for pv in found]),
+                                     np.array([pv.e for pv in sphere_found.found])).min(axis=1)
+        (missed,) = np.flatnonzero(angles > 1e-6)
+        assert angles[missed] > 0.9
+        assert range_criterion._null_vector(con, found[missed].e)[1] <= 1e-14
+
+    @pytest.mark.parametrize("d, k1, k2", [(3, 3, 0), (3, 0, 3), (4, 5, 0)])
+    def test_one_empty_kernel_part_is_a_pencil(self, d, k1, k2, monkeypatch):
+        # M(e) = A0 + z A1 (or B0 + w B1, w = conj(z)): d roots, at each of
+        # which a d x d M(e) is singular
+        con = toy_constraints(d, k1, k2, seed=d + k1)
+        s = maximally_mixed(d)
+        roots = range_criterion._enumerate(s, con)
+        assert roots.search["method"] == "roots"
+        assert roots.search["evaluations"] == d
+        assert len(roots.found) == (d if k1 + k2 == d else 0)
+        sphere_found = range_criterion._search(s, con, certify=False).found
+        assert len(sphere_found) == len(roots.found)
+        if roots.found:
+            assert sphere._bloch_angle(np.array([pv.e for pv in sphere_found]),
+                                       np.array([pv.e for pv in roots.found])).min(
+                axis=1).max() <= 1e-6
+
+    def fallback(self, s, con, monkeypatch):
+        """The enumeration of ``s`` falls back to the sphere; returns the
+        condition numbers the root finder computed."""
+        conds, cond = [], np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda m: conds.append(cond(m)) or conds[-1])
+        assert con.n_rows >= s.d
+        assert range_criterion._roots(con) is None
+        result = range_criterion._enumerate(s, con)
+        assert result.search["method"] == "sphere"
+        assert_same_vectors(result.found, range_criterion._search(s, con, certify=False).found)
+        return conds
+
+    def test_a_vanishing_determinant_falls_back(self, monkeypatch):
+        # the 2 x 6 remainder with 3 + 3 kernel rows: every square system of
+        # them is singular at every qubit direction, to rounding
+        s, con = next((s, con) for s, con in prover_enumerations(
+            random_sppt(6, 4, normal_s=True, with_tail=True, seed=0)[0])
+            if (s.d, len(con.w_state), len(con.w_pt)) == (6, 3, 3))
+        assert self.fallback(s, con, monkeypatch) == []
+
+    def test_an_ill_conditioned_lead_falls_back(self, monkeypatch):
+        s, con = finite_regime(ill_conditioned_sppt(1))
+        conds = self.fallback(s, con, monkeypatch)
+        assert conds[0] > 100 * range_criterion._ROOT_COND
+
+    def test_an_ambiguous_root_falls_back(self, monkeypatch):
+        # a root with mu below _ROOT_MU whose polish stalls above ENUMERATION_TOL
+        s, con = finite_regime(ill_conditioned_sppt(3))
+        polished, polish = [], range_criterion._polish
+        with monkeypatch.context() as patch:
+            patch.setattr(range_criterion, "_polish",
+                          lambda *args: polished.append(polish(*args)) or polished[-1])
+            assert range_criterion._roots(con) is None
+        assert polished[-1][2] > range_criterion.ENUMERATION_TOL
+        conds = self.fallback(s, con, monkeypatch)
+        assert conds[0] <= range_criterion._ROOT_COND

@@ -308,10 +308,11 @@ class TestEnumerationReuse:
         if reused.classification == SEPARABLE:
             assert len(reused.certificate.terms) == len(fresh.certificate.terms)
 
-    def test_one_sphere_search(self, monkeypatch):
+    def test_one_fresh_enumeration(self, monkeypatch):
         # the 2 x 4 core of random_sppt(6, 4): the chain stops after the
         # lead, whose subtraction leaves the rank as it is, and the loop
-        # searches once and re-checks once
+        # enumerates once, by the roots, and re-checks once; the sphere is
+        # searched only by edge_check
         state = svd_reduce(random_sppt(6, 4, normal_s=False, seed=0)[1]).core
         calls = []
         search = range_criterion._search
@@ -321,11 +322,13 @@ class TestEnumerationReuse:
             return search(*args, **kwargs)
 
         monkeypatch.setattr(range_criterion, "_search", counting)
+        enumerations = _record_enumerations(monkeypatch)
         verdict = classify(state)
         assert verdict.classification == PPT_UNDECIDED
-        assert calls == [True, False]      # edge_check, then one enumeration
+        assert calls == [True]
+        assert [kind for kind, _, _ in enumerations] == ["search", "recheck"]
         line = next(entry for entry in verdict.trace_log if entry.startswith("subtraction:"))
-        assert "1 searched the sphere, 1 re-checked" in line
+        assert "0 searched the sphere, 1 solved by roots, 1 re-checked" in line
 
     @pytest.mark.parametrize("d, n", [(5, 7), (3, 6)])
     def test_rechecked_vectors_qualify_for_the_remainder(self, d, n, monkeypatch):
@@ -358,6 +361,9 @@ class TestEnumerationReuse:
         assert res.searches + res.rechecks == len(calls)
 
     def test_capped_enumeration_is_followed_by_a_search(self, monkeypatch):
+        # the cap is the sphere's: a failed gate of the root finder sends
+        # every enumeration there
+        monkeypatch.setattr(range_criterion, "_roots", lambda con: None)
         monkeypatch.setattr(range_criterion, "ENUMERATION_CANDIDATES", 1)
         calls = _record_enumerations(monkeypatch)
         res = subtract_product_vectors(random_separable(5, 7, seed=0)[0])
@@ -365,6 +371,20 @@ class TestEnumerationReuse:
         assert all(len(out.found) == 1 and not out.exhaustive for _, _, out in calls[:-1])
         assert [kind for kind, _, _ in calls] == ["search"] * len(calls)
         assert (res.searches, res.rechecks) == (len(calls), 0)
+
+    def test_root_enumeration_is_followed_by_a_recheck(self, monkeypatch):
+        # random_separable(4, 7, seed=0): two continuum enumerations, then
+        # one the roots solve, uncapped and exhaustive, so the next is a re-check
+        calls = _record_enumerations(monkeypatch)
+        res = subtract_product_vectors(random_separable(4, 7, seed=0)[0])
+        methods = [out.search["method"] for _, _, out in calls]
+        assert methods[:3] == ["sphere", "sphere", "roots"]
+        assert calls[2][2].exhaustive and len(calls[2][2].found) == 6
+        assert calls[3][0] == "recheck"
+        _assert_rechecks_follow_exhaustive(calls)
+        assert (res.searches, res.roots, res.rechecks) == (
+            methods.count("sphere") + methods.count("roots"), methods.count("roots"),
+            methods.count("recheck"))
 
 
 def _fails_positivity_rule(rho, d):
@@ -945,8 +965,9 @@ class TestClassify:
         assert not v.is_separable_class
 
     def test_subtraction_line_adds_up(self, monkeypatch):
-        # "after N subtractions and M enumerations (X searched the sphere,
-        # Y re-checked; ...)": X + Y = M, and N is the number of terms
+        # "after N subtractions and M enumerations (X searched the sphere, R
+        # solved by roots, Y re-checked; ...)": X + R + Y = M, and N is the
+        # number of terms
         results = []
         prover = separability.subtract_product_vectors
 
@@ -958,11 +979,12 @@ class TestClassify:
         v = classify(random_separable(4, 7, seed=0)[0])
         line = next(entry for entry in v.trace_log if entry.startswith("subtraction:"))
         match = re.search(r" after (\d+) subtractions and (\d+) enumerations "
-                          r"\((\d+) searched the sphere, (\d+) re-checked; ", line)
-        n, m, x, y = map(int, match.groups())
+                          r"\((\d+) searched the sphere, (\d+) solved by roots, (\d+) re-checked; ",
+                          line)
+        n, m, x, r, y = map(int, match.groups())
         (sub,) = results
-        assert x + y == m
-        assert (x, y) == (sub.searches, sub.rechecks)
+        assert x + r + y == m and r > 0
+        assert (x + r, r, y) == (sub.searches, sub.roots, sub.rechecks)
         assert n == len(sub.reduction.terms) == sub.iterations
 
     def test_counterexample_2x4_separable_class(self):
@@ -1111,6 +1133,29 @@ class TestClassify:
         out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                              text=True, check=True).stdout.split()
         assert out == [SEPARABLE, SEPARABLE, "False"]
+
+    def test_classify_from_a_state_file_imports_neither_numpy_random_nor_scipy(self, tmp_path):
+        # the benchmark's path, io.loads_state then classify, on the
+        # separable_mix input whose prover solves an enumeration by the
+        # roots; the state is drawn here, as the generators use numpy.random
+        path = tmp_path / "state.json"
+        path.write_text(io.dumps_state(random_separable(4, 7, seed=0)[0]), encoding="utf-8")
+        script = textwrap.dedent("""
+            import sys
+            from pathlib import Path
+
+            from spptkit import classify, io
+
+            state = io.loads_state(Path(sys.argv[1]).read_text(encoding="utf-8"))
+            print(classify(state).classification, "numpy.random" in sys.modules,
+                  "scipy" in sys.modules)
+        """)
+        src = str(Path(separability.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                             capture_output=True, text=True, check=True).stdout.split()
+        assert out == [PPT_UNDECIDED, "False", "False"]
 
     def test_separable_mixtures_not_entangled(self):
         for seed in range(5):
