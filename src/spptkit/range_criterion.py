@@ -38,7 +38,8 @@ residual at most ``ENUMERATION_TOL``, against the wider kernel at
 finitely many, generically (Kraus, Cirac, Karnas and Lewenstein, PRA 61,
 062302, 2000), the roots of a polynomial system in the qubit direction,
 and ``_roots`` finds them all with one eigensolve of a resultant's
-companion matrix; where one of its gates fails (a determinant that
+companion matrix, and their qudit vectors, unpolished, with one batched
+SVD; where one of its gates fails (a determinant that
 vanishes to rounding, an ill-conditioned leading coefficient or an
 ambiguous root), the enumeration searches the sphere for up to
 ``ENUMERATION_CANDIDATES`` vectors.  An enumeration is exhaustive when
@@ -95,7 +96,7 @@ _SHIFT = 0.3 - 0.2j
 _NODE = np.exp(2j * np.pi * 0.6180339887498949)
 _ROOT_DET = 1e-8                   # |det| over Hadamard's bound above which p is not = 0
 _ROOT_COND = 1e3                   # largest condition number of the shifted leading coefficient
-_ROOT_MU = 1e-4                    # mu at a root below which it is polished
+_ROOT_MU = 1e-4                    # mu at a root below which it must qualify
 
 
 @dataclass(frozen=True)
@@ -670,7 +671,7 @@ def _combined(rows: np.ndarray, count: int) -> np.ndarray:
 def _roots(con: _Constraints):
     """Every qualifying direction of ``con`` as a root of a polynomial
     system, or None where a gate fails; needs n_rows >= d.  Returns the
-    polished ``(e, f)`` of each and the number of roots examined.
+    ``(e, f)`` of each and the number of roots examined.
 
     Write e = U (1, z) in the frame U = ``_FRAME``.  The state rows of M(e)
     are then A0 + z A1, linear in z, and the partial-transpose rows B0 + w
@@ -696,13 +697,13 @@ def _roots(con: _Constraints):
     0 the system is the pencil A0 + z A1, or B0 + w B1 with z = conj(w),
     shifted alike.
 
-    One batched SVD of the full M(e) gives mu at every root.  A root with mu
-    below ``_ROOT_MU`` is polished as the sphere's enumeration polishes
-    (``_polish``) and qualifies when the polished mu is at most
-    ``ENUMERATION_TOL``.  Gate: no root is ambiguous, one with mu below
-    ``_ROOT_MU`` that does not qualify, and no two qualifying roots are
-    within ``sphere._SAME`` of each other.  The roots certify nothing: a
-    missed root costs the prover a candidate, never soundness.
+    One batched SVD of the full M(e) gives mu at every root and its qudit
+    vector f, the least right singular vector; a root qualifies when its mu
+    is at most ``ENUMERATION_TOL``, unpolished.  Gate: no root is
+    ambiguous, with mu above ``ENUMERATION_TOL`` but below ``_ROOT_MU``,
+    and no two qualifying roots are within ``sphere._SAME`` of each other.
+    The roots certify nothing: a missed root costs the prover a candidate,
+    never soundness.
     """
     d, k1, k2 = con.d, len(con.w_state), len(con.w_pt)
     a = min(max(-(-d // 2), d - k2), k1)
@@ -741,18 +742,15 @@ def _roots(con: _Constraints):
     e = (np.conj(v) if a == 0 else v) @ _FRAME.T
     e /= np.linalg.norm(e, axis=1, keepdims=True)
     _, sigma, vh = np.linalg.svd(_constraint_rows(con, e))
-    found = []
-    for i in np.flatnonzero(sigma[:, d - 1] < _ROOT_MU):
-        e_pol, f, mu = _polish(con, e[i], np.conj(vh[i, d - 1]), False)
-        if mu > ENUMERATION_TOL:
-            return None
-        found.append((e_pol, f))
-    known = np.array([e for e, _ in found]).reshape(-1, 2)
-    apart = sphere._bloch_angle(known, known)
+    mu = sigma[:, d - 1]
+    if ((ENUMERATION_TOL < mu) & (mu < _ROOT_MU)).any():
+        return None
+    keep = np.flatnonzero(mu <= ENUMERATION_TOL)
+    apart = sphere._bloch_angle(e[keep], e[keep])
     np.fill_diagonal(apart, np.inf)
     if (apart < sphere._SAME).any():
         return None
-    return found, len(y)
+    return [(e[i], np.conj(vh[i, d - 1])) for i in keep], len(y)
 
 
 def _enumerate(s: QubitQuditState, con: _Constraints) -> _Enumeration:
@@ -761,15 +759,14 @@ def _enumerate(s: QubitQuditState, con: _Constraints) -> _Enumeration:
     ``ENUMERATION_KERNEL_CUTOFF``.  Where M(e) has at least d rows and the
     gates of ``_roots`` pass, they are every qualifying vector, uncapped,
     and exhaustive; the record counts the roots examined as evaluations and
-    those polished, one per vector.  Otherwise ``_search`` finds them on the
-    sphere."""
+    no polish.  Otherwise ``_search`` finds them on the sphere."""
     roots = _roots(con) if con.n_rows >= s.d else None
     if roots is None:
         return _search(s, con, certify=False)
     found, examined = roots
     vectors = [_product_vector_at(s, con, e, f) for e, f in found]
     return _Enumeration(_best_first(vectors),
-                        _search_record(con, "roots", examined, 0, 0, len(found)), exhaustive=True)
+                        _search_record(con, "roots", examined, 0, 0, 0), exhaustive=True)
 
 
 def _recheck(s: QubitQuditState, con: _Constraints, previous: _Enumeration) -> _Enumeration:

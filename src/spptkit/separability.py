@@ -30,15 +30,10 @@ the state's: the prover enumerates them afresh, by the roots of a
 polynomial system or on the Bloch sphere, only at its first iteration or
 after an enumeration that was not exhaustive, and otherwise re-solves the
 qudit vectors of the remainder at the qubit directions it last
-enumerated.  Inside ``classify``
-it first subtracts the product vector that the range search found on the
-sphere, then the one a range search finds on the sphere of each
-remainder, each only when its weight drains a level of the state (a
-closed form), and stops when a remainder exits, as it does on inputs of
-rank d + k after k subtractions that each drop the rank, once the
-remainder has rank d and an invertible a-block (a 2 x d PPT state of
-rank d is separable; Kraus, Cirac, Karnas and Lewenstein, PRA 61,
-062302, 2000).  Classification runs
+enumerated.  On inputs of rank d + k it exits after k subtractions that
+each drop the rank, once the remainder has rank d and an invertible
+a-block (a 2 x d PPT state of rank d is separable; Kraus, Cirac, Karnas
+and Lewenstein, PRA 61, 062302, 2000).  Classification runs
 sound certificates first (negative partial-transpose eigenvalue, small
 dimension, strong-PPT constructions, the range criterion's certified bound)
 and only then the best-effort subtraction, so a verdict never depends on a
@@ -186,13 +181,7 @@ class SubtractionResult:
     (``searches``), how many of those the roots solved (``roots``; the
     others searched the Bloch sphere) and how many re-checked the last one
     (``rechecks``), with the ``evaluations`` and ``polishes`` summed over
-    the records of those enumerations and of the chain's range searches.
-    ``chained`` counts the range-search product vectors the chain
-    subtracted before the loop, each one whose weight drained a level of
-    the state, ``chain_searches`` the range searches it ran on their
-    remainders, and ``led`` says whether the chain ended the loop; when it
-    did not, the loop ran from the input and the chain's subtractions are
-    not among the ``reduction``'s terms."""
+    the records of those enumerations."""
 
     reduction: Reduction
     remainder: QubitQuditState
@@ -204,9 +193,6 @@ class SubtractionResult:
     evaluations: int
     polishes: int
     sppt: Optional[SpptVerdict] = None
-    chained: int = 0
-    chain_searches: int = 0
-    led: bool = False
 
 
 def _spectral_terms(f: SpptFactors, scale: float) -> list:
@@ -332,7 +318,7 @@ def _max_subtraction_weight(rho: linalg.EigResult, pt: linalg.EigResult,
 SUPPORT_CUTOFF = 1e-9
 # Least weight, relative to the working state's trace, of a product term the
 # prover subtracts: a candidate whose maximal weight is at most this is
-# skipped by the loop and ends the chain.
+# skipped.
 WEIGHT_FLOOR = 1e-10
 
 
@@ -340,8 +326,7 @@ def _drains_level(eig: linalg.EigResult, v: np.ndarray, lam: float) -> bool:
     """Whether subtracting lam |v><v| (unit v) from a PSD matrix m drains a
     level of its support, given the eigendecomposition ``eig`` of m: the
     prover reads it on a state's qudit marginal M = a + c with v = f (the
-    remainder's marginal is M - lam |f><f|, PSD when the remainder is), and
-    its chain on the state itself with v = |e, f>.
+    remainder's marginal is M - lam |f><f|, PSD when the remainder is).
 
     m - lam |v><v| is PSD only for lam <= w = 1 / <v|m^+|v>
     (``_rank_one_weight``).  A rank-one downdate drains at most one level,
@@ -403,25 +388,7 @@ def _subtract(state: QubitQuditState, lam: float, e: np.ndarray, f: np.ndarray):
         state.rho - lam * _product_term(qubit, qudit)))
 
 
-def _chain_vector(state: QubitQuditState, effort: dict):
-    """The product vector that ``edge_check`` finds for ``state`` by
-    searching the Bloch sphere, with the search's work added to ``effort``;
-    None when it finds none there, returns only the continuum case's
-    canonical vectors (no evaluations), or raises ValidationError."""
-    try:
-        cert = edge_check(state)
-    except ValidationError:
-        return None
-    for key in effort:
-        effort[key] += cert.search[key]
-    if cert.conclusion != "FoundProductVector" or cert.search["evaluations"] == 0:
-        return None
-    return cert.found[0]
-
-
-def subtract_product_vectors(s: QubitQuditState,
-                             lead: Optional[range_criterion.ProductVector] = None
-                             ) -> SubtractionResult:
+def subtract_product_vectors(s: QubitQuditState) -> SubtractionResult:
     """Greedy separable-part extraction for a PPT state.
 
     Repeatedly finds a product vector |e, f> in the range of the remainder
@@ -444,31 +411,6 @@ def subtract_product_vectors(s: QubitQuditState,
     loop ``stalled`` before the strong-PPT test, which reads the state's
     ``a_eig``, at the first iteration the one ``classify``'s
     ``sppt_check`` took.
-
-    A ``lead``, a product vector of ``s``'s ranges that ``classify``'s range
-    search found by searching the sphere, starts a chain after the first
-    exit tests and before the first enumeration.  A weight that the state,
-    not its partial transpose, limits drops the state's rank by one, and a
-    PPT remainder stays in both ranges; so on a 2 x d input of rank d + k,
-    k such subtractions leave a PPT remainder of rank d, which is separable
-    (Kraus, Cirac, Karnas and Lewenstein, PRA 61, 062302, 2000) and, with
-    an invertible a-block, taken by the strong-PPT exit.  The chain
-    therefore subtracts a vector only when its maximal weight drains a
-    level of the state, the closed form ``_drains_level`` read against the
-    state's cached ``eig`` (the (1 - ``SUPPORT_CUTOFF``) slack keeps the
-    exact ties of a state- and a transpose-limited weight); while the
-    remainder does not exit, ``edge_check`` searches the remainder and the
-    vector it finds on the sphere is tried in turn.  When a remainder ends
-    the loop by ``decomposed``, ``small_support`` or ``sppt_core``, the
-    prover returns after the chain's subtractions and no enumeration.  The
-    chain stops when a vector's weight does not drain a level (it is not
-    subtracted), a remainder is ``stalled``, a remainder's search finds no
-    vector on the sphere (the continuum case's canonical vectors do not
-    count) or raises ValidationError, or the chain reaches the budget.
-    The loop then goes on from ``s`` as without a lead.  The chain's
-    searches go through the name ``edge_check`` of this module, and their
-    work counts in the result's ``evaluations`` and ``polishes`` whether or
-    not the chain ends the loop.
 
     Each iteration eigendecomposes the qudit marginal M = a + c once; its
     support at ``SUPPORT_CUTOFF`` is the small-support exit's, and its
@@ -505,31 +447,10 @@ def subtract_product_vectors(s: QubitQuditState,
     scale0 = max(s.norm(), 1e-300)
     terms = []
     enumeration = None
-    iterations = searches = roots = rechecks = 0
+    searches = roots = rechecks = 0
     effort = dict.fromkeys(("evaluations", "polishes"), 0)
-    # The loop's first exit tests, then the chain: the lead and each vector
-    # the range search finds on the sphere of the last remainder, in turn,
-    # each subtracted only when its weight drains a level of the state.
-    outcome = _exit(s, terms, scale0)
-    chain, work, pv, led, chain_searches = [], s, lead, False, 0
-    while pv is not None and outcome[0] is None and len(chain) < budget:
-        trace = work.trace()
-        lam = _max_subtraction_weight(work.eig, work.pt_eig, pv.e, pv.f, trace)
-        if (lam <= WEIGHT_FLOOR * trace
-                or not _drains_level(work.eig, np.outer(pv.e, pv.f).ravel(), lam)):
-            break
-        term, remainder = _subtract(work, lam, pv.e, pv.f)
-        tried = _exit(remainder, chain + [term], scale0)
-        chain.append(term)
-        if tried[0] is not None:
-            if tried[0] != "stalled":
-                terms, state, outcome, led = chain, remainder, tried, True
-            break
-        work, pv = remainder, _chain_vector(remainder, effort)
-        chain_searches += 1
-    for iterations in range(len(terms), budget + 1):
-        status, detail, marginal = outcome or _exit(state, terms, scale0)
-        outcome = None
+    for iterations in range(budget + 1):
+        status, detail, marginal = _exit(state, terms, scale0)
         if status is not None or iterations == budget:
             break
         trace = state.trace()
@@ -567,9 +488,7 @@ def subtract_product_vectors(s: QubitQuditState,
     return SubtractionResult(reduction=reduction, remainder=state, status=status,
                              iterations=iterations, searches=searches, roots=roots,
                              rechecks=rechecks,
-                             sppt=detail if status == "sppt_core" else None,
-                             chained=len(chain), chain_searches=chain_searches, led=led,
-                             **effort)
+                             sppt=detail if status == "sppt_core" else None, **effort)
 
 
 def decompose_small(s: QubitQuditState) -> SeparableDecomposition:
@@ -626,13 +545,7 @@ def classify(s: QubitQuditState) -> Verdict:
        (a strong-PPT remainder goes through the router of steps 3-4, with
        the subtracted terms prepended); otherwise PptUndecided.  A search that
        finds a product vector, or ends Inconclusive at its resolution floor
-       or evaluation cap, leads here, never to EntangledRange.  A vector
-       that step 6 found by searching the sphere is the prover's ``lead``,
-       the first of a chain of range-search vectors subtracted before any
-       enumeration, each only when its weight drains a level of the state:
-       the chain ends the proof when a remainder exits (as at rank d + k
-       after k subtractions, where the remainder has rank d), and
-       otherwise the prover starts again from the state.
+       or evaluation cap, goes on to this step, never to EntangledRange.
 
     The state is classified as given, with tolerances relative to its
     norm: certificates and residuals are in its units, whatever its trace.
@@ -686,25 +599,16 @@ def classify(s: QubitQuditState) -> Verdict:
     if cert.conclusion == "NoneFound":
         return done(ENTANGLED_RANGE, cert)
 
-    # 7: subtraction prover, led by the vector the search found on the
-    # sphere (not the continuum case's canonical directions)
-    lead = cert.found[0] if cert.found and cert.search["evaluations"] > 0 else None
-    sub = subtract_product_vectors(s, lead=lead)
+    # 7: subtraction prover
+    sub = subtract_product_vectors(s)
     residuals["subtraction_evaluations"] = sub.evaluations
     residuals["subtraction_polishes"] = sub.polishes
-    # A chain that stopped before any search left nothing in the counts; one
-    # that stopped after a search was set aside, as the loop ran from the input.
-    chained = ""
-    if sub.led or sub.chain_searches:
-        chained = (f"; a chain of {sub.chained} range-search product vectors and "
-                   f"{sub.chain_searches} range searches "
-                   + ("ended it" if sub.led else "stopped and was set aside"))
     log.append(f"subtraction: {sub.status} after {sub.iterations} subtractions and "
                f"{sub.searches + sub.rechecks} enumerations "
                f"({sub.searches - sub.roots} searched the sphere, {sub.roots} solved by roots, "
                f"{sub.rechecks} re-checked; "
                f"{sub.evaluations} evaluations, {sub.polishes} polishes), "
-               f"remainder norm {sub.remainder.norm():.3e}{chained}")
+               f"remainder norm {sub.remainder.norm():.3e}")
     outcome = _verdict_from_subtraction(s, sub, log, residuals)
     if outcome is not None:
         return done(*outcome)

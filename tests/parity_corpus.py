@@ -12,10 +12,8 @@ tab-separated line per input to OUT.  A state's line holds its label, its
 class, the sha1 of ``json.dumps(io.verdict_to_dict(classify(s)),
 sort_keys=True)``, the ``sppt_check`` status and ``repr(residual)``, the
 sha1 of the note and factor bytes, and one record per ``edge_check`` call
-made while classifying it, inner ones (a reduced core's) and the
-subtraction prover's chain of range searches on its remainders (which
-call ``separability.edge_check`` too) included, in call order and joined
-by ``;`` (``-`` for none):
+made while classifying it, inner ones (a reduced core's) included, in
+call order and joined by ``;`` (``-`` for none):
 ``conclusion:evaluations:polishes:repr(certified_bound):repr(worst_min_residual)``,
 then, in the same form, one record per enumeration of the subtraction
 prover, ``range_criterion._enumerate`` and ``_recheck`` calls in call

@@ -619,13 +619,13 @@ class TestPolishBudget:
                 cert.search["polishes"]) == (1, 112, 1)
 
     @pytest.mark.parametrize("d, n, evaluations, polishes", [
-        (5, 6, 0, 0), (4, 7, 14, 6), (5, 7, 112, 1)])
+        (5, 6, 15, 0), (4, 7, 14, 0), (5, 7, 22, 0)])
     def test_enumeration_keeps_its_budget(self, d, n, evaluations, polishes):
-        # the separable_mix inputs (n = d + 1: none, as the range search's
-        # vector ends the proof; n = d + 2: only the chain's one range
-        # search, a first-level find, as the chain ends it; (4, 7): the
-        # roots solve its one finite-regime enumeration, 8 roots examined
-        # and 6 polished, and a re-check re-solves the 6 directions)
+        # the separable_mix inputs: the roots solve each one's first
+        # finite-regime enumeration and polish none ((5, 6): 15 roots
+        # examined; (5, 7): 15, and a re-check re-solves the 7 directions;
+        # (4, 7): two continuum enumerations without evaluations, 8 roots,
+        # and a re-check of the 6 directions)
         residuals = classify(random_separable(d, n, seed=0)[0]).residuals
         assert (residuals["subtraction_evaluations"], residuals["subtraction_polishes"]) == (
             evaluations, polishes)
@@ -1082,6 +1082,7 @@ class TestEnumerationOutput:
         assert abs(abs(np.vdot(pv.f, f)) - 1.0) <= 1e-12
 
     def test_the_record_counts_polishes(self, monkeypatch):
+        # the roots polish nothing; the sphere's record counts its polishes
         calls = []
         polish = range_criterion._polish
 
@@ -1091,7 +1092,10 @@ class TestEnumerationOutput:
 
         monkeypatch.setattr(range_criterion, "_polish", counting)
         state, _ = random_separable(5, 6, seed=0)
-        assert enumeration(state).search["polishes"] == len(calls) > 0
+        roots = enumeration(state)
+        assert roots.search["method"] == "roots"
+        assert roots.search["polishes"] == len(calls) == 0
+        assert sphere_enumeration(state).search["polishes"] == len(calls) > 0
 
 
 
@@ -1133,7 +1137,7 @@ class TestRoots:
         roots = range_criterion._enumerate(s, con)
         assert roots.search["method"] == "roots" and roots.exhaustive
         assert roots.search["levels"] == roots.search["first_order_exclusions"] == 0
-        assert roots.search["polishes"] == len(roots.found) > 0
+        assert roots.search["polishes"] == 0 and roots.found
         assert all(pv.combined_residual <= range_criterion.ENUMERATION_TOL for pv in roots.found)
         sphere_found = range_criterion._search(s, con, certify=False).found
         found = np.array([pv.e for pv in roots.found])
@@ -1199,13 +1203,20 @@ class TestRoots:
         assert conds[0] > 100 * range_criterion._ROOT_COND
 
     def test_an_ambiguous_root_falls_back(self, monkeypatch):
-        # a root with mu below _ROOT_MU whose polish stalls above ENUMERATION_TOL
+        # a root whose mu, from the batched SVD at the roots, lies between
+        # ENUMERATION_TOL and _ROOT_MU
         s, con = finite_regime(ill_conditioned_sppt(3))
-        polished, polish = [], range_criterion._polish
+        mus, svd = [], np.linalg.svd
+
+        def recording(m, *args, **kwargs):
+            out = svd(m, *args, **kwargs)
+            mus.append(out[1][..., s.d - 1])
+            return out
+
         with monkeypatch.context() as patch:
-            patch.setattr(range_criterion, "_polish",
-                          lambda *args: polished.append(polish(*args)) or polished[-1])
+            patch.setattr(np.linalg, "svd", recording)
             assert range_criterion._roots(con) is None
-        assert polished[-1][2] > range_criterion.ENUMERATION_TOL
+        (mu,) = mus
+        assert ((range_criterion.ENUMERATION_TOL < mu) & (mu < range_criterion._ROOT_MU)).any()
         conds = self.fallback(s, con, monkeypatch)
         assert conds[0] <= range_criterion._ROOT_COND

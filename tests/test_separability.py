@@ -1,6 +1,5 @@
 """Tests for decompositions, reduction, lifting, subtraction, and classify."""
 
-import dataclasses
 import json
 import os
 import re
@@ -17,7 +16,6 @@ from spptkit.errors import (
     InvalidDecomposition,
     NotNormal,
     NotPpt,
-    NotPsd,
     NotSppt,
     SingularX1,
     ValidationError,
@@ -259,27 +257,18 @@ def _record_enumerations(monkeypatch):
     return calls
 
 
-def _record_range_searches(monkeypatch):
-    """Record the search record of every ``edge_check`` call made through
-    ``separability.edge_check`` (``classify``'s step 6 and the prover's
-    chain), in call order."""
-    searches = []
-    edge_check = separability.edge_check
+def _record_prover(monkeypatch):
+    """Record every call of the subtraction prover made through
+    ``separability.subtract_product_vectors``, as (state, result)."""
+    runs = []
+    prover = separability.subtract_product_vectors
 
     def recording(s):
-        cert = edge_check(s)
-        searches.append(cert.search)
-        return cert
+        runs.append((s, prover(s)))
+        return runs[-1][1]
 
-    monkeypatch.setattr(separability, "edge_check", recording)
-    return searches
-
-
-def _same_terms(got, want):
-    """Whether two subtraction results hold bitwise equal terms."""
-    return len(got.reduction.terms) == len(want.reduction.terms) and all(
-        np.array_equal(g, w) for a, b in zip(got.reduction.terms, want.reduction.terms)
-        for g, w in zip(a, b))
+    monkeypatch.setattr(separability, "subtract_product_vectors", recording)
+    return runs
 
 
 def _assert_rechecks_follow_exhaustive(calls):
@@ -309,10 +298,9 @@ class TestEnumerationReuse:
             assert len(reused.certificate.terms) == len(fresh.certificate.terms)
 
     def test_one_fresh_enumeration(self, monkeypatch):
-        # the 2 x 4 core of random_sppt(6, 4): the chain stops after the
-        # lead, whose subtraction leaves the rank as it is, and the loop
-        # enumerates once, by the roots, and re-checks once; the sphere is
-        # searched only by edge_check
+        # the 2 x 4 core of random_sppt(6, 4): the prover enumerates once,
+        # by the roots, and re-checks once; the sphere is searched only by
+        # edge_check
         state = svd_reduce(random_sppt(6, 4, normal_s=False, seed=0)[1]).core
         calls = []
         search = range_criterion._search
@@ -469,174 +457,35 @@ class TestOneSpectralPass:
     ], ids=["horodecki", "rho0", "rho2", "random_separable(5,6)", "random_separable(4,7)",
             "random_separable(5,7)", "random_separable(4,6)", "random_separable(6,9)"])
     def test_no_matrix_is_decomposed_twice(self, state, monkeypatch):
-        # random_separable(5, 7): a chain of two subtractions ends the proof;
-        # random_separable(4, 6): the lead drains no level, and the chain
-        # stops before subtracting it;
-        # random_separable(6, 9): the first remainder's range search finds
-        # no vector, and the loop runs from the input
         seen = _record_decompositions(monkeypatch)
         separability.classify(state)
         repeats = len(seen) - len(set(seen))
         assert seen and repeats == 0
 
 
-def _lead_of(state):
-    """The product vector ``classify``'s range search hands the prover."""
-    cert = range_criterion.edge_check(state)
-    assert cert.conclusion == "FoundProductVector" and cert.search["evaluations"] > 0
-    return cert.found[0]
-
-
-class TestLead:
-    """The prover subtracts the range search's product vector before it
-    enumerates, then each vector the range search finds on the sphere of the
-    last remainder, and keeps the chain only when a remainder exits."""
-
-    @staticmethod
-    def _classify_chained(d, n, seed, monkeypatch):
-        """``classify(random_separable(d, n, seed))``, its first prover
-        result, and, when that chain decided it, the checks that it took
-        n - d subtractions, n - d - 1 range searches and no enumeration."""
-        state, _ = random_separable(d, n, seed=seed)
-        calls = _record_enumerations(monkeypatch)
-        results = []
-        prover = separability.subtract_product_vectors
-
-        def recording(*args, **kwargs):
-            results.append(prover(*args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(separability, "subtract_product_vectors", recording)
-        v = classify(state)
-        sub = results[0]
-        if sub.led:
-            k = n - d
-            assert v.classification == SEPARABLE
-            v.certificate.validate(state.rho, tol=TOL_FLOOR)
-            assert (sub.status, sub.iterations, sub.searches, sub.rechecks, sub.chained,
-                    sub.chain_searches) == ("sppt_core", k, 0, 0, k, k - 1)
-            assert calls == []
-            line = next(entry for entry in v.trace_log if entry.startswith("subtraction:"))
-            assert f" after {k} subtractions and 0 enumerations " in line
-            assert line.endswith(f"; a chain of {k} range-search product vectors and "
-                                 f"{k - 1} range searches ended it")
-        return sub
+class TestRankCount:
+    """The prover's subtractions against the ranks of the state and of its
+    partial transpose."""
 
     @pytest.mark.parametrize("d", [4, 5, 6])
+    @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("seed", range(4))
-    def test_rank_d_plus_one_ends_after_one_subtraction(self, d, seed, monkeypatch):
-        # a PPT remainder of rank d is separable, and its a-block is
-        # invertible, so the strong-PPT exit decides it
-        assert self._classify_chained(d, d + 1, seed, monkeypatch).led
-
-    # Inputs of rank d + 2 and d + 3 with a lead whose chain stops: at
-    # (4, 6) the lead's weight is the partial transpose's, so it drains no
-    # level and is not subtracted, and at (6, 9, 0) the first remainder's
-    # range search finds no vector.  (4, 7) and (5, 8) are the continuum
-    # case, with no lead.
-    CHAIN_STOPS = {(4, 6, 0), (4, 6, 1), (6, 9, 0)}
-
-    @pytest.mark.parametrize("d, n", [(d, d + k) for d in (4, 5, 6) for k in (2, 3)])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_rank_d_plus_k_ends_after_k_subtractions(self, d, n, seed, monkeypatch):
-        # each subtraction the state limits drops the rank by one, and a PPT
-        # remainder of rank d is separable (KCKL), so the chain decides a
-        # rank-(d + k) input in k subtractions and k - 1 range searches
-        sub = self._classify_chained(d, n, seed, monkeypatch)
-        if 2 * (2 * d - n) < d:         # fewer kernel rows than d: no lead
-            assert sub.chained == 0
-        else:
-            assert sub.led == ((d, n, seed) not in self.CHAIN_STOPS)
-
-    # (state, chained, chain_searches) of chains that stop: the lead's
-    # weight drains no level of the state, so nothing is subtracted; the
-    # first remainder's range search finds nothing; the third vector's
-    # weight drains no level of the second remainder
-    STOPPED = [
-        pytest.param(random_separable(4, 6, seed=0)[0], 0, 0, id="random_separable(4,6)"),
-        pytest.param(random_separable(6, 9, seed=0)[0], 1, 1, id="random_separable(6,9)"),
-        pytest.param(random_sppt(8, 4, normal_s=False, seed=2)[0], 2, 2,
-                     id="random_sppt(8,4,normal_s=False,seed=2)"),
-    ]
-
-    @pytest.mark.parametrize("state, chained, chain_searches", STOPPED)
-    def test_a_chain_that_stops_changes_nothing(self, state, chained, chain_searches,
-                                                monkeypatch):
-        # the terms, the status and the enumerations are those of a run
-        # without a lead; the work adds the chain's range searches
-        lead = _lead_of(state)
-        searches = _record_range_searches(monkeypatch)
-        led = subtract_product_vectors(state, lead=lead)
-        plain = subtract_product_vectors(state)
-        assert (led.chained, led.chain_searches, led.led) == (chained, chain_searches, False)
-        assert len(searches) == chain_searches
-        assert led.status == plain.status
-        for name in ("iterations", "searches", "rechecks"):
-            assert getattr(led, name) == getattr(plain, name), name
-        for name in ("evaluations", "polishes"):
-            chain_work = sum(search[name] for search in searches)
-            assert getattr(led, name) == getattr(plain, name) + chain_work, name
-        assert _same_terms(led, plain)
-
-    def test_continuum_case_gives_no_lead(self, monkeypatch):
-        # full rank: edge_check's vectors come from the canonical
-        # directions, without a search, and the prover gets none
-        leads = []
-        prover = separability.subtract_product_vectors
-
-        def recording(s, lead=None):
-            leads.append(lead)
-            return prover(s, lead)
-
-        monkeypatch.setattr(separability, "subtract_product_vectors", recording)
-        classify(random_separable(4, 8, seed=0)[0])
-        assert leads == [None]
-
-    @pytest.mark.parametrize("outcome", ["continuum", "NoneFound", "NotPsd"])
-    def test_a_remainder_without_a_sphere_vector_stops_the_chain(self, outcome,
-                                                                 monkeypatch):
-        # random_separable(5, 7): the chain needs the first remainder's
-        # range search; a continuum-case answer (no evaluations), no vector
-        # or a ValidationError stops it after the lead, as it is
-        state, _ = random_separable(5, 7, seed=0)
-        lead = _lead_of(state)
-        edge_check = range_criterion.edge_check
-
-        def answering(s):
-            cert = edge_check(s)
-            if outcome == "NotPsd":
-                raise NotPsd("a kernel needs a PSD matrix")
-            if outcome == "NoneFound":
-                return dataclasses.replace(cert, conclusion="NoneFound", found=[])
-            return dataclasses.replace(cert, search={**cert.search, "evaluations": 0})
-
-        monkeypatch.setattr(separability, "edge_check", answering)
-        res = subtract_product_vectors(state, lead=lead)
-        plain = subtract_product_vectors(state)
-        assert (res.chained, res.chain_searches, res.led) == (1, 1, False)
-        assert res.status == plain.status == "sppt_core"
-        assert (res.searches, res.rechecks) == (plain.searches, plain.rechecks) == (1, 1)
-        assert _same_terms(res, plain)
-
-    def test_a_lead_that_drains_no_level_builds_no_remainder(self, monkeypatch):
-        # random_separable(4, 6): the partial transpose limits the lead's
-        # weight, below the state's limit, so it drains no level of the
-        # state; the chain stops before subtracting it, and the prover's
-        # first subtraction comes after its first enumeration
-        state, _ = random_separable(4, 6, seed=0)
-        lead = _lead_of(state)
-        lam = _max_subtraction_weight(state.eig, state.pt_eig, lead.e, lead.f, state.trace())
-        limit = separability._rank_one_weight(state.eig, np.outer(lead.e, lead.f).ravel())
-        assert lam < (1 - separability.SUPPORT_CUTOFF) * limit
-        events = []
-        for module, name in ((separability, "_subtract"), (range_criterion, "_enumerate")):
-            def recording(*args, real=getattr(module, name), name=name):
-                events.append(name)
-                return real(*args)
-            monkeypatch.setattr(module, name, recording)
-        res = subtract_product_vectors(state, lead=lead)
-        assert (res.chained, res.chain_searches, res.led) == (0, 0, False)
-        assert events[0] == "_enumerate"
+    def test_rank_d_plus_k_ends_after_k_subtractions(self, d, k, seed, monkeypatch):
+        # each subtraction drops the rank by one, and a PPT remainder of
+        # rank d is separable (KCKL) with an invertible a-block, so the
+        # strong-PPT exit decides a rank-(d + k) input after k subtractions:
+        # one enumeration, then k - 1 re-checks.  The roots solve it, but
+        # at random_separable(5, 6, seed=1), whose shifted leading
+        # coefficient is ill-conditioned, the sphere does
+        state, _ = random_separable(d, d + k, seed=seed)
+        runs = _record_prover(monkeypatch)
+        v = classify(state)
+        assert v.classification == SEPARABLE
+        v.certificate.validate(state.rho, tol=TOL_FLOOR)
+        ((_, sub),) = runs
+        assert (sub.status, sub.iterations, sub.searches, sub.rechecks) == (
+            "sppt_core", k, 1, k - 1)
+        assert sub.roots == (0 if (d, k, seed) == (5, 1, 1) else 1)
 
     @pytest.mark.parametrize("d", [4, 5, 6])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -646,14 +495,7 @@ class TestLead:
         # rank rho + rank rho^Gamma <= 4 d subtractions, half the prover's
         # budget of 8 d (the rank need not register a drop at RANK_CUTOFF
         # after every step, so only the total is checked)
-        runs = []
-        prover = separability.subtract_product_vectors
-
-        def recording(s, lead=None):
-            runs.append((s, prover(s, lead)))
-            return runs[-1][1]
-
-        monkeypatch.setattr(separability, "subtract_product_vectors", recording)
+        runs = _record_prover(monkeypatch)
         for seed in range(4):
             classify(random_separable(d, d + k, seed=seed)[0])
         assert runs
@@ -968,21 +810,14 @@ class TestClassify:
         # "after N subtractions and M enumerations (X searched the sphere, R
         # solved by roots, Y re-checked; ...)": X + R + Y = M, and N is the
         # number of terms
-        results = []
-        prover = separability.subtract_product_vectors
-
-        def recording(*args, **kwargs):
-            results.append(prover(*args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(separability, "subtract_product_vectors", recording)
+        runs = _record_prover(monkeypatch)
         v = classify(random_separable(4, 7, seed=0)[0])
         line = next(entry for entry in v.trace_log if entry.startswith("subtraction:"))
         match = re.search(r" after (\d+) subtractions and (\d+) enumerations "
                           r"\((\d+) searched the sphere, (\d+) solved by roots, (\d+) re-checked; ",
                           line)
         n, m, x, r, y = map(int, match.groups())
-        (sub,) = results
+        ((_, sub),) = runs
         assert x + r + y == m and r > 0
         assert (x + r, r, y) == (sub.searches, sub.roots, sub.rechecks)
         assert n == len(sub.reduction.terms) == sub.iterations
@@ -1065,25 +900,21 @@ class TestClassify:
         assert v.classification == SEPARABLE
         assert len(checked) == 1 and checked[0] is state.rho
 
-    @pytest.mark.parametrize("state, verdict, chain_searches, enumerations", [
-        pytest.param(random_separable(5, 6, seed=0)[0], SEPARABLE, 0, 0,
+    @pytest.mark.parametrize("state, verdict, enumerations", [
+        pytest.param(random_separable(5, 6, seed=0)[0], SEPARABLE, 1,
                      id="random_separable(5,6)"),
-        pytest.param(random_separable(5, 7, seed=0)[0], SEPARABLE, 1, 0,
+        pytest.param(random_separable(5, 7, seed=0)[0], SEPARABLE, 2,
                      id="random_separable(5,7)"),
-        pytest.param(random_separable(6, 9, seed=9)[0], SEPARABLE, 1, 3,
+        pytest.param(random_separable(6, 9, seed=9)[0], SEPARABLE, 3,
                      id="random_separable(6,9,seed=9)"),
         pytest.param(svd_reduce(random_sppt(6, 4, normal_s=False, seed=0)[1]).core,
-                     PPT_UNDECIDED, 0, 2, id="core of random_sppt(6,4)"),
+                     PPT_UNDECIDED, 2, id="core of random_sppt(6,4)"),
     ])
-    def test_subtraction_work_is_reported(self, monkeypatch, state, verdict, chain_searches,
-                                          enumerations):
-        # a verdict through the prover carries the summed work of the
-        # chain's range searches and of its enumerations, fresh searches and
-        # re-checks alike (random_separable(5, 6): none, as the range
-        # search's vector ends the proof; random_separable(5, 7): the chain's
-        # one range search; random_separable(6, 9, seed=9): one range search
-        # and three fresh searches; the core: one fresh search and one
-        # re-check)
+    def test_subtraction_work_is_reported(self, monkeypatch, state, verdict, enumerations):
+        # a verdict through the prover carries the summed work of its
+        # enumerations, fresh searches and re-checks alike (each input: one
+        # fresh search, by the roots, then one re-check per further
+        # subtraction or, at the core, before it stalls)
         records = []
         for name in ("_enumerate", "_recheck"):
             real = getattr(range_criterion, name)
@@ -1094,17 +925,14 @@ class TestClassify:
                 return out
 
             monkeypatch.setattr(range_criterion, name, recording)
-        searches = _record_range_searches(monkeypatch)
         report = json.loads(json.dumps(io.verdict_to_dict(classify(state))))
         assert report["class"] == verdict
-        # the first range search is classify's own, step 6
-        assert (len(searches) - 1, len(records)) == (chain_searches, enumerations)
+        assert len(records) == enumerations
         for key in ("evaluations", "polishes"):
-            total = sum(record[key] for record in records + searches[1:])
+            total = sum(record[key] for record in records)
             assert report["residuals"][f"subtraction_{key}"] == total
             assert type(report["residuals"][f"subtraction_{key}"]) is int
-        assert (report["residuals"]["subtraction_evaluations"] > 0) == (
-            chain_searches + enumerations > 0)
+        assert report["residuals"]["subtraction_evaluations"] > 0
         line = next(line for line in report["trace_log"] if line.startswith("subtraction:"))
         assert f"{report['residuals']['subtraction_evaluations']} evaluations" in line
         assert f"{report['residuals']['subtraction_polishes']} polishes" in line
