@@ -1145,6 +1145,33 @@ class TestRoots:
         assert sphere._bloch_angle(np.array([pv.e for pv in sphere_found]), found).min(
             axis=1).max() <= 1e-6
 
+    # the first finite-regime enumerations whose gates fail: at (5, 6, 1)
+    # the shifted leading coefficient is ill-conditioned
+    FALLS_BACK = {(5, 6, 1), (6, 9, 2)}
+
+    @pytest.mark.parametrize("d, n", [(5, 6), (5, 7), (4, 6), (4, 7), (5, 8), (6, 9)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_an_unpolished_root_lies_in_both_ranges(self, d, n, seed):
+        # each root's (e, f), taken from the SVD at the roots, is a product
+        # vector in the ranges of the remainder and of its partial transpose
+        # far below ENUMERATION_TOL, so a polish would not move it
+        s, con = finite_regime(random_separable(d, n, seed=seed)[0])
+        roots = range_criterion._roots(con)
+        assert (roots is None) == ((d, n, seed) in self.FALLS_BACK)
+        if roots is None:
+            return
+        cutoff = range_criterion.ENUMERATION_KERNEL_CUTOFF
+        ker = kernel_of(s.rho, cutoff)
+        ker_pt = kernel_of(partial_transpose_matrix(s.rho, s.d), cutoff)
+        pairs, _ = roots
+        assert pairs
+        for e, f in pairs:
+            assert np.linalg.norm(ker.conj() @ np.kron(e, f)) <= 1e-10
+            assert np.linalg.norm(ker_pt.conj() @ np.kron(e.conj(), f)) <= 1e-10
+            polished, _, mu = range_criterion._polish(con, e, f, False)
+            assert mu <= 1e-10
+            assert sphere._bloch_angle(polished[None, :], e[None, :])[0, 0] <= 1e-9
+
     def test_the_vector_a_basin_drops(self):
         # the sphere drops the open cells inside a found direction's basin,
         # and here a fourth direction lies in one: the search ends NoneFound,
