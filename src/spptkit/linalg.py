@@ -10,6 +10,7 @@ itself are hermitianized here, not validated again.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -145,8 +146,11 @@ class SvdResult(NamedTuple):
 
 
 def frob(m: np.ndarray) -> float:
-    """Frobenius norm as a plain float."""
-    return float(np.linalg.norm(m))
+    """Frobenius norm as a plain float: the square root of the sum of
+    squared moduli, unscaled: it overflows where the squares do and loses
+    precision where they are subnormal, the ranges ``states.make_state``
+    refuses."""
+    return math.sqrt(np.vdot(m, m).real)
 
 
 def hermitianize(m: np.ndarray) -> np.ndarray:

@@ -39,9 +39,9 @@ finitely many, generically (Kraus, Cirac, Karnas and Lewenstein, PRA 61,
 062302, 2000), the roots of a polynomial system in the qubit direction,
 and ``_roots`` finds them all with one eigensolve of a resultant's
 companion matrix, and their qudit vectors, unpolished, with one batched
-SVD; where one of its gates fails (a determinant that
-vanishes to rounding, an ill-conditioned leading coefficient or an
-ambiguous root), the enumeration searches the sphere for up to
+SVD; where one of its gates fails (a determinant that vanishes to
+rounding, a leading coefficient ill-conditioned at both of its shifts or
+an ambiguous root), the enumeration searches the sphere for up to
 ``ENUMERATION_CANDIDATES`` vectors.  An enumeration is exhaustive when
 the roots solved it, or when it searched the sphere (at least d
 constraint rows), every cell was excluded or dropped, and it found fewer
@@ -50,8 +50,10 @@ subtracts a product term and keeps the remainder and its partial transpose
 PSD, so both ranges only shrink and every qualifying vector of the
 remainder qualifies for the state before; after an exhaustive enumeration,
 ``_recheck`` keeps each direction found and re-solves its qudit vector
-against the remainder's constraints, one SVD each, instead of searching
-again; what it keeps is again exhaustive.  When every cell is
+against the remainder's constraints, all in one batched SVD, instead of
+searching again; what it keeps is again exhaustive.  Every candidate's
+residuals are recomputed from the definitions in one pass over the
+enumeration (``_product_vectors_at``).  When every cell is
 excluded ``edge_check`` concludes ``NoneFound`` with a lower bound on mu
 over the whole sphere: a proof, up to floating point and the kernel
 cutoff, that no qualifying product vector exists, which for a PPT state
@@ -89,10 +91,11 @@ _POLISH_TOL = 1e-14                # residual at which Gauss-Newton stops
 _SLICE = 1024                      # cells formed, tested and solved together
 _UNIT = np.array([[1.0], [1j]])    # a complex unknown's real and imaginary column
 # The enumeration's root finder (``_roots``): its fixed qubit frame U, its
-# Moebius shift sigma, the node whose powers combine surplus constraint rows,
-# and its three gates.
+# Moebius shifts sigma (the second tried where the first fails the cond
+# gate), the node whose powers combine surplus constraint rows, and its
+# three gates.
 _FRAME = np.array([[0.8, -0.36 + 0.48j], [0.36 + 0.48j, 0.8]])
-_SHIFT = 0.3 - 0.2j
+_SHIFTS = (0.3 - 0.2j, -1.0)
 _NODE = np.exp(2j * np.pi * 0.6180339887498949)
 _ROOT_DET = 1e-8                   # |det| over Hadamard's bound above which p is not = 0
 _ROOT_COND = 1e3                   # largest condition number of the shifted leading coefficient
@@ -461,12 +464,6 @@ def _null_vector(con: _Constraints, e: np.ndarray) -> tuple[np.ndarray, float]:
     return np.conj(vh[con.d - 1]), float(sigma[con.d - 1])
 
 
-def _null_space(con: _Constraints, e: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (rows) of the nullspace of M(e), best residual first."""
-    m = _constraint_rows(con, e[None, :])[0]
-    return linalg.nullspace(m)[:, ::-1].T
-
-
 def _polish(con: _Constraints, e: np.ndarray, f: np.ndarray, certify: bool):
     """Gauss-Newton on the bilinear system M(e) f = 0, from unit e and f.
 
@@ -557,16 +554,20 @@ def _polish(con: _Constraints, e: np.ndarray, f: np.ndarray, certify: bool):
     return best_e, f, mu
 
 
-def _product_vector_at(s: QubitQuditState, con: _Constraints, e: np.ndarray,
-                       f: np.ndarray) -> ProductVector:
-    """Build a ProductVector with residuals recomputed from the definitions."""
-    r1 = con.w_state.reshape(-1, 2 * s.d) @ np.outer(e, f).ravel()
-    r2 = con.w_pt.reshape(-1, 2 * s.d) @ np.outer(np.conj(e), f).ravel()
-    return ProductVector(
-        e=e.copy(), f=f.copy(),
-        residual_range=float(np.linalg.norm(r1)),
-        residual_pt_range=float(np.linalg.norm(r2)),
-    )
+def _product_vectors_at(s: QubitQuditState, con: _Constraints, es, fs) -> list:
+    """ProductVectors at the unit qubit vectors ``es`` (n, 2) and qudit
+    vectors ``fs`` (n, d), in order, with residuals recomputed from the
+    definitions: the products e (x) f and e* (x) f of every pair against
+    each kernel block, one matrix product per block."""
+    if len(es) == 0:
+        return []
+    es = np.array(es, dtype=complex).reshape(-1, 2)
+    fs = np.array(fs, dtype=complex).reshape(-1, s.d)
+    residuals = [np.linalg.norm((qubits[:, :, None] * fs[:, None, :]).reshape(-1, 2 * s.d)
+                                @ w.reshape(-1, 2 * s.d).T, axis=1)
+                 for qubits, w in ((es, con.w_state), (np.conj(es), con.w_pt))]
+    return [ProductVector(e=e, f=f, residual_range=float(r1), residual_pt_range=float(r2))
+            for e, f, r1, r2 in zip(es, fs, *residuals)]
 
 
 def _best_first(vectors: list) -> list:
@@ -574,9 +575,9 @@ def _best_first(vectors: list) -> list:
 
 
 # The qubit vectors at the poles and at four points on the equator
-_CANONICAL = [sphere._bloch(theta, phi) for theta, phi in (
+_CANONICAL = np.array([sphere._bloch(theta, phi) for theta, phi in (
     (0.0, 0.0), (np.pi, 0.0), (np.pi / 2, 0.0), (np.pi / 2, np.pi),
-    (np.pi / 2, np.pi / 2), (np.pi / 2, -np.pi / 2))]
+    (np.pi / 2, np.pi / 2), (np.pi / 2, -np.pi / 2))])
 
 
 @dataclass(frozen=True)
@@ -616,15 +617,22 @@ def _search(s: QubitQuditState, con: _Constraints, certify: bool):
 
     With fewer constraint rows than d, M(e) has a nullspace at every e and
     mu vanishes identically.  Nothing is searched then: ``found`` is an
-    orthonormal basis of the nullspace at each of six canonical directions
-    (uncapped, at most 6d vectors), and a single record at theta = 0 stands
-    for the landscape.
+    orthonormal basis of the nullspace at each of six canonical directions,
+    best residual first (uncapped, at most 6d vectors), from one batched
+    SVD, with the rank cut of ``linalg.nullspace``, and a single record at
+    theta = 0 stands for the landscape.
+
+    The record carries the Lipschitz constant and the rounding margin only
+    where a certificate reports them, for a search that ``certify``s.
     """
     threshold, limit = ((EXCLUSION_THRESHOLD, 1) if certify
                         else (ENUMERATION_TOL, ENUMERATION_CANDIDATES))
     if con.n_rows < s.d:
-        found = [_product_vector_at(s, con, e, f) for e in _CANONICAL for f in _null_space(con, e)]
-        record = _search_record(con, "sphere", 0, 0, 0, 0)
+        _, sigma, vh = np.linalg.svd(_constraint_rows(con, _CANONICAL))
+        pairs = [(e, np.conj(v)) for e, values, rows in zip(_CANONICAL, sigma, vh)
+                 for v in rows[linalg._rank(values, linalg.NULL_CUTOFF):][::-1]]
+        found = _product_vectors_at(s, con, *zip(*pairs))
+        record = _search_record(con, "sphere", 0, 0, 0, 0, certify)
         if not certify:
             return _Enumeration(found, record, exhaustive=False)
         residual = found[0].combined_residual
@@ -634,8 +642,9 @@ def _search(s: QubitQuditState, con: _Constraints, certify: bool):
             conclusion="FoundProductVector", found=found, exclusion_threshold=threshold)
 
     result = sphere.search(con, threshold, limit, certify)
-    found = _best_first([_product_vector_at(s, con, e, f) for e, f in result.found])
-    record = _search_record(con, "sphere", **result.work)
+    found = _best_first(_product_vectors_at(s, con, [e for e, _ in result.found],
+                                            [f for _, f in result.found]))
+    record = _search_record(con, "sphere", **result.work, certify=certify)
     if not certify:
         return _Enumeration(found, record, exhaustive=result.conclusion == "NoneFound")
     return RangeSearchCertificate(
@@ -646,14 +655,16 @@ def _search(s: QubitQuditState, con: _Constraints, certify: bool):
 
 
 def _search_record(con: _Constraints, method: str, evaluations: int, levels: int,
-                   first_order: int, polishes: int) -> dict:
-    return {"method": method, "kernel_cutoff": con.cutoff,
-            "kernel_dims": [int(con.w_state.shape[0]), int(con.w_pt.shape[0])],
-            "lipschitz": con.lipschitz, "mu_margin": con.margin,
-            "evaluations": evaluations, "levels": levels,
-            "first_order_exclusions": first_order,
-            "polishes": polishes,
-            "cell_floor": sphere.CELL_FLOOR, "evaluation_cap": sphere.EVALUATION_CAP}
+                   first_order: int, polishes: int, certify: bool = False) -> dict:
+    record = {"method": method, "kernel_cutoff": con.cutoff,
+              "kernel_dims": [int(con.w_state.shape[0]), int(con.w_pt.shape[0])],
+              "evaluations": evaluations, "levels": levels,
+              "first_order_exclusions": first_order,
+              "polishes": polishes,
+              "cell_floor": sphere.CELL_FLOOR, "evaluation_cap": sphere.EVALUATION_CAP}
+    if certify:
+        record.update(lipschitz=con.lipschitz, mu_margin=con.margin)
+    return record
 
 
 def _combined(rows: np.ndarray, count: int) -> np.ndarray:
@@ -689,12 +700,15 @@ def _roots(con: _Constraints):
     conj(z))) vanishes too, so z is a root of the resultant of p and q in
     w, det Syl(z) for their d x d Sylvester matrix, whose entries are
     polynomials in z of degree at most m = max(a, b).  The Moebius shift z
-    = sigma + 1 / y, sigma = ``_SHIFT``, makes y^m Syl(sigma + 1 / y) a
-    matrix polynomial in y with leading coefficient Syl(sigma); a root at z
-    = infinity comes out at y = 0, e = U (0, 1), and one eigensolve of the
-    block companion matrix, of size m d (at most 32 for d <= 8), gives
-    every root.  Gate: cond Syl(sigma) <= ``_ROOT_COND``.  Where a or b is
-    0 the system is the pencil A0 + z A1, or B0 + w B1 with z = conj(w),
+    = sigma + 1 / y makes y^m Syl(sigma + 1 / y) a matrix polynomial in y
+    with leading coefficient Syl(sigma); a root at z = infinity comes out at
+    y = 0, e = U (0, 1), and one eigensolve of the block companion matrix,
+    of size m d (at most 32 for d <= 8), gives every root.  Gate: cond
+    Syl(sigma) <= ``_ROOT_COND`` for the first sigma of ``_SHIFTS`` that
+    passes it; Syl(sigma) is singular where sigma is a root, so a shift
+    that lands near one fails it, and the second shift, far from the
+    first, is tried before the enumeration falls back.  Where a or b is 0
+    the system is the pencil A0 + z A1, or B0 + w B1 with z = conj(w),
     shifted alike.
 
     One batched SVD of the full M(e) gives mu at every root and its qudit
@@ -730,15 +744,18 @@ def _roots(con: _Constraints):
     # Taylor coefficients at sigma, lowest first: y^m Syl(sigma + 1 / y)
     # holds them highest first
     m = len(coef) - 1
-    taylor = np.array([[math.comb(j, t) * _SHIFT ** (j - t) for j in range(m + 1)]
-                       for t in range(m + 1)])
-    coef = np.tensordot(taylor, coef, axes=1)
-    if np.linalg.cond(coef[0]) > _ROOT_COND:
+    for shift in _SHIFTS:
+        taylor = np.array([[math.comb(j, t) * shift ** (j - t) for j in range(m + 1)]
+                           for t in range(m + 1)])
+        shifted = np.tensordot(taylor, coef, axes=1)
+        if np.linalg.cond(shifted[0]) <= _ROOT_COND:
+            break
+    else:
         return None
     companion = np.eye(m * d, k=-d, dtype=complex)
-    companion[:d] = -np.linalg.solve(coef[0], coef[1:].transpose(1, 0, 2).reshape(d, m * d))
+    companion[:d] = -np.linalg.solve(shifted[0], shifted[1:].transpose(1, 0, 2).reshape(d, m * d))
     y = np.linalg.eigvals(companion)
-    v = np.stack([y, _SHIFT * y + 1.0], axis=1)          # y (1, z)
+    v = np.stack([y, shift * y + 1.0], axis=1)           # y (1, z)
     e = (np.conj(v) if a == 0 else v) @ _FRAME.T
     e /= np.linalg.norm(e, axis=1, keepdims=True)
     _, sigma, vh = np.linalg.svd(_constraint_rows(con, e))
@@ -750,7 +767,7 @@ def _roots(con: _Constraints):
     np.fill_diagonal(apart, np.inf)
     if (apart < sphere._SAME).any():
         return None
-    return [(e[i], np.conj(vh[i, d - 1])) for i in keep], len(y)
+    return (e[keep], np.conj(vh[keep, d - 1])), len(y)
 
 
 def _enumerate(s: QubitQuditState, con: _Constraints) -> _Enumeration:
@@ -764,8 +781,7 @@ def _enumerate(s: QubitQuditState, con: _Constraints) -> _Enumeration:
     if roots is None:
         return _search(s, con, certify=False)
     found, examined = roots
-    vectors = [_product_vector_at(s, con, e, f) for e, f in found]
-    return _Enumeration(_best_first(vectors),
+    return _Enumeration(_best_first(_product_vectors_at(s, con, *found)),
                         _search_record(con, "roots", examined, 0, 0, 0), exhaustive=True)
 
 
@@ -779,21 +795,20 @@ def _recheck(s: QubitQuditState, con: _Constraints, previous: _Enumeration) -> _
     directions is kept unchanged, its qudit vector re-solved as the least
     right singular vector of M(e) for ``con``, ``s``'s constraints at
     ``ENUMERATION_KERNEL_CUTOFF``, the kernels a fresh enumeration would
-    use (``_null_vector``, one SVD), and the vector kept when its combined
-    residual, recomputed from the definitions, is at most
-    ``ENUMERATION_TOL``.  The vectors kept are again exhaustive.  The
-    record, of method "recheck", counts the directions re-solved as
+    use (one batched SVD for every direction, no polish), and the vector
+    kept when its combined residual, recomputed from the definitions, is
+    at most ``ENUMERATION_TOL``.  The vectors kept are again exhaustive.
+    The record, of method "recheck", counts the directions re-solved as
     evaluations, with no polish and no first-order exclusion.  With fewer
     constraint rows than d there is nothing to re-solve: that is the fresh
     search's continuum case, and it runs.
     """
     if con.n_rows < s.d:
         return _search(s, con, certify=False)
-    found = []
-    for pv in previous.found:
-        candidate = _product_vector_at(s, con, pv.e, _null_vector(con, pv.e)[0])
-        if candidate.combined_residual <= ENUMERATION_TOL:
-            found.append(candidate)
+    es = np.array([pv.e for pv in previous.found]).reshape(-1, 2)
+    fs = np.conj(np.linalg.svd(_constraint_rows(con, es))[2][:, s.d - 1])
+    found = [pv for pv in _product_vectors_at(s, con, es, fs)
+             if pv.combined_residual <= ENUMERATION_TOL]
     record = _search_record(con, "recheck", len(previous.found), 0, 0, 0)
     return _Enumeration(_best_first(found), record, exhaustive=True)
 

@@ -69,7 +69,12 @@ class SeparableDecomposition:
     terms: list  # of (qubit 2x2, qudit d x d) PSD pairs
 
     def reconstruct(self) -> np.ndarray:
-        return sum(_product_term(qubit, qudit) for qubit, qudit in self.terms)
+        """The sum of the terms' Kronecker products, one contraction of the
+        factor stacks over the terms (a matrix product)."""
+        qubits, qudits = self._factor_stacks()
+        d = qudits.shape[-1]
+        total = np.tensordot(qubits, qudits, axes=(0, 0))       # (2, 2, d, d)
+        return total.transpose(0, 2, 1, 3).reshape(2 * d, 2 * d)
 
     def reconstruction_residual(self, rho: np.ndarray) -> float:
         return linalg.frob(self.reconstruct() - rho)
@@ -273,21 +278,24 @@ def _tail_terms(tail: np.ndarray, scale: float) -> list:
 # Product-vector subtraction
 # ---------------------------------------------------------------------------
 
-def _rank_one_weight(eig: linalg.EigResult, v: np.ndarray) -> float:
-    """Largest lam with m - lam |v><v| PSD, for PSD m = ``eig`` and unit v.
+def _rank_one_weights(eig: linalg.EigResult, vs: np.ndarray) -> np.ndarray:
+    """Largest lam with m - lam |v><v| PSD, for PSD m = ``eig`` and each unit
+    row v of ``vs`` (n, m).
 
     That is 1 / <v|m^+|v> when v lies in the range of m, and 0 when v has a
     component above ``range_criterion.ENUMERATION_TOL`` on eigenvalues at or
     below ``linalg.RANK_CUTOFF`` times the largest.  Every candidate the
     subtraction search accepts passes that test: its residual against the
     wider kernel at ``range_criterion.ENUMERATION_KERNEL_CUTOFF`` is within
-    the same bound.
+    the same bound.  The support mask is taken once for every row, and a
+    row with nothing on the support (an all-kernel spectrum) divides by
+    nothing.
     """
-    c = eig.vectors.conj().T @ v
+    c = vs @ np.conj(eig.vectors)
     keep = eig.support(linalg.RANK_CUTOFF)
-    if linalg.frob(c[~keep]) > range_criterion.ENUMERATION_TOL:
-        return 0.0
-    return 1.0 / float(np.sum(np.abs(c[keep]) ** 2 / eig.values[keep]))
+    inside = np.linalg.norm(c[:, ~keep], axis=1) <= range_criterion.ENUMERATION_TOL
+    quad = (np.abs(c[:, keep]) ** 2 / eig.values[keep]).sum(axis=1)
+    return np.divide(1.0, quad, out=np.zeros(len(quad)), where=inside & (quad > 0))
 
 
 def _product_term(qubit: np.ndarray, qudit: np.ndarray) -> np.ndarray:
@@ -295,19 +303,6 @@ def _product_term(qubit: np.ndarray, qudit: np.ndarray) -> np.ndarray:
     the same products, without np.kron's general reshaping."""
     d = len(qudit)
     return (qubit[:, None, :, None] * qudit[None, :, None, :]).reshape(2 * d, 2 * d)
-
-
-def _max_subtraction_weight(rho: linalg.EigResult, pt: linalg.EigResult,
-                            e: np.ndarray, f: np.ndarray, trace: float) -> float:
-    """Largest weight of |e,f><e,f| keeping the state and its partial
-    transpose PSD, capped by the state's trace.
-
-    The partial transpose of |e,f><e,f| is |e*,f><e*,f|, so both limits
-    are rank-one closed forms of the two eigendecompositions.
-    """
-    return min(trace,
-               _rank_one_weight(rho, np.outer(e, f).ravel()),
-               _rank_one_weight(pt, np.outer(np.conj(e), f).ravel()))
 
 
 # Relative cutoff of the prover's qudit support, the support of the
@@ -322,19 +317,46 @@ SUPPORT_CUTOFF = 1e-9
 WEIGHT_FLOOR = 1e-10
 
 
-def _drains_level(eig: linalg.EigResult, v: np.ndarray, lam: float) -> bool:
+def _max_subtraction_weights(rho: linalg.EigResult, pt: linalg.EigResult, es: np.ndarray,
+                             fs: np.ndarray, trace: float) -> np.ndarray:
+    """Largest weight of each |e,f><e,f|, for the rows e of ``es`` (n, 2)
+    and f of ``fs`` (n, d), keeping the state and its partial transpose PSD,
+    capped by the state's trace.
+
+    The partial transpose of |e,f><e,f| is |e*,f><e*,f|, so both limits
+    are rank-one closed forms of the two eigendecompositions.
+    """
+    rho_limit, pt_limit = (
+        _rank_one_weights(eig, (qubits[:, :, None] * fs[:, None, :]).reshape(-1, 2 * fs.shape[1]))
+        for eig, qubits in ((rho, es), (pt, np.conj(es))))
+    return np.minimum(trace, np.minimum(rho_limit, pt_limit))
+
+
+def _drains_levels(eig: linalg.EigResult, vs: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Whether subtracting lam |v><v| (unit v) from a PSD matrix m drains a
-    level of its support, given the eigendecomposition ``eig`` of m: the
-    prover reads it on a state's qudit marginal M = a + c with v = f (the
-    remainder's marginal is M - lam |f><f|, PSD when the remainder is).
+    level of its support, for each row v of ``vs`` and its entry of ``lam``,
+    given the eigendecomposition ``eig`` of m: the prover reads it on a
+    state's qudit marginal M = a + c with v = f (the remainder's marginal is
+    M - lam |f><f|, PSD when the remainder is).
 
     m - lam |v><v| is PSD only for lam <= w = 1 / <v|m^+|v>
-    (``_rank_one_weight``).  A rank-one downdate drains at most one level,
+    (``_rank_one_weights``).  A rank-one downdate drains at most one level,
     and exactly at lam = w; at the support's cutoff it does when w > 0 and
     lam >= (1 - ``SUPPORT_CUTOFF``) w.  A zero w (v off the support) drains
     none.
     """
-    return 0 < (1 - SUPPORT_CUTOFF) * _rank_one_weight(eig, v) <= lam
+    w = (1 - SUPPORT_CUTOFF) * _rank_one_weights(eig, vs)
+    return (0 < w) & (w <= lam)
+
+
+def _pick(lam: np.ndarray, drains: np.ndarray, trace: float):
+    """Index of the candidate the prover subtracts, or None: among those of
+    weight above ``WEIGHT_FLOOR`` times ``trace``, one that drains a level
+    first, then the largest weight, and of equals the first."""
+    live = np.flatnonzero(lam > WEIGHT_FLOOR * trace)
+    if not len(live):
+        return None
+    return int(live[np.lexsort((-lam[live], ~drains[live]))[0]])
 
 
 def _compress_qudit(rho: np.ndarray, d: int, iso: np.ndarray) -> QubitQuditState:
@@ -415,10 +437,13 @@ def subtract_product_vectors(s: QubitQuditState) -> SubtractionResult:
     Each iteration eigendecomposes the qudit marginal M = a + c once; its
     support at ``SUPPORT_CUTOFF`` is the small-support exit's, and its
     spectrum ranks the candidates.  A candidate that drains a level of
-    that support comes first, then the largest weight; draining is a
-    closed form (``_drains_level``: lam >= (1 - ``SUPPORT_CUTOFF``) /
-    <f|M^+|f> > 0), so no candidate's remainder is built or
-    eigendecomposed.
+    that support comes first, then the largest weight, and of equals the
+    first (``_pick``); draining is a closed form (``_drains_levels``: lam
+    >= (1 - ``SUPPORT_CUTOFF``) / <f|M^+|f> > 0), so no candidate's
+    remainder is built or eigendecomposed.  Every candidate of an
+    enumeration is weighed and tested in one array pass: its two weight
+    limits and its drain test are one product each against the spectra
+    (``_max_subtraction_weights``, ``_drains_levels``).
 
     The candidates come from ``range_criterion``'s enumeration.  A
     subtraction that keeps rho' = rho - lam |e,f><e,f| and rho'^Gamma PSD
@@ -431,7 +456,7 @@ def subtract_product_vectors(s: QubitQuditState) -> SubtractionResult:
     d, or a sphere search that reached ``ENUMERATION_CANDIDATES`` or ended
     inconclusive); after an exhaustive one, its qubit directions are kept
     and each qudit vector is re-solved against the remainder's constraints,
-    one SVD per direction and no polish (``range_criterion._recheck``); none
+    one batched SVD for them all and no polish (``range_criterion._recheck``); none
     left within ``ENUMERATION_TOL`` means ``stalled``, as a fresh
     enumeration would find none either.
 
@@ -454,10 +479,6 @@ def subtract_product_vectors(s: QubitQuditState) -> SubtractionResult:
         if status is not None or iterations == budget:
             break
         trace = state.trace()
-        # Prefer subtractions that drain a qudit level (the certified exit),
-        # then the largest admissible weight; greedy max-weight alone can
-        # strand the remainder in an edge-like state.
-        best = None
         con = range_criterion._constraints_of(state, range_criterion.ENUMERATION_KERNEL_CUTOFF)
         if enumeration is not None and enumeration.exhaustive:
             enumeration = range_criterion._recheck(state, con, enumeration)
@@ -468,18 +489,17 @@ def subtract_product_vectors(s: QubitQuditState) -> SubtractionResult:
             roots += enumeration.search["method"] == "roots"
         for key in effort:
             effort[key] += enumeration.search[key]
-        for e, f in ((pv.e, pv.f) for pv in enumeration.found):
-            lam = _max_subtraction_weight(state.eig, state.pt_eig, e, f, trace)
-            if lam <= WEIGHT_FLOOR * trace:
-                continue
-            key = (not _drains_level(marginal, f, lam), -lam)
-            if best is None or key < best[0]:
-                best = (key, lam, e, f)
+        # Prefer subtractions that drain a qudit level (the certified exit),
+        # then the largest admissible weight; greedy max-weight alone can
+        # strand the remainder in an edge-like state.
+        es = np.array([pv.e for pv in enumeration.found]).reshape(-1, 2)
+        fs = np.array([pv.f for pv in enumeration.found]).reshape(-1, d)
+        lam = _max_subtraction_weights(state.eig, state.pt_eig, es, fs, trace)
+        best = _pick(lam, _drains_levels(marginal, fs, lam), trace)
         if best is None:
             status = "stalled"
             break
-        _, lam, e, f = best
-        term, state = _subtract(state, lam, e, f)
+        term, state = _subtract(state, lam[best], es[best], fs[best])
         terms.append(term)
     if status is None:
         status = "budget_exhausted"

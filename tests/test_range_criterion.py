@@ -47,6 +47,16 @@ def sphere_enumeration(state):
     return range_criterion._search(state, con, certify=False)
 
 
+def record_calls(function, seen):
+    """``function``, appending the arguments and result of each call to
+    ``seen``."""
+    def call(*args):
+        result = function(*args)
+        seen.append((args, result))
+        return result
+    return call
+
+
 def product_state(e, f):
     e = np.asarray(e, dtype=complex) / np.linalg.norm(e)
     f = np.asarray(f, dtype=complex) / np.linalg.norm(f)
@@ -190,6 +200,67 @@ class TestRecheck:
             assert result.search["polishes"] == result.search["first_order_exclusions"] == 0
             directions = {pv.e.tobytes() for pv in previous.found}
             assert all(pv.e.tobytes() in directions for pv in result.found)
+
+    @pytest.mark.parametrize("d, n", [(3, 7), (5, 7), (5, 8)])
+    def test_batched_recheck_matches_one_svd_per_direction(self, d, n):
+        # every re-check the prover runs keeps the directions, and the qudit
+        # vectors, that one _null_vector call per direction gives
+        seen = []
+        with mock.patch.object(range_criterion, "_recheck",
+                               record_calls(range_criterion._recheck, seen)):
+            subtract_product_vectors(random_separable(d, n, seed=2)[0])
+        assert seen
+        for (s, con, previous), result in seen:
+            one_by_one = [range_criterion._product_vectors_at(
+                s, con, pv.e[None], range_criterion._null_vector(con, pv.e)[0][None])[0]
+                for pv in previous.found]
+            single = [pv for pv in one_by_one
+                      if pv.combined_residual <= range_criterion.ENUMERATION_TOL]
+            expected = {pv.e.tobytes(): pv for pv in single}
+            assert sorted(expected) == sorted(pv.e.tobytes() for pv in result.found)
+            for got in result.found:
+                want = expected[got.e.tobytes()]
+                assert abs(abs(np.vdot(got.f, want.f)) - 1.0) <= 1e-12
+                assert abs(got.combined_residual - want.combined_residual) <= 1e-14
+
+
+class TestContinuum:
+    """Fewer constraint rows than d: the enumeration returns a basis of the
+    nullspace of M(e) at each canonical direction, from one batched SVD."""
+
+    @pytest.mark.parametrize("d, n, seed", [(5, 8, 0), (5, 9, 1), (4, 7, 0), (6, 10, 1)])
+    def test_null_vectors_span_the_nullspace(self, d, n, seed):
+        s = random_separable(d, n, seed=seed)[0]
+        con = range_criterion._constraints_of(s, range_criterion.ENUMERATION_KERNEL_CUTOFF)
+        assert 0 < con.n_rows < d
+        result = range_criterion._search(s, con, certify=False)
+        assert not result.exhaustive
+        for e in range_criterion._CANONICAL:
+            m = range_criterion._constraint_rows(con, e[None])[0]
+            basis = linalg.nullspace(m)
+            fs = np.array([pv.f for pv in result.found if np.array_equal(pv.e, e)])
+            assert len(fs) == basis.shape[1] == d - con.n_rows
+            # the same projector, and the best residual first
+            projector = fs.T @ fs.conj()
+            assert np.linalg.norm(projector - basis @ basis.conj().T) <= 1e-12
+            residuals = np.linalg.norm(m @ fs.T, axis=0)
+            assert np.all(np.diff(residuals) >= -1e-15)
+
+
+class TestRecords:
+    def test_only_the_certificate_reports_the_lipschitz_constant(self):
+        # the enumeration's records leave out L and the margin, which the
+        # prover never reads; edge_check's certificate reports both
+        state = random_separable(5, 7, seed=0)[0]
+        roots = enumeration(state).search
+        fresh = sphere_enumeration(state).search
+        assert (roots["method"], fresh["method"]) == ("roots", "sphere")
+        con = range_criterion._constraints_of(state, range_criterion.ENUMERATION_KERNEL_CUTOFF)
+        recheck = range_criterion._recheck(state, con, enumeration(state)).search
+        for record in (roots, fresh, recheck):
+            assert "lipschitz" not in record and "mu_margin" not in record
+        cert = edge_check(state).search
+        assert cert["lipschitz"] > 0 and cert["mu_margin"] > 0
 
 
 class TestEdgeCheck:
@@ -351,7 +422,7 @@ class TestCertifiedBound:
             e_pol, f_pol, mu = range_criterion._polish(con, start, f0, False)
             assert mu <= 1e-12
             assert abs(abs(np.vdot(e_pol, e)) - 1.0) <= 1e-9
-            pv = range_criterion._product_vector_at(state, con, e_pol, f_pol)
+            (pv,) = range_criterion._product_vectors_at(state, con, e_pol[None], f_pol[None])
             assert pv.combined_residual <= 1e-12
 
     def test_flat_landscape_ends_below_the_cap(self, monkeypatch):
@@ -1145,27 +1216,23 @@ class TestRoots:
         assert sphere._bloch_angle(np.array([pv.e for pv in sphere_found]), found).min(
             axis=1).max() <= 1e-6
 
-    # the first finite-regime enumerations whose gates fail: at (5, 6, 1)
-    # the shifted leading coefficient is ill-conditioned
-    FALLS_BACK = {(5, 6, 1), (6, 9, 2)}
-
     @pytest.mark.parametrize("d, n", [(5, 6), (5, 7), (4, 6), (4, 7), (5, 8), (6, 9)])
     @pytest.mark.parametrize("seed", range(4))
     def test_an_unpolished_root_lies_in_both_ranges(self, d, n, seed):
         # each root's (e, f), taken from the SVD at the roots, is a product
         # vector in the ranges of the remainder and of its partial transpose
-        # far below ENUMERATION_TOL, so a polish would not move it
+        # far below ENUMERATION_TOL, so a polish would not move it; every
+        # gate passes on these inputs, at (5, 6, 1) and (6, 9, 2) with the
+        # second shift, where the first gives an ill-conditioned lead
         s, con = finite_regime(random_separable(d, n, seed=seed)[0])
         roots = range_criterion._roots(con)
-        assert (roots is None) == ((d, n, seed) in self.FALLS_BACK)
-        if roots is None:
-            return
+        assert roots is not None
         cutoff = range_criterion.ENUMERATION_KERNEL_CUTOFF
         ker = kernel_of(s.rho, cutoff)
         ker_pt = kernel_of(partial_transpose_matrix(s.rho, s.d), cutoff)
-        pairs, _ = roots
-        assert pairs
-        for e, f in pairs:
+        (es, fs), _ = roots
+        assert len(es)
+        for e, f in zip(es, fs):
             assert np.linalg.norm(ker.conj() @ np.kron(e, f)) <= 1e-10
             assert np.linalg.norm(ker_pt.conj() @ np.kron(e.conj(), f)) <= 1e-10
             polished, _, mu = range_criterion._polish(con, e, f, False)
@@ -1225,9 +1292,27 @@ class TestRoots:
         assert self.fallback(s, con, monkeypatch) == []
 
     def test_an_ill_conditioned_lead_falls_back(self, monkeypatch):
+        # the leading coefficient is ill-conditioned at both shifts
         s, con = finite_regime(ill_conditioned_sppt(1))
         conds = self.fallback(s, con, monkeypatch)
+        assert len(conds) == len(range_criterion._SHIFTS) * 2
         assert conds[0] > 100 * range_criterion._ROOT_COND
+        assert min(conds) > range_criterion._ROOT_COND
+
+    def test_the_second_shift_solves_what_the_first_does_not(self, monkeypatch):
+        # random_separable(5, 6, seed=1): the first shift lands near a root,
+        # cond 1.1e4, and the second solves the enumeration
+        s, con = finite_regime(random_separable(5, 6, seed=1)[0])
+        conds, cond = [], np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda m: conds.append(cond(m)) or conds[-1])
+        result = range_criterion._enumerate(s, con)
+        assert result.search["method"] == "roots" and len(result.found) == 6
+        assert conds[0] > 10 * range_criterion._ROOT_COND
+        assert conds[1] <= range_criterion._ROOT_COND
+        sphere_found = range_criterion._search(s, con, certify=False).found
+        assert sphere._bloch_angle(np.array([pv.e for pv in sphere_found]),
+                                   np.array([pv.e for pv in result.found])).min(
+            axis=1).max() <= 1e-6
 
     def test_an_ambiguous_root_falls_back(self, monkeypatch):
         # a root whose mu, from the batched SVD at the roots, lies between
