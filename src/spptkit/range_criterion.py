@@ -14,10 +14,11 @@ vanishes exactly when a qualifying product vector exists at e.  The qubit
 direction is a point of the Bloch sphere, e = (cos(theta/2),
 e^{i phi} sin(theta/2)); mu does not depend on the phase of e.
 
-One routine, ``_search``, searches the sphere, through the Bloch-sphere
-branch-and-bound of ``sphere``: this module supplies its objective, mu, as
-``_Constraints``, with a lower bound on mu over cells (``_mu_batch``) and
-a Gauss-Newton polish on M(e) f = 0 (``_polish``).  The bound at the centre
+``edge_check`` and the enumeration's fallback, ``_sphere``, search the
+sphere through the Bloch-sphere branch-and-bound of ``sphere``: this
+module supplies its objective, mu, as ``_Constraints``, with a lower bound
+on mu over cells (``_mu_batch``) and a Gauss-Newton polish on M(e) f = 0
+(``_polish``).  The bound at the centre
 comes from the d x d Gram matrix G(e) = M(e)^dag M(e), whose least
 eigenvalue is mu^2: G(e) is a fixed combination of four precomputed
 blocks, so a batch of centres costs one matrix product and one batched
@@ -48,13 +49,15 @@ constraint rows), every cell was excluded or dropped, and it found fewer
 than ``ENUMERATION_CANDIDATES`` vectors.  The prover
 subtracts a product term and keeps the remainder and its partial transpose
 PSD, so both ranges only shrink and every qualifying vector of the
-remainder qualifies for the state before; after an exhaustive enumeration,
-``_recheck`` keeps each direction found and re-solves its qudit vector
-against the remainder's constraints, all in one batched SVD, instead of
-searching again; what it keeps is again exhaustive.  Every candidate's
-residuals are recomputed from the definitions in one pass over the
-enumeration (``_product_vectors_at``).  When every cell is
-excluded ``edge_check`` concludes ``NoneFound`` with a lower bound on mu
+remainder qualifies for the state before; given an exhaustive previous
+enumeration, ``_enumerate`` keeps each direction it found and re-solves its
+qudit vector against the remainder's constraints, all in one batched SVD,
+instead of searching again; what it keeps is again exhaustive.  With fewer
+constraint rows than d, mu vanishes identically and both ``edge_check`` and
+``_enumerate`` take the same canonical vectors (``_continuum``).  Every
+candidate's residuals are recomputed from the definitions in one pass over
+the enumeration (``_product_vectors_at``).  When every cell is excluded
+``edge_check`` concludes ``NoneFound`` with a lower bound on mu
 over the whole sphere: a proof, up to floating point and the kernel
 cutoff, that no qualifying product vector exists, which for a PPT state
 certifies entanglement.
@@ -582,89 +585,56 @@ _CANONICAL = np.array([sphere._bloch(theta, phi) for theta, phi in (
 
 @dataclass(frozen=True)
 class _Enumeration:
-    """What a search that does not certify returns: the vectors, its work,
-    and whether the vectors are every qualifying one (see the module
-    docstring)."""
+    """What ``_enumerate`` returns: the vectors, best first, its search
+    record, and whether the vectors are every qualifying one (see the
+    module docstring)."""
 
     found: list
     search: dict
     exhaustive: bool
 
 
-def _search(s: QubitQuditState, con: _Constraints, certify: bool):
-    """``sphere.search`` on the objective ``con``, behind ``edge_check`` and
-    the enumerations that ``_roots`` does not solve.
+def _continuum(s: QubitQuditState, con: _Constraints) -> list:
+    """The product vectors of the continuum case, fewer constraint rows than
+    d, where M(e) has a nullspace at every e and mu vanishes identically.
+    Nothing is searched: they are an orthonormal basis of the nullspace at
+    each of six canonical directions, best residual first (uncapped, at
+    most 6d vectors), from one batched SVD, with the rank cut of
+    ``linalg.nullspace``."""
+    _, sigma, vh = np.linalg.svd(_constraint_rows(con, _CANONICAL))
+    pairs = [(e, np.conj(v)) for e, values, rows in zip(_CANONICAL, sigma, vh)
+             for v in rows[linalg._rank(values, linalg.NULL_CUTOFF):][::-1]]
+    return _product_vectors_at(s, con, *zip(*pairs))
 
-    A search that ``certify``s (``edge_check``) runs at ``threshold`` =
-    ``EXCLUSION_THRESHOLD`` and stops at ``limit`` = 1 vector, so it
-    polishes at most one centre above the threshold per level (its
-    NoneFound inputs fail every such polish); the enumeration runs at
-    ``ENUMERATION_TOL`` and ``ENUMERATION_CANDIDATES``.  Each polish starts
-    from its centre's eigenvector of lambda_1(G), which ``_mu_batch``
-    computed (every open cell was eigensolved).  The polish cap bounds the
-    work in a near-miss valley, where the floor of mu_lo at sqrt(con.margin)
-    can read every centre as at the threshold.  ``edge_check``'s polishes
-    also stop after a step whose linear model cannot halve the residual
-    (``_polish``), which moves no bound or evaluation count; the
-    enumeration's keep the stall rule alone, as where they give up decides
-    which vectors the prover sees.  ``_mu_batch`` settles a cell that
-    reaches the search's ``above`` without an eigensolve, and
-    ``edge_check``'s first level has no finite ``above``, so every open
-    cell, polish, vector, bound and evaluation count is the one the
-    eigensolve alone gives.  ``certify`` decides what is returned: a
-    ``RangeSearchCertificate``, or an ``_Enumeration``, its vectors, best
-    first, and work record, exhaustive when the search ends ``NoneFound``.
 
-    With fewer constraint rows than d, M(e) has a nullspace at every e and
-    mu vanishes identically.  Nothing is searched then: ``found`` is an
-    orthonormal basis of the nullspace at each of six canonical directions,
-    best residual first (uncapped, at most 6d vectors), from one batched
-    SVD, with the rank cut of ``linalg.nullspace``, and a single record at
-    theta = 0 stands for the landscape.
+def _sphere(s: QubitQuditState, con: _Constraints) -> _Enumeration:
+    """The enumeration by ``sphere.search`` on the objective ``con``, where
+    ``_roots`` does not solve it; needs n_rows >= d.
 
-    The record carries the Lipschitz constant and the rounding margin only
-    where a certificate reports them, for a search that ``certify``s.
+    It runs at ``threshold`` = ``ENUMERATION_TOL`` and ``limit`` =
+    ``ENUMERATION_CANDIDATES``.  Each polish starts from its centre's
+    eigenvector of lambda_1(G), which ``_mu_batch`` computed (every open
+    cell was eigensolved), and keeps the stall rule alone (``_polish``), as
+    where it gives up decides which vectors the prover sees.  The polish
+    cap bounds the work in a near-miss valley, where the floor of mu_lo at
+    sqrt(con.margin) can read every centre as at the threshold.  The
+    enumeration is exhaustive when the search ends ``NoneFound``.
     """
-    threshold, limit = ((EXCLUSION_THRESHOLD, 1) if certify
-                        else (ENUMERATION_TOL, ENUMERATION_CANDIDATES))
-    if con.n_rows < s.d:
-        _, sigma, vh = np.linalg.svd(_constraint_rows(con, _CANONICAL))
-        pairs = [(e, np.conj(v)) for e, values, rows in zip(_CANONICAL, sigma, vh)
-                 for v in rows[linalg._rank(values, linalg.NULL_CUTOFF):][::-1]]
-        found = _product_vectors_at(s, con, *zip(*pairs))
-        record = _search_record(con, "sphere", 0, 0, 0, 0, certify)
-        if not certify:
-            return _Enumeration(found, record, exhaustive=False)
-        residual = found[0].combined_residual
-        return RangeSearchCertificate(
-            search=record, certified_bound=0.0, worst_min_residual=residual,
-            refined_minima=[sphere._minimum_record(found[0].e, residual)],
-            conclusion="FoundProductVector", found=found, exclusion_threshold=threshold)
-
-    result = sphere.search(con, threshold, limit, certify)
-    found = _best_first(_product_vectors_at(s, con, [e for e, _ in result.found],
-                                            [f for _, f in result.found]))
-    record = _search_record(con, "sphere", **result.work, certify=certify)
-    if not certify:
-        return _Enumeration(found, record, exhaustive=result.conclusion == "NoneFound")
-    return RangeSearchCertificate(
-        search=record, certified_bound=result.bound,
-        worst_min_residual=result.worst, refined_minima=result.minima,
-        conclusion="FoundProductVector" if found else result.conclusion,
-        found=found, exclusion_threshold=threshold)
+    result = sphere.search(con, ENUMERATION_TOL, ENUMERATION_CANDIDATES, certify=False)
+    found = _product_vectors_at(s, con, [e for e, _ in result.found],
+                                [f for _, f in result.found])
+    return _Enumeration(_best_first(found), _search_record(con, "sphere", **result.work),
+                        exhaustive=result.conclusion == "NoneFound")
 
 
-def _search_record(con: _Constraints, method: str, evaluations: int, levels: int,
-                   first_order: int, polishes: int, certify: bool = False) -> dict:
-    record = {"method": method, "kernel_cutoff": con.cutoff,
-              "kernel_dims": [int(con.w_state.shape[0]), int(con.w_pt.shape[0])],
-              "evaluations": evaluations, "levels": levels,
-              "first_order_exclusions": first_order,
-              "polishes": polishes,
-              "cell_floor": sphere.CELL_FLOOR, "evaluation_cap": sphere.EVALUATION_CAP}
-    if certify:
-        record.update(lipschitz=con.lipschitz, mu_margin=con.margin)
-    return record
+def _search_record(con: _Constraints, method: str, evaluations: int = 0, levels: int = 0,
+                   first_order: int = 0, polishes: int = 0) -> dict:
+    return {"method": method, "kernel_cutoff": con.cutoff,
+            "kernel_dims": [int(con.w_state.shape[0]), int(con.w_pt.shape[0])],
+            "evaluations": evaluations, "levels": levels,
+            "first_order_exclusions": first_order,
+            "polishes": polishes,
+            "cell_floor": sphere.CELL_FLOOR, "evaluation_cap": sphere.EVALUATION_CAP}
 
 
 def _combined(rows: np.ndarray, count: int) -> np.ndarray:
@@ -770,47 +740,43 @@ def _roots(con: _Constraints):
     return (e[keep], np.conj(vh[keep, d - 1])), len(y)
 
 
-def _enumerate(s: QubitQuditState, con: _Constraints) -> _Enumeration:
+def _enumerate(s: QubitQuditState, con: _Constraints, previous=None) -> _Enumeration:
     """The prover's candidates, product vectors in both ranges of ``s``, best
     first, and their record, on ``s``'s constraints ``con`` at
-    ``ENUMERATION_KERNEL_CUTOFF``.  Where M(e) has at least d rows and the
-    gates of ``_roots`` pass, they are every qualifying vector, uncapped,
-    and exhaustive; the record counts the roots examined as evaluations and
-    no polish.  Otherwise ``_search`` finds them on the sphere."""
-    roots = _roots(con) if con.n_rows >= s.d else None
-    if roots is None:
-        return _search(s, con, certify=False)
-    found, examined = roots
-    return _Enumeration(_best_first(_product_vectors_at(s, con, *found)),
-                        _search_record(con, "roots", examined, 0, 0, 0), exhaustive=True)
+    ``ENUMERATION_KERNEL_CUTOFF``; ``previous`` is the prover's last
+    enumeration, of a state whose two ranges contain those of ``s``, or
+    None.
 
-
-def _recheck(s: QubitQuditState, con: _Constraints, previous: _Enumeration) -> _Enumeration:
-    """The enumeration of ``s`` from an exhaustive one, the roots' or the
-    sphere's, of a state whose two ranges contain those of ``s``, by
-    re-solving, not enumerating afresh.
-
-    Every qualifying vector of ``s`` then qualifies for the earlier state,
-    so its qubit direction is one of ``previous``'s.  Each of those
-    directions is kept unchanged, its qudit vector re-solved as the least
-    right singular vector of M(e) for ``con``, ``s``'s constraints at
-    ``ENUMERATION_KERNEL_CUTOFF``, the kernels a fresh enumeration would
-    use (one batched SVD for every direction, no polish), and the vector
-    kept when its combined residual, recomputed from the definitions, is
-    at most ``ENUMERATION_TOL``.  The vectors kept are again exhaustive.
-    The record, of method "recheck", counts the directions re-solved as
-    evaluations, with no polish and no first-order exclusion.  With fewer
-    constraint rows than d there is nothing to re-solve: that is the fresh
-    search's continuum case, and it runs.
+    With fewer constraint rows than d they are the continuum's vectors
+    (``_continuum``), not exhaustive, in a record of method "sphere" with
+    no work.  After an exhaustive ``previous``, every qualifying vector of
+    ``s`` qualifies for the earlier state, so its qubit direction is one of
+    ``previous``'s: each of those directions is kept unchanged, its qudit
+    vector re-solved as the least right singular vector of M(e) (one
+    batched SVD for every direction, no polish), and the vector kept when
+    its combined residual, recomputed from the definitions, is at most
+    ``ENUMERATION_TOL``.  The vectors kept are again exhaustive; the
+    record, of method "recheck", counts the directions re-solved as
+    evaluations.  Otherwise, where the gates of ``_roots`` pass, they are
+    every qualifying vector, uncapped, and exhaustive; the record, of
+    method "roots", counts the roots examined as evaluations and no
+    polish.  Where a gate fails, ``_sphere`` finds them on the sphere.
     """
     if con.n_rows < s.d:
-        return _search(s, con, certify=False)
-    es = np.array([pv.e for pv in previous.found]).reshape(-1, 2)
-    fs = np.conj(np.linalg.svd(_constraint_rows(con, es))[2][:, s.d - 1])
-    found = [pv for pv in _product_vectors_at(s, con, es, fs)
-             if pv.combined_residual <= ENUMERATION_TOL]
-    record = _search_record(con, "recheck", len(previous.found), 0, 0, 0)
-    return _Enumeration(_best_first(found), record, exhaustive=True)
+        return _Enumeration(_continuum(s, con), _search_record(con, "sphere"), exhaustive=False)
+    if previous is not None and previous.exhaustive:
+        es = np.array([pv.e for pv in previous.found]).reshape(-1, 2)
+        fs = np.conj(np.linalg.svd(_constraint_rows(con, es))[2][:, s.d - 1])
+        found = [pv for pv in _product_vectors_at(s, con, es, fs)
+                 if pv.combined_residual <= ENUMERATION_TOL]
+        return _Enumeration(_best_first(found), _search_record(con, "recheck", len(es)),
+                            exhaustive=True)
+    roots = _roots(con)
+    if roots is None:
+        return _sphere(s, con)
+    found, examined = roots
+    return _Enumeration(_best_first(_product_vectors_at(s, con, *found)),
+                        _search_record(con, "roots", examined), exhaustive=True)
 
 
 def edge_check(s: QubitQuditState) -> RangeSearchCertificate:
@@ -822,5 +788,37 @@ def edge_check(s: QubitQuditState) -> RangeSearchCertificate:
     floating point and ``KERNEL_CUTOFF`` by ``certified_bound``), and
     ``Inconclusive`` when it reaches ``sphere.CELL_FLOOR`` or
     ``sphere.EVALUATION_CAP`` with neither outcome.
+
+    ``sphere.search`` runs on the objective at ``KERNEL_CUTOFF`` and stops
+    at ``limit`` = 1 vector, so it polishes at most one centre above the
+    threshold per level (its NoneFound inputs fail every such polish).
+    Each polish starts from its centre's eigenvector of lambda_1(G), and
+    stops after a step whose linear model cannot halve the residual
+    (``_polish``), which moves no bound or evaluation count.  ``_mu_batch``
+    settles a cell that reaches the search's ``above`` without an
+    eigensolve, and the first level has no finite ``above``, so every open
+    cell, polish, vector, bound and evaluation count is the one the
+    eigensolve alone gives.  The certificate's record adds the Lipschitz
+    constant and the rounding margin to the enumeration's.  In the
+    continuum case, fewer constraint rows than d, nothing is searched: the
+    certificate holds ``_continuum``'s vectors, and a single record at
+    theta = 0 stands for the landscape.
     """
-    return _search(s, _constraints_of(s, KERNEL_CUTOFF), certify=True)
+    con = _constraints_of(s, KERNEL_CUTOFF)
+    margins = {"lipschitz": con.lipschitz, "mu_margin": con.margin}
+    if con.n_rows < s.d:
+        found = _continuum(s, con)
+        residual = found[0].combined_residual
+        return RangeSearchCertificate(
+            search={**_search_record(con, "sphere"), **margins}, certified_bound=0.0,
+            worst_min_residual=residual,
+            refined_minima=[sphere._minimum_record(found[0].e, residual)],
+            conclusion="FoundProductVector", found=found)
+    result = sphere.search(con, EXCLUSION_THRESHOLD, 1, certify=True)
+    found = _best_first(_product_vectors_at(s, con, [e for e, _ in result.found],
+                                            [f for _, f in result.found]))
+    return RangeSearchCertificate(
+        search={**_search_record(con, "sphere", **result.work), **margins},
+        certified_bound=result.bound, worst_min_residual=result.worst,
+        refined_minima=result.minima,
+        conclusion="FoundProductVector" if found else result.conclusion, found=found)

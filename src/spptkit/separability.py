@@ -182,21 +182,15 @@ class SubtractionResult:
     and the remainder as a ``reduction`` (at ``small_support``, the theorem
     certificate of the remainder on its qudit support), at ``sppt_core`` the
     remainder's verdict, the number of subtractions (``iterations``, the
-    length of the reduction's terms), and how many enumerations ran afresh
-    (``searches``), how many of those the roots solved (``roots``; the
-    others searched the Bloch sphere) and how many re-checked the last one
-    (``rechecks``), with the ``evaluations`` and ``polishes`` summed over
-    the records of those enumerations."""
+    length of the reduction's terms), and the search record of each
+    enumeration, in order (``enumerations``; its ``method`` is "roots",
+    "sphere" or "recheck")."""
 
     reduction: Reduction
     remainder: QubitQuditState
     status: str  # decomposed | small_support | sppt_core | budget_exhausted | stalled
     iterations: int
-    searches: int
-    roots: int
-    rechecks: int
-    evaluations: int
-    polishes: int
+    enumerations: list
     sppt: Optional[SpptVerdict] = None
 
 
@@ -450,13 +444,14 @@ def subtract_product_vectors(s: QubitQuditState) -> SubtractionResult:
     gives rho' <= rho and rho'^Gamma <= rho^Gamma, so range rho' lies in
     range rho, range rho'^Gamma in range rho^Gamma, and every product vector
     that qualifies for rho' qualifies for rho.  An enumeration therefore
-    runs afresh (``range_criterion._enumerate``: the roots where its gates
-    pass, else the sphere) only at the first iteration and after one that
-    was not exhaustive (the continuum case of fewer kernel constraints than
-    d, or a sphere search that reached ``ENUMERATION_CANDIDATES`` or ended
-    inconclusive); after an exhaustive one, its qubit directions are kept
-    and each qudit vector is re-solved against the remainder's constraints,
-    one batched SVD for them all and no polish (``range_criterion._recheck``); none
+    runs afresh (the roots where their gates pass, else the sphere) only at
+    the first iteration and after one that was not exhaustive (the
+    continuum case of fewer kernel constraints than d, or a sphere search
+    that reached ``ENUMERATION_CANDIDATES`` or ended inconclusive); after an
+    exhaustive one, its qubit directions are kept and each qudit vector is
+    re-solved against the remainder's constraints, one batched SVD for them
+    all and no polish.  That decision is ``range_criterion._enumerate``'s,
+    which the prover calls with its last enumeration each iteration.  None
     left within ``ENUMERATION_TOL`` means ``stalled``, as a fresh
     enumeration would find none either.
 
@@ -472,23 +467,15 @@ def subtract_product_vectors(s: QubitQuditState) -> SubtractionResult:
     scale0 = max(s.norm(), 1e-300)
     terms = []
     enumeration = None
-    searches = roots = rechecks = 0
-    effort = dict.fromkeys(("evaluations", "polishes"), 0)
+    records = []
     for iterations in range(budget + 1):
         status, detail, marginal = _exit(state, terms, scale0)
         if status is not None or iterations == budget:
             break
         trace = state.trace()
         con = range_criterion._constraints_of(state, range_criterion.ENUMERATION_KERNEL_CUTOFF)
-        if enumeration is not None and enumeration.exhaustive:
-            enumeration = range_criterion._recheck(state, con, enumeration)
-            rechecks += 1
-        else:
-            enumeration = range_criterion._enumerate(state, con)
-            searches += 1
-            roots += enumeration.search["method"] == "roots"
-        for key in effort:
-            effort[key] += enumeration.search[key]
+        enumeration = range_criterion._enumerate(state, con, enumeration)
+        records.append(enumeration.search)
         # Prefer subtractions that drain a qudit level (the certified exit),
         # then the largest admissible weight; greedy max-weight alone can
         # strand the remainder in an edge-like state.
@@ -506,9 +493,8 @@ def subtract_product_vectors(s: QubitQuditState) -> SubtractionResult:
     reduction = detail if status == "small_support" else Reduction(
         terms=terms, core=state, embed=np.eye(d, dtype=complex))
     return SubtractionResult(reduction=reduction, remainder=state, status=status,
-                             iterations=iterations, searches=searches, roots=roots,
-                             rechecks=rechecks,
-                             sppt=detail if status == "sppt_core" else None, **effort)
+                             iterations=iterations, enumerations=records,
+                             sppt=detail if status == "sppt_core" else None)
 
 
 def decompose_small(s: QubitQuditState) -> SeparableDecomposition:
@@ -621,13 +607,16 @@ def classify(s: QubitQuditState) -> Verdict:
 
     # 7: subtraction prover
     sub = subtract_product_vectors(s)
-    residuals["subtraction_evaluations"] = sub.evaluations
-    residuals["subtraction_polishes"] = sub.polishes
+    for key in ("evaluations", "polishes"):
+        residuals[f"subtraction_{key}"] = sum(record[key] for record in sub.enumerations)
+    methods = [record["method"] for record in sub.enumerations]
     log.append(f"subtraction: {sub.status} after {sub.iterations} subtractions and "
-               f"{sub.searches + sub.rechecks} enumerations "
-               f"({sub.searches - sub.roots} searched the sphere, {sub.roots} solved by roots, "
-               f"{sub.rechecks} re-checked; "
-               f"{sub.evaluations} evaluations, {sub.polishes} polishes), "
+               f"{len(methods)} enumerations "
+               f"({methods.count('sphere')} searched the sphere, "
+               f"{methods.count('roots')} solved by roots, "
+               f"{methods.count('recheck')} re-checked; "
+               f"{residuals['subtraction_evaluations']} evaluations, "
+               f"{residuals['subtraction_polishes']} polishes), "
                f"remainder norm {sub.remainder.norm():.3e}")
     outcome = _verdict_from_subtraction(s, sub, log, residuals)
     if outcome is not None:

@@ -16,18 +16,21 @@ made while classifying it, inner ones (a reduced core's) included, in
 call order and joined by ``;`` (``-`` for none):
 ``conclusion:evaluations:polishes:repr(certified_bound):repr(worst_min_residual)``,
 then, in the same form, one record per enumeration of the subtraction
-prover, ``range_criterion._enumerate`` and ``_recheck`` calls in call
-order: ``method:evaluations:polishes:exhaustive:found``, with ``found`` the
-number of vectors returned.  The method of an ``_enumerate`` record is its
-search record's, ``sphere`` (cells bounded) or ``roots`` (roots examined),
-and ``sphere`` where the record has none, as in checkouts before the root
-finder; a ``_recheck`` record's is ``recheck``: its evaluations are the
-directions it re-solved, and its polishes field always reads 0, as it
-re-solves each direction of the last enumeration by one SVD and polishes
-none.  The records are collected by wrapping
-``separability.edge_check`` and those two functions, names every checkout
-has.  A ``decompose_small`` input's line holds the sha1 of its
-certificate's JSON, or the name of the error it raised.
+prover, ``range_criterion._enumerate`` calls, and ``_recheck`` calls in
+checkouts that have it, in call order:
+``method:evaluations:polishes:exhaustive:found``, with ``found`` the
+number of vectors returned.  An enumeration record's method is its search
+record's: ``sphere`` (cells bounded), ``roots`` (roots examined) or
+``recheck`` (directions re-solved, each by one SVD, so its polishes field
+always reads 0).  Where the record has none, as in checkouts before the
+root finder, it is ``sphere`` for an ``_enumerate`` record and ``recheck``
+for a ``_recheck`` one.  The records are collected by wrapping
+``separability.edge_check`` and ``range_criterion._enumerate``, names
+every checkout has, and ``range_criterion._recheck`` where the checkout
+has it: before ``_enumerate`` took the last enumeration, the prover
+called ``_recheck`` for the re-solve.  A ``decompose_small`` input's line
+holds the sha1 of its certificate's JSON, or the name of the error it
+raised.
 ``--compare`` prints every label whose lines differ, or that only one file
 has, then each file's search work: the evaluations and polishes summed
 over both columns of every line, per method, as they count different
@@ -130,10 +133,10 @@ def fingerprint(src: Path, out: Path) -> int:
                                   repr(float(cert.worst_min_residual)))))
         return cert
 
-    def enumerating(search, method=None):
+    def enumerating(search, method="sphere"):
         def record(*args):
             result = search(*args)
-            enumerations.append(":".join((method or result.search.get("method", "sphere"),
+            enumerations.append(":".join((result.search.get("method", method),
                                           str(result.search["evaluations"]),
                                           str(result.search["polishes"]),
                                           str(result.exhaustive), str(len(result.found)))))
@@ -142,7 +145,8 @@ def fingerprint(src: Path, out: Path) -> int:
 
     separability.edge_check = recording
     range_criterion._enumerate = enumerating(range_criterion._enumerate)
-    range_criterion._recheck = enumerating(range_criterion._recheck, "recheck")
+    if hasattr(range_criterion, "_recheck"):
+        range_criterion._recheck = enumerating(range_criterion._recheck, "recheck")
     lines = []
     for label, s in _states():
         searches.clear()

@@ -44,7 +44,8 @@ def sphere_enumeration(state):
     """The same enumeration by the sphere's branch-and-bound, whatever the
     root finder would do."""
     con = range_criterion._constraints_of(state, range_criterion.ENUMERATION_KERNEL_CUTOFF)
-    return range_criterion._search(state, con, certify=False)
+    with mock.patch.object(range_criterion, "_roots", lambda con: None):
+        return range_criterion._enumerate(state, con)
 
 
 def record_calls(function, seen):
@@ -153,27 +154,63 @@ class TestEnumeration:
 class TestRecheck:
     def test_continuum_case_searches_afresh(self):
         # maximally_mixed(3) has no kernel: fewer constraint rows than d is
-        # the search's continuum case, which a re-check runs as a fresh search
+        # the continuum case, which the enumeration takes afresh even after
+        # an exhaustive one
         s = maximally_mixed(3)
         con = range_criterion._constraints_of(s, range_criterion.ENUMERATION_KERNEL_CUTOFF)
         assert con.n_rows == 0
-        fresh = range_criterion._search(s, con, certify=False)
-        again = range_criterion._recheck(s, con, fresh)
-        assert len(again.found) == len(fresh.found) == 18
-        assert not again.exhaustive
-        for a, b in zip(again.found, fresh.found):
-            assert np.array_equal(a.e, b.e) and np.array_equal(a.f, b.f)
+        fresh = range_criterion._enumerate(s, con)
+        assert fresh.search["method"] == "sphere" and not fresh.exhaustive
+        for previous in (fresh, dataclasses.replace(fresh, exhaustive=True)):
+            again = range_criterion._enumerate(s, con, previous)
+            assert len(again.found) == len(fresh.found) == 18
+            assert again.search == fresh.search and not again.exhaustive
+            for a, b in zip(again.found, fresh.found):
+                assert np.array_equal(a.e, b.e) and np.array_equal(a.f, b.f)
+
+    def test_an_exhaustive_previous_is_re_solved(self):
+        # random_separable(5, 7): the roots solve the first enumeration; given
+        # it, the same constraints re-solve its seven directions
+        state = random_separable(5, 7, seed=0)[0]
+        con = range_criterion._constraints_of(state, range_criterion.ENUMERATION_KERNEL_CUTOFF)
+        first = range_criterion._enumerate(state, con)
+        assert first.search["method"] == "roots" and first.exhaustive
+        again = range_criterion._enumerate(state, con, first)
+        assert again.search["method"] == "recheck" and again.exhaustive
+        assert again.search["evaluations"] == len(first.found) == 7
+        assert again.search["polishes"] == again.search["levels"] == 0
+        assert_same_vectors(again.found, first.found)
+
+    @pytest.mark.parametrize("roots", [True, False], ids=["roots", "sphere"])
+    def test_none_or_a_previous_not_exhaustive_enumerates_afresh(self, roots, monkeypatch):
+        # with no previous enumeration, or one that does not hold every
+        # qualifying vector, the enumeration is fresh: by the roots, or on
+        # the sphere where their gates fail
+        if not roots:
+            monkeypatch.setattr(range_criterion, "_roots", lambda con: None)
+        method = "roots" if roots else "sphere"
+        state = random_separable(5, 7, seed=0)[0]
+        con = range_criterion._constraints_of(state, range_criterion.ENUMERATION_KERNEL_CUTOFF)
+        first = range_criterion._enumerate(state, con)
+        assert first.search["method"] == method and first.exhaustive
+        capped = dataclasses.replace(first, found=first.found[:1], exhaustive=False)
+        for previous in (None, capped):
+            again = range_criterion._enumerate(state, con, previous)
+            assert again.search == first.search and again.exhaustive
+            assert_same_vectors(again.found, first.found)
 
     def test_recheck_re_solves_without_searching(self, monkeypatch):
         # the prover re-checks random_separable(3, 7, seed=2) once: the
         # re-check keeps the directions of the enumeration before it and
         # re-solves only the qudit vectors, with neither the search's cell
         # bounds nor its polish
-        recheck, rechecks, inside, forbidden = range_criterion._recheck, [], [], []
+        enumerate_, rechecks, inside, forbidden = range_criterion._enumerate, [], [], []
 
-        def rechecking(s, con, previous):
+        def rechecking(s, con, previous=None):
+            if previous is None or not previous.exhaustive:
+                return enumerate_(s, con, previous)
             inside.append(True)
-            result = recheck(s, con, previous)
+            result = enumerate_(s, con, previous)
             inside.pop()
             rechecks.append((con, previous, result))
             return result
@@ -187,7 +224,7 @@ class TestRecheck:
                 return original(*args)
             return call
 
-        monkeypatch.setattr(range_criterion, "_recheck", rechecking)
+        monkeypatch.setattr(range_criterion, "_enumerate", rechecking)
         for name in ("_mu_batch", "_polish"):
             monkeypatch.setattr(range_criterion, name, watched(name))
         subtract_product_vectors(random_separable(3, 7, seed=2)[0])
@@ -195,7 +232,7 @@ class TestRecheck:
         assert any(result.found for _, _, result in rechecks)
         for con, previous, result in rechecks:
             assert con.n_rows >= con.d
-            assert result.exhaustive
+            assert result.exhaustive and result.search["method"] == "recheck"
             assert result.search["evaluations"] == len(previous.found)
             assert result.search["polishes"] == result.search["first_order_exclusions"] == 0
             directions = {pv.e.tobytes() for pv in previous.found}
@@ -206,9 +243,10 @@ class TestRecheck:
         # every re-check the prover runs keeps the directions, and the qudit
         # vectors, that one _null_vector call per direction gives
         seen = []
-        with mock.patch.object(range_criterion, "_recheck",
-                               record_calls(range_criterion._recheck, seen)):
+        with mock.patch.object(range_criterion, "_enumerate",
+                               record_calls(range_criterion._enumerate, seen)):
             subtract_product_vectors(random_separable(d, n, seed=2)[0])
+        seen = [(args, result) for args, result in seen if result.search["method"] == "recheck"]
         assert seen
         for (s, con, previous), result in seen:
             one_by_one = [range_criterion._product_vectors_at(
@@ -233,7 +271,7 @@ class TestContinuum:
         s = random_separable(d, n, seed=seed)[0]
         con = range_criterion._constraints_of(s, range_criterion.ENUMERATION_KERNEL_CUTOFF)
         assert 0 < con.n_rows < d
-        result = range_criterion._search(s, con, certify=False)
+        result = range_criterion._enumerate(s, con)
         assert not result.exhaustive
         for e in range_criterion._CANONICAL:
             m = range_criterion._constraint_rows(con, e[None])[0]
@@ -256,7 +294,8 @@ class TestRecords:
         fresh = sphere_enumeration(state).search
         assert (roots["method"], fresh["method"]) == ("roots", "sphere")
         con = range_criterion._constraints_of(state, range_criterion.ENUMERATION_KERNEL_CUTOFF)
-        recheck = range_criterion._recheck(state, con, enumeration(state)).search
+        recheck = range_criterion._enumerate(state, con, enumeration(state)).search
+        assert recheck["method"] == "recheck"
         for record in (roots, fresh, recheck):
             assert "lipschitz" not in record and "mu_margin" not in record
         cert = edge_check(state).search
@@ -1172,12 +1211,14 @@ class TestEnumerationOutput:
 
 def prover_enumerations(state):
     """(remainder, constraints) of every enumeration the subtraction prover
-    runs afresh on ``state``, in call order."""
-    calls, fresh = [], range_criterion._enumerate
+    runs afresh on ``state``, not re-solving the last one, in call order."""
+    calls, enumerate_ = [], range_criterion._enumerate
 
-    def recording(s, con):
-        calls.append((s, con))
-        return fresh(s, con)
+    def recording(s, con, previous=None):
+        result = enumerate_(s, con, previous)
+        if result.search["method"] != "recheck":
+            calls.append((s, con))
+        return result
 
     with mock.patch.object(range_criterion, "_enumerate", recording):
         subtract_product_vectors(state)
@@ -1210,7 +1251,7 @@ class TestRoots:
         assert roots.search["levels"] == roots.search["first_order_exclusions"] == 0
         assert roots.search["polishes"] == 0 and roots.found
         assert all(pv.combined_residual <= range_criterion.ENUMERATION_TOL for pv in roots.found)
-        sphere_found = range_criterion._search(s, con, certify=False).found
+        sphere_found = range_criterion._sphere(s, con).found
         found = np.array([pv.e for pv in roots.found])
         assert sphere_found
         assert sphere._bloch_angle(np.array([pv.e for pv in sphere_found]), found).min(
@@ -1244,7 +1285,7 @@ class TestRoots:
         # and here a fourth direction lies in one: the search ends NoneFound,
         # exhaustive, with three
         s, con = finite_regime(random_separable(4, 9, seed=2)[0])
-        sphere_found = range_criterion._search(s, con, certify=False)
+        sphere_found = range_criterion._sphere(s, con)
         assert sphere_found.exhaustive and len(sphere_found.found) == 3
         found = range_criterion._enumerate(s, con).found
         assert len(found) == 4
@@ -1264,7 +1305,7 @@ class TestRoots:
         assert roots.search["method"] == "roots"
         assert roots.search["evaluations"] == d
         assert len(roots.found) == (d if k1 + k2 == d else 0)
-        sphere_found = range_criterion._search(s, con, certify=False).found
+        sphere_found = range_criterion._sphere(s, con).found
         assert len(sphere_found) == len(roots.found)
         if roots.found:
             assert sphere._bloch_angle(np.array([pv.e for pv in sphere_found]),
@@ -1280,7 +1321,7 @@ class TestRoots:
         assert range_criterion._roots(con) is None
         result = range_criterion._enumerate(s, con)
         assert result.search["method"] == "sphere"
-        assert_same_vectors(result.found, range_criterion._search(s, con, certify=False).found)
+        assert_same_vectors(result.found, range_criterion._sphere(s, con).found)
         return conds
 
     def test_a_vanishing_determinant_falls_back(self, monkeypatch):
@@ -1309,7 +1350,7 @@ class TestRoots:
         assert result.search["method"] == "roots" and len(result.found) == 6
         assert conds[0] > 10 * range_criterion._ROOT_COND
         assert conds[1] <= range_criterion._ROOT_COND
-        sphere_found = range_criterion._search(s, con, certify=False).found
+        sphere_found = range_criterion._sphere(s, con).found
         assert sphere._bloch_angle(np.array([pv.e for pv in sphere_found]),
                                    np.array([pv.e for pv in result.found])).min(
             axis=1).max() <= 1e-6

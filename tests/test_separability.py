@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spptkit import io, linalg, range_criterion, separability, sppt
+from spptkit import io, linalg, range_criterion, separability, sphere, sppt
 from spptkit.errors import (
     InvalidDecomposition,
     NotNormal,
@@ -241,20 +241,18 @@ class TestSubtraction:
 
 def _record_enumerations(monkeypatch):
     """Record every enumeration the prover makes, as ("search" | "recheck",
-    state, result), in call order."""
+    state, result), in call order: "recheck" where the enumeration re-solved
+    the previous one.  Each call must pass the result of the one before."""
     calls = []
-    fresh, recheck = range_criterion._enumerate, range_criterion._recheck
+    enumerate_ = range_criterion._enumerate
 
-    def searching(s, con):
-        calls.append(("search", s, fresh(s, con)))
-        return calls[-1][2]
+    def recording(s, con, previous=None):
+        assert previous is (calls[-1][2] if calls else None)
+        out = enumerate_(s, con, previous)
+        calls.append(("recheck" if out.search["method"] == "recheck" else "search", s, out))
+        return out
 
-    def rechecking(s, con, previous):
-        calls.append(("recheck", s, recheck(s, con, previous)))
-        return calls[-1][2]
-
-    monkeypatch.setattr(range_criterion, "_enumerate", searching)
-    monkeypatch.setattr(range_criterion, "_recheck", rechecking)
+    monkeypatch.setattr(range_criterion, "_enumerate", recording)
     return calls
 
 
@@ -288,8 +286,9 @@ class TestEnumerationReuse:
     ])
     def test_same_verdicts_as_fresh_searches(self, state, monkeypatch):
         reused = classify(state)
-        monkeypatch.setattr(range_criterion, "_recheck",
-                            lambda s, con, previous: range_criterion._enumerate(s, con))
+        enumerate_ = range_criterion._enumerate
+        monkeypatch.setattr(range_criterion, "_enumerate",
+                            lambda s, con, previous=None: enumerate_(s, con))
         fresh = classify(state)
         assert reused.classification == fresh.classification
         for verdict in (reused, fresh):
@@ -304,13 +303,13 @@ class TestEnumerationReuse:
         # edge_check
         state = svd_reduce(random_sppt(6, 4, normal_s=False, seed=0)[1]).core
         calls = []
-        search = range_criterion._search
+        search = sphere.search
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs["certify"])
-            return search(*args, **kwargs)
+        def counting(objective, threshold, limit, certify):
+            calls.append(certify)
+            return search(objective, threshold, limit, certify)
 
-        monkeypatch.setattr(range_criterion, "_search", counting)
+        monkeypatch.setattr(sphere, "search", counting)
         enumerations = _record_enumerations(monkeypatch)
         verdict = classify(state)
         assert verdict.classification == PPT_UNDECIDED
@@ -324,7 +323,8 @@ class TestEnumerationReuse:
         calls = _record_enumerations(monkeypatch)
         res = subtract_product_vectors(random_separable(d, n, seed=0)[0])
         assert res.status == "sppt_core"
-        assert res.rechecks >= 1 and res.searches + res.rechecks == len(calls)
+        assert res.enumerations == [out.search for _, _, out in calls]
+        assert [kind for kind, _, _ in calls].count("recheck") >= 1
         _assert_rechecks_follow_exhaustive(calls)
         rechecked = [(s, out.found) for kind, s, out in calls if kind == "recheck"]
         assert sum(len(found) for _, found in rechecked) > 0
@@ -347,7 +347,7 @@ class TestEnumerationReuse:
         assert continuum
         assert all(calls[i + 1][0] == "search" for i in continuum)
         _assert_rechecks_follow_exhaustive(calls)
-        assert res.searches + res.rechecks == len(calls)
+        assert res.enumerations == [out.search for _, _, out in calls]
 
     def test_capped_enumeration_is_followed_by_a_search(self, monkeypatch):
         # the cap is the sphere's: a failed gate of the root finder sends
@@ -359,7 +359,7 @@ class TestEnumerationReuse:
         assert len(calls) >= 2
         assert all(len(out.found) == 1 and not out.exhaustive for _, _, out in calls[:-1])
         assert [kind for kind, _, _ in calls] == ["search"] * len(calls)
-        assert (res.searches, res.rechecks) == (len(calls), 0)
+        assert [record["method"] for record in res.enumerations] == ["sphere"] * len(calls)
 
     def test_root_enumeration_is_followed_by_a_recheck(self, monkeypatch):
         # random_separable(4, 7, seed=0): two continuum enumerations, then
@@ -371,9 +371,7 @@ class TestEnumerationReuse:
         assert calls[2][2].exhaustive and len(calls[2][2].found) == 6
         assert calls[3][0] == "recheck"
         _assert_rechecks_follow_exhaustive(calls)
-        assert (res.searches, res.roots, res.rechecks) == (
-            methods.count("sphere") + methods.count("roots"), methods.count("roots"),
-            methods.count("recheck"))
+        assert [record["method"] for record in res.enumerations] == methods
 
 
 def _fails_positivity_rule(rho, d):
@@ -483,9 +481,9 @@ class TestRankCount:
         assert v.classification == SEPARABLE
         v.certificate.validate(state.rho, tol=TOL_FLOOR)
         ((_, sub),) = runs
-        assert (sub.status, sub.iterations, sub.searches, sub.rechecks) == (
-            "sppt_core", k, 1, k - 1)
-        assert sub.roots == 1
+        assert (sub.status, sub.iterations) == ("sppt_core", k)
+        methods = [record["method"] for record in sub.enumerations]
+        assert methods == ["roots"] + ["recheck"] * (k - 1)
 
     @pytest.mark.parametrize("d", [4, 5, 6])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -729,8 +727,7 @@ class TestDrainsLevel:
                 return out
             return enumeration
 
-        for name in ("_enumerate", "_recheck"):
-            monkeypatch.setattr(range_criterion, name, recording(getattr(range_criterion, name)))
+        monkeypatch.setattr(range_criterion, "_enumerate", recording(range_criterion._enumerate))
         subtract_product_vectors(state)
         ranked = 0
         for s, e, f in met:
@@ -874,19 +871,24 @@ class TestClassify:
 
     def test_subtraction_line_adds_up(self, monkeypatch):
         # "after N subtractions and M enumerations (X searched the sphere, R
-        # solved by roots, Y re-checked; ...)": X + R + Y = M, and N is the
-        # number of terms
+        # solved by roots, Y re-checked; E evaluations, P polishes)": X + R +
+        # Y = M, the methods of the prover's records, E and P their sums and
+        # the two subtraction_* residuals, and N the number of terms
         runs = _record_prover(monkeypatch)
         v = classify(random_separable(4, 7, seed=0)[0])
         line = next(entry for entry in v.trace_log if entry.startswith("subtraction:"))
         match = re.search(r" after (\d+) subtractions and (\d+) enumerations "
-                          r"\((\d+) searched the sphere, (\d+) solved by roots, (\d+) re-checked; ",
-                          line)
-        n, m, x, r, y = map(int, match.groups())
+                          r"\((\d+) searched the sphere, (\d+) solved by roots, (\d+) re-checked; "
+                          r"(\d+) evaluations, (\d+) polishes\)", line)
+        n, m, x, r, y, evaluations, polishes = map(int, match.groups())
         ((_, sub),) = runs
-        assert x + r + y == m and r > 0
-        assert (x + r, r, y) == (sub.searches, sub.roots, sub.rechecks)
+        methods = [record["method"] for record in sub.enumerations]
+        assert x + r + y == m == len(methods) and r > 0 and y > 0
+        assert (x, r, y) == tuple(map(methods.count, ("sphere", "roots", "recheck")))
         assert n == len(sub.reduction.terms) == sub.iterations
+        for key, count in (("evaluations", evaluations), ("polishes", polishes)):
+            total = sum(record[key] for record in sub.enumerations)
+            assert v.residuals[f"subtraction_{key}"] == count == total
 
     def test_counterexample_2x4_separable_class(self):
         v = classify(sppt_counterexample_2x4())
@@ -982,15 +984,14 @@ class TestClassify:
         # fresh search, by the roots, then one re-check per further
         # subtraction or, at the core, before it stalls)
         records = []
-        for name in ("_enumerate", "_recheck"):
-            real = getattr(range_criterion, name)
+        enumerate_ = range_criterion._enumerate
 
-            def recording(*args, real=real):
-                out = real(*args)
-                records.append(out.search)
-                return out
+        def recording(*args):
+            out = enumerate_(*args)
+            records.append(out.search)
+            return out
 
-            monkeypatch.setattr(range_criterion, name, recording)
+        monkeypatch.setattr(range_criterion, "_enumerate", recording)
         report = json.loads(json.dumps(io.verdict_to_dict(classify(state))))
         assert report["class"] == verdict
         assert len(records) == enumerations
