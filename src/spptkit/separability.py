@@ -77,6 +77,9 @@ class SeparableDecomposition:
         return total.transpose(0, 2, 1, 3).reshape(2 * d, 2 * d)
 
     def reconstruction_residual(self, rho: np.ndarray) -> float:
+        """||sum of the terms - rho||_F; with no terms, ||rho||_F."""
+        if not self.terms:
+            return linalg.frob(rho)
         return linalg.frob(self.reconstruct() - rho)
 
     def _factor_stacks(self):

@@ -29,7 +29,7 @@ CELL_FLOOR = 1e-9                  # polar width (rad) below which a cell is not
 EVALUATION_CAP = 100_000           # cells bounded per search
 _INITIAL_CELLS = (8, 16)           # polar x azimuthal cells of the first level
 _POLISH_PER_LEVEL = 2              # polishes per level above the threshold (at most limit)
-_BASIN = 1e-3                      # least radius (Bloch angle, rad) of a found direction's basin
+_BASIN = 1e-3                      # radius (Bloch angle, rad) of a found direction's basin
 _SAME = 1e-6                       # Bloch angle (rad) within which two directions are one
 
 
@@ -183,9 +183,10 @@ def search(objective, threshold: float, limit: int, certify: bool) -> Search:
     limit) from centres above the threshold and ``_POLISH_PER_LEVEL`` +
     limit in all, a cap that excludes nothing, as an unpolished cell stays
     open.  A polished value at most ``threshold`` is a found direction.
-    Its basin, the ball out to the farthest polish start that converged to
-    it and at least ``_BASIN``, takes no further polish start, and open
-    cells wholly inside it are dropped.  The other open cells are split by
+    Its basin, the ball of Bloch angle ``_BASIN`` round it, takes no
+    further polish start, and open cells wholly inside it are dropped; a
+    polish that lands within ``_SAME`` of a found direction finds nothing
+    new.  The other open cells are split by
     ``_children`` along the axes that set their radius (``_split``), so
     cells near the poles are not cut into slivers along phi.  The search
     stops once ``limit`` directions are found, every cell is excluded or
@@ -204,7 +205,7 @@ def search(objective, threshold: float, limit: int, certify: bool) -> Search:
     lip = objective.lipschitz
     found, minima = [], []
     theta, phi, h_theta, h_phi, e, radius = _FIRST_LEVEL
-    known, radii = np.empty((0, 2), dtype=complex), np.empty(0)
+    known = np.empty((0, 2), dtype=complex)
     bound = worst = np.inf
     work = dict.fromkeys(("evaluations", "levels", "first_order", "polishes"), 0)
     conclusion = "NoneFound"
@@ -223,25 +224,17 @@ def search(objective, threshold: float, limit: int, certify: bool) -> Search:
             if (len(found) >= limit or attempts >= _POLISH_PER_LEVEL + limit
                     or (attempts >= min(_POLISH_PER_LEVEL, limit) and value[i] > threshold)):
                 break
-            if (_bloch_angle(e[i], known) < radii).any():
+            if (_bloch_angle(e[i], known) < _BASIN).any():
                 continue
             attempts += 1
             work["polishes"] += 1
             e_pol, payload, value_pol = objective.polish(e[i], starts[i], certify)
             minima.append(_minimum_record(e_pol, value_pol))
             worst = min(worst, value_pol)
-            if value_pol > threshold:
-                continue
-            # A start that converged to a direction widens that direction's basin.
-            start = float(_bloch_angle(e[i], e_pol[None, :])[0])
-            same = np.flatnonzero(_bloch_angle(e_pol, known) < _SAME)
-            if len(same):
-                radii[same[0]] = max(radii[same[0]], start)
-            else:
+            if value_pol <= threshold and not (_bloch_angle(e_pol, known) < _SAME).any():
                 found.append((e_pol, payload))
                 known = np.vstack([known, e_pol])
-                radii = np.append(radii, max(start, _BASIN))
-        open_ &= ~(_bloch_angle(e, known) + radius[:, None] <= radii).any(axis=1)
+        open_ &= ~(_bloch_angle(e, known) + radius[:, None] <= _BASIN).any(axis=1)
         if len(found) >= limit:
             conclusion = "Found"
             break

@@ -1280,20 +1280,22 @@ class TestRoots:
             assert mu <= 1e-10
             assert sphere._bloch_angle(polished[None, :], e[None, :])[0, 0] <= 1e-9
 
-    def test_the_vector_a_basin_drops(self):
+    def test_no_basin_drops_a_vector(self):
         # the sphere drops the open cells inside a found direction's basin,
-        # and here a fourth direction lies in one: the search ends NoneFound,
-        # exhaustive, with three
+        # a ball of Bloch angle _BASIN: here a fourth direction lies 0.9 rad
+        # from the other three, and the sphere finds all four roots,
+        # exhaustive
         s, con = finite_regime(random_separable(4, 9, seed=2)[0])
+        roots = range_criterion._enumerate(s, con)
+        assert roots.search["method"] == "roots" and len(roots.found) == 4
         sphere_found = range_criterion._sphere(s, con)
-        assert sphere_found.exhaustive and len(sphere_found.found) == 3
-        found = range_criterion._enumerate(s, con).found
-        assert len(found) == 4
-        angles = sphere._bloch_angle(np.array([pv.e for pv in found]),
-                                     np.array([pv.e for pv in sphere_found.found])).min(axis=1)
-        (missed,) = np.flatnonzero(angles > 1e-6)
-        assert angles[missed] > 0.9
-        assert range_criterion._null_vector(con, found[missed].e)[1] <= 1e-14
+        assert sphere_found.exhaustive and len(sphere_found.found) == 4
+        found = np.array([pv.e for pv in roots.found])
+        angles = sphere._bloch_angle(found, np.array([pv.e for pv in sphere_found.found]))
+        assert angles.min(axis=1).max() <= 1e-6
+        apart = sphere._bloch_angle(found, found)
+        np.fill_diagonal(apart, np.inf)
+        assert apart.min(axis=1).max() > 0.9
 
     @pytest.mark.parametrize("d, k1, k2", [(3, 3, 0), (3, 0, 3), (4, 5, 0)])
     def test_one_empty_kernel_part_is_a_pencil(self, d, k1, k2, monkeypatch):

@@ -784,6 +784,16 @@ class TestValidate:
         with pytest.raises(InvalidDecomposition, match="misses"):
             SeparableDecomposition(terms=dec.terms[1:]).validate(rho, tol=TOL_FLOOR)
 
+    def test_no_terms_miss_the_whole_state(self):
+        # an empty decomposition reconstructs zero: it misses a nonzero state
+        # by the state's norm, and a zero state not at all
+        rho = maximally_mixed(4).rho
+        empty = SeparableDecomposition(terms=[])
+        assert empty.reconstruction_residual(rho) == linalg.frob(rho)
+        with pytest.raises(InvalidDecomposition, match="misses"):
+            empty.validate(rho)
+        assert empty.validate(np.zeros_like(rho)) == 0.0
+
 
 class TestDecompositionResidual:
     """Every Separable verdict records the residual of the validation that

@@ -91,6 +91,14 @@ class TestTwoZeros:
         assert sorted(payload for _, payload in result.found) == [0, 1]
         assert result.work["levels"] > 1
 
+    def test_finds_two_close_zeros(self):
+        # zeros 0.1 rad apart: a polish that converges to one from a start
+        # near the other must not hide the other behind a basin
+        points = sphere._bloch(np.array([1.0, 1.1]), np.array([2.0, 2.0]))
+        result = sphere.search(TwoZeros(points), 1e-6, 8, certify=False)
+        assert result.conclusion == "NoneFound"
+        assert sorted(payload for _, payload in result.found) == [0, 1]
+
 
 class TestFirstLevel:
     def test_is_one_read_only_grid(self):
