@@ -740,7 +740,8 @@ def _roots(con: _Constraints):
     return (e[keep], np.conj(vh[keep, d - 1])), len(y)
 
 
-def _enumerate(s: QubitQuditState, con: _Constraints, previous=None) -> _Enumeration:
+def _enumerate(s: QubitQuditState, con: _Constraints,
+               previous: _Enumeration | None = None) -> _Enumeration:
     """The prover's candidates, product vectors in both ranges of ``s``, best
     first, and their record, on ``s``'s constraints ``con`` at
     ``ENUMERATION_KERNEL_CUTOFF``; ``previous`` is the prover's last

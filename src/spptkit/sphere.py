@@ -186,9 +186,9 @@ def search(objective, threshold: float, limit: int, certify: bool) -> Search:
     Its basin, the ball of Bloch angle ``_BASIN`` round it, takes no
     further polish start, and open cells wholly inside it are dropped; a
     polish that lands within ``_SAME`` of a found direction finds nothing
-    new.  The other open cells are split by
-    ``_children`` along the axes that set their radius (``_split``), so
-    cells near the poles are not cut into slivers along phi.  The search
+    new.  The other open cells are split by ``_children`` along the axes
+    that set their radius (``_split``), so cells near the poles are not cut
+    into slivers along phi.  The search
     stops once ``limit`` directions are found, every cell is excluded or
     dropped, or an open cell's polar width is below ``CELL_FLOOR`` or the
     next level's children would take the evaluations past
