@@ -119,7 +119,6 @@ def _cmd_classify(args) -> int:
                 "exclusion_threshold": range_criterion.EXCLUSION_THRESHOLD,
                 "kernel_cutoff": range_criterion.KERNEL_CUTOFF,
                 "enumeration_kernel_cutoff": range_criterion.ENUMERATION_KERNEL_CUTOFF,
-                "enumeration_candidates": range_criterion.ENUMERATION_CANDIDATES,
                 "enumeration_tol": range_criterion.ENUMERATION_TOL,
                 "support_cutoff": separability.SUPPORT_CUTOFF,
                 "weight_floor": separability.WEIGHT_FLOOR,

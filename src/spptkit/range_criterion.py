@@ -14,11 +14,10 @@ vanishes exactly when a qualifying product vector exists at e.  The qubit
 direction is a point of the Bloch sphere, e = (cos(theta/2),
 e^{i phi} sin(theta/2)); mu does not depend on the phase of e.
 
-``edge_check`` and the enumeration's fallback, ``_sphere``, search the
-sphere through the Bloch-sphere branch-and-bound of ``sphere``: this
-module supplies its objective, mu, as ``_Constraints``, with a lower bound
-on mu over cells (``_mu_batch``) and a Gauss-Newton polish on M(e) f = 0
-(``_polish``).  The bound at the centre
+``edge_check`` searches the sphere through the Bloch-sphere
+branch-and-bound of ``sphere``: this module supplies its objective, mu, as
+``_Constraints``, with a lower bound on mu over cells (``_mu_batch``) and a
+Gauss-Newton polish on M(e) f = 0 (``_polish``).  The bound at the centre
 comes from the d x d Gram matrix G(e) = M(e)^dag M(e), whose least
 eigenvalue is mu^2: G(e) is a fixed combination of four precomputed
 blocks, so a batch of centres costs one matrix product and one batched
@@ -32,29 +31,30 @@ LDL^H factorization (``linalg.positive_definite``), several times cheaper,
 wherever the search has a finite line to test against: all pivots positive
 proves that the eigensolve would give a bound too large to change what the
 search reports, so only the other cells are solved.  ``edge_check`` stops
-at the first product vector at ``EXCLUSION_THRESHOLD``; the subtraction
-prover's enumeration (``_enumerate``) wants every qualifying vector with
-residual at most ``ENUMERATION_TOL``, against the wider kernel at
-``ENUMERATION_KERNEL_CUTOFF``.  With at least d constraint rows there are
-finitely many, generically (Kraus, Cirac, Karnas and Lewenstein, PRA 61,
-062302, 2000), the roots of a polynomial system in the qubit direction,
-and ``_roots`` finds them all with one eigensolve of a resultant's
-companion matrix, and their qudit vectors, unpolished, with one batched
-SVD; where one of its gates fails (a determinant that vanishes to
-rounding, a leading coefficient ill-conditioned at both of its shifts or
-an ambiguous root), the enumeration searches the sphere for up to
-``ENUMERATION_CANDIDATES`` vectors.  An enumeration is exhaustive when
-the roots solved it, or when it searched the sphere (at least d
-constraint rows), every cell was excluded or dropped, and it found fewer
-than ``ENUMERATION_CANDIDATES`` vectors.  The prover
-subtracts a product term and keeps the remainder and its partial transpose
-PSD, so both ranges only shrink and every qualifying vector of the
-remainder qualifies for the state before; given an exhaustive previous
+at the first product vector at ``EXCLUSION_THRESHOLD``.
+
+The subtraction prover's enumeration (``_enumerate``) searches nothing.  It
+wants every qualifying vector with residual at most ``ENUMERATION_TOL``,
+against the wider kernel at ``ENUMERATION_KERNEL_CUTOFF``.  With at least
+d constraint rows there are finitely many, generically (Kraus, Cirac,
+Karnas and Lewenstein, PRA 61, 062302, 2000), the roots of a polynomial
+system in the qubit direction, and ``_roots`` finds them all with one
+eigensolve of a resultant's companion matrix, and their qudit vectors,
+unpolished, with one batched SVD; such an enumeration is exhaustive.
+Where one of its gates fails (a determinant that vanishes to rounding, a
+leading coefficient ill-conditioned at both of its shifts or an ambiguous
+root), the qualifying set is not known to be finite.  There, as with fewer
+constraint rows than d, where mu vanishes identically, the enumeration
+takes the null vectors at six canonical directions (``_continuum``, which
+``edge_check`` takes in the continuum case too) and is not exhaustive;
+with at least d rows, each direction, and a seventh, is first polished
+onto the zero set of mu.  The prover subtracts a product term and keeps
+the remainder and its partial transpose PSD, so both ranges only shrink
+and every qualifying vector of the remainder qualifies for the state
+before; given an exhaustive previous
 enumeration, ``_enumerate`` keeps each direction it found and re-solves its
 qudit vector against the remainder's constraints, all in one batched SVD,
-instead of searching again; what it keeps is again exhaustive.  With fewer
-constraint rows than d, mu vanishes identically and both ``edge_check`` and
-``_enumerate`` take the same canonical vectors (``_continuum``).  Every
+instead of enumerating again; what it keeps is again exhaustive.  Every
 candidate's residuals are recomputed from the definitions in one pass over
 the enumeration (``_product_vectors_at``).  When every cell is excluded
 ``edge_check`` concludes ``NoneFound`` with a lower bound on mu
@@ -83,10 +83,8 @@ from .states import QubitQuditState
 EXCLUSION_THRESHOLD = 1e-6
 KERNEL_CUTOFF = 1e-10
 # The enumeration behind the subtraction prover: a looser kernel cutoff than
-# the range criterion's, and candidates within residual 1e-7, up to eight
-# where the sphere is searched (the roots keep every one).
+# the range criterion's, and candidates within residual 1e-7.
 ENUMERATION_KERNEL_CUTOFF = 1e-8
-ENUMERATION_CANDIDATES = 8
 ENUMERATION_TOL = 1e-7
 _POLISH_ITERATIONS = 30
 _POLISH_STALL = 3                  # steps without halving the residual before giving up
@@ -95,14 +93,15 @@ _SLICE = 1024                      # cells formed, tested and solved together
 _UNIT = np.array([[1.0], [1j]])    # a complex unknown's real and imaginary column
 # The enumeration's root finder (``_roots``): its fixed qubit frame U, its
 # Moebius shifts sigma (the second tried where the first fails the cond
-# gate), the node whose powers combine surplus constraint rows, and its
-# three gates.
+# gate), the node whose powers combine surplus constraint rows, its three
+# gates, and the Bloch angle within which two roots are one.
 _FRAME = np.array([[0.8, -0.36 + 0.48j], [0.36 + 0.48j, 0.8]])
 _SHIFTS = (0.3 - 0.2j, -1.0)
 _NODE = np.exp(2j * np.pi * 0.6180339887498949)
 _ROOT_DET = 1e-8                   # |det| over Hadamard's bound above which p is not = 0
 _ROOT_COND = 1e3                   # largest condition number of the shifted leading coefficient
 _ROOT_MU = 1e-4                    # mu at a root below which it must qualify
+_SAME = 1e-6                       # Bloch angle (rad) within which two directions are one
 
 
 @dataclass(frozen=True)
@@ -235,8 +234,8 @@ class _Constraints:
     def bounds(self, e_batch, radius, above):
         return _mu_batch(self, e_batch, radius, above)
 
-    def polish(self, e, start, certify):
-        return _polish(self, e, start, certify)
+    def polish(self, e, start):
+        return _polish(self, e, start)
 
 
 def _constraints_of(s: QubitQuditState, cutoff: float) -> _Constraints:
@@ -467,7 +466,7 @@ def _null_vector(con: _Constraints, e: np.ndarray) -> tuple[np.ndarray, float]:
     return np.conj(vh[con.d - 1]), float(sigma[con.d - 1])
 
 
-def _polish(con: _Constraints, e: np.ndarray, f: np.ndarray, certify: bool):
+def _polish(con: _Constraints, e: np.ndarray, f: np.ndarray):
     """Gauss-Newton on the bilinear system M(e) f = 0, from unit e and f.
 
     Each step solves the real least-squares linearization for a move t of
@@ -475,16 +474,14 @@ def _polish(con: _Constraints, e: np.ndarray, f: np.ndarray, certify: bool):
     phase) and a move of f orthogonal to f (the gauge f^H df = 0); it
     converges quadratically onto a zero of mu.  It stops at the first of
     three rules: the residual ||M(e) f|| is at most ``_POLISH_TOL``;
-    ``_POLISH_STALL`` steps in a row have not halved the best residual;
-    or, for a polish of a search that ``certify``s (``edge_check``), a
-    step whose own linear model cannot halve the residual has been taken,
-    that is, the residual ``lstsq`` reports for the linearization is
-    above half the residual it started from.  There the iterate after the
-    step is still evaluated, and then the polish stops.  Where ``lstsq``
-    reports no residual (a square system, n_rows = d, or a rank-deficient
-    one) only the first two rules apply, as they do to every polish of
-    the enumeration.  Returns ``(e, f, mu(e))`` at the
-    best iterate, with f the null vector of M(e) there.
+    ``_POLISH_STALL`` steps in a row have not halved the best residual; or
+    a step whose own linear model cannot halve the residual has been
+    taken, that is, the residual ``lstsq`` reports for the linearization
+    is above half the residual it started from.  There the iterate after
+    the step is still evaluated, and then the polish stops.  Where
+    ``lstsq`` reports no residual (a square system, n_rows = d, or a
+    rank-deficient one) only the first two rules apply.  Returns ``(e, f,
+    mu(e))`` at the best iterate, with f the null vector of M(e) there.
 
     After a step that has not halved the best residual, and that the
     polish does not stop at, f is re-solved at the new e: the least right
@@ -543,7 +540,7 @@ def _polish(con: _Constraints, e: np.ndarray, f: np.ndarray, certify: bool):
         np.multiply((m.T[1:] - np.outer(w, m @ v))[:, None], _UNIT, out=moves)
         x, model = np.linalg.lstsq(system, -r.view(float), rcond=None)[:2]
         # model holds the squared residual of the linearization, or nothing
-        last = certify and len(model) > 0 and float(np.sqrt(model[0])) > 0.5 * norm
+        last = len(model) > 0 and float(np.sqrt(model[0])) > 0.5 * norm
         t = complex(x[0], x[1])
         e0, e1 = e0 - t * c1, e1 + t * c0
         scale = math.hypot(e0.real, e0.imag, e1.real, e1.imag)
@@ -585,9 +582,9 @@ _CANONICAL = np.array([sphere._bloch(theta, phi) for theta, phi in (
 
 @dataclass(frozen=True)
 class _Enumeration:
-    """What ``_enumerate`` returns: the vectors, best first, its search
-    record, and whether the vectors are every qualifying one (see the
-    module docstring)."""
+    """What ``_enumerate`` returns: the vectors, best first (the canonical
+    directions' in ``_continuum``'s order), its search record, and whether
+    the vectors are every qualifying one (see the module docstring)."""
 
     found: list
     search: dict
@@ -595,36 +592,33 @@ class _Enumeration:
 
 
 def _continuum(s: QubitQuditState, con: _Constraints) -> list:
-    """The product vectors of the continuum case, fewer constraint rows than
-    d, where M(e) has a nullspace at every e and mu vanishes identically.
-    Nothing is searched: they are an orthonormal basis of the nullspace at
-    each of six canonical directions, best residual first (uncapped, at
-    most 6d vectors), from one batched SVD, with the rank cut of
-    ``linalg.nullspace``."""
-    _, sigma, vh = np.linalg.svd(_constraint_rows(con, _CANONICAL))
-    pairs = [(e, np.conj(v)) for e, values, rows in zip(_CANONICAL, sigma, vh)
-             for v in rows[linalg._rank(values, linalg.NULL_CUTOFF):][::-1]]
-    return _product_vectors_at(s, con, *zip(*pairs))
+    """The product vectors at six canonical directions, from one batched
+    SVD: an orthonormal basis of the nullspace of M(e) at each, best
+    residual first (uncapped), with the rank cut of ``linalg.nullspace``.
+    Nothing is searched: no cell is bounded or split.
 
-
-def _sphere(s: QubitQuditState, con: _Constraints) -> _Enumeration:
-    """The enumeration by ``sphere.search`` on the objective ``con``, where
-    ``_roots`` does not solve it; needs n_rows >= d.
-
-    It runs at ``threshold`` = ``ENUMERATION_TOL`` and ``limit`` =
-    ``ENUMERATION_CANDIDATES``.  Each polish starts from its centre's
-    eigenvector of lambda_1(G), which ``_mu_batch`` computed (every open
-    cell was eigensolved), and keeps the stall rule alone (``_polish``), as
-    where it gives up decides which vectors the prover sees.  The polish
-    cap bounds the work in a near-miss valley, where the floor of mu_lo at
-    sqrt(con.margin) can read every centre as at the threshold.  The
-    enumeration is exhaustive when the search ends ``NoneFound``.
+    With fewer constraint rows than d (the continuum case), M(e) has a
+    nullspace at every e and mu vanishes identically, so the directions are
+    taken as they are.  With at least d rows (the enumeration where
+    ``_roots`` fails a gate), each is first moved onto the zero set of mu by
+    one ``_polish`` from its ``_null_vector``, and so is a seventh
+    direction, the centre of least mu among the 112 of
+    ``sphere._FIRST_LEVEL`` (one batched SVD): where the zero set is a
+    small curve (2 x 2 remainders with one kernel row per part), every
+    canonical direction's polish can end in a local minimum of mu off it.
+    A direction whose polish ends off the zero set has no null vector and
+    gives none, so this may return nothing.
     """
-    result = sphere.search(con, ENUMERATION_TOL, ENUMERATION_CANDIDATES, certify=False)
-    found = _product_vectors_at(s, con, [e for e, _ in result.found],
-                                [f for _, f in result.found])
-    return _Enumeration(_best_first(found), _search_record(con, "sphere", **result.work),
-                        exhaustive=result.conclusion == "NoneFound")
+    es = _CANONICAL
+    if con.n_rows >= s.d:
+        cells = sphere._FIRST_LEVEL[4]
+        mu = np.linalg.svd(_constraint_rows(con, cells), compute_uv=False)[:, s.d - 1]
+        es = np.array([_polish(con, e, _null_vector(con, e)[0])[0]
+                       for e in (*_CANONICAL, cells[np.argmin(mu)])])
+    _, sigma, vh = np.linalg.svd(_constraint_rows(con, es))
+    pairs = [(e, np.conj(v)) for e, values, rows in zip(es, sigma, vh)
+             for v in rows[linalg._rank(values, linalg.NULL_CUTOFF):][::-1]]
+    return _product_vectors_at(s, con, [e for e, _ in pairs], [f for _, f in pairs])
 
 
 def _search_record(con: _Constraints, method: str, evaluations: int = 0, levels: int = 0,
@@ -685,7 +679,7 @@ def _roots(con: _Constraints):
     vector f, the least right singular vector; a root qualifies when its mu
     is at most ``ENUMERATION_TOL``, unpolished.  Gate: no root is
     ambiguous, with mu above ``ENUMERATION_TOL`` but below ``_ROOT_MU``,
-    and no two qualifying roots are within ``sphere._SAME`` of each other.
+    and no two qualifying roots are within ``_SAME`` of each other.
     The roots certify nothing: a missed root costs the prover a candidate,
     never soundness.
     """
@@ -735,7 +729,7 @@ def _roots(con: _Constraints):
     keep = np.flatnonzero(mu <= ENUMERATION_TOL)
     apart = sphere._bloch_angle(e[keep], e[keep])
     np.fill_diagonal(apart, np.inf)
-    if (apart < sphere._SAME).any():
+    if (apart < _SAME).any():
         return None
     return (e[keep], np.conj(vh[keep, d - 1])), len(y)
 
@@ -749,9 +743,9 @@ def _enumerate(s: QubitQuditState, con: _Constraints,
     None.
 
     With fewer constraint rows than d they are the continuum's vectors
-    (``_continuum``), not exhaustive, in a record of method "sphere" with
-    no work.  After an exhaustive ``previous``, every qualifying vector of
-    ``s`` qualifies for the earlier state, so its qubit direction is one of
+    (``_continuum``), not exhaustive, in a record of method "canonical"
+    with no work.  After an exhaustive ``previous``, every qualifying vector
+    of ``s`` qualifies for the earlier state, so its qubit direction is one of
     ``previous``'s: each of those directions is kept unchanged, its qudit
     vector re-solved as the least right singular vector of M(e) (one
     batched SVD for every direction, no polish), and the vector kept when
@@ -761,10 +755,14 @@ def _enumerate(s: QubitQuditState, con: _Constraints,
     evaluations.  Otherwise, where the gates of ``_roots`` pass, they are
     every qualifying vector, uncapped, and exhaustive; the record, of
     method "roots", counts the roots examined as evaluations and no
-    polish.  Where a gate fails, ``_sphere`` finds them on the sphere.
+    polish.  Where a gate fails, the qualifying set is not known to be
+    finite, and the vectors are ``_continuum``'s at its seven polished
+    directions, not exhaustive, in a record of method "canonical" that
+    counts the first-level centres as evaluations and the seven polishes.
     """
     if con.n_rows < s.d:
-        return _Enumeration(_continuum(s, con), _search_record(con, "sphere"), exhaustive=False)
+        return _Enumeration(_continuum(s, con), _search_record(con, "canonical"),
+                            exhaustive=False)
     if previous is not None and previous.exhaustive:
         es = np.array([pv.e for pv in previous.found]).reshape(-1, 2)
         fs = np.conj(np.linalg.svd(_constraint_rows(con, es))[2][:, s.d - 1])
@@ -774,7 +772,10 @@ def _enumerate(s: QubitQuditState, con: _Constraints,
                             exhaustive=True)
     roots = _roots(con)
     if roots is None:
-        return _sphere(s, con)
+        return _Enumeration(_continuum(s, con),
+                            _search_record(con, "canonical", len(sphere._FIRST_LEVEL[0]),
+                                           polishes=len(_CANONICAL) + 1),
+                            exhaustive=False)
     found, examined = roots
     return _Enumeration(_best_first(_product_vectors_at(s, con, *found)),
                         _search_record(con, "roots", examined), exhaustive=True)
@@ -791,7 +792,7 @@ def edge_check(s: QubitQuditState) -> RangeSearchCertificate:
     ``sphere.EVALUATION_CAP`` with neither outcome.
 
     ``sphere.search`` runs on the objective at ``KERNEL_CUTOFF`` and stops
-    at ``limit`` = 1 vector, so it polishes at most one centre above the
+    at the first vector found, so it polishes at most one centre above the
     threshold per level (its NoneFound inputs fail every such polish).
     Each polish starts from its centre's eigenvector of lambda_1(G), and
     stops after a step whose linear model cannot halve the residual
@@ -811,11 +812,11 @@ def edge_check(s: QubitQuditState) -> RangeSearchCertificate:
         found = _continuum(s, con)
         residual = found[0].combined_residual
         return RangeSearchCertificate(
-            search={**_search_record(con, "sphere"), **margins}, certified_bound=0.0,
+            search={**_search_record(con, "canonical"), **margins}, certified_bound=0.0,
             worst_min_residual=residual,
             refined_minima=[sphere._minimum_record(found[0].e, residual)],
             conclusion="FoundProductVector", found=found)
-    result = sphere.search(con, EXCLUSION_THRESHOLD, 1, certify=True)
+    result = sphere.search(con, EXCLUSION_THRESHOLD)
     found = _best_first(_product_vectors_at(s, con, [e for e, _ in result.found],
                                             [f for _, f in result.found]))
     return RangeSearchCertificate(

@@ -27,10 +27,11 @@ constructively certified case.  Such a subtraction leaves
 0 <= rho' <= rho and 0 <= rho'^Gamma <= rho^Gamma, so the remainder's
 ranges lie in the state's and its qualifying product vectors are among
 the state's: the prover enumerates them afresh, by the roots of a
-polynomial system or on the Bloch sphere, only at its first iteration or
-after an enumeration that was not exhaustive, and otherwise re-solves the
-qudit vectors of the remainder at the qubit directions it last
-enumerated.  On inputs of rank d + k it exits after k subtractions that
+polynomial system or, where those are not known to be isolated, at six
+canonical qubit directions, only at its first iteration or after an
+enumeration that was not exhaustive, and otherwise re-solves the qudit
+vectors of the remainder at the qubit directions it last enumerated.  On
+inputs of rank d + k it exits after k subtractions that
 each drop the rank, once the remainder has rank d and an invertible
 a-block (a 2 x d PPT state of rank d is separable; Kraus, Cirac, Karnas
 and Lewenstein, PRA 61, 062302, 2000).  Classification runs
@@ -152,6 +153,12 @@ class Reduction:
     def k(self) -> int:
         return self.embed.shape[1]
 
+    def reconstruction_residual(self, rho: np.ndarray) -> float:
+        """||sum of the terms + (1 (x) V) core (1 (x) V)^dag - rho||_F."""
+        lift = np.kron(np.eye(2), self.embed)
+        core = 0.0 if self.core is None else lift @ self.core.rho @ lift.conj().T
+        return SeparableDecomposition(terms=self.terms).reconstruction_residual(rho - core)
+
     def explicit(self, core_dec) -> SeparableDecomposition:
         """The reduction's terms, then those of ``core_dec`` (a decomposition
         or theorem certificate of the core; None without a core), embedded."""
@@ -187,7 +194,7 @@ class SubtractionResult:
     remainder's verdict, the number of subtractions (``iterations``, the
     length of the reduction's terms), and the search record of each
     enumeration, in order (``enumerations``; its ``method`` is "roots",
-    "sphere" or "recheck")."""
+    "canonical" or "recheck")."""
 
     reduction: Reduction
     remainder: QubitQuditState
@@ -447,14 +454,16 @@ def subtract_product_vectors(s: QubitQuditState) -> SubtractionResult:
     gives rho' <= rho and rho'^Gamma <= rho^Gamma, so range rho' lies in
     range rho, range rho'^Gamma in range rho^Gamma, and every product vector
     that qualifies for rho' qualifies for rho.  An enumeration therefore
-    runs afresh (the roots where their gates pass, else the sphere) only at
-    the first iteration and after one that was not exhaustive (the
-    continuum case of fewer kernel constraints than d, or a sphere search
-    that reached ``ENUMERATION_CANDIDATES`` or ended inconclusive); after an
-    exhaustive one, its qubit directions are kept and each qudit vector is
-    re-solved against the remainder's constraints, one batched SVD for them
-    all and no polish.  That decision is ``range_criterion._enumerate``'s,
-    which the prover calls with its last enumeration each iteration.  None
+    runs afresh only at the first iteration and after one that was not
+    exhaustive: the roots where their gates pass, exhaustive, and otherwise
+    the null vectors at six canonical qubit directions, not exhaustive
+    (the continuum case of fewer kernel constraints than d, or a qualifying
+    set not known to be finite, where each direction, and a seventh, is
+    first polished onto it); after an exhaustive one, its qubit directions
+    are kept and each qudit vector is re-solved against the remainder's
+    constraints, one batched SVD for them all and no polish.  That decision
+    is ``range_criterion._enumerate``'s, which the prover calls with its
+    last enumeration each iteration.  None
     left within ``ENUMERATION_TOL`` means ``stalled``, as a fresh
     enumeration would find none either.
 
@@ -560,7 +569,10 @@ def classify(s: QubitQuditState) -> Verdict:
     norm: certificates and residuals are in its units, whatever its trace.
     The NPT and strong-PPT tests read ``DEFAULT_TOL``, every construction
     is gated and validated at ``TOL_FLOOR``, and the subtraction prover
-    runs its budget of 8 d subtractions.
+    runs its budget of 8 d subtractions.  A separable verdict records its
+    ``decomposition_residual``: a ``Separable`` one that of its validation,
+    a ``SeparableByTheorem`` one that of its terms and embedded core against
+    the state, which no gate reads.
     """
     if s.trace() <= 0:
         raise ValidationError("state must have positive trace")
@@ -568,6 +580,8 @@ def classify(s: QubitQuditState) -> Verdict:
     residuals: dict = {}
 
     def done(classification, certificate):
+        if classification == SEPARABLE_BY_THEOREM:
+            residuals["decomposition_residual"] = certificate.reconstruction_residual(s.rho)
         return Verdict(classification=classification, certificate=certificate,
                        trace_log=log, residuals=residuals)
 
@@ -615,7 +629,7 @@ def classify(s: QubitQuditState) -> Verdict:
     methods = [record["method"] for record in sub.enumerations]
     log.append(f"subtraction: {sub.status} after {sub.iterations} subtractions and "
                f"{len(methods)} enumerations "
-               f"({methods.count('sphere')} searched the sphere, "
+               f"({methods.count('canonical')} at canonical directions, "
                f"{methods.count('roots')} solved by roots, "
                f"{methods.count('recheck')} re-checked; "
                f"{residuals['subtraction_evaluations']} evaluations, "

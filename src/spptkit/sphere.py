@@ -2,10 +2,10 @@
 
 A qubit direction, a unit vector e = (cos(theta/2), e^{i phi}
 sin(theta/2)) up to phase, is a point of the Bloch sphere.  ``search``
-looks for directions where an objective's value v is at most a threshold,
+looks for a direction where an objective's value v is at most a threshold,
 or bounds v from below over the whole sphere.  The objective is any object
 with three members; ``range_criterion._Constraints`` is the one the
-package has:
+package has, and ``range_criterion.edge_check`` the one caller:
 
 * ``lipschitz``: L with |v(e) - v(e')| <= L min_phi ||e - e^{i phi} e'||,
   so v moves by at most L r / 2 within a Bloch angle r of a point (a
@@ -15,8 +15,8 @@ package has:
   value_lo <= v at each centre, value_lo - L r / 2 <= lower <= v on each
   cell, and each centre's polish start; a centre with value_lo >=
   ``above`` may get +inf for both;
-* ``polish(e, start, certify)``: ``(e, payload, value)`` at the best point
-  of a local minimization from e.
+* ``polish(e, start)``: ``(e, payload, value)`` at the best point of a
+  local minimization from e.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ import numpy as np
 CELL_FLOOR = 1e-9                  # polar width (rad) below which a cell is not split
 EVALUATION_CAP = 100_000           # cells bounded per search
 _INITIAL_CELLS = (8, 16)           # polar x azimuthal cells of the first level
-_POLISH_PER_LEVEL = 2              # polishes per level above the threshold (at most limit)
-_BASIN = 1e-3                      # radius (Bloch angle, rad) of a found direction's basin
-_SAME = 1e-6                       # Bloch angle (rad) within which two directions are one
+_POLISH_PER_LEVEL = 2              # polishes per level, plus one; at most one above the threshold
 
 
 def _bloch(theta, phi) -> np.ndarray:
@@ -153,10 +151,9 @@ def _minimum_record(e: np.ndarray, residual: float) -> dict:
 
 @dataclass(frozen=True)
 class Search:
-    """What ``search`` returns.  ``found`` holds ``(e, payload)`` of each
-    distinct direction found, in the order found; ``minima`` a
-    ``_minimum_record`` of every polish; ``conclusion`` is "Found" (limit
-    directions found), "NoneFound" (every cell excluded or dropped) or
+    """What ``search`` returns.  ``found`` holds ``(e, payload)`` of the
+    direction found, if any; ``minima`` a ``_minimum_record`` of every
+    polish; ``conclusion`` is "Found", "NoneFound" (every cell excluded) or
     "Inconclusive"; ``bound`` is the least lower bound over the cells the
     search ended with, not below 0, and ``worst`` the least value seen;
     ``work`` counts the ``evaluations`` (cells bounded), ``levels``,
@@ -170,72 +167,59 @@ class Search:
     work: dict
 
 
-def search(objective, threshold: float, limit: int, certify: bool) -> Search:
-    """Find up to ``limit`` directions with value at most ``threshold``, or
-    bound the value over the sphere from below.
+def search(objective, threshold: float) -> Search:
+    """Find a direction with value at most ``threshold``, or bound the value
+    over the sphere from below.
 
     Cells are rectangles in (theta, phi), each with its own half-widths,
     starting from the read-only ``_FIRST_LEVEL``.  Each level bounds the
     open cells (``objective.bounds``) and excludes a cell when its lower
     bound exceeds ``threshold``; ``first_order`` counts the cells excluded
     that value_lo - L r / 2 would have left open.  The best open cells are
-    polished, best first: per level at most min(``_POLISH_PER_LEVEL``,
-    limit) from centres above the threshold and ``_POLISH_PER_LEVEL`` +
-    limit in all, a cap that excludes nothing, as an unpolished cell stays
-    open.  A polished value at most ``threshold`` is a found direction.
-    Its basin, the ball of Bloch angle ``_BASIN`` round it, takes no
-    further polish start, and open cells wholly inside it are dropped; a
-    polish that lands within ``_SAME`` of a found direction finds nothing
-    new.  The other open cells are split by ``_children`` along the axes
-    that set their radius (``_split``), so cells near the poles are not cut
-    into slivers along phi.  The search
-    stops once ``limit`` directions are found, every cell is excluded or
-    dropped, or an open cell's polar width is below ``CELL_FLOOR`` or the
-    next level's children would take the evaluations past
+    polished, best first: per level at most min(``_POLISH_PER_LEVEL``, 1)
+    from centres above the threshold and ``_POLISH_PER_LEVEL`` + 1 in all,
+    a cap that excludes nothing, as an unpolished cell stays open.  The
+    first polished value at most ``threshold`` is the direction found.  The
+    other open cells are split by ``_children`` along the axes that set
+    their radius (``_split``), so cells near the poles are not cut into
+    slivers along phi.  The search stops once a direction is found, every
+    cell is excluded, or an open cell's polar width is below ``CELL_FLOOR``
+    or the next level's children would take the evaluations past
     ``EVALUATION_CAP``.
 
-    Each level passes ``bounds`` a value ``above`` per cell past which
-    nothing the search reports can change: threshold + L r / 2, where the
-    cell is excluded, and for a search that ``certify``s, which tracks its
-    ``bound`` (the least lower over excluded cells) and ``worst`` (the
-    least value seen), the larger of max(threshold, bound) + L r / 2 and
-    ``worst``, where the cell lowers neither.  Both are infinite at the
+    The search tracks its ``bound`` (the least lower over excluded cells)
+    and ``worst`` (the least value seen).  Each level passes ``bounds`` a
+    value ``above`` per cell past which nothing the search reports can
+    change: the larger of max(threshold, bound) + L r / 2 and ``worst``,
+    where the cell is excluded and lowers neither; it is infinite at the
     first level.
     """
     lip = objective.lipschitz
     found, minima = [], []
     theta, phi, h_theta, h_phi, e, radius = _FIRST_LEVEL
-    known = np.empty((0, 2), dtype=complex)
     bound = worst = np.inf
     work = dict.fromkeys(("evaluations", "levels", "first_order", "polishes"), 0)
     conclusion = "NoneFound"
     while True:
         work["levels"] += 1
         slack = lip * radius / 2.0
-        above = (np.maximum(max(threshold, bound) + slack, worst) if certify
-                 else threshold + slack)
-        value, lower, starts = objective.bounds(e, radius, above)
+        value, lower, starts = objective.bounds(
+            e, radius, np.maximum(max(threshold, bound) + slack, worst))
         work["evaluations"] += len(value)
         worst = min(worst, float(value.min()))
         open_ = lower <= threshold
         work["first_order"] += int(np.count_nonzero(~open_ & (value - slack <= threshold)))
-        attempts = 0
-        for i in np.flatnonzero(open_)[np.argsort(value[open_])]:
-            if (len(found) >= limit or attempts >= _POLISH_PER_LEVEL + limit
-                    or (attempts >= min(_POLISH_PER_LEVEL, limit) and value[i] > threshold)):
+        for attempts, i in enumerate(np.flatnonzero(open_)[np.argsort(value[open_])]):
+            if (found or attempts > _POLISH_PER_LEVEL
+                    or (attempts >= min(_POLISH_PER_LEVEL, 1) and value[i] > threshold)):
                 break
-            if (_bloch_angle(e[i], known) < _BASIN).any():
-                continue
-            attempts += 1
             work["polishes"] += 1
-            e_pol, payload, value_pol = objective.polish(e[i], starts[i], certify)
+            e_pol, payload, value_pol = objective.polish(e[i], starts[i])
             minima.append(_minimum_record(e_pol, value_pol))
             worst = min(worst, value_pol)
-            if value_pol <= threshold and not (_bloch_angle(e_pol, known) < _SAME).any():
+            if value_pol <= threshold:
                 found.append((e_pol, payload))
-                known = np.vstack([known, e_pol])
-        open_ &= ~(_bloch_angle(e, known) + radius[:, None] <= _BASIN).any(axis=1)
-        if len(found) >= limit:
+        if found:
             conclusion = "Found"
             break
         if not open_.any():

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from spptkit import linalg, range_criterion
+from spptkit import linalg, range_criterion, sphere
 from spptkit.states import SpptFactors, assemble_state, make_state
 
 
@@ -52,3 +52,29 @@ def cell_offsets(rng, points=600):
     its corners, its edge midpoints and uniform draws."""
     edges = np.array([[-1, -1], [-1, 1], [1, -1], [1, 1], [0, -1], [0, 1], [-1, 0], [1, 0]])
     return np.vstack([edges, rng.uniform(-1.0, 1.0, size=(points - len(edges), 2))])
+
+
+def reference_directions(con, n_theta=128, n_phi=256):
+    """The qualifying directions of the constraints ``con`` (n_rows >= d),
+    found by brute force, with neither the root finder nor the sphere
+    search: mu on a dense Bloch grid from one batched SVD, a
+    ``range_criterion._polish`` from each local minimum of the grid (against
+    its eight neighbours, periodic in phi), and the distinct polished
+    directions with mu at most ``ENUMERATION_TOL``, within
+    ``range_criterion._SAME`` of each other counted once.  Returns them as
+    rows of an (n, 2) array."""
+    theta, phi = np.meshgrid((np.arange(n_theta) + 0.5) * np.pi / n_theta,
+                             np.arange(n_phi) * 2 * np.pi / n_phi, indexing="ij")
+    e = sphere._bloch(theta, phi).reshape(-1, 2)
+    _, sigma, vh = np.linalg.svd(range_criterion._constraint_rows(con, e))
+    mu = sigma[:, con.d - 1].reshape(n_theta, n_phi)
+    padded = np.pad(mu, ((1, 1), (0, 0)), constant_values=np.inf)
+    least = np.min([np.roll(padded, (i, j), axis=(0, 1))[1:-1]
+                    for i in (-1, 0, 1) for j in (-1, 0, 1) if (i, j) != (0, 0)], axis=0)
+    found = np.empty((0, 2), dtype=complex)
+    for i in np.flatnonzero(mu <= least):
+        direction, _, value = range_criterion._polish(con, e[i], np.conj(vh[i, con.d - 1]))
+        if (value <= range_criterion.ENUMERATION_TOL
+                and not (sphere._bloch_angle(direction, found) < range_criterion._SAME).any()):
+            found = np.vstack([found, direction])
+    return found

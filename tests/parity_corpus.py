@@ -20,11 +20,15 @@ prover, ``range_criterion._enumerate`` calls, and ``_recheck`` calls in
 checkouts that have it, in call order:
 ``method:evaluations:polishes:exhaustive:found``, with ``found`` the
 number of vectors returned.  An enumeration record's method is its search
-record's: ``sphere`` (cells bounded), ``roots`` (roots examined) or
-``recheck`` (directions re-solved, each by one SVD, so its polishes field
-always reads 0).  Where the record has none, as in checkouts before the
-root finder, it is ``sphere`` for an ``_enumerate`` record and ``recheck``
-for a ``_recheck`` one.  The records are collected by wrapping
+record's: ``canonical`` (no cell bounded; where the root finder fails a
+gate, the first level's cell centres evaluated and seven directions
+polished), ``roots`` (roots examined), ``recheck`` (directions re-solved,
+each by one SVD, so its polishes field always reads 0) or, in checkouts
+before the canonical enumeration replaced the prover's sphere search,
+``sphere`` (cells bounded; also the continuum case's, with no work).
+Where the record has none, as in checkouts before the root finder, it is
+``sphere`` for an ``_enumerate`` record and ``recheck`` for a
+``_recheck`` one.  The records are collected by wrapping
 ``separability.edge_check`` and ``range_criterion._enumerate``, names
 every checkout has, and ``range_criterion._recheck`` where the checkout
 has it: before ``_enumerate`` took the last enumeration, the prover

@@ -375,7 +375,7 @@ class TestCli:
         assert tolerances["tol"] == 1e-9
         assert tolerances["tol_floor"] == separability.TOL_FLOOR
         for name in ("exclusion_threshold", "kernel_cutoff", "enumeration_kernel_cutoff",
-                     "enumeration_candidates", "enumeration_tol"):
+                     "enumeration_tol"):
             assert tolerances[name] == getattr(range_criterion, name.upper())
         assert tolerances["support_cutoff"] == separability.SUPPORT_CUTOFF
         assert tolerances["weight_floor"] == separability.WEIGHT_FLOOR

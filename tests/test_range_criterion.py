@@ -30,7 +30,7 @@ from spptkit.states import (
     sppt_counterexample_2x3,
 )
 
-from helpers import cell_offsets, ill_conditioned_sppt, kernel_of
+from helpers import cell_offsets, ill_conditioned_sppt, kernel_of, reference_directions
 
 
 def enumeration(state):
@@ -40,9 +40,9 @@ def enumeration(state):
     return range_criterion._enumerate(state, con)
 
 
-def sphere_enumeration(state):
-    """The same enumeration by the sphere's branch-and-bound, whatever the
-    root finder would do."""
+def canonical_enumeration(state):
+    """The same enumeration where a gate of the root finder fails: at the
+    canonical directions, whatever the root finder would do."""
     con = range_criterion._constraints_of(state, range_criterion.ENUMERATION_KERNEL_CUTOFF)
     with mock.patch.object(range_criterion, "_roots", lambda con: None):
         return range_criterion._enumerate(state, con)
@@ -160,7 +160,7 @@ class TestRecheck:
         con = range_criterion._constraints_of(s, range_criterion.ENUMERATION_KERNEL_CUTOFF)
         assert con.n_rows == 0
         fresh = range_criterion._enumerate(s, con)
-        assert fresh.search["method"] == "sphere" and not fresh.exhaustive
+        assert fresh.search["method"] == "canonical" and not fresh.exhaustive
         for previous in (fresh, dataclasses.replace(fresh, exhaustive=True)):
             again = range_criterion._enumerate(s, con, previous)
             assert len(again.found) == len(fresh.found) == 18
@@ -181,22 +181,22 @@ class TestRecheck:
         assert again.search["polishes"] == again.search["levels"] == 0
         assert_same_vectors(again.found, first.found)
 
-    @pytest.mark.parametrize("roots", [True, False], ids=["roots", "sphere"])
+    @pytest.mark.parametrize("roots", [True, False], ids=["roots", "canonical"])
     def test_none_or_a_previous_not_exhaustive_enumerates_afresh(self, roots, monkeypatch):
         # with no previous enumeration, or one that does not hold every
-        # qualifying vector, the enumeration is fresh: by the roots, or on
-        # the sphere where their gates fail
+        # qualifying vector, the enumeration is fresh: by the roots,
+        # exhaustive, or at the canonical directions where their gates fail
         if not roots:
             monkeypatch.setattr(range_criterion, "_roots", lambda con: None)
-        method = "roots" if roots else "sphere"
+        method = "roots" if roots else "canonical"
         state = random_separable(5, 7, seed=0)[0]
         con = range_criterion._constraints_of(state, range_criterion.ENUMERATION_KERNEL_CUTOFF)
         first = range_criterion._enumerate(state, con)
-        assert first.search["method"] == method and first.exhaustive
+        assert first.search["method"] == method and first.exhaustive == roots
         capped = dataclasses.replace(first, found=first.found[:1], exhaustive=False)
         for previous in (None, capped):
             again = range_criterion._enumerate(state, con, previous)
-            assert again.search == first.search and again.exhaustive
+            assert again.search == first.search and again.exhaustive == roots
             assert_same_vectors(again.found, first.found)
 
     def test_recheck_re_solves_without_searching(self, monkeypatch):
@@ -291,8 +291,8 @@ class TestRecords:
         # prover never reads; edge_check's certificate reports both
         state = random_separable(5, 7, seed=0)[0]
         roots = enumeration(state).search
-        fresh = sphere_enumeration(state).search
-        assert (roots["method"], fresh["method"]) == ("roots", "sphere")
+        fresh = canonical_enumeration(state).search
+        assert (roots["method"], fresh["method"]) == ("roots", "canonical")
         con = range_criterion._constraints_of(state, range_criterion.ENUMERATION_KERNEL_CUTOFF)
         recheck = range_criterion._enumerate(state, con, enumeration(state)).search
         assert recheck["method"] == "recheck"
@@ -458,21 +458,11 @@ class TestCertifiedBound:
             start /= np.linalg.norm(start)
             f0, mu0 = range_criterion._null_vector(con, start)
             assert mu0 > 1e-4
-            e_pol, f_pol, mu = range_criterion._polish(con, start, f0, False)
+            e_pol, f_pol, mu = range_criterion._polish(con, start, f0)
             assert mu <= 1e-12
             assert abs(abs(np.vdot(e_pol, e)) - 1.0) <= 1e-9
             (pv,) = range_criterion._product_vectors_at(state, con, e_pol[None], f_pol[None])
             assert pv.combined_residual <= 1e-12
-
-    def test_flat_landscape_ends_below_the_cap(self, monkeypatch):
-        # after two subtractions from random_separable(4, 7, seed=0) mu stays
-        # below 0.15 on the whole sphere; the search must still exclude or
-        # drop every cell on its own, so a higher cap changes nothing
-        cap = sphere.EVALUATION_CAP
-        monkeypatch.setattr(sphere, "EVALUATION_CAP", 10 * cap)
-        result = sphere_enumeration(flat_remainder())
-        assert result.found
-        assert result.search["evaluations"] < cap
 
     def test_inconclusive_at_the_evaluation_cap(self, monkeypatch):
         # the cap is half of what the uncapped search spends to conclude
@@ -528,54 +518,6 @@ def symmetric_2x2():
                                         np.array([1.0, 1.0]) / np.sqrt(2),
                                         np.array([1.0, 1j]) / np.sqrt(2))]
     return make_state(2, sum(np.outer(v, v.conj()) for v in vectors) / 4)
-
-
-class TestEnumerationExclusion:
-    """The sphere's enumeration settles cells by linalg.positive_definite
-    before any eigensolve."""
-
-    @pytest.mark.parametrize("state", [
-        *(random_separable(d, n, seed=0)[0] for d, n in ((5, 6), (4, 7), (5, 7))),
-        flat_remainder(),
-    ], ids=["separable-5-6", "separable-4-7", "separable-5-7", "flat-remainder"])
-    def test_rejecting_every_cell_changes_nothing(self, state, monkeypatch):
-        passes = []
-        test = linalg.positive_definite
-
-        def counting(stack, shift):
-            passes.append(int(test(stack, shift).sum()))
-            return test(stack, shift)
-
-        monkeypatch.setattr(linalg, "positive_definite", counting)
-        result = sphere_enumeration(state)
-        found = result.found
-        # a kernel with fewer rows than d is not searched
-        assert sum(passes) > 0 or result.search["levels"] == 0
-        # the enumeration reports no bound: it did not bound every cell
-        assert not hasattr(result, "certified_bound")
-        assert not hasattr(result, "worst_min_residual")
-        monkeypatch.setattr(linalg, "positive_definite",
-                            lambda stack, shift: np.zeros(len(stack), dtype=bool))
-        solved = sphere_enumeration(state)
-        every_cell_solved = solved.found
-        assert (result.search["evaluations"], result.search["levels"]) == (
-            solved.search["evaluations"], solved.search["levels"])
-        assert len(found) == len(every_cell_solved)
-        for pv, ref in zip(found, every_cell_solved):
-            assert np.array_equal(pv.e, ref.e) and np.array_equal(pv.f, ref.f)
-            assert (pv.residual_range, pv.residual_pt_range) == (
-                ref.residual_range, ref.residual_pt_range)
-
-    def test_one_block_per_level_changes_nothing(self, monkeypatch):
-        # the flat remainder's levels reach 5592 cells, several blocks of
-        # _SLICE; a block larger than any level must give the same bits
-        state = flat_remainder()
-        result = sphere_enumeration(state)
-        monkeypatch.setattr(range_criterion, "_SLICE", 10**6)
-        whole = sphere_enumeration(state)
-        assert (result.search["evaluations"], result.search["levels"]) == (
-            whole.search["evaluations"], whole.search["levels"])
-        assert_same_vectors(result.found, whole.found)
 
 
 def assert_same_vectors(found, ref):
@@ -636,6 +578,18 @@ class TestCertifiedExclusion:
         # must be solved, though they are excluded
         monkeypatch.setattr(sphere, "_POLISH_PER_LEVEL", 0)
         self.assert_as_if_every_cell_solved(horodecki_2x4(b), monkeypatch)
+
+    def test_slices_smaller_than_a_level_change_nothing(self, monkeypatch):
+        # cells are formed, tested and solved _SLICE at a time; slices of 7
+        # cut every level of horodecki_2x4(0.5) into several and must give
+        # the same bits as one slice per level
+        state = horodecki_2x4(0.5)
+        cert = edge_check(state)
+        monkeypatch.setattr(range_criterion, "_SLICE", 7)
+        sliced = edge_check(state)
+        assert cert.conclusion == "NoneFound" and cert.search["levels"] > 1
+        for f in dataclasses.fields(cert):
+            assert repr(getattr(cert, f.name)) == repr(getattr(sliced, f.name)), f.name
 
     @staticmethod
     def assert_as_if_every_cell_solved(state, monkeypatch):
@@ -710,9 +664,10 @@ class TestPolishBudget:
     @pytest.mark.parametrize("state", BOUND_STATES)
     def test_early_stop_changes_no_bound(self, state, monkeypatch):
         cert = edge_check(state)
-        polish = range_criterion._polish
-        monkeypatch.setattr(range_criterion, "_polish",
-                            lambda con, e, f, certify: polish(con, e, f, False))
+        # an lstsq that reports no residual turns the early stop off
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *args, **kwargs: (lstsq(*args, **kwargs)[0], np.empty(0)))
         full = edge_check(state)
         assert np.float64(cert.certified_bound).tobytes() == np.float64(
             full.certified_bound).tobytes()
@@ -753,10 +708,16 @@ class TestPolishAtADegenerateZero:
     values are both small."""
 
     @pytest.mark.parametrize("s2", [1e-6, 1e-7, 1e-8])
-    def test_every_start_converges(self, s2):
+    def test_every_start_converges(self, s2, monkeypatch):
         # X(c) has the null vector 1_0 and second singular value s2: the
         # linearization alone moves f far along the second direction, and
-        # about a quarter of these polishes stalled an order above the zero
+        # about a quarter of these polishes stalled an order above the zero.
+        # The re-solve is checked where only the stall rule stops the
+        # polish, as for a system whose lstsq reports no residual: the
+        # early stop ends some of these polishes near 2e-9 first
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *args, **kwargs: (lstsq(*args, **kwargs)[0], np.empty(0)))
         c = sphere._bloch(5 * np.pi / 16, 3 * np.pi / 16)
         perp = np.array([-np.conj(c[1]), np.conj(c[0])])
         rng = np.random.default_rng(21)
@@ -769,7 +730,7 @@ class TestPolishAtADegenerateZero:
                 e = c + 0.002 * np.exp(1j * angle) * perp
                 e /= np.linalg.norm(e)
                 least = range_criterion._mu_batch(con, e[None, :], 0.0)[2][0]
-                assert range_criterion._polish(con, e, least, False)[2] <= 1e-12, angle
+                assert range_criterion._polish(con, e, least)[2] <= 1e-12, angle
 
     @pytest.mark.parametrize("seed", [6, 12])
     def test_ill_conditioned_sppt_is_decided(self, seed):
@@ -1092,18 +1053,17 @@ class TestCellBound:
             least = cell_minima(con, theta, phi, h_theta, h_phi, rng, 2000)[0]
             assert np.all(bound <= least), level
 
-    def test_the_flat_remainder_is_excluded_early(self, monkeypatch):
-        # mu < 0.15 on the whole sphere with slope ~0.14 against L = 2.34:
-        # the zero-order bound alone needs 23,808 evaluations
-        result = sphere_enumeration(flat_remainder())
-        assert result.search["first_order_exclusions"] > 0
-        assert result.search["evaluations"] <= 5000
-        # the crossing on the circle excludes cells the chord does not, with
-        # the same vectors found
+    def test_the_crossing_excludes_cells_the_chord_leaves_open(self, monkeypatch):
+        # horodecki_2x4(0.5): the first-order bound excludes cells the
+        # zero-order one leaves open, and the crossing on the circle cells
+        # the chord leaves open, with the same conclusion
+        state = horodecki_2x4(0.5)
+        cert = edge_check(state)
+        assert cert.search["first_order_exclusions"] > 0
         monkeypatch.setattr(range_criterion, "_crossing", chord)
-        chord_result = sphere_enumeration(flat_remainder())
-        assert chord_result.search["evaluations"] > result.search["evaluations"]
-        assert len(chord_result.found) == len(result.found)
+        chord_cert = edge_check(state)
+        assert chord_cert.search["evaluations"] > cert.search["evaluations"]
+        assert chord_cert.conclusion == cert.conclusion == "NoneFound"
 
 
 def chord(big_a, big_b, big_c, big_d):
@@ -1176,13 +1136,13 @@ class TestEnumerationOutput:
         assert sorted(angles.argmin(axis=1)) == list(range(n))
         assert angles.min(axis=1).max() <= 1e-6
         apart = sphere._bloch_angle(found, found)
-        assert apart[~np.eye(n, dtype=bool)].min() > sphere._SAME
+        assert apart[~np.eye(n, dtype=bool)].min() > range_criterion._SAME
 
     @pytest.mark.parametrize("f", [[1.0], [1.0, 0.5j, -0.2], [0.3, 1.0, 0.1 - 0.4j, 0.2, 0.5]],
                              ids=["d1", "d3", "d5"])
     def test_a_pure_product_state_gives_its_one_vector(self, f):
         # d = 1 included: M(e) has one column, so no second singular value
-        # exists, and the basin alone drops the cells round the vector
+        # exists
         state, e, f = product_state([1.0, 0.3 - 0.2j], f)
         result = enumeration(state)
         assert result.exhaustive
@@ -1192,7 +1152,8 @@ class TestEnumerationOutput:
         assert abs(abs(np.vdot(pv.f, f)) - 1.0) <= 1e-12
 
     def test_the_record_counts_polishes(self, monkeypatch):
-        # the roots polish nothing; the sphere's record counts its polishes
+        # the roots polish nothing; the canonical enumeration's record
+        # counts its seven polishes
         calls = []
         polish = range_criterion._polish
 
@@ -1205,7 +1166,7 @@ class TestEnumerationOutput:
         roots = enumeration(state)
         assert roots.search["method"] == "roots"
         assert roots.search["polishes"] == len(calls) == 0
-        assert sphere_enumeration(state).search["polishes"] == len(calls) > 0
+        assert canonical_enumeration(state).search["polishes"] == len(calls) == 7
 
 
 
@@ -1239,23 +1200,30 @@ def toy_constraints(d, k1, k2, seed):
     return range_criterion._constraints(d, *ker, range_criterion.ENUMERATION_KERNEL_CUTOFF)
 
 
+def assert_same_directions(found, ref):
+    """The qubit directions of the ProductVectors ``found`` are those of the
+    rows of ``ref``, each within 1e-6 rad of one of the other."""
+    assert len(found) == len(ref)
+    if len(ref):
+        angles = sphere._bloch_angle(np.array([pv.e for pv in found]), ref)
+        assert angles.min(axis=1).max() <= 1e-6 and angles.min(axis=0).max() <= 1e-6
+
+
 class TestRoots:
     """The enumeration solves its finite regime as one eigenvalue problem,
-    and falls back to the sphere where a gate fails."""
+    and where a gate fails takes the null vectors at polished canonical
+    directions.  The roots are checked against ``reference_directions``, a
+    dense grid and a polish from each of its local minima."""
 
     @pytest.mark.parametrize("d, n, seed", [(4, 7, 0), (4, 6, 0), (5, 8, 2)])
-    def test_every_sphere_vector_is_a_root(self, d, n, seed):
+    def test_the_roots_are_the_reference_directions(self, d, n, seed):
         s, con = finite_regime(random_separable(d, n, seed=seed)[0])
         roots = range_criterion._enumerate(s, con)
         assert roots.search["method"] == "roots" and roots.exhaustive
         assert roots.search["levels"] == roots.search["first_order_exclusions"] == 0
         assert roots.search["polishes"] == 0 and roots.found
         assert all(pv.combined_residual <= range_criterion.ENUMERATION_TOL for pv in roots.found)
-        sphere_found = range_criterion._sphere(s, con).found
-        found = np.array([pv.e for pv in roots.found])
-        assert sphere_found
-        assert sphere._bloch_angle(np.array([pv.e for pv in sphere_found]), found).min(
-            axis=1).max() <= 1e-6
+        assert_same_directions(roots.found, reference_directions(con))
 
     @pytest.mark.parametrize("d, n", [(5, 6), (5, 7), (4, 6), (4, 7), (5, 8), (6, 9)])
     @pytest.mark.parametrize("seed", range(4))
@@ -1276,54 +1244,50 @@ class TestRoots:
         for e, f in zip(es, fs):
             assert np.linalg.norm(ker.conj() @ np.kron(e, f)) <= 1e-10
             assert np.linalg.norm(ker_pt.conj() @ np.kron(e.conj(), f)) <= 1e-10
-            polished, _, mu = range_criterion._polish(con, e, f, False)
+            polished, _, mu = range_criterion._polish(con, e, f)
             assert mu <= 1e-10
             assert sphere._bloch_angle(polished[None, :], e[None, :])[0, 0] <= 1e-9
 
-    def test_no_basin_drops_a_vector(self):
-        # the sphere drops the open cells inside a found direction's basin,
-        # a ball of Bloch angle _BASIN: here a fourth direction lies 0.9 rad
-        # from the other three, and the sphere finds all four roots,
-        # exhaustive
+    def test_a_distant_root_is_found(self):
+        # a fourth direction lies 0.9 rad from the other three, and the
+        # roots find all four
         s, con = finite_regime(random_separable(4, 9, seed=2)[0])
         roots = range_criterion._enumerate(s, con)
         assert roots.search["method"] == "roots" and len(roots.found) == 4
-        sphere_found = range_criterion._sphere(s, con)
-        assert sphere_found.exhaustive and len(sphere_found.found) == 4
+        assert_same_directions(roots.found, reference_directions(con))
         found = np.array([pv.e for pv in roots.found])
-        angles = sphere._bloch_angle(found, np.array([pv.e for pv in sphere_found.found]))
-        assert angles.min(axis=1).max() <= 1e-6
         apart = sphere._bloch_angle(found, found)
         np.fill_diagonal(apart, np.inf)
         assert apart.min(axis=1).max() > 0.9
 
     @pytest.mark.parametrize("d, k1, k2", [(3, 3, 0), (3, 0, 3), (4, 5, 0)])
-    def test_one_empty_kernel_part_is_a_pencil(self, d, k1, k2, monkeypatch):
+    def test_one_empty_kernel_part_is_a_pencil(self, d, k1, k2):
         # M(e) = A0 + z A1 (or B0 + w B1, w = conj(z)): d roots, at each of
         # which a d x d M(e) is singular
         con = toy_constraints(d, k1, k2, seed=d + k1)
-        s = maximally_mixed(d)
-        roots = range_criterion._enumerate(s, con)
+        roots = range_criterion._enumerate(maximally_mixed(d), con)
         assert roots.search["method"] == "roots"
         assert roots.search["evaluations"] == d
         assert len(roots.found) == (d if k1 + k2 == d else 0)
-        sphere_found = range_criterion._sphere(s, con).found
-        assert len(sphere_found) == len(roots.found)
-        if roots.found:
-            assert sphere._bloch_angle(np.array([pv.e for pv in sphere_found]),
-                                       np.array([pv.e for pv in roots.found])).min(
-                axis=1).max() <= 1e-6
+        assert_same_directions(roots.found, reference_directions(con))
 
     def fallback(self, s, con, monkeypatch):
-        """The enumeration of ``s`` falls back to the sphere; returns the
-        condition numbers the root finder computed."""
+        """The enumeration of ``s`` fails a gate of the root finder and
+        takes the canonical directions and the first level's centre of
+        least mu, each polished once, not exhaustive, every vector within
+        ``ENUMERATION_TOL``; returns the condition numbers the root finder
+        computed."""
         conds, cond = [], np.linalg.cond
         monkeypatch.setattr(np.linalg, "cond", lambda m: conds.append(cond(m)) or conds[-1])
         assert con.n_rows >= s.d
         assert range_criterion._roots(con) is None
         result = range_criterion._enumerate(s, con)
-        assert result.search["method"] == "sphere"
-        assert_same_vectors(result.found, range_criterion._sphere(s, con).found)
+        assert result.search["method"] == "canonical" and not result.exhaustive
+        assert result.search["polishes"] == len(range_criterion._CANONICAL) + 1
+        assert result.search["evaluations"] == len(sphere._FIRST_LEVEL[0])
+        assert result.search["levels"] == 0
+        assert result.found
+        assert all(pv.combined_residual <= range_criterion.ENUMERATION_TOL for pv in result.found)
         return conds
 
     def test_a_vanishing_determinant_falls_back(self, monkeypatch):
@@ -1352,10 +1316,7 @@ class TestRoots:
         assert result.search["method"] == "roots" and len(result.found) == 6
         assert conds[0] > 10 * range_criterion._ROOT_COND
         assert conds[1] <= range_criterion._ROOT_COND
-        sphere_found = range_criterion._sphere(s, con).found
-        assert sphere._bloch_angle(np.array([pv.e for pv in sphere_found]),
-                                   np.array([pv.e for pv in result.found])).min(
-            axis=1).max() <= 1e-6
+        assert_same_directions(result.found, reference_directions(con))
 
     def test_an_ambiguous_root_falls_back(self, monkeypatch):
         # a root whose mu, from the batched SVD at the roots, lies between
@@ -1375,3 +1336,15 @@ class TestRoots:
         assert ((range_criterion.ENUMERATION_TOL < mu) & (mu < range_criterion._ROOT_MU)).any()
         conds = self.fallback(s, con, monkeypatch)
         assert conds[0] <= range_criterion._ROOT_COND
+
+    def test_no_qualifying_direction_gives_nothing(self, monkeypatch):
+        # 4 random rows against d = 3: generically no direction qualifies
+        # (the roots find none), so where a gate fails no polished canonical
+        # direction has a null vector
+        con = toy_constraints(3, 2, 2, seed=0)
+        (es, _), _ = range_criterion._roots(con)
+        assert len(es) == 0 and len(reference_directions(con)) == 0
+        monkeypatch.setattr(range_criterion, "_roots", lambda con: None)
+        result = range_criterion._enumerate(maximally_mixed(3), con)
+        assert result.search["method"] == "canonical"
+        assert result.found == [] and not result.exhaustive

@@ -256,6 +256,19 @@ def _record_enumerations(monkeypatch):
     return calls
 
 
+def _count_sphere_searches(monkeypatch):
+    """Record the threshold of every ``sphere.search`` call, in call order."""
+    calls = []
+    search = sphere.search
+
+    def counting(objective, threshold):
+        calls.append(threshold)
+        return search(objective, threshold)
+
+    monkeypatch.setattr(sphere, "search", counting)
+    return calls
+
+
 def _record_prover(monkeypatch):
     """Record every call of the subtraction prover made through
     ``separability.subtract_product_vectors``, as (state, result)."""
@@ -302,21 +315,14 @@ class TestEnumerationReuse:
         # by the roots, and re-checks once; the sphere is searched only by
         # edge_check
         state = svd_reduce(random_sppt(6, 4, normal_s=False, seed=0)[1]).core
-        calls = []
-        search = sphere.search
-
-        def counting(objective, threshold, limit, certify):
-            calls.append(certify)
-            return search(objective, threshold, limit, certify)
-
-        monkeypatch.setattr(sphere, "search", counting)
+        calls = _count_sphere_searches(monkeypatch)
         enumerations = _record_enumerations(monkeypatch)
         verdict = classify(state)
         assert verdict.classification == PPT_UNDECIDED
-        assert calls == [True]
+        assert calls == [range_criterion.EXCLUSION_THRESHOLD]
         assert [kind for kind, _, _ in enumerations] == ["search", "recheck"]
         line = next(entry for entry in verdict.trace_log if entry.startswith("subtraction:"))
-        assert "0 searched the sphere, 1 solved by roots, 1 re-checked" in line
+        assert "0 at canonical directions, 1 solved by roots, 1 re-checked" in line
 
     @pytest.mark.parametrize("d, n", [(5, 7), (3, 6)])
     def test_rechecked_vectors_qualify_for_the_remainder(self, d, n, monkeypatch):
@@ -349,17 +355,17 @@ class TestEnumerationReuse:
         _assert_rechecks_follow_exhaustive(calls)
         assert res.enumerations == [out.search for _, _, out in calls]
 
-    def test_capped_enumeration_is_followed_by_a_search(self, monkeypatch):
-        # the cap is the sphere's: a failed gate of the root finder sends
-        # every enumeration there
+    def test_canonical_enumeration_is_followed_by_a_fresh_one(self, monkeypatch):
+        # a failed gate of the root finder sends every enumeration to the
+        # canonical directions, which is not exhaustive, so the next
+        # enumeration is fresh too
         monkeypatch.setattr(range_criterion, "_roots", lambda con: None)
-        monkeypatch.setattr(range_criterion, "ENUMERATION_CANDIDATES", 1)
         calls = _record_enumerations(monkeypatch)
         res = subtract_product_vectors(random_separable(5, 7, seed=0)[0])
         assert len(calls) >= 2
-        assert all(len(out.found) == 1 and not out.exhaustive for _, _, out in calls[:-1])
+        assert all(out.found and not out.exhaustive for _, _, out in calls)
         assert [kind for kind, _, _ in calls] == ["search"] * len(calls)
-        assert [record["method"] for record in res.enumerations] == ["sphere"] * len(calls)
+        assert [record["method"] for record in res.enumerations] == ["canonical"] * len(calls)
 
     def test_root_enumeration_is_followed_by_a_recheck(self, monkeypatch):
         # random_separable(4, 7, seed=0): two continuum enumerations, then
@@ -367,7 +373,7 @@ class TestEnumerationReuse:
         calls = _record_enumerations(monkeypatch)
         res = subtract_product_vectors(random_separable(4, 7, seed=0)[0])
         methods = [out.search["method"] for _, _, out in calls]
-        assert methods[:3] == ["sphere", "sphere", "roots"]
+        assert methods[:3] == ["canonical", "canonical", "roots"]
         assert calls[2][2].exhaustive and len(calls[2][2].found) == 6
         assert calls[3][0] == "recheck"
         _assert_rechecks_follow_exhaustive(calls)
@@ -394,14 +400,19 @@ class TestOnePositivityRule:
         # enumeration's kernel gate once raised NotPsd out of classify
         assert not classify(ill_conditioned_sppt(seed)).is_entangled_class
 
-    @pytest.mark.parametrize("seed", [73, 81])
-    def test_stalls_before_enumerating_a_remainder_that_fails(self, seed, monkeypatch):
-        state = ill_conditioned_sppt(seed)
+    def test_stalls_before_enumerating_a_remainder_that_fails(self, monkeypatch):
+        # a subtraction 1e-6 past its maximal weight leaves a remainder that
+        # fails the rule, and the prover stalls on it before enumerating it
+        state = random_separable(5, 7, seed=0)[0]
+        weights = separability._max_subtraction_weights
+        monkeypatch.setattr(separability, "_max_subtraction_weights",
+                            lambda *args: (1 + 1e-6) * weights(*args))
         calls = _record_enumerations(monkeypatch)
         res = subtract_product_vectors(state)
         assert res.status == "stalled"
         assert _fails_positivity_rule(res.remainder.rho, state.d)
         assert calls and not any(_fails_positivity_rule(s.rho, s.d) for _, s, _ in calls)
+        assert all(s is not res.remainder for _, s, _ in calls)
 
     def test_npt_input_stalls_at_once(self, monkeypatch):
         calls = _record_enumerations(monkeypatch)
@@ -505,8 +516,9 @@ class TestRankCount:
 class TestPolishCap:
     def test_near_miss_valley_polishes_few_centres(self, monkeypatch):
         # every centre of this state's near-miss valleys reads mu_lo = 0, so
-        # every one counts as at the threshold; the per-level cap on polish
-        # attempts keeps them to a few hundred (some 55,000 uncapped)
+        # a sphere search would count every one as at the threshold (some
+        # 55,000 polishes uncapped); the prover's enumerations search no
+        # sphere and polish seven directions each
         calls = []
         polish = range_criterion._polish
 
@@ -517,6 +529,56 @@ class TestPolishCap:
         monkeypatch.setattr(range_criterion, "_polish", counting)
         assert classify(ill_conditioned_sppt(51)).classification == SEPARABLE_BY_THEOREM
         assert len(calls) < 1000
+
+
+class TestNonIsolatedEnumeration:
+    """Where a gate of the root finder fails, the prover takes the null
+    vectors at polished canonical directions and searches no sphere."""
+
+    @pytest.mark.parametrize("state, classification, searches", [
+        (random_sppt(6, 5, normal_s=False, with_tail=True, seed=1)[0], SEPARABLE, 1),
+        (ill_conditioned_sppt(1), PPT_UNDECIDED, 0),
+        (ill_conditioned_sppt(3), SEPARABLE_BY_THEOREM, 0),
+    ], ids=["random_sppt(6,5,F,tail,seed=1)", "ill_conditioned_sppt(1)",
+            "ill_conditioned_sppt(3)"])
+    def test_the_sphere_is_searched_by_edge_check_alone(self, state, classification, searches,
+                                                        monkeypatch):
+        # random_sppt(6, 5, ...)'s 2 x 5 core has a resultant factor shared
+        # at every shift, so its qualifying directions form a curve that no
+        # unpolished canonical direction meets; edge_check searches the
+        # sphere once there, and takes the continuum case on the other two,
+        # whose kernels at KERNEL_CUTOFF have fewer than d rows
+        calls = _count_sphere_searches(monkeypatch)
+        enumerations = _record_enumerations(monkeypatch)
+        assert classify(state).classification == classification
+        assert calls == [range_criterion.EXCLUSION_THRESHOLD] * searches
+        assert any(out.search["method"] == "canonical" and s.d <= sum(out.search["kernel_dims"])
+                   for _, s, out in enumerations)
+
+    @pytest.mark.parametrize("seed", [3, 6, 9, 12, 18])
+    def test_an_empty_fallback_loses_these(self, seed, monkeypatch):
+        state = ill_conditioned_sppt(seed)
+        assert classify(state).classification == SEPARABLE_BY_THEOREM
+        continuum = range_criterion._continuum
+        monkeypatch.setattr(range_criterion, "_continuum",
+                            lambda s, con: [] if con.n_rows >= s.d else continuum(s, con))
+        assert classify(state).classification == PPT_UNDECIDED
+
+    @pytest.mark.parametrize("d, n, seed", [(2, 3, 2), (2, 4, 2), (2, 7, 12)])
+    def test_a_small_circle_of_directions_is_reached(self, d, n, seed):
+        # the 2 x 2 remainder that each enumerates with at least d rows has
+        # one kernel row per part, and its qualifying directions form a
+        # small circle: the polish from every canonical direction ends in a
+        # local minimum of mu off it, the one from the first level's centre
+        # of least mu on it
+        state = random_separable(d, n, seed=seed)[0]
+        decompose_small(state).validate(state.rho, tol=TOL_FLOOR)
+
+    @pytest.mark.parametrize("seed", [72, 102])
+    def test_decides_what_the_sphere_fallback_did_not(self, seed):
+        # the sphere fallback's vectors, polished only to 1e-9..5e-8, let a
+        # maximal subtraction overshoot and stall the prover on these
+        assert classify(ill_conditioned_sppt(seed)).classification == SEPARABLE_BY_THEOREM
 
 
 def _small_inputs():
@@ -814,6 +876,35 @@ class TestDecompositionResidual:
         assert residual <= TOL_FLOOR * state.norm()
 
 
+class TestTheoremResidual:
+    """Every SeparableByTheorem verdict records how far its terms and
+    embedded core miss the state, ungated."""
+
+    @pytest.mark.parametrize("state", [
+        sppt_counterexample_2x3(), random_sppt(6, 2, normal_s=False, seed=0)[0],
+        ill_conditioned_sppt(3), ill_conditioned_sppt(24),
+    ], ids=["rho1", "random_sppt(6,2)", "ill_conditioned_sppt(3)", "ill_conditioned_sppt(24)"])
+    def test_residual_of_terms_and_core(self, state):
+        v = classify(state)
+        assert v.classification == SEPARABLE_BY_THEOREM
+        cert = v.certificate
+        lift = np.kron(np.eye(2), cert.embed)
+        total = lift @ cert.core.rho @ lift.conj().T + sum(
+            (np.kron(qubit, qudit) for qubit, qudit in cert.terms), np.zeros_like(state.rho))
+        expected = np.linalg.norm(total - state.rho)
+        residual = v.residuals["decomposition_residual"]
+        assert abs(residual - expected) <= 1e-12 * state.norm()
+
+    def test_a_small_support_exit_misses_by_its_compression(self):
+        # ill_conditioned_sppt(24) exits small_support after 0 subtractions;
+        # the compression at SUPPORT_CUTOFF drops couplings of order
+        # sqrt(1e-9), 1.1e-5 of the state, which no gate reads
+        state = ill_conditioned_sppt(24)
+        v = classify(state)
+        assert v.classification == SEPARABLE_BY_THEOREM
+        assert 1e-6 * state.norm() < v.residuals["decomposition_residual"] < 1e-4 * state.norm()
+
+
 class TestClassify:
     def test_invertible_x1_route_is_validated_against_the_input(self, monkeypatch):
         state, _ = random_sppt(4, 4, seed=7)
@@ -880,21 +971,22 @@ class TestClassify:
         assert not v.is_separable_class
 
     def test_subtraction_line_adds_up(self, monkeypatch):
-        # "after N subtractions and M enumerations (X searched the sphere, R
-        # solved by roots, Y re-checked; E evaluations, P polishes)": X + R +
+        # "after N subtractions and M enumerations (X at canonical directions,
+        # R solved by roots, Y re-checked; E evaluations, P polishes)": X + R +
         # Y = M, the methods of the prover's records, E and P their sums and
         # the two subtraction_* residuals, and N the number of terms
         runs = _record_prover(monkeypatch)
         v = classify(random_separable(4, 7, seed=0)[0])
         line = next(entry for entry in v.trace_log if entry.startswith("subtraction:"))
         match = re.search(r" after (\d+) subtractions and (\d+) enumerations "
-                          r"\((\d+) searched the sphere, (\d+) solved by roots, (\d+) re-checked; "
+                          r"\((\d+) at canonical directions, (\d+) solved by roots, "
+                          r"(\d+) re-checked; "
                           r"(\d+) evaluations, (\d+) polishes\)", line)
         n, m, x, r, y, evaluations, polishes = map(int, match.groups())
         ((_, sub),) = runs
         methods = [record["method"] for record in sub.enumerations]
         assert x + r + y == m == len(methods) and r > 0 and y > 0
-        assert (x, r, y) == tuple(map(methods.count, ("sphere", "roots", "recheck")))
+        assert (x, r, y) == tuple(map(methods.count, ("canonical", "roots", "recheck")))
         assert n == len(sub.reduction.terms) == sub.iterations
         for key, count in (("evaluations", evaluations), ("polishes", polishes)):
             total = sum(record[key] for record in sub.enumerations)

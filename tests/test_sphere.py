@@ -25,34 +25,15 @@ class ToyObjective:
         value = self.c + sphere._bloch_angle(e, self.p[None, :])[:, 0]
         return value, value - radius, np.zeros(len(e))
 
-    def polish(self, e, start, certify):
+    def polish(self, e, start):
         return self.p, "payload", self.c
-
-
-class TwoZeros:
-    """value(e) = the Bloch angle from e to the nearer of two points, bounded
-    over a cell as ``ToyObjective`` is.  The polish goes straight to the
-    nearer point, with its index as the payload."""
-
-    lipschitz = 2.0
-
-    def __init__(self, points):
-        self.points = points
-
-    def bounds(self, e, radius, above):
-        value = sphere._bloch_angle(e, self.points).min(axis=1)
-        return value, value - radius, np.zeros(len(e))
-
-    def polish(self, e, start, certify):
-        nearer = int(sphere._bloch_angle(e, self.points).argmin())
-        return self.points[nearer], nearer, 0.0
 
 
 class TestToyObjective:
     P = sphere._bloch(1.0, 2.0)
 
     def test_finds_the_minimum(self):
-        result = sphere.search(ToyObjective(self.P, 0.0), 1e-3, 1, certify=True)
+        result = sphere.search(ToyObjective(self.P, 0.0), 1e-3)
         assert result.conclusion == "Found"
         assert len(result.found) == 1
         e, payload = result.found[0]
@@ -62,7 +43,7 @@ class TestToyObjective:
 
     @pytest.mark.parametrize("threshold", [1e-3, 0.0999])
     def test_certifies_a_bound_when_the_minimum_is_above_the_threshold(self, threshold):
-        result = sphere.search(ToyObjective(self.P, 0.1), threshold, 1, certify=True)
+        result = sphere.search(ToyObjective(self.P, 0.1), threshold)
         assert result.conclusion == "NoneFound"
         assert not result.found
         assert threshold <= result.bound <= 0.1
@@ -71,33 +52,6 @@ class TestToyObjective:
         # be excluded
         assert result.work["levels"] > 1
         assert result.work["polishes"] == len(result.minima) > 0
-
-
-class TestTwoZeros:
-    POINTS = sphere._bloch(np.array([1.0, 2.2]), np.array([2.0, -1.0]))
-
-    def test_finds_each_zero_once(self):
-        result = sphere.search(TwoZeros(self.POINTS), 1e-6, 2, certify=False)
-        assert result.conclusion == "Found"
-        assert sorted(payload for _, payload in result.found) == [0, 1]
-        for e, payload in result.found:
-            assert np.array_equal(e, self.POINTS[payload])
-
-    def test_basins_drop_the_cells_round_the_zeros(self):
-        # a third direction is asked for, so the search runs until the open
-        # cells round the two zeros fall inside their basins
-        result = sphere.search(TwoZeros(self.POINTS), 1e-6, 3, certify=False)
-        assert result.conclusion == "NoneFound"
-        assert sorted(payload for _, payload in result.found) == [0, 1]
-        assert result.work["levels"] > 1
-
-    def test_finds_two_close_zeros(self):
-        # zeros 0.1 rad apart: a polish that converges to one from a start
-        # near the other must not hide the other behind a basin
-        points = sphere._bloch(np.array([1.0, 1.1]), np.array([2.0, 2.0]))
-        result = sphere.search(TwoZeros(points), 1e-6, 8, certify=False)
-        assert result.conclusion == "NoneFound"
-        assert sorted(payload for _, payload in result.found) == [0, 1]
 
 
 class TestFirstLevel:
