@@ -75,7 +75,7 @@ def dumps_state(s: QubitQuditState) -> str:
 def loads_state(text: str) -> QubitQuditState:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     return state_from_dict(data)
 
@@ -85,7 +85,11 @@ def save_state(s: QubitQuditState, path) -> None:
 
 
 def load_state(path) -> QubitQuditState:
-    return loads_state(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"state file is not UTF-8: {exc}") from exc
+    return loads_state(text)
 
 
 # ---------------------------------------------------------------------------

@@ -445,6 +445,19 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["check", "ppt"], ["classify"]])
+    @pytest.mark.parametrize("content", [b"\xff\xfe\x00garbage",
+                                         b"[" * 200000 + b"]" * 200000],
+                             ids=["not-utf8", "nested-past-recursion-limit"])
+    def test_unreadable_state_file_exit_2(self, command, content, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ParseError):
+            io.load_state(path)
+        assert main(command + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["check", "ppt"], ["classify"]])
     def test_state_whose_norm_overflows_exit_2(self, command, tmp_path, capsys):
         # entries of 1e160, not hermitian and not PSD: read against an
         # infinite norm, they once passed every check

@@ -1,5 +1,11 @@
 """The package's public names."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import spptkit
 from spptkit import range_criterion, separability, sppt
 
@@ -25,6 +31,28 @@ class TestPublicNames:
         for module, name in REMOVED:
             assert name not in spptkit.__all__
             assert not hasattr(spptkit, name) and not hasattr(module, name), name
+
+    def test_building_states_loads_only_states(self):
+        # a fresh interpreter: this one has loaded every submodule
+        script = textwrap.dedent("""
+            import sys
+
+            from spptkit import states
+
+            print(sorted(name for name in sys.modules if name.startswith("spptkit")))
+            print("argparse" in sys.modules)
+            import spptkit
+            print(set(spptkit.__all__) <= set(dir(spptkit)))
+            print(spptkit.classify(states.horodecki_2x4(0.5)).classification)
+            print(spptkit.classify is spptkit.separability.classify)
+        """)
+        src = str(Path(spptkit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True).stdout.splitlines()
+        assert out == [str(["spptkit", "spptkit.errors", "spptkit.linalg", "spptkit.states"]),
+                       "False", "True", separability.ENTANGLED_RANGE, "True"]
 
 
 class TestCodeLines:
