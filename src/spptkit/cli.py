@@ -1,7 +1,8 @@
 """Command-line front end: state generation, checks, and classification.
 
 Exit codes encode operational success only: 0 for any verdict (entangled
-included), 2 for unusable input or parameters.
+included), 2 for unusable input or parameters, a state too large for memory
+among them.
 """
 
 from __future__ import annotations
@@ -145,8 +146,8 @@ def main(argv=None) -> int:
         if args.command == "check":
             return _cmd_check(args)
         return _cmd_classify(args)
-    except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValidationError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -16,9 +16,13 @@ e^{i phi} sin(theta/2)); mu does not depend on the phase of e.
 
 ``edge_check`` searches the sphere through the Bloch-sphere
 branch-and-bound of ``sphere``: this module supplies its objective, mu, as
-``_Constraints``, with a lower bound on mu over cells (``_mu_batch``) and a
-Gauss-Newton polish on M(e) f = 0 (``_polish``).  The bound at the centre
-comes from the d x d Gram matrix G(e) = M(e)^dag M(e), whose least
+``_Constraints``, with a lower bound on mu over cells (``_mu_batch``), a
+Gauss-Newton polish on M(e) f = 0 (``_polish``) and a start for it, the
+least-mu direction of six canonical ones, which the search polishes before
+it bounds a cell.  On a separable input that one polish usually ends the
+search: the range criterion proves only entanglement, so a product vector
+found decides nothing, and the sooner it is found the better.  The bound
+at the centre comes from the d x d Gram matrix G(e) = M(e)^dag M(e), whose least
 eigenvalue is mu^2: G(e) is a fixed combination of four precomputed
 blocks, so a batch of centres costs one matrix product and one batched
 hermitian eigensolve, and a margin covering their rounding keeps the bound
@@ -128,12 +132,14 @@ class ProductVector:
 class RangeSearchCertificate:
     """Record of the branch-and-bound search over the qubit direction.
 
-    ``certified_bound`` is a lower bound on mu over the whole Bloch sphere;
+    ``certified_bound`` is a lower bound on mu over the whole Bloch sphere
+    (0 where the search's start is found, before any cell is bounded);
     ``worst_min_residual`` is the smallest mu seen, the least of the Gram
     lower bounds at the cell centres and the SVD values at the polished
-    points, so it is at least ``certified_bound``; ``refined_minima``
-    records every Gauss-Newton polish and ``search`` the kernels, the
-    Lipschitz constant, the rounding margin ``mu_margin`` and the work done.
+    points, the start's included, so it is at least ``certified_bound``;
+    ``refined_minima`` records every Gauss-Newton polish, the start's
+    first, and ``search`` the kernels, the Lipschitz constant, the rounding
+    margin ``mu_margin`` and the work done.
     """
 
     search: dict
@@ -160,8 +166,8 @@ def _kernel(eig: linalg.EigResult, norm: float, cutoff: float) -> np.ndarray:
 @dataclass(frozen=True)
 class _Constraints:
     """Precontracted kernel data of a state and its partial transpose, and
-    ``sphere.search``'s objective mu: ``lipschitz``, ``bounds`` (``_mu_batch``)
-    and ``polish`` (``_polish``).
+    ``sphere.search``'s objective mu: ``lipschitz``, ``bounds`` (``_mu_batch``),
+    ``polish`` (``_polish``) and ``start``.
 
     ``gram`` holds the d x d blocks H_ab, flattened and in the order 00, 01,
     10, 11, with M(e)^dag M(e) = sum_ab conj(e_a) e_b H_ab; ``margin`` and
@@ -231,6 +237,15 @@ class _Constraints:
                 squares += float(np.max(sums + (m + 4) * eps * norms * norms.sum()))
         return float(np.sqrt(squares) * (1.0 + 8.0 * eps))
 
+    @cached_property
+    def start(self) -> tuple[np.ndarray, np.ndarray]:
+        """The search's first polish, ``(e, f)``: the direction of least mu
+        among the six ``_CANONICAL`` ones and its eigenvector of
+        lambda_1(G(e)), from one eigensolve of their six Grams."""
+        values, vectors = linalg.eigh(_grams(self, _CANONICAL))
+        i = int(np.argmin(values[:, 0]))
+        return _CANONICAL[i], vectors[i, :, 0]
+
     def bounds(self, e_batch, radius, above):
         return _mu_batch(self, e_batch, radius, above)
 
@@ -263,6 +278,13 @@ def _constraint_rows(con: _Constraints, e_batch: np.ndarray) -> np.ndarray:
     one product against ``con.operator``."""
     e4 = np.concatenate([e_batch, np.conj(e_batch)], axis=1)
     return (e4 @ con.operator).reshape(len(e_batch), con.n_rows, con.d)
+
+
+def _grams(con: _Constraints, e: np.ndarray) -> np.ndarray:
+    """G(e) = M(e)^dag M(e) for unit qubit vectors e (n, 2): (n, d, d), one
+    product against ``con.gram``."""
+    weights = (np.conj(e)[:, :, None] * e[:, None, :]).reshape(-1, 4)
+    return (weights @ con.gram).reshape(-1, con.d, con.d)
 
 
 def _mu_batch(con: _Constraints, e_batch: np.ndarray, radius, above=None):
@@ -389,8 +411,7 @@ def _mu_batch(con: _Constraints, e_batch: np.ndarray, radius, above=None):
     least = np.zeros((n, con.d), dtype=complex)
     for i in range(0, n, _SLICE):
         e = e_batch[i:i + _SLICE]
-        weights = (np.conj(e)[:, :, None] * e[:, None, :]).reshape(-1, 4)
-        gram = (weights @ con.gram).reshape(-1, con.d, con.d)
+        gram = _grams(con, e)
         settled = np.zeros(len(e), dtype=bool)
         test = np.flatnonzero(np.isfinite(shift[i:i + _SLICE]))
         if len(test):
@@ -792,11 +813,18 @@ def edge_check(s: QubitQuditState) -> RangeSearchCertificate:
     ``sphere.EVALUATION_CAP`` with neither outcome.
 
     ``sphere.search`` runs on the objective at ``KERNEL_CUTOFF`` and stops
-    at the first vector found, so it polishes at most one centre above the
-    threshold per level (its NoneFound inputs fail every such polish).
-    Each polish starts from its centre's eigenvector of lambda_1(G), and
-    stops after a step whose linear model cannot halve the residual
-    (``_polish``), which moves no bound or evaluation count.  ``_mu_batch``
+    at the first vector found.  It first polishes the objective's
+    ``start``, the least-mu direction of ``_CANONICAL``; where that finds,
+    the search ends with no level and no cell bounded, and
+    ``certified_bound`` is 0.  Otherwise it polishes at most one centre
+    above the threshold per level, and that one only if it is below the
+    least mu seen before the level (its NoneFound inputs fail every such
+    polish).  The start changes no cell's bound or exclusion, so a
+    NoneFound certificate's ``certified_bound``, evaluations, levels and
+    first-order count are those of a search without it.  Each polish
+    starts from its eigenvector of lambda_1(G), and stops after a step
+    whose linear model cannot halve the residual (``_polish``), which
+    moves no bound or evaluation count.  ``_mu_batch``
     settles a cell that reaches the search's ``above`` without an
     eigensolve, and the first level has no finite ``above``, so every open
     cell, polish, vector, bound and evaluation count is the one the

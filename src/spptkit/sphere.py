@@ -4,7 +4,7 @@ A qubit direction, a unit vector e = (cos(theta/2), e^{i phi}
 sin(theta/2)) up to phase, is a point of the Bloch sphere.  ``search``
 looks for a direction where an objective's value v is at most a threshold,
 or bounds v from below over the whole sphere.  The objective is any object
-with three members; ``range_criterion._Constraints`` is the one the
+with four members; ``range_criterion._Constraints`` is the one the
 package has, and ``range_criterion.edge_check`` the one caller:
 
 * ``lipschitz``: L with |v(e) - v(e')| <= L min_phi ||e - e^{i phi} e'||,
@@ -16,7 +16,14 @@ package has, and ``range_criterion.edge_check`` the one caller:
   cell, and each centre's polish start; a centre with value_lo >=
   ``above`` may get +inf for both;
 * ``polish(e, start)``: ``(e, payload, value)`` at the best point of a
-  local minimization from e.
+  local minimization from e;
+* ``start``: ``(e, start)``, a direction and its polish start, polished
+  before any cell is bounded.
+
+A search polishes the start, then per level the best open cells: those at
+most the threshold, and the best one above it only if its value is below
+the least value seen before the level, so no level repeats the start's
+polish from a worse centre.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import numpy as np
 CELL_FLOOR = 1e-9                  # polar width (rad) below which a cell is not split
 EVALUATION_CAP = 100_000           # cells bounded per search
 _INITIAL_CELLS = (8, 16)           # polar x azimuthal cells of the first level
-_POLISH_PER_LEVEL = 2              # polishes per level, plus one; at most one above the threshold
+_POLISH_PER_LEVEL = 2              # polishes per level, plus one; at most one above the threshold; 0 skips the start
 
 
 def _bloch(theta, phi) -> np.ndarray:
@@ -153,9 +160,10 @@ def _minimum_record(e: np.ndarray, residual: float) -> dict:
 class Search:
     """What ``search`` returns.  ``found`` holds ``(e, payload)`` of the
     direction found, if any; ``minima`` a ``_minimum_record`` of every
-    polish; ``conclusion`` is "Found", "NoneFound" (every cell excluded) or
-    "Inconclusive"; ``bound`` is the least lower bound over the cells the
-    search ended with, not below 0, and ``worst`` the least value seen;
+    polish, the start's first; ``conclusion`` is "Found", "NoneFound"
+    (every cell excluded) or "Inconclusive"; ``bound`` is the least lower
+    bound over the cells the search ended with, not below 0 (0 where the
+    start is found), and ``worst`` the least value seen;
     ``work`` counts the ``evaluations`` (cells bounded), ``levels``,
     ``first_order`` exclusions and ``polishes``."""
 
@@ -171,24 +179,31 @@ def search(objective, threshold: float) -> Search:
     """Find a direction with value at most ``threshold``, or bound the value
     over the sphere from below.
 
-    Cells are rectangles in (theta, phi), each with its own half-widths,
+    First ``objective.start`` is polished, unless ``_POLISH_PER_LEVEL`` is
+    0; if its value is at most ``threshold`` the search ends "Found" with
+    no cell bounded (no level, no evaluation, one polish).  Otherwise cells
+    are rectangles in (theta, phi), each with its own half-widths,
     starting from the read-only ``_FIRST_LEVEL``.  Each level bounds the
     open cells (``objective.bounds``) and excludes a cell when its lower
     bound exceeds ``threshold``; ``first_order`` counts the cells excluded
     that value_lo - L r / 2 would have left open.  The best open cells are
     polished, best first: per level at most min(``_POLISH_PER_LEVEL``, 1)
-    from centres above the threshold and ``_POLISH_PER_LEVEL`` + 1 in all,
-    a cap that excludes nothing, as an unpolished cell stays open.  The
-    first polished value at most ``threshold`` is the direction found.  The
-    other open cells are split by ``_children`` along the axes that set
-    their radius (``_split``), so cells near the poles are not cut into
-    slivers along phi.  The search stops once a direction is found, every
-    cell is excluded, or an open cell's polar width is below ``CELL_FLOOR``
-    or the next level's children would take the evaluations past
-    ``EVALUATION_CAP``.
+    from centres above the threshold, and that one only if its value is
+    below the least value seen before the level, and ``_POLISH_PER_LEVEL``
+    + 1 in all, a cap that excludes nothing, as an unpolished cell stays
+    open.  The first polished value at most ``threshold`` is the direction
+    found.  The other open cells are split by ``_children`` along the axes
+    that set their radius (``_split``), so cells near the poles are not
+    cut into slivers along phi.  The search stops once a direction is
+    found, every cell is excluded, or an open cell's polar width is below
+    ``CELL_FLOOR`` or the next level's children would take the evaluations
+    past ``EVALUATION_CAP``.
 
     The search tracks its ``bound`` (the least lower over excluded cells)
-    and ``worst`` (the least value seen).  Each level passes ``bounds`` a
+    and ``worst`` (the least value seen, the start's polish included).
+    The start moves no cell's bound or exclusion: a smaller ``worst``
+    settles more cells in ``bounds``, each one that would have been
+    excluded without lowering ``bound``.  Each level passes ``bounds`` a
     value ``above`` per cell past which nothing the search reports can
     change: the larger of max(threshold, bound) + L r / 2 and ``worst``,
     where the cell is excluded and lowers neither; it is infinite at the
@@ -199,6 +214,12 @@ def search(objective, threshold: float) -> Search:
     theta, phi, h_theta, h_phi, e, radius = _FIRST_LEVEL
     bound = worst = np.inf
     work = dict.fromkeys(("evaluations", "levels", "first_order", "polishes"), 0)
+    if _POLISH_PER_LEVEL:
+        work["polishes"] = 1
+        e_pol, payload, worst = objective.polish(*objective.start)
+        minima.append(_minimum_record(e_pol, worst))
+        if worst <= threshold:
+            return Search([(e_pol, payload)], minima, "Found", 0.0, worst, work)
     conclusion = "NoneFound"
     while True:
         work["levels"] += 1
@@ -206,12 +227,12 @@ def search(objective, threshold: float) -> Search:
         value, lower, starts = objective.bounds(
             e, radius, np.maximum(max(threshold, bound) + slack, worst))
         work["evaluations"] += len(value)
-        worst = min(worst, float(value.min()))
+        least, worst = worst, min(worst, float(value.min()))
         open_ = lower <= threshold
         work["first_order"] += int(np.count_nonzero(~open_ & (value - slack <= threshold)))
         for attempts, i in enumerate(np.flatnonzero(open_)[np.argsort(value[open_])]):
-            if (found or attempts > _POLISH_PER_LEVEL
-                    or (attempts >= min(_POLISH_PER_LEVEL, 1) and value[i] > threshold)):
+            if (found or attempts > _POLISH_PER_LEVEL or (value[i] > threshold and (
+                    attempts >= min(_POLISH_PER_LEVEL, 1) or value[i] >= least))):
                 break
             work["polishes"] += 1
             e_pol, payload, value_pol = objective.polish(e[i], starts[i])

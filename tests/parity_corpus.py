@@ -38,7 +38,11 @@ raised.
 ``--compare`` prints every label whose lines differ, or that only one file
 has, then each file's search work: the evaluations and polishes summed
 over both columns of every line, per method, as they count different
-things (an ``edge_check`` record counts as ``sphere``).  It exits 1 when
+things.  An ``edge_check`` record counts as ``sphere``, or as ``start``
+where it ends ``FoundProductVector`` with 0 evaluations and 1 polish: a
+search the start's polish decided before any cell was bounded, so
+``start`` shows how many searches the start ends and ``sphere`` what the
+cells still cost.  It exits 1 when
 any line differs; with ``--classes`` it also lists the inputs whose class
 changed and exits 1 only when one did, other than a ``PptUndecided`` input
 that is now decided (an input only one file has counts as a change).  The inputs and the
@@ -183,7 +187,8 @@ def _read(path: Path) -> dict:
 
 def search_work(lines: dict) -> dict:
     """Evaluations and polishes, ``[evaluations, polishes]`` per method,
-    summed over the edge_check and enumeration records of every line."""
+    summed over the edge_check and enumeration records of every line; an
+    edge_check record is ``start`` where its search ended at the start."""
     work = {}
     for rest in lines.values():
         fields = rest.split("\t")
@@ -194,7 +199,13 @@ def search_work(lines: dict) -> dict:
                 # the first field is an edge_check's conclusion, a sphere
                 # search's, or an enumeration's method
                 head, evaluations, polishes = record.split(":")[:3]
-                total = work.setdefault("sphere" if column == 5 else head, [0, 0])
+                if column == 6:
+                    method = head
+                elif (head, evaluations, polishes) == ("FoundProductVector", "0", "1"):
+                    method = "start"
+                else:
+                    method = "sphere"
+                total = work.setdefault(method, [0, 0])
                 total[0] += int(evaluations)
                 total[1] += int(polishes)
     return work

@@ -457,6 +457,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_state_too_large_for_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        # numpy raises MemoryError (its _ArrayMemoryError) for a --d whose
+        # matrices do not fit; the generator is patched to raise it, so
+        # nothing is allocated
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(states, "random_sppt", too_large)
+        path = tmp_path / "x.json"
+        argv = ["generate", "random-sppt", "--d", "100000", "--rank", "1", "--out", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "74.5 GiB" in err
+        assert not path.exists()
+
     @pytest.mark.parametrize("command", [["check", "ppt"], ["classify"]])
     def test_state_whose_norm_overflows_exit_2(self, command, tmp_path, capsys):
         # entries of 1e160, not hermitian and not PSD: read against an

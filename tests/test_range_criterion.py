@@ -561,10 +561,12 @@ class TestCertifiedExclusion:
     def test_settles_cells_after_the_first_level(self, b, monkeypatch):
         cert, calls = count_calls(horodecki_2x4(b), monkeypatch)
         assert cert.conclusion == "NoneFound"
-        # the first level has no bound yet, so no LDL pass could settle a
-        # cell: it makes none and solves every cell
-        assert calls[0] == ("solved", len(sphere._FIRST_LEVEL[0]))
-        assert sum(n for kind, n in calls[1:] if kind == "settled") > 0
+        # the start's pick solves the six canonical directions, and is no
+        # level; the first level has no bound yet, so no LDL pass could
+        # settle a cell: it makes none and solves every cell
+        assert calls[0] == ("solved", len(range_criterion._CANONICAL))
+        assert calls[1] == ("solved", len(sphere._FIRST_LEVEL[0]))
+        assert sum(n for kind, n in calls[2:] if kind == "settled") > 0
 
     @pytest.mark.parametrize("state", [
         *(horodecki_2x4(b) for b in (0.2, 0.5, 0.8)), random_separable(4, 3, seed=2)[0],
@@ -617,7 +619,8 @@ class TestPolishBudget:
 
     @pytest.mark.parametrize("state", BOUND_STATES)
     def test_at_most_one_polish_per_level(self, state, monkeypatch):
-        levels = []
+        # levels[0] counts the start's polishes, made before any level
+        levels = [0]
         bound, polish = range_criterion._mu_batch, range_criterion._polish
 
         def level(*args):
@@ -632,7 +635,8 @@ class TestPolishBudget:
         monkeypatch.setattr(range_criterion, "_polish", polishing)
         cert = edge_check(state)
         assert cert.conclusion == "NoneFound"
-        assert cert.search["polishes"] <= cert.search["levels"] == len(levels)
+        assert levels[0] == 1
+        assert cert.search["polishes"] <= cert.search["levels"] + 1 == len(levels)
         assert max(levels) == 1
 
     @pytest.mark.parametrize("state", BOUND_STATES)
@@ -678,10 +682,11 @@ class TestPolishBudget:
         assert cert.worst_min_residual >= cert.certified_bound
 
     def test_first_level_still_finds(self):
+        # the start finds it: no level, no cell bounded, one polish
         cert = edge_check(random_separable(5, 6, seed=0)[0])
         assert cert.conclusion == "FoundProductVector"
         assert (cert.search["levels"], cert.search["evaluations"],
-                cert.search["polishes"]) == (1, 112, 1)
+                cert.search["polishes"]) == (0, 0, 1)
 
     @pytest.mark.parametrize("d, n, evaluations, polishes", [
         (5, 6, 15, 0), (4, 7, 14, 0), (5, 7, 22, 0)])
@@ -700,6 +705,114 @@ class TestPolishBudget:
         # one polish per level finds these inputs' first product vector
         # levels later than two did; the verdict does not move
         assert classify(random_separable(d, n, seed=seed)[0]).classification == SEPARABLE
+
+
+def without_start(monkeypatch):
+    """Patch the search's start out: its polish reports +inf and moves
+    nothing, so the first level sees no value below its own, as a search
+    without a start would."""
+    polish = range_criterion._polish
+    monkeypatch.setattr(range_criterion._Constraints, "start",
+                        (range_criterion._CANONICAL[0], None))
+    monkeypatch.setattr(range_criterion, "_polish", lambda con, e, f: (
+        (e, None, np.inf) if f is None else polish(con, e, f)))
+
+
+def pure_products():
+    """(label, state): the pure product states of the recovery tests, one
+    drawn from default_rng(0) and the others at fixed directions."""
+    rng = np.random.default_rng(0)
+    e0 = rng.normal(size=2) + 1j * rng.normal(size=2)
+    f0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+    yield "recovery", product_state(e0, f0)[0]
+    yield "found", product_state([1.0, 0.3 - 0.2j], [0.5, 1.0, -0.25j])[0]
+    for d in (1, 2, 4):
+        for theta, phi in ((np.pi / 4, np.pi / 4), (np.pi / 8, np.pi / 2), (0.3, 1.0)):
+            f = np.arange(1, d + 1) * np.exp(1j * np.arange(d))
+            yield (f"corner-{d}-{theta:.3f}-{phi:.3f}",
+                   product_state(sphere._bloch(theta, phi), f)[0])
+
+
+NONE_FOUND_STATES = [*BOUND_STATES, *(
+    pytest.param(random_sppt(6, 5, normal_s=False, seed=seed)[0], id=f"random_sppt-6-5-{seed}")
+    for seed in range(3))]
+
+
+class TestStart:
+    """The search polishes the least-mu canonical direction before it bounds
+    a cell: a separable input's search ends there, and a NoneFound search
+    keeps everything that bounds or excludes a cell."""
+
+    @pytest.mark.parametrize("state", [
+        pytest.param(random_separable(5, 6, seed=0)[0], id="separable-5-6"),
+        pytest.param(random_separable(5, 7, seed=0)[0], id="separable-5-7"),
+        *(pytest.param(s, id=label) for label, s in pure_products())])
+    def test_the_start_finds_without_bounding_a_cell(self, state):
+        cert = edge_check(state)
+        assert cert.conclusion == "FoundProductVector"
+        assert cert.found[0].combined_residual <= 1e-8
+        assert (cert.search["levels"], cert.search["evaluations"],
+                cert.search["polishes"]) == (0, 0, 1)
+        assert len(cert.refined_minima) == 1 and cert.certified_bound == 0.0
+
+    def test_a_failing_start_still_finds_at_the_first_level(self):
+        # the least-mu canonical direction of this input polishes to a
+        # local minimum of mu off its zeros; the first level's best centre
+        # polishes onto one
+        cert = edge_check(random_separable(4, 6, seed=1)[0])
+        assert cert.conclusion == "FoundProductVector"
+        assert cert.refined_minima[0]["residual"] > cert.exclusion_threshold
+        assert cert.refined_minima[-1]["residual"] <= cert.exclusion_threshold
+        assert (cert.search["levels"], cert.search["evaluations"],
+                cert.search["polishes"]) == (1, len(sphere._FIRST_LEVEL[0]), 2)
+
+    @pytest.mark.parametrize("state", NONE_FOUND_STATES)
+    def test_none_found_keeps_what_bounds_and_excludes_cells(self, state, monkeypatch):
+        cert = edge_check(state)
+        with monkeypatch.context() as patch:
+            without_start(patch)
+            unstarted = edge_check(state)
+        assert cert.conclusion == unstarted.conclusion == "NoneFound"
+        assert np.float64(cert.certified_bound).tobytes() == np.float64(
+            unstarted.certified_bound).tobytes()
+        for key in ("evaluations", "levels", "first_order_exclusions"):
+            assert cert.search[key] == unstarted.search[key], key
+        # the start's polish is the first minimum, and the least value seen
+        # is at most it
+        assert cert.worst_min_residual <= cert.refined_minima[0]["residual"]
+
+    @pytest.mark.parametrize("state", NONE_FOUND_STATES)
+    def test_no_level_polishes_a_centre_not_below_the_least_value_seen(self, state, monkeypatch):
+        events = []
+        bound, polish = range_criterion._mu_batch, range_criterion._polish
+
+        def level(con, e, radius, above):
+            result = bound(con, e, radius, above)
+            events.append(("level", e, result[0]))
+            return result
+
+        def polishing(con, e, f):
+            result = polish(con, e, f)
+            events.append(("polish", e, result[2]))
+            return result
+
+        monkeypatch.setattr(range_criterion, "_mu_batch", level)
+        monkeypatch.setattr(range_criterion, "_polish", polishing)
+        cert = edge_check(state)
+        assert cert.conclusion == "NoneFound"
+        assert events[0][0] == "polish"         # the start, before any level
+        least, before, centres = np.inf, np.inf, None
+        for kind, e, value in events:
+            if kind == "level":
+                before, centres = least, (e, value)
+                least = min(least, float(value.min()))
+                continue
+            if centres is not None:
+                (i,) = np.flatnonzero((centres[0] == e).all(axis=1))
+                assert centres[1][i] <= cert.exclusion_threshold or centres[1][i] < before
+            least = min(least, value)
+        assert least == cert.worst_min_residual
+        assert len([kind for kind, _, _ in events if kind == "polish"]) == cert.search["polishes"]
 
 
 class TestPolishAtADegenerateZero:

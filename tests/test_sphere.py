@@ -14,36 +14,60 @@ from helpers import cell_offsets
 class ToyObjective:
     """value(e) = c + the Bloch angle from e to p.  By the angle's triangle
     inequality a cell of Bloch radius r round a centre bounds it by the
-    centre's value less r, L r / 2 for L = 2.  The polish goes straight to p."""
+    centre's value less r, L r / 2 for L = 2.  The polish goes straight to p
+    from within a Bloch angle of 0.5, above every first-level cell's
+    radius, and stays where it starts otherwise; the search's start is
+    ``start``."""
 
     lipschitz = 2.0
 
-    def __init__(self, p, c):
-        self.p, self.c = p, c
+    def __init__(self, p, c, start):
+        self.p, self.c, self.start = p, c, (start, "start")
+
+    def value(self, e):
+        return self.c + sphere._bloch_angle(e, self.p[None, :])[..., 0]
 
     def bounds(self, e, radius, above):
-        value = self.c + sphere._bloch_angle(e, self.p[None, :])[:, 0]
+        value = self.value(e)
         return value, value - radius, np.zeros(len(e))
 
     def polish(self, e, start):
-        return self.p, "payload", self.c
+        value = float(self.value(e))
+        if value - self.c < 0.5:
+            return self.p, "payload", self.c
+        return e, start, value
 
 
 class TestToyObjective:
     P = sphere._bloch(1.0, 2.0)
+    NEAR = sphere._bloch(1.2, 2.1)      # Bloch angle below 0.5 from P
+    FAR = sphere._bloch(np.pi, 0.0)     # the south pole, 2.14 from P
+
+    def test_a_start_near_the_minimum_finds_it_without_bounding_a_cell(self):
+        result = sphere.search(ToyObjective(self.P, 0.0, self.NEAR), 1e-3)
+        assert result.conclusion == "Found"
+        assert len(result.found) == 1
+        e, payload = result.found[0]
+        assert np.array_equal(e, self.P) and payload == "payload"
+        assert result.worst == 0.0 and result.bound == 0.0
+        assert len(result.minima) == 1
+        assert result.work == {"evaluations": 0, "levels": 0, "first_order": 0, "polishes": 1}
 
     def test_finds_the_minimum(self):
-        result = sphere.search(ToyObjective(self.P, 0.0), 1e-3)
+        result = sphere.search(ToyObjective(self.P, 0.0, self.FAR), 1e-3)
         assert result.conclusion == "Found"
         assert len(result.found) == 1
         e, payload = result.found[0]
         assert np.array_equal(e, self.P) and payload == "payload"
         assert result.worst == 0.0
-        assert result.work["levels"] == result.work["polishes"] == 1
+        # the start's polish fails and is the first minimum; the first
+        # level's best centre is polished onto p
+        assert result.minima[0]["residual"] > 1e-3
+        assert result.work["levels"] == 1 and result.work["polishes"] == 2
 
     @pytest.mark.parametrize("threshold", [1e-3, 0.0999])
     def test_certifies_a_bound_when_the_minimum_is_above_the_threshold(self, threshold):
-        result = sphere.search(ToyObjective(self.P, 0.1), threshold)
+        result = sphere.search(ToyObjective(self.P, 0.1, self.FAR), threshold)
         assert result.conclusion == "NoneFound"
         assert not result.found
         assert threshold <= result.bound <= 0.1
@@ -52,6 +76,24 @@ class TestToyObjective:
         # be excluded
         assert result.work["levels"] > 1
         assert result.work["polishes"] == len(result.minima) > 0
+        # the start's polish stays far from p, and the first level's best
+        # centre is polished onto it; no later centre's value, at least c,
+        # is below the least value seen, c
+        assert result.work["polishes"] == 2
+
+    @pytest.mark.parametrize("threshold", [1e-3, 0.0999])
+    def test_a_start_that_reaches_the_minimum_is_the_only_polish(self, threshold):
+        result = sphere.search(ToyObjective(self.P, 0.1, self.NEAR), threshold)
+        assert result.conclusion == "NoneFound"
+        assert threshold <= result.bound <= 0.1
+        assert result.worst == 0.1 and result.minima[0]["residual"] == 0.1
+        assert result.work["levels"] > 1 and result.work["polishes"] == 1
+
+    def test_without_polishes_the_start_is_not_polished(self, monkeypatch):
+        monkeypatch.setattr(sphere, "_POLISH_PER_LEVEL", 0)
+        result = sphere.search(ToyObjective(self.P, 0.1, self.NEAR), 1e-3)
+        assert result.conclusion == "NoneFound"
+        assert result.work["polishes"] == len(result.minima) == 0
 
 
 class TestFirstLevel:
